@@ -15,10 +15,8 @@ import numpy as np
 
 from ufg.datasets import path_graph
 from ufg.experiments import denoise_signal
-from ufg.filters import haar_filter_bank
-from ufg.graphs import eigendecompose, normalized_laplacian
 from ufg.io import write_metrics_jsonl
-from ufg.transform import build_operators, make_system
+from ufg.transform import framelet_operator
 
 
 def main() -> int:
@@ -35,13 +33,7 @@ def main() -> int:
     args = ap.parse_args()
 
     graph = path_graph(args.nodes)
-    lap = normalized_laplacian(graph)
-    spectrum = eigendecompose(lap)
-    system = make_system(
-        haar_filter_bank(), float(spectrum.values[-1]),
-        levels=args.levels, mode="exact",
-    )
-    op = build_operators(system, lap, spectrum)
+    op = framelet_operator(graph, levels=args.levels, mode="exact")
 
     truth = np.sin(2.0 * np.pi * args.cycles * np.arange(args.nodes) / args.nodes)
     noise_std = args.noise * np.sqrt(np.mean(truth**2))

@@ -5,10 +5,12 @@ train-graph, perturb, sweep, bench, verify. Exit codes: 0 success, 1 usage
 error, 2 runtime failure, 3 verify failure.
 
 Output: every subcommand except ``sweep`` and ``verify`` prints one JSON
-object per line to stdout (``bench`` one per size), with sorted keys and
-made only of plain Python scalars, lists and dicts. NumPy integer, float
-and bool scalars are converted at this boundary; any other object that is
-not JSON serializable is a runtime failure (exit code 2).
+object per line to stdout (``bench`` one per size), and every line is
+strict JSON (``io.encode_json``): keys are sorted, NumPy integer, float and
+bool scalars are written as plain numbers and booleans, and a non-finite
+float, such as the NaN accuracy of a diverged seed in ``per_seed``, is
+written as ``null``. Any other object that is not JSON serializable is a
+runtime failure (exit code 2). ``--metrics-out`` files follow the same rule.
 
 Environment: ``UFG_THREADS`` caps BLAS/OpenMP threads (applied before numpy
 loads, which is why all heavy imports here are deferred);
@@ -19,7 +21,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -48,22 +49,11 @@ def _configure_threads() -> None:
         os.environ[var] = threads
 
 
-def _json_scalar(obj):
-    """``json.dumps`` fallback: NumPy scalars to their Python equivalents."""
-    import numpy as np
-
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _emit_json(obj) -> None:
-    """Print one sorted-key JSON line to stdout."""
-    print(json.dumps(obj, sort_keys=True, default=_json_scalar))
+    """Print one strict, sorted-key JSON line to stdout."""
+    from .io import encode_json
+
+    print(encode_json(obj))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -96,28 +86,12 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "chebyshev"), default="exact")
 
 
-def _build_operator(graph, dilation, levels, degree, mode):
-    from . import filters, graphs, transform
-
-    lap = graphs.normalized_laplacian(graph)
-    spectrum = None
-    if mode == "exact":
-        spectrum = graphs.eigendecompose(lap)
-        lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
-    else:
-        lam = graphs.lambda_max(lap, "power_iteration")
-    system = transform.make_system(
-        filters.haar_filter_bank(), lam, dilation, levels, degree, mode
-    )
-    return transform.build_operators(system, lap, spectrum), system
-
-
 def _cmd_transform(args) -> int:
     from . import io, transform
 
     graph = io.read_graph_text(args.graph)
     signal = io.read_features_csv(args.signal)
-    op, system = _build_operator(
+    op = transform.framelet_operator(
         graph, args.dilation, args.levels, args.degree, args.mode
     )
     stack = transform.decompose(op, signal)
@@ -127,7 +101,7 @@ def _cmd_transform(args) -> int:
             "nodes": graph.num_nodes,
             "features": signal.shape[1],
             "blocks": op.num_blocks,
-            "K": system.K,
+            "K": op.system.K,
             "out": args.out,
         }
     )
@@ -141,7 +115,7 @@ def _cmd_reconstruct(args) -> int:
 
     graph = io.read_graph_text(args.graph)
     stack = io.read_coefficients(args.coeffs)
-    op, _ = _build_operator(
+    op = transform.framelet_operator(
         graph, args.dilation, args.levels, args.degree, args.mode
     )
     signal = transform.reconstruct(op, stack)
@@ -157,16 +131,16 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    from . import experiments, io
+    from . import experiments, io, transform
 
     graph = io.read_graph_text(args.graph)
     noisy = io.read_features_csv(args.signal)
     truth = io.read_features_csv(args.truth) if args.truth else None
-    _, system = _build_operator(
+    op = transform.framelet_operator(
         graph, args.dilation, args.levels, args.degree, args.mode
     )
     denoised, report = experiments.denoise_signal(
-        graph, noisy, system=system, sigma=args.sigma, truth=truth
+        graph, noisy, sigma=args.sigma, truth=truth, op=op
     )
     io.write_features_csv(denoised, args.out)
     report["out"] = args.out
@@ -175,11 +149,11 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_pool(args) -> int:
-    from . import io, nn
+    from . import io, nn, transform
 
     graph = io.read_graph_text(args.graph)
     signal = io.read_features_csv(args.signal)
-    op, _ = _build_operator(
+    op = transform.framelet_operator(
         graph, args.dilation, args.levels, args.degree, args.mode
     )
     pooled, _ = nn.ufg_pool_forward(op, signal, args.pool_mode)

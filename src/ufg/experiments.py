@@ -18,13 +18,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .datasets import GraphSample, NodeDataset
-from .filters import haar_filter_bank
-from .graphs import (
-    EXACT_SPECTRUM_MAX_NODES,
-    eigendecompose,
-    lambda_max,
-    normalized_laplacian,
-)
 from .io import deterministic_mode
 from .nn import (
     AdamState,
@@ -50,11 +43,8 @@ from .nn import (
 from .shrinkage import ThresholdConfig, compression_ratio, shrink_stack
 from .transform import (
     DecompositionOperator,
-    build_operators,
-    chebyshev_decompose,
-    chebyshev_reconstruct,
     decompose,
-    make_system,
+    framelet_operator,
     reconstruct,
 )
 
@@ -166,22 +156,9 @@ def build_node_operator(
     data: NodeDataset, config: ExperimentConfig
 ) -> DecompositionOperator:
     """Framelet operator for a node dataset under the config's system."""
-    lap = normalized_laplacian(data.graph)
-    spectrum = None
-    if config.mode == "exact":
-        spectrum = eigendecompose(lap)
-        lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
-    else:
-        lam = lambda_max(lap, "power_iteration")
-    system = make_system(
-        haar_filter_bank(),
-        lam,
-        dilation=config.dilation,
-        levels=config.levels,
-        degree=config.degree,
-        mode=config.mode,
+    return framelet_operator(
+        data.graph, config.dilation, config.levels, config.degree, config.mode
     )
-    return build_operators(system, lap, spectrum)
 
 
 def _layer_activations(config: ExperimentConfig) -> tuple[LayerActivation, LayerActivation]:
@@ -339,18 +316,9 @@ def _prepare_graph_contexts(samples: list[GraphSample], config: ExperimentConfig
         norm_adj = gcn_norm_adjacency(s.graph)
         op = None
         if config.pool_mode in ("sum", "spectrum"):
-            lap = normalized_laplacian(s.graph)
-            spectrum = eigendecompose(lap)
-            lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
-            system = make_system(
-                haar_filter_bank(),
-                lam,
-                dilation=config.dilation,
-                levels=config.levels,
-                degree=config.degree,
-                mode="exact",
+            op = framelet_operator(
+                s.graph, config.dilation, config.levels, config.degree, "exact"
             )
-            op = build_operators(system, lap, spectrum)
         contexts.append({"sample": s, "norm_adj": norm_adj, "op": op})
     return contexts
 
@@ -504,7 +472,6 @@ def majority_class_accuracy(samples: list[GraphSample]) -> float:
 def denoise_signal(
     graph,
     noisy_signal: np.ndarray,
-    system=None,
     sigma: float = 1.0,
     truth: np.ndarray | None = None,
     op: DecompositionOperator | None = None,
@@ -512,27 +479,15 @@ def denoise_signal(
     """Framelet denoising: decompose, soft-threshold high passes, reconstruct.
 
     Uses the global universal threshold scaled by ``sigma``. Pass ``op`` to
-    reuse a prebuilt operator; otherwise one is built from ``system`` (or a
-    default exact two-level Haar system).
+    reuse a prebuilt operator; otherwise ``framelet_operator`` builds the
+    default exact two-level Haar operator of ``graph``.
     """
     noisy = np.asarray(noisy_signal, dtype=np.float64)
     squeeze = noisy.ndim == 1
     if squeeze:
         noisy = noisy[:, None]
     if op is None:
-        lap = normalized_laplacian(graph)
-        if system is None:
-            spectrum = eigendecompose(lap)
-            lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
-            system = make_system(haar_filter_bank(), lam, levels=2, mode="exact")
-        else:
-            spectrum = (
-                eigendecompose(lap)
-                if system.mode == "exact"
-                and graph.num_nodes <= EXACT_SPECTRUM_MAX_NODES
-                else None
-            )
-        op = build_operators(system, lap, spectrum)
+        op = framelet_operator(graph)
     coeff = decompose(op, noisy)
     shrunk = shrink_stack(coeff, ThresholdConfig(sigma, "global"))
     denoised = reconstruct(op, shrunk)
@@ -593,41 +548,34 @@ def bench_transform(
     """Time Chebyshev operator build and decompose+reconstruct per size.
 
     Random sparse ER graphs; per size, reports mean and median seconds over
-    ``repetitions`` plus the nnz of every operator block. The transform is
-    timed matrix-free (per-factor recurrences on the signal), so its cost
-    tracks the factor count rather than the fill-in of materialized blocks.
-    Out-of-memory records the size as skipped instead of failing the run.
+    ``repetitions`` plus the operator's block count. The build is the whole
+    ``framelet_operator`` call: Laplacian, power-iteration spectral bound and
+    filter fits. The transform runs matrix-free (per-factor recurrences on
+    the signal), so its cost tracks the factor count. Out-of-memory records
+    the size as skipped instead of failing the run.
     """
     from .datasets import random_er_graph
 
     sizes = list(node_sizes)
     if sizes != sorted(sizes):
         raise ValueError("node sizes must be ascending")
-    bank = haar_filter_bank()
     rows: list[dict] = []
     for n in sizes:
         row: dict = {"n": int(n), "levels": levels, "degree": degree}
         try:
             graph = random_er_graph(int(n), avg_degree, seed)
-            lap = normalized_laplacian(graph)
-            lam = lambda_max(lap, "power_iteration")
-            system = make_system(
-                bank, lam, dilation=dilation, levels=levels,
-                degree=degree, mode="chebyshev",
-            )
             build_times = []
             op = None
             for _ in range(repetitions):
                 t0 = time.perf_counter()
-                op = build_operators(system, lap)
+                op = framelet_operator(graph, dilation, levels, degree, "chebyshev")
                 build_times.append(time.perf_counter() - t0)
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(int(n), num_features))
             roundtrip_times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter()
-                c = chebyshev_decompose(system, lap, X)
-                chebyshev_reconstruct(system, lap, c)
+                reconstruct(op, decompose(op, X))
                 roundtrip_times.append(time.perf_counter() - t0)
             if deterministic_mode():
                 build_times = [0.0] * len(build_times)
@@ -639,7 +587,7 @@ def bench_transform(
                     "build_median_s": float(np.median(build_times)),
                     "transform_mean_s": float(np.mean(roundtrip_times)),
                     "transform_median_s": float(np.median(roundtrip_times)),
-                    "nnz_per_block": [int(b.nnz) for b in op.blocks],
+                    "blocks": op.num_blocks,
                 }
             )
         except MemoryError:

@@ -8,7 +8,8 @@ bank shipped here has one high pass: ``a(xi) = cos(xi / 2)``,
 
 Filters are applied to a Laplacian either exactly through its
 eigendecomposition or approximately as a Chebyshev polynomial in the matrix,
-fitted on ``[0, lam_max]`` by Chebyshev-Gauss quadrature.
+fitted on ``[0, lam_max]`` by Chebyshev-Gauss quadrature and applied to a
+signal by the three-term recurrence, never as an explicit matrix.
 """
 
 from __future__ import annotations
@@ -163,41 +164,15 @@ def chebyshev_fit(
     return ChebyshevApprox(coeffs=coeffs, lam_max=float(lam_max))
 
 
-def apply_matrix_polynomial(approx: ChebyshevApprox, mat: SparseMatrix) -> SparseMatrix:
-    """Materialize ``p(M)`` for a Chebyshev expansion ``p`` as a sparse matrix.
-
-    Runs the three-term recurrence ``T_{j+1} = 2 M~ T_j - T_{j-1}`` on the
-    rescaled matrix ``M~ = (2 / lam_max) M - I`` and accumulates
-    ``sum_j coeffs[j] T_j``. The result is an explicit sparse matrix whose
-    sparsity grows with the polynomial degree.
-    """
-    n = mat.num_rows
-    if mat.num_cols != n:
-        raise ValueError("matrix polynomial needs a square matrix")
-    eye = SparseMatrix.identity(n)
-    scaled = mat.scale(2.0 / approx.lam_max).add(eye.scale(-1.0))
-    c = approx.coeffs
-    acc = eye.scale(float(c[0]))
-    if len(c) == 1:
-        return acc
-    t_prev, t_cur = eye, scaled
-    acc = acc.add(t_cur.scale(float(c[1])))
-    for j in range(2, len(c)):
-        t_next = (scaled @ t_cur).scale(2.0).add(t_prev.scale(-1.0))
-        acc = acc.add(t_next.scale(float(c[j])))
-        t_prev, t_cur = t_cur, t_next
-    return acc
-
-
 def apply_polynomial_to_signal(
     approx: ChebyshevApprox, mat: SparseMatrix, X: np.ndarray
 ) -> np.ndarray:
     """Evaluate ``p(M) @ X`` matrix-free by the Chebyshev recurrence.
 
-    Runs the same three-term recurrence as ``apply_matrix_polynomial`` but on
-    the signal columns, so the cost is ``degree`` sparse-dense products and
-    the polynomial is never materialized. Equivalent to materializing up to
-    floating-point associativity.
+    Runs ``T_{j+1} = 2 M~ T_j - T_{j-1}`` on the signal columns, with the
+    rescaled matrix ``M~ = (2 / lam_max) M - I``, and accumulates
+    ``sum_j coeffs[j] T_j X``. The cost is ``degree`` sparse-dense products;
+    the polynomial ``p(M)`` is never formed.
     """
     n = mat.num_rows
     if mat.num_cols != n:

@@ -129,15 +129,6 @@ def normalized_laplacian(graph: Graph) -> SparseMatrix:
     return SparseMatrix.from_scipy(lap)
 
 
-def combinatorial_laplacian(graph: Graph) -> SparseMatrix:
-    """Unnormalized Laplacian ``D - A``."""
-    n = graph.num_nodes
-    import scipy.sparse as sp
-
-    dmat = sp.diags_array(graph.degrees, format="csr")
-    return SparseMatrix.from_scipy(dmat - graph.adjacency.csr)
-
-
 def lambda_max(lap: SparseMatrix, method: str = "exact") -> float:
     """Largest eigenvalue of a symmetric PSD matrix.
 

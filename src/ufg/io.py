@@ -14,12 +14,13 @@ Formats (all little-endian, all floats 64-bit):
 - Checkpoint: magic ``UFGP``, version u32, parameter count u32, then per
   parameter: name (u16 length + utf-8), ndim u32, dims u32 each, f64
   payload. Parameters are written in sorted name order.
-- Metrics: JSON lines with sorted keys.
+- Metrics: JSON lines written by ``encode_json``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -211,20 +212,6 @@ def read_coefficients(path: str):
     )
 
 
-def write_coefficients_csv(stack, path: str) -> None:
-    """Plain-text export: one row ``r,j,node,feature,value`` per coefficient."""
-    n = stack.num_nodes
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("r,j,node,feature,value\n")
-        for b, (r, j) in enumerate(stack.block_index):
-            block = stack.data[b * n : (b + 1) * n]
-            for node in range(n):
-                for feat in range(stack.num_features):
-                    fh.write(
-                        f"{r},{j},{node},{feat},{format_float(block[node, feat])}\n"
-                    )
-
-
 # -- checkpoints -------------------------------------------------------------
 
 
@@ -279,11 +266,37 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
 # -- metrics and plot data ---------------------------------------------------
 
 
+def _plain(obj):
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(val) for val in obj]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        val = float(obj)
+        return val if math.isfinite(val) else None
+    return obj
+
+
+def encode_json(obj) -> str:
+    """Strict, byte-stable JSON text of plain data.
+
+    Keys are sorted; NumPy integer, float and bool scalars become Python
+    scalars; non-finite floats (a diverged seed's NaN) become ``null``, so
+    strict parsers accept the output. Any other object that JSON cannot
+    hold raises ``TypeError``.
+    """
+    return json.dumps(_plain(obj), sort_keys=True, allow_nan=False)
+
+
 def write_metrics_jsonl(records, path: str) -> None:
-    """One JSON object per line, keys sorted for byte-stable output."""
+    """One ``encode_json`` object per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, default=float) + "\n")
+            fh.write(encode_json(rec) + "\n")
 
 
 def read_metrics_jsonl(path: str) -> list[dict]:

@@ -3,13 +3,13 @@
 ``SparseMatrix`` is a thin immutable wrapper around ``scipy.sparse.csr_array``
 that pins the storage contract: canonical CSR layout (strictly increasing
 column indices per row, nondecreasing row offsets) and finite values only.
-All Laplacians and framelet transform blocks travel through this type.
+Graph adjacencies and Laplacians travel through this type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,10 +43,6 @@ class SparseMatrix:
         return SparseMatrix(_canonical(sp.csr_array(mat)))
 
     @staticmethod
-    def from_dense(arr: np.ndarray) -> "SparseMatrix":
-        return SparseMatrix.from_scipy(np.asarray(arr, dtype=np.float64))
-
-    @staticmethod
     def from_coo(
         rows: Iterable[int],
         cols: Iterable[int],
@@ -78,24 +74,8 @@ class SparseMatrix:
         return self.csr.shape
 
     @property
-    def row_offsets(self) -> np.ndarray:
-        return self.csr.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self.csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.csr.data
-
-    @property
     def nnz(self) -> int:
         return self.csr.nnz
-
-    def density(self) -> float:
-        total = self.num_rows * self.num_cols
-        return self.nnz / total if total else 0.0
 
     def validate(self) -> None:
         """Raise ``ValueError`` if the CSR layout contract is broken."""
@@ -111,25 +91,9 @@ class SparseMatrix:
 
     # -- algebra -----------------------------------------------------------
 
-    def __matmul__(self, other):
-        if isinstance(other, SparseMatrix):
-            return SparseMatrix(_canonical(self.csr @ other.csr))
-        out = self.csr @ np.asarray(other, dtype=np.float64)
-        return np.asarray(out)
-
-    def rmatmul_dense(self, left: np.ndarray) -> np.ndarray:
-        """Dense @ sparse, returned dense."""
-        return np.asarray(np.asarray(left, dtype=np.float64) @ self.csr)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(_canonical(self.csr.T.tocsr()))
-
-    @property
-    def T(self) -> "SparseMatrix":
-        return self.transpose()
-
-    def scale(self, alpha: float) -> "SparseMatrix":
-        return SparseMatrix(_canonical(sp.csr_array(self.csr * float(alpha))))
+    def __matmul__(self, other) -> np.ndarray:
+        """Sparse @ dense, returned dense."""
+        return np.asarray(self.csr @ np.asarray(other, dtype=np.float64))
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         return SparseMatrix(_canonical(sp.csr_array(self.csr + other.csr)))
@@ -149,7 +113,3 @@ class SparseMatrix:
         abs_row_sums = np.asarray(abs(self.csr).sum(axis=1)).ravel()
         return float(np.max(diag + (abs_row_sums - np.abs(diag))))
 
-
-def vstack(blocks: Sequence[SparseMatrix]) -> SparseMatrix:
-    """Vertically concatenate blocks in order."""
-    return SparseMatrix(_canonical(sp.vstack([b.csr for b in blocks], format="csr")))

@@ -7,11 +7,18 @@ The transform is a bank of N x N operators ``W_{r,j}``: for filter bank
     W_{g,j} = g(d^{j-1-K} L) a(d^{j-2-K} L) ... a(d^{-K} L),   j >= 2
 
 where ``g`` is a high pass ``b_r`` for the detail blocks and ``a`` for the
-single low-pass block, whose chain runs to the top level ``J``. The blocks
-are materialized either exactly in the Laplacian eigenbasis or as explicit
-sparse Chebyshev matrix polynomials, then stacked: partition of unity of the
-bank makes the stacked operator an isometry, so ``reconstruct`` is the plain
-transpose and round trips are exact up to the approximation error.
+single low-pass block, whose chain runs to the top level ``J``. Stacked in
+canonical order they form one operator ``W``, applied by ``decompose``;
+partition of unity of the bank makes ``W`` an isometry, so ``reconstruct``
+is the plain transpose and round trips are exact up to the approximation
+error.
+
+``DecompositionOperator`` has two backends, chosen by the system's mode.
+``exact`` holds the stacked blocks ``U diag(g_b) U^T`` as one dense array,
+built in the Laplacian eigenbasis. ``chebyshev`` holds only the Laplacian
+and applies the fitted factor polynomials to the signal by the Chebyshev
+recurrence, so it needs neither an eigendecomposition nor any N x N matrix.
+``framelet_operator`` builds either from a graph.
 """
 
 from __future__ import annotations
@@ -22,20 +29,16 @@ from functools import cached_property
 
 import numpy as np
 
+from . import graphs
 from .filters import (
     ChebyshevApprox,
     DEFAULT_CHEBYSHEV_DEGREE,
     FilterBank,
-    apply_matrix_polynomial,
     apply_polynomial_to_signal,
     chebyshev_fit,
+    haar_filter_bank,
 )
-from .graphs import Spectrum
-from .sparse import SparseMatrix, vstack
-
-# Above this many total stacked entries the dense fast path is skipped and
-# decompose/reconstruct run block-by-block on the sparse matrices.
-DENSE_CACHE_MAX_ENTRIES = 1_500_000
+from .sparse import SparseMatrix
 
 
 def compute_K(lambda_max: float, d: float) -> int:
@@ -76,7 +79,7 @@ class FrameletSystem:
     degree : int
         Chebyshev degree t used by the approximate path.
     mode : str
-        ``"exact"`` (eigenbasis) or ``"chebyshev"`` (matrix polynomials).
+        ``"exact"`` (eigenbasis) or ``"chebyshev"`` (matrix-free polynomials).
     """
 
     bank: FilterBank
@@ -121,6 +124,28 @@ class FrameletSystem:
         """Argument scale ``d^{j-1-K}`` of the level-j filter factor."""
         return self.dilation ** (j - 1 - self.K)
 
+    @cached_property
+    def factor_fits(
+        self,
+    ) -> tuple[list[ChebyshevApprox], list[list[ChebyshevApprox]]]:
+        """Chebyshev fits of every filter factor, made once per system:
+        ``low[j-1]`` is the level-j low-pass factor, ``high[r-1][j-1]`` the
+        level-j factor of high pass r."""
+        if not (self.lam_max > 0):
+            raise ValueError("chebyshev mode needs a positive lam_max bound")
+        t, lam_max = self.degree, self.lam_max
+
+        def factor(fn, scale) -> ChebyshevApprox:
+            return chebyshev_fit(lambda lam: fn(scale * lam), degree=t, lam_max=lam_max)
+
+        levels = range(1, self.levels + 1)
+        low = [factor(self.bank.low_pass, self.factor_scale(j)) for j in levels]
+        high = [
+            [factor(b, self.factor_scale(j)) for j in levels]
+            for b in self.bank.high_passes
+        ]
+        return low, high
+
 
 def make_system(
     bank: FilterBank,
@@ -148,49 +173,53 @@ def make_system(
 
 @dataclass(frozen=True)
 class DecompositionOperator:
-    """Materialized transform blocks in canonical order.
+    """The stacked framelet operator ``W`` of one system on one Laplacian.
 
-    ``blocks[i]`` is the N x N operator for ``block_index[i]``; index 0 is
-    always the low pass ``(0, J)``. ``provenance`` records how the blocks
-    were built (mode, degree, K, dilation, levels).
+    Apply it with ``decompose`` and its transpose with ``reconstruct``. In
+    exact mode ``stack`` is the dense ``(B N) x N`` array of the blocks
+    ``U diag(g_b) U^T`` in ``block_index`` order, low pass first. In
+    Chebyshev mode ``stack`` is None and both products run the system's
+    factor polynomials on ``lap`` matrix-free.
     """
 
-    blocks: tuple[SparseMatrix, ...] = field(repr=False)
-    block_index: tuple[tuple[int, int], ...]
-    num_nodes: int
-    provenance: dict = field(default_factory=dict, repr=False)
+    system: FrameletSystem
+    lap: SparseMatrix = field(repr=False)
+    stack: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.block_index):
-            raise ValueError("one index entry per block required")
-        if not self.block_index or self.block_index[0][0] != 0:
-            raise ValueError("low-pass block must come first")
-        for b in self.blocks:
-            if b.shape != (self.num_nodes, self.num_nodes):
-                raise ValueError("all blocks must be N x N")
+        if (self.stack is None) != (self.system.mode == "chebyshev"):
+            raise ValueError("exact mode needs a dense stack, chebyshev mode none")
+        shape = (self.num_rows, self.num_nodes)
+        if self.stack is not None and self.stack.shape != shape:
+            raise ValueError("stack must be (num blocks * N) x N")
+
+    @cached_property
+    def block_index(self) -> tuple[tuple[int, int], ...]:
+        return self.system.block_index()
+
+    @property
+    def num_nodes(self) -> int:
+        return self.lap.num_rows
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return self.system.num_blocks
 
     @property
     def num_rows(self) -> int:
         return self.num_blocks * self.num_nodes
 
-    def block(self, r: int, j: int) -> SparseMatrix:
-        return self.blocks[self.block_index.index((r, j))]
-
     @property
-    def _dense_cache_ok(self) -> bool:
-        return self.num_rows * self.num_nodes <= DENSE_CACHE_MAX_ENTRIES
-
-    @cached_property
-    def _dense_stack(self) -> np.ndarray:
-        return np.concatenate([b.to_dense() for b in self.blocks], axis=0)
-
-    @cached_property
-    def _transposed_blocks(self) -> tuple[SparseMatrix, ...]:
-        return tuple(b.transpose() for b in self.blocks)
+    def provenance(self) -> dict:
+        """How the operator was built: mode, degree, K, dilation, levels."""
+        s = self.system
+        return {
+            "mode": s.mode,
+            "degree": s.degree,
+            "K": s.K,
+            "dilation": s.dilation,
+            "levels": s.levels,
+        }
 
 
 @dataclass(frozen=True)
@@ -238,9 +267,7 @@ class CoefficientStack:
         )
 
 
-def _exact_blocks(
-    system: FrameletSystem, spectrum: Spectrum
-) -> list[SparseMatrix]:
+def _exact_stack(system: FrameletSystem, spectrum: graphs.Spectrum) -> np.ndarray:
     lam = spectrum.values
     J, n = system.levels, system.num_high
     # chain[j] = product of low-pass factor values through level j
@@ -248,66 +275,24 @@ def _exact_blocks(
     for j in range(1, J + 1):
         a_vals = system.bank.low_pass(system.factor_scale(j) * lam)
         chain.append(chain[-1] * a_vals)
-    blocks = [SparseMatrix.from_dense(spectrum.matrix_function(chain[J]))]
+    gains = [chain[J]]
     for r in range(1, n + 1):
         b_filter = system.bank.high_passes[r - 1]
         for j in range(1, J + 1):
-            g = b_filter(system.factor_scale(j) * lam) * chain[j - 1]
-            blocks.append(SparseMatrix.from_dense(spectrum.matrix_function(g)))
-    return blocks
-
-
-def _factor_fits(
-    system: FrameletSystem,
-) -> tuple[list[ChebyshevApprox], list[list[ChebyshevApprox]]]:
-    """Chebyshev fits of every filter factor: ``low[j-1]`` is the level-j
-    low-pass factor, ``high[r-1][j-1]`` the level-j factor of high pass r."""
-    if not (system.lam_max > 0):
-        raise ValueError("chebyshev mode needs a positive lam_max bound")
-    t, lam_max = system.degree, system.lam_max
-
-    def factor(fn, scale) -> ChebyshevApprox:
-        return chebyshev_fit(lambda lam: fn(scale * lam), degree=t, lam_max=lam_max)
-
-    low = [
-        factor(system.bank.low_pass, system.factor_scale(j))
-        for j in range(1, system.levels + 1)
-    ]
-    high = [
-        [factor(b, system.factor_scale(j)) for j in range(1, system.levels + 1)]
-        for b in system.bank.high_passes
-    ]
-    return low, high
-
-
-def _chebyshev_blocks(system: FrameletSystem, lap: SparseMatrix) -> list[SparseMatrix]:
-    J, n = system.levels, system.num_high
-    low_fits, high_fits = _factor_fits(system)
-
-    # Partial low-pass chains shared by every block at the same level.
-    chain = SparseMatrix.identity(lap.num_rows)
-    chains = [chain]
-    for j in range(1, J + 1):
-        a_mat = apply_matrix_polynomial(low_fits[j - 1], lap)
-        chain = a_mat @ chain
-        chains.append(chain)
-    blocks = [chains[J]]
-    for r in range(1, n + 1):
-        for j in range(1, J + 1):
-            b_mat = apply_matrix_polynomial(high_fits[r - 1][j - 1], lap)
-            blocks.append(b_mat @ chains[j - 1])
-    return blocks
+            gains.append(b_filter(system.factor_scale(j) * lam) * chain[j - 1])
+    return np.concatenate([spectrum.matrix_function(g) for g in gains], axis=0)
 
 
 def build_operators(
     system: FrameletSystem,
     lap: SparseMatrix,
-    spectrum: Spectrum | None = None,
+    spectrum: graphs.Spectrum | None = None,
 ) -> DecompositionOperator:
-    """Materialize all transform blocks for one Laplacian.
+    """Build the operator of ``system`` for one Laplacian.
 
-    Exact mode requires ``spectrum`` (its eigendecomposition); Chebyshev mode
-    requires ``system.lam_max > 0`` and works matrix-free from ``lap``.
+    Exact mode requires ``spectrum`` (its eigendecomposition) and stacks
+    the dense blocks; Chebyshev mode requires ``system.lam_max > 0`` and
+    only fits the factor polynomials.
     """
     n = lap.num_rows
     if lap.num_cols != n:
@@ -317,26 +302,33 @@ def build_operators(
             raise ValueError("exact mode requires a spectrum")
         if spectrum.values.shape[0] != n:
             raise ValueError("spectrum size does not match Laplacian")
-        blocks = _exact_blocks(system, spectrum)
+        return DecompositionOperator(system, lap, _exact_stack(system, spectrum))
+    system.factor_fits  # fit once now, so a bad lam_max fails at build time
+    return DecompositionOperator(system, lap)
+
+
+def framelet_operator(
+    graph: graphs.Graph,
+    dilation: float = 2.0,
+    levels: int = 2,
+    degree: int = DEFAULT_CHEBYSHEV_DEGREE,
+    mode: str = "exact",
+) -> DecompositionOperator:
+    """Haar framelet operator of a graph's normalized Laplacian.
+
+    The spectral bound is the top eigenvalue of the full spectrum in exact
+    mode and the power-iteration estimate of ``graphs.lambda_max`` in
+    Chebyshev mode, which never computes a spectrum.
+    """
+    lap = graphs.normalized_laplacian(graph)
+    spectrum = None
+    if mode == "exact":
+        spectrum = graphs.eigendecompose(lap)
+        lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
     else:
-        blocks = _chebyshev_blocks(system, lap)
-    return DecompositionOperator(
-        blocks=tuple(blocks),
-        block_index=system.block_index(),
-        num_nodes=n,
-        provenance={
-            "mode": system.mode,
-            "degree": system.degree,
-            "K": system.K,
-            "dilation": system.dilation,
-            "levels": system.levels,
-        },
-    )
-
-
-def stack_operator(op: DecompositionOperator) -> SparseMatrix:
-    """Stacked operator: blocks concatenated vertically in canonical order."""
-    return vstack(op.blocks)
+        lam = graphs.lambda_max(lap, "power_iteration")
+    system = make_system(haar_filter_bank(), lam, dilation, levels, degree, mode)
+    return build_operators(system, lap, spectrum)
 
 
 def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:
@@ -344,12 +336,10 @@ def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != op.num_nodes:
         raise ValueError(f"X must be 2-d with {op.num_nodes} rows")
-    if op._dense_cache_ok:
-        data = op._dense_stack @ X
-    else:
-        data = np.concatenate([blk @ X for blk in op.blocks], axis=0)
+    if op.stack is None:
+        return chebyshev_decompose(op.system, op.lap, X)
     return CoefficientStack(
-        data=data, block_index=op.block_index, num_nodes=op.num_nodes
+        data=op.stack @ X, block_index=op.block_index, num_nodes=op.num_nodes
     )
 
 
@@ -357,13 +347,9 @@ def reconstruct(op: DecompositionOperator, c: CoefficientStack) -> np.ndarray:
     """Inverse transform: ``sum_b W_b^T c_b``, exact by tightness."""
     if c.block_index != op.block_index or c.num_nodes != op.num_nodes:
         raise ValueError("coefficient stack does not match operator")
-    if op._dense_cache_ok:
-        return op._dense_stack.T @ c.data
-    out = np.zeros((op.num_nodes, c.num_features))
-    n = op.num_nodes
-    for b, blk_t in enumerate(op._transposed_blocks):
-        out += blk_t @ c.data[b * n : (b + 1) * n]
-    return out
+    if op.stack is None:
+        return chebyshev_reconstruct(op.system, op.lap, c)
+    return op.stack.T @ c.data
 
 
 def chebyshev_decompose(
@@ -374,14 +360,14 @@ def chebyshev_decompose(
     Runs the per-factor Chebyshev recurrences directly on the signal columns
     with the partial low-pass chain shared across levels, never materializing
     the block operators. Work is ``(n+1) J`` factor applications of ``degree``
-    sparse products each, so doubling ``J`` roughly doubles the cost
-    regardless of how dense the materialized blocks would have become.
+    sparse products each, so doubling ``J`` roughly doubles the cost, and
+    memory stays at a few N x d arrays.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != lap.num_rows:
         raise ValueError(f"X must be 2-d with {lap.num_rows} rows")
     J, n = system.levels, system.num_high
-    low_fits, high_fits = _factor_fits(system)
+    low_fits, high_fits = system.factor_fits
     chains = [X]
     for j in range(1, J + 1):
         chains.append(apply_polynomial_to_signal(low_fits[j - 1], lap, chains[-1]))
@@ -412,7 +398,7 @@ def chebyshev_reconstruct(
     if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
         raise ValueError("coefficient stack does not match the system")
     J, n = system.levels, system.num_high
-    low_fits, high_fits = _factor_fits(system)
+    low_fits, high_fits = system.factor_fits
 
     def level_detail(j: int) -> np.ndarray:
         total = np.zeros((c.num_nodes, c.num_features))

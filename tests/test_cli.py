@@ -174,6 +174,17 @@ def test_json_writer_converts_numpy_scalars(capsys):
         _emit_json({"a": np.zeros(2)})
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_json_writer_writes_non_finite_floats_as_null(capsys):
+    _emit_json({"per_seed": [float("nan"), 0.5], "std": np.float64(np.inf)})
+    out = capsys.readouterr().out
+    parsed = json.loads(out, parse_constant=_reject_constant)
+    assert parsed == {"per_seed": [None, 0.5], "std": None}
+
+
 def test_sweep_writes_plot_csv(tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     code = main(

@@ -318,7 +318,7 @@ def test_bench_transform_rows():
         assert row["status"] == "ok"
         assert row["build_mean_s"] >= 0.0
         assert row["transform_median_s"] >= 0.0
-        assert len(row["nnz_per_block"]) == 2  # levels=1 default: 1 high + low
+        assert row["blocks"] == 2  # levels=1 default: 1 high + low
 
 
 def test_bench_transform_rejects_descending_sizes():

@@ -11,7 +11,6 @@ from ufg.filters import (
     FilterBank,
     PARTITION_TOL,
     SpectralFunction,
-    apply_matrix_polynomial,
     apply_polynomial_to_signal,
     chebyshev_fit,
     haar_filter_bank,
@@ -105,7 +104,8 @@ def test_matrix_polynomial_matches_eigenbasis(small_laplacian, small_spectrum):
     bank = haar_filter_bank()
     lam_max = float(small_spectrum.values[-1])
     approx = chebyshev_fit(bank.low_pass, degree=16, lam_max=lam_max)
-    via_matrix = apply_matrix_polynomial(approx, small_laplacian).to_dense()
+    n = small_laplacian.num_rows
+    via_matrix = apply_polynomial_to_signal(approx, small_laplacian, np.eye(n))
     via_spectrum = small_spectrum.matrix_function(
         approx.evaluate(small_spectrum.values)
     )
@@ -120,7 +120,7 @@ def test_signal_application_matches_materialized(deg, seed):
     lam_max = float(eigendecompose(lap).values[-1]) or 1.0
     approx = chebyshev_fit(lambda x: np.sin(x / 2.0), degree=deg, lam_max=lam_max)
     X = rng.normal(size=(15, 3))
-    direct = apply_matrix_polynomial(approx, lap) @ X
+    direct = apply_polynomial_to_signal(approx, lap, np.eye(15)) @ X
     free = apply_polynomial_to_signal(approx, lap, X)
     np.testing.assert_allclose(free, direct, atol=MATRIX_ROUTE_TOL)
 
@@ -129,9 +129,7 @@ def test_matrix_polynomial_requires_square():
     from ufg.sparse import SparseMatrix
 
     approx = ChebyshevApprox(coeffs=np.array([1.0, 0.5]), lam_max=2.0)
-    rect = SparseMatrix.from_dense(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="square"):
-        apply_matrix_polynomial(approx, rect)
+    rect = SparseMatrix.from_scipy(np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
         apply_polynomial_to_signal(approx, rect, np.ones((2, 1)))
 

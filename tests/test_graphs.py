@@ -10,7 +10,6 @@ from ufg.graphs import (
     EXACT_SPECTRUM_MAX_NODES,
     Graph,
     build_graph,
-    combinatorial_laplacian,
     eigendecompose,
     lambda_max,
     normalized_laplacian,
@@ -97,12 +96,6 @@ def test_normalized_spectrum_in_unit_band(n, avg_deg, seed):
     assert vals[-1] <= 2.0 + SPECTRUM_TOL
 
 
-def test_combinatorial_laplacian_row_sums_zero():
-    g = build_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
-    lap = combinatorial_laplacian(g).to_dense()
-    np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=SPECTRUM_TOL)
-
-
 def test_lambda_max_exact_vs_power(small_laplacian):
     exact = lambda_max(small_laplacian, "exact")
     power = lambda_max(small_laplacian, "power_iteration")
@@ -148,6 +141,6 @@ def test_matrix_function_identity(small_spectrum):
 
 
 def test_eigendecompose_rejects_indefinite():
-    neg = SparseMatrix.from_dense(np.diag([-1.0, 1.0]))
+    neg = SparseMatrix.from_scipy(np.diag([-1.0, 1.0]))
     with pytest.raises(ValueError, match="not PSD"):
         eigendecompose(neg)

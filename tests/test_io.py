@@ -1,5 +1,7 @@
 """File formats: graph text, CSV, binary coefficient/checkpoint, metrics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from ufg.io import (
     read_metrics_jsonl,
     save_checkpoint,
     write_coefficients,
-    write_coefficients_csv,
     write_features_csv,
     write_graph_text,
     write_labels_text,
@@ -167,17 +168,6 @@ def test_coefficients_unsupported_version(tmp_path, stack):
     assert blob[:4] == COEFF_MAGIC
 
 
-def test_coefficients_csv_layout(tmp_path, stack):
-    path = tmp_path / "c.csv"
-    write_coefficients_csv(stack, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "r,j,node,feature,value"
-    assert len(lines) == 1 + 3 * 6 * 3  # blocks x nodes x features
-    r, j, node, feat, value = lines[1].split(",")
-    assert (r, j, node, feat) == ("0", "2", "0", "0")
-    assert float(value) == stack.data[0, 0]
-
-
 # -- checkpoints -------------------------------------------------------------
 
 
@@ -222,6 +212,20 @@ def test_metrics_jsonl_round_trip_sorted_keys(tmp_path):
     assert text.splitlines()[0] == '{"a": 0.5, "b": 1}'
     back = read_metrics_jsonl(str(path))
     assert back == [{"a": 0.5, "b": 1}, {"a": 2.0, "b": "x"}]
+
+
+def test_metrics_jsonl_is_strict_json(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    record = {"n": np.int64(12), "loss": float("nan"), "acc": [np.float32(0.5), -np.inf]}
+    path = tmp_path / "m.jsonl"
+    write_metrics_jsonl([record], str(path))
+    line = path.read_text().splitlines()[0]
+    assert json.loads(line, parse_constant=reject) == {
+        "acc": [0.5, None], "loss": None, "n": 12,
+    }
+    assert '"n": 12}' in line  # an integer stays an integer, not 12.0
 
 
 def test_metrics_jsonl_skips_blanks_and_flags_bad_lines(tmp_path):

@@ -89,7 +89,7 @@ def test_edge_ratio_addition_exact_count():
     g2, _ = perturb(g, np.zeros((40, 1)), spec)
     assert g2.num_edges == round(2.0 * m)
     # surviving original edges keep their weights (all 1.0 here)
-    assert np.all(g2.adjacency.values == 1.0)
+    assert np.all(g2.adjacency.csr.data == 1.0)
 
 
 def test_edge_ratio_preserves_loops_and_weights():

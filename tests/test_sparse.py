@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ufg.sparse import SparseMatrix, vstack
+from ufg.sparse import SparseMatrix
 
 ALGEBRA_TOL = 1e-12
 
@@ -21,7 +21,7 @@ dense_matrices = hnp.arrays(
 def test_from_dense_round_trip(rng):
     a = rng.normal(size=(5, 7))
     a[np.abs(a) < 0.8] = 0.0
-    m = SparseMatrix.from_dense(a)
+    m = SparseMatrix.from_scipy(a)
     np.testing.assert_array_equal(m.to_dense(), a)
     assert m.shape == (5, 7)
     assert m.nnz == np.count_nonzero(a)
@@ -60,52 +60,30 @@ def test_matmul_matches_dense(a, data):
             elements=st.floats(-5, 5, allow_nan=False),
         )
     )
-    sa, sb = SparseMatrix.from_dense(a), SparseMatrix.from_dense(b)
-    out = sa @ sb
-    assert isinstance(out, SparseMatrix)
-    np.testing.assert_allclose(out.to_dense(), a @ b, atol=ALGEBRA_TOL)
-    np.testing.assert_allclose(sa @ b, a @ b, atol=ALGEBRA_TOL)
+    out = SparseMatrix.from_scipy(a) @ b
+    assert isinstance(out, np.ndarray)
+    np.testing.assert_allclose(out, a @ b, atol=ALGEBRA_TOL)
 
 
 @given(dense_matrices)
-def test_transpose_scale_add(a):
-    m = SparseMatrix.from_dense(a)
-    np.testing.assert_array_equal(m.transpose().to_dense(), a.T)
-    np.testing.assert_array_equal(m.T.to_dense(), a.T)
-    np.testing.assert_allclose(m.scale(-2.5).to_dense(), -2.5 * a, atol=ALGEBRA_TOL)
+def test_add_matches_dense(a):
+    m = SparseMatrix.from_scipy(a)
     np.testing.assert_allclose(
-        m.add(m.scale(0.5)).to_dense(), 1.5 * a, atol=ALGEBRA_TOL
+        m.add(SparseMatrix.from_scipy(0.5 * a)).to_dense(), 1.5 * a, atol=ALGEBRA_TOL
     )
 
 
-def test_rmatmul_dense(rng):
-    a = rng.normal(size=(4, 6))
-    left = rng.normal(size=(3, 4))
-    m = SparseMatrix.from_dense(a)
-    np.testing.assert_allclose(m.rmatmul_dense(left), left @ a, atol=ALGEBRA_TOL)
-
-
 def test_max_abs_asymmetry():
-    sym = SparseMatrix.from_dense(np.array([[0.0, 2.0], [2.0, 1.0]]))
+    sym = SparseMatrix.from_scipy(np.array([[0.0, 2.0], [2.0, 1.0]]))
     assert sym.max_abs_asymmetry() == 0.0
-    asym = SparseMatrix.from_dense(np.array([[0.0, 2.0], [1.0, 0.0]]))
+    asym = SparseMatrix.from_scipy(np.array([[0.0, 2.0], [1.0, 0.0]]))
     assert asym.max_abs_asymmetry() == pytest.approx(1.0)
 
 
 def test_gershgorin_bounds_spectral_radius(rng):
     a = rng.normal(size=(10, 10))
     a = (a + a.T) / 2
-    m = SparseMatrix.from_dense(a)
+    m = SparseMatrix.from_scipy(a)
     lam = np.max(np.abs(np.linalg.eigvalsh(a)))
     assert m.gershgorin_bound() >= lam - ALGEBRA_TOL
 
-
-def test_vstack(rng):
-    a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
-    stacked = vstack([SparseMatrix.from_dense(a), SparseMatrix.from_dense(b)])
-    np.testing.assert_array_equal(stacked.to_dense(), np.vstack([a, b]))
-
-
-def test_density():
-    m = SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert m.density() == pytest.approx(0.25)

@@ -4,13 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ufg.transform as transform_mod
-from ufg.datasets import random_er_graph
+from ufg.datasets import GaussianFeatures, generate_sbm, random_er_graph
 from ufg.filters import haar_filter_bank
-from ufg.graphs import eigendecompose, lambda_max, normalized_laplacian
+from ufg.graphs import build_graph, eigendecompose, lambda_max, normalized_laplacian
+from ufg.sparse import SparseMatrix
 from ufg.transform import (
     CoefficientStack,
     FrameletSystem,
@@ -20,14 +20,19 @@ from ufg.transform import (
     chebyshev_reconstruct,
     compute_K,
     decompose,
+    framelet_operator,
     make_system,
     reconstruct,
-    stack_operator,
 )
 
 ROUND_TRIP_TOL = 1e-10
 TIGHTNESS_TOL = 1e-6
 PATH_TOL = 1e-8
+
+
+def _explicit(op):
+    """The stacked operator as a dense matrix: its image of the identity."""
+    return decompose(op, np.eye(op.num_nodes)).data
 
 
 def _exact_setup(n, avg_deg, levels, seed):
@@ -112,7 +117,7 @@ def test_cascade_energy_per_level(small_system, small_laplacian, small_spectrum)
 
 
 def test_stacked_operator_tightness_exact(small_operator):
-    w = stack_operator(small_operator).to_dense()
+    w = _explicit(small_operator)
     n = small_operator.num_nodes
     assert w.shape == (small_operator.num_rows, n)
     np.testing.assert_allclose(w.T @ w, np.eye(n), atol=1e-10)
@@ -125,7 +130,7 @@ def test_chebyshev_tightness_improves_with_degree():
     errs = {}
     for t in (8, 16):
         system = make_system(haar_filter_bank(), lam, degree=t, mode="chebyshev")
-        w = stack_operator(build_operators(system, lap)).to_dense()
+        w = _explicit(build_operators(system, lap))
         errs[t] = np.max(np.abs(w.T @ w - np.eye(50)))
     assert errs[16] <= TIGHTNESS_TOL
     assert errs[8] > errs[16]
@@ -139,45 +144,32 @@ def test_path_equivalence_exact_vs_chebyshev(small_laplacian, small_spectrum):
     )
     op_e = build_operators(exact_sys, small_laplacian, small_spectrum)
     op_c = build_operators(cheb_sys, small_laplacian)
-    for be, bc in zip(op_e.blocks, op_c.blocks):
-        np.testing.assert_allclose(be.to_dense(), bc.to_dense(), atol=PATH_TOL)
+    np.testing.assert_allclose(_explicit(op_e), _explicit(op_c), atol=PATH_TOL)
 
 
 def test_matrix_free_matches_materialized(small_laplacian):
     lam = lambda_max(small_laplacian, "power_iteration")
     system = make_system(haar_filter_bank(), lam, levels=3, mode="chebyshev")
-    op = build_operators(system, small_laplacian)
+    w = _explicit(build_operators(system, small_laplacian))
     rng = np.random.default_rng(9)
     X = rng.normal(size=(small_laplacian.num_rows, 4))
     c_free = chebyshev_decompose(system, small_laplacian, X)
-    np.testing.assert_allclose(c_free.data, decompose(op, X).data, atol=1e-12)
+    np.testing.assert_allclose(c_free.data, w @ X, atol=1e-12)
     back = chebyshev_reconstruct(system, small_laplacian, c_free)
-    np.testing.assert_allclose(back, reconstruct(op, c_free), atol=1e-12)
+    # The matrix-free reconstruct is the transpose of the matrix-free decompose.
+    np.testing.assert_allclose(back, w.T @ c_free.data, atol=1e-12)
     assert np.max(np.abs(back - X)) <= 1e-8  # tight-frame round trip
-
-
-def test_decompose_agrees_with_sparse_fallback(
-    small_operator, small_laplacian, monkeypatch
-):
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(small_operator.num_nodes, 3))
-    dense_path = decompose(small_operator, X)
-    recon_dense = reconstruct(small_operator, dense_path)
-    monkeypatch.setattr(transform_mod, "DENSE_CACHE_MAX_ENTRIES", 0)
-    assert not small_operator._dense_cache_ok
-    sparse_path = decompose(small_operator, X)
-    np.testing.assert_allclose(sparse_path.data, dense_path.data, atol=1e-12)
-    np.testing.assert_allclose(
-        reconstruct(small_operator, sparse_path), recon_dense, atol=1e-12
-    )
 
 
 def test_operator_accessors(small_operator, small_system):
     assert small_operator.num_blocks == small_system.num_blocks
-    low = small_operator.block(0, small_system.levels)
-    assert low.shape == (small_operator.num_nodes, small_operator.num_nodes)
-    with pytest.raises(ValueError):
-        small_operator.block(5, 5)
+    n = small_operator.num_nodes
+    assert small_operator.num_rows == small_system.num_blocks * n
+    assert small_operator.block_index == small_system.block_index()
+    assert small_operator.stack.shape == (small_operator.num_rows, n)
+    assert small_operator.provenance["mode"] == "exact"
+    with pytest.raises(ValueError, match="stack"):
+        dataclasses.replace(small_operator, stack=None)
 
 
 def test_build_operators_input_errors(small_system, small_laplacian):
@@ -224,3 +216,67 @@ def test_reconstruct_mismatch_errors(small_operator):
     )
     with pytest.raises(ValueError, match="match"):
         reconstruct(small_operator, other)
+
+
+@st.composite
+def edge_case_graphs(draw):
+    """Disjoint unions of isolated nodes, paths, cycles and cliques."""
+    kinds = st.sampled_from(("isolated", "path", "cycle", "clique"))
+    parts = draw(st.lists(st.tuples(kinds, st.integers(2, 6)), min_size=1, max_size=4))
+    edges, n = [], 0
+    for kind, k in parts:
+        if kind == "isolated":
+            k = 1
+        weight = draw(st.floats(0.5, 2.0))
+        if kind in ("path", "cycle"):
+            edges += [(u, u + 1, weight) for u in range(n, n + k - 1)]
+        if kind == "cycle" and k > 2:
+            edges.append((n + k - 1, n, weight))
+        if kind == "clique":
+            edges += [(u, v, weight) for u in range(n, n + k) for v in range(u + 1, n + k)]
+        n += k
+    return build_graph(n, edges)
+
+
+@given(edge_case_graphs(), st.integers(1, 3))
+@example(build_graph(1, []), 2)  # a single node
+@example(build_graph(4, []), 3)  # no edges at all
+# isolated node, even (bipartite) cycle, triangle
+@example(build_graph(8, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 1, 1.0),
+                         (5, 6, 1.0), (6, 7, 1.0), (7, 5, 1.0)]), 2)
+def test_backends_agree_on_edge_case_graphs(graph, levels):
+    lap = normalized_laplacian(graph)
+    spectrum = eigendecompose(lap)
+    system = make_system(haar_filter_bank(), float(spectrum.values[-1]), levels=levels)
+    op_e = build_operators(system, lap, spectrum)
+    op_c = build_operators(
+        dataclasses.replace(system, mode="chebyshev", degree=16), lap
+    )
+    np.testing.assert_allclose(_explicit(op_e), _explicit(op_c), atol=PATH_TOL)
+    X = np.random.default_rng(0).normal(size=(graph.num_nodes, 2))
+    scale = np.max(np.abs(X))
+    for op, tol in ((op_e, ROUND_TRIP_TOL), (op_c, TIGHTNESS_TOL)):
+        back = reconstruct(op, decompose(op, X))
+        assert np.max(np.abs(back - X)) / scale <= tol
+
+
+def test_chebyshev_operator_never_multiplies_sparse_matrices(monkeypatch):
+    # Sparse matrix polynomials fill in to dense: on this Cora-sized graph
+    # materializing them took minutes and over a gigabyte.
+    matmul = SparseMatrix.__matmul__
+
+    def no_spgemm(self, other):
+        if isinstance(other, SparseMatrix):
+            raise AssertionError("sparse @ sparse product")
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", no_spgemm)
+    data = generate_sbm(
+        [387] * 6 + [386], 0.009, 0.0002, GaussianFeatures(dim=8), seed=0
+    )
+    assert data.graph.num_nodes == 2708
+    assert 3.5 <= 2 * data.graph.num_edges / 2708 <= 4.5
+    op = framelet_operator(data.graph, levels=2, degree=16, mode="chebyshev")
+    X = data.features
+    back = reconstruct(op, decompose(op, X))
+    assert np.linalg.norm(back - X) / np.linalg.norm(X) <= 1e-6
