@@ -9,12 +9,11 @@ a plot-ready bench CSV.
 """
 
 import argparse
-import json
 
 import numpy as np
 
 from ufg.experiments import bench_transform
-from ufg.io import emit_plot_data
+from ufg.io import emit_plot_data, encode_json
 
 
 def main() -> int:
@@ -37,7 +36,7 @@ def main() -> int:
     }
     for levels, rows in runs.items():
         for row in rows:
-            print(json.dumps(row, sort_keys=True, default=float))
+            print(encode_json(row))
 
     factors = [
         d["transform_mean_s"] / s["transform_mean_s"]
@@ -45,10 +44,9 @@ def main() -> int:
         if s.get("status") == "ok" and d.get("status") == "ok"
     ]
     if factors:
-        print(json.dumps(
+        print(encode_json(
             {"level_doubling_factor_median": float(np.median(factors)),
-             "per_size": [round(f, 3) for f in factors]},
-            sort_keys=True,
+             "per_size": [round(f, 3) for f in factors]}
         ))
 
     if args.out:

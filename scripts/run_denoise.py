@@ -9,13 +9,12 @@ signal, averaged over seeds.
 """
 
 import argparse
-import json
 
 import numpy as np
 
 from ufg.datasets import path_graph
 from ufg.experiments import denoise_signal
-from ufg.io import write_metrics_jsonl
+from ufg.io import encode_json, write_metrics_jsonl
 from ufg.transform import framelet_operator
 
 
@@ -57,7 +56,7 @@ def main() -> int:
             {"sigma": s, "mse": mean_mse, "ratio_vs_noisy": mean_mse / baseline}
         )
     for row in rows:
-        print(json.dumps(row, sort_keys=True))
+        print(encode_json(row))
     if args.out:
         write_metrics_jsonl(rows, args.out)
     return 0

@@ -8,7 +8,6 @@ and prints one summary line per readout plus the majority-class floor.
 """
 
 import argparse
-import json
 
 from ufg.datasets import cycles_and_stars, sbm_graph_family
 from ufg.experiments import (
@@ -16,6 +15,7 @@ from ufg.experiments import (
     majority_class_accuracy,
     train_graph_classifier,
 )
+from ufg.io import encode_json
 
 
 def main() -> int:
@@ -34,9 +34,8 @@ def main() -> int:
         samples = cycles_and_stars(args.num_per_class, seed=args.data_seed)
     else:
         samples = sbm_graph_family(args.num_per_class, seed=args.data_seed)
-    print(json.dumps(
-        {"model": "majority", "mean": majority_class_accuracy(samples)},
-        sort_keys=True,
+    print(encode_json(
+        {"model": "majority", "mean": majority_class_accuracy(samples)}
     ))
     for mode in ("sum", "spectrum", "mean"):
         cfg = ExperimentConfig(
@@ -45,10 +44,9 @@ def main() -> int:
             seeds=tuple(range(args.num_seeds)),
         )
         rec = train_graph_classifier(samples, cfg)
-        print(json.dumps(
+        print(encode_json(
             {"model": f"pool_{mode}", "mean": rec.mean, "std": rec.std,
-             "per_seed": list(rec.per_seed)},
-            sort_keys=True, default=float,
+             "per_seed": list(rec.per_seed)}
         ))
     return 0
 

@@ -8,12 +8,11 @@ the grid, and emits the accuracy/compression trade-off as a plot-ready CSV.
 """
 
 import argparse
-import json
 from dataclasses import replace
 
 from ufg.datasets import GaussianFeatures, generate_sbm
 from ufg.experiments import ExperimentConfig, train_node_classifier
-from ufg.io import emit_plot_data
+from ufg.io import emit_plot_data, encode_json
 
 
 def main() -> int:
@@ -43,9 +42,7 @@ def main() -> int:
     )
 
     relu = train_node_classifier(data, base)
-    print(json.dumps(
-        {"model": "relu", "mean": relu.mean, "std": relu.std}, sort_keys=True
-    ))
+    print(encode_json({"model": "relu", "mean": relu.mean, "std": relu.std}))
 
     rows = []
     for sigma in (float(s) for s in args.sigma_grid.split(",")):
@@ -58,7 +55,7 @@ def main() -> int:
             "accuracy_std": rec.std,
         }
         rows.append(row)
-        print(json.dumps(row, sort_keys=True))
+        print(encode_json(row))
     text = emit_plot_data(rows, "tradeoff_curve", args.out)
     if not args.out:
         print(text, end="")

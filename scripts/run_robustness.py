@@ -9,12 +9,11 @@ robustness curve CSV (noise_ratio, model, mean, std).
 """
 
 import argparse
-import json
 from dataclasses import replace
 
 from ufg.datasets import BinaryFeatures, generate_sbm
 from ufg.experiments import ExperimentConfig, train_node_classifier
-from ufg.io import emit_plot_data
+from ufg.io import emit_plot_data, encode_json
 from ufg.perturb import PerturbationSpec, perturb
 
 
@@ -66,7 +65,7 @@ def main() -> int:
             row = {"noise_ratio": ratio, "model": model,
                    "mean": rec.mean, "std": rec.std}
             rows.append(row)
-            print(json.dumps(row, sort_keys=True))
+            print(encode_json(row))
     text = emit_plot_data(rows, "robustness_curve", args.out)
     if not args.out:
         print(text, end="")

@@ -201,7 +201,7 @@ def _experiment_config(args, task: str):
         weight_decay=args.weight_decay,
         dropout=args.dropout,
         epochs=args.epochs,
-        patience=args.patience,
+        patience=getattr(args, "patience", 20),
         seeds=tuple(_parse_int_list(args.seeds)),
     )
 
@@ -387,7 +387,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--weight-decay", type=float, default=0.005)
         p.add_argument("--dropout", type=float, default=0.5)
         p.add_argument("--epochs", type=int, default=200)
-        p.add_argument("--patience", type=int, default=20)
         p.add_argument("--seeds", default="0-9")
         p.add_argument("--metrics-out")
         if with_activation:
@@ -427,6 +426,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--pool-mode", choices=("sum", "spectrum", "mean"),
                    default="spectrum")
+    # Early stopping; node training runs every epoch and has no patience.
+    p.add_argument("--patience", type=int, default=20)
     add_training_flags(p, with_activation=False)
     _add_system_flags(p)
     p.set_defaults(func=_cmd_train_graph)

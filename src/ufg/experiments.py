@@ -10,12 +10,12 @@ re-runs produce byte-identical outputs.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .datasets import GraphSample, NodeDataset
 from .io import deterministic_mode
@@ -41,6 +41,7 @@ from .nn import (
     ufg_pool_forward,
 )
 from .shrinkage import ThresholdConfig, compression_ratio, shrink_stack
+from .sparse import SparseMatrix
 from .transform import (
     DecompositionOperator,
     decompose,
@@ -56,9 +57,8 @@ class ExperimentConfig:
     """Settings for one experiment family.
 
     Defaults are the grid centroids used throughout: lr 0.01, weight decay
-    0.005, hidden width 32, dropout 0.5, 200 epochs, patience 20.
-    ``grid`` optionally maps field names to candidate tuples for
-    ``expand_grid``.
+    0.005, hidden width 32, dropout 0.5, 200 epochs, patience 20 (early
+    stopping, read by graph classification only).
     """
 
     task: str = "sbm_node"
@@ -77,7 +77,6 @@ class ExperimentConfig:
     epochs: int = 200
     patience: int = 20
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    grid: tuple[tuple[str, tuple], ...] | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -90,16 +89,6 @@ class ExperimentConfig:
     def fingerprint(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
-def expand_grid(config: ExperimentConfig):
-    """Yield configs over the cartesian product of ``config.grid``."""
-    if not config.grid:
-        yield config
-        return
-    names = [name for name, _ in config.grid]
-    for combo in itertools.product(*(values for _, values in config.grid)):
-        yield replace(config, grid=None, **dict(zip(names, combo)))
 
 
 @dataclass(frozen=True)
@@ -310,115 +299,131 @@ def train_node_classifier(
     return make_record(config.fingerprint(), per_seed, _elapsed(start), extra)
 
 
-def _prepare_graph_contexts(samples: list[GraphSample], config: ExperimentConfig):
-    contexts = []
-    for s in samples:
-        norm_adj = gcn_norm_adjacency(s.graph)
-        op = None
-        if config.pool_mode in ("sum", "spectrum"):
-            op = framelet_operator(
-                s.graph, config.dilation, config.levels, config.degree, "exact"
+@dataclass(frozen=True)
+class _GraphUnion:
+    """Graph samples as one graph: the disjoint union of their nodes.
+
+    Graph ``g`` owns rows ``starts[g] : starts[g] + sizes[g]`` of the
+    block-diagonal GCN adjacency and of the stacked features, and keeps its
+    own framelet operator ``ops[g]`` (``ops`` is empty for the mean readout).
+    """
+
+    norm_adj: SparseMatrix
+    features: np.ndarray
+    labels: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    ops: tuple[DecompositionOperator, ...]
+
+
+def _graph_union(samples: list[GraphSample], config: ExperimentConfig) -> _GraphUnion:
+    sizes = np.array([s.graph.num_nodes for s in samples])
+    ops = ()
+    if config.pool_mode != "mean":
+        ops = tuple(
+            framelet_operator(
+                s.graph, config.dilation, config.levels, config.degree, config.mode
             )
-        contexts.append({"sample": s, "norm_adj": norm_adj, "op": op})
-    return contexts
+            for s in samples
+        )
+    return _GraphUnion(
+        norm_adj=SparseMatrix.from_scipy(
+            sp.block_diag(
+                [gcn_norm_adjacency(s.graph).csr for s in samples], format="csr"
+            )
+        ),
+        features=np.vstack([s.features for s in samples]),
+        labels=np.array([s.label for s in samples]),
+        starts=np.cumsum(sizes) - sizes,
+        sizes=sizes,
+        ops=ops,
+    )
 
 
-def _graph_forward(params, ctx, config):
-    s: GraphSample = ctx["sample"]
-    y1, c1 = gcn_conv_forward(params["g1.W"], ctx["norm_adj"], s.features)
-    y2, c2 = gcn_conv_forward(params["g2.W"], ctx["norm_adj"], y1)
-    if config.pool_mode == "mean":
-        pooled = y2.mean(axis=0)
-        cp = {"mode": "mean", "num_nodes": y2.shape[0]}
+def _union_forward(params, union: _GraphUnion, pool_mode: str):
+    """Logits of every graph: two GCN layers, the readout, the MLP."""
+    y1, c1 = gcn_conv_forward(params["g1.W"], union.norm_adj, union.features)
+    y2, c2 = gcn_conv_forward(params["g2.W"], union.norm_adj, y1)
+    if pool_mode == "mean":
+        pooled = np.add.reduceat(y2, union.starts) / union.sizes[:, None]
+        cp = None
     else:
-        pooled, cp = ufg_pool_forward(ctx["op"], y2, config.pool_mode)
+        # The only per-graph loop: each graph has its own operator.
+        pools = [
+            ufg_pool_forward(op, y2[start : start + size], pool_mode)
+            for op, start, size in zip(union.ops, union.starts, union.sizes)
+        ]
+        pooled = np.stack([p for p, _ in pools])
+        cp = [c for _, c in pools]
     logits, cm = mlp_forward(params, pooled)
-    return logits[0], (c1, c2, cp, cm)
+    return logits, (c1, c2, cp, cm)
 
 
-def _graph_backward(caches, dlogits, config):
+def _union_backward(caches, dlogits: np.ndarray, union: _GraphUnion) -> dict:
     c1, c2, cp, cm = caches
-    mlp_grads, dpooled = mlp_backward(cm, dlogits[None, :])
-    dpooled = dpooled[0]
-    if config.pool_mode == "mean":
-        n = cp["num_nodes"]
-        dy2 = np.tile(dpooled / n, (n, 1))
+    grads, dpooled = mlp_backward(cm, dlogits)
+    if cp is None:
+        dy2 = np.repeat(dpooled / union.sizes[:, None], union.sizes, axis=0)
     else:
-        dy2 = ufg_pool_backward(cp, dpooled)
-    dy1, dW2 = gcn_conv_backward(c2, dy2)
-    _, dW1 = gcn_conv_backward(c1, dy1)
-    grads = {"g1.W": dW1, "g2.W": dW2}
-    grads.update(mlp_grads)
+        dy2 = np.vstack([ufg_pool_backward(c, d) for c, d in zip(cp, dpooled)])
+    dy1, grads["g2.W"] = gcn_conv_backward(c2, dy2)
+    _, grads["g1.W"] = gcn_conv_backward(c1, dy1)
     return grads
 
 
-def _graph_eval(params, contexts, idx, config) -> float:
-    correct = 0
-    for i in idx:
-        logits, _ = _graph_forward(params, contexts[i], config)
-        if int(np.argmax(logits)) == contexts[i]["sample"].label:
-            correct += 1
-    return correct / len(idx)
-
-
 def train_graph_single(
-    contexts, config: ExperimentConfig, seed: int, metrics_sink: list | None = None
+    union: _GraphUnion,
+    config: ExperimentConfig,
+    seed: int,
+    metrics_sink: list | None = None,
 ) -> dict:
     """One seeded graph-classification run.
 
     Two GCN layers, a pooling readout (framelet sum/spectrum or mean
     baseline) and a two-layer MLP; 80/10/10 split, early stopping after
     ``patience`` epochs without validation improvement, best-validation
-    model selection.
+    model selection. Every epoch is one masked full-batch pass over the
+    disjoint union of the graphs.
     """
     rng = np.random.default_rng(seed)
-    m = len(contexts)
+    m = union.labels.size
     perm = rng.permutation(m)
     n_train = int(round(0.8 * m))
     n_val = max(1, int(round(0.1 * m)))
-    train_idx = perm[:n_train]
-    val_idx = perm[n_train : n_train + n_val]
-    test_idx = perm[n_train + n_val :]
-    if len(test_idx) == 0:
+    if m - n_train - n_val <= 0:
         raise ValueError("dataset too small for an 80/10/10 split")
-    d_in = contexts[0]["sample"].features.shape[1]
-    labels_all = [c["sample"].label for c in contexts]
-    num_classes = max(labels_all) + 1
+    train_mask, val_mask, test_mask = (np.zeros(m, dtype=bool) for _ in range(3))
+    train_mask[perm[:n_train]] = True
+    val_mask[perm[n_train : n_train + n_val]] = True
+    test_mask[perm[n_train + n_val :]] = True
     hidden = config.hidden
-    if config.pool_mode == "mean":
-        pool_dim = hidden
-    else:
-        pool_dim = contexts[0]["op"].num_blocks * hidden
+    pool_dim = hidden * (union.ops[0].num_blocks if union.ops else 1)
 
     def xavier(fan_in, fan_out):
         lim = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-lim, lim, size=(fan_in, fan_out))
 
-    params = {"g1.W": xavier(d_in, hidden), "g2.W": xavier(hidden, hidden)}
-    params.update(mlp_init(pool_dim, hidden, num_classes, rng))
+    params = {
+        "g1.W": xavier(union.features.shape[1], hidden),
+        "g2.W": xavier(hidden, hidden),
+    }
+    params.update(mlp_init(pool_dim, hidden, int(union.labels.max()) + 1, rng))
     adam = AdamState(lr=config.lr)
     decay_keys = {"g1.W", "g2.W", "W1", "W2"}
-    best = {"val": -1.0, "params": params, "epoch": -1}
+    best = {"val": -1.0, "test": np.nan, "epoch": -1}
     stale = 0
     failed = False
+    # The logits after an epoch's step are the next epoch's forward pass.
+    logits, caches = _union_forward(params, union, config.pool_mode)
     for epoch in range(config.epochs):
-        grads_sum = {k: np.zeros_like(v) for k, v in params.items()}
-        loss_sum = 0.0
-        for i in rng.permutation(train_idx):
-            logits, caches = _graph_forward(params, contexts[i], config)
-            loss_i, dlogits = softmax_cross_entropy(
-                logits[None, :], np.array([contexts[i]["sample"].label])
-            )
-            loss_sum += loss_i
-            for k, g in _graph_backward(caches, dlogits[0], config).items():
-                grads_sum[k] += g
-        loss = loss_sum / len(train_idx)
+        loss, dlogits = softmax_cross_entropy(logits, union.labels, train_mask)
         if not np.isfinite(loss):
             failed = True
             break
-        grads = {k: g / len(train_idx) for k, g in grads_sum.items()}
+        grads = _union_backward(caches, dlogits, union)
         params = adam_step(adam, params, grads, config.weight_decay, decay_keys)
-        val_acc = _graph_eval(params, contexts, val_idx, config)
+        logits, caches = _union_forward(params, union, config.pool_mode)
+        val_acc = accuracy(logits, union.labels, val_mask)
         if metrics_sink is not None:
             metrics_sink.append(
                 {"seed": seed, "epoch": epoch, "split": "val",
@@ -427,7 +432,7 @@ def train_graph_single(
         if val_acc > best["val"]:
             best = {
                 "val": val_acc,
-                "params": {k: v.copy() for k, v in params.items()},
+                "test": accuracy(logits, union.labels, test_mask),
                 "epoch": epoch,
             }
             stale = 0
@@ -435,12 +440,9 @@ def train_graph_single(
             stale += 1
             if stale >= config.patience:
                 break
-    test_acc = (
-        np.nan if failed else _graph_eval(best["params"], contexts, test_idx, config)
-    )
     return {
         "seed": seed,
-        "test_accuracy": test_acc,
+        "test_accuracy": np.nan if failed else best["test"],
         "val_accuracy": best["val"],
         "best_epoch": best["epoch"],
         "failed": failed,
@@ -454,10 +456,10 @@ def train_graph_classifier(
 ) -> MetricsRecord:
     """Multi-seed graph classification; see ``train_graph_single``."""
     start = time.perf_counter()
-    contexts = _prepare_graph_contexts(samples, config)
+    union = _graph_union(samples, config)
     per_seed = []
     for seed in config.seeds:
-        result = train_graph_single(contexts, config, seed, metrics_sink)
+        result = train_graph_single(union, config, seed, metrics_sink)
         per_seed.append(result["test_accuracy"])
     extra = {"task": config.task, "pool_mode": config.pool_mode}
     return make_record(config.fingerprint(), per_seed, _elapsed(start), extra)

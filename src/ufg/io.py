@@ -11,9 +11,6 @@ Formats (all little-endian, all floats 64-bit):
 - Coefficient file: magic ``UFGC``, version u32, then N, d (features),
   n (high passes), J (levels) as u32, the block map as (r, j) u32 pairs in
   stack order, then the row-major f64 payload. Bitwise round-trip.
-- Checkpoint: magic ``UFGP``, version u32, parameter count u32, then per
-  parameter: name (u16 length + utf-8), ndim u32, dims u32 each, f64
-  payload. Parameters are written in sorted name order.
 - Metrics: JSON lines written by ``encode_json``.
 """
 
@@ -27,7 +24,6 @@ import struct
 import numpy as np
 
 COEFF_MAGIC = b"UFGC"
-CHECKPOINT_MAGIC = b"UFGP"
 FORMAT_VERSION = 1
 
 PLOT_COLUMNS = {
@@ -210,57 +206,6 @@ def read_coefficients(path: str):
     return CoefficientStack(
         data=data, block_index=tuple(block_index), num_nodes=n
     )
-
-
-# -- checkpoints -------------------------------------------------------------
-
-
-def save_checkpoint(params: dict[str, np.ndarray], path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<2I", FORMAT_VERSION, len(params)))
-        for name in sorted(params):
-            # asarray first: ascontiguousarray would promote 0-d to 1-d
-            arr = np.asarray(params[name], dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr).tobytes())
-
-
-def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a checkpoint")
-    version, count = struct.unpack_from("<2I", blob, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    offset = 12
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        try:
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            payload = blob[offset : offset + 8 * size]
-            if len(payload) != 8 * size:
-                raise ValueError("short payload")
-            offset += 8 * size
-        except (struct.error, ValueError):
-            raise ValueError(f"{path}: truncated checkpoint at {name!r}") from None
-        out[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(
-            shape
-        )
-    return out
 
 
 # -- metrics and plot data ---------------------------------------------------

@@ -46,6 +46,9 @@ def test_help_exits_zero(capsys):
         [],
         ["transform"],  # missing required flags
         ["verify", "--mode", "approximate"],
+        # Node training has no early stopping, so no --patience flag.
+        ["train-node", "--patience", "5"],
+        ["sweep", "--patience", "5", "--out", "sweep.csv"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):

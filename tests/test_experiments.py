@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ufg import experiments
 from ufg.datasets import (
     GaussianFeatures,
+    GraphSample,
+    cycle_graph,
     cycles_and_stars,
     generate_sbm,
     path_graph,
+    star_graph,
 )
 from ufg.experiments import (
     ExperimentConfig,
@@ -19,17 +23,39 @@ from ufg.experiments import (
     bench_transform,
     build_node_operator,
     denoise_signal,
-    expand_grid,
     majority_class_accuracy,
     make_record,
     sensitivity_sweep,
     train_graph_classifier,
     train_node_classifier,
 )
-from ufg.experiments import _layer_activations
+from ufg.experiments import (
+    _graph_union,
+    _layer_activations,
+    _union_backward,
+    _union_forward,
+)
 from ufg.graphs import eigendecompose, normalized_laplacian
+from ufg.nn import (
+    activation_signature,
+    finite_difference_check,
+    gcn_conv_backward,
+    gcn_conv_forward,
+    gcn_norm_adjacency,
+    mlp_backward,
+    mlp_forward,
+    mlp_init,
+    softmax_cross_entropy,
+    ufg_pool_backward,
+    ufg_pool_forward,
+)
+from ufg.transform import framelet_operator
 
 ROUNDTRIP_TOL = 1e-10
+GRAD_TOL = 1e-5
+# Batched and per-graph gradients differ only in summation order.
+BATCH_TOL = 1e-12
+POOL_MODES = ("sum", "spectrum", "mean")
 # Label-shuffle control: informative features must beat shuffled labels by
 # this margin, and the shuffled run must sit in a loose chance band.
 SHUFFLE_GAP = 0.15
@@ -70,24 +96,6 @@ def test_fingerprint_deterministic_and_sensitive():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
-
-
-def test_expand_grid_without_grid_yields_self():
-    cfg = ExperimentConfig()
-    assert list(expand_grid(cfg)) == [cfg]
-
-
-def test_expand_grid_cartesian_product():
-    cfg = ExperimentConfig(
-        grid=(("dilation", (2.0, 3.0)), ("levels", (1, 2)))
-    )
-    out = list(expand_grid(cfg))
-    assert len(out) == 4
-    assert all(c.grid is None for c in out)
-    assert {(c.dilation, c.levels) for c in out} == {
-        (2.0, 1), (2.0, 2), (3.0, 1), (3.0, 2)
-    }
-    assert len({c.fingerprint() for c in out}) == 4
 
 
 def test_layer_activation_variants():
@@ -235,6 +243,110 @@ def test_graph_classifier_needs_enough_samples_for_split():
     cfg = ExperimentConfig(task="graph", epochs=1, seeds=(0,), hidden=4)
     with pytest.raises(ValueError, match="split"):
         train_graph_classifier(samples, cfg)
+
+
+def test_graph_classifier_builds_operators_in_config_mode(monkeypatch):
+    built = []
+    real = experiments.framelet_operator
+
+    def recording(graph, dilation, levels, degree, mode):
+        built.append((mode, degree))
+        return real(graph, dilation, levels, degree, mode)
+
+    monkeypatch.setattr(experiments, "framelet_operator", recording)
+    samples = cycles_and_stars(5, (5, 7), seed=0)
+    cfg = ExperimentConfig(
+        task="graph", mode="chebyshev", degree=3, epochs=2, seeds=(0,), hidden=4
+    )
+    train_graph_classifier(samples, cfg)
+    assert built == [("chebyshev", 3)] * len(samples)
+    built.clear()
+    train_graph_classifier(samples, dataclasses.replace(cfg, pool_mode="mean"))
+    assert built == []
+
+
+def _mixed_union(pool_mode):
+    """Four graphs of different sizes, both labels, generic features."""
+    rng = np.random.default_rng(5)
+    graphs = [cycle_graph(5), star_graph(7), path_graph(9), cycle_graph(6)]
+    samples = [
+        GraphSample(graph=g, features=rng.normal(size=(g.num_nodes, 3)), label=y)
+        for g, y in zip(graphs, (0, 1, 1, 0))
+    ]
+    cfg = ExperimentConfig(task="graph", pool_mode=pool_mode, hidden=4)
+    union = _graph_union(samples, cfg)
+    pool_dim = 4 * (union.ops[0].num_blocks if union.ops else 1)
+    params = {
+        "g1.W": rng.normal(size=(3, 4)),
+        "g2.W": rng.normal(size=(4, 4)),
+        **mlp_init(pool_dim, 5, 2, rng),
+    }
+    # The third graph is outside the loss, as validation graphs are.
+    mask = np.array([True, True, False, True])
+    return samples, cfg, union, params, mask
+
+
+@pytest.mark.parametrize("pool_mode", POOL_MODES)
+def test_union_model_gradients(pool_mode):
+    _, cfg, union, params, mask = _mixed_union(pool_mode)
+    keys = sorted(params)
+    sizes = [params[k].size for k in keys]
+
+    def unpack(vec):
+        parts = np.split(vec, np.cumsum(sizes)[:-1])
+        return {k: part.reshape(params[k].shape) for k, part in zip(keys, parts)}
+
+    def loss_fn(vec):
+        logits, (c1, c2, _, cm) = _union_forward(unpack(vec), union, cfg.pool_mode)
+        loss, _ = softmax_cross_entropy(logits, union.labels, mask)
+        return loss, activation_signature(c1, c2, cm)
+
+    logits, caches = _union_forward(params, union, cfg.pool_mode)
+    _, dlogits = softmax_cross_entropy(logits, union.labels, mask)
+    grads = _union_backward(caches, dlogits, union)
+    point = np.concatenate([params[k].ravel() for k in keys])
+    grad = np.concatenate([grads[k].ravel() for k in keys])
+    rel, checked, _ = finite_difference_check(loss_fn, point, grad, max_coords=80, seed=2)
+    assert checked > 0 and rel <= GRAD_TOL
+
+
+def _single_graph_step(params, sample, cfg):
+    """Loss and gradients of one graph through the single-graph layers."""
+    adj = gcn_norm_adjacency(sample.graph)
+    y1, c1 = gcn_conv_forward(params["g1.W"], adj, sample.features)
+    y2, c2 = gcn_conv_forward(params["g2.W"], adj, y1)
+    if cfg.pool_mode == "mean":
+        pooled = y2.mean(axis=0)
+    else:
+        op = framelet_operator(
+            sample.graph, cfg.dilation, cfg.levels, cfg.degree, cfg.mode
+        )
+        pooled, cp = ufg_pool_forward(op, y2, cfg.pool_mode)
+    logits, cm = mlp_forward(params, pooled)
+    loss, dlogits = softmax_cross_entropy(logits, np.array([sample.label]))
+    grads, dpooled = mlp_backward(cm, dlogits)
+    if cfg.pool_mode == "mean":
+        dy2 = np.tile(dpooled / y2.shape[0], (y2.shape[0], 1))
+    else:
+        dy2 = ufg_pool_backward(cp, dpooled[0])
+    dy1, grads["g2.W"] = gcn_conv_backward(c2, dy2)
+    _, grads["g1.W"] = gcn_conv_backward(c1, dy1)
+    return loss, grads
+
+
+@pytest.mark.parametrize("pool_mode", POOL_MODES)
+def test_union_gradient_is_mean_of_per_graph_gradients(pool_mode):
+    samples, cfg, union, params, mask = _mixed_union(pool_mode)
+    logits, caches = _union_forward(params, union, cfg.pool_mode)
+    loss, dlogits = softmax_cross_entropy(logits, union.labels, mask)
+    grads = _union_backward(caches, dlogits, union)
+    steps = [
+        _single_graph_step(params, s, cfg) for s, keep in zip(samples, mask) if keep
+    ]
+    assert loss == pytest.approx(np.mean([l for l, _ in steps]), rel=BATCH_TOL)
+    for key, g in grads.items():
+        ref = np.mean([step[key] for _, step in steps], axis=0)
+        assert np.max(np.abs(g - ref)) <= BATCH_TOL * np.max(np.abs(ref)), key
 
 
 def test_majority_class_accuracy():

@@ -1,4 +1,4 @@
-"""File formats: graph text, CSV, binary coefficient/checkpoint, metrics."""
+"""File formats: graph text, CSV, binary coefficients, metrics."""
 
 import json
 
@@ -7,17 +7,14 @@ import pytest
 
 from ufg.graphs import build_graph
 from ufg.io import (
-    CHECKPOINT_MAGIC,
     COEFF_MAGIC,
     deterministic_mode,
     emit_plot_data,
-    load_checkpoint,
     read_coefficients,
     read_features_csv,
     read_graph_text,
     read_labels_text,
     read_metrics_jsonl,
-    save_checkpoint,
     write_coefficients,
     write_features_csv,
     write_graph_text,
@@ -166,39 +163,6 @@ def test_coefficients_unsupported_version(tmp_path, stack):
     with pytest.raises(ValueError, match="unsupported version 99"):
         read_coefficients(str(path))
     assert blob[:4] == COEFF_MAGIC
-
-
-# -- checkpoints -------------------------------------------------------------
-
-
-def test_checkpoint_round_trip_is_bitwise(tmp_path, rng):
-    params = {
-        "l1.W": rng.normal(size=(4, 3)),
-        "l1.bias": rng.normal(size=3),
-        "scale": np.array(2.5),
-    }
-    path = str(tmp_path / "m.ufgp")
-    save_checkpoint(params, path)
-    back = load_checkpoint(path)
-    assert sorted(back) == sorted(params)
-    for name, arr in params.items():
-        assert back[name].shape == arr.shape
-        np.testing.assert_array_equal(back[name], arr)
-
-
-def test_checkpoint_bad_magic_and_truncation(tmp_path, rng):
-    path = tmp_path / "m.ufgp"
-    save_checkpoint({"w": rng.normal(size=(2, 2))}, str(path))
-    blob = path.read_bytes()
-    assert blob[:4] == CHECKPOINT_MAGIC
-    bad = tmp_path / "bad.ufgp"
-    bad.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(ValueError, match="bad magic"):
-        load_checkpoint(str(bad))
-    cut = tmp_path / "cut.ufgp"
-    cut.write_bytes(blob[:-4])
-    with pytest.raises(ValueError, match="truncated checkpoint"):
-        load_checkpoint(str(cut))
 
 
 # -- metrics and plot data ---------------------------------------------------
