@@ -2,7 +2,8 @@
 """Node classification on a stochastic block model: relu vs shrinkage layers.
 
 Trains the relu variant once, then the shrinkage variant at each sigma on
-the grid, and emits the accuracy/compression trade-off as a plot-ready CSV.
+the grid. Prints one JSON line per result; ``--out`` also writes the
+accuracy/compression trade-off as a plot-ready CSV.
 
     python3 scripts/run_node_classification.py --epochs 200 --out tradeoff.csv
 """
@@ -56,9 +57,8 @@ def main() -> int:
         }
         rows.append(row)
         print(encode_json(row))
-    text = emit_plot_data(rows, "tradeoff_curve", args.out)
-    if not args.out:
-        print(text, end="")
+    if args.out:
+        emit_plot_data(rows, "tradeoff_curve", args.out)
     return 0
 
 

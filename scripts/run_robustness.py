@@ -2,8 +2,9 @@
 """Accuracy of relu vs shrinkage layers under growing feature noise.
 
 Generates one binary-feature block-model dataset, applies Bernoulli flips
-at each grid ratio, trains both layer variants, and emits a plot-ready
-robustness curve CSV (noise_ratio, model, mean, std).
+at each grid ratio, and trains both layer variants. Prints one JSON line
+per result; ``--out`` also writes a plot-ready robustness curve CSV
+(noise_ratio, model, mean, std).
 
     python3 scripts/run_robustness.py --ratios 0,0.5,1,2 --out robustness.csv
 """
@@ -66,9 +67,8 @@ def main() -> int:
                    "mean": rec.mean, "std": rec.std}
             rows.append(row)
             print(encode_json(row))
-    text = emit_plot_data(rows, "robustness_curve", args.out)
-    if not args.out:
-        print(text, end="")
+    if args.out:
+        emit_plot_data(rows, "robustness_curve", args.out)
     return 0
 
 

@@ -2,8 +2,9 @@
 """Accuracy sensitivity to the dilation factor and the number of levels.
 
 Sweeps dilation at fixed levels, then levels at dilation 2, on one
-block-model dataset, and emits a plot-ready sweep CSV (knob, value, mean,
-std). Failed grid points are reported and skipped.
+block-model dataset. Prints one JSON line per grid point; ``--out`` also
+writes a plot-ready sweep CSV (knob, value, mean, std). Failed grid points
+are reported on stderr and skipped.
 
     python3 scripts/run_sensitivity.py --dilation-grid 1.5,2,3 --scale-grid 1-4
 """
@@ -13,7 +14,7 @@ import sys
 
 from ufg.datasets import GaussianFeatures, generate_sbm
 from ufg.experiments import ExperimentConfig, sensitivity_sweep
-from ufg.io import emit_plot_data
+from ufg.io import emit_plot_data, encode_json
 
 
 def _floats(text):
@@ -69,8 +70,10 @@ def main() -> int:
     if not ok_rows:
         print("every sweep point failed", file=sys.stderr)
         return 2
-    text = emit_plot_data(ok_rows, "sweep", args.out)
-    print(text, end="")
+    for row in ok_rows:
+        print(encode_json(row))
+    if args.out:
+        emit_plot_data(ok_rows, "sweep", args.out)
     return 0
 
 

@@ -79,25 +79,27 @@ def random_er_graph(num_nodes: int, avg_degree: float, rng) -> Graph:
     p = min(1.0, avg_degree / (n - 1))
     if n <= 600:
         upper = np.triu(rng.random((n, n)) < p, k=1)
-        rows, cols = np.nonzero(upper)
-        edges = [(int(u), int(v), 1.0) for u, v in zip(rows, cols)]
-        return build_graph(n, edges)
+        return build_graph(n, _unit_edges(*np.nonzero(upper)))
     num_pairs = n * (n - 1) // 2
     m = int(rng.binomial(num_pairs, p))
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < m:
-        need = m - len(chosen)
+    # Pair (u < v) is coded u * n + v: the first m distinct codes in draw
+    # order, sorted, are the edge list in (u, v) order.
+    codes = np.empty(0, dtype=np.int64)
+    while codes.size < m:
+        need = m - codes.size
         u = rng.integers(0, n, size=2 * need + 8)
         v = rng.integers(0, n, size=2 * need + 8)
-        for a, b in zip(u, v):
-            if a == b:
-                continue
-            pair = (int(a), int(b)) if a < b else (int(b), int(a))
-            chosen.add(pair)
-            if len(chosen) == m:
-                break
-    edges = [(u, v, 1.0) for u, v in sorted(chosen)]
-    return build_graph(n, edges)
+        drawn = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]
+        merged = np.concatenate([codes, drawn])
+        _, first = np.unique(merged, return_index=True)
+        codes = merged[np.sort(first)][:m]
+    codes = np.sort(codes)
+    return build_graph(n, _unit_edges(codes // n, codes % n))
+
+
+def _unit_edges(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``(M, 3)`` edge rows of unit weight between ``rows`` and ``cols``."""
+    return np.column_stack([rows, cols, np.ones(len(rows))])
 
 
 def path_graph(num_nodes: int) -> Graph:
@@ -165,8 +167,7 @@ def generate_sbm(
     n = labels.shape[0]
     prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
     upper = np.triu(rng.random((n, n)) < prob, k=1)
-    rows, cols = np.nonzero(upper)
-    graph = build_graph(n, [(int(u), int(v), 1.0) for u, v in zip(rows, cols)])
+    graph = build_graph(n, _unit_edges(*np.nonzero(upper)))
     num_classes = len(block_sizes)
     if isinstance(feature_model, GaussianFeatures):
         means = rng.normal(size=(num_classes, feature_model.dim))

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+from numpy.typing import ArrayLike
 
 from .sparse import SparseMatrix
 
@@ -63,11 +64,9 @@ class Spectrum:
 
 
 def build_graph(
-    num_nodes: int,
-    edges: Iterable[tuple[int, int, float]],
-    add_self_loops: bool = False,
+    num_nodes: int, edges: ArrayLike, add_self_loops: bool = False
 ) -> Graph:
-    """Assemble an undirected graph from weighted edge triples.
+    """Assemble an undirected graph from weighted ``(u, v, w)`` edge rows.
 
     Each ``(u, v, w)`` contributes ``w`` to both ``A[u, v]`` and ``A[v, u]``;
     duplicate pairs accumulate by summation. Self loops in the input are kept
@@ -78,36 +77,44 @@ def build_graph(
     ----------
     num_nodes : int
         Number of nodes; edge endpoints must lie in ``[0, num_nodes)``.
-    edges : iterable of (int, int, float)
-        Weighted edge list. Weights must be positive and finite.
+    edges : array_like, shape (M, 3)
+        One ``(u, v, w)`` row per edge, e.g. an ``(M, 3)`` array or a list of
+        triples; endpoints are truncated to integers. Weights must be
+        positive and finite. The first bad row in input order is reported.
     add_self_loops : bool
         If True, add ``1.0`` to each diagonal entry.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be nonnegative")
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for u, v, w in edges:
-        u, v, w = int(u), int(v), float(w)
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+    arr = np.asarray(edges, dtype=np.float64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"edges must be (u, v, w) rows, got shape {arr.shape}")
+    ends, w = arr[:, :2], arr[:, 2]
+    # Truncation maps exactly the endpoints in (-1, num_nodes) into range.
+    out_of_range = ~np.all((ends > -1) & (ends < num_nodes), axis=1)
+    bad_weight = ~(np.isfinite(w) & (w > 0))
+    bad = np.flatnonzero(out_of_range | bad_weight)
+    if bad.size:
+        k = bad[0]
+        u, v = int(ends[k, 0]), int(ends[k, 1])
+        if out_of_range[k]:
             raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-        if not np.isfinite(w) or w <= 0:
-            raise ValueError(f"edge ({u}, {v}) has invalid weight {w}")
-        if u == v:
-            rows.append(u)
-            cols.append(v)
-            vals.append(w)
-        else:
-            rows.extend((u, v))
-            cols.extend((v, u))
-            vals.extend((w, w))
+        raise ValueError(f"edge ({u}, {v}) has invalid weight {float(w[k])}")
+    u, v = ends.astype(np.int64).T
+    # Each non-loop edge is followed by its mirror; loops appear once.
+    keep = np.column_stack([np.ones(u.size, dtype=bool), u != v])
+    rows = np.column_stack([u, v])[keep]
+    cols = np.column_stack([v, u])[keep]
+    vals = np.column_stack([w, w])[keep]
     if add_self_loops:
-        rows.extend(range(num_nodes))
-        cols.extend(range(num_nodes))
-        vals.extend([1.0] * num_nodes)
-    adj = SparseMatrix.from_coo(rows, cols, vals, (num_nodes, num_nodes))
-    return Graph(num_nodes=num_nodes, adjacency=adj)
+        diag = np.arange(num_nodes)
+        rows = np.concatenate([rows, diag])
+        cols = np.concatenate([cols, diag])
+        vals = np.concatenate([vals, np.ones(num_nodes)])
+    coo = sp.coo_array((vals, (rows, cols)), shape=(num_nodes, num_nodes))
+    return Graph(num_nodes=num_nodes, adjacency=SparseMatrix.from_scipy(coo))
 
 
 def normalized_laplacian(graph: Graph) -> SparseMatrix:

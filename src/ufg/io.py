@@ -116,6 +116,8 @@ def read_features_csv(path: str) -> np.ndarray:
                 rows.append([float(tok) for tok in line.split(",")])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed float") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
             if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
                 raise ValueError(f"{path}:{lineno}: ragged row")
     if not rows:

@@ -2,10 +2,7 @@
 
 Layers follow a forward/backward pair convention: the forward returns the
 output plus a cache, the backward consumes the cache and the upstream
-gradient and returns exact gradients for every input. Caches also carry a
-``kink_margin``: the smallest distance of any pre-activation to a ReLU or
-shrinkage kink, which the finite-difference checker uses to skip
-nondifferentiable points.
+gradient and returns exact gradients for every input.
 
 The framelet convolution computes ``Y = act(V diag(theta) W X')`` with
 ``X' = X W_dense``: project features, decompose, scale every stacked
@@ -89,10 +86,6 @@ def init_params(d_in: int, d_out: int, theta_len: int, rng) -> ConvLayerParams:
     return ConvLayerParams(W=W, theta=theta, bias=bias)
 
 
-def _finite_min(arr: np.ndarray) -> float:
-    return float(np.min(arr)) if arr.size else np.inf
-
-
 def ufg_conv_forward(
     params: ConvLayerParams,
     op: DecompositionOperator,
@@ -139,32 +132,13 @@ def ufg_conv_forward(
         y = reconstruct(op, shrunk) + params.bias
         cache["active_mask"] = shrunk.data != 0.0
         cache["thresholds"] = thresholds
-        cache["kink_margin"] = _kink_margin_shrinkage(fstack, thresholds)
         return y, cache
     z = reconstruct(op, fstack) + params.bias
     if act.kind == "relu":
         y = np.maximum(z, 0.0)
         cache["relu_mask"] = z > 0.0
-        cache["kink_margin"] = _finite_min(np.abs(z))
         return y, cache
-    cache["kink_margin"] = np.inf
     return z, cache
-
-
-def _kink_margin_shrinkage(
-    fstack: CoefficientStack, thresholds: dict[tuple[int, int], float]
-) -> float:
-    margin = np.inf
-    n = fstack.num_nodes
-    for b, (r, j) in enumerate(fstack.block_index):
-        if r == 0:
-            continue
-        lam = thresholds[(r, j)]
-        if not np.isfinite(lam):
-            continue
-        block = fstack.data[b * n : (b + 1) * n]
-        margin = min(margin, _finite_min(np.abs(np.abs(block) - lam)))
-    return margin
 
 
 def ufg_conv_backward(
@@ -223,7 +197,6 @@ def gcn_conv_forward(
         "W": W,
         "mask": z > 0.0,
         "norm_adj": norm_adj,
-        "kink_margin": _finite_min(np.abs(z)),
     }
     return y, cache
 
@@ -340,7 +313,6 @@ def mlp_forward(params: dict[str, np.ndarray], X: np.ndarray) -> tuple[np.ndarra
         "h": h,
         "mask": z1 > 0.0,
         "params": params,
-        "kink_margin": _finite_min(np.abs(z1)),
     }
     return logits, cache
 
@@ -444,11 +416,9 @@ def activation_signature(*caches: dict) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _stencil_crossed_kink(aux_plus, aux_minus, kink_guard: float) -> bool:
+def _stencil_crossed_kink(aux_plus, aux_minus) -> bool:
     if aux_plus is None or aux_minus is None:
         return False
-    if np.isscalar(aux_plus):
-        return min(float(aux_plus), float(aux_minus)) < kink_guard
     a = np.asarray(aux_plus)
     b = np.asarray(aux_minus)
     return a.shape != b.shape or not np.array_equal(a, b)
@@ -459,20 +429,17 @@ def finite_difference_check(
     point: np.ndarray,
     analytic_grad: np.ndarray,
     h: float = 1e-5,
-    kink_guard: float = 1e-3,
     max_coords: int = 200,
     seed: int = 0,
 ) -> tuple[float, int, list[int]]:
     """Compare analytic gradients against central finite differences.
 
     ``loss_fn(vec)`` must return ``(loss, aux)`` where ``aux`` describes the
-    activation state at that point, in one of two forms: a float kink margin
-    (smallest distance of any pre-activation to a ReLU/shrinkage kink; the
-    coordinate is excluded when either perturbed evaluation's margin falls
-    below ``kink_guard``) or an ``activation_signature`` array (the
-    coordinate is excluded exactly when the signature differs between the
-    two perturbed points, i.e. the stencil crossed a kink). Coordinates are
-    subsampled to ``max_coords`` (seeded); exclusions are reported.
+    activation state at that point: ``None`` for a smooth loss, or an
+    ``activation_signature`` array (the coordinate is excluded exactly when
+    the signature differs between the two perturbed points, i.e. the
+    stencil crossed a kink). Coordinates are subsampled to ``max_coords``
+    (seeded); exclusions are reported.
 
     Returns ``(max relative error, checked count, excluded coordinates)``.
     Absolute errors below 1e-10 pass outright to keep zero-gradient
@@ -497,7 +464,7 @@ def finite_difference_check(
         f_plus, aux_plus = loss_fn(bumped)
         bumped.flat[idx] = point.flat[idx] - h
         f_minus, aux_minus = loss_fn(bumped)
-        if _stencil_crossed_kink(aux_plus, aux_minus, kink_guard):
+        if _stencil_crossed_kink(aux_plus, aux_minus):
             excluded.append(int(idx))
             continue
         numeric = (f_plus - f_minus) / (2.0 * h)

@@ -47,11 +47,6 @@ class PerturbationSpec:
             raise ValueError(f"model {self.model!r} targets {expected_target!r}")
 
 
-def _undirected_pairs(graph: Graph) -> list[tuple[int, int]]:
-    csr = graph.adjacency.csr.tocoo()
-    return [(int(u), int(v)) for u, v in zip(csr.row, csr.col) if u < v]
-
-
 def perturb(
     graph: Graph, features: np.ndarray, spec: PerturbationSpec
 ) -> tuple[Graph, np.ndarray]:
@@ -82,34 +77,35 @@ def perturb(
     # edge_ratio
     if spec.value == 1.0:
         return graph, features
-    pairs = _undirected_pairs(graph)
+    coo = graph.adjacency.csr.tocoo()
+    row, col = coo.row.astype(np.int64), coo.col.astype(np.int64)
+    entries = np.column_stack([row, col, coo.data])
+    upper = row < col
+    pairs = entries[upper]
+    loops = entries[(row == col) & (coo.data != 0.0)]
     m = len(pairs)
     target = int(round(spec.value * m))
     n = graph.num_nodes
-    adj = graph.adjacency.csr
-    loops = [
-        (i, i, float(adj[i, i])) for i in range(n) if adj[i, i] != 0.0
-    ]
     if target <= m:
-        keep_idx = rng.choice(m, size=target, replace=False) if m else []
-        kept = [pairs[i] for i in sorted(keep_idx)]
-        edges = [(u, v, float(adj[u, v])) for u, v in kept]
+        edges = pairs[np.sort(rng.choice(m, size=target, replace=False))]
     else:
-        existing = set(pairs)
-        edges = [(u, v, float(adj[u, v])) for u, v in pairs]
         need = target - m
         if need > n * (n - 1) // 2 - m:
             raise ValueError("target ratio exceeds the number of available pairs")
-        added = 0
-        while added < need:
+        # Pair (u < v) is coded u * n + v.
+        existing = set((row * n + col)[upper].tolist())
+        added: list[int] = []
+        while len(added) < need:
             u = int(rng.integers(0, n))
             v = int(rng.integers(0, n))
             if u == v:
                 continue
-            pair = (u, v) if u < v else (v, u)
-            if pair in existing:
+            code = min(u, v) * n + max(u, v)
+            if code in existing:
                 continue
-            existing.add(pair)
-            edges.append((pair[0], pair[1], 1.0))
-            added += 1
-    return build_graph(n, edges + loops), features
+            existing.add(code)
+            added.append(code)
+        codes = np.array(added, dtype=np.int64)
+        new_edges = np.column_stack([codes // n, codes % n, np.ones(need)])
+        edges = np.concatenate([pairs, new_edges])
+    return build_graph(n, np.concatenate([edges, loops])), features

@@ -9,7 +9,6 @@ Graph adjacencies and Laplacians travel through this type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,19 +42,6 @@ class SparseMatrix:
         return SparseMatrix(_canonical(sp.csr_array(mat)))
 
     @staticmethod
-    def from_coo(
-        rows: Iterable[int],
-        cols: Iterable[int],
-        vals: Iterable[float],
-        shape: tuple[int, int],
-    ) -> "SparseMatrix":
-        coo = sp.coo_array(
-            (np.asarray(list(vals), dtype=np.float64), (list(rows), list(cols))),
-            shape=shape,
-        )
-        return SparseMatrix(_canonical(coo.tocsr()))
-
-    @staticmethod
     def identity(n: int) -> "SparseMatrix":
         return SparseMatrix(_canonical(sp.eye_array(n, format="csr")))
 
@@ -82,10 +68,14 @@ class SparseMatrix:
         indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
         if np.any(np.diff(indptr) < 0):
             raise ValueError("row offsets must be nondecreasing")
-        for r in range(self.num_rows):
-            row_cols = indices[indptr[r] : indptr[r + 1]]
-            if row_cols.size and np.any(np.diff(row_cols) <= 0):
-                raise ValueError(f"row {r}: column indices not strictly increasing")
+        # Only steps between neighbours in the same row must increase.
+        row_of = np.repeat(np.arange(self.num_rows), np.diff(indptr))
+        steps = np.diff(indices[indptr[0] : indptr[-1]])
+        bad = np.flatnonzero((row_of[1:] == row_of[:-1]) & (steps <= 0))
+        if bad.size:
+            raise ValueError(
+                f"row {row_of[bad[0]]}: column indices not strictly increasing"
+            )
         if data.size and not np.all(np.isfinite(data)):
             raise ValueError("stored values must be finite")
 

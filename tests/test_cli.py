@@ -66,6 +66,17 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_signal_exits_two(tmp_path, graph_files, capsys):
+    gpath, spath, _ = graph_files
+    with open(spath, "a", encoding="utf-8") as fh:
+        fh.write("nan,1.0\n")
+    out = tmp_path / "c.ufgc"
+    code = main(["transform", "--graph", gpath, "--signal", spath, "--out", str(out)])
+    assert code == 2
+    assert ":17: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_reconstruct_round_trip(tmp_path, graph_files, capsys):
     gpath, spath, signal = graph_files
     cpath = str(tmp_path / "c.ufgc")

@@ -1,11 +1,13 @@
 """Graph assembly, Laplacians and spectra against hand-computed oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ufg.datasets import path_graph, random_er_graph
+from ufg.datasets import generate_sbm, path_graph, random_er_graph
 from ufg.graphs import (
     EXACT_SPECTRUM_MAX_NODES,
     Graph,
@@ -14,6 +16,7 @@ from ufg.graphs import (
     lambda_max,
     normalized_laplacian,
 )
+from ufg.perturb import PerturbationSpec, perturb
 from ufg.sparse import SparseMatrix
 
 SPECTRUM_TOL = 1e-10
@@ -55,6 +58,111 @@ def test_build_graph_rejects_bad_edges():
         build_graph(2, [(0, 1, -1.0)])
     with pytest.raises(ValueError, match="invalid weight"):
         build_graph(2, [(0, 1, np.nan)])
+    # The first bad row in input order is the one reported.
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has invalid weight -2.0"):
+        build_graph(3, [(0, 1, 1.0), (0, 1, -2.0), (0, 7, 1.0)])
+    with pytest.raises(ValueError, match=r"edge \(0, 9\) out of range for 3 nodes"):
+        build_graph(3, [(1, 2, 1.0), (0, 9, 1.0), (1, 2, 0.0)])
+    with pytest.raises(ValueError, match=r"edge \(-1, 2\) out of range"):
+        build_graph(3, np.array([[-1.0, 2.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"\(u, v, w\) rows"):
+        build_graph(3, np.ones((2, 2)))
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    # Dyadic weights k/4 keep every sum exact, whatever the order.
+    edges = draw(
+        st.lists(st.tuples(node, node, st.integers(1, 16).map(lambda k: k / 4)),
+                 max_size=24)
+    )
+    return n, edges
+
+
+@given(edge_lists(), st.booleans())
+def test_build_graph_matches_dense_reference(case, add_self_loops):
+    n, edges = case
+    ref = np.zeros((n, n))
+    for u, v, w in edges:
+        ref[u, v] += w
+        if u != v:
+            ref[v, u] += w
+    if add_self_loops:
+        ref += np.eye(n)
+    g = build_graph(n, edges, add_self_loops=add_self_loops)
+    g.adjacency.validate()
+    np.testing.assert_array_equal(g.adjacency.to_dense(), ref)
+    from_array = build_graph(
+        n, np.array(edges, dtype=np.float64).reshape(-1, 3), add_self_loops
+    ).adjacency.csr
+    for got, want in zip(
+        (from_array.indptr, from_array.indices, from_array.data),
+        (g.adjacency.csr.indptr, g.adjacency.csr.indices, g.adjacency.csr.data),
+    ):
+        np.testing.assert_array_equal(got, want)
+
+
+def _weighted_base_graph():
+    """ER graph with weights in {0.25, ..., 1} and two self loops."""
+    coo = random_er_graph(40, 4.0, 4).adjacency.csr.tocoo()
+    upper = coo.row < coo.col
+    u, v = coo.row[upper], coo.col[upper]
+    edges = np.column_stack([u, v, 0.25 * (1 + (u + v) % 4)])
+    return build_graph(40, np.vstack([edges, [[0, 0, 1.5], [9, 9, 0.5]]]))
+
+
+def _perturbed_edges(value):
+    spec = PerturbationSpec("edges", "edge_ratio", value, seed=5)
+    return perturb(_weighted_base_graph(), np.zeros((40, 1)), spec)[0]
+
+
+# sha256 of the CSR (indptr, indices, data) bytes, recorded from the
+# per-edge tuple implementation that array ingest replaced.
+GOLDEN_GRAPHS = {
+    "er300": lambda: random_er_graph(300, 5.0, 0),
+    "er2000": lambda: random_er_graph(2000, 5.0, 1),
+    "sbm": lambda: generate_sbm([10, 10, 10], 0.5, 0.05, seed=3).graph,
+    "perturb0.5": lambda: _perturbed_edges(0.5),
+    "perturb2": lambda: _perturbed_edges(2.0),
+}
+GOLDEN_DIGESTS = {
+    "er300": (
+        "db4e6af802b7b120cc75a35565f164c0a6fb8feb540aebc3574970cab9094955",
+        "f9a18b0472434ee2e6324b90e0dd7ba5cf171eb4dad257a8d6cfa8e1c5589ca9",
+        "e7c5c5de60031effa9d9db3758bfbe78cc6787704da6d6ba42022ec703dcb1bd",
+    ),
+    "er2000": (
+        "f5f0d67673fef4eb55a8ee3e2981dc6dac88025cacf434dd598bc24fd502b936",
+        "7942678becc1e2884c5be71e280cd6309b6bad8bb3f544223da680a99068b2b8",
+        "7f8614f4c7d9e08633e2b6da143e27944bf2908aa49a717f4895be0e1e7c3a21",
+    ),
+    "sbm": (
+        "6e61507c47ae0eef117dd539586c4e2459f3a100891f2e2f94fcaab91a1fb69f",
+        "22bd38923c92a52ce461f8ec99b8b7b2d3b8c52fb8ab7d36ae0f56ee297aa614",
+        "54dffc32e6dc0dfa2e9eb9bd7af8b4093f419e42963d44f0af0e70aec335d098",
+    ),
+    "perturb0.5": (
+        "8789dc855324166e60705a4894873bd10296ca4895880ee8f9aa92d1479f9193",
+        "c0db4cf5c854613e46e506413141afb4b316c1bc4a5efb7a09eecf4110a99d23",
+        "782b6733899bb7e31fb337b9efa3d653f7bb9f8582c4e5099ceaf074ab11acd5",
+    ),
+    "perturb2": (
+        "d36f1b90f55f8fd0fc45f14380262946175f3f4f0495fe985536f80d86892c47",
+        "1fcbb0bc073d0ea216e6ace9cc40bd819a4d17c15c7ae3a55ae9a52cf2ae1b7b",
+        "c19ddc416a0f8034e108390bd7a4abfd2e58bcac44bbac485299af447fb3d51e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_generated_graphs_match_golden_digests(name):
+    csr = GOLDEN_GRAPHS[name]().adjacency.csr
+    arrays = (csr.indptr, csr.indices, csr.data)
+    assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64]
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+    assert got == GOLDEN_DIGESTS[name]
 
 
 def test_graph_shape_mismatch():

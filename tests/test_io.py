@@ -96,6 +96,8 @@ def test_features_csv_one_dimensional_input(tmp_path):
         ("1.0,2.0\n3.0\n", "ragged row"),
         ("1.0,oops\n", "malformed float"),
         ("", "no feature rows"),
+        ("1.0,nan\n", ":1: non-finite value"),
+        ("inf,2.0\n", ":1: non-finite value"),
     ],
 )
 def test_features_csv_errors(tmp_path, content, fragment):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -13,19 +15,49 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-def test_graph_classification_script_prints_strict_json():
+TINY_NODE = ["--sizes", "10,10", "--epochs", "2", "--num-seeds", "1"]
+
+
+@pytest.mark.parametrize(
+    "script, argv, expected",
+    [
+        pytest.param(
+            "run_graph_classification.py",
+            ["--num-per-class", "5", "--epochs", "2", "--num-seeds", "1"],
+            [{"model": m} for m in ("majority", "pool_sum", "pool_spectrum", "pool_mean")],
+            id="graph_classification",
+        ),
+        pytest.param(
+            "run_node_classification.py",
+            TINY_NODE + ["--sigma-grid", "1"],
+            [{"model": "relu"}, {"sigma": 1.0}],
+            id="node_classification",
+        ),
+        pytest.param(
+            "run_robustness.py",
+            TINY_NODE + ["--feature-dim", "8", "--ratios", "0,1"],
+            [{"noise_ratio": r, "model": m} for r in (0.0, 1.0) for m in ("relu", "shrinkage")],
+            id="robustness",
+        ),
+        pytest.param(
+            "run_sensitivity.py",
+            TINY_NODE + ["--dilation-grid", "2", "--scale-grid", "1"],
+            [{"knob": "dilation", "value": 2.0}, {"knob": "scale", "value": 1}],
+            id="sensitivity",
+        ),
+    ],
+)
+def test_script_prints_strict_json(script, argv, expected):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_graph_classification.py"),
-         "--num-per-class", "5", "--epochs", "2", "--num-seeds", "1"],
+        [sys.executable, str(ROOT / "scripts" / script), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     rows = [json.loads(line, parse_constant=_reject_constant) for line in lines]
-    assert [r["model"] for r in rows] == [
-        "majority", "pool_sum", "pool_spectrum", "pool_mean"
-    ]
+    assert [{k: row[k] for k in want} for row, want in zip(rows, expected)] == expected
+    assert len(rows) == len(expected)

@@ -28,8 +28,9 @@ def test_from_dense_round_trip(rng):
     m.validate()
 
 
-def test_from_coo_sums_duplicates():
-    m = SparseMatrix.from_coo([0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0], shape=(2, 2))
+def test_from_scipy_sums_coo_duplicates():
+    coo = sp.coo_array(([2.0, 3.0, 1.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
+    m = SparseMatrix.from_scipy(coo)
     np.testing.assert_array_equal(m.to_dense(), [[0.0, 5.0], [1.0, 0.0]])
     assert m.nnz == 2
     m.validate()
@@ -49,6 +50,28 @@ def test_validate_catches_nonfinite():
     bad = sp.csr_array(np.array([[1.0, np.inf], [0.0, 2.0]]))
     with pytest.raises(ValueError, match="finite"):
         SparseMatrix(bad).validate()
+
+
+def _raw_csr(indptr, indices):
+    """CSR array stored exactly as given, without canonicalization."""
+    data = np.ones(len(indices))
+    return SparseMatrix(sp.csr_array((data, indices, indptr), shape=(3, 5)))
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, row",
+    [
+        ([0, 2, 4, 4], [1, 3, 4, 2], 1),  # unsorted row
+        ([0, 2, 2, 5], [0, 4, 1, 3, 3], 2),  # repeated column
+    ],
+)
+def test_validate_rejects_bad_row_layout(indptr, indices, row):
+    with pytest.raises(ValueError, match=f"row {row}: column indices not strictly"):
+        _raw_csr(indptr, indices).validate()
+
+
+def test_validate_allows_row_starting_below_previous_row_end():
+    _raw_csr([0, 2, 4, 5], [3, 4, 0, 1, 0]).validate()
 
 
 @given(dense_matrices, st.data())
