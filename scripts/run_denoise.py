@@ -45,7 +45,7 @@ def main() -> int:
         noisy = truth + noise_std * rng.normal(size=args.nodes)
         noisy_mses.append(float(np.mean((noisy - truth) ** 2)))
         for s in sigmas:
-            _, report = denoise_signal(graph, noisy, sigma=s, truth=truth, op=op)
+            _, report = denoise_signal(op, noisy, sigma=s, truth=truth)
             mses[s].append(report["mse_denoised"])
 
     baseline = float(np.mean(noisy_mses))

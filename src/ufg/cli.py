@@ -4,13 +4,15 @@ Subcommands: transform, reconstruct, denoise, pool, train-node,
 train-graph, perturb, sweep, bench, verify. Exit codes: 0 success, 1 usage
 error, 2 runtime failure, 3 verify failure.
 
-Output: every subcommand except ``sweep`` and ``verify`` prints one JSON
-object per line to stdout (``bench`` one per size), and every line is
-strict JSON (``io.encode_json``): keys are sorted, NumPy integer, float and
-bool scalars are written as plain numbers and booleans, and a non-finite
-float, such as the NaN accuracy of a diverged seed in ``per_seed``, is
-written as ``null``. Any other object that is not JSON serializable is a
-runtime failure (exit code 2). ``--metrics-out`` files follow the same rule.
+Output: stdout carries one ``io.encode_json`` line per result and nothing
+else: one summary per run, one row per size (``bench``), per successful grid
+point (``sweep``) or per property (``verify``). Every line is strict JSON:
+keys are sorted, NumPy integer, float and bool scalars are written as plain
+numbers and booleans, and a non-finite float, such as the NaN accuracy of a
+diverged seed in ``per_seed``, is written as ``null``. Any other object that
+is not JSON serializable is a runtime failure (exit code 2). Diagnostics go
+to stderr; plot CSVs go only to ``--out``. ``--metrics-out`` files follow
+the same rule.
 
 Environment: ``UFG_THREADS`` caps BLAS/OpenMP threads (applied before numpy
 loads, which is why all heavy imports here are deferred);
@@ -140,7 +142,7 @@ def _cmd_denoise(args) -> int:
         graph, args.dilation, args.levels, args.degree, args.mode
     )
     denoised, report = experiments.denoise_signal(
-        graph, noisy, sigma=args.sigma, truth=truth, op=op
+        op, noisy, sigma=args.sigma, truth=truth
     )
     io.write_features_csv(denoised, args.out)
     report["out"] = args.out
@@ -300,8 +302,9 @@ def _cmd_sweep(args) -> int:
                   file=sys.stderr)
     if not ok_rows:
         raise RuntimeError("every sweep point failed")
-    text = io.emit_plot_data(ok_rows, "sweep", args.out)
-    print(text, end="")
+    for row in ok_rows:
+        _emit_json(row)
+    io.emit_plot_data(ok_rows, "sweep", args.out)
     return 0
 
 
@@ -341,7 +344,8 @@ def _cmd_verify(args) -> int:
     from . import verify as verify_mod
 
     reports = verify_mod.run_verify(mode=args.mode, n=args.n, seed=args.seed)
-    print(verify_mod.format_report(reports))
+    for report in reports:
+        _emit_json(report)
     return 0 if all(r["passed"] for r in reports) else 3
 
 

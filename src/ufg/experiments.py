@@ -472,24 +472,20 @@ def majority_class_accuracy(samples: list[GraphSample]) -> float:
 
 
 def denoise_signal(
-    graph,
+    op: DecompositionOperator,
     noisy_signal: np.ndarray,
     sigma: float = 1.0,
     truth: np.ndarray | None = None,
-    op: DecompositionOperator | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Framelet denoising: decompose, soft-threshold high passes, reconstruct.
 
-    Uses the global universal threshold scaled by ``sigma``. Pass ``op`` to
-    reuse a prebuilt operator; otherwise ``framelet_operator`` builds the
-    default exact two-level Haar operator of ``graph``.
+    Uses the global universal threshold scaled by ``sigma`` on the framelet
+    operator ``op`` of the signal's graph.
     """
     noisy = np.asarray(noisy_signal, dtype=np.float64)
     squeeze = noisy.ndim == 1
     if squeeze:
         noisy = noisy[:, None]
-    if op is None:
-        op = framelet_operator(graph)
     coeff = decompose(op, noisy)
     shrunk = shrink_stack(coeff, ThresholdConfig(sigma, "global"))
     denoised = reconstruct(op, shrunk)

@@ -163,17 +163,20 @@ def lambda_max(lap: SparseMatrix, method: str = "exact") -> float:
         vec = 1.0 + np.arange(n, dtype=np.float64) / n
         vec /= np.linalg.norm(vec)
         rho = 0.0
+        # The image that gives the Rayleigh quotient is the next step's
+        # product, so each step costs one sparse product.
+        img = lap @ vec
         for _ in range(POWER_ITER_MAX_STEPS):
-            nxt = lap @ vec
-            norm = np.linalg.norm(nxt)
+            norm = np.linalg.norm(img)
             if norm == 0.0:
                 break
-            nxt /= norm
-            rho_new = float(nxt @ (lap @ nxt))
+            vec = img / norm
+            img = lap @ vec
+            rho_new = float(vec @ img)
             if abs(rho_new - rho) <= POWER_ITER_TOL * max(1.0, abs(rho_new)):
                 rho = rho_new
                 break
-            rho, vec = rho_new, nxt
+            rho = rho_new
         return float(min(1.01 * max(rho, 0.0), gersh))
     raise ValueError(f"unknown method {method!r}")
 

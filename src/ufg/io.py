@@ -146,12 +146,6 @@ def read_labels_text(path: str) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def write_labels_text(labels, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for val in np.asarray(labels, dtype=np.int64):
-            fh.write(f"{int(val)}\n")
-
-
 # -- coefficient stacks ------------------------------------------------------
 
 
@@ -244,20 +238,6 @@ def write_metrics_jsonl(records, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(encode_json(rec) + "\n")
-
-
-def read_metrics_jsonl(path: str) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError:
-                raise ValueError(f"{path}:{lineno}: malformed JSON line") from None
-    return out
 
 
 def _format_cell(value) -> str:

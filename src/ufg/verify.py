@@ -3,8 +3,8 @@
 ``run_verify`` rebuilds small random instances and checks every structural
 invariant the library promises: tight-frame identities, Chebyshev
 convergence, shrinkage laws, gradient fidelity, pooling conservation and
-determinism. The CLI ``verify`` subcommand prints one line per property and
-fails with a dedicated exit code if any check fails.
+determinism. The CLI ``verify`` subcommand prints one JSON line per property
+and fails with a dedicated exit code if any check fails.
 """
 
 from __future__ import annotations
@@ -46,6 +46,12 @@ def _rel(err: float, scale: float) -> float:
     return err / scale if scale > 0 else err
 
 
+def _bounded(value: float, tol: float, detail: str):
+    """Outcome of a check that passes when one measured ``value <= tol``."""
+    value = float(value)
+    return value <= tol, detail, value, tol
+
+
 def _explicit(op) -> np.ndarray:
     """The stacked operator as a dense matrix: its image of the identity."""
     return decompose(op, np.eye(op.num_nodes)).data
@@ -67,7 +73,12 @@ def _fixtures(n: int, seed: int, mode: str):
 
 
 def run_verify(mode: str = "exact", n: int = 100, seed: int = 7) -> list[dict]:
-    """Run every invariant check; returns one report dict per property."""
+    """Run every invariant check; returns one report dict per property.
+
+    Each report holds ``name``, ``passed`` and ``detail``, plus ``value`` and
+    ``tol``: the measured number and its tolerance for a check that compares
+    one number with a tolerance, ``None`` for every other check.
+    """
     if mode not in ("exact", "chebyshev"):
         raise ValueError("mode must be 'exact' or 'chebyshev'")
     fx = _fixtures(n, seed, mode)
@@ -95,11 +106,15 @@ def run_verify(mode: str = "exact", n: int = 100, seed: int = 7) -> list[dict]:
     reports = []
     for check in checks:
         name = check.__name__.removeprefix("_check_")
+        value = tol = None
         try:
-            passed, detail = check(fx)
+            passed, detail, *measured = check(fx)
+            if measured:
+                value, tol = measured
         except Exception as exc:  # a crashed check is a failed property
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        reports.append({"name": name, "passed": bool(passed), "detail": detail})
+        reports.append({"name": name, "passed": bool(passed), "detail": detail,
+                        "value": value, "tol": tol})
     return reports
 
 
@@ -107,7 +122,7 @@ def _check_csr_layout(fx):
     fx["lap"].validate()
     fx["graph"].adjacency.validate()
     asym = fx["lap"].max_abs_asymmetry()
-    return asym <= 1e-12, f"max asymmetry {asym:.2e}"
+    return _bounded(asym, 1e-12, f"max asymmetry {asym:.2e}")
 
 
 def _check_laplacian_spectrum(fx):
@@ -128,14 +143,14 @@ def _check_lambda_max_bounds(fx):
 def _check_partition_of_unity(fx):
     grid = np.linspace(0.0, 2.0 * np.pi, 1001)
     residual = float(np.max(np.abs(fx["system"].bank.partition_residual(grid))))
-    return residual <= 1e-12, f"max residual {residual:.2e}"
+    return _bounded(residual, 1e-12, f"max residual {residual:.2e}")
 
 
 def _check_refinement(fx):
     grid = np.linspace(0.0, 2.0 * np.pi, 2001)
     errs = verify_refinement(fx["system"].bank, grid)
     worst = max(errs.values())
-    return worst <= 1e-12, f"max two-scale residual {worst:.2e}"
+    return _bounded(worst, 1e-12, f"max two-scale residual {worst:.2e}")
 
 
 def _check_chebyshev_scalar_fit(fx):
@@ -146,7 +161,7 @@ def _check_chebyshev_scalar_fit(fx):
     for fn in (bank.low_pass, *bank.high_passes):
         approx = chebyshev_fit(fn, degree=16, lam_max=lam_max)
         worst = max(worst, float(np.max(np.abs(approx.evaluate(grid) - fn(grid)))))
-    return worst <= 1e-9, f"max fit error at t=16: {worst:.2e}"
+    return _bounded(worst, 1e-9, f"max fit error at t=16: {worst:.2e}")
 
 
 def _check_round_trip(fx):
@@ -154,7 +169,7 @@ def _check_round_trip(fx):
     err = np.linalg.norm(reconstruct(fx["op"], decompose(fx["op"], X)) - X)
     rel = _rel(err, np.linalg.norm(X))
     tol = 1e-10 if fx["op"].provenance["mode"] == "exact" else 1e-6
-    return rel <= tol, f"relative round-trip error {rel:.2e} (tol {tol:g})"
+    return _bounded(rel, tol, f"relative round-trip error {rel:.2e} (tol {tol:g})")
 
 
 def _check_parseval(fx):
@@ -162,7 +177,7 @@ def _check_parseval(fx):
     total = sum(block_energies(decompose(fx["op"], X)).values())
     rel = abs(total - np.sum(X**2)) / np.sum(X**2)
     tol = 1e-10 if fx["op"].provenance["mode"] == "exact" else 1e-6
-    return rel <= tol, f"relative energy mismatch {rel:.2e} (tol {tol:g})"
+    return _bounded(rel, tol, f"relative energy mismatch {rel:.2e} (tol {tol:g})")
 
 
 def _check_cascade(fx):
@@ -183,7 +198,7 @@ def _check_cascade(fx):
         rhs = float(np.sum(low_j**2)) + detail
         worst = max(worst, _rel(abs(lhs - rhs), lhs))
         prev_low = low_j
-    return worst <= 1e-9, f"max per-level energy mismatch {worst:.2e}"
+    return _bounded(worst, 1e-9, f"max per-level energy mismatch {worst:.2e}")
 
 
 def _check_stacked_tightness(fx):
@@ -208,7 +223,7 @@ def _check_path_equivalence(fx):
         dataclasses.replace(fx["system"], mode="chebyshev", degree=16), fx["lap"]
     )
     worst = float(np.max(np.abs(_explicit(exact_op) - _explicit(cheb_op))))
-    return worst <= 1e-6, f"max entrywise block difference {worst:.2e}"
+    return _bounded(worst, 1e-6, f"max entrywise block difference {worst:.2e}")
 
 
 def _check_lowpass_telescope(fx):
@@ -225,7 +240,7 @@ def _check_lowpass_telescope(fx):
     )
     low = _explicit(exact_op)[: exact_op.num_nodes]
     err = float(np.max(np.abs(low - direct)))
-    return err <= 1e-10, f"low-pass telescope mismatch {err:.2e}"
+    return _bounded(err, 1e-10, f"low-pass telescope mismatch {err:.2e}")
 
 
 def _check_shrinkage_laws(fx):
@@ -274,7 +289,7 @@ def _check_layer_identity(fx):
     )
     y, _ = ufg_conv_forward(params, fx["op"], X, LayerActivation.none())
     rel = _rel(np.linalg.norm(y - X), np.linalg.norm(X))
-    return rel <= 1e-10, f"identity-layer relative error {rel:.2e}"
+    return _bounded(rel, 1e-10, f"identity-layer relative error {rel:.2e}")
 
 
 def _check_sigma_zero_ab(fx):
@@ -347,7 +362,7 @@ def _check_spectrum_pool(fx):
     X = fx["X"]
     pooled, _ = ufg_pool_forward(fx["op"], X, "spectrum")
     rel = _rel(abs(float(pooled.sum()) - float(np.sum(X**2))), float(np.sum(X**2)))
-    return rel <= 1e-8, f"pooled energy relative mismatch {rel:.2e}"
+    return _bounded(rel, 1e-8, f"pooled energy relative mismatch {rel:.2e}")
 
 
 def _check_training_determinism(fx):
@@ -359,16 +374,3 @@ def _check_training_determinism(fx):
     b = train_node_classifier(data, config)
     same = a.per_seed == b.per_seed and a.mean == b.mean
     return same, f"re-run metrics identical: {same}"
-
-
-def format_report(reports: list[dict]) -> str:
-    lines = []
-    for rep in reports:
-        status = "PASS" if rep["passed"] else "FAIL"
-        lines.append(f"[{status}] {rep['name']}: {rep['detail']}")
-    failed = sum(1 for r in reports if not r["passed"])
-    lines.append(
-        f"{len(reports) - failed}/{len(reports)} properties passed"
-        + (f", {failed} FAILED" if failed else "")
-    )
-    return "\n".join(lines)

@@ -335,7 +335,7 @@ def test_criterion_08_denoising_efficacy(report):
         noisy_mses.append(float(np.mean((noisy - truth) ** 2)))
         best_mses.append(
             min(
-                denoise_signal(graph, noisy, sigma=s, truth=truth, op=op)[1][
+                denoise_signal(op, noisy, sigma=s, truth=truth)[1][
                     "mse_denoised"
                 ]
                 for s in (0.5, 1.0, 2.0, 4.0)

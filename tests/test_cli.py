@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import ufg.verify as verify_mod
-from ufg.cli import _emit_json, main
+from ufg.cli import _build_parser, _emit_json, main
 from ufg.datasets import random_er_graph
 from ufg.io import (
     read_features_csv,
     read_graph_text,
-    read_metrics_jsonl,
     write_features_csv,
     write_graph_text,
 )
@@ -126,7 +125,7 @@ def test_train_node_tiny_run(tmp_path, capsys):
     summary = _last_json(capsys)
     assert 0.0 <= summary["mean"] <= 1.0
     assert len(summary["per_seed"]) == 1
-    rows = read_metrics_jsonl(metrics)
+    rows = [json.loads(line) for line in open(metrics).read().splitlines()]
     assert len(rows) == 2 * 3  # epochs x splits
     assert {r["split"] for r in rows} == {"train", "val", "test"}
 
@@ -210,7 +209,9 @@ def test_sweep_writes_plot_csv(tmp_path, capsys):
     lines = open(out).read().splitlines()
     assert lines[0] == "knob,value,mean,std"
     assert len(lines) == 3
-    assert capsys.readouterr().out.splitlines()[0] == lines[0]
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["knob"], r["value"]) for r in rows] == [("dilation", 2.0), ("scale", 1)]
+    assert all({"mean", "std", "fingerprint"} <= set(r) for r in rows)
 
 
 def test_bench_emits_rows_and_csv(tmp_path, capsys):
@@ -226,15 +227,72 @@ def test_bench_emits_rows_and_csv(tmp_path, capsys):
 
 def test_verify_passes_and_prints_report(capsys):
     assert main(["verify", "--n", "30", "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") == 19
-    assert "19/19 properties passed" in out
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 19
+    assert all(set(r) == {"name", "passed", "detail", "value", "tol"} for r in rows)
+    assert all(r["passed"] for r in rows)
+    by_name = {r["name"]: r for r in rows}
+    assert by_name["round_trip"]["tol"] == 1e-10
+    assert 0.0 <= by_name["round_trip"]["value"] <= 1e-10
+    assert by_name["shrinkage_laws"]["value"] is None
+    assert by_name["shrinkage_laws"]["tol"] is None
 
 
 def test_verify_failure_exits_three(monkeypatch, capsys):
     def fake_verify(mode, n, seed):
-        return [{"name": "round_trip", "passed": False, "detail": "bad"}]
+        return [{"name": "round_trip", "passed": False, "detail": "bad",
+                 "value": 1.0, "tol": 1e-10}]
 
     monkeypatch.setattr(verify_mod, "run_verify", fake_verify)
     assert main(["verify"]) == 3
-    assert "[FAIL] round_trip" in capsys.readouterr().out
+    assert _last_json(capsys) == {
+        "name": "round_trip", "passed": False, "detail": "bad",
+        "value": 1.0, "tol": 1e-10,
+    }
+
+
+def _every_subcommand(tmp_path, gpath, spath):
+    """One tiny run of each subcommand; ``reconstruct`` reads ``transform``'s file."""
+    coeffs = str(tmp_path / "c.ufgc")
+    node = ["--sbm-sizes", "15,15", "--feature-dim", "4", "--epochs", "1",
+            "--seeds", "0", "--hidden", "4"]
+    return [
+        ["transform", "--graph", gpath, "--signal", spath, "--out", coeffs],
+        ["reconstruct", "--graph", gpath, "--coeffs", coeffs,
+         "--out", str(tmp_path / "r.csv"), "--reference", spath],
+        ["denoise", "--graph", gpath, "--signal", spath, "--sigma", "1",
+         "--truth", spath, "--out", str(tmp_path / "d.csv")],
+        ["pool", "--graph", gpath, "--signal", spath, "--out", str(tmp_path / "p.csv")],
+        ["train-node", *node],
+        ["train-graph", "--num-per-class", "5", "--epochs", "2", "--patience", "2",
+         "--seeds", "0", "--hidden", "4"],
+        ["perturb", "--graph", gpath, "--features", spath, "--target", "edges",
+         "--model", "edge_ratio", "--value", "1.5",
+         "--out-graph", str(tmp_path / "gp.txt")],
+        ["sweep", *node, "--dilation-grid", "2", "--scale-grid", "1",
+         "--out", str(tmp_path / "sweep.csv")],
+        ["bench", "--sizes", "30", "--reps", "1"],
+        ["verify", "--n", "20"],
+    ]
+
+
+def test_every_subcommand_prints_strict_byte_stable_json(
+    tmp_path, graph_files, monkeypatch, capsys
+):
+    gpath, spath, _ = graph_files
+    commands = _every_subcommand(tmp_path, gpath, spath)
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert [argv[0] for argv in commands] == list(subparsers.choices)
+    monkeypatch.setenv("UFG_DETERMINISTIC", "1")
+    runs = []
+    for _ in range(2):
+        outputs = []
+        for argv in commands:
+            assert main(argv) == 0, argv
+            out = capsys.readouterr().out
+            assert out, argv
+            for line in out.splitlines():
+                assert isinstance(json.loads(line, parse_constant=_reject_constant), dict)
+            outputs.append(out)
+        runs.append(outputs)
+    assert runs[0] == runs[1]

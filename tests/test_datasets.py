@@ -142,7 +142,7 @@ def _write_citation_fixture(root, n=10, d=3, num_classes=2):
     labels[:num_classes] = np.arange(num_classes)  # every class present
     ufg_io.write_graph_text(graph, root / "graph.txt")
     ufg_io.write_features_csv(features, root / "features.csv")
-    ufg_io.write_labels_text(labels, root / "labels.txt")
+    (root / "labels.txt").write_text("".join(f"{y}\n" for y in labels))
     splits = {"train": [0, 1], "val": [2, 3], "test": list(range(4, n))}
     (root / "splits.json").write_text(json.dumps(splits))
     manifest = {

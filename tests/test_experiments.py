@@ -368,43 +368,27 @@ def path_signal():
     truth = spectrum.vectors[:, 1] * np.sqrt(50)  # unit-RMS smooth mode
     rng = np.random.default_rng(3)
     noisy = truth + 0.5 * rng.normal(size=truth.shape)
-    return graph, truth, noisy
+    return framelet_operator(graph), truth, noisy
 
 
 def test_denoise_sigma_zero_is_lossless(path_signal):
-    graph, _, noisy = path_signal
-    out, report = denoise_signal(graph, noisy, sigma=0.0)
+    op, _, noisy = path_signal
+    out, report = denoise_signal(op, noisy, sigma=0.0)
     assert out.shape == noisy.shape
     assert np.max(np.abs(out - noisy)) <= ROUNDTRIP_TOL
     assert report["sigma"] == 0.0
 
 
 def test_denoise_improves_mse_on_smooth_signal(path_signal):
-    graph, truth, noisy = path_signal
-    _, report = denoise_signal(graph, noisy, sigma=1.0, truth=truth)
+    op, truth, noisy = path_signal
+    _, report = denoise_signal(op, noisy, sigma=1.0, truth=truth)
     assert report["mse_denoised"] < report["mse_noisy"]
 
 
-def test_denoise_accepts_prebuilt_operator(path_signal):
-    graph, _, noisy = path_signal
-    lap = normalized_laplacian(graph)
-    spectrum = eigendecompose(lap)
-    from ufg.filters import haar_filter_bank
-    from ufg.transform import build_operators, make_system
-
-    system = make_system(
-        haar_filter_bank(), float(spectrum.values[-1]), levels=2, mode="exact"
-    )
-    op = build_operators(system, lap, spectrum)
-    direct, _ = denoise_signal(graph, noisy, sigma=1.0)
-    reused, _ = denoise_signal(graph, noisy, sigma=1.0, op=op)
-    np.testing.assert_array_equal(direct, reused)
-
-
 def test_denoise_preserves_two_dimensional_signals(path_signal):
-    graph, _, noisy = path_signal
+    op, _, noisy = path_signal
     stacked = np.column_stack([noisy, 2.0 * noisy])
-    out, _ = denoise_signal(graph, stacked, sigma=0.0)
+    out, _ = denoise_signal(op, stacked, sigma=0.0)
     assert out.shape == stacked.shape
 
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from ufg.datasets import generate_sbm, path_graph, random_er_graph
 from ufg.graphs import (
     EXACT_SPECTRUM_MAX_NODES,
+    POWER_ITER_MAX_STEPS,
+    POWER_ITER_TOL,
     Graph,
     build_graph,
     eigendecompose,
@@ -222,6 +224,41 @@ def test_lambda_max_size_cap():
 def test_lambda_max_unknown_method(small_laplacian):
     with pytest.raises(ValueError, match="unknown method"):
         lambda_max(small_laplacian, "lanczos")
+
+
+def _two_product_power_estimate(lap):
+    """Reference power loop that recomputes each image for the quotient."""
+    n = lap.num_rows
+    vec = 1.0 + np.arange(n, dtype=np.float64) / n
+    vec /= np.linalg.norm(vec)
+    rho = 0.0
+    for _ in range(POWER_ITER_MAX_STEPS):
+        nxt = lap @ vec
+        norm = np.linalg.norm(nxt)
+        if norm == 0.0:
+            break
+        nxt /= norm
+        rho_new = float(nxt @ (lap @ nxt))
+        if abs(rho_new - rho) <= POWER_ITER_TOL * max(1.0, abs(rho_new)):
+            rho = rho_new
+            break
+        rho, vec = rho_new, nxt
+    return float(min(1.01 * max(rho, 0.0), lap.gershgorin_bound()))
+
+
+def test_power_iteration_one_product_per_step(monkeypatch):
+    lap = normalized_laplacian(random_er_graph(200, 6.0, 0))
+    expected = _two_product_power_estimate(lap)
+    calls = []
+    real = SparseMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    assert lambda_max(lap, "power_iteration") == expected
+    assert len(calls) <= POWER_ITER_MAX_STEPS + 1
 
 
 def test_lambda_max_empty_graph():

@@ -14,11 +14,9 @@ from ufg.io import (
     read_features_csv,
     read_graph_text,
     read_labels_text,
-    read_metrics_jsonl,
     write_coefficients,
     write_features_csv,
     write_graph_text,
-    write_labels_text,
     write_metrics_jsonl,
 )
 from ufg.transform import CoefficientStack
@@ -108,9 +106,9 @@ def test_features_csv_errors(tmp_path, content, fragment):
 
 
 def test_labels_round_trip_and_error(tmp_path):
-    path = str(tmp_path / "y.txt")
-    write_labels_text(np.array([0, 2, 1, 1]), path)
-    np.testing.assert_array_equal(read_labels_text(path), [0, 2, 1, 1])
+    path = tmp_path / "y.txt"
+    path.write_text("0\n2\n1\n1\n")
+    np.testing.assert_array_equal(read_labels_text(str(path)), [0, 2, 1, 1])
     (tmp_path / "bad.txt").write_text("0\ntwo\n")
     with pytest.raises(ValueError, match=r":2: labels must be integers"):
         read_labels_text(str(tmp_path / "bad.txt"))
@@ -176,7 +174,7 @@ def test_metrics_jsonl_round_trip_sorted_keys(tmp_path):
     write_metrics_jsonl(records, str(path))
     text = path.read_text()
     assert text.splitlines()[0] == '{"a": 0.5, "b": 1}'
-    back = read_metrics_jsonl(str(path))
+    back = [json.loads(line) for line in text.splitlines()]
     assert back == [{"a": 0.5, "b": 1}, {"a": 2.0, "b": "x"}]
 
 
@@ -192,15 +190,6 @@ def test_metrics_jsonl_is_strict_json(tmp_path):
         "acc": [0.5, None], "loss": None, "n": 12,
     }
     assert '"n": 12}' in line  # an integer stays an integer, not 12.0
-
-
-def test_metrics_jsonl_skips_blanks_and_flags_bad_lines(tmp_path):
-    path = tmp_path / "m.jsonl"
-    path.write_text('{"a": 1}\n\n{oops\n')
-    with pytest.raises(ValueError, match=r":3: malformed JSON"):
-        read_metrics_jsonl(str(path))
-    path.write_text('{"a": 1}\n\n{"a": 2}\n')
-    assert read_metrics_jsonl(str(path)) == [{"a": 1}, {"a": 2}]
 
 
 def test_emit_plot_data_headers_and_formatting(tmp_path):

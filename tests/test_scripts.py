@@ -22,10 +22,10 @@ TINY_NODE = ["--sizes", "10,10", "--epochs", "2", "--num-seeds", "1"]
     "script, argv, expected",
     [
         pytest.param(
-            "run_graph_classification.py",
-            ["--num-per-class", "5", "--epochs", "2", "--num-seeds", "1"],
-            [{"model": m} for m in ("majority", "pool_sum", "pool_spectrum", "pool_mean")],
-            id="graph_classification",
+            "run_denoise.py",
+            ["--nodes", "20", "--seeds", "1", "--sigmas", "1"],
+            [{"sigma": 0.0}, {"sigma": 1.0}],
+            id="denoise",
         ),
         pytest.param(
             "run_node_classification.py",
@@ -38,12 +38,6 @@ TINY_NODE = ["--sizes", "10,10", "--epochs", "2", "--num-seeds", "1"]
             TINY_NODE + ["--feature-dim", "8", "--ratios", "0,1"],
             [{"noise_ratio": r, "model": m} for r in (0.0, 1.0) for m in ("relu", "shrinkage")],
             id="robustness",
-        ),
-        pytest.param(
-            "run_sensitivity.py",
-            TINY_NODE + ["--dilation-grid", "2", "--scale-grid", "1"],
-            [{"knob": "dilation", "value": 2.0}, {"knob": "scale", "value": 1}],
-            id="sensitivity",
         ),
     ],
 )

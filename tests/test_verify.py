@@ -1,9 +1,9 @@
-"""Invariant suite: all properties pass on small instances, report format."""
+"""Invariant suite: all properties pass on small instances, report fields."""
 
 import pytest
 
 import ufg.verify as verify_mod
-from ufg.verify import format_report, run_verify
+from ufg.verify import run_verify
 
 
 @pytest.mark.parametrize("mode", ["exact", "chebyshev"])
@@ -14,6 +14,12 @@ def test_run_verify_all_properties_pass(mode):
     assert len(reports) == 19
     assert len({r["name"] for r in reports}) == len(reports)
     assert all(isinstance(r["detail"], str) for r in reports)
+    # A measured value comes with its tolerance, and passing means value <= tol.
+    for r in reports:
+        assert (r["value"] is None) == (r["tol"] is None)
+        if r["value"] is not None:
+            assert r["value"] <= r["tol"]
+    assert sum(r["value"] is not None for r in reports) >= 9
 
 
 def test_run_verify_rejects_unknown_mode():
@@ -33,17 +39,3 @@ def test_crashed_check_reports_as_failure(monkeypatch):
     assert "synthetic crash" in crashed["detail"]
     others = [r for r in reports if r["name"] != "csr_layout"]
     assert all(r["passed"] for r in others)
-
-
-def test_format_report_lines_and_summary():
-    reports = [
-        {"name": "alpha", "passed": True, "detail": "ok"},
-        {"name": "beta", "passed": False, "detail": "off by 1"},
-    ]
-    text = format_report(reports)
-    lines = text.splitlines()
-    assert lines[0] == "[PASS] alpha: ok"
-    assert lines[1] == "[FAIL] beta: off by 1"
-    assert lines[2] == "1/2 properties passed, 1 FAILED"
-    all_pass = format_report([{"name": "alpha", "passed": True, "detail": "ok"}])
-    assert all_pass.splitlines()[-1] == "1/1 properties passed"
