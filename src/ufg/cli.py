@@ -88,14 +88,21 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "chebyshev"), default="exact")
 
 
+def _operator(graph, args):
+    """The framelet operator of ``graph`` set by the system flags."""
+    from . import transform
+
+    return transform.framelet_operator(
+        graph, args.dilation, args.levels, args.degree, args.mode
+    )
+
+
 def _cmd_transform(args) -> int:
     from . import io, transform
 
     graph = io.read_graph_text(args.graph)
     signal = io.read_features_csv(args.signal)
-    op = transform.framelet_operator(
-        graph, args.dilation, args.levels, args.degree, args.mode
-    )
+    op = _operator(graph, args)
     stack = transform.decompose(op, signal)
     io.write_coefficients(stack, args.out)
     _emit_json(
@@ -117,9 +124,7 @@ def _cmd_reconstruct(args) -> int:
 
     graph = io.read_graph_text(args.graph)
     stack = io.read_coefficients(args.coeffs)
-    op = transform.framelet_operator(
-        graph, args.dilation, args.levels, args.degree, args.mode
-    )
+    op = _operator(graph, args)
     signal = transform.reconstruct(op, stack)
     io.write_features_csv(signal, args.out)
     summary = {"nodes": graph.num_nodes, "out": args.out}
@@ -133,14 +138,12 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    from . import experiments, io, transform
+    from . import experiments, io
 
     graph = io.read_graph_text(args.graph)
     noisy = io.read_features_csv(args.signal)
     truth = io.read_features_csv(args.truth) if args.truth else None
-    op = transform.framelet_operator(
-        graph, args.dilation, args.levels, args.degree, args.mode
-    )
+    op = _operator(graph, args)
     denoised, report = experiments.denoise_signal(
         op, noisy, sigma=args.sigma, truth=truth
     )
@@ -151,13 +154,11 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_pool(args) -> int:
-    from . import io, nn, transform
+    from . import io, nn
 
     graph = io.read_graph_text(args.graph)
     signal = io.read_features_csv(args.signal)
-    op = transform.framelet_operator(
-        graph, args.dilation, args.levels, args.degree, args.mode
-    )
+    op = _operator(graph, args)
     pooled, _ = nn.ufg_pool_forward(op, signal, args.pool_mode)
     io.write_features_csv(pooled[None, :], args.out)
     _emit_json(

@@ -547,10 +547,11 @@ def bench_transform(
 
     Random sparse ER graphs; per size, reports mean and median seconds over
     ``repetitions`` plus the operator's block count. The build is the whole
-    ``framelet_operator`` call: Laplacian, power-iteration spectral bound and
-    filter fits. The transform runs matrix-free (per-factor recurrences on
-    the signal), so its cost tracks the factor count. Out-of-memory records
-    the size as skipped instead of failing the run.
+    ``framelet_operator`` call: Laplacian, power-iteration top eigenvalue and
+    filter fits. The transform runs matrix-free (one Chebyshev recurrence
+    per level in each direction), so its cost tracks the level count, not
+    the number of high passes. Out-of-memory records the size as skipped
+    instead of failing the run.
     """
     from .datasets import random_er_graph
 

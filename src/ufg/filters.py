@@ -7,9 +7,10 @@ bank shipped here has one high pass: ``a(xi) = cos(xi / 2)``,
 ``b(xi) = sin(xi / 2)``, with scaling functions known in closed form.
 
 Filters are applied to a Laplacian either exactly through its
-eigendecomposition or approximately as a Chebyshev polynomial in the matrix,
-fitted on ``[0, lam_max]`` by Chebyshev-Gauss quadrature and applied to a
-signal by the three-term recurrence, never as an explicit matrix.
+eigendecomposition or approximately as Chebyshev polynomials in the matrix.
+``chebyshev_fit`` fits them on ``[0, 2]``, which holds the spectrum of every
+normalized Laplacian with nonnegative weights (Chung 1997), so a fit is
+never used outside its interval; ``transform`` applies the fits.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
-
-from .sparse import SparseMatrix
 
 PARTITION_TOL = 1e-12
 DEFAULT_CHEBYSHEV_DEGREE = 16
@@ -114,85 +112,25 @@ def verify_refinement(bank: FilterBank, xi_grid: np.ndarray) -> dict[str, float]
     return out
 
 
-@dataclass(frozen=True)
-class ChebyshevApprox:
-    """Chebyshev expansion of a scalar function on ``[0, lam_max]``.
-
-    ``coeffs[j]`` multiplies ``T_j`` of the affinely mapped argument
-    ``x = 2 lam / lam_max - 1``; the constant term is stored already halved
-    so evaluation is a plain Chebyshev series sum.
-    """
-
-    coeffs: np.ndarray
-    lam_max: float
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=np.float64)
-        x = 2.0 * lam / self.lam_max - 1.0
-        return np.asarray(npcheb.chebval(x, self.coeffs), dtype=np.float64)
-
-
 def chebyshev_fit(
-    fn: Callable[[np.ndarray], np.ndarray],
-    degree: int = DEFAULT_CHEBYSHEV_DEGREE,
-    lam_max: float = 2.0,
-) -> ChebyshevApprox:
-    """Fit ``fn`` on ``[0, lam_max]`` by Chebyshev-Gauss quadrature.
+    fn: Callable[[np.ndarray], np.ndarray], degree: int = DEFAULT_CHEBYSHEV_DEGREE
+) -> np.ndarray:
+    """Chebyshev coefficients of ``fn`` on ``[0, 2]`` by Chebyshev-Gauss quadrature.
 
-    Uses the ``degree + 1`` Chebyshev nodes ``x_k = cos(pi (k + 1/2) /
-    (degree + 1))``; the quadrature is exact for polynomials of the fitted
-    degree, so smooth filters converge geometrically.
+    ``coeffs[k]`` multiplies ``T_k(lam - 1)``, with the constant term stored
+    already halved, so ``numpy.polynomial.chebyshev.chebval(lam - 1, coeffs)``
+    evaluates the fit. Uses the ``degree + 1`` Chebyshev nodes ``x_k =
+    cos(pi (k + 1/2) / (degree + 1))``; the quadrature is exact for
+    polynomials of the fitted degree, so smooth filters converge
+    geometrically.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if not (np.isfinite(lam_max) and lam_max > 0):
-        raise ValueError("lam_max must be positive and finite")
     t = degree
     k = np.arange(t + 1, dtype=np.float64)
-    x = np.cos(np.pi * (k + 0.5) / (t + 1))
-    lam = (x + 1.0) * (lam_max / 2.0)
-    fvals = np.asarray(fn(lam), dtype=np.float64)
-    j = np.arange(t + 1, dtype=np.float64)
-    # cos(j * arccos(x_k)) tabulated at the quadrature nodes
-    cos_table = np.cos(np.outer(j, np.pi * (k + 0.5) / (t + 1)))
-    coeffs = (2.0 / (t + 1)) * (cos_table @ fvals)
+    theta = np.pi * (k + 0.5) / (t + 1)
+    fvals = np.asarray(fn(np.cos(theta) + 1.0), dtype=np.float64)
+    # T_j at the node x_k = cos(theta_k) is cos(j * theta_k)
+    coeffs = (2.0 / (t + 1)) * (np.cos(np.outer(k, theta)) @ fvals)
     coeffs[0] *= 0.5
-    return ChebyshevApprox(coeffs=coeffs, lam_max=float(lam_max))
-
-
-def apply_polynomial_to_signal(
-    approx: ChebyshevApprox, mat: SparseMatrix, X: np.ndarray
-) -> np.ndarray:
-    """Evaluate ``p(M) @ X`` matrix-free by the Chebyshev recurrence.
-
-    Runs ``T_{j+1} = 2 M~ T_j - T_{j-1}`` on the signal columns, with the
-    rescaled matrix ``M~ = (2 / lam_max) M - I``, and accumulates
-    ``sum_j coeffs[j] T_j X``. The cost is ``degree`` sparse-dense products;
-    the polynomial ``p(M)`` is never formed.
-    """
-    n = mat.num_rows
-    if mat.num_cols != n:
-        raise ValueError("matrix polynomial needs a square matrix")
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] != n:
-        raise ValueError("signal row count must match the matrix")
-    c = approx.coeffs
-    alpha = 2.0 / approx.lam_max
-
-    def scaled_mul(v: np.ndarray) -> np.ndarray:
-        return alpha * (mat @ v) - v
-
-    acc = float(c[0]) * X
-    if len(c) == 1:
-        return acc
-    t_prev, t_cur = X, scaled_mul(X)
-    acc = acc + float(c[1]) * t_cur
-    for j in range(2, len(c)):
-        t_next = 2.0 * scaled_mul(t_cur) - t_prev
-        acc = acc + float(c[j]) * t_next
-        t_prev, t_cur = t_cur, t_next
-    return acc
+    return coeffs

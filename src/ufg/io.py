@@ -250,8 +250,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit_plot_data(metrics, kind: str, path: str | None = None) -> str:
-    """Render metrics rows to a tidy plot-ready CSV.
+def emit_plot_data(metrics, kind: str, path: str) -> None:
+    """Write metrics rows to ``path`` as a tidy plot-ready CSV.
 
     Column layouts per kind: tradeoff_curve (sigma, compression_ratio,
     accuracy_mean, accuracy_std); robustness_curve (noise_ratio, model, mean,
@@ -270,8 +270,5 @@ def emit_plot_data(metrics, kind: str, path: str | None = None) -> str:
         if missing:
             raise ValueError(f"metrics row missing columns {missing}")
         lines.append(",".join(_format_cell(row[c]) for c in columns))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

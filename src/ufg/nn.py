@@ -60,15 +60,6 @@ class ConvLayerParams:
     theta: np.ndarray
     bias: np.ndarray
 
-    def validate(self) -> None:
-        for name, arr in (("W", self.W), ("theta", self.theta), ("bias", self.bias)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-        if self.W.ndim != 2 or self.theta.ndim != 1 or self.bias.ndim != 1:
-            raise ValueError("W must be 2-d; theta and bias 1-d")
-        if self.bias.shape[0] != self.W.shape[1]:
-            raise ValueError("bias length must match output width")
-
 
 def init_params(d_in: int, d_out: int, theta_len: int, rng) -> ConvLayerParams:
     """Xavier-uniform W, theta near one, zero bias; deterministic given rng.

@@ -16,9 +16,14 @@ error.
 ``DecompositionOperator`` has two backends, chosen by the system's mode.
 ``exact`` holds the stacked blocks ``U diag(g_b) U^T`` as one dense array,
 built in the Laplacian eigenbasis. ``chebyshev`` holds only the Laplacian
-and applies the fitted factor polynomials to the signal by the Chebyshev
-recurrence, so it needs neither an eigendecomposition nor any N x N matrix.
-``framelet_operator`` builds either from a graph.
+and the factor polynomials, all fitted on ``[0, 2]`` in ``L - I``, so it
+needs neither an eigendecomposition nor any N x N matrix. All filters of a
+level act on the same input, so the forward transform runs one Chebyshev
+recurrence per level and accumulates every filter's output from it, and the
+adjoint sums the level's filters in one Clenshaw recurrence (Clenshaw 1955),
+as spectral graph wavelets do (Hammond, Vandergheynst & Gribonval 2011).
+Each direction costs ``degree`` sparse products per level, for any number
+of high passes. ``framelet_operator`` builds either backend from a graph.
 """
 
 from __future__ import annotations
@@ -31,10 +36,8 @@ import numpy as np
 
 from . import graphs
 from .filters import (
-    ChebyshevApprox,
     DEFAULT_CHEBYSHEV_DEGREE,
     FilterBank,
-    apply_polynomial_to_signal,
     chebyshev_fit,
     haar_filter_bank,
 )
@@ -75,7 +78,8 @@ class FrameletSystem:
     K : int
         Spectral normalizer; must satisfy ``d^K * pi >= lam_max``.
     lam_max : float
-        Upper bound on the Laplacian spectrum this system targets.
+        Top of the Laplacian spectrum, exact or estimated; it sets K only.
+        Chebyshev fits use the certified interval ``[0, 2]``.
     degree : int
         Chebyshev degree t used by the approximate path.
     mode : str
@@ -125,26 +129,16 @@ class FrameletSystem:
         return self.dilation ** (j - 1 - self.K)
 
     @cached_property
-    def factor_fits(
-        self,
-    ) -> tuple[list[ChebyshevApprox], list[list[ChebyshevApprox]]]:
-        """Chebyshev fits of every filter factor, made once per system:
-        ``low[j-1]`` is the level-j low-pass factor, ``high[r-1][j-1]`` the
-        level-j factor of high pass r."""
-        if not (self.lam_max > 0):
-            raise ValueError("chebyshev mode needs a positive lam_max bound")
-        t, lam_max = self.degree, self.lam_max
-
-        def factor(fn, scale) -> ChebyshevApprox:
-            return chebyshev_fit(lambda lam: fn(scale * lam), degree=t, lam_max=lam_max)
-
-        levels = range(1, self.levels + 1)
-        low = [factor(self.bank.low_pass, self.factor_scale(j)) for j in levels]
-        high = [
-            [factor(b, self.factor_scale(j)) for j in levels]
-            for b in self.bank.high_passes
-        ]
-        return low, high
+    def chebyshev_coeffs(self) -> np.ndarray:
+        """Chebyshev coefficients of every filter factor, fitted once per
+        system: a ``(J, n+1, degree+1)`` array whose entry ``[j-1, 0]`` is
+        the level-j low-pass factor and ``[j-1, r]`` the level-j factor of
+        high pass r."""
+        masks = (self.bank.low_pass, *self.bank.high_passes)
+        return np.array([
+            [chebyshev_fit(lambda lam: g(scale * lam), self.degree) for g in masks]
+            for scale in map(self.factor_scale, range(1, self.levels + 1))
+        ])
 
 
 def make_system(
@@ -155,7 +149,7 @@ def make_system(
     degree: int = DEFAULT_CHEBYSHEV_DEGREE,
     mode: str = "exact",
 ) -> FrameletSystem:
-    """Build a ``FrameletSystem`` with K derived from the spectral bound.
+    """Build a ``FrameletSystem`` with K derived from the top eigenvalue.
 
     ``lam_max == 0`` (edgeless graph, DC-only spectrum) gets K = 0.
     """
@@ -291,8 +285,7 @@ def build_operators(
     """Build the operator of ``system`` for one Laplacian.
 
     Exact mode requires ``spectrum`` (its eigendecomposition) and stacks
-    the dense blocks; Chebyshev mode requires ``system.lam_max > 0`` and
-    only fits the factor polynomials.
+    the dense blocks; Chebyshev mode only fits the factor polynomials.
     """
     n = lap.num_rows
     if lap.num_cols != n:
@@ -303,7 +296,7 @@ def build_operators(
         if spectrum.values.shape[0] != n:
             raise ValueError("spectrum size does not match Laplacian")
         return DecompositionOperator(system, lap, _exact_stack(system, spectrum))
-    system.factor_fits  # fit once now, so a bad lam_max fails at build time
+    system.chebyshev_coeffs  # fit once now, not on the first product
     return DecompositionOperator(system, lap)
 
 
@@ -316,9 +309,9 @@ def framelet_operator(
 ) -> DecompositionOperator:
     """Haar framelet operator of a graph's normalized Laplacian.
 
-    The spectral bound is the top eigenvalue of the full spectrum in exact
-    mode and the power-iteration estimate of ``graphs.lambda_max`` in
-    Chebyshev mode, which never computes a spectrum.
+    K comes from the top eigenvalue of the full spectrum in exact mode and
+    from the power-iteration estimate of ``graphs.lambda_max`` in Chebyshev
+    mode, which never computes a spectrum.
     """
     lap = graphs.normalized_laplacian(graph)
     spectrum = None
@@ -357,31 +350,39 @@ def chebyshev_decompose(
 ) -> CoefficientStack:
     """Forward transform applied matrix-free to a signal.
 
-    Runs the per-factor Chebyshev recurrences directly on the signal columns
-    with the partial low-pass chain shared across levels, never materializing
-    the block operators. Work is ``(n+1) J`` factor applications of ``degree``
-    sparse products each, so doubling ``J`` roughly doubles the cost, and
-    memory stays at a few N x d arrays.
+    Level j runs one Chebyshev recurrence ``T_k(L - I) chain`` on the
+    level's partial low-pass chain and accumulates all n+1 filter outputs
+    from it, straight into the coefficient array. Work is ``degree`` sparse
+    products per level, and memory stays at a few N x d arrays besides the
+    output.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != lap.num_rows:
         raise ValueError(f"X must be 2-d with {lap.num_rows} rows")
     J, n = system.levels, system.num_high
-    low_fits, high_fits = system.factor_fits
-    chains = [X]
+    index = system.block_index()
+    data = np.empty((len(index) * X.shape[0], X.shape[1]))
+    blocks = data.reshape(len(index), *X.shape)
+    chain = X
     for j in range(1, J + 1):
-        chains.append(apply_polynomial_to_signal(low_fits[j - 1], lap, chains[-1]))
-    parts = [chains[J]]
-    for r in range(1, n + 1):
-        for j in range(1, J + 1):
-            parts.append(
-                apply_polynomial_to_signal(high_fits[r - 1][j - 1], lap, chains[j - 1])
-            )
-    return CoefficientStack(
-        data=np.concatenate(parts, axis=0),
-        block_index=system.block_index(),
-        num_nodes=lap.num_rows,
-    )
+        low = blocks[0] if j == J else np.empty_like(X)
+        outs = [low] + [blocks[index.index((r, j))] for r in range(1, n + 1)]
+        coeffs = system.chebyshev_coeffs[j - 1]
+        for out, c in zip(outs, coeffs[:, 0]):
+            np.multiply(chain, c, out=out)
+        t_prev, t_cur = None, chain
+        for k in range(1, coeffs.shape[1]):
+            # T_k = 2 (L - I) T_{k-1} - T_{k-2}, with T_1 = (L - I) T_0
+            t_next = lap @ t_cur
+            t_next -= t_cur
+            if t_prev is not None:
+                t_next *= 2.0
+                t_next -= t_prev
+            t_prev, t_cur = t_cur, t_next
+            for out, c in zip(outs, coeffs[:, k]):
+                out += c * t_cur
+        chain = low
+    return CoefficientStack(data=data, block_index=index, num_nodes=lap.num_rows)
 
 
 def chebyshev_reconstruct(
@@ -390,29 +391,34 @@ def chebyshev_reconstruct(
     """Adjoint transform applied matrix-free to a coefficient stack.
 
     Every block is a polynomial in the symmetric Laplacian and hence
-    symmetric, so the adjoint applies the same factors in reverse level
-    order: accumulate from the top level down, multiplying the running sum
-    by the level's low-pass factor and adding the level's filtered high-pass
-    coefficients. Mirrors ``chebyshev_decompose`` in cost.
+    symmetric, so the adjoint runs the levels from the top down: level j
+    maps the running low-pass sum ``v_0`` and its high-pass blocks ``v_r``
+    to ``sum_f p_f(L) v_f``. All factors share one basis, so that is
+    ``sum_k T_k(L - I) w_k`` with ``w_k = sum_f c_{f,k} v_f``, summed by
+    Clenshaw's recurrence with each ``w_k`` formed when it is used. Mirrors
+    ``chebyshev_decompose`` in cost.
     """
     if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
         raise ValueError("coefficient stack does not match the system")
-    J, n = system.levels, system.num_high
-    low_fits, high_fits = system.factor_fits
-
-    def level_detail(j: int) -> np.ndarray:
-        total = np.zeros((c.num_nodes, c.num_features))
-        for r in range(1, n + 1):
-            total += apply_polynomial_to_signal(
-                high_fits[r - 1][j - 1], lap, c.block(r, j)
-            )
-        return total
-
-    acc = apply_polynomial_to_signal(low_fits[J - 1], lap, c.low_pass())
-    acc += level_detail(J)
-    for j in range(J - 1, 0, -1):
-        acc = apply_polynomial_to_signal(low_fits[j - 1], lap, acc)
-        acc += level_detail(j)
+    acc = c.low_pass()
+    for j in range(system.levels, 0, -1):
+        vs = [acc] + [c.block(r, j) for r in range(1, system.num_high + 1)]
+        coeffs = system.chebyshev_coeffs[j - 1]
+        t = coeffs.shape[1] - 1
+        # b_k = w_k + 2 (L - I) b_{k+1} - b_{k+2}, started at b_t = w_t;
+        # the sum is w_0 + (L - I) b_1 - b_2.
+        b, b_next = sum(cf * v for cf, v in zip(coeffs[:, t], vs)), None
+        for k in range(t - 1, -1, -1):
+            y = lap @ b
+            y -= b
+            if k > 0:
+                y *= 2.0
+            for f, v in enumerate(vs):
+                y += coeffs[f, k] * v
+            if b_next is not None:
+                y -= b_next
+            b, b_next = y, b
+        acc = b
     return acc
 
 

@@ -197,28 +197,31 @@ def test_emit_plot_data_headers_and_formatting(tmp_path):
         {"sigma": 0.5, "compression_ratio": 0.25, "accuracy_mean": 0.9,
          "accuracy_std": 0.01, "ignored": True},
     ]
-    text = emit_plot_data(rows, "tradeoff_curve")
-    lines = text.splitlines()
-    assert lines[0] == "sigma,compression_ratio,accuracy_mean,accuracy_std"
-    assert lines[1] == "0.5,0.25,0.9,0.01"
-    bench = emit_plot_data(
+    assert emit_plot_data(rows, "tradeoff_curve", str(tmp_path / "t.csv")) is None
+    assert (tmp_path / "t.csv").read_text() == (
+        "sigma,compression_ratio,accuracy_mean,accuracy_std\n0.5,0.25,0.9,0.01\n"
+    )
+    emit_plot_data(
         [{"n": 100, "series": "build", "mean_s": 0.125, "median_s": True}],
         "bench",
-        path=str(tmp_path / "b.csv"),
+        str(tmp_path / "b.csv"),
     )
-    assert bench.splitlines()[1] == "100,build,0.125,1"
-    assert (tmp_path / "b.csv").read_text() == bench
+    assert (tmp_path / "b.csv").read_text() == (
+        "n,series,mean_s,median_s\n100,build,0.125,1\n"
+    )
 
 
-def test_emit_plot_data_errors():
+def test_emit_plot_data_errors(tmp_path):
+    out = str(tmp_path / "p.csv")
     with pytest.raises(ValueError, match="unknown plot kind"):
-        emit_plot_data([{"a": 1}], "scatter")
+        emit_plot_data([{"a": 1}], "scatter", out)
     with pytest.raises(ValueError, match="no metrics"):
-        emit_plot_data([], "sweep")
+        emit_plot_data([], "sweep", out)
     with pytest.raises(ValueError, match=r"missing columns \['std'\]"):
         emit_plot_data(
-            [{"knob": "dilation", "value": 2.0, "mean": 0.5}], "sweep"
+            [{"knob": "dilation", "value": 2.0, "mean": 0.5}], "sweep", out
         )
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize(

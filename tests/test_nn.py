@@ -47,18 +47,8 @@ def test_init_params_ranges(rng):
     assert p.theta.shape == (10,)
     assert np.all((p.theta >= 0.9) & (p.theta <= 1.1))
     np.testing.assert_array_equal(p.bias, 0.0)
-    p.validate()
     with pytest.raises(ValueError, match="positive"):
         init_params(0, 3, 10, rng)
-
-
-def test_params_validate():
-    bad = ConvLayerParams(W=np.eye(2), theta=np.ones(3), bias=np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError, match="non-finite"):
-        bad.validate()
-    mismatched = ConvLayerParams(W=np.eye(2), theta=np.ones(3), bias=np.zeros(3))
-    with pytest.raises(ValueError, match="bias length"):
-        mismatched.validate()
 
 
 def test_layer_activation_validation():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 
 from ufg.datasets import GaussianFeatures, generate_sbm, random_er_graph
-from ufg.filters import haar_filter_bank
+from ufg.filters import FilterBank, SpectralFunction, haar_filter_bank
 from ufg.graphs import build_graph, eigendecompose, lambda_max, normalized_laplacian
 from ufg.sparse import SparseMatrix
 from ufg.transform import (
@@ -147,6 +148,70 @@ def test_path_equivalence_exact_vs_chebyshev(small_laplacian, small_spectrum):
     np.testing.assert_allclose(_explicit(op_e), _explicit(op_c), atol=PATH_TOL)
 
 
+def _linear_bank():
+    """Linear framelet masks (Dong 2017): two high passes."""
+    return FilterBank(
+        low_pass=SpectralFunction("linear_low", lambda xi: np.cos(xi / 2.0) ** 2),
+        high_passes=(
+            SpectralFunction("linear_high_1", lambda xi: np.sin(xi) / np.sqrt(2.0)),
+            SpectralFunction("linear_high_2", lambda xi: np.sin(xi / 2.0) ** 2),
+        ),
+    )
+
+
+def test_two_high_passes_share_one_recurrence_per_level(
+    small_laplacian, small_spectrum, monkeypatch
+):
+    J, t = 2, 16
+    lam = float(small_spectrum.values[-1])
+    exact_sys = make_system(_linear_bank(), lam, levels=J, degree=t, mode="exact")
+    op_e = build_operators(exact_sys, small_laplacian, small_spectrum)
+    cheb_sys = dataclasses.replace(exact_sys, mode="chebyshev")
+    op_c = build_operators(cheb_sys, small_laplacian)
+    np.testing.assert_allclose(_explicit(op_e), _explicit(op_c), atol=PATH_TOL)
+
+    calls = []
+    matmul = SparseMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(other.shape)
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    X = np.random.default_rng(2).normal(size=(small_laplacian.num_rows, 3))
+    back = reconstruct(op_c, decompose(op_c, X))
+    # One recurrence per level in each direction, whatever the high-pass count.
+    assert len(calls) == 2 * J * t
+    assert np.max(np.abs(back - X)) / np.max(np.abs(X)) <= TIGHTNESS_TOL
+
+
+@given(st.integers(0, 6), st.integers(1, 3), st.integers(0, 5))
+def test_chebyshev_backend_applies_the_fitted_polynomials(degree, levels, seed):
+    # Reference: the fitted factor polynomials evaluated in the eigenbasis,
+    # chained per block as in _exact_stack.
+    lap = normalized_laplacian(random_er_graph(15, 3.0, np.random.default_rng(seed)))
+    spec = eigendecompose(lap)
+    system = make_system(
+        _linear_bank(), float(spec.values[-1]), levels=levels, degree=degree,
+        mode="chebyshev",
+    )
+    p = np.array([
+        [chebval(spec.values - 1.0, cf) for cf in level]
+        for level in system.chebyshev_coeffs
+    ])
+    chain = np.cumprod(p[:, 0], axis=0)
+    below = np.vstack([np.ones_like(spec.values), chain[:-1]])
+    gains = [chain[-1]] + [
+        p[j, r] * below[j] for r in range(1, system.num_high + 1) for j in range(levels)
+    ]
+    reference = np.concatenate([spec.matrix_function(g) for g in gains])
+    op = build_operators(system, lap)
+    w = _explicit(op)
+    np.testing.assert_allclose(w, reference, atol=1e-10)
+    c = decompose(op, np.random.default_rng(seed).normal(size=(15, 2)))
+    np.testing.assert_allclose(reconstruct(op, c), w.T @ c.data, atol=1e-12)
+
+
 def test_matrix_free_matches_materialized(small_laplacian):
     lam = lambda_max(small_laplacian, "power_iteration")
     system = make_system(haar_filter_bank(), lam, levels=3, mode="chebyshev")
@@ -175,9 +240,15 @@ def test_operator_accessors(small_operator, small_system):
 def test_build_operators_input_errors(small_system, small_laplacian):
     with pytest.raises(ValueError, match="spectrum"):
         build_operators(small_system, small_laplacian)
-    cheb_zero = FrameletSystem(haar_filter_bank(), lam_max=0.0, mode="chebyshev")
-    with pytest.raises(ValueError, match="lam_max"):
-        build_operators(cheb_zero, small_laplacian)
+
+
+def test_chebyshev_system_without_spectral_bound_round_trips(small_laplacian):
+    # The fits use [0, 2] whatever lam_max is, so lam_max = 0 still builds.
+    system = FrameletSystem(haar_filter_bank(), lam_max=0.0, mode="chebyshev")
+    op = build_operators(system, small_laplacian)
+    X = np.random.default_rng(4).normal(size=(small_laplacian.num_rows, 2))
+    back = reconstruct(op, decompose(op, X))
+    assert np.max(np.abs(back - X)) / np.max(np.abs(X)) <= TIGHTNESS_TOL
 
 
 def test_coefficient_stack_layout(small_operator):
