@@ -165,9 +165,19 @@ def generate_sbm(
         [np.full(size, cls, dtype=np.int64) for cls, size in enumerate(block_sizes)]
     )
     n = labels.shape[0]
-    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    graph = build_graph(n, _unit_edges(*np.nonzero(upper)))
+    # One uniform draw per ordered pair, row-major (the stream of a single
+    # (n, n) draw), taken one row block at a time and compared against p_in
+    # or p_out per block; pairs (u, v) with u < v become edges.
+    starts = np.cumsum([0] + block_sizes)
+    rows, cols = [], []
+    for a in range(len(block_sizes)):
+        draws = rng.random((block_sizes[a], n))
+        for b in range(a, len(block_sizes)):
+            hit = draws[:, starts[b] : starts[b + 1]] < (p_in if a == b else p_out)
+            r, c = np.nonzero(np.triu(hit, k=1) if a == b else hit)
+            rows.append(r + starts[a])
+            cols.append(c + starts[b])
+    graph = build_graph(n, _unit_edges(np.concatenate(rows), np.concatenate(cols)))
     num_classes = len(block_sizes)
     if isinstance(feature_model, GaussianFeatures):
         means = rng.normal(size=(num_classes, feature_model.dim))

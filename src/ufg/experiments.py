@@ -37,6 +37,8 @@ from .nn import (
     softmax_cross_entropy,
     ufg_conv_backward,
     ufg_conv_forward,
+    ufg_input_conv_backward,
+    ufg_input_conv_forward,
     ufg_pool_backward,
     ufg_pool_forward,
 )
@@ -167,31 +169,16 @@ def _conv_params(params: dict[str, np.ndarray], prefix: str) -> ConvLayerParams:
     )
 
 
-def _node_forward(
-    params: dict[str, np.ndarray],
-    op: DecompositionOperator,
-    X: np.ndarray,
-    acts: tuple[LayerActivation, LayerActivation],
-    dropout_p: float,
-    rng,
-    training: bool,
-):
-    h1, c1 = ufg_conv_forward(_conv_params(params, "l1"), op, X, acts[0])
-    hd, cd = dropout_forward(h1, dropout_p, rng, training)
-    logits, c2 = ufg_conv_forward(_conv_params(params, "l2"), op, hd, acts[1])
-    return logits, (c1, cd, c2)
-
-
 def _layer_compression(
     params: dict[str, np.ndarray],
     op: DecompositionOperator,
-    X: np.ndarray,
+    coeff_x: np.ndarray,
     acts: tuple[LayerActivation, LayerActivation],
     sigma: float,
     threshold_mode: str,
 ) -> float:
     """Final-layer compression ratio in evaluation mode (no dropout)."""
-    h1, _ = ufg_conv_forward(_conv_params(params, "l1"), op, X, acts[0])
+    h1, _ = ufg_input_conv_forward(_conv_params(params, "l1"), op, coeff_x, acts[0])
     p2 = _conv_params(params, "l2")
     coeff = decompose(op, h1 @ p2.W)
     before = coeff.with_data(p2.theta[:, None] * coeff.data)
@@ -202,6 +189,7 @@ def _layer_compression(
 def train_node_single(
     data: NodeDataset,
     op: DecompositionOperator,
+    coeff_x: np.ndarray,
     config: ExperimentConfig,
     seed: int,
     metrics_sink: list | None = None,
@@ -212,6 +200,14 @@ def train_node_single(
     the training mask, Adam with coupled L2 on the dense weights only.
     Model selection keeps the epoch with the best validation accuracy and
     reports its test accuracy. Returns NaN accuracy if the loss diverges.
+
+    ``coeff_x`` is ``decompose(op, data.features).data``: layer 1 runs on
+    it (``nn.ufg_input_conv_forward``) and never transforms its
+    hidden-width signal forward. Layer 1's output before dropout is the same
+    in epoch e's evaluation pass and epoch e+1's training pass, so it is
+    computed once and carried over. An epoch then applies the operator 8
+    times, twice at hidden width: layer 1's reconstruct and the decompose of
+    its upstream gradient.
     """
     rng = np.random.default_rng(seed)
     X, labels = data.features, data.labels
@@ -227,25 +223,26 @@ def train_node_single(
     decay_keys = {"l1.W", "l2.W"}
     best = {"val": -1.0, "test": np.nan, "epoch": -1, "params": params}
     failed = False
+    h1, c1 = ufg_input_conv_forward(l1, op, coeff_x, acts[0])
     for epoch in range(config.epochs):
-        logits, (c1, cd, c2) = _node_forward(
-            params, op, X, acts, config.dropout, rng, training=True
-        )
+        hd, cd = dropout_forward(h1, config.dropout, rng, training=True)
+        logits, c2 = ufg_conv_forward(_conv_params(params, "l2"), op, hd, acts[1])
         loss, dlogits = softmax_cross_entropy(logits, labels, data.train_mask)
         if not np.isfinite(loss):
             failed = True
             break
         dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
-        dh1 = dropout_backward(cd, dh)
-        _, dW1, dth1, db1 = ufg_conv_backward(c1, dh1)
+        dW1, dth1, db1 = ufg_input_conv_backward(c1, dropout_backward(cd, dh))
         grads = {
             "l1.W": dW1, "l1.theta": dth1, "l1.bias": db1,
             "l2.W": dW2, "l2.theta": dth2, "l2.bias": db2,
         }
         params = adam_step(adam, params, grads, config.weight_decay, decay_keys)
-        eval_logits, _ = _node_forward(
-            params, op, X, acts, config.dropout, rng=None, training=False
+        # Evaluation pass; its h1 is also the next epoch's training h1.
+        h1, c1 = ufg_input_conv_forward(
+            _conv_params(params, "l1"), op, coeff_x, acts[0]
         )
+        eval_logits, _ = ufg_conv_forward(_conv_params(params, "l2"), op, h1, acts[1])
         val_acc = accuracy(eval_logits, labels, data.val_mask)
         test_acc = accuracy(eval_logits, labels, data.test_mask)
         if metrics_sink is not None:
@@ -273,7 +270,7 @@ def train_node_single(
     }
     if config.activation == "shrinkage" and not failed:
         out["compression_ratio"] = _layer_compression(
-            best["params"], op, X, acts, config.sigma, config.threshold_mode
+            best["params"], op, coeff_x, acts, config.sigma, config.threshold_mode
         )
     return out
 
@@ -283,13 +280,18 @@ def train_node_classifier(
     config: ExperimentConfig,
     metrics_sink: list | None = None,
 ) -> MetricsRecord:
-    """Multi-seed node classification; see ``train_node_single``."""
+    """Multi-seed node classification; see ``train_node_single``.
+
+    The input is decomposed once per call and its coefficients are shared
+    by every seed.
+    """
     start = time.perf_counter()
     op = build_node_operator(data, config)
+    coeff_x = decompose(op, data.features).data
     per_seed: list[float] = []
     compressions: list[float] = []
     for seed in config.seeds:
-        result = train_node_single(data, op, config, seed, metrics_sink)
+        result = train_node_single(data, op, coeff_x, config, seed, metrics_sink)
         per_seed.append(result["test_accuracy"])
         if "compression_ratio" in result:
             compressions.append(result["compression_ratio"])
@@ -547,11 +549,11 @@ def bench_transform(
 
     Random sparse ER graphs; per size, reports mean and median seconds over
     ``repetitions`` plus the operator's block count. The build is the whole
-    ``framelet_operator`` call: Laplacian, power-iteration top eigenvalue and
-    filter fits. The transform runs matrix-free (one Chebyshev recurrence
-    per level in each direction), so its cost tracks the level count, not
-    the number of high passes. Out-of-memory records the size as skipped
-    instead of failing the run.
+    ``framelet_operator`` call: Laplacian, Lanczos estimate of the top
+    eigenvalue and filter fits. The transform runs matrix-free (one
+    Chebyshev recurrence per level in each direction), so its cost tracks
+    the level count, not the number of high passes. Out-of-memory records
+    the size as skipped instead of failing the run.
     """
     from .datasets import random_er_graph
 

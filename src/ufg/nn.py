@@ -9,7 +9,9 @@ The framelet convolution computes ``Y = act(V diag(theta) W X')`` with
 coefficient row by the trainable filter ``theta``, apply the activation in
 the coefficient domain (shrinkage) or after reconstruction (ReLU), and
 reconstruct. ``theta`` has one entry per stacked coefficient row, shared
-across feature columns.
+across feature columns. ``ufg_input_conv_forward`` is the same layer for a
+fixed input given by its coefficients ``decompose(X)``; both layers share
+one coefficient-domain core for theta, the activation and the bias.
 """
 
 from __future__ import annotations
@@ -77,6 +79,66 @@ def init_params(d_in: int, d_out: int, theta_len: int, rng) -> ConvLayerParams:
     return ConvLayerParams(W=W, theta=theta, bias=bias)
 
 
+def _coeff_conv_forward(
+    params: ConvLayerParams,
+    op: DecompositionOperator,
+    coeff: np.ndarray,
+    act: LayerActivation,
+    frozen_thresholds: dict[tuple[int, int], float] | None,
+) -> tuple[np.ndarray, dict]:
+    """Activation core of the framelet convolution, shared by both layers.
+
+    ``coeff`` holds the decomposed projected input ``decompose(X W)``; the
+    core scales it by ``theta``, applies the activation around the one
+    reconstruction and adds the bias.
+    """
+    if params.theta.shape[0] != op.num_rows:
+        raise ValueError("theta length must equal stacked row count")
+    filtered = params.theta[:, None] * coeff
+    cache: dict = {"theta": params.theta, "coeff": coeff, "op": op, "act": act}
+    fstack = CoefficientStack(
+        data=filtered, block_index=op.block_index, num_nodes=op.num_nodes
+    )
+    if act.kind == "shrinkage":
+        thresholds = (
+            stack_thresholds(fstack, act.threshold)
+            if frozen_thresholds is None
+            else frozen_thresholds
+        )
+        shrunk = shrink_stack(fstack, act.threshold, thresholds=thresholds)
+        y = reconstruct(op, shrunk) + params.bias
+        cache["active_mask"] = shrunk.data != 0.0
+        cache["thresholds"] = thresholds
+        return y, cache
+    z = reconstruct(op, fstack) + params.bias
+    if act.kind == "relu":
+        y = np.maximum(z, 0.0)
+        cache["relu_mask"] = z > 0.0
+        return y, cache
+    return z, cache
+
+
+def _coeff_conv_backward(
+    cache: dict, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (d coeff, dtheta, dbias) of the activation core.
+
+    Shrinkage dead zones pass zero gradient; the data-dependent threshold is
+    treated as a constant (stop-gradient). ReLU uses subgradient 0 at 0.
+    """
+    act: LayerActivation = cache["act"]
+    g = np.asarray(grad_out, dtype=np.float64)
+    if act.kind == "relu":
+        g = g * cache["relu_mask"]
+    dbias = g.sum(axis=0)
+    d_filtered = decompose(cache["op"], g).data
+    if act.kind == "shrinkage":
+        d_filtered = d_filtered * cache["active_mask"]
+    dtheta = np.sum(d_filtered * cache["coeff"], axis=1)
+    d_coeff = d_filtered * cache["theta"][:, None]
+    return d_coeff, dtheta, dbias
+
+
 def ufg_conv_forward(
     params: ConvLayerParams,
     op: DecompositionOperator,
@@ -99,64 +161,19 @@ def ufg_conv_forward(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.W.shape[0]:
         raise ValueError("X shape does not match W")
-    if params.theta.shape[0] != op.num_rows:
-        raise ValueError("theta length must equal stacked row count")
-    x_proj = X @ params.W
-    coeff = decompose(op, x_proj)
-    filtered = params.theta[:, None] * coeff.data
-    cache: dict = {
-        "X": X,
-        "W": params.W,
-        "theta": params.theta,
-        "coeff": coeff.data,
-        "op": op,
-        "act": act,
-    }
-    fstack = coeff.with_data(filtered)
-    if act.kind == "shrinkage":
-        thresholds = (
-            stack_thresholds(fstack, act.threshold)
-            if frozen_thresholds is None
-            else frozen_thresholds
-        )
-        shrunk = shrink_stack(fstack, act.threshold, thresholds=thresholds)
-        y = reconstruct(op, shrunk) + params.bias
-        cache["active_mask"] = shrunk.data != 0.0
-        cache["thresholds"] = thresholds
-        return y, cache
-    z = reconstruct(op, fstack) + params.bias
-    if act.kind == "relu":
-        y = np.maximum(z, 0.0)
-        cache["relu_mask"] = z > 0.0
-        return y, cache
-    return z, cache
+    coeff = decompose(op, X @ params.W).data
+    y, cache = _coeff_conv_forward(params, op, coeff, act, frozen_thresholds)
+    cache["X"] = X
+    cache["W"] = params.W
+    return y, cache
 
 
 def ufg_conv_backward(
     cache: dict, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dX, dW, dtheta, dbias) of the framelet convolution.
-
-    Shrinkage dead zones pass zero gradient; the data-dependent threshold is
-    treated as a constant (stop-gradient). ReLU uses subgradient 0 at 0.
-    """
+    """Gradients (dX, dW, dtheta, dbias) of the framelet convolution."""
     op: DecompositionOperator = cache["op"]
-    act: LayerActivation = cache["act"]
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if act.kind == "relu":
-        g = grad_out * cache["relu_mask"]
-        dbias = g.sum(axis=0)
-        d_filtered = decompose(op, g).data
-    elif act.kind == "shrinkage":
-        dbias = grad_out.sum(axis=0)
-        d_shrunk = decompose(op, grad_out).data
-        d_filtered = d_shrunk * cache["active_mask"]
-    else:
-        dbias = grad_out.sum(axis=0)
-        d_filtered = decompose(op, grad_out).data
-    coeff = cache["coeff"]
-    dtheta = np.sum(d_filtered * coeff, axis=1)
-    d_coeff = d_filtered * cache["theta"][:, None]
+    d_coeff, dtheta, dbias = _coeff_conv_backward(cache, grad_out)
     stack = CoefficientStack(
         data=d_coeff, block_index=op.block_index, num_nodes=op.num_nodes
     )
@@ -164,6 +181,42 @@ def ufg_conv_backward(
     dW = cache["X"].T @ dx_proj
     dX = dx_proj @ cache["W"].T
     return dX, dW, dtheta, dbias
+
+
+def ufg_input_conv_forward(
+    params: ConvLayerParams,
+    op: DecompositionOperator,
+    coeff_x: np.ndarray,
+    act: LayerActivation,
+    frozen_thresholds: dict[tuple[int, int], float] | None = None,
+) -> tuple[np.ndarray, dict]:
+    """``ufg_conv_forward`` on an input given by its coefficients.
+
+    ``coeff_x`` is ``decompose(op, X).data`` for a fixed input X. The
+    transform is linear, so ``decompose(X W) = coeff_x @ W``: the layer
+    decomposes nothing, and a network whose first layer sees the same X
+    every epoch decomposes X once.
+    """
+    coeff_x = np.asarray(coeff_x, dtype=np.float64)
+    if coeff_x.shape != (op.num_rows, params.W.shape[0]):
+        raise ValueError("coeff_x shape does not match the operator and W")
+    y, cache = _coeff_conv_forward(
+        params, op, coeff_x @ params.W, act, frozen_thresholds
+    )
+    cache["coeff_x"] = coeff_x
+    return y, cache
+
+
+def ufg_input_conv_backward(
+    cache: dict, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (dW, dtheta, dbias) of ``ufg_input_conv_forward``.
+
+    ``dW = coeff_xᵀ d coeff`` needs no reconstruction, and the gradient of
+    the fixed input is not formed.
+    """
+    d_coeff, dtheta, dbias = _coeff_conv_backward(cache, grad_out)
+    return cache["coeff_x"].T @ d_coeff, dtheta, dbias
 
 
 def gcn_norm_adjacency(graph: Graph) -> SparseMatrix:

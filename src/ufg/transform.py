@@ -310,8 +310,9 @@ def framelet_operator(
     """Haar framelet operator of a graph's normalized Laplacian.
 
     K comes from the top eigenvalue of the full spectrum in exact mode and
-    from the power-iteration estimate of ``graphs.lambda_max`` in Chebyshev
-    mode, which never computes a spectrum.
+    from the Lanczos estimate of ``graphs.lambda_max`` in Chebyshev mode,
+    which never computes a spectrum. The estimate sets K only; the
+    Chebyshev fits use the certified interval ``[0, 2]``.
     """
     lap = graphs.normalized_laplacian(graph)
     spectrum = None
@@ -319,7 +320,7 @@ def framelet_operator(
         spectrum = graphs.eigendecompose(lap)
         lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
     else:
-        lam = graphs.lambda_max(lap, "power_iteration")
+        lam = graphs.lambda_max(lap, "lanczos")
     system = make_system(haar_filter_bank(), lam, dilation, levels, degree, mode)
     return build_operators(system, lap, spectrum)
 

@@ -135,10 +135,11 @@ def _check_laplacian_spectrum(fx):
 
 def _check_lambda_max_bounds(fx):
     exact = lambda_max(fx["lap"], "exact")
-    power = lambda_max(fx["lap"], "power_iteration")
+    # The estimate framelet_operator takes K from in Chebyshev mode.
+    lanczos = lambda_max(fx["lap"], "lanczos")
     gersh = fx["lap"].gershgorin_bound()
-    ok = exact - 1e-6 <= power <= gersh + 1e-12
-    return ok, f"exact {exact:.6f} <= power {power:.6f} <= gershgorin {gersh:.6f}"
+    ok = exact - 1e-6 <= lanczos <= gersh + 1e-12
+    return ok, f"exact {exact:.6f} <= lanczos {lanczos:.6f} <= gershgorin {gersh:.6f}"
 
 
 def _check_partition_of_unity(fx):

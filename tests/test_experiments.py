@@ -1,13 +1,14 @@
 """Experiment drivers: configs, records, training loops, denoising, bench."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ufg import experiments
+from ufg import experiments, nn
 from ufg.datasets import (
     GaussianFeatures,
     GraphSample,
@@ -30,6 +31,7 @@ from ufg.experiments import (
     train_node_classifier,
 )
 from ufg.experiments import (
+    _conv_params,
     _graph_union,
     _layer_activations,
     _union_backward,
@@ -38,6 +40,8 @@ from ufg.experiments import (
 from ufg.graphs import eigendecompose, normalized_laplacian
 from ufg.nn import (
     activation_signature,
+    dropout_backward,
+    dropout_forward,
     finite_difference_check,
     gcn_conv_backward,
     gcn_conv_forward,
@@ -46,10 +50,14 @@ from ufg.nn import (
     mlp_forward,
     mlp_init,
     softmax_cross_entropy,
+    ufg_conv_backward,
+    ufg_conv_forward,
+    ufg_input_conv_backward,
+    ufg_input_conv_forward,
     ufg_pool_backward,
     ufg_pool_forward,
 )
-from ufg.transform import framelet_operator
+from ufg.transform import decompose, framelet_operator
 
 ROUNDTRIP_TOL = 1e-10
 GRAD_TOL = 1e-5
@@ -203,6 +211,100 @@ def test_build_node_operator_chebyshev_path(sbm_data):
     op = build_node_operator(sbm_data, cfg)
     assert op.num_nodes == sbm_data.graph.num_nodes
     assert op.num_blocks == 2  # one high-pass level plus low pass
+
+
+@pytest.mark.parametrize("activation", ["relu", "shrinkage"])
+def test_node_model_gradients_through_input_coefficients(sbm_data, activation):
+    cfg = ExperimentConfig(activation=activation, hidden=4)
+    op = build_node_operator(sbm_data, cfg)
+    coeff_x = decompose(op, sbm_data.features).data
+    acts = _layer_activations(cfg)
+    rng = np.random.default_rng(4)
+    d_in, classes = sbm_data.features.shape[1], sbm_data.num_classes
+    params = {
+        "l1.W": rng.normal(size=(d_in, 4)) / np.sqrt(d_in),
+        "l1.theta": rng.uniform(0.9, 1.1, op.num_rows),
+        "l1.bias": rng.normal(size=4),
+        "l2.W": rng.normal(size=(4, classes)) / 2.0,
+        "l2.theta": rng.uniform(0.9, 1.1, op.num_rows),
+        "l2.bias": rng.normal(size=classes),
+    }
+    keys = sorted(params)
+    sizes = [params[k].size for k in keys]
+
+    def forward(p, frozen=(None, None)):
+        h1, c1 = ufg_input_conv_forward(
+            _conv_params(p, "l1"), op, coeff_x, acts[0], frozen[0]
+        )
+        # Seeded, so every evaluation drops the same entries.
+        hd, cd = dropout_forward(h1, 0.5, 11, training=True)
+        logits, c2 = ufg_conv_forward(_conv_params(p, "l2"), op, hd, acts[1], frozen[1])
+        return logits, (c1, cd, c2)
+
+    logits, (c1, cd, c2) = forward(params)
+    # Shrinkage thresholds are stop-gradient: hold the nominal ones fixed.
+    frozen = (c1.get("thresholds"), c2.get("thresholds"))
+
+    def loss_fn(vec):
+        parts = np.split(vec, np.cumsum(sizes)[:-1])
+        p = {k: part.reshape(params[k].shape) for k, part in zip(keys, parts)}
+        out, caches = forward(p, frozen)
+        loss, _ = softmax_cross_entropy(out, sbm_data.labels, sbm_data.train_mask)
+        return loss, activation_signature(*caches)
+
+    _, dlogits = softmax_cross_entropy(logits, sbm_data.labels, sbm_data.train_mask)
+    dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
+    dW1, dth1, db1 = ufg_input_conv_backward(c1, dropout_backward(cd, dh))
+    grads = {
+        "l1.W": dW1, "l1.theta": dth1, "l1.bias": db1,
+        "l2.W": dW2, "l2.theta": dth2, "l2.bias": db2,
+    }
+    point = np.concatenate([params[k].ravel() for k in keys])
+    grad = np.concatenate([grads[k].ravel() for k in keys])
+    rel, checked, _ = finite_difference_check(loss_fn, point, grad, max_coords=80, seed=3)
+    assert checked > 0 and rel <= GRAD_TOL
+
+
+def _operator_applications(monkeypatch, data, cfg):
+    """(kind, width) of every decompose/reconstruct one training call makes."""
+    calls = []
+    for module in (experiments, nn):
+        real_dec, real_rec = module.decompose, module.reconstruct
+
+        def dec(op, X, real=real_dec):
+            calls.append(("decompose", X.shape[1]))
+            return real(op, X)
+
+        def rec(op, c, real=real_rec):
+            calls.append(("reconstruct", c.data.shape[1]))
+            return real(op, c)
+
+        monkeypatch.setattr(module, "decompose", dec)
+        monkeypatch.setattr(module, "reconstruct", rec)
+    train_node_classifier(data, cfg)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("activation", ["relu", "shrinkage"])
+def test_node_epoch_applies_operator_eight_times(monkeypatch, sbm_data, activation):
+    # hidden differs from the input and class widths, so the widths tell
+    # the layers apart.
+    hidden, classes = 5, sbm_data.num_classes
+    cfg = ExperimentConfig(activation=activation, hidden=hidden, epochs=3, seeds=(0,))
+    short = _operator_applications(monkeypatch, sbm_data, cfg)
+    long = _operator_applications(
+        monkeypatch, sbm_data, dataclasses.replace(cfg, epochs=4)
+    )
+    # The two calls share their set-up and differ by one steady-state epoch:
+    # layer 2 transforms both ways in each of the three passes, layer 1
+    # reconstructs in the evaluation pass and decomposes its gradient.
+    per_epoch = Counter(long)
+    per_epoch.subtract(Counter(short))
+    assert +per_epoch == Counter({
+        ("decompose", classes): 3, ("reconstruct", classes): 3,
+        ("decompose", hidden): 1, ("reconstruct", hidden): 1,
+    })
 
 
 # ------------------------------------------------------ graph classification

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ufg.datasets import generate_sbm, path_graph, random_er_graph
 from ufg.graphs import (
     EXACT_SPECTRUM_MAX_NODES,
+    LANCZOS_MIN_NODES,
     POWER_ITER_MAX_STEPS,
     POWER_ITER_TOL,
     Graph,
@@ -223,7 +224,43 @@ def test_lambda_max_size_cap():
 
 def test_lambda_max_unknown_method(small_laplacian):
     with pytest.raises(ValueError, match="unknown method"):
-        lambda_max(small_laplacian, "lanczos")
+        lambda_max(small_laplacian, "arnoldi")
+
+
+def _isolated_edges(pairs):
+    return build_graph(2 * pairs, [(2 * i, 2 * i + 1, 1.0) for i in range(pairs)])
+
+
+# The edge-case shapes of the backend agreement test, below and above the
+# size where the dense solve hands over to ARPACK.
+LANCZOS_CASES = {
+    "single node": build_graph(1, []),
+    "single edge": build_graph(2, [(0, 1, 1.0)]),
+    "edgeless": build_graph(4, []),
+    "edgeless, large": build_graph(3 * LANCZOS_MIN_NODES, []),
+    "isolated edges": _isolated_edges(3),
+    "isolated edges, large": _isolated_edges(2 * LANCZOS_MIN_NODES),
+    "path": path_graph(5),
+    "path, large": path_graph(5 * LANCZOS_MIN_NODES),
+}
+
+
+@pytest.mark.parametrize("name", LANCZOS_CASES)
+def test_lanczos_estimate_between_exact_and_gershgorin(name):
+    lap = normalized_laplacian(LANCZOS_CASES[name])
+    estimate = lambda_max(lap, "lanczos")
+    exact = lambda_max(lap, "exact")
+    assert exact - 1e-6 <= estimate <= lap.gershgorin_bound()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lanczos_estimate_bounds_sbm_spectrum(seed):
+    data = generate_sbm([100] * 3, 0.1, 0.01, seed=seed)
+    lap = normalized_laplacian(data.graph)
+    exact = lambda_max(lap, "exact")
+    estimate = lambda_max(lap, "lanczos")
+    # A Ritz value never exceeds the top eigenvalue, so 1.01x caps it.
+    assert exact - 1e-6 <= estimate <= min(1.01 * exact, lap.gershgorin_bound()) + 1e-12
 
 
 def _two_product_power_estimate(lap):

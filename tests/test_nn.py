@@ -25,14 +25,20 @@ from ufg.nn import (
     softmax_cross_entropy,
     ufg_conv_backward,
     ufg_conv_forward,
+    ufg_input_conv_backward,
+    ufg_input_conv_forward,
     ufg_pool_backward,
     ufg_pool_forward,
     _stencil_crossed_kink,
 )
 from ufg.shrinkage import ThresholdConfig
+from ufg.transform import decompose
 
 GRAD_TOL = 1e-5
 IDENTITY_TOL = 1e-10
+# The input layer computes decompose(X) W where the conv computes
+# decompose(X W): the same linear map, summed in another order.
+REASSOC_TOL = 1e-12
 
 
 def _identity_params(op, d):
@@ -124,6 +130,51 @@ def _conv_fd(small_operator, act, seed, frozen=None):
     return finite_difference_check(
         loss_fn, _pack_conv(params), grad, max_coords=40, seed=seed
     )
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("kind", ["relu", "shrinkage", "none"])
+def test_input_layer_matches_conv_on_decomposed_input(small_operator, kind):
+    act = {
+        "relu": LayerActivation.relu(),
+        "shrinkage": LayerActivation.shrinkage(ThresholdConfig(1.0, "energy_scaled")),
+        "none": LayerActivation.none(),
+    }[kind]
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(small_operator.num_nodes, 4))
+    params = init_params(4, 3, small_operator.num_rows, rng)
+    params.bias = rng.normal(size=3)
+    grad_out = rng.normal(size=(small_operator.num_nodes, 3))
+    y, cache = ufg_conv_forward(params, small_operator, X, act)
+    coeff_x = decompose(small_operator, X).data
+    y_in, cache_in = ufg_input_conv_forward(params, small_operator, coeff_x, act)
+    assert _rel_err(y_in, y) <= REASSOC_TOL
+    assert _rel_err(cache_in["coeff"], cache["coeff"]) <= REASSOC_TOL
+    for key in ("relu_mask", "active_mask"):
+        assert (key in cache_in) == (key in cache)
+        if key in cache:
+            np.testing.assert_array_equal(cache_in[key], cache[key])
+    if kind == "shrinkage":
+        assert cache_in["thresholds"].keys() == cache["thresholds"].keys()
+        for block, t in cache["thresholds"].items():
+            assert cache_in["thresholds"][block] == pytest.approx(t, rel=REASSOC_TOL)
+    _, dW, dtheta, dbias = ufg_conv_backward(cache, grad_out)
+    dW_in, dtheta_in, dbias_in = ufg_input_conv_backward(cache_in, grad_out)
+    assert _rel_err(dW_in, dW) <= REASSOC_TOL
+    assert _rel_err(dtheta_in, dtheta) <= REASSOC_TOL
+    assert _rel_err(dbias_in, dbias) <= REASSOC_TOL
+
+
+def test_input_layer_shape_errors(small_operator, rng):
+    params = init_params(3, 2, small_operator.num_rows, rng)
+    with pytest.raises(ValueError, match="coeff_x shape"):
+        ufg_input_conv_forward(
+            params, small_operator, np.zeros((small_operator.num_nodes, 3)),
+            LayerActivation.relu(),
+        )
 
 
 def test_conv_gradients_relu(small_operator):
