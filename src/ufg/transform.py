@@ -22,8 +22,12 @@ level act on the same input, so the forward transform runs one Chebyshev
 recurrence per level and accumulates every filter's output from it, and the
 adjoint sums the level's filters in one Clenshaw recurrence (Clenshaw 1955),
 as spectral graph wavelets do (Hammond, Vandergheynst & Gribonval 2011).
-Each direction costs ``degree`` sparse products per level, for any number
-of high passes. ``framelet_operator`` builds either backend from a graph.
+Both recur on ``S = 2(L - I)``, built once per call with its explicit zeros
+dropped: the unit diagonal cancels, so on a graph without self loops ``S``
+stores only the off-diagonal entries. A recurrence step is one product by
+``S`` and one in-place BLAS axpy per filter, so each direction costs
+``degree`` sparse products per level, for any number of high passes.
+``framelet_operator`` builds either backend from a graph.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg.blas import daxpy
 
 from . import graphs
 from .filters import (
@@ -346,6 +352,26 @@ def reconstruct(op: DecompositionOperator, c: CoefficientStack) -> np.ndarray:
     return op.stack.T @ c.data
 
 
+def _recurrence_matrix(lap: SparseMatrix) -> SparseMatrix:
+    """``S = 2(L - I)``, the matrix both Chebyshev recurrences multiply by,
+    with explicit zeros dropped. A normalized Laplacian's unit diagonal
+    cancels exactly, so only self loops leave diagonal entries in ``S``."""
+    s = 2.0 * (lap.csr - sp.eye_array(lap.num_rows, format="csr"))
+    s.eliminate_zeros()
+    return SparseMatrix.from_scipy(s)
+
+
+def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> None:
+    """``y += a * x`` in place: one BLAS pass and no temporary.
+
+    Both arrays must be C-contiguous float64 of one shape. A flat view of
+    any other layout would be a copy and the update would be lost, so the
+    reshape refuses to copy and raises instead.
+    """
+    if y.size:
+        daxpy(x.reshape(-1, copy=False), y.reshape(-1, copy=False), a=a)
+
+
 def chebyshev_decompose(
     system: FrameletSystem, lap: SparseMatrix, X: np.ndarray
 ) -> CoefficientStack:
@@ -353,35 +379,40 @@ def chebyshev_decompose(
 
     Level j runs one Chebyshev recurrence ``T_k(L - I) chain`` on the
     level's partial low-pass chain and accumulates all n+1 filter outputs
-    from it, straight into the coefficient array. Work is ``degree`` sparse
-    products per level, and memory stays at a few N x d arrays besides the
-    output.
+    from it, straight into the coefficient array. A step is one product by
+    ``S = 2(L - I)`` (explicit zeros dropped), one subtraction and one
+    in-place axpy per filter, so work is ``degree`` sparse products per
+    level, and memory stays at a few N x d arrays besides the output. ``X``
+    is only read and may have any memory layout.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != lap.num_rows:
         raise ValueError(f"X must be 2-d with {lap.num_rows} rows")
+    S = _recurrence_matrix(lap)
     J, n = system.levels, system.num_high
     index = system.block_index()
     data = np.empty((len(index) * X.shape[0], X.shape[1]))
     blocks = data.reshape(len(index), *X.shape)
     chain = X
     for j in range(1, J + 1):
-        low = blocks[0] if j == J else np.empty_like(X)
+        # Every output is C-contiguous, as _axpy needs: np.empty_like(X)
+        # would copy a Fortran-ordered X's layout.
+        low = blocks[0] if j == J else np.empty(X.shape)
         outs = [low] + [blocks[index.index((r, j))] for r in range(1, n + 1)]
         coeffs = system.chebyshev_coeffs[j - 1]
         for out, c in zip(outs, coeffs[:, 0]):
             np.multiply(chain, c, out=out)
         t_prev, t_cur = None, chain
         for k in range(1, coeffs.shape[1]):
-            # T_k = 2 (L - I) T_{k-1} - T_{k-2}, with T_1 = (L - I) T_0
-            t_next = lap @ t_cur
-            t_next -= t_cur
-            if t_prev is not None:
-                t_next *= 2.0
+            # T_k = S T_{k-1} - T_{k-2}, with T_1 = S T_0 / 2
+            t_next = S @ t_cur
+            if t_prev is None:
+                t_next *= 0.5
+            else:
                 t_next -= t_prev
             t_prev, t_cur = t_cur, t_next
             for out, c in zip(outs, coeffs[:, k]):
-                out += c * t_cur
+                _axpy(c, t_cur, out)
         chain = low
     return CoefficientStack(data=data, block_index=index, num_nodes=lap.num_rows)
 
@@ -396,26 +427,31 @@ def chebyshev_reconstruct(
     maps the running low-pass sum ``v_0`` and its high-pass blocks ``v_r``
     to ``sum_f p_f(L) v_f``. All factors share one basis, so that is
     ``sum_k T_k(L - I) w_k`` with ``w_k = sum_f c_{f,k} v_f``, summed by
-    Clenshaw's recurrence with each ``w_k`` formed when it is used. Mirrors
-    ``chebyshev_decompose`` in cost.
+    Clenshaw's recurrence with each ``w_k`` added in place, one axpy per
+    filter, into the step's product by ``S = 2(L - I)``. Mirrors
+    ``chebyshev_decompose`` in cost; ``c`` is only read.
     """
     if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
         raise ValueError("coefficient stack does not match the system")
+    S = _recurrence_matrix(lap)
+    # Row blocks of C-contiguous data are C-contiguous, as _axpy needs.
+    c = c.with_data(np.ascontiguousarray(c.data, dtype=np.float64))
     acc = c.low_pass()
     for j in range(system.levels, 0, -1):
         vs = [acc] + [c.block(r, j) for r in range(1, system.num_high + 1)]
         coeffs = system.chebyshev_coeffs[j - 1]
         t = coeffs.shape[1] - 1
-        # b_k = w_k + 2 (L - I) b_{k+1} - b_{k+2}, started at b_t = w_t;
-        # the sum is w_0 + (L - I) b_1 - b_2.
-        b, b_next = sum(cf * v for cf, v in zip(coeffs[:, t], vs)), None
+        # b_k = w_k + S b_{k+1} - b_{k+2}, started at b_t = w_t; the sum is
+        # w_0 + S b_1 / 2 - b_2.
+        b, b_next = vs[0] * coeffs[0, t], None
+        for cf, v in zip(coeffs[1:, t], vs[1:]):
+            _axpy(cf, v, b)
         for k in range(t - 1, -1, -1):
-            y = lap @ b
-            y -= b
-            if k > 0:
-                y *= 2.0
-            for f, v in enumerate(vs):
-                y += coeffs[f, k] * v
+            y = S @ b
+            if k == 0:
+                y *= 0.5
+            for cf, v in zip(coeffs[:, k], vs):
+                _axpy(cf, v, y)
             if b_next is not None:
                 y -= b_next
             b, b_next = y, b

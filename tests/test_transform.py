@@ -14,6 +14,7 @@ from ufg.graphs import build_graph, eigendecompose, lambda_max, normalized_lapla
 from ufg.sparse import SparseMatrix
 from ufg.transform import (
     CoefficientStack,
+    _recurrence_matrix,
     FrameletSystem,
     block_energies,
     build_operators,
@@ -226,6 +227,33 @@ def test_matrix_free_matches_materialized(small_laplacian):
     assert np.max(np.abs(back - X)) <= 1e-8  # tight-frame round trip
 
 
+@pytest.mark.parametrize("levels", [1, 3])
+def test_chebyshev_backend_reads_any_layout_and_never_writes_inputs(
+    small_laplacian, levels
+):
+    # The recurrences update their outputs in place through flat views, which
+    # alias only C-contiguous buffers: a flat view of any other buffer is a
+    # copy, and updates made to it are lost.
+    system = make_system(haar_filter_bank(), 2.0, levels=levels, mode="chebyshev")
+    n = small_laplacian.num_rows
+    wide = np.random.default_rng(levels).normal(size=(n, 6))
+    X = np.ascontiguousarray(wide[:, ::2])
+    ref = chebyshev_decompose(system, small_laplacian, X)
+    back = chebyshev_reconstruct(system, small_laplacian, ref)
+    # Fortran order (the layout of A.T for a C-ordered A) and a strided view.
+    for layout in (np.asfortranarray(X), wide[:, ::2]):
+        kept = layout.copy()
+        c = chebyshev_decompose(system, small_laplacian, layout)
+        np.testing.assert_allclose(c.data, ref.data, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(layout, kept)
+    for data in (ref.data, np.asfortranarray(ref.data)):
+        kept = data.copy()
+        got = chebyshev_reconstruct(system, small_laplacian, ref.with_data(data))
+        np.testing.assert_allclose(got, back, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(data, kept)
+    assert np.max(np.abs(back - X)) <= TIGHTNESS_TOL
+
+
 def test_operator_accessors(small_operator, small_system):
     assert small_operator.num_blocks == small_system.num_blocks
     n = small_operator.num_nodes
@@ -291,16 +319,19 @@ def test_reconstruct_mismatch_errors(small_operator):
 
 @st.composite
 def edge_case_graphs(draw):
-    """Disjoint unions of isolated nodes, paths, cycles and cliques."""
-    kinds = st.sampled_from(("isolated", "path", "cycle", "clique"))
+    """Disjoint unions of isolated nodes, paths, cycles, cliques and paths
+    with a self loop on every node."""
+    kinds = st.sampled_from(("isolated", "path", "cycle", "clique", "looped_path"))
     parts = draw(st.lists(st.tuples(kinds, st.integers(2, 6)), min_size=1, max_size=4))
     edges, n = [], 0
     for kind, k in parts:
         if kind == "isolated":
             k = 1
         weight = draw(st.floats(0.5, 2.0))
-        if kind in ("path", "cycle"):
+        if kind in ("path", "cycle", "looped_path"):
             edges += [(u, u + 1, weight) for u in range(n, n + k - 1)]
+        if kind == "looped_path":
+            edges += [(u, u, weight) for u in range(n, n + k)]
         if kind == "cycle" and k > 2:
             edges.append((n + k - 1, n, weight))
         if kind == "clique":
@@ -315,8 +346,16 @@ def edge_case_graphs(draw):
 # isolated node, even (bipartite) cycle, triangle
 @example(build_graph(8, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 1, 1.0),
                          (5, 6, 1.0), (6, 7, 1.0), (7, 5, 1.0)]), 2)
+# a node whose self loop is its only edge (L = 0 there), a looped edge
+@example(build_graph(3, [(0, 0, 1.0), (1, 2, 1.0), (2, 2, 0.5)]), 2)
 def test_backends_agree_on_edge_case_graphs(graph, levels):
     lap = normalized_laplacian(graph)
+    # The unit diagonal of L cancels in the recurrence matrix 2(L - I): only
+    # self loops leave diagonal entries, and zeros are not stored.
+    s = _recurrence_matrix(lap).csr.tocoo()
+    loops = np.count_nonzero(graph.adjacency.csr.diagonal())
+    assert np.count_nonzero(s.row == s.col) == loops
+    assert s.nnz == 2 * graph.num_edges - loops
     spectrum = eigendecompose(lap)
     system = make_system(haar_filter_bank(), float(spectrum.values[-1]), levels=levels)
     op_e = build_operators(system, lap, spectrum)
