@@ -27,6 +27,10 @@ import os
 import sys
 
 
+_DEGREE_HELP = ("Chebyshev degree t of one level's filters; chebyshev mode fits every "
+               "block directly at t + 4 (levels - 1)")
+
+
 class _UsageError(Exception):
     pass
 
@@ -84,7 +88,7 @@ def _parse_float_list(text: str) -> list[float]:
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dilation", type=float, default=2.0)
     p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--degree", type=int, default=16)
+    p.add_argument("--degree", type=int, default=16, help=_DEGREE_HELP)
     p.add_argument("--mode", choices=("exact", "chebyshev"), default="exact")
 
 
@@ -466,7 +470,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sizes", default="1000,2000,4000,8000")
     p.add_argument("--avg-degree", type=float, default=1.5)
     p.add_argument("--levels", type=int, default=1)
-    p.add_argument("--degree", type=int, default=5)
+    p.add_argument("--degree", type=int, default=5, help=_DEGREE_HELP)
     p.add_argument("--dilation", type=float, default=2.0)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

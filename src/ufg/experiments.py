@@ -550,9 +550,9 @@ def bench_transform(
     Random sparse ER graphs; per size, reports mean and median seconds over
     ``repetitions`` plus the operator's block count. The build is the whole
     ``framelet_operator`` call: Laplacian, Lanczos estimate of the top
-    eigenvalue and filter fits. The transform runs matrix-free (one
-    Chebyshev recurrence per level in each direction), so its cost tracks
-    the level count, not the number of high passes. Out-of-memory records
+    eigenvalue and block fits. The transform runs matrix-free, one
+    Chebyshev recurrence of degree ``degree + 4 (levels - 1)`` in each
+    direction, whatever the number of high passes. Out-of-memory records
     the size as skipped instead of failing the run.
     """
     from .datasets import random_er_graph

@@ -122,7 +122,8 @@ def chebyshev_fit(
     evaluates the fit. Uses the ``degree + 1`` Chebyshev nodes ``x_k =
     cos(pi (k + 1/2) / (degree + 1))``; the quadrature is exact for
     polynomials of the fitted degree, so smooth filters converge
-    geometrically.
+    geometrically. An ``fn`` that returns a ``(B, degree + 1)`` array of B
+    functions at the nodes gets a ``(B, degree + 1)`` array, one fit a row.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -131,6 +132,8 @@ def chebyshev_fit(
     theta = np.pi * (k + 0.5) / (t + 1)
     fvals = np.asarray(fn(np.cos(theta) + 1.0), dtype=np.float64)
     # T_j at the node x_k = cos(theta_k) is cos(j * theta_k)
-    coeffs = (2.0 / (t + 1)) * (np.cos(np.outer(k, theta)) @ fvals)
-    coeffs[0] *= 0.5
-    return coeffs
+    basis = np.cos(np.outer(k, theta))
+    # One product per function: each row is bitwise that function's own fit.
+    coeffs = (2.0 / (t + 1)) * np.array([basis @ f for f in np.atleast_2d(fvals)])
+    coeffs[:, 0] *= 0.5
+    return coeffs.reshape(fvals.shape)

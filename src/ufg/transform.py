@@ -15,18 +15,19 @@ error.
 
 ``DecompositionOperator`` has two backends, chosen by the system's mode.
 ``exact`` holds the stacked blocks ``U diag(g_b) U^T`` as one dense array,
-built in the Laplacian eigenbasis. ``chebyshev`` holds only the Laplacian
-and the factor polynomials, all fitted on ``[0, 2]`` in ``L - I``, so it
-needs neither an eigendecomposition nor any N x N matrix. All filters of a
-level act on the same input, so the forward transform runs one Chebyshev
-recurrence per level and accumulates every filter's output from it, and the
-adjoint sums the level's filters in one Clenshaw recurrence (Clenshaw 1955),
-as spectral graph wavelets do (Hammond, Vandergheynst & Gribonval 2011).
-Both recur on ``S = 2(L - I)``, built once per call with its explicit zeros
-dropped: the unit diagonal cancels, so on a graph without self loops ``S``
-stores only the off-diagonal entries. A recurrence step is one product by
-``S`` and one in-place BLAS axpy per filter, so each direction costs
-``degree`` sparse products per level, for any number of high passes.
+built in the Laplacian eigenbasis from ``FrameletSystem.block_gains``.
+``chebyshev`` holds only the Laplacian and one fit of every block's gain
+on ``[0, 2]`` in ``L - I``, so it needs neither an eigendecomposition nor
+any N x N matrix. The forward transform runs one Chebyshev recurrence and
+accumulates every block's output from it, and the adjoint sums all blocks
+in one Clenshaw recurrence (Clenshaw 1955), as spectral graph wavelets read
+all their scales off one Chebyshev basis (Hammond, Vandergheynst &
+Gribonval 2011). Both recur on ``S = 2(L - I)``, built once per call with
+its explicit zeros dropped: the unit diagonal cancels, so on a graph
+without self loops ``S`` stores only the off-diagonal entries. A step is
+one product by ``S`` and one in-place BLAS axpy per block, so each
+direction costs ``recurrence_degree`` sparse products for any number of
+levels and high passes.
 ``framelet_operator`` builds either backend from a graph.
 """
 
@@ -38,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial.chebyshev import chebval
 from scipy.linalg.blas import daxpy
 
 from . import graphs
@@ -87,7 +89,10 @@ class FrameletSystem:
         Top of the Laplacian spectrum, exact or estimated; it sets K only.
         Chebyshev fits use the certified interval ``[0, 2]``.
     degree : int
-        Chebyshev degree t used by the approximate path.
+        Chebyshev degree t of one level's factors. A block at level J is a
+        product of up to J dilated factors and needs more degree for the
+        same accuracy, so the Chebyshev backend fits every block's gain
+        directly at ``recurrence_degree = t + 4 (J - 1)``.
     mode : str
         ``"exact"`` (eigenbasis) or ``"chebyshev"`` (matrix-free polynomials).
     """
@@ -134,17 +139,42 @@ class FrameletSystem:
         """Argument scale ``d^{j-1-K}`` of the level-j filter factor."""
         return self.dilation ** (j - 1 - self.K)
 
+    def block_gains(self, lam) -> np.ndarray:
+        """Every block's gain at the eigenvalues ``lam``: a ``(B, len(lam))``
+        array in ``block_index`` order, the low-pass chain through level J
+        first, then ``b_r(d^{j-1-K} lam)`` times the chain below level j."""
+        lam = np.asarray(lam, dtype=np.float64)
+        # chain[j] = product of low-pass factor values through level j
+        chain = [np.ones_like(lam)]
+        for j in range(1, self.levels + 1):
+            chain.append(chain[-1] * self.bank.low_pass(self.factor_scale(j) * lam))
+        return np.array([chain[-1]] + [
+            b(self.factor_scale(j) * lam) * chain[j - 1]
+            for b in self.bank.high_passes
+            for j in range(1, self.levels + 1)
+        ])
+
+    @property
+    def recurrence_degree(self) -> int:
+        """Degree ``t + 4 (J - 1)`` of the block fits: at dilations 1.25 to 4,
+        J <= 8 and K in {0, -1, -2} as accurate, up to rounding, as products
+        of the levels' factors fitted at degree t in {5, 8, 16}."""
+        return self.degree + 4 * (self.levels - 1)
+
     @cached_property
     def chebyshev_coeffs(self) -> np.ndarray:
-        """Chebyshev coefficients of every filter factor, fitted once per
-        system: a ``(J, n+1, degree+1)`` array whose entry ``[j-1, 0]`` is
-        the level-j low-pass factor and ``[j-1, r]`` the level-j factor of
-        high pass r."""
-        masks = (self.bank.low_pass, *self.bank.high_passes)
-        return np.array([
-            [chebyshev_fit(lambda lam: g(scale * lam), self.degree) for g in masks]
-            for scale in map(self.factor_scale, range(1, self.levels + 1))
-        ])
+        """Chebyshev coefficients of every block's gain, fitted once per
+        system from one evaluation at the Chebyshev nodes: a ``(B,
+        recurrence_degree + 1)`` array in ``block_index`` order."""
+        return chebyshev_fit(self.block_gains, self.recurrence_degree)
+
+    @cached_property
+    def fit_residual(self) -> float:
+        """Measured tightness of the Chebyshev fits: the max over 1001
+        points of [0, 2] of ``|sum_b p_b(lam)^2 - 1|``."""
+        grid = np.linspace(0.0, 2.0, 1001)
+        p = chebval(grid - 1.0, self.chebyshev_coeffs.T)
+        return float(np.max(np.abs(np.sum(p**2, axis=0) - 1.0)))
 
 
 def make_system(
@@ -160,15 +190,8 @@ def make_system(
     ``lam_max == 0`` (edgeless graph, DC-only spectrum) gets K = 0.
     """
     K = compute_K(lam_max, dilation) if lam_max > 0 else 0
-    return FrameletSystem(
-        bank=bank,
-        dilation=dilation,
-        levels=levels,
-        K=K,
-        lam_max=float(lam_max),
-        degree=degree,
-        mode=mode,
-    )
+    return FrameletSystem(bank=bank, dilation=dilation, levels=levels, K=K,
+                          lam_max=float(lam_max), degree=degree, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -179,7 +202,7 @@ class DecompositionOperator:
     exact mode ``stack`` is the dense ``(B N) x N`` array of the blocks
     ``U diag(g_b) U^T`` in ``block_index`` order, low pass first. In
     Chebyshev mode ``stack`` is None and both products run the system's
-    factor polynomials on ``lap`` matrix-free.
+    block polynomials on ``lap`` matrix-free.
     """
 
     system: FrameletSystem
@@ -211,15 +234,15 @@ class DecompositionOperator:
 
     @property
     def provenance(self) -> dict:
-        """How the operator was built: mode, degree, K, dilation, levels."""
+        """How the operator was built: mode, degree, K, dilation, levels, and
+        in Chebyshev mode ``recurrence_degree`` and ``fit_residual``."""
         s = self.system
-        return {
-            "mode": s.mode,
-            "degree": s.degree,
-            "K": s.K,
-            "dilation": s.dilation,
-            "levels": s.levels,
-        }
+        out = {"mode": s.mode, "degree": s.degree, "K": s.K,
+               "dilation": s.dilation, "levels": s.levels}
+        if s.mode == "chebyshev":
+            out["recurrence_degree"] = s.recurrence_degree
+            out["fit_residual"] = s.fit_residual
+        return out
 
 
 @dataclass(frozen=True)
@@ -268,18 +291,7 @@ class CoefficientStack:
 
 
 def _exact_stack(system: FrameletSystem, spectrum: graphs.Spectrum) -> np.ndarray:
-    lam = spectrum.values
-    J, n = system.levels, system.num_high
-    # chain[j] = product of low-pass factor values through level j
-    chain = [np.ones_like(lam)]
-    for j in range(1, J + 1):
-        a_vals = system.bank.low_pass(system.factor_scale(j) * lam)
-        chain.append(chain[-1] * a_vals)
-    gains = [chain[J]]
-    for r in range(1, n + 1):
-        b_filter = system.bank.high_passes[r - 1]
-        for j in range(1, J + 1):
-            gains.append(b_filter(system.factor_scale(j) * lam) * chain[j - 1])
+    gains = system.block_gains(spectrum.values)
     return np.concatenate([spectrum.matrix_function(g) for g in gains], axis=0)
 
 
@@ -291,7 +303,7 @@ def build_operators(
     """Build the operator of ``system`` for one Laplacian.
 
     Exact mode requires ``spectrum`` (its eigendecomposition) and stacks
-    the dense blocks; Chebyshev mode only fits the factor polynomials.
+    the dense blocks; Chebyshev mode only fits the block polynomials.
     """
     n = lap.num_rows
     if lap.num_cols != n:
@@ -377,43 +389,34 @@ def chebyshev_decompose(
 ) -> CoefficientStack:
     """Forward transform applied matrix-free to a signal.
 
-    Level j runs one Chebyshev recurrence ``T_k(L - I) chain`` on the
-    level's partial low-pass chain and accumulates all n+1 filter outputs
-    from it, straight into the coefficient array. A step is one product by
-    ``S = 2(L - I)`` (explicit zeros dropped), one subtraction and one
-    in-place axpy per filter, so work is ``degree`` sparse products per
-    level, and memory stays at a few N x d arrays besides the output. ``X``
-    is only read and may have any memory layout.
+    One Chebyshev recurrence ``T_k(L - I) X`` serves all B blocks. A step
+    is one product by ``S = 2(L - I)``, one subtraction and one in-place
+    axpy per block, so work is ``recurrence_degree`` sparse products, and
+    memory stays at a few N x d arrays besides the output. ``X`` is only
+    read and may have any memory layout.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != lap.num_rows:
         raise ValueError(f"X must be 2-d with {lap.num_rows} rows")
     S = _recurrence_matrix(lap)
-    J, n = system.levels, system.num_high
     index = system.block_index()
+    coeffs = system.chebyshev_coeffs
+    # C-contiguous blocks, as _axpy needs, whatever the layout of X.
     data = np.empty((len(index) * X.shape[0], X.shape[1]))
     blocks = data.reshape(len(index), *X.shape)
-    chain = X
-    for j in range(1, J + 1):
-        # Every output is C-contiguous, as _axpy needs: np.empty_like(X)
-        # would copy a Fortran-ordered X's layout.
-        low = blocks[0] if j == J else np.empty(X.shape)
-        outs = [low] + [blocks[index.index((r, j))] for r in range(1, n + 1)]
-        coeffs = system.chebyshev_coeffs[j - 1]
-        for out, c in zip(outs, coeffs[:, 0]):
-            np.multiply(chain, c, out=out)
-        t_prev, t_cur = None, chain
-        for k in range(1, coeffs.shape[1]):
-            # T_k = S T_{k-1} - T_{k-2}, with T_1 = S T_0 / 2
-            t_next = S @ t_cur
-            if t_prev is None:
-                t_next *= 0.5
-            else:
-                t_next -= t_prev
-            t_prev, t_cur = t_cur, t_next
-            for out, c in zip(outs, coeffs[:, k]):
-                _axpy(c, t_cur, out)
-        chain = low
+    for out, c in zip(blocks, coeffs[:, 0]):
+        np.multiply(X, c, out=out)
+    t_prev, t_cur = None, X
+    for k in range(1, coeffs.shape[1]):
+        # T_k = S T_{k-1} - T_{k-2}, with T_1 = S T_0 / 2
+        t_next = S @ t_cur
+        if t_prev is None:
+            t_next *= 0.5
+        else:
+            t_next -= t_prev
+        t_prev, t_cur = t_cur, t_next
+        for out, c in zip(blocks, coeffs[:, k]):
+            _axpy(c, t_cur, out)
     return CoefficientStack(data=data, block_index=index, num_nodes=lap.num_rows)
 
 
@@ -423,40 +426,36 @@ def chebyshev_reconstruct(
     """Adjoint transform applied matrix-free to a coefficient stack.
 
     Every block is a polynomial in the symmetric Laplacian and hence
-    symmetric, so the adjoint runs the levels from the top down: level j
-    maps the running low-pass sum ``v_0`` and its high-pass blocks ``v_r``
-    to ``sum_f p_f(L) v_f``. All factors share one basis, so that is
-    ``sum_k T_k(L - I) w_k`` with ``w_k = sum_f c_{f,k} v_f``, summed by
-    Clenshaw's recurrence with each ``w_k`` added in place, one axpy per
-    filter, into the step's product by ``S = 2(L - I)``. Mirrors
-    ``chebyshev_decompose`` in cost; ``c`` is only read.
+    symmetric, so the adjoint is ``sum_b p_b(L) C_b`` over the blocks
+    ``C_b``. All blocks share one basis, so that is ``sum_k T_k(L - I) w_k``
+    with ``w_k = sum_b c_{b,k} C_b``, summed by one Clenshaw recurrence with
+    each ``w_k`` added in place, one axpy per block, into the step's product
+    by ``S = 2(L - I)``. Mirrors ``chebyshev_decompose`` in cost; ``c`` is
+    only read.
     """
     if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
         raise ValueError("coefficient stack does not match the system")
     S = _recurrence_matrix(lap)
     # Row blocks of C-contiguous data are C-contiguous, as _axpy needs.
-    c = c.with_data(np.ascontiguousarray(c.data, dtype=np.float64))
-    acc = c.low_pass()
-    for j in range(system.levels, 0, -1):
-        vs = [acc] + [c.block(r, j) for r in range(1, system.num_high + 1)]
-        coeffs = system.chebyshev_coeffs[j - 1]
-        t = coeffs.shape[1] - 1
-        # b_k = w_k + S b_{k+1} - b_{k+2}, started at b_t = w_t; the sum is
-        # w_0 + S b_1 / 2 - b_2.
-        b, b_next = vs[0] * coeffs[0, t], None
-        for cf, v in zip(coeffs[1:, t], vs[1:]):
-            _axpy(cf, v, b)
-        for k in range(t - 1, -1, -1):
-            y = S @ b
-            if k == 0:
-                y *= 0.5
-            for cf, v in zip(coeffs[:, k], vs):
-                _axpy(cf, v, y)
-            if b_next is not None:
-                y -= b_next
-            b, b_next = y, b
-        acc = b
-    return acc
+    data = np.ascontiguousarray(c.data, dtype=np.float64)
+    blocks = data.reshape(c.num_blocks, c.num_nodes, -1)
+    coeffs = system.chebyshev_coeffs
+    t = coeffs.shape[1] - 1
+    # b_k = w_k + S b_{k+1} - b_{k+2}, started at b_t = w_t; the sum is
+    # w_0 + S b_1 / 2 - b_2.
+    b, b_next = blocks[0] * coeffs[0, t], None
+    for cf, v in zip(coeffs[1:, t], blocks[1:]):
+        _axpy(cf, v, b)
+    for k in range(t - 1, -1, -1):
+        y = S @ b
+        if k == 0:
+            y *= 0.5
+        for cf, v in zip(coeffs[:, k], blocks):
+            _axpy(cf, v, y)
+        if b_next is not None:
+            y -= b_next
+        b, b_next = y, b
+    return b
 
 
 def block_energies(c: CoefficientStack) -> dict[tuple[int, int], float]:

@@ -9,6 +9,8 @@ and fails with a dedicated exit code if any check fails.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
@@ -186,8 +188,6 @@ def _check_cascade(fx):
     worst = 0.0
     prev_low = X
     for j in range(1, system.levels + 1):
-        import dataclasses
-
         sub = dataclasses.replace(system, levels=j)
         op_j = build_operators(sub, lap, spectrum if system.mode == "exact" else None)
         c = decompose(op_j, X)
@@ -203,8 +203,6 @@ def _check_cascade(fx):
 
 
 def _check_stacked_tightness(fx):
-    import dataclasses
-
     errors = {}
     for t in (8, 16):
         system = dataclasses.replace(fx["system"], mode="chebyshev", degree=t)
@@ -215,8 +213,6 @@ def _check_stacked_tightness(fx):
 
 
 def _check_path_equivalence(fx):
-    import dataclasses
-
     exact_op = build_operators(
         dataclasses.replace(fx["system"], mode="exact"), fx["lap"], fx["spectrum"]
     )
@@ -234,8 +230,6 @@ def _check_lowpass_telescope(fx):
     for j in range(1, system.levels + 1):
         prod = prod * system.bank.low_pass(system.factor_scale(j) * lam)
     direct = spectrum.matrix_function(prod)
-    import dataclasses
-
     exact_op = build_operators(
         dataclasses.replace(system, mode="exact"), fx["lap"], spectrum
     )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
 from ufg.datasets import GaussianFeatures, generate_sbm, random_er_graph
-from ufg.filters import FilterBank, SpectralFunction, haar_filter_bank
+from ufg.filters import FilterBank, SpectralFunction, chebyshev_fit, haar_filter_bank
 from ufg.graphs import build_graph, eigendecompose, lambda_max, normalized_laplacian
 from ufg.sparse import SparseMatrix
 from ufg.transform import (
@@ -160,12 +160,15 @@ def _linear_bank():
     )
 
 
-def test_two_high_passes_share_one_recurrence_per_level(
-    small_laplacian, small_spectrum, monkeypatch
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("bank", ["haar", "linear"])
+def test_one_recurrence_serves_every_block(
+    small_laplacian, small_spectrum, monkeypatch, bank, levels
 ):
-    J, t = 2, 16
+    t = 16
+    bank = haar_filter_bank() if bank == "haar" else _linear_bank()
     lam = float(small_spectrum.values[-1])
-    exact_sys = make_system(_linear_bank(), lam, levels=J, degree=t, mode="exact")
+    exact_sys = make_system(bank, lam, levels=levels, degree=t, mode="exact")
     op_e = build_operators(exact_sys, small_laplacian, small_spectrum)
     cheb_sys = dataclasses.replace(exact_sys, mode="chebyshev")
     op_c = build_operators(cheb_sys, small_laplacian)
@@ -180,32 +183,80 @@ def test_two_high_passes_share_one_recurrence_per_level(
 
     monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
     X = np.random.default_rng(2).normal(size=(small_laplacian.num_rows, 3))
-    back = reconstruct(op_c, decompose(op_c, X))
-    # One recurrence per level in each direction, whatever the high-pass count.
-    assert len(calls) == 2 * J * t
+    c = decompose(op_c, X)
+    forward = len(calls)
+    back = reconstruct(op_c, c)
+    # One recurrence of degree t + 4 (J - 1) in each direction, whatever the
+    # numbers of levels and high passes.
+    t_J = t + 4 * (levels - 1)
+    assert cheb_sys.recurrence_degree == t_J
+    assert (forward, len(calls) - forward) == (t_J, t_J)
     assert np.max(np.abs(back - X)) / np.max(np.abs(X)) <= TIGHTNESS_TOL
+
+
+@pytest.mark.parametrize("t", [8, 16])
+@pytest.mark.parametrize("K", [0, -1])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("dilation", [1.5, 2.0])
+@pytest.mark.parametrize("bank", ["haar", "linear"])
+def test_direct_block_fit_never_less_accurate_than_factor_cascade(
+    bank, dilation, levels, K, t
+):
+    # The reference fits each dilated mask factor at degree t and chains the
+    # fitted factors per block, as a per-level cascade applies them. With
+    # lam_max = 0 the system takes K as given.
+    system = FrameletSystem(
+        haar_filter_bank() if bank == "haar" else _linear_bank(),
+        dilation=dilation, levels=levels, K=K, lam_max=0.0, degree=t,
+        mode="chebyshev",
+    )
+    grid = np.linspace(0.0, 2.0, 2001)
+    x = grid - 1.0
+    factors = [
+        [chebval(x, chebyshev_fit(lambda lam: g(system.factor_scale(j) * lam), t))
+         for g in (system.bank.low_pass, *system.bank.high_passes)]
+        for j in range(1, levels + 1)
+    ]
+    chain = [np.ones_like(grid)]
+    for level in factors:
+        chain.append(chain[-1] * level[0])
+    cascade = np.array([chain[levels]] + [
+        factors[j - 1][r] * chain[j - 1]
+        for r in range(1, system.num_high + 1)
+        for j in range(1, levels + 1)
+    ])
+    gains = system.block_gains(grid)
+    cascade_err = np.max(np.abs(cascade - gains), axis=1)
+    direct_err = np.max(np.abs(chebval(x, system.chebyshev_coeffs.T) - gains), axis=1)
+    assert np.all(direct_err <= np.maximum(cascade_err, 2e-14))
+
+
+@pytest.mark.parametrize("lam, K", [(2.0, 0), (1.5, -1)])
+def test_chebyshev_provenance_measures_the_fit(small_laplacian, lam, K):
+    system = make_system(haar_filter_bank(), lam, levels=2, degree=16, mode="chebyshev")
+    assert system.K == K
+    prov = build_operators(system, small_laplacian).provenance
+    assert prov["recurrence_degree"] == 20
+    assert system.chebyshev_coeffs.shape == (system.num_blocks, 21)
+    # sum_b g_b^2 = 1 by partition of unity; the residual measures the fits.
+    assert 0.0 <= prov["fit_residual"] <= 1e-12
+    assert prov["fit_residual"] is system.fit_residual
 
 
 @given(st.integers(0, 6), st.integers(1, 3), st.integers(0, 5))
 def test_chebyshev_backend_applies_the_fitted_polynomials(degree, levels, seed):
-    # Reference: the fitted factor polynomials evaluated in the eigenbasis,
-    # chained per block as in _exact_stack.
+    # Reference: every block's fitted polynomial evaluated in the eigenbasis.
     lap = normalized_laplacian(random_er_graph(15, 3.0, np.random.default_rng(seed)))
     spec = eigendecompose(lap)
     system = make_system(
         _linear_bank(), float(spec.values[-1]), levels=levels, degree=degree,
         mode="chebyshev",
     )
-    p = np.array([
-        [chebval(spec.values - 1.0, cf) for cf in level]
-        for level in system.chebyshev_coeffs
-    ])
-    chain = np.cumprod(p[:, 0], axis=0)
-    below = np.vstack([np.ones_like(spec.values), chain[:-1]])
-    gains = [chain[-1]] + [
-        p[j, r] * below[j] for r in range(1, system.num_high + 1) for j in range(levels)
-    ]
-    reference = np.concatenate([spec.matrix_function(g) for g in gains])
+    coeffs = system.chebyshev_coeffs
+    assert coeffs.shape == (system.num_blocks, system.recurrence_degree + 1)
+    reference = np.concatenate(
+        [spec.matrix_function(chebval(spec.values - 1.0, cf)) for cf in coeffs]
+    )
     op = build_operators(system, lap)
     w = _explicit(op)
     np.testing.assert_allclose(w, reference, atol=1e-10)
