@@ -22,12 +22,14 @@ any N x N matrix. The forward transform runs one Chebyshev recurrence and
 accumulates every block's output from it, and the adjoint sums all blocks
 in one Clenshaw recurrence (Clenshaw 1955), as spectral graph wavelets read
 all their scales off one Chebyshev basis (Hammond, Vandergheynst &
-Gribonval 2011). Both recur on ``S = 2(L - I)``, built once per call with
-its explicit zeros dropped: the unit diagonal cancels, so on a graph
-without self loops ``S`` stores only the off-diagonal entries. A step is
-one product by ``S`` and one in-place BLAS axpy per block, so each
-direction costs ``recurrence_degree`` sparse products for any number of
-levels and high passes.
+Gribonval 2011). Both recur on ``S = 2(L - I)``, which ``build_operators``
+builds once per operator with its explicit zeros dropped: the unit
+diagonal cancels, so on a graph without self loops ``S`` stores only the
+off-diagonal entries. A forward step is one product by ``S`` and one BLAS
+rank-1 update that adds the step's term to all blocks; an adjoint step is
+one product by ``S`` and one in-place BLAS axpy per block. Each direction
+costs ``recurrence_degree`` sparse products for any number of levels and
+high passes.
 ``framelet_operator`` builds either backend from a graph.
 """
 
@@ -40,7 +42,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.chebyshev import chebval
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import daxpy, dger
 
 from . import graphs
 from .filters import (
@@ -200,18 +202,23 @@ class DecompositionOperator:
 
     Apply it with ``decompose`` and its transpose with ``reconstruct``. In
     exact mode ``stack`` is the dense ``(B N) x N`` array of the blocks
-    ``U diag(g_b) U^T`` in ``block_index`` order, low pass first. In
-    Chebyshev mode ``stack`` is None and both products run the system's
-    block polynomials on ``lap`` matrix-free.
+    ``U diag(g_b) U^T`` in ``block_index`` order, low pass first, and
+    ``recurrence`` is None. In Chebyshev mode ``stack`` is None and
+    ``recurrence`` holds ``S = 2(L - I)``, built once from ``lap``: both
+    products run the system's block polynomials on it matrix-free.
     """
 
     system: FrameletSystem
     lap: SparseMatrix = field(repr=False)
     stack: np.ndarray | None = field(default=None, repr=False)
+    recurrence: SparseMatrix | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if (self.stack is None) != (self.system.mode == "chebyshev"):
+        chebyshev = self.system.mode == "chebyshev"
+        if (self.stack is None) != chebyshev:
             raise ValueError("exact mode needs a dense stack, chebyshev mode none")
+        if (self.recurrence is None) == chebyshev:
+            raise ValueError("chebyshev mode needs a recurrence matrix, exact mode none")
         shape = (self.num_rows, self.num_nodes)
         if self.stack is not None and self.stack.shape != shape:
             raise ValueError("stack must be (num blocks * N) x N")
@@ -303,7 +310,8 @@ def build_operators(
     """Build the operator of ``system`` for one Laplacian.
 
     Exact mode requires ``spectrum`` (its eigendecomposition) and stacks
-    the dense blocks; Chebyshev mode only fits the block polynomials.
+    the dense blocks; Chebyshev mode fits the block polynomials and builds
+    the recurrence matrix ``S = 2(L - I)`` that every product reuses.
     """
     n = lap.num_rows
     if lap.num_cols != n:
@@ -315,7 +323,7 @@ def build_operators(
             raise ValueError("spectrum size does not match Laplacian")
         return DecompositionOperator(system, lap, _exact_stack(system, spectrum))
     system.chebyshev_coeffs  # fit once now, not on the first product
-    return DecompositionOperator(system, lap)
+    return DecompositionOperator(system, lap, recurrence=_recurrence_matrix(lap))
 
 
 def framelet_operator(
@@ -349,7 +357,7 @@ def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:
     if X.ndim != 2 or X.shape[0] != op.num_nodes:
         raise ValueError(f"X must be 2-d with {op.num_nodes} rows")
     if op.stack is None:
-        return chebyshev_decompose(op.system, op.lap, X)
+        return chebyshev_decompose(op.system, op.lap, X, recurrence=op.recurrence)
     return CoefficientStack(
         data=op.stack @ X, block_index=op.block_index, num_nodes=op.num_nodes
     )
@@ -360,7 +368,7 @@ def reconstruct(op: DecompositionOperator, c: CoefficientStack) -> np.ndarray:
     if c.block_index != op.block_index or c.num_nodes != op.num_nodes:
         raise ValueError("coefficient stack does not match operator")
     if op.stack is None:
-        return chebyshev_reconstruct(op.system, op.lap, c)
+        return chebyshev_reconstruct(op.system, op.lap, c, recurrence=op.recurrence)
     return op.stack.T @ c.data
 
 
@@ -385,25 +393,34 @@ def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> None:
 
 
 def chebyshev_decompose(
-    system: FrameletSystem, lap: SparseMatrix, X: np.ndarray
+    system: FrameletSystem,
+    lap: SparseMatrix,
+    X: np.ndarray,
+    *,
+    recurrence: SparseMatrix | None = None,
 ) -> CoefficientStack:
     """Forward transform applied matrix-free to a signal.
 
     One Chebyshev recurrence ``T_k(L - I) X`` serves all B blocks. A step
-    is one product by ``S = 2(L - I)``, one subtraction and one in-place
-    axpy per block, so work is ``recurrence_degree`` sparse products, and
-    memory stays at a few N x d arrays besides the output. ``X`` is only
+    is one product by ``S = 2(L - I)``, one subtraction and one BLAS rank-1
+    update that adds ``c_{b,k} T_k`` to every block b at once, so work is
+    ``recurrence_degree`` sparse products, and memory stays at a few N x d
+    arrays besides the output. ``recurrence`` is the operator's ``S``;
+    without it ``S`` is built from ``lap`` on every call. ``X`` is only
     read and may have any memory layout.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != lap.num_rows:
         raise ValueError(f"X must be 2-d with {lap.num_rows} rows")
-    S = _recurrence_matrix(lap)
+    S = _recurrence_matrix(lap) if recurrence is None else recurrence
     index = system.block_index()
     coeffs = system.chebyshev_coeffs
-    # C-contiguous blocks, as _axpy needs, whatever the layout of X.
+    # C-contiguous output whatever the layout of X. Flattened, block b is
+    # column b of the Fortran-ordered (N d) x B matrix ``columns``, a view,
+    # so dger updates the output in place.
     data = np.empty((len(index) * X.shape[0], X.shape[1]))
     blocks = data.reshape(len(index), *X.shape)
+    columns = data.reshape(len(index), -1, copy=False).T
     for out, c in zip(blocks, coeffs[:, 0]):
         np.multiply(X, c, out=out)
     t_prev, t_cur = None, X
@@ -415,13 +432,17 @@ def chebyshev_decompose(
         else:
             t_next -= t_prev
         t_prev, t_cur = t_cur, t_next
-        for out, c in zip(blocks, coeffs[:, k]):
-            _axpy(c, t_cur, out)
+        if data.size:
+            dger(1.0, t_cur.ravel(), coeffs[:, k], a=columns, overwrite_a=True)
     return CoefficientStack(data=data, block_index=index, num_nodes=lap.num_rows)
 
 
 def chebyshev_reconstruct(
-    system: FrameletSystem, lap: SparseMatrix, c: CoefficientStack
+    system: FrameletSystem,
+    lap: SparseMatrix,
+    c: CoefficientStack,
+    *,
+    recurrence: SparseMatrix | None = None,
 ) -> np.ndarray:
     """Adjoint transform applied matrix-free to a coefficient stack.
 
@@ -430,12 +451,12 @@ def chebyshev_reconstruct(
     ``C_b``. All blocks share one basis, so that is ``sum_k T_k(L - I) w_k``
     with ``w_k = sum_b c_{b,k} C_b``, summed by one Clenshaw recurrence with
     each ``w_k`` added in place, one axpy per block, into the step's product
-    by ``S = 2(L - I)``. Mirrors ``chebyshev_decompose`` in cost; ``c`` is
-    only read.
+    by ``S = 2(L - I)``. Mirrors ``chebyshev_decompose`` in cost and in its
+    use of ``recurrence``; ``c`` is only read.
     """
     if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
         raise ValueError("coefficient stack does not match the system")
-    S = _recurrence_matrix(lap)
+    S = _recurrence_matrix(lap) if recurrence is None else recurrence
     # Row blocks of C-contiguous data are C-contiguous, as _axpy needs.
     data = np.ascontiguousarray(c.data, dtype=np.float64)
     blocks = data.reshape(c.num_blocks, c.num_nodes, -1)

@@ -1,6 +1,7 @@
 """Transform blocks: round trips, tightness, path equivalence, block order."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
+from ufg import transform
 from ufg.datasets import GaussianFeatures, generate_sbm, random_er_graph
 from ufg.filters import FilterBank, SpectralFunction, chebyshev_fit, haar_filter_bank
 from ufg.graphs import build_graph, eigendecompose, lambda_max, normalized_laplacian
@@ -282,27 +284,83 @@ def test_matrix_free_matches_materialized(small_laplacian):
 def test_chebyshev_backend_reads_any_layout_and_never_writes_inputs(
     small_laplacian, levels
 ):
-    # The recurrences update their outputs in place through flat views, which
-    # alias only C-contiguous buffers: a flat view of any other buffer is a
-    # copy, and updates made to it are lost.
+    # The recurrences update their outputs in place through flat views and a
+    # Fortran-ordered view, which alias only C-contiguous buffers: such a
+    # view of any other buffer is a copy, and updates made to it are lost.
+    # The operator and the direct functions share the recurrences, so both
+    # paths run.
     system = make_system(haar_filter_bank(), 2.0, levels=levels, mode="chebyshev")
+    op = build_operators(system, small_laplacian)
     n = small_laplacian.num_rows
     wide = np.random.default_rng(levels).normal(size=(n, 6))
     X = np.ascontiguousarray(wide[:, ::2])
+    paths = (
+        (partial(chebyshev_decompose, system, small_laplacian),
+         partial(chebyshev_reconstruct, system, small_laplacian)),
+        (partial(decompose, op), partial(reconstruct, op)),
+    )
+    for forward, adjoint in paths:
+        ref = forward(X)
+        back = adjoint(ref)
+        # Fortran order (the layout of A.T for a C-ordered A) and a strided view.
+        for layout in (np.asfortranarray(X), wide[:, ::2]):
+            kept = layout.copy()
+            c = forward(layout)
+            np.testing.assert_allclose(c.data, ref.data, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(layout, kept)
+        for data in (ref.data, np.asfortranarray(ref.data)):
+            kept = data.copy()
+            got = adjoint(ref.with_data(data))
+            np.testing.assert_allclose(got, back, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(data, kept)
+        assert np.max(np.abs(back - X)) <= TIGHTNESS_TOL
+
+
+def test_chebyshev_operator_builds_its_recurrence_matrix_once(
+    monkeypatch, small_laplacian
+):
+    # S = 2(L - I) is fixed for an operator: build_operators builds it, and
+    # every product reuses it. The direct functions, given only the
+    # Laplacian, build the same S, so both paths agree bit for bit.
+    system = make_system(haar_filter_bank(), 2.0, levels=2, mode="chebyshev")
+    X = np.random.default_rng(3).normal(size=(small_laplacian.num_rows, 3))
     ref = chebyshev_decompose(system, small_laplacian, X)
-    back = chebyshev_reconstruct(system, small_laplacian, ref)
-    # Fortran order (the layout of A.T for a C-ordered A) and a strided view.
-    for layout in (np.asfortranarray(X), wide[:, ::2]):
-        kept = layout.copy()
-        c = chebyshev_decompose(system, small_laplacian, layout)
-        np.testing.assert_allclose(c.data, ref.data, rtol=0, atol=1e-13)
-        np.testing.assert_array_equal(layout, kept)
-    for data in (ref.data, np.asfortranarray(ref.data)):
-        kept = data.copy()
-        got = chebyshev_reconstruct(system, small_laplacian, ref.with_data(data))
-        np.testing.assert_allclose(got, back, rtol=0, atol=1e-13)
-        np.testing.assert_array_equal(data, kept)
-    assert np.max(np.abs(back - X)) <= TIGHTNESS_TOL
+    back_ref = chebyshev_reconstruct(system, small_laplacian, ref)
+    build = transform._recurrence_matrix
+    calls = []
+
+    def counting(lap):
+        calls.append(lap)
+        return build(lap)
+
+    monkeypatch.setattr(transform, "_recurrence_matrix", counting)
+    op = build_operators(system, small_laplacian)
+    for _ in range(3):
+        c = decompose(op, X)
+        np.testing.assert_array_equal(c.data, ref.data)
+        np.testing.assert_array_equal(reconstruct(op, c), back_ref)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="recurrence"):
+        dataclasses.replace(op, recurrence=None)
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+def test_zero_column_signal_gives_zero_column_outputs(
+    small_laplacian, small_spectrum, small_system, mode
+):
+    op = build_operators(
+        dataclasses.replace(small_system, mode=mode), small_laplacian,
+        small_spectrum if mode == "exact" else None,
+    )
+    X = np.empty((op.num_nodes, 0))
+    c = decompose(op, X)
+    assert c.data.shape == (op.num_rows, 0)
+    assert reconstruct(op, c).shape == (op.num_nodes, 0)
+    if mode == "chebyshev":
+        c = chebyshev_decompose(op.system, small_laplacian, X)
+        assert c.data.shape == (op.num_rows, 0)
+        back = chebyshev_reconstruct(op.system, small_laplacian, c)
+        assert back.shape == (op.num_nodes, 0)
 
 
 def test_operator_accessors(small_operator, small_system):
