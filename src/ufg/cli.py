@@ -191,26 +191,16 @@ def _node_dataset(args):
 
 
 def _experiment_config(args, task: str):
+    """The subcommand's flags as an ``ExperimentConfig``; fields it has no
+    flag for keep their dataclass defaults."""
+    from dataclasses import fields
+
     from .experiments import ExperimentConfig
 
-    return ExperimentConfig(
-        task=task,
-        dilation=args.dilation,
-        levels=args.levels,
-        degree=args.degree,
-        mode=args.mode,
-        activation=getattr(args, "activation", "relu"),
-        sigma=getattr(args, "sigma", 1.0),
-        threshold_mode=getattr(args, "threshold_mode", "energy_scaled"),
-        pool_mode=getattr(args, "pool_mode", "spectrum"),
-        hidden=args.hidden,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        dropout=args.dropout,
-        epochs=args.epochs,
-        patience=getattr(args, "patience", 20),
-        seeds=tuple(_parse_int_list(args.seeds)),
-    )
+    flags = {f.name: getattr(args, f.name)
+             for f in fields(ExperimentConfig) if hasattr(args, f.name)}
+    flags.update(task=task, seeds=tuple(_parse_int_list(args.seeds)))
+    return ExperimentConfig(**flags)
 
 
 def _record_summary(record) -> dict:

@@ -106,7 +106,8 @@ def build_graph(
     bad = np.flatnonzero(out_of_range | bad_weight)
     if bad.size:
         k = bad[0]
-        u, v = int(ends[k, 0]), int(ends[k, 1])
+        # A NaN or infinite endpoint is named as it is, not truncated.
+        u, v = (int(x) if np.isfinite(x) else x for x in ends[k].tolist())
         if out_of_range[k]:
             raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
         raise ValueError(f"edge ({u}, {v}) has invalid weight {float(w[k])}")

@@ -199,6 +199,8 @@ def read_coefficients(path: str):
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(
         num_blocks * n, d
     )
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite value in the payload")
     return CoefficientStack(
         data=data, block_index=tuple(block_index), num_nodes=n
     )

@@ -63,6 +63,12 @@ class ConvLayerParams:
     bias: np.ndarray
 
 
+def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
+    """A ``(fan_in, fan_out)`` draw from U(+-sqrt(6 / (fan_in + fan_out)))."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
 def init_params(d_in: int, d_out: int, theta_len: int, rng) -> ConvLayerParams:
     """Xavier-uniform W, theta near one, zero bias; deterministic given rng.
 
@@ -72,8 +78,7 @@ def init_params(d_in: int, d_out: int, theta_len: int, rng) -> ConvLayerParams:
     if min(d_in, d_out, theta_len) <= 0:
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(rng)
-    limit = np.sqrt(6.0 / (d_in + d_out))
-    W = rng.uniform(-limit, limit, size=(d_in, d_out))
+    W = xavier_uniform(d_in, d_out, rng)
     theta = rng.uniform(0.9, 1.1, size=theta_len)
     bias = np.zeros(d_out)
     return ConvLayerParams(W=W, theta=theta, bias=bias)
@@ -84,13 +89,15 @@ def _coeff_conv_forward(
     op: DecompositionOperator,
     coeff: np.ndarray,
     act: LayerActivation,
-    frozen_thresholds: dict[tuple[int, int], float] | None,
+    frozen_thresholds: np.ndarray | None,
 ) -> tuple[np.ndarray, dict]:
     """Activation core of the framelet convolution, shared by both layers.
 
     ``coeff`` holds the decomposed projected input ``decompose(X W)``; the
     core scales it by ``theta``, applies the activation around the one
-    reconstruction and adds the bias.
+    reconstruction and adds the bias. The shrinkage variant keeps its
+    thresholds and its stacks before and after shrinking in the cache
+    (``thresholds``, ``filtered``, ``shrunk``).
     """
     if params.theta.shape[0] != op.num_rows:
         raise ValueError("theta length must equal stacked row count")
@@ -108,7 +115,7 @@ def _coeff_conv_forward(
         shrunk = shrink_stack(fstack, act.threshold, thresholds=thresholds)
         y = reconstruct(op, shrunk) + params.bias
         cache["active_mask"] = shrunk.data != 0.0
-        cache["thresholds"] = thresholds
+        cache.update(thresholds=thresholds, filtered=fstack, shrunk=shrunk)
         return y, cache
     z = reconstruct(op, fstack) + params.bias
     if act.kind == "relu":
@@ -144,7 +151,7 @@ def ufg_conv_forward(
     op: DecompositionOperator,
     X: np.ndarray,
     act: LayerActivation,
-    frozen_thresholds: dict[tuple[int, int], float] | None = None,
+    frozen_thresholds: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Framelet convolution forward pass.
 
@@ -154,9 +161,11 @@ def ufg_conv_forward(
     * decompose(X W))) + bias``.
 
     ``frozen_thresholds`` pins the shrinkage thresholds instead of deriving
-    them from the current coefficients; finite-difference gradient checks
-    use the nominal point's thresholds here because the backward pass
-    stop-gradients them. The thresholds actually used are in the cache.
+    them from the current coefficients: a ``(B,)`` array in block order, as
+    ``shrinkage.stack_thresholds`` returns. Finite-difference gradient
+    checks use the nominal point's thresholds here because the backward
+    pass stop-gradients them. The thresholds actually used are in the
+    cache.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.W.shape[0]:
@@ -188,14 +197,15 @@ def ufg_input_conv_forward(
     op: DecompositionOperator,
     coeff_x: np.ndarray,
     act: LayerActivation,
-    frozen_thresholds: dict[tuple[int, int], float] | None = None,
+    frozen_thresholds: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """``ufg_conv_forward`` on an input given by its coefficients.
 
     ``coeff_x`` is ``decompose(op, X).data`` for a fixed input X. The
     transform is linear, so ``decompose(X W) = coeff_x @ W``: the layer
     decomposes nothing, and a network whose first layer sees the same X
-    every epoch decomposes X once.
+    every epoch decomposes X once. ``frozen_thresholds`` is as in
+    ``ufg_conv_forward``.
     """
     coeff_x = np.asarray(coeff_x, dtype=np.float64)
     if coeff_x.shape != (op.num_rows, params.W.shape[0]):
@@ -266,31 +276,25 @@ def ufg_pool_forward(
     if mode not in ("sum", "spectrum"):
         raise ValueError("mode must be 'sum' or 'spectrum'")
     coeff = decompose(op, X)
-    n = op.num_nodes
-    per_block = coeff.data.reshape(op.num_blocks, n, -1)
     if mode == "sum":
-        pooled = per_block.sum(axis=1)
+        pooled = coeff.blocks.sum(axis=1)
     else:
-        pooled = (per_block**2).sum(axis=1)
-    cache = {"op": op, "coeff": coeff.data, "mode": mode, "num_features": X.shape[1]}
-    return pooled.ravel(), cache
+        pooled = (coeff.blocks**2).sum(axis=1)
+    return pooled.ravel(), {"op": op, "coeff": coeff, "mode": mode}
 
 
 def ufg_pool_backward(cache: dict, grad_out: np.ndarray) -> np.ndarray:
     """Gradient dX of the pooling readout."""
-    op: DecompositionOperator = cache["op"]
-    n = op.num_nodes
-    d = cache["num_features"]
-    g = np.asarray(grad_out, dtype=np.float64).reshape(op.num_blocks, 1, d)
-    if cache["mode"] == "sum":
-        d_coeff = np.broadcast_to(g, (op.num_blocks, n, d)).reshape(-1, d).copy()
-    else:
-        coeff = cache["coeff"].reshape(op.num_blocks, n, d)
-        d_coeff = (2.0 * coeff * g).reshape(-1, d)
-    stack = CoefficientStack(
-        data=d_coeff, block_index=op.block_index, num_nodes=n
+    coeff: CoefficientStack = cache["coeff"]
+    blocks = coeff.blocks
+    g = np.asarray(grad_out, dtype=np.float64).reshape(
+        coeff.num_blocks, 1, coeff.num_features
     )
-    return reconstruct(op, stack)
+    if cache["mode"] == "sum":
+        d_blocks = np.broadcast_to(g, blocks.shape)
+    else:
+        d_blocks = 2.0 * blocks * g
+    return reconstruct(cache["op"], coeff.with_data(d_blocks.reshape(coeff.data.shape)))
 
 
 def softmax_cross_entropy(
@@ -333,15 +337,10 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray | None = N
 def mlp_init(d_in: int, hidden: int, d_out: int, rng) -> dict[str, np.ndarray]:
     """Two-layer MLP parameters, xavier-uniform weights and zero biases."""
     rng = np.random.default_rng(rng)
-
-    def xavier(fan_in, fan_out):
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=(fan_in, fan_out))
-
     return {
-        "W1": xavier(d_in, hidden),
+        "W1": xavier_uniform(d_in, hidden, rng),
         "b1": np.zeros(hidden),
-        "W2": xavier(hidden, d_out),
+        "W2": xavier_uniform(hidden, d_out, rng),
         "b2": np.zeros(d_out),
     }
 

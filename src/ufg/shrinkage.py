@@ -4,7 +4,9 @@ Shrinkage applies ``sgn(x) max(|x| - lambda, 0)`` to the high-pass blocks of
 a coefficient stack and never touches the low pass. The threshold follows
 the universal rule ``lambda = sigma sqrt(2 ln N) / sqrt(N)`` (natural log)
 for N nodes, optionally rescaled per block by that block's RMS so sigma is
-unit-free across scales. Zeroed coefficients are exact zeros, which is what
+unit-free across scales. The thresholds of a stack are one ``(B,)`` array in
+block order, read off its ``(B, N, d)`` block view; the low-pass entry is
+0.0 and never applied. Zeroed coefficients are exact zeros, which is what
 the compression-ratio accounting counts.
 """
 
@@ -58,62 +60,47 @@ def compute_threshold(num_coefficients: int, sigma: float) -> float:
     return sigma * np.sqrt(2.0 * np.log(n)) / np.sqrt(n)
 
 
-def block_threshold(c: CoefficientStack, r: int, j: int, cfg: ThresholdConfig) -> float:
-    """Effective threshold for one high-pass block under ``cfg``.
+def stack_thresholds(c: CoefficientStack, cfg: ThresholdConfig) -> np.ndarray:
+    """Effective threshold of every block under ``cfg``: a ``(B,)`` array in
+    ``block_index`` order whose entry 0, the low pass, is 0.0 and never
+    applied.
 
-    Global mode uses the universal threshold for the node count; energy
-    scaled mode multiplies it by the block's RMS. An all-zero block gets
-    threshold 0 (nothing to shrink), which also keeps ``sigma = inf`` well
-    defined there.
+    Global mode gives every high-pass block the universal threshold for the
+    node count; energy scaled mode multiplies it by the block's RMS. An
+    all-zero block gets threshold 0 (nothing to shrink), which also keeps
+    ``sigma = inf`` well defined there.
     """
     base = compute_threshold(c.num_nodes, cfg.sigma) if np.isfinite(cfg.sigma) else np.inf
+    out = np.zeros(c.num_blocks)
     if cfg.mode == "global":
-        return float(base)
-    block = c.block(r, j)
-    rms = float(np.sqrt(np.mean(block**2)))
-    if rms == 0.0:
-        return 0.0
-    return float(base * rms)
-
-
-def stack_thresholds(
-    c: CoefficientStack, cfg: ThresholdConfig
-) -> dict[tuple[int, int], float]:
-    """Effective threshold of every high-pass block under ``cfg``."""
-    return {
-        (r, j): block_threshold(c, r, j, cfg)
-        for (r, j) in c.block_index
-        if r != 0
-    }
+        out[1:] = base
+        return out
+    rms = np.sqrt(np.mean(c.blocks[1:] ** 2, axis=(1, 2)))
+    scaled = rms != 0.0
+    out[1:][scaled] = base * rms[scaled]
+    return out
 
 
 def shrink_stack(
     c: CoefficientStack,
     cfg: ThresholdConfig,
-    thresholds: dict[tuple[int, int], float] | None = None,
+    thresholds: np.ndarray | None = None,
 ) -> CoefficientStack:
     """Soft-threshold every high-pass block; low pass passes through bitwise.
 
-    ``thresholds`` overrides the per-block thresholds (keyed by (r, j));
-    gradient validation uses this to freeze data-dependent thresholds at a
-    nominal point, matching the stop-gradient backward pass.
+    Block b is shrunk by one scalar threshold, ``thresholds[b]``, which
+    defaults to ``stack_thresholds(c, cfg)``. Gradient validation passes the
+    thresholds of a nominal point here to freeze them, matching the
+    stop-gradient backward pass.
     """
+    out = c.with_data(c.data.copy())
     if cfg.sigma == 0.0:
-        return c.with_data(c.data.copy())
+        return out
     if thresholds is None:
         thresholds = stack_thresholds(c, cfg)
-    data = c.data.copy()
-    n = c.num_nodes
-    for b, (r, j) in enumerate(c.block_index):
-        if r == 0:
-            continue
-        lam = thresholds[(r, j)]
-        rows = slice(b * n, (b + 1) * n)
-        if np.isinf(lam):
-            data[rows] = 0.0
-        else:
-            data[rows] = soft_threshold(data[rows], lam)
-    return c.with_data(data)
+    for block, lam in zip(out.blocks[1:], thresholds[1:], strict=True):
+        block[...] = 0.0 if np.isinf(lam) else soft_threshold(block, lam)
+    return out
 
 
 def count_nonzero(c: CoefficientStack) -> int:

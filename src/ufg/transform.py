@@ -256,8 +256,12 @@ class DecompositionOperator:
 class CoefficientStack:
     """Framelet coefficients as a block-stacked matrix.
 
-    ``data`` has ``(nJ+1) * N`` rows and one column per signal feature;
-    block b of ``block_index`` owns rows ``[b*N, (b+1)*N)``, low pass first.
+    ``data`` has ``B * N`` rows, one block of N rows for each of the
+    ``B = nJ + 1`` entries of ``block_index`` (low pass first), and one
+    column per signal feature. ``blocks`` views it as a ``(B, N, d)``
+    array; every per-block reader goes through that view, and per-block
+    quantities such as ``block_energies`` and the shrinkage thresholds are
+    ``(B,)`` arrays in block order.
     """
 
     data: np.ndarray = field(repr=False)
@@ -280,16 +284,17 @@ class CoefficientStack:
     def num_features(self) -> int:
         return self.data.shape[1]
 
-    def row_range(self, r: int, j: int) -> tuple[int, int]:
-        b = self.block_index.index((r, j))
-        return b * self.num_nodes, (b + 1) * self.num_nodes
+    @property
+    def blocks(self) -> np.ndarray:
+        """``data`` as a ``(B, N, d)`` array, a view when ``data`` is
+        C-contiguous; block b is ``blocks[b]``."""
+        return self.data.reshape(self.num_blocks, self.num_nodes, self.num_features)
 
     def block(self, r: int, j: int) -> np.ndarray:
-        lo, hi = self.row_range(r, j)
-        return self.data[lo:hi]
+        return self.blocks[self.block_index.index((r, j))]
 
     def low_pass(self) -> np.ndarray:
-        return self.data[: self.num_nodes]
+        return self.blocks[0]
 
     def with_data(self, data: np.ndarray) -> "CoefficientStack":
         return CoefficientStack(
@@ -457,9 +462,8 @@ def chebyshev_reconstruct(
     if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
         raise ValueError("coefficient stack does not match the system")
     S = _recurrence_matrix(lap) if recurrence is None else recurrence
-    # Row blocks of C-contiguous data are C-contiguous, as _axpy needs.
-    data = np.ascontiguousarray(c.data, dtype=np.float64)
-    blocks = data.reshape(c.num_blocks, c.num_nodes, -1)
+    # Blocks of a C-contiguous array are C-contiguous, as _axpy needs.
+    blocks = np.ascontiguousarray(c.blocks, dtype=np.float64)
     coeffs = system.chebyshev_coeffs
     t = coeffs.shape[1] - 1
     # b_k = w_k + S b_{k+1} - b_{k+2}, started at b_t = w_t; the sum is
@@ -479,10 +483,7 @@ def chebyshev_reconstruct(
     return b
 
 
-def block_energies(c: CoefficientStack) -> dict[tuple[int, int], float]:
-    """Squared Frobenius norm of every coefficient block."""
-    n = c.num_nodes
-    return {
-        key: float(np.sum(c.data[b * n : (b + 1) * n] ** 2))
-        for b, key in enumerate(c.block_index)
-    }
+def block_energies(c: CoefficientStack) -> np.ndarray:
+    """Squared Frobenius norm of every coefficient block: a ``(B,)`` array
+    in ``block_index`` order."""
+    return np.sum(c.blocks**2, axis=(1, 2))

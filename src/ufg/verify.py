@@ -177,7 +177,7 @@ def _check_round_trip(fx):
 
 def _check_parseval(fx):
     X = fx["X"]
-    total = sum(block_energies(decompose(fx["op"], X)).values())
+    total = sum(block_energies(decompose(fx["op"], X)))
     rel = abs(total - np.sum(X**2)) / np.sum(X**2)
     tol = 1e-10 if fx["op"].provenance["mode"] == "exact" else 1e-6
     return _bounded(rel, tol, f"relative energy mismatch {rel:.2e} (tol {tol:g})")

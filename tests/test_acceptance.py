@@ -131,7 +131,7 @@ def test_criterion_02_energy_conservation(corpus, report):
     worst = 0.0
     for case in corpus["cases"]:
         X = case["X"]
-        total = sum(block_energies(decompose(case["op"], X)).values())
+        total = sum(block_energies(decompose(case["op"], X)))
         worst = max(worst, abs(total - np.sum(X**2)) / np.sum(X**2))
     ok = worst <= ENERGY_TOL
     report(

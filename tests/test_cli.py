@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 import ufg.verify as verify_mod
-from ufg.cli import _build_parser, _emit_json, main
+from ufg.cli import _build_parser, _emit_json, _experiment_config, main
 from ufg.datasets import random_er_graph
+from ufg.experiments import ExperimentConfig
 from ufg.io import (
+    read_coefficients,
     read_features_csv,
     read_graph_text,
+    write_coefficients,
     write_features_csv,
     write_graph_text,
 )
@@ -91,6 +94,41 @@ def test_transform_reconstruct_round_trip(tmp_path, graph_files, capsys):
     assert summary["relative_error"] <= ROUNDTRIP_TOL
     recon = read_features_csv(rpath)
     assert np.linalg.norm(recon - signal) <= ROUNDTRIP_TOL * np.linalg.norm(signal)
+
+
+def test_reconstruct_non_finite_coefficients_exits_two(tmp_path, graph_files, capsys):
+    gpath, spath, _ = graph_files
+    cpath = str(tmp_path / "c.ufgc")
+    rpath = tmp_path / "recon.csv"
+    assert main(["transform", "--graph", gpath, "--signal", spath,
+                 "--out", cpath]) == 0
+    stack = read_coefficients(cpath)
+    data = stack.data.copy()
+    data[3, 0] = np.nan
+    write_coefficients(stack.with_data(data), cpath)
+    capsys.readouterr()
+    assert main(["reconstruct", "--graph", gpath, "--coeffs", cpath,
+                 "--out", str(rpath)]) == 2
+    assert f"{cpath}: non-finite" in capsys.readouterr().err
+    assert not rpath.exists()
+
+
+# Fingerprints of the subcommands' default configs; every training summary
+# prints them, so they must not move.
+DEFAULT_FINGERPRINTS = [
+    (["train-node"], "sbm_node", "0e1749f5344a"),
+    (["train-node", "--activation", "shrinkage"], "sbm_node", "b50d613e2ec9"),
+    (["train-graph"], "cycles-stars", "d701cf410257"),
+    (["sweep", "--out", "sweep.csv"], "sensitivity_sweep", "76740278089f"),
+]
+
+
+@pytest.mark.parametrize("argv, task, fingerprint", DEFAULT_FINGERPRINTS)
+def test_experiment_config_takes_dataclass_defaults(argv, task, fingerprint):
+    config = _experiment_config(_build_parser().parse_args(argv), task)
+    assert config.fingerprint() == fingerprint
+    if argv[0] == "train-node":  # every flag default is the dataclass default
+        assert config == ExperimentConfig(task=task, activation=config.activation)
 
 
 def test_denoise_reports_mse_against_truth(tmp_path, graph_files, capsys):

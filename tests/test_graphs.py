@@ -70,6 +70,12 @@ def test_build_graph_rejects_bad_edges():
         build_graph(3, np.array([[-1.0, 2.0, 1.0]]))
     with pytest.raises(ValueError, match=r"\(u, v, w\) rows"):
         build_graph(3, np.ones((2, 2)))
+    # A non-finite endpoint is out of range and named as it is.
+    for bad, text in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")):
+        with pytest.raises(ValueError, match=rf"edge \({text}, 1\) out of range"):
+            build_graph(3, [[bad, 1, 1]])
+        with pytest.raises(ValueError, match=rf"edge \(1, {text}\) out of range"):
+            build_graph(3, [[1, bad, 1]])
 
 
 @st.composite

@@ -154,6 +154,17 @@ def test_coefficients_truncation_errors(tmp_path, stack):
         read_coefficients(str(clipped))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coefficients_reject_non_finite_payload(tmp_path, stack, bad):
+    data = stack.data.copy()
+    data[4, 1] = bad
+    path = str(tmp_path / "c.ufgc")
+    write_coefficients(stack.with_data(data), path)
+    with pytest.raises(ValueError, match="non-finite") as err:
+        read_coefficients(path)
+    assert path in str(err.value)
+
+
 def test_coefficients_unsupported_version(tmp_path, stack):
     path = tmp_path / "c.ufgc"
     write_coefficients(stack, str(path))

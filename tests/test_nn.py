@@ -31,7 +31,7 @@ from ufg.nn import (
     ufg_pool_forward,
     _stencil_crossed_kink,
 )
-from ufg.shrinkage import ThresholdConfig
+from ufg.shrinkage import ThresholdConfig, shrink_stack
 from ufg.transform import decompose
 
 GRAD_TOL = 1e-5
@@ -55,6 +55,22 @@ def test_init_params_ranges(rng):
     np.testing.assert_array_equal(p.bias, 0.0)
     with pytest.raises(ValueError, match="positive"):
         init_params(0, 3, 10, rng)
+
+
+def test_xavier_draws_keep_their_order():
+    # Every parameter is drawn in the order and form it always was, so
+    # seeded runs reproduce bitwise.
+    rng = np.random.default_rng(7)
+    lim = np.sqrt(6.0 / (4 + 3))
+    W = rng.uniform(-lim, lim, size=(4, 3))
+    theta = rng.uniform(0.9, 1.1, size=10)
+    p = init_params(4, 3, 10, 7)
+    assert p.W.tobytes() == W.tobytes() and p.theta.tobytes() == theta.tobytes()
+    rng = np.random.default_rng(8)
+    W1 = rng.uniform(-np.sqrt(6.0 / 9), np.sqrt(6.0 / 9), size=(5, 4))
+    W2 = rng.uniform(-np.sqrt(6.0 / 6), np.sqrt(6.0 / 6), size=(4, 2))
+    m = mlp_init(5, 4, 2, 8)
+    assert m["W1"].tobytes() == W1.tobytes() and m["W2"].tobytes() == W2.tobytes()
 
 
 def test_layer_activation_validation():
@@ -84,6 +100,18 @@ def test_sigma_zero_shrinkage_equals_linear(small_operator, rng):
     act = LayerActivation.shrinkage(ThresholdConfig(0.0))
     y_shr, _ = ufg_conv_forward(params, small_operator, X, act)
     np.testing.assert_array_equal(y_lin, y_shr)
+
+
+def test_shrinkage_cache_holds_its_stacks(small_operator, rng):
+    X = rng.normal(size=(small_operator.num_nodes, 3))
+    params = init_params(3, 2, small_operator.num_rows, rng)
+    cfg = ThresholdConfig(1.0, "energy_scaled")
+    _, cache = ufg_conv_forward(params, small_operator, X, LayerActivation.shrinkage(cfg))
+    filtered, shrunk = cache["filtered"], cache["shrunk"]
+    np.testing.assert_array_equal(filtered.data, params.theta[:, None] * cache["coeff"])
+    expected = shrink_stack(filtered, cfg, thresholds=cache["thresholds"])
+    np.testing.assert_array_equal(shrunk.data, expected.data)
+    np.testing.assert_array_equal(cache["active_mask"], shrunk.data != 0.0)
 
 
 def test_conv_shape_errors(small_operator, rng):
@@ -158,9 +186,10 @@ def test_input_layer_matches_conv_on_decomposed_input(small_operator, kind):
         if key in cache:
             np.testing.assert_array_equal(cache_in[key], cache[key])
     if kind == "shrinkage":
-        assert cache_in["thresholds"].keys() == cache["thresholds"].keys()
-        for block, t in cache["thresholds"].items():
-            assert cache_in["thresholds"][block] == pytest.approx(t, rel=REASSOC_TOL)
+        assert cache_in["thresholds"].shape == (small_operator.num_blocks,)
+        assert cache_in["thresholds"] == pytest.approx(
+            cache["thresholds"], rel=REASSOC_TOL
+        )
     _, dW, dtheta, dbias = ufg_conv_backward(cache, grad_out)
     dW_in, dtheta_in, dbias_in = ufg_input_conv_backward(cache_in, grad_out)
     assert _rel_err(dW_in, dW) <= REASSOC_TOL

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufg.shrinkage import (
+    THRESHOLD_MODES,
     ThresholdConfig,
-    block_threshold,
     compression_ratio,
     compute_threshold,
     count_nonzero,
@@ -75,28 +75,31 @@ def test_threshold_config_validation():
         ThresholdConfig(1.0, mode="local")
 
 
-def test_block_threshold_modes(rng):
+def test_stack_thresholds_modes(rng):
     c = _stack(rng)
+    b = c.block_index.index((1, 1))
     base = compute_threshold(c.num_nodes, 1.0)
-    assert block_threshold(c, 1, 1, ThresholdConfig(1.0)) == pytest.approx(base)
+    assert stack_thresholds(c, ThresholdConfig(1.0))[b] == pytest.approx(base)
     rms = float(np.sqrt(np.mean(c.block(1, 1) ** 2)))
-    scaled = block_threshold(c, 1, 1, ThresholdConfig(1.0, "energy_scaled"))
+    scaled = stack_thresholds(c, ThresholdConfig(1.0, "energy_scaled"))[b]
     assert scaled == pytest.approx(base * rms)
 
 
-def test_block_threshold_zero_block():
+def test_stack_thresholds_zero_block():
     idx = ((0, 1), (1, 1))
     data = np.zeros((4, 1))
     data[:2] = 1.0  # low pass nonzero, high pass all zero
     c = CoefficientStack(data=data, block_index=idx, num_nodes=2)
     cfg = ThresholdConfig(np.inf, "energy_scaled")
-    assert block_threshold(c, 1, 1, cfg) == 0.0
+    assert stack_thresholds(c, cfg)[c.block_index.index((1, 1))] == 0.0
 
 
 def test_stack_thresholds_skips_low_pass(rng):
     c = _stack(rng, levels=3)
     th = stack_thresholds(c, ThresholdConfig(1.0))
-    assert set(th) == {(1, 1), (1, 2), (1, 3)}
+    assert th.shape == (4,)  # one entry per block, in block order
+    assert th[0] == 0.0
+    np.testing.assert_array_equal(th[1:], compute_threshold(c.num_nodes, 1.0))
 
 
 def test_shrink_sigma_zero_is_bitwise_copy(rng):
@@ -132,9 +135,82 @@ def test_shrink_dead_zone_exact_zeros(rng):
 
 def test_shrink_explicit_threshold_override(rng):
     c = _stack(rng)
-    frozen = {key: 0.0 for key in stack_thresholds(c, ThresholdConfig(1.0))}
+    frozen = np.zeros_like(stack_thresholds(c, ThresholdConfig(1.0)))
     out = shrink_stack(c, ThresholdConfig(1.0), thresholds=frozen)
     np.testing.assert_array_equal(out.data, c.data)  # zero thresholds: identity
+    frozen[0] = np.inf  # the low-pass entry is never applied
+    out = shrink_stack(c, ThresholdConfig(1.0), thresholds=frozen)
+    np.testing.assert_array_equal(out.data, c.data)
+    with pytest.raises(ValueError):
+        shrink_stack(c, ThresholdConfig(1.0), thresholds=frozen[:-1])
+
+
+# The per-block rule as the stack-wide functions replaced it: one threshold
+# per (r, j) key, and one soft threshold per row slice. Kept as the oracle
+# the (B,) threshold array and the block-view shrink must match bitwise.
+def _reference_block_threshold(c, r, j, cfg):
+    base = compute_threshold(c.num_nodes, cfg.sigma) if np.isfinite(cfg.sigma) else np.inf
+    if cfg.mode == "global":
+        return float(base)
+    n = c.num_nodes
+    b = c.block_index.index((r, j))
+    rms = float(np.sqrt(np.mean(c.data[b * n : (b + 1) * n] ** 2)))
+    if rms == 0.0:
+        return 0.0
+    return float(base * rms)
+
+
+def _reference_shrink(c, cfg):
+    thresholds = {
+        (r, j): _reference_block_threshold(c, r, j, cfg)
+        for (r, j) in c.block_index
+        if r != 0
+    }
+    data = c.data.copy()
+    if cfg.sigma == 0.0:
+        return thresholds, data
+    n = c.num_nodes
+    for b, (r, j) in enumerate(c.block_index):
+        if r == 0:
+            continue
+        lam = thresholds[(r, j)]
+        rows = slice(b * n, (b + 1) * n)
+        if np.isinf(lam):
+            data[rows] = 0.0
+        else:
+            data[rows] = soft_threshold(data[rows], lam)
+    return thresholds, data
+
+
+@given(
+    levels=st.integers(1, 3),
+    num_high=st.integers(1, 2),
+    n=st.integers(2, 12),
+    features=st.integers(1, 4),
+    zero_blocks=st.lists(st.booleans(), min_size=6, max_size=6),
+    sigma=st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.just(np.inf)),
+    mode=st.sampled_from(THRESHOLD_MODES),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_stack_shrinkage_matches_per_block_reference(
+    levels, num_high, n, features, zero_blocks, sigma, mode, seed
+):
+    idx = [(0, levels)] + [
+        (r, j) for r in range(1, num_high + 1) for j in range(1, levels + 1)
+    ]
+    rng = np.random.default_rng(seed)
+    data = rng.normal(scale=rng.uniform(0.1, 3.0), size=(len(idx) * n, features))
+    for b, zero in enumerate(zero_blocks[: len(idx) - 1], start=1):
+        if zero:
+            data[b * n : (b + 1) * n] = 0.0
+    c = CoefficientStack(data=data, block_index=tuple(idx), num_nodes=n)
+    cfg = ThresholdConfig(sigma, mode)
+    ref_thresholds, ref_data = _reference_shrink(c, cfg)
+    th = stack_thresholds(c, cfg)
+    assert th.shape == (len(idx),) and th[0] == 0.0
+    assert th[1:].tobytes() == np.array(list(ref_thresholds.values())).tobytes()
+    assert shrink_stack(c, cfg).data.tobytes() == ref_data.tobytes()
 
 
 def test_compression_monotone_in_sigma(rng):

@@ -102,7 +102,7 @@ def test_exact_round_trip_and_parseval(n, levels, seed):
     back = reconstruct(op, c)
     scale = np.max(np.abs(X))
     assert np.max(np.abs(back - X)) / scale <= ROUND_TRIP_TOL
-    energy = sum(block_energies(c).values())
+    energy = sum(block_energies(c))
     total = float(np.sum(X**2))
     assert abs(energy - total) / total <= ROUND_TRIP_TOL
 
@@ -116,7 +116,7 @@ def test_cascade_energy_per_level(small_system, small_laplacian, small_spectrum)
         truncated = dataclasses.replace(small_system, levels=j)
         op = build_operators(truncated, small_laplacian, small_spectrum)
         c = decompose(op, X)
-        energy = sum(block_energies(c).values())
+        energy = sum(block_energies(c))
         assert abs(energy - total) / total <= 1e-9
 
 
@@ -393,9 +393,15 @@ def test_coefficient_stack_layout(small_operator):
     X = rng.normal(size=(small_operator.num_nodes, 2))
     c = decompose(small_operator, X)
     n = small_operator.num_nodes
-    assert c.row_range(0, 2) == (0, n)
-    assert c.block(1, 1).shape == (n, 2)
+    assert c.blocks.shape == (c.num_blocks, n, 2)
+    assert np.shares_memory(c.blocks, c.data)
+    b = c.block_index.index((1, 1))
+    np.testing.assert_array_equal(c.block(1, 1), c.data[b * n : (b + 1) * n])
     np.testing.assert_array_equal(c.low_pass(), c.data[:n])
+    energies = block_energies(c)
+    assert energies.shape == (c.num_blocks,)
+    for b in range(c.num_blocks):  # bitwise the per-block sums, in block order
+        assert energies[b] == np.sum(c.data[b * n : (b + 1) * n] ** 2)
     swapped = c.with_data(-c.data)
     np.testing.assert_array_equal(swapped.data, -c.data)
     assert swapped.block_index == c.block_index
