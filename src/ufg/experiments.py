@@ -85,6 +85,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and > 0")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and >= 0")
+        if np.isnan(self.sigma):
+            raise ValueError("sigma must not be NaN (inf allowed)")
         if self.activation not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.pool_mode not in ("sum", "spectrum", "mean"):
@@ -200,12 +208,15 @@ def train_node_single(
     reports its test accuracy. Returns NaN accuracy if the loss diverges.
 
     ``coeff_x`` is ``decompose(op, data.features).data``: layer 1 runs on
-    it (``nn.ufg_input_conv_forward``) and never transforms its
-    hidden-width signal forward. Layer 1's output before dropout is the same
-    in epoch e's evaluation pass and epoch e+1's training pass, so it is
-    computed once and carried over. An epoch then applies the operator 8
-    times, twice at hidden width: layer 1's reconstruct and the decompose of
-    its upstream gradient.
+    it (``nn.ufg_input_conv_forward``) and never decomposes its input.
+    Layer 1's output before dropout is the same in epoch e's evaluation
+    pass and epoch e+1's training pass, so it is computed once and carried
+    over. An epoch then applies the operator 8 times, twice in layer 1:
+    its reconstruct and the decompose of its upstream gradient. With ReLU
+    or no activation and fewer input features than ``hidden``, layer 1
+    reconstructs ``theta * coeff_x`` before projecting, so both run at the
+    input width; with shrinkage, or when the input is at least as wide,
+    it projects first and both run at ``hidden``.
     """
     rng = np.random.default_rng(seed)
     X, labels = data.features, data.labels

@@ -10,8 +10,13 @@ coefficient row by the trainable filter ``theta``, apply the activation in
 the coefficient domain (shrinkage) or after reconstruction (ReLU), and
 reconstruct. ``theta`` has one entry per stacked coefficient row, shared
 across feature columns. ``ufg_input_conv_forward`` is the same layer for a
-fixed input given by its coefficients ``decompose(X)``; both layers share
-one coefficient-domain core for theta, the activation and the bias.
+fixed input given by its coefficients ``C_X = decompose(X)``. With
+shrinkage, or when ``d_in >= d_out``, it projects first and shares the
+coefficient-domain core of ``ufg_conv_forward`` for theta, the activation
+and the bias. With ReLU or no activation and ``d_in < d_out`` it
+reconstructs ``theta * C_X`` first and projects afterwards, so both of its
+operator applications run at the narrower width ``d_in``: theta scales
+rows and W mixes columns, so the two orders give the same layer.
 """
 
 from __future__ import annotations
@@ -84,6 +89,33 @@ def init_params(d_in: int, d_out: int, theta_len: int, rng) -> ConvLayerParams:
     return ConvLayerParams(W=W, theta=theta, bias=bias)
 
 
+def _filtered_stack(
+    theta: np.ndarray, op: DecompositionOperator, coeff: np.ndarray
+) -> CoefficientStack:
+    """``coeff`` with every stacked row scaled by its ``theta`` entry."""
+    if theta.shape[0] != op.num_rows:
+        raise ValueError("theta length must equal stacked row count")
+    return CoefficientStack(
+        data=theta[:, None] * coeff, block_index=op.block_index, num_nodes=op.num_nodes
+    )
+
+
+def _activate(z: np.ndarray, act: LayerActivation, cache: dict) -> np.ndarray:
+    """ReLU or identity after reconstruction; ReLU records its mask."""
+    if act.kind == "relu":
+        cache["relu_mask"] = z > 0.0
+        return np.maximum(z, 0.0)
+    return z
+
+
+def _masked_grad(cache: dict, grad_out: np.ndarray) -> np.ndarray:
+    """Upstream gradient through ``_activate``; ReLU uses subgradient 0 at 0."""
+    g = np.asarray(grad_out, dtype=np.float64)
+    if cache["act"].kind == "relu":
+        g = g * cache["relu_mask"]
+    return g
+
+
 def _coeff_conv_forward(
     params: ConvLayerParams,
     op: DecompositionOperator,
@@ -99,13 +131,8 @@ def _coeff_conv_forward(
     thresholds and its stacks before and after shrinking in the cache
     (``thresholds``, ``filtered``, ``shrunk``).
     """
-    if params.theta.shape[0] != op.num_rows:
-        raise ValueError("theta length must equal stacked row count")
-    filtered = params.theta[:, None] * coeff
+    fstack = _filtered_stack(params.theta, op, coeff)
     cache: dict = {"theta": params.theta, "coeff": coeff, "op": op, "act": act}
-    fstack = CoefficientStack(
-        data=filtered, block_index=op.block_index, num_nodes=op.num_nodes
-    )
     if act.kind == "shrinkage":
         thresholds = (
             stack_thresholds(fstack, act.threshold)
@@ -117,12 +144,7 @@ def _coeff_conv_forward(
         cache["active_mask"] = shrunk.data != 0.0
         cache.update(thresholds=thresholds, filtered=fstack, shrunk=shrunk)
         return y, cache
-    z = reconstruct(op, fstack) + params.bias
-    if act.kind == "relu":
-        y = np.maximum(z, 0.0)
-        cache["relu_mask"] = z > 0.0
-        return y, cache
-    return z, cache
+    return _activate(reconstruct(op, fstack) + params.bias, act, cache), cache
 
 
 def _coeff_conv_backward(
@@ -134,9 +156,7 @@ def _coeff_conv_backward(
     treated as a constant (stop-gradient). ReLU uses subgradient 0 at 0.
     """
     act: LayerActivation = cache["act"]
-    g = np.asarray(grad_out, dtype=np.float64)
-    if act.kind == "relu":
-        g = g * cache["relu_mask"]
+    g = _masked_grad(cache, grad_out)
     dbias = g.sum(axis=0)
     d_filtered = decompose(cache["op"], g).data
     if act.kind == "shrinkage":
@@ -192,6 +212,13 @@ def ufg_conv_backward(
     return dX, dW, dtheta, dbias
 
 
+def _reconstructs_first(act: LayerActivation, W: np.ndarray) -> bool:
+    """Whether the input layer transforms at width ``d_in`` rather than
+    ``d_out``: only when that is narrower and the activation comes after
+    reconstruction (shrinkage acts on the projected coefficients)."""
+    return act.kind != "shrinkage" and W.shape[0] < W.shape[1]
+
+
 def ufg_input_conv_forward(
     params: ConvLayerParams,
     op: DecompositionOperator,
@@ -201,18 +228,31 @@ def ufg_input_conv_forward(
 ) -> tuple[np.ndarray, dict]:
     """``ufg_conv_forward`` on an input given by its coefficients.
 
-    ``coeff_x`` is ``decompose(op, X).data`` for a fixed input X. The
-    transform is linear, so ``decompose(X W) = coeff_x @ W``: the layer
-    decomposes nothing, and a network whose first layer sees the same X
-    every epoch decomposes X once. ``frozen_thresholds`` is as in
-    ``ufg_conv_forward``.
+    ``coeff_x`` is ``decompose(op, X).data`` for a fixed input X, so a
+    network whose first layer sees the same X every epoch decomposes X
+    once. The layer's one reconstruction runs at the narrower of W's two
+    widths where the activation allows:
+
+    - ReLU or none with ``d_in < d_out``: ``R = reconstruct(theta *
+      coeff_x)`` at width ``d_in``, then ``act(R W + bias)``. The cache
+      holds ``R`` (``reconstructed``) instead of the coefficient stack.
+    - Otherwise: ``decompose(X W) = coeff_x @ W`` by linearity, then the
+      activation core of ``ufg_conv_forward``. This is the only order for
+      shrinkage and the cheaper one when ``d_in >= d_out``.
+
+    ``frozen_thresholds`` is as in ``ufg_conv_forward``.
     """
     coeff_x = np.asarray(coeff_x, dtype=np.float64)
     if coeff_x.shape != (op.num_rows, params.W.shape[0]):
         raise ValueError("coeff_x shape does not match the operator and W")
-    y, cache = _coeff_conv_forward(
-        params, op, coeff_x @ params.W, act, frozen_thresholds
-    )
+    if _reconstructs_first(act, params.W):
+        r = reconstruct(op, _filtered_stack(params.theta, op, coeff_x))
+        cache: dict = {"op": op, "act": act, "reconstructed": r, "W": params.W}
+        y = _activate(r @ params.W + params.bias, act, cache)
+    else:
+        y, cache = _coeff_conv_forward(
+            params, op, coeff_x @ params.W, act, frozen_thresholds
+        )
     cache["coeff_x"] = coeff_x
     return y, cache
 
@@ -222,9 +262,17 @@ def ufg_input_conv_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dW, dtheta, dbias) of ``ufg_input_conv_forward``.
 
-    ``dW = coeff_xᵀ d coeff`` needs no reconstruction, and the gradient of
-    the fixed input is not formed.
+    In the reconstruct-first order ``dW = Rᵀ g`` needs no transform, and
+    ``dtheta`` sums ``decompose(g Wᵀ) * coeff_x`` over its row, so the one
+    decompose runs at width ``d_in``. In the project-first order ``dW =
+    coeff_xᵀ d coeff`` needs no reconstruction. The gradient of the fixed
+    input is not formed.
     """
+    if "reconstructed" in cache:
+        g = _masked_grad(cache, grad_out)
+        d_coeff_x = decompose(cache["op"], g @ cache["W"].T).data
+        dtheta = np.sum(d_coeff_x * cache["coeff_x"], axis=1)
+        return cache["reconstructed"].T @ g, dtheta, g.sum(axis=0)
     d_coeff, dtheta, dbias = _coeff_conv_backward(cache, grad_out)
     return cache["coeff_x"].T @ d_coeff, dtheta, dbias
 

@@ -53,9 +53,14 @@ def soft_threshold(x, lam: float):
 
 
 def compute_threshold(num_coefficients: int, sigma: float) -> float:
-    """Universal threshold ``sigma sqrt(2 ln N) / sqrt(N)`` for N coefficients."""
-    if num_coefficients < 2:
-        raise ValueError("need at least 2 coefficients")
+    """Universal threshold ``sigma sqrt(2 ln N) / sqrt(N)`` for N coefficients.
+
+    At N = 1 the rule gives ``sqrt(2 ln 1) = 0``, so the threshold is 0.
+    """
+    if num_coefficients < 1:
+        raise ValueError("need at least 1 coefficient")
+    if num_coefficients == 1:
+        return 0.0
     n = float(num_coefficients)
     return sigma * np.sqrt(2.0 * np.log(n)) / np.sqrt(n)
 

@@ -142,6 +142,47 @@ def test_denoise_reports_mse_against_truth(tmp_path, graph_files, capsys):
     assert read_features_csv(out).shape == (16, 2)
 
 
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+def test_denoise_single_node_graph_is_identity(tmp_path, capsys, mode):
+    # The universal threshold at N = 1 is sigma sqrt(2 ln 1) = 0.
+    gpath, spath, out = (str(tmp_path / n) for n in ("g.txt", "s.csv", "d.csv"))
+    with open(gpath, "w") as fh:
+        fh.write("1 0\n")
+    signal = np.array([[0.7, -1.5]])
+    write_features_csv(signal, spath)
+    assert main(["denoise", "--graph", gpath, "--signal", spath,
+                 "--out", out, "--sigma", "1", "--mode", mode]) == 0
+    assert np.max(np.abs(read_features_csv(out) - signal)) <= ROUNDTRIP_TOL
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--lr", "-1", "lr"), ("--lr", "0", "lr"), ("--lr", "nan", "lr"),
+        ("--lr", "inf", "lr"),
+        ("--weight-decay", "-0.5", "weight_decay"),
+        ("--weight-decay", "nan", "weight_decay"),
+        ("--weight-decay", "inf", "weight_decay"),
+        ("--sigma", "nan", "sigma"),
+        ("--hidden", "0", "hidden"),
+    ],
+)
+def test_train_node_bad_training_numbers_exit_two(
+    monkeypatch, capsys, flag, value, field
+):
+    import ufg.experiments as experiments_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(experiments_mod, "build_node_operator", no_training)
+    argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1",
+            "--seeds", "0", f"{flag}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert field in err and "training started" not in err
+
+
 def test_pool_lengths_match_blocks(tmp_path, graph_files, capsys):
     gpath, spath, _ = graph_files
     out = str(tmp_path / "pooled.csv")

@@ -106,6 +106,26 @@ def test_config_validation(kwargs):
         ExperimentConfig(**kwargs)
 
 
+# Training numbers the config refuses, each with the field its message names.
+BAD_TRAINING_NUMBERS = [
+    ("lr", -1.0), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+    ("weight_decay", -0.5), ("weight_decay", float("nan")),
+    ("weight_decay", float("inf")),
+    ("sigma", float("nan")),
+    ("hidden", 0),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_TRAINING_NUMBERS)
+def test_config_rejects_bad_training_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_accepts_training_number_edges():
+    ExperimentConfig(weight_decay=0.0, sigma=float("inf"), hidden=1, lr=1e-12)
+
+
 def test_layer_activation_variants():
     shr = _layer_activations(ExperimentConfig(activation="shrinkage"))
     assert shr[0].kind == shr[1].kind == "shrinkage"
@@ -213,19 +233,28 @@ def test_build_node_operator_chebyshev_path(sbm_data):
     assert op.num_blocks == 2  # one high-pass level plus low pass
 
 
-@pytest.mark.parametrize("activation", ["relu", "shrinkage"])
-def test_node_model_gradients_through_input_coefficients(sbm_data, activation):
-    cfg = ExperimentConfig(activation=activation, hidden=4)
+# hidden 4 is narrower than the 8 input features, so layer 1 projects
+# first; at hidden 12 a ReLU layer 1 reconstructs first.
+@pytest.mark.parametrize(
+    "activation, hidden",
+    [
+        pytest.param("relu", 4, id="relu"),
+        pytest.param("shrinkage", 4, id="shrinkage"),
+        pytest.param("relu", 12, id="relu-hidden12"),
+    ],
+)
+def test_node_model_gradients_through_input_coefficients(sbm_data, activation, hidden):
+    cfg = ExperimentConfig(activation=activation, hidden=hidden)
     op = build_node_operator(sbm_data, cfg)
     coeff_x = decompose(op, sbm_data.features).data
     acts = _layer_activations(cfg)
     rng = np.random.default_rng(4)
     d_in, classes = sbm_data.features.shape[1], sbm_data.num_classes
     params = {
-        "l1.W": rng.normal(size=(d_in, 4)) / np.sqrt(d_in),
+        "l1.W": rng.normal(size=(d_in, hidden)) / np.sqrt(d_in),
         "l1.theta": rng.uniform(0.9, 1.1, op.num_rows),
-        "l1.bias": rng.normal(size=4),
-        "l2.W": rng.normal(size=(4, classes)) / 2.0,
+        "l1.bias": rng.normal(size=hidden),
+        "l2.W": rng.normal(size=(hidden, classes)) / 2.0,
         "l2.theta": rng.uniform(0.9, 1.1, op.num_rows),
         "l2.bias": rng.normal(size=classes),
     }
@@ -242,6 +271,7 @@ def test_node_model_gradients_through_input_coefficients(sbm_data, activation):
         return logits, (c1, cd, c2)
 
     logits, (c1, cd, c2) = forward(params)
+    assert ("reconstructed" in c1) == (activation == "relu" and hidden > d_in)
     # Shrinkage thresholds are stop-gradient: hold the nominal ones fixed.
     frozen = (c1.get("thresholds"), c2.get("thresholds"))
 
@@ -286,11 +316,22 @@ def _operator_applications(monkeypatch, data, cfg):
     return calls
 
 
-@pytest.mark.parametrize("activation", ["relu", "shrinkage"])
-def test_node_epoch_applies_operator_eight_times(monkeypatch, sbm_data, activation):
-    # hidden differs from the input and class widths, so the widths tell
-    # the layers apart.
-    hidden, classes = 5, sbm_data.num_classes
+# hidden 5 is narrower than the 8 input features and hidden 11 is wider;
+# hidden also differs from the class count, so the widths tell the layers
+# apart.
+@pytest.mark.parametrize(
+    "activation, hidden",
+    [
+        pytest.param("relu", 5, id="relu"),
+        pytest.param("shrinkage", 5, id="shrinkage"),
+        pytest.param("relu", 11, id="relu-hidden11"),
+        pytest.param("shrinkage", 11, id="shrinkage-hidden11"),
+    ],
+)
+def test_node_epoch_applies_operator_eight_times(
+    monkeypatch, sbm_data, activation, hidden
+):
+    d_in, classes = sbm_data.features.shape[1], sbm_data.num_classes
     cfg = ExperimentConfig(activation=activation, hidden=hidden, epochs=3, seeds=(0,))
     short = _operator_applications(monkeypatch, sbm_data, cfg)
     long = _operator_applications(
@@ -298,13 +339,16 @@ def test_node_epoch_applies_operator_eight_times(monkeypatch, sbm_data, activati
     )
     # The two calls share their set-up and differ by one steady-state epoch:
     # layer 2 transforms both ways in each of the three passes, layer 1
-    # reconstructs in the evaluation pass and decomposes its gradient.
+    # reconstructs in the evaluation pass and decomposes its gradient, at
+    # the input width when a ReLU layer 1 widens, else at hidden width.
+    layer1 = d_in if activation == "relu" and hidden > d_in else hidden
     per_epoch = Counter(long)
     per_epoch.subtract(Counter(short))
     assert +per_epoch == Counter({
         ("decompose", classes): 3, ("reconstruct", classes): 3,
-        ("decompose", hidden): 1, ("reconstruct", hidden): 1,
+        ("decompose", layer1): 1, ("reconstruct", layer1): 1,
     })
+    assert sum(per_epoch.values()) == 8
 
 
 # ------------------------------------------------------ graph classification

@@ -1,5 +1,7 @@
 """Layer forward/backward pairs: identities, oracles, gradient fidelity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from ufg.nn import (
     _stencil_crossed_kink,
 )
 from ufg.shrinkage import ThresholdConfig, shrink_stack
-from ufg.transform import decompose
+from ufg.transform import decompose, framelet_operator
 
 GRAD_TOL = 1e-5
 IDENTITY_TOL = 1e-10
@@ -164,29 +166,52 @@ def _rel_err(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-@pytest.mark.parametrize("kind", ["relu", "shrinkage", "none"])
-def test_input_layer_matches_conv_on_decomposed_input(small_operator, kind):
+ACTIVATIONS = ("relu", "shrinkage", "none")
+# d_in < d_out: ReLU and none reconstruct theta * coeff_x first.
+INPUT_LAYER_CASES = [
+    pytest.param(kind, 4, 3, "exact", id=kind) for kind in ACTIVATIONS
+] + [
+    pytest.param(kind, d_in, d_out, mode, id=f"{kind}-{d_in}x{d_out}-{mode}")
+    for kind in ACTIVATIONS
+    for d_in, d_out, mode in ((4, 3, "chebyshev"), (3, 6, "exact"), (3, 6, "chebyshev"))
+]
+
+
+@pytest.mark.parametrize("kind, d_in, d_out, mode", INPUT_LAYER_CASES)
+def test_input_layer_matches_conv_on_decomposed_input(
+    small_graph, small_operator, kind, d_in, d_out, mode
+):
+    operator = (
+        small_operator if mode == "exact"
+        else framelet_operator(small_graph, 2.0, 2, 16, "chebyshev")
+    )
     act = {
         "relu": LayerActivation.relu(),
         "shrinkage": LayerActivation.shrinkage(ThresholdConfig(1.0, "energy_scaled")),
         "none": LayerActivation.none(),
     }[kind]
     rng = np.random.default_rng(3)
-    X = rng.normal(size=(small_operator.num_nodes, 4))
-    params = init_params(4, 3, small_operator.num_rows, rng)
-    params.bias = rng.normal(size=3)
-    grad_out = rng.normal(size=(small_operator.num_nodes, 3))
-    y, cache = ufg_conv_forward(params, small_operator, X, act)
-    coeff_x = decompose(small_operator, X).data
-    y_in, cache_in = ufg_input_conv_forward(params, small_operator, coeff_x, act)
+    X = rng.normal(size=(operator.num_nodes, d_in))
+    params = init_params(d_in, d_out, operator.num_rows, rng)
+    params.bias = rng.normal(size=d_out)
+    grad_out = rng.normal(size=(operator.num_nodes, d_out))
+    y, cache = ufg_conv_forward(params, operator, X, act)
+    coeff_x = decompose(operator, X).data
+    y_in, cache_in = ufg_input_conv_forward(params, operator, coeff_x, act)
     assert _rel_err(y_in, y) <= REASSOC_TOL
-    assert _rel_err(cache_in["coeff"], cache["coeff"]) <= REASSOC_TOL
+    if kind != "shrinkage" and d_in < d_out:
+        # No B*N x d_out coefficient stack is formed or kept.
+        assert "coeff" not in cache_in
+        assert cache_in["reconstructed"].shape == (operator.num_nodes, d_in)
+    else:
+        assert "reconstructed" not in cache_in
+        assert _rel_err(cache_in["coeff"], cache["coeff"]) <= REASSOC_TOL
     for key in ("relu_mask", "active_mask"):
         assert (key in cache_in) == (key in cache)
         if key in cache:
             np.testing.assert_array_equal(cache_in[key], cache[key])
     if kind == "shrinkage":
-        assert cache_in["thresholds"].shape == (small_operator.num_blocks,)
+        assert cache_in["thresholds"].shape == (operator.num_blocks,)
         assert cache_in["thresholds"] == pytest.approx(
             cache["thresholds"], rel=REASSOC_TOL
         )
@@ -204,6 +229,15 @@ def test_input_layer_shape_errors(small_operator, rng):
             params, small_operator, np.zeros((small_operator.num_nodes, 3)),
             LayerActivation.relu(),
         )
+    # Both orders refuse a theta of the wrong length: (3, 6) reconstructs
+    # first under ReLU and none, (4, 3) projects first.
+    for (d_in, d_out), act in itertools.product(
+        [(4, 3), (3, 6)], [LayerActivation.relu(), LayerActivation.none()]
+    ):
+        long = init_params(d_in, d_out, small_operator.num_rows + 1, rng)
+        coeff_x = np.zeros((small_operator.num_rows, d_in))
+        with pytest.raises(ValueError, match="theta length"):
+            ufg_input_conv_forward(long, small_operator, coeff_x, act)
 
 
 def test_conv_gradients_relu(small_operator):

@@ -61,8 +61,10 @@ def test_compute_threshold_frozen_oracles():
         THRESHOLD_N2708_SIGMA1, abs=1e-15
     )
     assert compute_threshold(8, 2.0) == pytest.approx(2 * THRESHOLD_N8_SIGMA1)
-    with pytest.raises(ValueError, match="at least 2"):
-        compute_threshold(1, 1.0)
+    # sqrt(2 ln 1) = 0: one coefficient is never shrunk.
+    assert compute_threshold(1, 1.0) == 0.0
+    with pytest.raises(ValueError, match="at least 1"):
+        compute_threshold(0, 1.0)
 
 
 def test_threshold_config_validation():
