@@ -62,24 +62,38 @@ def _emit_json(obj) -> None:
     print(encode_json(obj))
 
 
+def _parse_token(kind, token: str, text: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise _UsageError(f"invalid {kind.__name__} {token!r} in {text!r}") from None
+
+
 def _parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers and ascending ``lo-hi`` ranges, inclusive."""
     out: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk[1:]:
-            lo, hi = chunk.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+        # A leading minus sign is the start's sign, not the range dash.
+        dash = chunk.find("-", 1)
+        if dash < 0:
+            out.append(_parse_token(int, chunk, text))
+            continue
+        lo = _parse_token(int, chunk[:dash], text)
+        hi = _parse_token(int, chunk[dash + 1 :], text)
+        if hi < lo:
+            raise _UsageError(f"descending range {chunk!r} in {text!r}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise _UsageError(f"empty integer list: {text!r}")
     return out
 
 
 def _parse_float_list(text: str) -> list[float]:
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    tokens = [tok.strip() for tok in text.split(",")]
+    vals = [_parse_token(float, tok, text) for tok in tokens if tok]
     if not vals:
         raise _UsageError(f"empty float list: {text!r}")
     return vals

@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ValueError("weight_decay must be finite and >= 0")
         if np.isnan(self.sigma):
             raise ValueError("sigma must not be NaN (inf allowed)")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be nonempty and distinct, got {self.seeds}")
         if self.activation not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.pool_mode not in ("sum", "spectrum", "mean"):
@@ -552,8 +554,9 @@ def bench_transform(
     Random sparse ER graphs; per size, reports mean and median seconds over
     ``repetitions`` plus the operator's block count. The build is the whole
     ``framelet_operator`` call: Laplacian, Lanczos estimate of the top
-    eigenvalue and block fits. The transform runs matrix-free, one
-    Chebyshev recurrence of degree ``degree + 4 (levels - 1)`` in each
+    eigenvalue and block fits, each repetition on a fresh copy of the
+    graph, whose spectral cache is empty. The transform runs matrix-free,
+    one Chebyshev recurrence of degree ``degree + 4 (levels - 1)`` in each
     direction, whatever the number of high passes. Out-of-memory records
     the size as skipped instead of failing the run.
     """
@@ -570,8 +573,11 @@ def bench_transform(
             build_times = []
             op = None
             for _ in range(repetitions):
+                # An equal graph with an empty cache, so that every build
+                # computes its own Laplacian and estimate.
+                fresh = replace(graph)
                 t0 = time.perf_counter()
-                op = framelet_operator(graph, dilation, levels, degree, "chebyshev")
+                op = framelet_operator(fresh, dilation, levels, degree, "chebyshev")
                 build_times.append(time.perf_counter() - t0)
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(int(n), num_features))

@@ -1,8 +1,20 @@
-"""Undirected weighted graphs, their Laplacians and spectra."""
+"""Undirected weighted graphs, their Laplacians and spectra.
+
+``normalized_laplacian``, ``eigendecompose`` and ``lambda_max`` are plain
+functions that compute on every call. A ``Graph`` also keeps the results
+that depend on it alone: ``Graph.laplacian``, ``Graph.spectrum`` and
+``Graph.lanczos_bound`` are computed on first use and live as long as the
+graph, so every framelet operator built from one ``Graph`` object shares
+one Laplacian and one eigendecomposition or Lanczos run. The exact spectrum
+holds N^2 doubles, at most 32 MB at ``EXACT_SPECTRUM_MAX_NODES``. A graph
+and its arrays must therefore never be mutated; the cached arrays are
+read-only, so a write into one raises ``ValueError``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +41,13 @@ LANCZOS_MIN_NODES = 20
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph with a symmetric adjacency matrix."""
+    """Undirected weighted graph with a symmetric adjacency matrix.
+
+    Immutable: neither the graph nor its adjacency arrays may be changed
+    after construction, because the spectral data below is computed once
+    and kept for the graph's lifetime. ``dataclasses.replace`` gives an
+    equal graph that computes its own.
+    """
 
     num_nodes: int
     adjacency: SparseMatrix = field(repr=False)
@@ -37,6 +55,27 @@ class Graph:
     def __post_init__(self):
         if self.adjacency.shape != (self.num_nodes, self.num_nodes):
             raise ValueError("adjacency shape does not match num_nodes")
+
+    @cached_property
+    def laplacian(self) -> SparseMatrix:
+        """``normalized_laplacian(self)``, computed once; its CSR arrays are
+        read-only."""
+        lap = normalized_laplacian(self)
+        _freeze(lap.csr.data, lap.csr.indices, lap.csr.indptr)
+        return lap
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """``eigendecompose(self.laplacian)``, computed once; its arrays are
+        read-only."""
+        spectrum = eigendecompose(self.laplacian)
+        _freeze(spectrum.values, spectrum.vectors)
+        return spectrum
+
+    @cached_property
+    def lanczos_bound(self) -> float:
+        """``lambda_max(self.laplacian, "lanczos")``, computed once."""
+        return lambda_max(self.laplacian, "lanczos")
 
     @property
     def degrees(self) -> np.ndarray:
@@ -50,6 +89,11 @@ class Graph:
         # int(): a full-array np.count_nonzero returns np.int64 on NumPy 2.
         loops = int(np.count_nonzero(a.diagonal()))
         return (a.nnz - loops) // 2 + loops
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ PERTURB_TARGETS = ("features", "edges")
 class PerturbationSpec:
     """One noise model aimed at either the features or the edge set.
 
-    ``value`` is the model parameter: flip ratio for ``bernoulli_flip``,
-    noise std for ``gaussian``, target edge-count ratio for ``edge_ratio``.
+    ``value`` is the model parameter, finite and nonnegative: flip ratio for
+    ``bernoulli_flip``, noise std for ``gaussian``, target edge-count ratio
+    for ``edge_ratio``.
     """
 
     target: str
@@ -40,8 +41,10 @@ class PerturbationSpec:
             raise ValueError(f"target must be one of {PERTURB_TARGETS}")
         if self.model not in PERTURB_MODELS:
             raise ValueError(f"model must be one of {PERTURB_MODELS}")
-        if self.value < 0:
-            raise ValueError("model parameter must be nonnegative")
+        if not (np.isfinite(self.value) and self.value >= 0):
+            raise ValueError(
+                f"model parameter must be finite and nonnegative, got {self.value}"
+            )
         expected_target = "edges" if self.model == "edge_ratio" else "features"
         if self.target != expected_target:
             raise ValueError(f"model {self.model!r} targets {expected_target!r}")

@@ -30,7 +30,8 @@ rank-1 update that adds the step's term to all blocks; an adjoint step is
 one product by ``S`` and one in-place BLAS axpy per block. Each direction
 costs ``recurrence_degree`` sparse products for any number of levels and
 high passes.
-``framelet_operator`` builds either backend from a graph.
+``framelet_operator`` builds either backend from a graph, from the
+Laplacian and spectrum or Lanczos estimate that the ``Graph`` caches.
 """
 
 from __future__ import annotations
@@ -344,14 +345,20 @@ def framelet_operator(
     from the Lanczos estimate of ``graphs.lambda_max`` in Chebyshev mode,
     which never computes a spectrum. The estimate sets K only; the
     Chebyshev fits use the certified interval ``[0, 2]``.
+
+    The Laplacian, spectrum and estimate are the graph's cached
+    ``laplacian``, ``spectrum`` and ``lanczos_bound``: every operator built
+    from one ``Graph`` object, in either mode and at any dilation, levels
+    or degree, shares one Laplacian and one eigendecomposition or Lanczos
+    run, kept as long as the graph lives. The graph must not be mutated.
     """
-    lap = graphs.normalized_laplacian(graph)
+    lap = graph.laplacian
     spectrum = None
     if mode == "exact":
-        spectrum = graphs.eigendecompose(lap)
+        spectrum = graph.spectrum
         lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
     else:
-        lam = graphs.lambda_max(lap, "lanczos")
+        lam = graph.lanczos_bound
     system = make_system(haar_filter_bank(), lam, dilation, levels, degree, mode)
     return build_operators(system, lap, spectrum)
 

@@ -17,7 +17,7 @@ from numpy.polynomial.chebyshev import chebval
 from .datasets import GaussianFeatures, generate_sbm, random_er_graph
 from .experiments import ExperimentConfig, train_node_classifier
 from .filters import chebyshev_fit, haar_filter_bank, verify_refinement
-from .graphs import eigendecompose, lambda_max, normalized_laplacian
+from .graphs import lambda_max
 from .nn import (
     LayerActivation,
     ConvLayerParams,
@@ -40,6 +40,7 @@ from .transform import (
     build_operators,
     block_energies,
     decompose,
+    framelet_operator,
     make_system,
     reconstruct,
 )
@@ -63,8 +64,8 @@ def _explicit(op) -> np.ndarray:
 def _fixtures(n: int, seed: int, mode: str):
     rng = np.random.default_rng(seed)
     graph = random_er_graph(n, avg_degree=6.0, rng=rng)
-    lap = normalized_laplacian(graph)
-    spectrum = eigendecompose(lap)
+    # K comes from the exact top eigenvalue in both modes.
+    lap, spectrum = graph.laplacian, graph.spectrum
     lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
     system = make_system(haar_filter_bank(), lam, levels=2, mode=mode)
     op = build_operators(system, lap, spectrum if mode == "exact" else None)
@@ -138,7 +139,7 @@ def _check_laplacian_spectrum(fx):
 def _check_lambda_max_bounds(fx):
     exact = lambda_max(fx["lap"], "exact")
     # The estimate framelet_operator takes K from in Chebyshev mode.
-    lanczos = lambda_max(fx["lap"], "lanczos")
+    lanczos = fx["graph"].lanczos_bound
     gersh = fx["lap"].gershgorin_bound()
     ok = exact - 1e-6 <= lanczos <= gersh + 1e-12
     return ok, f"exact {exact:.6f} <= lanczos {lanczos:.6f} <= gershgorin {gersh:.6f}"
@@ -302,12 +303,7 @@ def _check_sigma_zero_ab(fx):
 def _check_gradients(fx):
     rng = np.random.default_rng(11)
     n, d, dd = 12, 3, 2
-    graph = random_er_graph(n, avg_degree=3.0, rng=rng)
-    lap = normalized_laplacian(graph)
-    spectrum = eigendecompose(lap)
-    lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
-    system = make_system(haar_filter_bank(), lam, levels=2, mode="exact")
-    op = build_operators(system, lap, spectrum)
+    op = framelet_operator(random_er_graph(n, avg_degree=3.0, rng=rng), levels=2)
     X = rng.normal(size=(n, d))
     labels = rng.integers(0, dd, size=n)
     params = init_params(d, dd, op.num_rows, rng)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through ``main(argv)`` with temp files."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -155,6 +156,15 @@ def test_denoise_single_node_graph_is_identity(tmp_path, capsys, mode):
     assert np.max(np.abs(read_features_csv(out) - signal)) <= ROUNDTRIP_TOL
 
 
+def _no_training(monkeypatch):
+    import ufg.experiments as experiments_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(experiments_mod, "build_node_operator", no_training)
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [
@@ -170,17 +180,49 @@ def test_denoise_single_node_graph_is_identity(tmp_path, capsys, mode):
 def test_train_node_bad_training_numbers_exit_two(
     monkeypatch, capsys, flag, value, field
 ):
-    import ufg.experiments as experiments_mod
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(experiments_mod, "build_node_operator", no_training)
+    _no_training(monkeypatch)
     argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1",
             "--seeds", "0", f"{flag}={value}"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert field in err and "training started" not in err
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--seeds", "0-2,5-3"], "descending range '5-3'"),
+        (["--seeds", "x"], "invalid int 'x'"),
+        (["--seeds", "0,1-y"], "invalid int 'y'"),
+        (["--sbm-sizes", "10,ten"], "invalid int 'ten'"),
+    ],
+)
+def test_train_node_bad_list_flags_exit_one(monkeypatch, capsys, extra, named):
+    _no_training(monkeypatch)
+    argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1",
+            "--seeds", "0", *extra]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert named in err and "training started" not in err
+
+
+def test_sweep_bad_dilation_grid_exits_one(tmp_path, monkeypatch, capsys):
+    _no_training(monkeypatch)
+    out = str(tmp_path / "sweep.csv")
+    argv = ["sweep", "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0",
+            "--dilation-grid", "2,abc", "--scale-grid", "1", "--out", out]
+    assert main(argv) == 1
+    assert "invalid float 'abc'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_train_node_duplicate_seeds_exit_two(monkeypatch, capsys):
+    _no_training(monkeypatch)
+    argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1",
+            "--seeds", "1,1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "distinct" in err and "training started" not in err
 
 
 def test_pool_lengths_match_blocks(tmp_path, graph_files, capsys):
@@ -257,6 +299,33 @@ def test_perturb_edge_ratio_reports_integer_edge_counts(tmp_path, capsys):
     assert type(summary["edges_after"]) is int
     assert summary["edges_before"] == read_graph_text(gpath).num_edges
     assert summary["edges_after"] == read_graph_text(out_graph).num_edges
+
+
+@pytest.mark.parametrize(
+    "target, model, value",
+    [
+        ("features", "gaussian", "nan"),
+        ("features", "gaussian", "inf"),
+        ("features", "gaussian", "1e400"),
+        ("edges", "edge_ratio", "nan"),
+    ],
+)
+def test_perturb_non_finite_value_exits_two_and_writes_nothing(
+    tmp_path, capsys, target, model, value
+):
+    gpath = str(tmp_path / "g.txt")
+    fpath = str(tmp_path / "x.csv")
+    write_graph_text(random_er_graph(12, 3.0, np.random.default_rng(2)), gpath)
+    write_features_csv(np.ones((12, 2)), fpath)
+    outs = [str(tmp_path / "gp.txt"), str(tmp_path / "xp.csv")]
+    code = main(
+        ["perturb", "--graph", gpath, "--features", fpath, "--target", target,
+         "--model", model, "--value", value,
+         "--out-graph", outs[0], "--out-features", outs[1]]
+    )
+    assert code == 2
+    assert "finite and nonnegative" in capsys.readouterr().err
+    assert not any(os.path.exists(p) for p in outs)
 
 
 def test_json_writer_converts_numpy_scalars(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ufg import experiments, nn
+from ufg import experiments, graphs, nn
 from ufg.datasets import (
     GaussianFeatures,
     GraphSample,
@@ -126,6 +126,12 @@ def test_config_accepts_training_number_edges():
     ExperimentConfig(weight_decay=0.0, sigma=float("inf"), hidden=1, lr=1e-12)
 
 
+@pytest.mark.parametrize("seeds", [(), (1, 1), (0, 1, 2, 1)])
+def test_config_rejects_empty_or_duplicate_seeds(seeds):
+    with pytest.raises(ValueError, match="nonempty and distinct"):
+        ExperimentConfig(seeds=seeds)
+
+
 def test_layer_activation_variants():
     shr = _layer_activations(ExperimentConfig(activation="shrinkage"))
     assert shr[0].kind == shr[1].kind == "shrinkage"
@@ -195,6 +201,31 @@ def test_node_classifier_smoke_and_bitwise_determinism(sbm_data, quick_config):
     assert rec1.per_seed == rec2.per_seed
     assert rec1.extra["task"] == "sbm_node"
     assert rec1.extra["activation"] == "relu"
+
+
+def test_relu_then_shrinkage_on_one_dataset_eigendecomposes_once(monkeypatch):
+    def dataset():
+        return generate_sbm([20, 20], 0.4, 0.05, GaussianFeatures(4), seed=3)
+
+    calls = []
+    real = graphs.eigendecompose
+
+    def counting(lap):
+        calls.append(lap.num_rows)
+        return real(lap)
+
+    monkeypatch.setattr(graphs, "eigendecompose", counting)
+    data = dataset()
+    relu = ExperimentConfig(epochs=3, seeds=(0, 1), hidden=4)
+    shrink = dataclasses.replace(relu, activation="shrinkage")
+    train_node_classifier(data, relu)
+    cached = train_node_classifier(data, shrink)
+    assert calls == [40]
+    # The shared spectrum changes nothing: a fresh equal dataset, which
+    # eigendecomposes again, trains to the same record.
+    fresh = train_node_classifier(dataset(), shrink)
+    assert (fresh.per_seed, fresh.extra) == (cached.per_seed, cached.extra)
+    assert calls == [40, 40]
 
 
 def test_node_classifier_beats_label_shuffle(sbm_data, quick_config):
@@ -561,6 +592,19 @@ def test_bench_transform_rows():
         assert row["build_mean_s"] >= 0.0
         assert row["transform_median_s"] >= 0.0
         assert row["blocks"] == 2  # levels=1 default: 1 high + low
+
+
+def test_bench_transform_times_every_build_from_an_empty_cache(monkeypatch):
+    calls = []
+    real = graphs.lambda_max
+
+    def counting(lap, method="exact"):
+        calls.append(method)
+        return real(lap, method)
+
+    monkeypatch.setattr(graphs, "lambda_max", counting)
+    bench_transform([30], repetitions=3, seed=0)
+    assert calls == ["lanczos"] * 3
 
 
 def test_bench_transform_rejects_descending_sizes():

@@ -332,3 +332,51 @@ def test_eigendecompose_rejects_indefinite():
     neg = SparseMatrix.from_scipy(np.diag([-1.0, 1.0]))
     with pytest.raises(ValueError, match="not PSD"):
         eigendecompose(neg)
+
+
+# ----------------------------------------------------------- spectral cache
+
+def test_graph_spectral_cache_is_bitwise_the_uncached_functions():
+    g = random_er_graph(40, 4.0, np.random.default_rng(8))
+    lap = normalized_laplacian(g)
+    assert g.laplacian is g.laplacian
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(
+            getattr(g.laplacian.csr, name), getattr(lap.csr, name), strict=True
+        )
+    spec = eigendecompose(lap)
+    assert g.spectrum is g.spectrum
+    np.testing.assert_array_equal(g.spectrum.values, spec.values, strict=True)
+    np.testing.assert_array_equal(g.spectrum.vectors, spec.vectors, strict=True)
+    assert g.lanczos_bound == lambda_max(lap, "lanczos")
+
+
+def test_graph_spectral_cache_arrays_are_read_only():
+    g = random_er_graph(20, 3.0, np.random.default_rng(9))
+    arrays = {
+        "laplacian.data": g.laplacian.csr.data,
+        "laplacian.indices": g.laplacian.csr.indices,
+        "laplacian.indptr": g.laplacian.csr.indptr,
+        "spectrum.values": g.spectrum.values,
+        "spectrum.vectors": g.spectrum.vectors,
+    }
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        assert np.any(a != 0), name
+    # The plain functions still hand out arrays of their own.
+    assert normalized_laplacian(g).csr.data.flags.writeable
+    assert eigendecompose(g.laplacian).vectors.flags.writeable
+
+
+def test_perturbed_graph_computes_its_own_spectrum():
+    g = random_er_graph(30, 4.0, np.random.default_rng(10))
+    before = g.spectrum
+    spec = PerturbationSpec("edges", "edge_ratio", 0.7, seed=1)
+    h, _ = perturb(g, np.ones((30, 1)), spec)
+    assert h is not g
+    assert h.spectrum is not before
+    expected = eigendecompose(normalized_laplacian(h))
+    np.testing.assert_array_equal(h.spectrum.values, expected.values)
+    assert not np.array_equal(h.spectrum.values, before.values)
+    assert g.spectrum is before

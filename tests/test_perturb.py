@@ -30,6 +30,22 @@ def test_spec_validation():
         PerturbationSpec("features", "edge_ratio", 0.5)
 
 
+@pytest.mark.parametrize(
+    "target, model, value",
+    [
+        ("features", "gaussian", float("nan")),
+        ("features", "gaussian", float("inf")),
+        ("features", "bernoulli_flip", float("-inf")),
+        ("edges", "edge_ratio", float("nan")),
+        ("edges", "edge_ratio", float("inf")),
+        ("edges", "edge_ratio", -1.0),
+    ],
+)
+def test_spec_requires_finite_nonnegative_value(target, model, value):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        PerturbationSpec(target, model, value)
+
+
 def test_bernoulli_requires_binary(er, rng):
     X = rng.normal(size=(30, 4))
     with pytest.raises(ValueError, match="0/1"):

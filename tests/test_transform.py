@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
-from ufg import transform
+from ufg import graphs, transform
 from ufg.datasets import GaussianFeatures, generate_sbm, random_er_graph
 from ufg.filters import FilterBank, SpectralFunction, chebyshev_fit, haar_filter_bank
 from ufg.graphs import build_graph, eigendecompose, lambda_max, normalized_laplacian
@@ -505,3 +505,62 @@ def test_chebyshev_operator_never_multiplies_sparse_matrices(monkeypatch):
     X = data.features
     back = reconstruct(op, decompose(op, X))
     assert np.linalg.norm(back - X) / np.linalg.norm(X) <= 1e-6
+
+
+# --------------------------------------------- one spectrum per Graph object
+
+def _count_calls(monkeypatch, *names):
+    """Count calls to the named ``ufg.graphs`` functions, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(graphs, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "mode, solver", [("exact", "eigendecompose"), ("chebyshev", "lambda_max")]
+)
+def test_framelet_operator_computes_spectral_data_once_per_graph(
+    monkeypatch, mode, solver
+):
+    calls = _count_calls(monkeypatch, "normalized_laplacian", solver)
+    g = random_er_graph(30, 4.0, np.random.default_rng(12))
+    first = framelet_operator(g, levels=2, mode=mode)
+    second = framelet_operator(g, dilation=1.5, levels=3, degree=8, mode=mode)
+    assert calls == {"normalized_laplacian": 1, solver: 1}
+    assert first.lap is second.lap is g.laplacian
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+def test_cached_operator_is_bitwise_a_fresh_build(mode):
+    def graph():
+        return random_er_graph(40, 4.0, np.random.default_rng(13))
+
+    g = graph()
+    framelet_operator(g, mode=mode)  # fills the cache
+    cached = framelet_operator(g, levels=3, mode=mode)
+    fresh = framelet_operator(graph(), levels=3, mode=mode)
+    for name in ("K", "lam_max"):
+        assert getattr(cached.system, name) == getattr(fresh.system, name)
+    np.testing.assert_array_equal(
+        cached.system.chebyshev_coeffs, fresh.system.chebyshev_coeffs, strict=True
+    )
+    if mode == "exact":
+        np.testing.assert_array_equal(cached.stack, fresh.stack, strict=True)
+    else:
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(
+                getattr(cached.recurrence.csr, name),
+                getattr(fresh.recurrence.csr, name),
+                strict=True,
+            )
+    X = np.random.default_rng(14).normal(size=(40, 3))
+    c = decompose(cached, X)
+    np.testing.assert_array_equal(c.data, decompose(fresh, X).data, strict=True)
+    np.testing.assert_array_equal(reconstruct(cached, c), reconstruct(fresh, c))
