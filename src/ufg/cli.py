@@ -144,13 +144,18 @@ def _cmd_reconstruct(args) -> int:
     stack = io.read_coefficients(args.coeffs)
     op = _operator(graph, args)
     signal = transform.reconstruct(op, stack)
-    io.write_features_csv(signal, args.out)
     summary = {"nodes": graph.num_nodes, "out": args.out}
     if args.reference:
         ref = io.read_features_csv(args.reference)
+        if ref.shape != signal.shape:
+            raise ValueError(
+                f"reference shape {ref.shape} does not match the signal shape "
+                f"{signal.shape}"
+            )
         denom = float(np.linalg.norm(ref))
         err = float(np.linalg.norm(signal - ref))
         summary["relative_error"] = err / denom if denom else err
+    io.write_features_csv(signal, args.out)
     _emit_json(summary)
     return 0
 
@@ -245,14 +250,9 @@ def _cmd_train_node(args) -> int:
 def _cmd_train_graph(args) -> int:
     from . import datasets, experiments, io
 
-    if args.task == "cycles-stars":
-        samples = datasets.cycles_and_stars(
-            num_per_class=args.num_per_class, seed=args.data_seed
-        )
-    else:
-        samples = datasets.sbm_graph_family(
-            num_per_class=args.num_per_class, seed=args.data_seed
-        )
+    make = {"cycles-stars": datasets.cycles_and_stars,
+            "sbm-family": datasets.sbm_graph_family}[args.task]
+    samples = make(num_per_class=args.num_per_class, seed=args.data_seed)
     config = _experiment_config(args, task=args.task)
     sink = [] if args.metrics_out else None
     record = experiments.train_graph_classifier(samples, config, metrics_sink=sink)
@@ -331,19 +331,12 @@ def _cmd_bench(args) -> int:
     )
     for row in rows:
         _emit_json(row)
-    plot_rows = []
-    for row in rows:
-        if row.get("status") != "ok":
-            continue
-        for series in ("build", "transform"):
-            plot_rows.append(
-                {
-                    "n": row["n"],
-                    "series": series,
-                    "mean_s": row[f"{series}_mean_s"],
-                    "median_s": row[f"{series}_median_s"],
-                }
-            )
+    plot_rows = [
+        {"n": row["n"], "series": series, "mean_s": row[f"{series}_mean_s"],
+         "median_s": row[f"{series}_median_s"]}
+        for row in rows if row.get("status") == "ok"
+        for series in ("build", "transform")
+    ]
     if args.out and plot_rows:
         io.emit_plot_data(plot_rows, "bench", args.out)
     return 0

@@ -65,35 +65,49 @@ class BinaryFeatures:
     p_background: float = 0.05
 
 
-def random_er_graph(num_nodes: int, avg_degree: float, rng) -> Graph:
-    """Erdos-Renyi graph with edge probability ``avg_degree / (n - 1)``.
+def sample_pairs(n: int, m: int, rng, taken: np.ndarray | None = None) -> np.ndarray:
+    """``m`` distinct pairs ``u < v``, coded ``u * n + v``, drawn uniformly
+    from those whose code is not in ``taken``, in draw order.
 
-    Small graphs sample every pair; large ones draw the binomial edge count
-    and then that many distinct pairs, which is equivalent in distribution
-    up to the pair-rejection and far cheaper than n^2 coin flips.
+    A batch draws ``2 * need / q + 8`` values of ``u``, then of ``v``, with
+    ``q`` the share of all pairs still free (about 1 while sparse), so it
+    yields about ``2 * need`` new pairs even near a complete graph. Loops,
+    taken codes and repeats are dropped (Batagelj & Brandes 2005). Raises
+    ``ValueError`` if fewer than ``m`` pairs are free.
+    """
+    taken = np.empty(0, dtype=np.int64) if taken is None else np.asarray(taken)
+    pairs = n * (n - 1) // 2
+    free = pairs - taken.size
+    if m > free:
+        raise ValueError(f"{m} pairs exceeds the number of available pairs ({free})")
+    codes = np.empty(0, dtype=np.int64)
+    while codes.size < m:
+        need = m - codes.size
+        size = 2 * need * pairs // (free - codes.size) + 8
+        u = rng.integers(0, n, size=size)
+        v = rng.integers(0, n, size=size)
+        drawn = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]
+        merged = np.concatenate([codes, drawn[~np.isin(drawn, taken)]])
+        _, first = np.unique(merged, return_index=True)
+        codes = merged[np.sort(first)][:m]
+    return codes
+
+
+def random_er_graph(num_nodes: int, avg_degree: float, rng) -> Graph:
+    """Erdos-Renyi graph G(n, p) with ``p = min(1, avg_degree / (n - 1))``.
+
+    Draws the binomial edge count, then that many distinct pairs with
+    ``sample_pairs``. Given its edge count, a G(n, p) edge set is a uniform
+    subset of that size, so the result is exactly G(n, p), at a cost linear
+    in the edge count rather than n^2 coin flips.
     """
     rng = np.random.default_rng(rng)
     n = num_nodes
     if n < 2:
         return build_graph(n, [])
     p = min(1.0, avg_degree / (n - 1))
-    if n <= 600:
-        upper = np.triu(rng.random((n, n)) < p, k=1)
-        return build_graph(n, _unit_edges(*np.nonzero(upper)))
-    num_pairs = n * (n - 1) // 2
-    m = int(rng.binomial(num_pairs, p))
-    # Pair (u < v) is coded u * n + v: the first m distinct codes in draw
-    # order, sorted, are the edge list in (u, v) order.
-    codes = np.empty(0, dtype=np.int64)
-    while codes.size < m:
-        need = m - codes.size
-        u = rng.integers(0, n, size=2 * need + 8)
-        v = rng.integers(0, n, size=2 * need + 8)
-        drawn = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]
-        merged = np.concatenate([codes, drawn])
-        _, first = np.unique(merged, return_index=True)
-        codes = merged[np.sort(first)][:m]
-    codes = np.sort(codes)
+    m = int(rng.binomial(n * (n - 1) // 2, p))
+    codes = sample_pairs(n, m, rng)
     return build_graph(n, _unit_edges(codes // n, codes % n))
 
 

@@ -30,7 +30,6 @@ from .nn import (
     dropout_forward,
     gcn_conv_backward,
     gcn_conv_forward,
-    gcn_norm_adjacency,
     init_params,
     mlp_backward,
     mlp_forward,
@@ -339,9 +338,7 @@ def _graph_union(samples: list[GraphSample], config: ExperimentConfig) -> _Graph
         )
     return _GraphUnion(
         norm_adj=SparseMatrix.from_scipy(
-            sp.block_diag(
-                [gcn_norm_adjacency(s.graph).csr for s in samples], format="csr"
-            )
+            sp.block_diag([s.graph.gcn_adjacency.csr for s in samples], format="csr")
         ),
         features=np.vstack([s.features for s in samples]),
         labels=np.array([s.label for s in samples]),
@@ -489,6 +486,10 @@ def denoise_signal(
     operator ``op`` of the signal's graph.
     """
     noisy = np.asarray(noisy_signal, dtype=np.float64)
+    if truth is not None and np.shape(truth) != noisy.shape:
+        raise ValueError(
+            f"truth shape {np.shape(truth)} does not match the signal shape {noisy.shape}"
+        )
     squeeze = noisy.ndim == 1
     if squeeze:
         noisy = noisy[:, None]
@@ -497,9 +498,7 @@ def denoise_signal(
     denoised = reconstruct(op, shrunk)
     report: dict = {"sigma": sigma}
     if truth is not None:
-        t = np.asarray(truth, dtype=np.float64)
-        if t.ndim == 1:
-            t = t[:, None]
+        t = np.asarray(truth, dtype=np.float64).reshape(noisy.shape)
         report["mse_denoised"] = float(np.mean((denoised - t) ** 2))
         report["mse_noisy"] = float(np.mean((noisy - t) ** 2))
     if squeeze:

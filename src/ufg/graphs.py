@@ -1,12 +1,12 @@
 """Undirected weighted graphs, their Laplacians and spectra.
 
-``normalized_laplacian``, ``eigendecompose`` and ``lambda_max`` are plain
-functions that compute on every call. A ``Graph`` also keeps the results
-that depend on it alone: ``Graph.laplacian``, ``Graph.spectrum`` and
-``Graph.lanczos_bound`` are computed on first use and live as long as the
-graph, so every framelet operator built from one ``Graph`` object shares
-one Laplacian and one eigendecomposition or Lanczos run. The exact spectrum
-holds N^2 doubles, at most 32 MB at ``EXACT_SPECTRUM_MAX_NODES``. A graph
+``normalized_laplacian``, ``gcn_norm_adjacency``, ``eigendecompose`` and
+``lambda_max`` compute on every call. A ``Graph`` also keeps what depends on
+it alone: ``laplacian``, ``gcn_adjacency``, ``spectrum`` and
+``lanczos_bound`` are computed on first use and live as long as the graph,
+so every operator or classifier built from one ``Graph`` object shares
+them. The exact spectrum holds N^2 doubles, at most 32 MB at
+``EXACT_SPECTRUM_MAX_NODES``. A graph
 and its arrays must therefore never be mutated; the cached arrays are
 read-only, so a write into one raises ``ValueError``.
 """
@@ -65,6 +65,14 @@ class Graph:
         return lap
 
     @cached_property
+    def gcn_adjacency(self) -> SparseMatrix:
+        """``gcn_norm_adjacency(self)``, computed once; its CSR arrays are
+        read-only."""
+        adj = gcn_norm_adjacency(self)
+        _freeze(adj.csr.data, adj.csr.indices, adj.csr.indptr)
+        return adj
+
+    @cached_property
     def spectrum(self) -> Spectrum:
         """``eigendecompose(self.laplacian)``, computed once; its arrays are
         read-only."""
@@ -115,15 +123,12 @@ class Spectrum:
         return (self.vectors * fvals) @ self.vectors.T
 
 
-def build_graph(
-    num_nodes: int, edges: ArrayLike, add_self_loops: bool = False
-) -> Graph:
+def build_graph(num_nodes: int, edges: ArrayLike) -> Graph:
     """Assemble an undirected graph from weighted ``(u, v, w)`` edge rows.
 
     Each ``(u, v, w)`` contributes ``w`` to both ``A[u, v]`` and ``A[v, u]``;
     duplicate pairs accumulate by summation. Self loops in the input are kept
-    once on the diagonal. ``add_self_loops`` adds unit weight to every
-    diagonal entry after assembly.
+    once on the diagonal.
 
     Parameters
     ----------
@@ -133,8 +138,6 @@ def build_graph(
         One ``(u, v, w)`` row per edge, e.g. an ``(M, 3)`` array or a list of
         triples; endpoints are truncated to integers. Weights must be
         positive and finite. The first bad row in input order is reported.
-    add_self_loops : bool
-        If True, add ``1.0`` to each diagonal entry.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be nonnegative")
@@ -161,11 +164,6 @@ def build_graph(
     rows = np.column_stack([u, v])[keep]
     cols = np.column_stack([v, u])[keep]
     vals = np.column_stack([w, w])[keep]
-    if add_self_loops:
-        diag = np.arange(num_nodes)
-        rows = np.concatenate([rows, diag])
-        cols = np.concatenate([cols, diag])
-        vals = np.concatenate([vals, np.ones(num_nodes)])
     coo = sp.coo_array((vals, (rows, cols)), shape=(num_nodes, num_nodes))
     return Graph(num_nodes=num_nodes, adjacency=SparseMatrix.from_scipy(coo))
 
@@ -187,6 +185,15 @@ def normalized_laplacian(graph: Graph) -> SparseMatrix:
     # Symmetrize to scrub roundoff from the two-sided scaling.
     lap = (lap + lap.T) * 0.5
     return SparseMatrix.from_scipy(lap)
+
+
+def gcn_norm_adjacency(graph: Graph) -> SparseMatrix:
+    """Self-loop-augmented symmetric normalization ``D~^{-1/2}(A+I)D~^{-1/2}``."""
+    a_tilde = graph.adjacency.add(SparseMatrix.identity(graph.num_nodes))
+    deg = np.asarray(a_tilde.csr.sum(axis=1)).ravel()
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    scaled = a_tilde.csr.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
+    return SparseMatrix.from_scipy(scaled)
 
 
 def lambda_max(lap: SparseMatrix, method: str = "exact") -> float:

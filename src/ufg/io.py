@@ -7,7 +7,7 @@ Formats (all little-endian, all floats 64-bit):
 - Features CSV: one row per node, comma-separated floats, no header.
   Floats are written with ``repr`` (shortest round-trip, 17 significant
   digits), so write-read is exact.
-- Labels text: one integer per line.
+- Labels text: one nonnegative integer (class id) per line.
 - Coefficient file: magic ``UFGC``, version u32, then N, d (features),
   n (high passes), J (levels) as u32, the block map as (r, j) u32 pairs in
   stack order, then the row-major f64 payload. Bitwise round-trip.
@@ -143,6 +143,8 @@ def read_labels_text(path: str) -> np.ndarray:
                 labels.append(int(line))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: labels must be integers") from None
+            if labels[-1] < 0:
+                raise ValueError(f"{path}:{lineno}: labels must be nonnegative")
     return np.asarray(labels, dtype=np.int64)
 
 

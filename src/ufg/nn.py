@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import gcn_norm_adjacency  # re-exported; it lives with the Laplacian
 from .shrinkage import ThresholdConfig, shrink_stack, stack_thresholds
 from .sparse import SparseMatrix
 from .transform import CoefficientStack, DecompositionOperator, decompose, reconstruct
@@ -275,15 +275,6 @@ def ufg_input_conv_backward(
         return cache["reconstructed"].T @ g, dtheta, g.sum(axis=0)
     d_coeff, dtheta, dbias = _coeff_conv_backward(cache, grad_out)
     return cache["coeff_x"].T @ d_coeff, dtheta, dbias
-
-
-def gcn_norm_adjacency(graph: Graph) -> SparseMatrix:
-    """Self-loop-augmented symmetric normalization ``D~^{-1/2}(A+I)D~^{-1/2}``."""
-    a_tilde = graph.adjacency.add(SparseMatrix.identity(graph.num_nodes))
-    deg = np.asarray(a_tilde.csr.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    scaled = a_tilde.csr.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
-    return SparseMatrix.from_scipy(scaled)
 
 
 def gcn_conv_forward(

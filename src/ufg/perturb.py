@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import sample_pairs
 from .graphs import Graph, build_graph
 
 PERTURB_MODELS = ("bernoulli_flip", "gaussian", "edge_ratio")
@@ -57,10 +58,12 @@ def perturb(
 
     ``bernoulli_flip`` requires 0/1 features and flips entries with the
     probability described in the module docstring. ``gaussian`` adds
-    N(0, value^2) to every entry. ``edge_ratio`` removes random edges when
-    value < 1 and adds random non-edges when value > 1, targeting
-    ``round(value * |E|)`` pairs; self loops and weights of surviving edges
-    are preserved, added edges get unit weight.
+    N(0, value^2) to every entry. ``edge_ratio`` targets
+    ``round(value * |E|)`` pairs: below 1 it keeps a uniform subset of the
+    edges, above 1 it adds non-edges drawn uniformly by
+    ``datasets.sample_pairs``, and raises ``ValueError`` when too few pairs
+    are free. Self loops and the weights of kept edges are preserved; added
+    edges get unit weight.
     """
     features = np.asarray(features, dtype=np.float64)
     rng = np.random.default_rng(spec.seed)
@@ -92,23 +95,8 @@ def perturb(
     if target <= m:
         edges = pairs[np.sort(rng.choice(m, size=target, replace=False))]
     else:
-        need = target - m
-        if need > n * (n - 1) // 2 - m:
-            raise ValueError("target ratio exceeds the number of available pairs")
         # Pair (u < v) is coded u * n + v.
-        existing = set((row * n + col)[upper].tolist())
-        added: list[int] = []
-        while len(added) < need:
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n))
-            if u == v:
-                continue
-            code = min(u, v) * n + max(u, v)
-            if code in existing:
-                continue
-            existing.add(code)
-            added.append(code)
-        codes = np.array(added, dtype=np.int64)
-        new_edges = np.column_stack([codes // n, codes % n, np.ones(need)])
+        codes = sample_pairs(n, target - m, rng, taken=(row * n + col)[upper])
+        new_edges = np.column_stack([codes // n, codes % n, np.ones(codes.size)])
         edges = np.concatenate([pairs, new_edges])
     return build_graph(n, np.concatenate([edges, loops])), features

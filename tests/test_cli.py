@@ -2,12 +2,15 @@
 
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ufg.verify as verify_mod
-from ufg.cli import _build_parser, _emit_json, _experiment_config, main
+from ufg.cli import _build_parser, _emit_json, _experiment_config, _UsageError, main
 from ufg.datasets import random_er_graph
 from ufg.experiments import ExperimentConfig
 from ufg.io import (
@@ -141,6 +144,45 @@ def test_denoise_reports_mse_against_truth(tmp_path, graph_files, capsys):
     assert set(report) >= {"sigma", "mse_denoised", "mse_noisy", "out"}
     assert report["mse_noisy"] == 0.0  # truth file is the input itself
     assert read_features_csv(out).shape == (16, 2)
+
+
+@pytest.fixture
+def path_files(tmp_path):
+    """A 4-node path graph and a 2-column signal on it."""
+    gpath, spath = str(tmp_path / "path.txt"), str(tmp_path / "x.csv")
+    with open(gpath, "w") as fh:
+        fh.write("4 3\n0 1\n1 2\n2 3\n")
+    write_features_csv(np.arange(8.0).reshape(4, 2), spath)
+    return gpath, spath
+
+
+def test_denoise_truth_of_another_shape_exits_two(tmp_path, path_files, capsys):
+    gpath, spath = path_files
+    tpath, out = tmp_path / "t.csv", tmp_path / "den.csv"
+    write_features_csv(np.ones((4, 1)), str(tpath))
+    assert main(["denoise", "--graph", gpath, "--signal", spath, "--sigma", "1",
+                 "--out", str(out), "--truth", str(tpath)]) == 2
+    err = capsys.readouterr().err
+    assert "truth shape (4, 1) does not match the signal shape (4, 2)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (4, 1)])
+def test_reconstruct_reference_of_another_shape_exits_two(
+    tmp_path, path_files, capsys, shape
+):
+    gpath, spath = path_files
+    cpath, rpath = str(tmp_path / "c.ufgc"), str(tmp_path / "r.csv")
+    out = tmp_path / "recon.csv"
+    assert main(["transform", "--graph", gpath, "--signal", spath,
+                 "--out", cpath]) == 0
+    write_features_csv(np.ones(shape), rpath)
+    capsys.readouterr()
+    assert main(["reconstruct", "--graph", gpath, "--coeffs", cpath,
+                 "--out", str(out), "--reference", rpath]) == 2
+    err = capsys.readouterr().err
+    assert f"reference shape {shape} does not match the signal shape (4, 2)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["exact", "chebyshev"])
@@ -444,3 +486,42 @@ def test_every_subcommand_prints_strict_byte_stable_json(
             outputs.append(out)
         runs.append(outputs)
     assert runs[0] == runs[1]
+
+
+def _readme_commands():
+    """The argv of every ``ufg`` command in README's shell code blocks.
+
+    Backslash continuations are joined and a ``for VAR in A B ...; do``
+    loop variable ``$VAR`` is replaced by each of its values in turn.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M):
+        loops = re.findall(r"^\s*for (\w+) in ([^;]+); do$", block, flags=re.M)
+        for line in block.replace("\\\n", " ").splitlines():
+            variants = [line]
+            for var, values in loops:
+                if f"${var}" in line:
+                    variants = [v.replace(f"${var}", x) for v in variants
+                                for x in values.split()]
+            for variant in variants:
+                words = shlex.split(variant, comments=True)
+                if words[:1] == ["ufg"]:
+                    commands.append(words[1:])
+    return commands
+
+
+def test_every_readme_command_parses():
+    commands = _readme_commands()
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    assert {argv[0] for argv in commands} == set(subparsers.choices)
+    assert ["train-graph", "--task", "cycles-stars", "--pool-mode", "mean"] in commands
+    # A renamed flag must not pass as an abbreviation of its new name.
+    for sub in subparsers.choices.values():
+        sub.allow_abbrev = False
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except _UsageError as exc:
+            pytest.fail(f"README command 'ufg {shlex.join(argv)}' does not parse: {exc}")

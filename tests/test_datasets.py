@@ -16,6 +16,7 @@ from ufg.datasets import (
     load_citation,
     path_graph,
     random_er_graph,
+    sample_pairs,
     sbm_graph_family,
     star_graph,
     stratified_split,
@@ -51,7 +52,8 @@ def test_er_graph_deterministic():
 
 
 def test_er_graph_large_sampling_path():
-    # n > 600 takes the pair-sampling route; check count plausibility.
+    # Every n >= 2 draws its edges with sample_pairs; at n = 700, check the
+    # edge count is plausible.
     g = random_er_graph(700, 2.0, np.random.default_rng(0))
     assert g.num_nodes == 700
     expected = 700 * 2.0 / 2
@@ -61,6 +63,76 @@ def test_er_graph_large_sampling_path():
 
 def test_er_graph_tiny():
     assert random_er_graph(1, 3.0, np.random.default_rng(0)).num_edges == 0
+
+
+def test_er_graph_at_probability_one_is_complete():
+    g = random_er_graph(12, 20.0, np.random.default_rng(0))
+    assert g.num_edges == 12 * 11 // 2
+    assert np.all(g.degrees == 11)
+
+
+def test_sample_pairs_are_distinct_free_pairs():
+    n = 30
+    taken = np.array([0 * n + 1, 2 * n + 7, 5 * n + 29, 27 * n + 28])
+    codes = sample_pairs(n, 200, np.random.default_rng(1), taken=taken)
+    assert codes.dtype == np.int64 and codes.shape == (200,)
+    assert np.unique(codes).size == 200
+    assert np.all(codes // n < codes % n)
+    assert not np.any(np.isin(codes, taken))
+
+
+# Uniformity of sample_pairs: each of the 10 pairs left free at n = 6 is
+# drawn with probability 3/10; over 4000 draws of 3 pairs its frequency
+# has standard deviation 0.0072, so 0.03 is a band of about 4 sigma.
+UNIFORM_TRIALS = 4000
+UNIFORM_BAND = 0.03
+
+
+def test_sample_pairs_draws_free_pairs_uniformly():
+    n = 6
+    upper = [u * n + v for u in range(n) for v in range(u + 1, n)]
+    taken = np.array(upper[::3])  # 5 of the 15 pairs
+    free = sorted(set(upper) - set(taken.tolist()))
+    rng = np.random.default_rng(3)
+    counts = dict.fromkeys(upper, 0)
+    for _ in range(UNIFORM_TRIALS):
+        for code in sample_pairs(n, 3, rng, taken=taken).tolist():
+            counts[code] += 1
+    assert all(counts[c] == 0 for c in taken.tolist())
+    freq = np.array([counts[c] for c in free]) / UNIFORM_TRIALS
+    assert np.all(np.abs(freq - 0.3) <= UNIFORM_BAND), freq
+
+
+def test_sample_pairs_fills_every_free_pair_and_no_more():
+    n, taken = 7, np.array([1, 9, 20])
+    codes = sample_pairs(n, 21 - 3, np.random.default_rng(4), taken=taken)
+    assert sorted(codes.tolist() + taken.tolist()) == sorted(
+        u * n + v for u in range(n) for v in range(u + 1, n)
+    )
+    with pytest.raises(ValueError, match="exceeds the number of available pairs"):
+        sample_pairs(n, 21 - 2, np.random.default_rng(4), taken=taken)
+
+
+class _CountingRng:
+    def __init__(self, seed):
+        self.rng, self.batches = np.random.default_rng(seed), 0
+
+    def integers(self, low, high, size):
+        self.batches += 0.5  # one call for u, one for v
+        return self.rng.integers(low, high, size=size)
+
+
+@pytest.mark.parametrize("keep", [3, 19900])
+def test_sample_pairs_takes_the_last_free_pairs_in_few_batches(keep):
+    # Batches of 2 * need + 8 would take thousands of batches to find the
+    # last few of the 19900 pairs at n = 200.
+    n = 200
+    upper = np.array([u * n + v for u in range(n) for v in range(u + 1, n)])
+    free = np.random.default_rng(5).permutation(upper)[:keep]
+    rng = _CountingRng(6)
+    codes = sample_pairs(n, keep, rng, taken=np.setdiff1d(upper, free))
+    np.testing.assert_array_equal(np.sort(codes), np.sort(free))
+    assert rng.batches <= 12
 
 
 def test_stratified_split_fractions():
@@ -192,6 +264,17 @@ def test_load_citation_bad_split_indices(tmp_path):
     )
     with pytest.raises(ValueError, match="out of range"):
         load_citation(tmp_path)
+
+
+def test_train_node_rejects_negative_citation_labels(tmp_path, capsys):
+    from ufg.cli import main
+
+    _, _, labels = _write_citation_fixture(tmp_path)
+    labels[5] = -1
+    (tmp_path / "labels.txt").write_text("".join(f"{y}\n" for y in labels))
+    assert main(["train-node", "--dataset", "citation", "--data-dir",
+                 str(tmp_path), "--epochs", "1", "--seeds", "0"]) == 2
+    assert "labels.txt:6: labels must be nonnegative" in capsys.readouterr().err
 
 
 def test_load_citation_missing_directory(tmp_path):

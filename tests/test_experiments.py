@@ -442,6 +442,24 @@ def test_graph_classifier_builds_operators_in_config_mode(monkeypatch):
     assert built == []
 
 
+def test_sum_then_spectrum_builds_each_gcn_adjacency_once(monkeypatch):
+    built = []
+    real = graphs.gcn_norm_adjacency
+
+    def counting(graph):
+        built.append(graph.num_nodes)
+        return real(graph)
+
+    monkeypatch.setattr(graphs, "gcn_norm_adjacency", counting)
+    samples = cycles_and_stars(5, (5, 7), seed=0)
+    cfg = ExperimentConfig(
+        task="graph", epochs=2, seeds=(0,), hidden=4, pool_mode="sum"
+    )
+    train_graph_classifier(samples, cfg)
+    train_graph_classifier(samples, dataclasses.replace(cfg, pool_mode="spectrum"))
+    assert built == [s.graph.num_nodes for s in samples]
+
+
 def _mixed_union(pool_mode):
     """Four graphs of different sizes, both labels, generic features."""
     rng = np.random.default_rng(5)

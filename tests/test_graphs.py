@@ -16,6 +16,7 @@ from ufg.graphs import (
     Graph,
     build_graph,
     eigendecompose,
+    gcn_norm_adjacency,
     lambda_max,
     normalized_laplacian,
 )
@@ -41,8 +42,6 @@ def test_build_graph_self_loops():
     g = build_graph(2, [(0, 0, 2.0), (0, 1, 1.0)])
     assert g.adjacency.to_dense()[0, 0] == pytest.approx(2.0)
     assert g.num_edges == 2
-    with_loops = build_graph(2, [(0, 1, 1.0)], add_self_loops=True)
-    np.testing.assert_allclose(np.diag(with_loops.adjacency.to_dense()), 1.0)
 
 
 def test_num_edges_is_python_int():
@@ -90,21 +89,19 @@ def edge_lists(draw):
     return n, edges
 
 
-@given(edge_lists(), st.booleans())
-def test_build_graph_matches_dense_reference(case, add_self_loops):
+@given(edge_lists())
+def test_build_graph_matches_dense_reference(case):
     n, edges = case
     ref = np.zeros((n, n))
     for u, v, w in edges:
         ref[u, v] += w
         if u != v:
             ref[v, u] += w
-    if add_self_loops:
-        ref += np.eye(n)
-    g = build_graph(n, edges, add_self_loops=add_self_loops)
+    g = build_graph(n, edges)
     g.adjacency.validate()
     np.testing.assert_array_equal(g.adjacency.to_dense(), ref)
     from_array = build_graph(
-        n, np.array(edges, dtype=np.float64).reshape(-1, 3), add_self_loops
+        n, np.array(edges, dtype=np.float64).reshape(-1, 3)
     ).adjacency.csr
     for got, want in zip(
         (from_array.indptr, from_array.indices, from_array.data),
@@ -127,8 +124,9 @@ def _perturbed_edges(value):
     return perturb(_weighted_base_graph(), np.zeros((40, 1)), spec)[0]
 
 
-# sha256 of the CSR (indptr, indices, data) bytes, recorded from the
-# per-edge tuple implementation that array ingest replaced.
+# sha256 of the CSR (indptr, indices, data) bytes. er2000 and sbm date from
+# before array ingest; er300 and both perturbations from the move of their
+# pair draws to ``datasets.sample_pairs``.
 GOLDEN_GRAPHS = {
     "er300": lambda: random_er_graph(300, 5.0, 0),
     "er2000": lambda: random_er_graph(2000, 5.0, 1),
@@ -138,9 +136,9 @@ GOLDEN_GRAPHS = {
 }
 GOLDEN_DIGESTS = {
     "er300": (
-        "db4e6af802b7b120cc75a35565f164c0a6fb8feb540aebc3574970cab9094955",
-        "f9a18b0472434ee2e6324b90e0dd7ba5cf171eb4dad257a8d6cfa8e1c5589ca9",
-        "e7c5c5de60031effa9d9db3758bfbe78cc6787704da6d6ba42022ec703dcb1bd",
+        "dd0e05c53dc8734399cc0d4a13b1300ea2b1ab9cf12bb98b87f1cd5d57f6a020",
+        "712950dddc8615697eef2850a331802c37c34308e3deb0a9a983a9724c1db51f",
+        "bcef1460ac8dc1daf7b6950c369fb3f1f36ff8ef4ffa8d8cd714aa47ec830409",
     ),
     "er2000": (
         "f5f0d67673fef4eb55a8ee3e2981dc6dac88025cacf434dd598bc24fd502b936",
@@ -153,14 +151,14 @@ GOLDEN_DIGESTS = {
         "54dffc32e6dc0dfa2e9eb9bd7af8b4093f419e42963d44f0af0e70aec335d098",
     ),
     "perturb0.5": (
-        "8789dc855324166e60705a4894873bd10296ca4895880ee8f9aa92d1479f9193",
-        "c0db4cf5c854613e46e506413141afb4b316c1bc4a5efb7a09eecf4110a99d23",
-        "782b6733899bb7e31fb337b9efa3d653f7bb9f8582c4e5099ceaf074ab11acd5",
+        "ab05906f0a1bfea897d3040d9e2a84e8c2142742ec8e66892e3930d10e725649",
+        "7628c5020d1619125d3807d6147774d759b21a3aad3984c090577dfdff8045e7",
+        "bd6bc95fb85b370230d2eee248c1c7abdf3603b48274af58b2ac01c1568f9a23",
     ),
     "perturb2": (
-        "d36f1b90f55f8fd0fc45f14380262946175f3f4f0495fe985536f80d86892c47",
-        "1fcbb0bc073d0ea216e6ace9cc40bd819a4d17c15c7ae3a55ae9a52cf2ae1b7b",
-        "c19ddc416a0f8034e108390bd7a4abfd2e58bcac44bbac485299af447fb3d51e",
+        "83398d9e16a78780022a6f898b3e57c873168d3e8deba3fe6cbc2b74672411ed",
+        "ad8a42fc4872ffe62bcfc0f6fa33412b3063a5fde0e19a423673f3c8ff3c11a9",
+        "f79190a4b2eb376d2e600232fc539dcdeca27c7c7cd5e495de947b286f048271",
     ),
 }
 
@@ -349,6 +347,12 @@ def test_graph_spectral_cache_is_bitwise_the_uncached_functions():
     np.testing.assert_array_equal(g.spectrum.values, spec.values, strict=True)
     np.testing.assert_array_equal(g.spectrum.vectors, spec.vectors, strict=True)
     assert g.lanczos_bound == lambda_max(lap, "lanczos")
+    adj = gcn_norm_adjacency(g)
+    assert g.gcn_adjacency is g.gcn_adjacency
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(
+            getattr(g.gcn_adjacency.csr, name), getattr(adj.csr, name), strict=True
+        )
 
 
 def test_graph_spectral_cache_arrays_are_read_only():
@@ -359,6 +363,9 @@ def test_graph_spectral_cache_arrays_are_read_only():
         "laplacian.indptr": g.laplacian.csr.indptr,
         "spectrum.values": g.spectrum.values,
         "spectrum.vectors": g.spectrum.vectors,
+        "gcn_adjacency.data": g.gcn_adjacency.csr.data,
+        "gcn_adjacency.indices": g.gcn_adjacency.csr.indices,
+        "gcn_adjacency.indptr": g.gcn_adjacency.csr.indptr,
     }
     for name, a in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
@@ -367,6 +374,7 @@ def test_graph_spectral_cache_arrays_are_read_only():
     # The plain functions still hand out arrays of their own.
     assert normalized_laplacian(g).csr.data.flags.writeable
     assert eigendecompose(g.laplacian).vectors.flags.writeable
+    assert gcn_norm_adjacency(g).csr.data.flags.writeable
 
 
 def test_perturbed_graph_computes_its_own_spectrum():

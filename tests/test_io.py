@@ -114,6 +114,14 @@ def test_labels_round_trip_and_error(tmp_path):
         read_labels_text(str(tmp_path / "bad.txt"))
 
 
+def test_labels_reject_negative_ids(tmp_path):
+    # A -1 would index the last class in the loss and escape labels.max().
+    path = tmp_path / "y.txt"
+    path.write_text("0\n1\n\n-1\n")
+    with pytest.raises(ValueError, match=r"y\.txt:4: labels must be nonnegative"):
+        read_labels_text(str(path))
+
+
 # -- coefficient stacks ------------------------------------------------------
 
 

@@ -108,6 +108,16 @@ def test_edge_ratio_addition_exact_count():
     assert np.all(g2.adjacency.csr.data == 1.0)
 
 
+def test_edge_ratio_can_fill_the_graph_to_complete():
+    g = build_graph(8, [(i, i + 1, 2.0) for i in range(7)] + [(3, 3, 1.0)])
+    spec = PerturbationSpec("edges", "edge_ratio", 4.0, seed=2)  # 7 -> 28 pairs
+    g2, _ = perturb(g, np.zeros((8, 1)), spec)
+    assert g2.num_edges == 28 + 1
+    a = g2.adjacency.to_dense()
+    assert np.all(a[~np.eye(8, dtype=bool)] > 0.0)
+    assert a[3, 3] == 1.0 and a[0, 1] == 2.0 and a[0, 2] == 1.0
+
+
 def test_edge_ratio_preserves_loops_and_weights():
     g = build_graph(4, [(0, 0, 2.0), (0, 1, 3.0), (1, 2, 1.0), (2, 3, 1.0)])
     spec = PerturbationSpec("edges", "edge_ratio", 2.0, seed=1)
