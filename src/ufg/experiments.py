@@ -551,13 +551,15 @@ def bench_transform(
     """Time Chebyshev operator build and decompose+reconstruct per size.
 
     Random sparse ER graphs; per size, reports mean and median seconds over
-    ``repetitions`` plus the operator's block count. The build is the whole
-    ``framelet_operator`` call: Laplacian, Lanczos estimate of the top
-    eigenvalue and block fits, each repetition on a fresh copy of the
-    graph, whose spectral cache is empty. The transform runs matrix-free,
-    one Chebyshev recurrence of degree ``degree + 4 (levels - 1)`` in each
-    direction, whatever the number of high passes. Out-of-memory records
-    the size as skipped instead of failing the run.
+    ``repetitions`` plus the operator's block count and
+    ``recurrence_degree``. The build is the whole ``framelet_operator``
+    call: Laplacian, Lanczos estimate of the top eigenvalue and block fits,
+    each repetition on a fresh copy of the graph, whose spectral cache is
+    empty. The transform runs matrix-free, one Chebyshev recurrence in each
+    direction whatever the number of high passes, of ``recurrence_degree``
+    sparse products: the block fits at degree ``degree + 4 (levels - 1)``
+    with their round-off tail chopped. Out-of-memory records the size as
+    skipped instead of failing the run.
     """
     from .datasets import random_er_graph
 
@@ -596,6 +598,7 @@ def bench_transform(
                     "transform_mean_s": float(np.mean(roundtrip_times)),
                     "transform_median_s": float(np.median(roundtrip_times)),
                     "blocks": op.num_blocks,
+                    "recurrence_degree": op.system.recurrence_degree,
                 }
             )
         except MemoryError:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ufg.cli as cli
 import ufg.verify as verify_mod
 from ufg.cli import _build_parser, _emit_json, _experiment_config, _UsageError, main
 from ufg.datasets import random_er_graph
@@ -60,6 +61,20 @@ def test_help_exits_zero(capsys):
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-node", "--seed", "3"],
+    ["bench", "--sizes", "30", "--level", "2"],
+])
+def test_abbreviated_flags_exit_one(argv, monkeypatch, capsys):
+    def must_not_run(args):
+        raise AssertionError("an abbreviated flag reached the command")
+
+    for command in ("_cmd_train_node", "_cmd_bench"):
+        monkeypatch.setattr(cli, command, must_not_run)
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):
@@ -415,6 +430,34 @@ def test_bench_emits_rows_and_csv(tmp_path, capsys):
     assert len(lines) == 3  # build and transform series
 
 
+def test_transform_and_bench_report_the_applied_recurrence_degree(
+    tmp_path, graph_files, monkeypatch, capsys
+):
+    gpath, spath, _ = graph_files
+    monkeypatch.setenv("UFG_DETERMINISTIC", "1")
+    commands = [
+        ["transform", "--graph", gpath, "--signal", spath, "--mode", "chebyshev",
+         "--out", str(tmp_path / "c.ufgc")],
+        ["bench", "--sizes", "30", "--reps", "1", "--levels", "2", "--degree", "16"],
+    ]
+    runs = []
+    for _ in range(2):
+        outputs = []
+        for argv in commands:
+            assert main(argv) == 0, argv
+            outputs.append(capsys.readouterr().out)
+        runs.append(outputs)
+    assert runs[0] == runs[1]
+    transform_out, bench_out = (json.loads(out, parse_constant=_reject_constant)
+                                for out in runs[0])
+    prov = transform_out["provenance"]
+    assert prov["mode"] == "chebyshev"
+    assert 1 <= prov["recurrence_degree"] <= 16 + 4
+    assert 0.0 <= prov["fit_residual"] <= 1e-12
+    # K = 0 at two levels and t = 16: 15 of the 20 fitted degrees are kept.
+    assert bench_out["recurrence_degree"] == 15
+
+
 def test_verify_passes_and_prints_report(capsys):
     assert main(["verify", "--n", "30", "--seed", "7"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -518,8 +561,7 @@ def test_every_readme_command_parses():
     assert {argv[0] for argv in commands} == set(subparsers.choices)
     assert ["train-graph", "--task", "cycles-stars", "--pool-mode", "mean"] in commands
     # A renamed flag must not pass as an abbreviation of its new name.
-    for sub in subparsers.choices.values():
-        sub.allow_abbrev = False
+    assert not any(sub.allow_abbrev for sub in subparsers.choices.values())
     for argv in commands:
         try:
             parser.parse_args(argv)

@@ -1,6 +1,7 @@
 """Synthetic generators: structure, determinism, splits, citation loading."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -133,6 +134,19 @@ def test_sample_pairs_takes_the_last_free_pairs_in_few_batches(keep):
     codes = sample_pairs(n, keep, rng, taken=np.setdiff1d(upper, free))
     np.testing.assert_array_equal(np.sort(codes), np.sort(free))
     assert rng.batches <= 12
+
+
+def test_complete_graph_on_1000_nodes_is_drawn_in_under_a_second():
+    # Filling all 499500 pairs takes 8 batches of about 10^6 draws each; a
+    # sampler that re-sorts every code kept so far on each batch needs
+    # seconds. Best of two runs, to ride out a busy host.
+    times = []
+    for _ in range(2):
+        start = time.perf_counter()
+        graph = random_er_graph(1000, 999.0, 0)
+        times.append(time.perf_counter() - start)
+    assert graph.num_edges == 1000 * 999 // 2
+    assert min(times) < 1.0, times
 
 
 def test_stratified_split_fractions():

@@ -168,9 +168,9 @@ def test_one_recurrence_serves_every_block(
     small_laplacian, small_spectrum, monkeypatch, bank, levels
 ):
     t = 16
-    bank = haar_filter_bank() if bank == "haar" else _linear_bank()
+    filters = haar_filter_bank() if bank == "haar" else _linear_bank()
     lam = float(small_spectrum.values[-1])
-    exact_sys = make_system(bank, lam, levels=levels, degree=t, mode="exact")
+    exact_sys = make_system(filters, lam, levels=levels, degree=t, mode="exact")
     op_e = build_operators(exact_sys, small_laplacian, small_spectrum)
     cheb_sys = dataclasses.replace(exact_sys, mode="chebyshev")
     op_c = build_operators(cheb_sys, small_laplacian)
@@ -188,10 +188,12 @@ def test_one_recurrence_serves_every_block(
     c = decompose(op_c, X)
     forward = len(calls)
     back = reconstruct(op_c, c)
-    # One recurrence of degree t + 4 (J - 1) in each direction, whatever the
-    # numbers of levels and high passes.
-    t_J = t + 4 * (levels - 1)
-    assert cheb_sys.recurrence_degree == t_J
+    # One recurrence in each direction, whatever the numbers of levels and
+    # high passes, of the chopped length: at most the fitted t + 4 (J - 1).
+    t_J = cheb_sys.recurrence_degree
+    assert t_J == cheb_sys.chebyshev_coeffs.shape[1] - 1 <= t + 4 * (levels - 1)
+    if (bank, levels) == ("haar", 2):
+        assert (cheb_sys.K, t_J) == (0, 15)
     assert (forward, len(calls) - forward) == (t_J, t_J)
     assert np.max(np.abs(back - X)) / np.max(np.abs(X)) <= TIGHTNESS_TOL
 
@@ -233,13 +235,36 @@ def test_direct_block_fit_never_less_accurate_than_factor_cascade(
     assert np.all(direct_err <= np.maximum(cascade_err, 2e-14))
 
 
+@pytest.mark.parametrize("t", [8, 16])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("K", [0, -1, -2])
+@pytest.mark.parametrize("dilation", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("bank", ["haar", "linear"])
+def test_chop_moves_no_block_by_more_than_chop_tol(bank, dilation, K, levels, t):
+    system = FrameletSystem(
+        haar_filter_bank() if bank == "haar" else _linear_bank(),
+        dilation=dilation, levels=levels, K=K, lam_max=0.0, degree=t,
+        mode="chebyshev",
+    )
+    full = chebyshev_fit(system.block_gains, t + 4 * (levels - 1))
+    chopped = system.chebyshev_coeffs
+    # The chop only drops trailing columns, never all of them.
+    assert 1 <= chopped.shape[1] <= full.shape[1]
+    np.testing.assert_array_equal(chopped, full[:, : chopped.shape[1]])
+    x = np.linspace(0.0, 2.0, 2001) - 1.0
+    assert np.max(np.abs(chebval(x, chopped.T) - chebval(x, full.T))) <= transform.CHOP_TOL
+
+
 @pytest.mark.parametrize("lam, K", [(2.0, 0), (1.5, -1)])
 def test_chebyshev_provenance_measures_the_fit(small_laplacian, lam, K):
     system = make_system(haar_filter_bank(), lam, levels=2, degree=16, mode="chebyshev")
     assert system.K == K
     prov = build_operators(system, small_laplacian).provenance
-    assert prov["recurrence_degree"] == 20
-    assert system.chebyshev_coeffs.shape == (system.num_blocks, 21)
+    t_J = prov["recurrence_degree"]
+    assert t_J == system.recurrence_degree <= 16 + 4
+    assert system.chebyshev_coeffs.shape == (system.num_blocks, t_J + 1)
+    if K == 0:
+        assert t_J == 15
     # sum_b g_b^2 = 1 by partition of unity; the residual measures the fits.
     assert 0.0 <= prov["fit_residual"] <= 1e-12
     assert prov["fit_residual"] is system.fit_residual
