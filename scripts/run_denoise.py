@@ -3,9 +3,9 @@
 
 Builds one exact framelet operator, draws seeded Gaussian noise at a fixed
 fraction of the signal RMS, then reports per-sigma MSE against the clean
-signal, averaged over seeds.
+signal, averaged over seeds, as one JSON line per sigma on stdout.
 
-    python3 scripts/run_denoise.py --nodes 200 --seeds 20 --out mse.jsonl
+    python3 scripts/run_denoise.py --nodes 200 --seeds 20 > mse.jsonl
 """
 
 import argparse
@@ -14,7 +14,7 @@ import numpy as np
 
 from ufg.datasets import path_graph
 from ufg.experiments import denoise_signal
-from ufg.io import encode_json, write_metrics_jsonl
+from ufg.io import encode_json
 from ufg.transform import framelet_operator
 
 
@@ -28,7 +28,6 @@ def main() -> int:
     ap.add_argument("--levels", type=int, default=2)
     ap.add_argument("--seeds", type=int, default=20)
     ap.add_argument("--sigmas", default="0.5,1,2,4")
-    ap.add_argument("--out", help="write per-sigma rows as JSON lines")
     args = ap.parse_args()
 
     graph = path_graph(args.nodes)
@@ -57,8 +56,6 @@ def main() -> int:
         )
     for row in rows:
         print(encode_json(row))
-    if args.out:
-        write_metrics_jsonl(rows, args.out)
     return 0
 
 

@@ -3,10 +3,9 @@
 
 Generates one binary-feature block-model dataset, applies Bernoulli flips
 at each grid ratio, and trains both layer variants. Prints one JSON line
-per result; ``--out`` also writes a plot-ready robustness curve CSV
-(noise_ratio, model, mean, std).
+per result (noise_ratio, model, mean, std).
 
-    python3 scripts/run_robustness.py --ratios 0,0.5,1,2 --out robustness.csv
+    python3 scripts/run_robustness.py --ratios 0,0.5,1,2 > robustness.jsonl
 """
 
 import argparse
@@ -14,7 +13,7 @@ from dataclasses import replace
 
 from ufg.datasets import BinaryFeatures, generate_sbm
 from ufg.experiments import ExperimentConfig, train_node_classifier
-from ufg.io import emit_plot_data, encode_json
+from ufg.io import encode_json
 from ufg.perturb import PerturbationSpec, perturb
 
 
@@ -32,7 +31,6 @@ def main() -> int:
     ap.add_argument("--epochs", type=int, default=200)
     ap.add_argument("--hidden", type=int, default=32)
     ap.add_argument("--num-seeds", type=int, default=3)
-    ap.add_argument("--out", help="robustness curve CSV path")
     args = ap.parse_args()
 
     data = generate_sbm(
@@ -50,7 +48,6 @@ def main() -> int:
         "shrinkage": replace(base, activation="shrinkage", sigma=args.sigma),
     }
 
-    rows = []
     for ratio in (float(r) for r in args.ratios.split(",")):
         if ratio > 0:
             spec = PerturbationSpec(
@@ -63,12 +60,8 @@ def main() -> int:
             noisy = data
         for model, cfg in variants.items():
             rec = train_node_classifier(noisy, cfg)
-            row = {"noise_ratio": ratio, "model": model,
-                   "mean": rec.mean, "std": rec.std}
-            rows.append(row)
-            print(encode_json(row))
-    if args.out:
-        emit_plot_data(rows, "robustness_curve", args.out)
+            print(encode_json({"noise_ratio": ratio, "model": model,
+                               "mean": rec.mean, "std": rec.std}))
     return 0
 
 

@@ -1,34 +1,3 @@
-"""Undecimated graph framelet transforms, shrinkage, convolution and pooling.
-
-Submodules are imported lazily so that the command line entry point can
-configure threading environment variables before numpy loads.
-"""
+"""Undecimated graph framelet transforms, shrinkage, convolution and pooling."""
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "sparse",
-    "graphs",
-    "filters",
-    "transform",
-    "shrinkage",
-    "nn",
-    "datasets",
-    "perturb",
-    "experiments",
-    "io",
-    "verify",
-    "cli",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

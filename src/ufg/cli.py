@@ -11,20 +11,26 @@ keys are sorted, NumPy integer, float and bool scalars are written as plain
 numbers and booleans, and a non-finite float, such as the NaN accuracy of a
 diverged seed in ``per_seed``, is written as ``null``. Any other object that
 is not JSON serializable is a runtime failure (exit code 2). Diagnostics go
-to stderr; plot CSVs go only to ``--out``. ``--metrics-out`` files follow
-the same rule.
+to stderr. The only files written are those a command's own output flags
+name (``--out``, ``--out-graph``, ``--out-features``, ``--metrics-out``);
+``--metrics-out`` files follow the same JSON rule.
 
-Environment: ``UFG_THREADS`` caps BLAS/OpenMP threads (applied before numpy
-loads, which is why all heavy imports here are deferred);
-``UFG_DETERMINISTIC=1`` zeroes wall-clock fields so repeated runs emit
-byte-identical outputs.
+Environment: the standard ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``
+variables cap BLAS threads; ``UFG_DETERMINISTIC=1`` zeroes wall-clock fields
+so repeated runs emit byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import fields
+
+import numpy as np
+
+from . import datasets, experiments, io, nn, transform
+from . import perturb as perturb_mod
+from . import verify as verify_mod
 
 
 _DEGREE_HELP = ("Chebyshev degree t of one level's filters; chebyshev mode fits every "
@@ -48,24 +54,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
-def _configure_threads() -> None:
-    threads = os.environ.get("UFG_THREADS", "").strip()
-    if not threads:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = threads
-
-
 def _emit_json(obj) -> None:
     """Print one strict, sorted-key JSON line to stdout."""
-    from .io import encode_json
-
-    print(encode_json(obj))
+    print(io.encode_json(obj))
 
 
 def _parse_token(kind, token: str, text: str):
@@ -114,16 +105,12 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
 
 def _operator(graph, args):
     """The framelet operator of ``graph`` set by the system flags."""
-    from . import transform
-
     return transform.framelet_operator(
         graph, args.dilation, args.levels, args.degree, args.mode
     )
 
 
 def _cmd_transform(args) -> int:
-    from . import io, transform
-
     graph = io.read_graph_text(args.graph)
     signal = io.read_features_csv(args.signal)
     op = _operator(graph, args)
@@ -143,10 +130,6 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    import numpy as np
-
-    from . import io, transform
-
     graph = io.read_graph_text(args.graph)
     stack = io.read_coefficients(args.coeffs)
     op = _operator(graph, args)
@@ -168,8 +151,6 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    from . import experiments, io
-
     graph = io.read_graph_text(args.graph)
     noisy = io.read_features_csv(args.signal)
     truth = io.read_features_csv(args.truth) if args.truth else None
@@ -184,8 +165,6 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_pool(args) -> int:
-    from . import io, nn
-
     graph = io.read_graph_text(args.graph)
     signal = io.read_features_csv(args.signal)
     op = _operator(graph, args)
@@ -198,19 +177,18 @@ def _cmd_pool(args) -> int:
 
 
 def _node_dataset(args):
-    from . import datasets
-
     if args.dataset == "citation":
         if not args.data_dir:
             raise _UsageError("--data-dir is required for the citation dataset")
         return datasets.load_citation(args.data_dir)
     sizes = _parse_int_list(args.sbm_sizes)
     if args.feature_model == "binary":
+        if args.feature_noise is not None:
+            raise _UsageError("--feature-noise does not apply to --feature-model binary")
         model = datasets.BinaryFeatures(dim=args.feature_dim)
     else:
-        model = datasets.GaussianFeatures(
-            dim=args.feature_dim, noise_std=args.feature_noise
-        )
+        noise = 0.5 if args.feature_noise is None else args.feature_noise
+        model = datasets.GaussianFeatures(dim=args.feature_dim, noise_std=noise)
     return datasets.generate_sbm(
         sizes, args.p_in, args.p_out, model, seed=args.data_seed
     )
@@ -219,14 +197,10 @@ def _node_dataset(args):
 def _experiment_config(args, task: str):
     """The subcommand's flags as an ``ExperimentConfig``; fields it has no
     flag for keep their dataclass defaults."""
-    from dataclasses import fields
-
-    from .experiments import ExperimentConfig
-
     flags = {f.name: getattr(args, f.name)
-             for f in fields(ExperimentConfig) if hasattr(args, f.name)}
+             for f in fields(experiments.ExperimentConfig) if hasattr(args, f.name)}
     flags.update(task=task, seeds=tuple(_parse_int_list(args.seeds)))
-    return ExperimentConfig(**flags)
+    return experiments.ExperimentConfig(**flags)
 
 
 def _record_summary(record) -> dict:
@@ -242,8 +216,6 @@ def _record_summary(record) -> dict:
 
 
 def _cmd_train_node(args) -> int:
-    from . import experiments, io
-
     data = _node_dataset(args)
     config = _experiment_config(args, task=f"{args.dataset}_node")
     sink = [] if args.metrics_out else None
@@ -255,8 +227,6 @@ def _cmd_train_node(args) -> int:
 
 
 def _cmd_train_graph(args) -> int:
-    from . import datasets, experiments, io
-
     make = {"cycles-stars": datasets.cycles_and_stars,
             "sbm-family": datasets.sbm_graph_family}[args.task]
     samples = make(num_per_class=args.num_per_class, seed=args.data_seed)
@@ -272,8 +242,6 @@ def _cmd_train_graph(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    from . import io, perturb as perturb_mod
-
     graph = io.read_graph_text(args.graph)
     features = io.read_features_csv(args.features)
     spec = perturb_mod.PerturbationSpec(
@@ -291,8 +259,6 @@ def _cmd_perturb(args) -> int:
         "edges_after": new_graph.num_edges,
     }
     if args.model == "bernoulli_flip":
-        import numpy as np
-
         nnz = int(np.count_nonzero(features))
         summary["flip_probability"] = min(1.0, args.value * nnz / features.size)
         summary["note"] = "ratio is relative to the nonzero entry count"
@@ -301,8 +267,6 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from . import experiments, io
-
     data = _node_dataset(args)
     base = _experiment_config(args, task="sensitivity_sweep")
     rows = experiments.sensitivity_sweep(
@@ -320,13 +284,10 @@ def _cmd_sweep(args) -> int:
         raise RuntimeError("every sweep point failed")
     for row in ok_rows:
         _emit_json(row)
-    io.emit_plot_data(ok_rows, "sweep", args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    from . import experiments, io
-
     rows = experiments.bench_transform(
         _parse_int_list(args.sizes),
         avg_degree=args.avg_degree,
@@ -338,20 +299,10 @@ def _cmd_bench(args) -> int:
     )
     for row in rows:
         _emit_json(row)
-    plot_rows = [
-        {"n": row["n"], "series": series, "mean_s": row[f"{series}_mean_s"],
-         "median_s": row[f"{series}_median_s"]}
-        for row in rows if row.get("status") == "ok"
-        for series in ("build", "transform")
-    ]
-    if args.out and plot_rows:
-        io.emit_plot_data(plot_rows, "bench", args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    from . import verify as verify_mod
-
     reports = verify_mod.run_verify(mode=args.mode, n=args.n, seed=args.seed)
     for report in reports:
         _emit_json(report)
@@ -423,7 +374,8 @@ def _build_parser() -> _Parser:
             "--feature-model", choices=("gaussian", "binary"), default="gaussian"
         )
         p.add_argument("--feature-dim", type=int, default=16)
-        p.add_argument("--feature-noise", type=float, default=0.5)
+        p.add_argument("--feature-noise", type=float,
+                       help="noise std of the gaussian feature model (default 0.5)")
         p.add_argument("--data-seed", type=int, default=0)
 
     p = sub.add_parser("train-node", help="node classification experiment")
@@ -467,7 +419,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--dilation-grid",
                    default="1.25,1.5,1.75,2.0,2.25,2.5,2.75,3.0,3.25,3.5,3.75,4.0")
     p.add_argument("--scale-grid", default="1-8")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bench", help="time operator build and transform")
@@ -478,7 +429,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--dilation", type=float, default=2.0)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="run the invariant suite")
@@ -491,7 +441,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _configure_threads()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .datasets import GraphSample, NodeDataset
+from .datasets import GraphSample, NodeDataset, random_er_graph
 from .io import deterministic_mode
 from .nn import (
     ACTIVATION_KINDS,
@@ -53,6 +53,7 @@ from .transform import (
 )
 
 DEFAULT_SEEDS = tuple(range(10))
+BENCH_FEATURES = 4  # signal columns of each ``bench_transform`` round trip
 
 
 @dataclass(frozen=True)
@@ -544,15 +545,14 @@ def bench_transform(
     levels: int = 1,
     degree: int = 5,
     dilation: float = 2.0,
-    num_features: int = 4,
     repetitions: int = 100,
     seed: int = 0,
 ) -> list[dict]:
     """Time Chebyshev operator build and decompose+reconstruct per size.
 
-    Random sparse ER graphs; per size, reports mean and median seconds over
-    ``repetitions`` plus the operator's block count and
-    ``recurrence_degree``. The build is the whole ``framelet_operator``
+    Random sparse ER graphs and a ``BENCH_FEATURES``-column signal; per size,
+    reports mean and median seconds over ``repetitions`` (at least 1) plus
+    the operator's block count and ``recurrence_degree``. The build is the whole ``framelet_operator``
     call: Laplacian, Lanczos estimate of the top eigenvalue and block fits,
     each repetition on a fresh copy of the graph, whose spectral cache is
     empty. The transform runs matrix-free, one Chebyshev recurrence in each
@@ -561,8 +561,8 @@ def bench_transform(
     with their round-off tail chopped. Out-of-memory records the size as
     skipped instead of failing the run.
     """
-    from .datasets import random_er_graph
-
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     sizes = list(node_sizes)
     if sizes != sorted(sizes):
         raise ValueError("node sizes must be ascending")
@@ -581,7 +581,7 @@ def bench_transform(
                 op = framelet_operator(fresh, dilation, levels, degree, "chebyshev")
                 build_times.append(time.perf_counter() - t0)
             rng = np.random.default_rng(seed)
-            X = rng.normal(size=(int(n), num_features))
+            X = rng.normal(size=(int(n), BENCH_FEATURES))
             roundtrip_times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter()

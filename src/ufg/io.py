@@ -26,13 +26,6 @@ import numpy as np
 COEFF_MAGIC = b"UFGC"
 FORMAT_VERSION = 1
 
-PLOT_COLUMNS = {
-    "tradeoff_curve": ("sigma", "compression_ratio", "accuracy_mean", "accuracy_std"),
-    "robustness_curve": ("noise_ratio", "model", "mean", "std"),
-    "sweep": ("knob", "value", "mean", "std"),
-    "bench": ("n", "series", "mean_s", "median_s"),
-}
-
 
 def deterministic_mode() -> bool:
     """True when UFG_DETERMINISTIC requests byte-stable outputs."""
@@ -208,7 +201,7 @@ def read_coefficients(path: str):
     )
 
 
-# -- metrics and plot data ---------------------------------------------------
+# -- metrics ---------------------------------------------------------------
 
 
 def _plain(obj):
@@ -243,36 +236,3 @@ def write_metrics_jsonl(records, path: str) -> None:
         for rec in records:
             fh.write(encode_json(rec) + "\n")
 
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    return str(value)
-
-
-def emit_plot_data(metrics, kind: str, path: str) -> None:
-    """Write metrics rows to ``path`` as a tidy plot-ready CSV.
-
-    Column layouts per kind: tradeoff_curve (sigma, compression_ratio,
-    accuracy_mean, accuracy_std); robustness_curve (noise_ratio, model, mean,
-    std); sweep (knob, value, mean, std); bench (n, series, mean_s,
-    median_s). ``metrics`` is a sequence of dicts holding those keys.
-    """
-    if kind not in PLOT_COLUMNS:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    rows = list(metrics)
-    if not rows:
-        raise ValueError("no metrics to emit")
-    columns = PLOT_COLUMNS[kind]
-    lines = [",".join(columns)]
-    for row in rows:
-        missing = [c for c in columns if c not in row]
-        if missing:
-            raise ValueError(f"metrics row missing columns {missing}")
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -85,6 +85,8 @@ def run_verify(mode: str = "exact", n: int = 100, seed: int = 7) -> list[dict]:
     """
     if mode not in ("exact", "chebyshev"):
         raise ValueError("mode must be 'exact' or 'chebyshev'")
+    if n < 1:
+        raise ValueError(f"n must be at least 1 node, got {n}")
     fx = _fixtures(n, seed, mode)
     checks = [
         _check_csr_layout,

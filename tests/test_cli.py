@@ -55,7 +55,9 @@ def test_help_exits_zero(capsys):
         ["verify", "--mode", "approximate"],
         # Node training has no early stopping, so no --patience flag.
         ["train-node", "--patience", "5"],
-        ["sweep", "--patience", "5", "--out", "sweep.csv"],
+        ["sweep", "--patience", "5"],
+        # The sweep's rows go to stdout only; it has no plot-file flag.
+        ["sweep", "--out", "sweep.csv"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
@@ -138,7 +140,7 @@ DEFAULT_FINGERPRINTS = [
     (["train-node"], "sbm_node", "0e1749f5344a"),
     (["train-node", "--activation", "shrinkage"], "sbm_node", "b50d613e2ec9"),
     (["train-graph"], "cycles-stars", "d701cf410257"),
-    (["sweep", "--out", "sweep.csv"], "sensitivity_sweep", "76740278089f"),
+    (["sweep"], "sensitivity_sweep", "76740278089f"),
 ]
 
 
@@ -263,14 +265,23 @@ def test_train_node_bad_list_flags_exit_one(monkeypatch, capsys, extra, named):
     assert named in err and "training started" not in err
 
 
-def test_sweep_bad_dilation_grid_exits_one(tmp_path, monkeypatch, capsys):
+def test_sweep_bad_dilation_grid_exits_one(monkeypatch, capsys):
     _no_training(monkeypatch)
-    out = str(tmp_path / "sweep.csv")
     argv = ["sweep", "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0",
-            "--dilation-grid", "2,abc", "--scale-grid", "1", "--out", out]
+            "--dilation-grid", "2,abc", "--scale-grid", "1"]
     assert main(argv) == 1
     assert "invalid float 'abc'" in capsys.readouterr().err
-    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["train-node", "sweep"])
+def test_feature_noise_with_binary_features_exits_one(monkeypatch, capsys, command):
+    _no_training(monkeypatch)
+    argv = [command, "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0",
+            "--feature-model", "binary", "--feature-noise", "7"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--feature-noise" in err and "--feature-model binary" in err
+    assert "training started" not in err
 
 
 def test_train_node_duplicate_seeds_exit_two(monkeypatch, capsys):
@@ -403,31 +414,26 @@ def test_json_writer_writes_non_finite_floats_as_null(capsys):
     assert parsed == {"per_seed": [None, 0.5], "std": None}
 
 
-def test_sweep_writes_plot_csv(tmp_path, capsys):
-    out = str(tmp_path / "sweep.csv")
+def test_sweep_prints_one_row_per_grid_point(capsys):
     code = main(
         ["sweep", "--sbm-sizes", "15,15", "--feature-dim", "4",
          "--epochs", "1", "--seeds", "0", "--hidden", "4",
-         "--dilation-grid", "2.0", "--scale-grid", "1", "--out", out]
+         "--dilation-grid", "2.0", "--scale-grid", "1"]
     )
     assert code == 0
-    lines = open(out).read().splitlines()
-    assert lines[0] == "knob,value,mean,std"
-    assert len(lines) == 3
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["knob"], r["value"]) for r in rows] == [("dilation", 2.0), ("scale", 1)]
     assert all({"mean", "std", "fingerprint"} <= set(r) for r in rows)
 
 
-def test_bench_emits_rows_and_csv(tmp_path, capsys):
-    out = str(tmp_path / "bench.csv")
-    code = main(["bench", "--sizes", "30", "--reps", "1", "--out", out])
+def test_bench_prints_one_row_per_size(capsys):
+    code = main(["bench", "--sizes", "30,40", "--reps", "1"])
     assert code == 0
-    row = json.loads(capsys.readouterr().out.splitlines()[0])
-    assert row["status"] == "ok"
-    lines = open(out).read().splitlines()
-    assert lines[0] == "n,series,mean_s,median_s"
-    assert len(lines) == 3  # build and transform series
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["n"], r["status"]) for r in rows] == [(30, "ok"), (40, "ok")]
+    for row in rows:
+        assert {"build_mean_s", "build_median_s", "transform_mean_s",
+                "transform_median_s"} <= set(row)
 
 
 def test_transform_and_bench_report_the_applied_recurrence_degree(
@@ -502,8 +508,7 @@ def _every_subcommand(tmp_path, gpath, spath):
         ["perturb", "--graph", gpath, "--features", spath, "--target", "edges",
          "--model", "edge_ratio", "--value", "1.5",
          "--out-graph", str(tmp_path / "gp.txt")],
-        ["sweep", *node, "--dilation-grid", "2", "--scale-grid", "1",
-         "--out", str(tmp_path / "sweep.csv")],
+        ["sweep", *node, "--dilation-grid", "2", "--scale-grid", "1"],
         ["bench", "--sizes", "30", "--reps", "1"],
         ["verify", "--n", "20"],
     ]
@@ -517,6 +522,11 @@ def test_every_subcommand_prints_strict_byte_stable_json(
     subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
     assert [argv[0] for argv in commands] == list(subparsers.choices)
     monkeypatch.setenv("UFG_DETERMINISTIC", "1")
+    # A stray file written to the working directory would land here too.
+    monkeypatch.chdir(tmp_path)
+    inputs = set(tmp_path.iterdir())
+    named = {Path(argv[i + 1]) for argv in commands for i, word in enumerate(argv)
+             if word in ("--out", "--out-graph", "--out-features")}
     runs = []
     for _ in range(2):
         outputs = []
@@ -529,6 +539,8 @@ def test_every_subcommand_prints_strict_byte_stable_json(
             outputs.append(out)
         runs.append(outputs)
     assert runs[0] == runs[1]
+    # Besides stdout, the only results are the files the output flags name.
+    assert set(tmp_path.iterdir()) - inputs == named
 
 
 def _readme_commands():
@@ -560,6 +572,8 @@ def test_every_readme_command_parses():
     subparsers = next(a for a in parser._actions if a.dest == "command")
     assert {argv[0] for argv in commands} == set(subparsers.choices)
     assert ["train-graph", "--task", "cycles-stars", "--pool-mode", "mean"] in commands
+    assert ["train-node", "--feature-noise", "0.3", "--activation", "shrinkage",
+            "--sigma", "4"] in commands
     # A renamed flag must not pass as an abbreviation of its new name.
     assert not any(sub.allow_abbrev for sub in subparsers.choices.values())
     for argv in commands:

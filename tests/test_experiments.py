@@ -630,6 +630,16 @@ def test_bench_transform_rejects_descending_sizes():
         bench_transform([60, 30], repetitions=1)
 
 
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_bench_transform_rejects_fewer_than_one_repetition(monkeypatch, repetitions):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(experiments, "random_er_graph", no_graph)
+    with pytest.raises(ValueError, match="repetitions must be at least 1"):
+        bench_transform([30], repetitions=repetitions)
+
+
 def test_bench_transform_deterministic_mode_zeroes_times(monkeypatch):
     monkeypatch.setenv("UFG_DETERMINISTIC", "1")
     rows = bench_transform([30], repetitions=1, seed=0)

@@ -9,7 +9,6 @@ from ufg.graphs import build_graph
 from ufg.io import (
     COEFF_MAGIC,
     deterministic_mode,
-    emit_plot_data,
     read_coefficients,
     read_features_csv,
     read_graph_text,
@@ -184,7 +183,7 @@ def test_coefficients_unsupported_version(tmp_path, stack):
     assert blob[:4] == COEFF_MAGIC
 
 
-# -- metrics and plot data ---------------------------------------------------
+# -- metrics ---------------------------------------------------------------
 
 
 def test_metrics_jsonl_round_trip_sorted_keys(tmp_path):
@@ -209,38 +208,6 @@ def test_metrics_jsonl_is_strict_json(tmp_path):
         "acc": [0.5, None], "loss": None, "n": 12,
     }
     assert '"n": 12}' in line  # an integer stays an integer, not 12.0
-
-
-def test_emit_plot_data_headers_and_formatting(tmp_path):
-    rows = [
-        {"sigma": 0.5, "compression_ratio": 0.25, "accuracy_mean": 0.9,
-         "accuracy_std": 0.01, "ignored": True},
-    ]
-    assert emit_plot_data(rows, "tradeoff_curve", str(tmp_path / "t.csv")) is None
-    assert (tmp_path / "t.csv").read_text() == (
-        "sigma,compression_ratio,accuracy_mean,accuracy_std\n0.5,0.25,0.9,0.01\n"
-    )
-    emit_plot_data(
-        [{"n": 100, "series": "build", "mean_s": 0.125, "median_s": True}],
-        "bench",
-        str(tmp_path / "b.csv"),
-    )
-    assert (tmp_path / "b.csv").read_text() == (
-        "n,series,mean_s,median_s\n100,build,0.125,1\n"
-    )
-
-
-def test_emit_plot_data_errors(tmp_path):
-    out = str(tmp_path / "p.csv")
-    with pytest.raises(ValueError, match="unknown plot kind"):
-        emit_plot_data([{"a": 1}], "scatter", out)
-    with pytest.raises(ValueError, match="no metrics"):
-        emit_plot_data([], "sweep", out)
-    with pytest.raises(ValueError, match=r"missing columns \['std'\]"):
-        emit_plot_data(
-            [{"knob": "dilation", "value": 2.0, "mean": 0.5}], "sweep", out
-        )
-    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize(

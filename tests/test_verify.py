@@ -3,6 +3,7 @@
 import pytest
 
 import ufg.verify as verify_mod
+from ufg.cli import main
 from ufg.verify import run_verify
 
 
@@ -25,6 +26,19 @@ def test_run_verify_all_properties_pass(mode):
 def test_run_verify_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         run_verify(mode="fast")
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_run_verify_rejects_a_graph_without_nodes(monkeypatch, capsys, n):
+    def no_fixtures(*args):
+        raise AssertionError("fixtures were built")
+
+    monkeypatch.setattr(verify_mod, "_fixtures", no_fixtures)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        run_verify(mode="exact", n=n)
+    # A usage mistake is a runtime failure (2), not a failed property (3).
+    assert main(["verify", "--n", str(n)]) == 2
+    assert "n must be at least 1" in capsys.readouterr().err
 
 
 def test_crashed_check_reports_as_failure(monkeypatch):
