@@ -1,12 +1,16 @@
 """Command-line interface.
 
 Subcommands: transform, reconstruct, denoise, pool, train-node,
-train-graph, perturb, sweep, bench, verify. Exit codes: 0 success, 1 usage
-error, 2 runtime failure, 3 verify failure.
+train-graph, perturb, bench, verify. Exit codes: 0 success, 1 usage error,
+2 runtime failure, 3 verify failure.
+
+One run is one experiment point: a grid (noise levels, dilations, level
+counts, thresholds) is a shell loop over runs. ``train-node`` can apply one
+``perturb`` noise model to its dataset before training (``--perturb-*``).
 
 Output: stdout carries one ``io.encode_json`` line per result and nothing
-else: one summary per run, one row per size (``bench``), per successful grid
-point (``sweep``) or per property (``verify``). Every line is strict JSON:
+else: one summary per run, one row per size (``bench``) or per property
+(``verify``). Every line is strict JSON:
 keys are sorted, NumPy integer, float and bool scalars are written as plain
 numbers and booleans, and a non-finite float, such as the NaN accuracy of a
 diverged seed in ``per_seed``, is written as ``null``. Any other object that
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -86,14 +90,6 @@ def _parse_int_list(text: str) -> list[int]:
     if not out:
         raise _UsageError(f"empty integer list: {text!r}")
     return out
-
-
-def _parse_float_list(text: str) -> list[float]:
-    tokens = [tok.strip() for tok in text.split(",")]
-    vals = [_parse_token(float, tok, text) for tok in tokens if tok]
-    if not vals:
-        raise _UsageError(f"empty float list: {text!r}")
-    return vals
 
 
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
@@ -194,6 +190,19 @@ def _node_dataset(args):
     )
 
 
+def _perturbation(args):
+    """The ``--perturb-*`` flags of ``train-node`` as a ``PerturbationSpec``,
+    or None when they are absent."""
+    if args.perturb_model is None:
+        if args.perturb_value is not None or args.perturb_seed is not None:
+            raise _UsageError("--perturb-value and --perturb-seed need --perturb-model")
+        return None
+    if args.perturb_value is None:
+        raise _UsageError("--perturb-model needs --perturb-value")
+    seed = 1 if args.perturb_seed is None else args.perturb_seed
+    return perturb_mod.PerturbationSpec(args.perturb_model, args.perturb_value, seed)
+
+
 def _experiment_config(args, task: str):
     """The subcommand's flags as an ``ExperimentConfig``; fields it has no
     flag for keep their dataclass defaults."""
@@ -216,7 +225,11 @@ def _record_summary(record) -> dict:
 
 
 def _cmd_train_node(args) -> int:
+    spec = _perturbation(args)
     data = _node_dataset(args)
+    if spec is not None:
+        graph, features = perturb_mod.perturb(data.graph, data.features, spec)
+        data = replace(data, graph=graph, features=features)
     config = _experiment_config(args, task=f"{args.dataset}_node")
     sink = [] if args.metrics_out else None
     record = experiments.train_node_classifier(data, config, metrics_sink=sink)
@@ -244,9 +257,7 @@ def _cmd_train_graph(args) -> int:
 def _cmd_perturb(args) -> int:
     graph = io.read_graph_text(args.graph)
     features = io.read_features_csv(args.features)
-    spec = perturb_mod.PerturbationSpec(
-        target=args.target, model=args.model, value=args.value, seed=args.seed
-    )
+    spec = perturb_mod.PerturbationSpec(args.model, args.value, args.seed)
     new_graph, new_features = perturb_mod.perturb(graph, features, spec)
     if args.out_graph:
         io.write_graph_text(new_graph, args.out_graph)
@@ -263,27 +274,6 @@ def _cmd_perturb(args) -> int:
         summary["flip_probability"] = min(1.0, args.value * nnz / features.size)
         summary["note"] = "ratio is relative to the nonzero entry count"
     _emit_json(summary)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    data = _node_dataset(args)
-    base = _experiment_config(args, task="sensitivity_sweep")
-    rows = experiments.sensitivity_sweep(
-        data,
-        _parse_float_list(args.dilation_grid),
-        _parse_int_list(args.scale_grid),
-        base,
-    )
-    ok_rows = [r for r in rows if "error" not in r]
-    for row in rows:
-        if "error" in row:
-            print(f"sweep point {row['knob']}={row['value']} failed: {row['error']}",
-                  file=sys.stderr)
-    if not ok_rows:
-        raise RuntimeError("every sweep point failed")
-    for row in ok_rows:
-        _emit_json(row)
     return 0
 
 
@@ -364,22 +354,27 @@ def _build_parser() -> _Parser:
                 default="energy_scaled",
             )
 
-    def add_sbm_flags(p):
-        p.add_argument("--dataset", choices=("sbm", "citation"), default="sbm")
-        p.add_argument("--data-dir")
-        p.add_argument("--sbm-sizes", default="100,100,100")
-        p.add_argument("--p-in", type=float, default=0.1)
-        p.add_argument("--p-out", type=float, default=0.01)
-        p.add_argument(
-            "--feature-model", choices=("gaussian", "binary"), default="gaussian"
-        )
-        p.add_argument("--feature-dim", type=int, default=16)
-        p.add_argument("--feature-noise", type=float,
-                       help="noise std of the gaussian feature model (default 0.5)")
-        p.add_argument("--data-seed", type=int, default=0)
-
     p = sub.add_parser("train-node", help="node classification experiment")
-    add_sbm_flags(p)
+    p.add_argument("--dataset", choices=("sbm", "citation"), default="sbm")
+    p.add_argument("--data-dir")
+    p.add_argument("--sbm-sizes", default="100,100,100")
+    p.add_argument("--p-in", type=float, default=0.1)
+    p.add_argument("--p-out", type=float, default=0.01)
+    p.add_argument(
+        "--feature-model", choices=("gaussian", "binary"), default="gaussian"
+    )
+    p.add_argument("--feature-dim", type=int, default=16)
+    p.add_argument("--feature-noise", type=float,
+                   help="noise std of the gaussian feature model (default 0.5)")
+    p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--perturb-model", choices=perturb_mod.PERTURB_MODELS,
+                   help="noise model applied to the dataset before training")
+    p.add_argument("--perturb-value", type=float,
+                   help="flip ratio, noise std or edge-count ratio of --perturb-model")
+    p.add_argument("--perturb-seed", type=int,
+                   help="seed of the perturbation draws (default 1). Keep it apart "
+                        "from --data-seed: with equal seeds, feature flips replay "
+                        "the uniforms that drew the block model's first edges")
     add_training_flags(p)
     _add_system_flags(p)
     p.set_defaults(func=_cmd_train_node)
@@ -400,26 +395,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("perturb", help="apply a noise model to features or edges")
     p.add_argument("--graph", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--target", choices=("features", "edges"), required=True)
-    p.add_argument(
-        "--model",
-        choices=("bernoulli_flip", "gaussian", "edge_ratio"),
-        required=True,
-    )
+    p.add_argument("--model", choices=perturb_mod.PERTURB_MODELS, required=True)
     p.add_argument("--value", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-graph")
     p.add_argument("--out-features")
     p.set_defaults(func=_cmd_perturb)
-
-    p = sub.add_parser("sweep", help="dilation/scale sensitivity sweep")
-    add_sbm_flags(p)
-    add_training_flags(p)
-    _add_system_flags(p)
-    p.add_argument("--dilation-grid",
-                   default="1.25,1.5,1.75,2.0,2.25,2.5,2.75,3.0,3.25,3.5,3.75,4.0")
-    p.add_argument("--scale-grid", default="1-8")
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bench", help="time operator build and transform")
     p.add_argument("--sizes", default="1000,2000,4000,8000")
@@ -452,7 +433,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (KeyboardInterrupt, MemoryError) as exc:
         print(f"error: {type(exc).__name__}", file=sys.stderr)

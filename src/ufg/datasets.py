@@ -15,12 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
+from . import io
 from .graphs import Graph, build_graph
 
 
 @dataclass(frozen=True)
 class NodeDataset:
-    """Single graph with node features, labels and index-mask splits."""
+    """Single graph with node features, labels and index-mask splits.
+
+    Every split must select at least one node; an empty one raises
+    ``ValueError`` naming it.
+    """
 
     graph: Graph
     features: np.ndarray = field(repr=False)
@@ -28,6 +33,12 @@ class NodeDataset:
     train_mask: np.ndarray = field(repr=False)
     val_mask: np.ndarray = field(repr=False)
     test_mask: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        masks = {"train": self.train_mask, "val": self.val_mask, "test": self.test_mask}
+        empty = [name for name, mask in masks.items() if not np.any(mask)]
+        if empty:
+            raise ValueError(f"empty split(s), no nodes in: {', '.join(empty)}")
 
     @property
     def num_classes(self) -> int:
@@ -288,14 +299,12 @@ def load_citation(directory: str | os.PathLike) -> NodeDataset:
     index lists) and ``manifest.json`` with the expected sizes. Split-size
     mismatches against the manifest warn; structural problems raise.
     """
-    from . import io as ufg_io
-
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"dataset directory not found: {directory}")
-    graph = ufg_io.read_graph_text(os.path.join(directory, "graph.txt"))
-    features = ufg_io.read_features_csv(os.path.join(directory, "features.csv"))
-    labels = ufg_io.read_labels_text(os.path.join(directory, "labels.txt"))
+    graph = io.read_graph_text(os.path.join(directory, "graph.txt"))
+    features = io.read_features_csv(os.path.join(directory, "features.csv"))
+    labels = io.read_labels_text(os.path.join(directory, "labels.txt"))
     with open(os.path.join(directory, "splits.json"), encoding="utf-8") as fh:
         splits = json.load(fh)
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:

@@ -1,7 +1,7 @@
 """Desk-scale experiment drivers.
 
 Node and graph classification with framelet convolutions, framelet
-denoising, hyperparameter sensitivity sweeps and transform benchmarking.
+denoising and transform benchmarking.
 Every driver is deterministic given its config and seeds; in deterministic
 mode (``UFG_DETERMINISTIC=1``) recorded wall-clock fields are zeroed so
 re-runs produce byte-identical outputs.
@@ -380,6 +380,16 @@ def _union_backward(caches, dlogits: np.ndarray, union: _GraphUnion) -> dict:
     return grads
 
 
+def _split_sizes(m: int) -> tuple[int, int]:
+    """Train and validation sizes of an 80/10/10 split of ``m`` graphs; the
+    test split gets the rest, and an empty one raises ``ValueError``."""
+    n_train = int(round(0.8 * m))
+    n_val = max(1, int(round(0.1 * m)))
+    if m - n_train - n_val <= 0:
+        raise ValueError(f"{m} graphs are too few for an 80/10/10 split")
+    return n_train, n_val
+
+
 def train_graph_single(
     union: _GraphUnion,
     config: ExperimentConfig,
@@ -397,10 +407,7 @@ def train_graph_single(
     rng = np.random.default_rng(seed)
     m = union.labels.size
     perm = rng.permutation(m)
-    n_train = int(round(0.8 * m))
-    n_val = max(1, int(round(0.1 * m)))
-    if m - n_train - n_val <= 0:
-        raise ValueError("dataset too small for an 80/10/10 split")
+    n_train, n_val = _split_sizes(m)
     train_mask, val_mask, test_mask = (np.zeros(m, dtype=bool) for _ in range(3))
     train_mask[perm[:n_train]] = True
     val_mask[perm[n_train : n_train + n_val]] = True
@@ -460,6 +467,7 @@ def train_graph_classifier(
 ) -> MetricsRecord:
     """Multi-seed graph classification; see ``train_graph_single``."""
     start = time.perf_counter()
+    _split_sizes(len(samples))
     union = _graph_union(samples, config)
     per_seed = []
     for seed in config.seeds:
@@ -505,38 +513,6 @@ def denoise_signal(
     if squeeze:
         denoised = denoised[:, 0]
     return denoised, report
-
-
-def sensitivity_sweep(
-    data: NodeDataset,
-    dilation_grid,
-    scale_grid,
-    base_config: ExperimentConfig,
-) -> list[dict]:
-    """Accuracy versus dilation (levels fixed) and versus levels (dilation 2).
-
-    One row per grid point with mean and std over the config's seeds;
-    per-point failures are recorded in the row and the sweep continues.
-    """
-    rows: list[dict] = []
-    points = [("dilation", float(v)) for v in dilation_grid]
-    points += [("scale", int(v)) for v in scale_grid]
-    for knob, value in points:
-        if knob == "dilation":
-            cfg = replace(base_config, dilation=value)
-        else:
-            cfg = replace(base_config, dilation=2.0, levels=value)
-        row = {"knob": knob, "value": value}
-        try:
-            record = train_node_classifier(data, cfg)
-            row.update(
-                {"mean": record.mean, "std": record.std,
-                 "fingerprint": record.fingerprint}
-            )
-        except Exception as exc:  # per-point isolation, sweep continues
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return rows
 
 
 def bench_transform(

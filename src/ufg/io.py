@@ -23,6 +23,8 @@ import struct
 
 import numpy as np
 
+from . import graphs, transform
+
 COEFF_MAGIC = b"UFGC"
 FORMAT_VERSION = 1
 
@@ -52,8 +54,6 @@ def _data_lines(path: str):
 
 def read_graph_text(path: str):
     """Parse the graph text format; errors carry the offending line number."""
-    from .graphs import build_graph
-
     lines = _data_lines(path)
     try:
         lineno, header = next(lines)
@@ -79,7 +79,7 @@ def read_graph_text(path: str):
         edges.append((u, v, w))
     if len(edges) != m:
         raise ValueError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return build_graph(n, edges)
+    return graphs.build_graph(n, edges)
 
 
 def write_graph_text(graph, path: str) -> None:
@@ -165,8 +165,6 @@ def write_coefficients(stack, path: str) -> None:
 
 
 def read_coefficients(path: str):
-    from .transform import CoefficientStack
-
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != COEFF_MAGIC:
@@ -196,7 +194,7 @@ def read_coefficients(path: str):
     )
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in the payload")
-    return CoefficientStack(
+    return transform.CoefficientStack(
         data=data, block_index=tuple(block_index), num_nodes=n
     )
 

@@ -20,35 +20,29 @@ from .datasets import sample_pairs
 from .graphs import Graph, build_graph
 
 PERTURB_MODELS = ("bernoulli_flip", "gaussian", "edge_ratio")
-PERTURB_TARGETS = ("features", "edges")
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """One noise model aimed at either the features or the edge set.
+    """One noise model: ``edge_ratio`` perturbs the edge set, the other two
+    the features.
 
     ``value`` is the model parameter, finite and nonnegative: flip ratio for
     ``bernoulli_flip``, noise std for ``gaussian``, target edge-count ratio
     for ``edge_ratio``.
     """
 
-    target: str
     model: str
     value: float
     seed: int = 0
 
     def __post_init__(self):
-        if self.target not in PERTURB_TARGETS:
-            raise ValueError(f"target must be one of {PERTURB_TARGETS}")
         if self.model not in PERTURB_MODELS:
             raise ValueError(f"model must be one of {PERTURB_MODELS}")
         if not (np.isfinite(self.value) and self.value >= 0):
             raise ValueError(
                 f"model parameter must be finite and nonnegative, got {self.value}"
             )
-        expected_target = "edges" if self.model == "edge_ratio" else "features"
-        if self.target != expected_target:
-            raise ValueError(f"model {self.model!r} targets {expected_target!r}")
 
 
 def perturb(

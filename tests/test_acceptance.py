@@ -328,26 +328,28 @@ def test_criterion_08_denoising_efficacy(report):
     op = build_operators(system, lap, spectrum)
     truth = np.sin(2.0 * np.pi * 3.0 * np.arange(n) / n)
     noise_std = 0.5 * np.sqrt(np.mean(truth**2))
-    noisy_mses, best_mses = [], []
+    sigmas = (0.5, 1.0, 2.0, 4.0)
+    noisy_mses, mses = [], []  # mses[seed][k] is the MSE at sigmas[k]
     for seed in range(20):
         rng = np.random.default_rng(seed)
         noisy = truth + noise_std * rng.normal(size=n)
         noisy_mses.append(float(np.mean((noisy - truth) ** 2)))
-        best_mses.append(
-            min(
-                denoise_signal(op, noisy, sigma=s, truth=truth)[1][
-                    "mse_denoised"
-                ]
-                for s in (0.5, 1.0, 2.0, 4.0)
-            )
+        mses.append(
+            [denoise_signal(op, noisy, sigma=s, truth=truth)[1]["mse_denoised"]
+             for s in sigmas]
         )
-    ratio = float(np.mean(best_mses) / np.mean(noisy_mses))
+    noisy_mean = np.mean(noisy_mses)
+    ratio = float(np.mean(np.min(mses, axis=1)) / noisy_mean)
+    per_sigma = ", ".join(
+        f"{s:g}: {m / noisy_mean:.3f}" for s, m in zip(sigmas, np.mean(mses, axis=0))
+    )
     elapsed = time.perf_counter() - t0
     ok = ratio <= 0.5 and elapsed < 60.0
     report(
         8, ok,
         f"best-threshold denoising at {ratio:.3f}x the noisy MSE over 20 "
-        f"seeds (limit 0.5x), {elapsed:.1f}s (limit 60s)",
+        f"seeds (limit 0.5x; mean ratio per sigma {per_sigma}), "
+        f"{elapsed:.1f}s (limit 60s)",
     )
 
 
@@ -394,9 +396,7 @@ def test_criterion_11_shrinkage_robustness_under_feature_noise(report):
     data = generate_sbm(
         [100, 100, 100], 0.1, 0.01, BinaryFeatures(dim=96), seed=0
     )
-    spec = PerturbationSpec(
-        target="features", model="bernoulli_flip", value=2.0, seed=1
-    )
+    spec = PerturbationSpec(model="bernoulli_flip", value=2.0, seed=1)
     _, noisy_features = perturb(data.graph, data.features, spec)
     noisy = dataclasses.replace(data, features=noisy_features)
     relu = train_node_classifier(noisy, ExperimentConfig())

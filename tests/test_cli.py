@@ -1,5 +1,6 @@
 """End-to-end CLI runs through ``main(argv)`` with temp files."""
 
+import dataclasses
 import json
 import os
 import re
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 import ufg.cli as cli
+import ufg.experiments as experiments_mod
 import ufg.verify as verify_mod
 from ufg.cli import _build_parser, _emit_json, _experiment_config, _UsageError, main
-from ufg.datasets import random_er_graph
-from ufg.experiments import ExperimentConfig
+from ufg.datasets import BinaryFeatures, generate_sbm, random_er_graph
+from ufg.experiments import ExperimentConfig, train_node_classifier
 from ufg.io import (
     read_coefficients,
     read_features_csv,
@@ -22,6 +24,7 @@ from ufg.io import (
     write_features_csv,
     write_graph_text,
 )
+from ufg.perturb import PerturbationSpec, perturb
 
 ROUNDTRIP_TOL = 1e-10
 
@@ -55,14 +58,21 @@ def test_help_exits_zero(capsys):
         ["verify", "--mode", "approximate"],
         # Node training has no early stopping, so no --patience flag.
         ["train-node", "--patience", "5"],
-        ["sweep", "--patience", "5"],
-        # The sweep's rows go to stdout only; it has no plot-file flag.
-        ["sweep", "--out", "sweep.csv"],
+        # A perturbation needs both a model and a value.
+        ["train-node", "--perturb-value", "2"],
+        ["train-node", "--perturb-seed", "3"],
+        ["train-node", "--perturb-model", "edge_ratio"],
+        ["train-node", "--perturb-model", "edge_ratio", "--perturb-seed", "3"],
     ],
 )
-def test_usage_errors_exit_one(argv, capsys):
+def test_usage_errors_exit_one(argv, monkeypatch, capsys):
+    _no_training(monkeypatch)
     assert main(argv) == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and "training started" not in err
+    if any(word.startswith("--perturb") for word in argv):
+        # The message names the two flags that must come together.
+        assert "--perturb-model" in err and "--perturb-value" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -140,7 +150,6 @@ DEFAULT_FINGERPRINTS = [
     (["train-node"], "sbm_node", "0e1749f5344a"),
     (["train-node", "--activation", "shrinkage"], "sbm_node", "b50d613e2ec9"),
     (["train-graph"], "cycles-stars", "d701cf410257"),
-    (["sweep"], "sensitivity_sweep", "76740278089f"),
 ]
 
 
@@ -216,8 +225,6 @@ def test_denoise_single_node_graph_is_identity(tmp_path, capsys, mode):
 
 
 def _no_training(monkeypatch):
-    import ufg.experiments as experiments_mod
-
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
@@ -265,15 +272,7 @@ def test_train_node_bad_list_flags_exit_one(monkeypatch, capsys, extra, named):
     assert named in err and "training started" not in err
 
 
-def test_sweep_bad_dilation_grid_exits_one(monkeypatch, capsys):
-    _no_training(monkeypatch)
-    argv = ["sweep", "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0",
-            "--dilation-grid", "2,abc", "--scale-grid", "1"]
-    assert main(argv) == 1
-    assert "invalid float 'abc'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["train-node", "sweep"])
+@pytest.mark.parametrize("command", ["train-node"])
 def test_feature_noise_with_binary_features_exits_one(monkeypatch, capsys, command):
     _no_training(monkeypatch)
     argv = [command, "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0",
@@ -330,6 +329,46 @@ def test_train_graph_tiny_run(capsys):
     assert 0.0 <= summary["mean"] <= 1.0
 
 
+@pytest.mark.parametrize(
+    "model, value, seed_flags",
+    [
+        ("bernoulli_flip", 2.0, ["--perturb-seed", "1"]),
+        ("edge_ratio", 2.0, []),  # the default perturbation seed is 1
+    ],
+)
+def test_train_node_trains_on_the_perturbed_dataset(capsys, model, value, seed_flags):
+    argv = ["train-node", "--sbm-sizes", "10,10,10", "--feature-model", "binary",
+            "--feature-dim", "12", "--epochs", "3", "--seeds", "0-1", "--hidden", "4",
+            "--perturb-model", model, "--perturb-value", str(value), *seed_flags]
+    assert main(argv) == 0
+    summary = _last_json(capsys)
+    data = generate_sbm([10, 10, 10], 0.1, 0.01, BinaryFeatures(dim=12), seed=0)
+    graph, features = perturb(data.graph, data.features, PerturbationSpec(model, value, 1))
+    noisy = dataclasses.replace(data, graph=graph, features=features)
+    config = ExperimentConfig(epochs=3, seeds=(0, 1), hidden=4)
+    assert summary["per_seed"] == list(train_node_classifier(noisy, config).per_seed)
+
+
+def test_train_node_empty_split_exits_two_before_training(monkeypatch, capsys):
+    _no_training(monkeypatch)
+    # Two-node blocks leave the 10/20/70 split's test part empty.
+    argv = ["train-node", "--sbm-sizes", "2,2", "--epochs", "1", "--seeds", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "empty split(s), no nodes in: test" in err and "training started" not in err
+
+
+def test_train_graph_too_few_graphs_exits_two_before_the_union(monkeypatch, capsys):
+    def no_union(*args, **kwargs):
+        raise AssertionError("union built")
+
+    monkeypatch.setattr(experiments_mod, "_graph_union", no_union)
+    argv = ["train-graph", "--num-per-class", "0", "--epochs", "1", "--seeds", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "too few for an 80/10/10 split" in err and "union built" not in err
+
+
 def test_perturb_reports_flip_probability(tmp_path, capsys):
     features = np.zeros((10, 4))
     features[:5, :2] = 1.0
@@ -340,7 +379,7 @@ def test_perturb_reports_flip_probability(tmp_path, capsys):
     out = str(tmp_path / "xp.csv")
     code = main(
         ["perturb", "--graph", gpath, "--features", fpath,
-         "--target", "features", "--model", "bernoulli_flip",
+         "--model", "bernoulli_flip",
          "--value", "0.5", "--out-features", out]
     )
     assert code == 0
@@ -358,7 +397,7 @@ def test_perturb_edge_ratio_reports_integer_edge_counts(tmp_path, capsys):
     write_features_csv(np.ones((12, 2)), fpath)
     code = main(
         ["perturb", "--graph", gpath, "--features", fpath,
-         "--target", "edges", "--model", "edge_ratio",
+         "--model", "edge_ratio",
          "--value", "1.5", "--out-graph", out_graph]
     )
     assert code == 0
@@ -369,17 +408,18 @@ def test_perturb_edge_ratio_reports_integer_edge_counts(tmp_path, capsys):
     assert summary["edges_after"] == read_graph_text(out_graph).num_edges
 
 
+# Ids name what each model perturbs: the features or the edges.
 @pytest.mark.parametrize(
-    "target, model, value",
+    "model, value",
     [
-        ("features", "gaussian", "nan"),
-        ("features", "gaussian", "inf"),
-        ("features", "gaussian", "1e400"),
-        ("edges", "edge_ratio", "nan"),
+        pytest.param("gaussian", "nan", id="features-gaussian-nan"),
+        pytest.param("gaussian", "inf", id="features-gaussian-inf"),
+        pytest.param("gaussian", "1e400", id="features-gaussian-1e400"),
+        pytest.param("edge_ratio", "nan", id="edges-edge_ratio-nan"),
     ],
 )
 def test_perturb_non_finite_value_exits_two_and_writes_nothing(
-    tmp_path, capsys, target, model, value
+    tmp_path, capsys, model, value
 ):
     gpath = str(tmp_path / "g.txt")
     fpath = str(tmp_path / "x.csv")
@@ -387,7 +427,7 @@ def test_perturb_non_finite_value_exits_two_and_writes_nothing(
     write_features_csv(np.ones((12, 2)), fpath)
     outs = [str(tmp_path / "gp.txt"), str(tmp_path / "xp.csv")]
     code = main(
-        ["perturb", "--graph", gpath, "--features", fpath, "--target", target,
+        ["perturb", "--graph", gpath, "--features", fpath,
          "--model", model, "--value", value,
          "--out-graph", outs[0], "--out-features", outs[1]]
     )
@@ -412,18 +452,6 @@ def test_json_writer_writes_non_finite_floats_as_null(capsys):
     out = capsys.readouterr().out
     parsed = json.loads(out, parse_constant=_reject_constant)
     assert parsed == {"per_seed": [None, 0.5], "std": None}
-
-
-def test_sweep_prints_one_row_per_grid_point(capsys):
-    code = main(
-        ["sweep", "--sbm-sizes", "15,15", "--feature-dim", "4",
-         "--epochs", "1", "--seeds", "0", "--hidden", "4",
-         "--dilation-grid", "2.0", "--scale-grid", "1"]
-    )
-    assert code == 0
-    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(r["knob"], r["value"]) for r in rows] == [("dilation", 2.0), ("scale", 1)]
-    assert all({"mean", "std", "fingerprint"} <= set(r) for r in rows)
 
 
 def test_bench_prints_one_row_per_size(capsys):
@@ -491,7 +519,8 @@ def test_verify_failure_exits_three(monkeypatch, capsys):
 
 
 def _every_subcommand(tmp_path, gpath, spath):
-    """One tiny run of each subcommand; ``reconstruct`` reads ``transform``'s file."""
+    """One tiny run of each subcommand, two of ``train-node``;
+    ``reconstruct`` reads ``transform``'s file."""
     coeffs = str(tmp_path / "c.ufgc")
     node = ["--sbm-sizes", "15,15", "--feature-dim", "4", "--epochs", "1",
             "--seeds", "0", "--hidden", "4"]
@@ -503,12 +532,12 @@ def _every_subcommand(tmp_path, gpath, spath):
          "--truth", spath, "--out", str(tmp_path / "d.csv")],
         ["pool", "--graph", gpath, "--signal", spath, "--out", str(tmp_path / "p.csv")],
         ["train-node", *node],
+        ["train-node", *node, "--perturb-model", "edge_ratio", "--perturb-value", "2"],
         ["train-graph", "--num-per-class", "5", "--epochs", "2", "--patience", "2",
          "--seeds", "0", "--hidden", "4"],
-        ["perturb", "--graph", gpath, "--features", spath, "--target", "edges",
+        ["perturb", "--graph", gpath, "--features", spath,
          "--model", "edge_ratio", "--value", "1.5",
          "--out-graph", str(tmp_path / "gp.txt")],
-        ["sweep", *node, "--dilation-grid", "2", "--scale-grid", "1"],
         ["bench", "--sizes", "30", "--reps", "1"],
         ["verify", "--n", "20"],
     ]
@@ -520,7 +549,7 @@ def test_every_subcommand_prints_strict_byte_stable_json(
     gpath, spath, _ = graph_files
     commands = _every_subcommand(tmp_path, gpath, spath)
     subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
-    assert [argv[0] for argv in commands] == list(subparsers.choices)
+    assert list(dict.fromkeys(argv[0] for argv in commands)) == list(subparsers.choices)
     monkeypatch.setenv("UFG_DETERMINISTIC", "1")
     # A stray file written to the working directory would land here too.
     monkeypatch.chdir(tmp_path)

@@ -167,6 +167,14 @@ def test_stratified_split_minimum_one_train():
     assert train[labels == 1].sum() >= 1
 
 
+@pytest.mark.parametrize(
+    "sizes, empty", [([2, 2], "test"), ([1, 1], "val, test")]
+)
+def test_generate_sbm_rejects_blocks_too_small_for_every_split(sizes, empty):
+    with pytest.raises(ValueError, match=f"no nodes in: {empty}$"):
+        generate_sbm(sizes, 0.5, 0.1)
+
+
 def test_generate_sbm_gaussian():
     data = generate_sbm([10, 15], 0.5, 0.05, GaussianFeatures(dim=4), seed=1)
     assert data.graph.num_nodes == 25
@@ -277,6 +285,18 @@ def test_load_citation_bad_split_indices(tmp_path):
         json.dumps({"train": [0, 99], "val": [2], "test": [3]})
     )
     with pytest.raises(ValueError, match="out of range"):
+        load_citation(tmp_path)
+
+
+def test_load_citation_rejects_an_empty_split(tmp_path):
+    _write_citation_fixture(tmp_path)
+    (tmp_path / "splits.json").write_text(
+        json.dumps({"train": [0, 1], "val": [], "test": [2, 3]})
+    )
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest.update(val_size=0, test_size=2)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="no nodes in: val$"):
         load_citation(tmp_path)
 
 

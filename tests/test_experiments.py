@@ -26,7 +26,6 @@ from ufg.experiments import (
     denoise_signal,
     majority_class_accuracy,
     make_record,
-    sensitivity_sweep,
     train_graph_classifier,
     train_node_classifier,
 )
@@ -585,19 +584,6 @@ def test_denoise_preserves_two_dimensional_signals(path_signal):
     stacked = np.column_stack([noisy, 2.0 * noisy])
     out, _ = denoise_signal(op, stacked, sigma=0.0)
     assert out.shape == stacked.shape
-
-
-# ------------------------------------------------------------------- sweep
-
-def test_sensitivity_sweep_rows_and_error_isolation(sbm_data):
-    base = ExperimentConfig(epochs=2, seeds=(0,), hidden=4)
-    rows = sensitivity_sweep(sbm_data, [2.0], [1, 0], base)
-    assert [(r["knob"], r["value"]) for r in rows] == [
-        ("dilation", 2.0), ("scale", 1), ("scale", 0)
-    ]
-    assert "mean" in rows[0] and "mean" in rows[1]
-    assert "error" in rows[2] and "mean" not in rows[2]
-    assert "ValueError" in rows[2]["error"]
 
 
 # ------------------------------------------------------------------- bench

@@ -120,7 +120,7 @@ def _weighted_base_graph():
 
 
 def _perturbed_edges(value):
-    spec = PerturbationSpec("edges", "edge_ratio", value, seed=5)
+    spec = PerturbationSpec("edge_ratio", value, seed=5)
     return perturb(_weighted_base_graph(), np.zeros((40, 1)), spec)[0]
 
 
@@ -380,7 +380,7 @@ def test_graph_spectral_cache_arrays_are_read_only():
 def test_perturbed_graph_computes_its_own_spectrum():
     g = random_er_graph(30, 4.0, np.random.default_rng(10))
     before = g.spectrum
-    spec = PerturbationSpec("edges", "edge_ratio", 0.7, seed=1)
+    spec = PerturbationSpec("edge_ratio", 0.7, seed=1)
     h, _ = perturb(g, np.ones((30, 1)), spec)
     assert h is not g
     assert h.spectrum is not before
