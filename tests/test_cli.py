@@ -572,6 +572,47 @@ def test_every_subcommand_prints_strict_byte_stable_json(
     assert set(tmp_path.iterdir()) - inputs == named
 
 
+def _denoise_loop(tmp_path):
+    """``ufg denoise`` over σ on a noisy sine along a 20-node path."""
+    gpath, npath, tpath = (str(tmp_path / f) for f in ("path.txt", "noisy.csv", "truth.csv"))
+    with open(gpath, "w") as fh:
+        fh.write("20 19\n" + "".join(f"{i} {i + 1}\n" for i in range(19)))
+    truth = np.sin(np.linspace(0.0, 6.0 * np.pi, 20))[:, None]
+    noise = np.random.default_rng(0).normal(scale=0.5, size=truth.shape)
+    write_features_csv(truth, tpath)
+    write_features_csv(truth + noise, npath)
+    return [(["denoise", "--graph", gpath, "--signal", npath, "--truth", tpath,
+              "--sigma", str(s), "--out", str(tmp_path / f"d{s}.csv")], {"sigma": s})
+            for s in (0.5, 1.0)]
+
+
+def _robustness_loop(tmp_path):
+    """README's feature-flip loop at a tiny size, relu then shrinkage."""
+    node = ["train-node", "--sbm-sizes", "10,10", "--epochs", "2", "--seeds", "0",
+            "--feature-model", "binary", "--feature-dim", "8",
+            "--perturb-model", "bernoulli_flip", "--perturb-seed", "1"]
+    return [([*node, "--perturb-value", str(r), "--activation", m], {"activation": m})
+            for r in (0.0, 1.0) for m in ("relu", "shrinkage")]
+
+
+@pytest.mark.parametrize(
+    "loop", [pytest.param(_denoise_loop, id="denoise"),
+             pytest.param(_robustness_loop, id="robustness")],
+)
+def test_experiment_loop_prints_strict_json(loop, tmp_path, monkeypatch, capsys):
+    runs = loop(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    inputs = set(tmp_path.iterdir())
+    for argv, expected in runs:
+        assert main(argv) == 0, argv
+        lines = capsys.readouterr().out.splitlines()
+        rows = [json.loads(line, parse_constant=_reject_constant) for line in lines]
+        assert len(rows) == 1, argv
+        assert {k: rows[0][k] for k in expected} == expected
+    named = {Path(argv[argv.index("--out") + 1]) for argv, _ in runs if "--out" in argv}
+    assert set(tmp_path.iterdir()) - inputs == named
+
+
 def _readme_commands():
     """The argv of every ``ufg`` command in README's shell code blocks.
 
