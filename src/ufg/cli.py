@@ -194,12 +194,14 @@ def _perturbation(args):
     """The ``--perturb-*`` flags of ``train-node`` as a ``PerturbationSpec``,
     or None when they are absent."""
     if args.perturb_model is None:
-        if args.perturb_value is not None or args.perturb_seed is not None:
-            raise _UsageError("--perturb-value and --perturb-seed need --perturb-model")
+        if args.perturb_value is not None:
+            raise _UsageError("--perturb-value needs --perturb-model")
         return None
     if args.perturb_value is None:
         raise _UsageError("--perturb-model needs --perturb-value")
-    seed = 1 if args.perturb_seed is None else args.perturb_seed
+    # Never the data seed, so the perturbation draws never replay the
+    # uniforms that generated the dataset.
+    seed = args.data_seed + 1
     return perturb_mod.PerturbationSpec(args.perturb_model, args.perturb_value, seed)
 
 
@@ -235,7 +237,11 @@ def _cmd_train_node(args) -> int:
     record = experiments.train_node_classifier(data, config, metrics_sink=sink)
     if args.metrics_out:
         io.write_metrics_jsonl(sink, args.metrics_out)
-    _emit_json(_record_summary(record))
+    summary = _record_summary(record)
+    if spec is not None:
+        summary["perturbation"] = {"model": spec.model, "value": spec.value,
+                                   "seed": spec.seed}
+    _emit_json(summary)
     return 0
 
 
@@ -370,11 +376,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--perturb-model", choices=perturb_mod.PERTURB_MODELS,
                    help="noise model applied to the dataset before training")
     p.add_argument("--perturb-value", type=float,
-                   help="flip ratio, noise std or edge-count ratio of --perturb-model")
-    p.add_argument("--perturb-seed", type=int,
-                   help="seed of the perturbation draws (default 1). Keep it apart "
-                        "from --data-seed: with equal seeds, feature flips replay "
-                        "the uniforms that drew the block model's first edges")
+                   help="flip ratio, noise std or edge-count ratio of --perturb-model "
+                        "(its draws are seeded with --data-seed + 1)")
     add_training_flags(p)
     _add_system_flags(p)
     p.set_defaults(func=_cmd_train_node)

@@ -380,34 +380,26 @@ def _union_backward(caches, dlogits: np.ndarray, union: _GraphUnion) -> dict:
     return grads
 
 
-def _split_sizes(m: int) -> tuple[int, int]:
-    """Train and validation sizes of an 80/10/10 split of ``m`` graphs; the
-    test split gets the rest, and an empty one raises ``ValueError``."""
-    n_train = int(round(0.8 * m))
-    n_val = max(1, int(round(0.1 * m)))
-    if m - n_train - n_val <= 0:
-        raise ValueError(f"{m} graphs are too few for an 80/10/10 split")
-    return n_train, n_val
-
-
 def train_graph_single(
     union: _GraphUnion,
     config: ExperimentConfig,
     seed: int,
+    split_sizes: tuple[int, int],
     metrics_sink: list | None = None,
 ) -> dict:
     """One seeded graph-classification run.
 
     Two GCN layers, a pooling readout (framelet sum/spectrum or mean
-    baseline) and a two-layer MLP; 80/10/10 split, early stopping after
-    ``patience`` epochs without validation improvement, best-validation
-    model selection. Every epoch is one masked full-batch pass over the
-    disjoint union of the graphs.
+    baseline) and a two-layer MLP; a seeded random split with
+    ``split_sizes`` = (train, validation) graphs and the rest for test,
+    early stopping after ``patience`` epochs without validation
+    improvement, best-validation model selection. Every epoch is one
+    masked full-batch pass over the disjoint union of the graphs.
     """
     rng = np.random.default_rng(seed)
     m = union.labels.size
     perm = rng.permutation(m)
-    n_train, n_val = _split_sizes(m)
+    n_train, n_val = split_sizes
     train_mask, val_mask, test_mask = (np.zeros(m, dtype=bool) for _ in range(3))
     train_mask[perm[:n_train]] = True
     val_mask[perm[n_train : n_train + n_val]] = True
@@ -465,13 +457,18 @@ def train_graph_classifier(
     config: ExperimentConfig,
     metrics_sink: list | None = None,
 ) -> MetricsRecord:
-    """Multi-seed graph classification; see ``train_graph_single``."""
+    """Multi-seed graph classification on an 80/10/10 split; see
+    ``train_graph_single``. An empty test split raises ``ValueError``."""
     start = time.perf_counter()
-    _split_sizes(len(samples))
+    m = len(samples)
+    n_train = int(round(0.8 * m))
+    n_val = max(1, int(round(0.1 * m)))
+    if m - n_train - n_val <= 0:
+        raise ValueError(f"{m} graphs are too few for an 80/10/10 split")
     union = _graph_union(samples, config)
     per_seed = []
     for seed in config.seeds:
-        result = train_graph_single(union, config, seed, metrics_sink)
+        result = train_graph_single(union, config, seed, (n_train, n_val), metrics_sink)
         per_seed.append(result["test_accuracy"])
     extra = {"task": config.task, "pool_mode": config.pool_mode}
     return make_record(config.fingerprint(), per_seed, _elapsed(start), extra)

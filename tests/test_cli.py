@@ -60,9 +60,7 @@ def test_help_exits_zero(capsys):
         ["train-node", "--patience", "5"],
         # A perturbation needs both a model and a value.
         ["train-node", "--perturb-value", "2"],
-        ["train-node", "--perturb-seed", "3"],
         ["train-node", "--perturb-model", "edge_ratio"],
-        ["train-node", "--perturb-model", "edge_ratio", "--perturb-seed", "3"],
     ],
 )
 def test_usage_errors_exit_one(argv, monkeypatch, capsys):
@@ -330,23 +328,31 @@ def test_train_graph_tiny_run(capsys):
 
 
 @pytest.mark.parametrize(
-    "model, value, seed_flags",
-    [
-        ("bernoulli_flip", 2.0, ["--perturb-seed", "1"]),
-        ("edge_ratio", 2.0, []),  # the default perturbation seed is 1
-    ],
+    "model, data_seed",
+    [("bernoulli_flip", 0), ("edge_ratio", 0), ("bernoulli_flip", 4)],
 )
-def test_train_node_trains_on_the_perturbed_dataset(capsys, model, value, seed_flags):
+def test_train_node_trains_on_the_perturbed_dataset(capsys, model, data_seed):
     argv = ["train-node", "--sbm-sizes", "10,10,10", "--feature-model", "binary",
             "--feature-dim", "12", "--epochs", "3", "--seeds", "0-1", "--hidden", "4",
-            "--perturb-model", model, "--perturb-value", str(value), *seed_flags]
+            "--data-seed", str(data_seed), "--perturb-model", model, "--perturb-value", "2"]
     assert main(argv) == 0
     summary = _last_json(capsys)
-    data = generate_sbm([10, 10, 10], 0.1, 0.01, BinaryFeatures(dim=12), seed=0)
-    graph, features = perturb(data.graph, data.features, PerturbationSpec(model, value, 1))
+    # The perturbation is seeded with --data-seed + 1: 1 at the default data
+    # seed, as in criterion 11.
+    spec = PerturbationSpec(model, 2.0, data_seed + 1)
+    data = generate_sbm([10, 10, 10], 0.1, 0.01, BinaryFeatures(dim=12), seed=data_seed)
+    graph, features = perturb(data.graph, data.features, spec)
     noisy = dataclasses.replace(data, graph=graph, features=features)
     config = ExperimentConfig(epochs=3, seeds=(0, 1), hidden=4)
     assert summary["per_seed"] == list(train_node_classifier(noisy, config).per_seed)
+    # The line says which perturbation it was trained on.
+    assert summary["perturbation"] == {"model": model, "value": 2.0, "seed": data_seed + 1}
+
+
+def test_train_node_without_perturbation_prints_no_perturbation_key(capsys):
+    argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0"]
+    assert main(argv) == 0
+    assert "perturbation" not in _last_json(capsys)
 
 
 def test_train_node_empty_split_exits_two_before_training(monkeypatch, capsys):
@@ -590,8 +596,10 @@ def _robustness_loop(tmp_path):
     """README's feature-flip loop at a tiny size, relu then shrinkage."""
     node = ["train-node", "--sbm-sizes", "10,10", "--epochs", "2", "--seeds", "0",
             "--feature-model", "binary", "--feature-dim", "8",
-            "--perturb-model", "bernoulli_flip", "--perturb-seed", "1"]
-    return [([*node, "--perturb-value", str(r), "--activation", m], {"activation": m})
+            "--perturb-model", "bernoulli_flip"]
+    return [([*node, "--perturb-value", str(r), "--activation", m],
+             {"activation": m,
+              "perturbation": {"model": "bernoulli_flip", "value": r, "seed": 1}})
             for r in (0.0, 1.0) for m in ("relu", "shrinkage")]
 
 
