@@ -173,11 +173,15 @@ def _cmd_pool(args) -> int:
 
 
 def _node_dataset(args):
+    """The ``train-node`` dataset and the summary's ``data`` object naming it."""
     if args.dataset == "citation":
         if not args.data_dir:
             raise _UsageError("--data-dir is required for the citation dataset")
-        return datasets.load_citation(args.data_dir)
+        return datasets.load_citation(args.data_dir), {"data_dir": args.data_dir}
     sizes = _parse_int_list(args.sbm_sizes)
+    info = {"sbm_sizes": sizes, "p_in": args.p_in, "p_out": args.p_out,
+            "feature_model": args.feature_model, "feature_dim": args.feature_dim,
+            "data_seed": args.data_seed}
     if args.feature_model == "binary":
         if args.feature_noise is not None:
             raise _UsageError("--feature-noise does not apply to --feature-model binary")
@@ -185,9 +189,10 @@ def _node_dataset(args):
     else:
         noise = 0.5 if args.feature_noise is None else args.feature_noise
         model = datasets.GaussianFeatures(dim=args.feature_dim, noise_std=noise)
+        info["feature_noise"] = noise
     return datasets.generate_sbm(
         sizes, args.p_in, args.p_out, model, seed=args.data_seed
-    )
+    ), info
 
 
 def _perturbation(args):
@@ -228,7 +233,7 @@ def _record_summary(record) -> dict:
 
 def _cmd_train_node(args) -> int:
     spec = _perturbation(args)
-    data = _node_dataset(args)
+    data, info = _node_dataset(args)
     if spec is not None:
         graph, features = perturb_mod.perturb(data.graph, data.features, spec)
         data = replace(data, graph=graph, features=features)
@@ -238,6 +243,7 @@ def _cmd_train_node(args) -> int:
     if args.metrics_out:
         io.write_metrics_jsonl(sink, args.metrics_out)
     summary = _record_summary(record)
+    summary["data"] = info
     if spec is not None:
         summary["perturbation"] = {"model": spec.model, "value": spec.value,
                                    "seed": spec.seed}
@@ -256,6 +262,8 @@ def _cmd_train_graph(args) -> int:
         io.write_metrics_jsonl(sink, args.metrics_out)
     summary = _record_summary(record)
     summary["majority_baseline"] = experiments.majority_class_accuracy(samples)
+    summary["data"] = {"task": args.task, "num_per_class": args.num_per_class,
+                       "data_seed": args.data_seed}
     _emit_json(summary)
     return 0
 

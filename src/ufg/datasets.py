@@ -7,6 +7,7 @@ plain-text formats documented in ``ufg.io``; only synthetic generators ship.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import warnings
@@ -61,6 +62,12 @@ class GaussianFeatures:
     dim: int = 16
     noise_std: float = 1.0
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"feature dim must be >= 1, got {self.dim}")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise std must be finite and >= 0, got {self.noise_std}")
+
 
 @dataclass(frozen=True)
 class BinaryFeatures:
@@ -74,6 +81,13 @@ class BinaryFeatures:
     dim: int = 48
     p_active: float = 0.5
     p_background: float = 0.05
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"feature dim must be >= 1, got {self.dim}")
+        if not (0.0 <= self.p_active <= 1.0 and 0.0 <= self.p_background <= 1.0):
+            raise ValueError(f"p_active {self.p_active} and p_background "
+                             f"{self.p_background} must lie in [0, 1]")
 
 
 def sample_pairs(n: int, m: int, rng, taken: np.ndarray | None = None) -> np.ndarray:
@@ -181,34 +195,39 @@ def generate_sbm(
     """Stochastic block model with class-informative features.
 
     Within-block pairs connect with probability ``p_in``, cross-block pairs
-    with ``p_out``. Features follow ``feature_model``; labels are the block
-    ids; splits are stratified 10/20/70 train/val/test. Deterministic given
-    ``seed``.
+    with ``p_out``. Each block pair draws its binomial edge count, then that
+    many distinct pairs, as ``random_er_graph`` does: O(N + E), not a coin
+    flip per node pair (Batagelj & Brandes 2005). Features follow
+    ``feature_model``; labels are the block ids; splits are stratified
+    10/20/70 train/val/test. Deterministic given ``seed``.
     """
     if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     block_sizes = [int(s) for s in block_sizes]
     if not block_sizes or min(block_sizes) <= 0:
         raise ValueError("every block must be nonempty")
+    num_classes = len(block_sizes)
+    if isinstance(feature_model, BinaryFeatures) and feature_model.dim < num_classes:
+        raise ValueError("feature dim smaller than the number of classes")
     rng = np.random.default_rng(seed)
     labels = np.concatenate(
         [np.full(size, cls, dtype=np.int64) for cls, size in enumerate(block_sizes)]
     )
     n = labels.shape[0]
-    # One uniform draw per ordered pair, row-major (the stream of a single
-    # (n, n) draw), taken one row block at a time and compared against p_in
-    # or p_out per block; pairs (u, v) with u < v become edges.
+    # Per block pair (a <= b), a binomial edge count, then that many distinct
+    # pairs: ER on a diagonal block, bipartite codes u * n_b + v off it.
     starts = np.cumsum([0] + block_sizes)
     rows, cols = [], []
-    for a in range(len(block_sizes)):
-        draws = rng.random((block_sizes[a], n))
-        for b in range(a, len(block_sizes)):
-            hit = draws[:, starts[b] : starts[b + 1]] < (p_in if a == b else p_out)
-            r, c = np.nonzero(np.triu(hit, k=1) if a == b else hit)
-            rows.append(r + starts[a])
-            cols.append(c + starts[b])
+    for a, b in itertools.combinations_with_replacement(range(num_classes), 2):
+        n_a, n_b = block_sizes[a], block_sizes[b]
+        if a == b:
+            codes = sample_pairs(n_a, rng.binomial(n_a * (n_a - 1) // 2, p_in), rng)
+        else:
+            codes = rng.choice(n_a * n_b, rng.binomial(n_a * n_b, p_out), replace=False)
+        r, c = np.divmod(codes, n_b)
+        rows.append(r + starts[a])
+        cols.append(c + starts[b])
     graph = build_graph(n, _unit_edges(np.concatenate(rows), np.concatenate(cols)))
-    num_classes = len(block_sizes)
     if isinstance(feature_model, GaussianFeatures):
         means = rng.normal(size=(num_classes, feature_model.dim))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -216,16 +235,12 @@ def generate_sbm(
             size=(n, feature_model.dim)
         )
     elif isinstance(feature_model, BinaryFeatures):
-        dim = feature_model.dim
-        chunk = dim // num_classes
-        if chunk == 0:
-            raise ValueError("feature dim smaller than the number of classes")
-        prob_mat = np.full((n, dim), feature_model.p_background)
-        for cls in range(num_classes):
-            lo = cls * chunk
-            hi = dim if cls == num_classes - 1 else (cls + 1) * chunk
-            prob_mat[labels == cls, lo:hi] = feature_model.p_active
-        features = (rng.random((n, dim)) < prob_mat).astype(np.float64)
+        # Dim i belongs to class i // chunk; the last class also takes the rest.
+        chunk = feature_model.dim // num_classes
+        owner = np.minimum(np.arange(feature_model.dim) // chunk, num_classes - 1)
+        prob = np.where(owner == labels[:, None], feature_model.p_active,
+                        feature_model.p_background)
+        features = (rng.random(prob.shape) < prob).astype(np.float64)
     else:
         raise TypeError(f"unknown feature model {type(feature_model).__name__}")
     train, val, test = stratified_split(labels, (0.1, 0.2), rng)

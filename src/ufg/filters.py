@@ -15,7 +15,7 @@ never used outside its interval; ``transform`` applies the fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,36 +25,24 @@ DEFAULT_CHEBYSHEV_DEGREE = 16
 
 
 @dataclass(frozen=True)
-class SpectralFunction:
-    """Named scalar function of frequency, vectorized over numpy arrays."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-
-    def __call__(self, xi) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(xi, dtype=np.float64)), dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class FilterBank:
     """Low-pass mask plus one or more high-pass masks.
 
-    ``scaling_low`` / ``scaling_high`` optionally carry the associated
-    scaling functions (Fourier transforms of the father / mother wavelets)
-    when closed forms are known; they are only needed for refinement checks.
+    Every mask is a plain function of a float frequency array. ``scaling_low``
+    / ``scaling_high`` optionally carry the scaling functions (Fourier
+    transforms of the father / mother wavelets) when closed forms are known;
+    they are only needed for refinement checks.
     """
 
-    low_pass: SpectralFunction
-    high_passes: tuple[SpectralFunction, ...]
-    scaling_low: SpectralFunction | None = None
-    scaling_high: tuple[SpectralFunction, ...] | None = None
+    low_pass: Callable[[np.ndarray], np.ndarray]
+    high_passes: tuple[Callable[[np.ndarray], np.ndarray], ...]
+    scaling_low: Callable[[np.ndarray], np.ndarray] | None = None
+    scaling_high: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def __post_init__(self):
         if not self.high_passes:
             raise ValueError("filter bank needs at least one high pass")
-        if self.scaling_high is not None and len(self.scaling_high) != len(
-            self.high_passes
-        ):
+        if self.scaling_high is not None and len(self.scaling_high) != self.num_high:
             raise ValueError("one scaling function per high pass required")
 
     @property
@@ -75,19 +63,12 @@ def haar_filter_bank() -> FilterBank:
     Scaling functions (with removable singularities at zero):
     ``alpha(xi) = sin(xi/2) / (xi/2)`` and ``beta(xi) = sin^2(xi/4) / (xi/4)``.
     """
-    low = SpectralFunction("haar_low", lambda xi: np.cos(xi / 2.0))
-    high = SpectralFunction("haar_high_1", lambda xi: np.sin(xi / 2.0))
-    # sin(x)/x via np.sinc keeps the limit at zero exact.
-    alpha = SpectralFunction("haar_scaling_low", lambda xi: np.sinc(xi / (2.0 * np.pi)))
-    beta = SpectralFunction(
-        "haar_scaling_high_1",
-        lambda xi: np.sin(xi / 4.0) * np.sinc(xi / (4.0 * np.pi)),
-    )
     return FilterBank(
-        low_pass=low,
-        high_passes=(high,),
-        scaling_low=alpha,
-        scaling_high=(beta,),
+        low_pass=lambda xi: np.cos(xi / 2.0),
+        high_passes=(lambda xi: np.sin(xi / 2.0),),
+        # sin(x)/x via np.sinc keeps the limit at zero exact.
+        scaling_low=lambda xi: np.sinc(xi / (2.0 * np.pi)),
+        scaling_high=(lambda xi: np.sin(xi / 4.0) * np.sinc(xi / (4.0 * np.pi)),),
     )
 
 
@@ -102,11 +83,7 @@ def verify_refinement(bank: FilterBank, xi_grid: np.ndarray) -> dict[str, float]
         raise ValueError("bank has no scaling functions to verify")
     xi = np.asarray(xi_grid, dtype=np.float64)
     alpha = bank.scaling_low
-    out = {
-        "low": float(
-            np.max(np.abs(alpha(2.0 * xi) - bank.low_pass(xi) * alpha(xi)))
-        )
-    }
+    out = {"low": float(np.max(np.abs(alpha(2.0 * xi) - bank.low_pass(xi) * alpha(xi))))}
     for r, (b, beta) in enumerate(zip(bank.high_passes, bank.scaling_high), start=1):
         out[f"high_{r}"] = float(np.max(np.abs(beta(2.0 * xi) - b(xi) * alpha(xi))))
     return out

@@ -281,6 +281,26 @@ def test_feature_noise_with_binary_features_exits_one(monkeypatch, capsys, comma
     assert "training started" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--feature-noise", "-1", "noise std"),
+        ("--feature-noise", "nan", "noise std"),
+        ("--feature-noise", "inf", "noise std"),
+        ("--feature-dim", "0", "feature dim"),
+    ],
+)
+def test_train_node_bad_feature_model_exits_two_before_training(
+    monkeypatch, capsys, flag, value, named
+):
+    _no_training(monkeypatch)
+    argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1",
+            "--seeds", "0", f"{flag}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "training started" not in err
+
+
 def test_train_node_duplicate_seeds_exit_two(monkeypatch, capsys):
     _no_training(monkeypatch)
     argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1",
@@ -325,6 +345,32 @@ def test_train_graph_tiny_run(capsys):
     summary = _last_json(capsys)
     assert summary["majority_baseline"] == 0.5
     assert 0.0 <= summary["mean"] <= 1.0
+    assert summary["data"] == {"task": "cycles-stars", "num_per_class": 5,
+                               "data_seed": 0}
+
+
+def test_train_node_summary_names_its_data(capsys):
+    lines = []
+    for sizes in ("10,10", "12,12"):
+        argv = ["train-node", "--sbm-sizes", sizes, "--epochs", "1", "--seeds", "0"]
+        assert main(argv) == 0
+        lines.append(_last_json(capsys))
+    # The fingerprint names the training config only; ``data`` tells the
+    # two datasets apart.
+    assert lines[0]["fingerprint"] == lines[1]["fingerprint"]
+    assert lines[0]["data"] != lines[1]["data"]
+    assert lines[0]["data"] == {
+        "sbm_sizes": [10, 10], "p_in": 0.1, "p_out": 0.01,
+        "feature_model": "gaussian", "feature_dim": 16, "feature_noise": 0.5,
+        "data_seed": 0,
+    }
+    argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0",
+            "--feature-model", "binary", "--feature-dim", "4", "--data-seed", "3"]
+    assert main(argv) == 0
+    assert _last_json(capsys)["data"] == {
+        "sbm_sizes": [10, 10], "p_in": 0.1, "p_out": 0.01,
+        "feature_model": "binary", "feature_dim": 4, "data_seed": 3,
+    }
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,14 @@
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ufg import datasets
 from ufg.datasets import (
     BinaryFeatures,
     GaussianFeatures,
@@ -195,6 +197,15 @@ def test_generate_sbm_binary():
     assert cls0[:, :4].mean() > cls0[:, 4:].mean() + 0.3
 
 
+def test_binary_features_split_dims_evenly_across_classes():
+    # 11 dims over 3 classes: 3 dims each, and the last class takes the rest.
+    data = generate_sbm([4, 4, 4], 0.5, 0.1, BinaryFeatures(11, 1.0, 0.0), seed=0)
+    expected = np.zeros((12, 11))
+    for cls, (lo, hi) in enumerate([(0, 3), (3, 6), (6, 11)]):
+        expected[data.labels == cls, lo:hi] = 1.0
+    np.testing.assert_array_equal(data.features, expected)
+
+
 def test_generate_sbm_validation():
     with pytest.raises(ValueError, match="probabilities"):
         generate_sbm([5, 5], 1.5, 0.1)
@@ -204,6 +215,79 @@ def test_generate_sbm_validation():
         generate_sbm([5, 5, 5], 0.5, 0.1, BinaryFeatures(dim=2))
     with pytest.raises(TypeError, match="feature model"):
         generate_sbm([5, 5], 0.5, 0.1, feature_model="onehot")
+
+
+@pytest.mark.parametrize(
+    "model, kwargs, named",
+    [
+        (GaussianFeatures, {"dim": 0}, "feature dim"),
+        (GaussianFeatures, {"noise_std": -1.0}, "noise std"),
+        (GaussianFeatures, {"noise_std": float("nan")}, "noise std"),
+        (GaussianFeatures, {"noise_std": float("inf")}, "noise std"),
+        (BinaryFeatures, {"dim": 0}, "feature dim"),
+        (BinaryFeatures, {"p_active": 1.7}, "p_active"),
+        (BinaryFeatures, {"p_active": float("nan")}, "p_active"),
+        (BinaryFeatures, {"p_background": -0.1}, "p_background"),
+    ],
+    ids=["gaussian-dim", "gaussian-negative", "gaussian-nan", "gaussian-inf",
+         "binary-dim", "binary-active-above-one", "binary-active-nan",
+         "binary-background-negative"],
+)
+def test_feature_models_reject_bad_values(model, kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        model(**kwargs)
+
+
+def test_generate_sbm_checks_binary_dim_before_drawing_edges(monkeypatch):
+    def no_edges(*args, **kwargs):
+        raise AssertionError("edges drawn")
+
+    monkeypatch.setattr(datasets, "sample_pairs", no_edges)
+    with pytest.raises(ValueError, match="feature dim smaller than the number of classes"):
+        generate_sbm([5, 5, 5], 0.5, 0.1, BinaryFeatures(dim=2))
+
+
+def _block_pair_edge_counts(data):
+    """``(k, k)`` edge counts of an SBM dataset, block pair ``(a, b)`` with
+    ``a <= b`` in the upper triangle (labels ascend with the node index)."""
+    coo = data.graph.adjacency.csr.tocoo()
+    upper = coo.row < coo.col
+    counts = np.zeros((data.num_classes,) * 2, dtype=np.int64)
+    np.add.at(counts, (data.labels[coo.row[upper]], data.labels[coo.col[upper]]), 1)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_generate_sbm_block_edge_counts_match_their_binomials(seed):
+    sizes, p_in, p_out = [300, 200], 0.05, 0.01
+    data = generate_sbm(sizes, p_in, p_out, seed=seed)
+    # Every drawn pair is distinct: build_graph would sum a repeat to 2.
+    np.testing.assert_array_equal(data.graph.adjacency.csr.data, 1.0)
+    counts = _block_pair_edge_counts(data)
+    for a, b in [(0, 0), (0, 1), (1, 1)]:
+        pairs = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+        p = p_in if a == b else p_out
+        mean, std = pairs * p, np.sqrt(pairs * p * (1 - p))
+        assert abs(counts[a, b] - mean) <= 4 * std, (a, b, counts[a, b], mean)
+
+
+def test_generate_sbm_exact_cases():
+    triangles = generate_sbm([3, 3], 1.0, 0.0).graph.adjacency.to_dense()
+    np.testing.assert_array_equal(triangles, np.kron(np.eye(2), 1.0 - np.eye(3)))
+    k44 = generate_sbm([4, 4], 0.0, 1.0).graph.adjacency.to_dense()
+    np.testing.assert_array_equal(k44, np.kron(1.0 - np.eye(2), np.ones((4, 4))))
+
+
+def test_generate_sbm_allocates_no_per_pair_array():
+    # 5000 nodes have 12.5 million ordered pairs; one float per pair would be
+    # 100 MB, while the ~27k edges, features and split need a few MB.
+    tracemalloc.start()
+    try:
+        generate_sbm([2500, 2500], 0.004, 0.0004)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 def test_cycles_and_stars():
@@ -309,6 +393,16 @@ def test_train_node_rejects_negative_citation_labels(tmp_path, capsys):
     assert main(["train-node", "--dataset", "citation", "--data-dir",
                  str(tmp_path), "--epochs", "1", "--seeds", "0"]) == 2
     assert "labels.txt:6: labels must be nonnegative" in capsys.readouterr().err
+
+
+def test_train_node_citation_summary_names_its_data_dir(tmp_path, capsys):
+    from ufg.cli import main
+
+    _write_citation_fixture(tmp_path)
+    assert main(["train-node", "--dataset", "citation", "--data-dir",
+                 str(tmp_path), "--epochs", "1", "--seeds", "0"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["data"] == {"data_dir": str(tmp_path)}
 
 
 def test_load_citation_missing_directory(tmp_path):

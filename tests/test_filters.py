@@ -9,7 +9,6 @@ from numpy.polynomial.chebyshev import chebval
 from ufg.filters import (
     FilterBank,
     PARTITION_TOL,
-    SpectralFunction,
     chebyshev_fit,
     haar_filter_bank,
     verify_refinement,
@@ -54,15 +53,8 @@ def test_refinement_requires_scaling_functions():
 
 
 def test_bank_requires_high_pass():
-    low = SpectralFunction("low", np.cos)
     with pytest.raises(ValueError, match="high pass"):
-        FilterBank(low_pass=low, high_passes=())
-
-
-def test_spectral_function_vectorizes():
-    f = SpectralFunction("sq", lambda x: x**2)
-    np.testing.assert_allclose(f([1.0, 2.0]), [1.0, 4.0])
-    assert float(f(3)) == pytest.approx(9.0)
+        FilterBank(low_pass=np.cos, high_passes=())
 
 
 def test_chebyshev_fit_low_pass_frozen_accuracy():

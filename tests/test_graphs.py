@@ -124,9 +124,10 @@ def _perturbed_edges(value):
     return perturb(_weighted_base_graph(), np.zeros((40, 1)), spec)[0]
 
 
-# sha256 of the CSR (indptr, indices, data) bytes. er2000 and sbm date from
-# before array ingest; er300 and both perturbations from the move of their
-# pair draws to ``datasets.sample_pairs``.
+# sha256 of the CSR (indptr, indices, data) bytes. er2000 dates from before
+# array ingest; er300 and both perturbations from the move of their pair
+# draws to ``datasets.sample_pairs``; sbm from the move of the block model to
+# binomial edge counts per block pair.
 GOLDEN_GRAPHS = {
     "er300": lambda: random_er_graph(300, 5.0, 0),
     "er2000": lambda: random_er_graph(2000, 5.0, 1),
@@ -146,9 +147,9 @@ GOLDEN_DIGESTS = {
         "7f8614f4c7d9e08633e2b6da143e27944bf2908aa49a717f4895be0e1e7c3a21",
     ),
     "sbm": (
-        "6e61507c47ae0eef117dd539586c4e2459f3a100891f2e2f94fcaab91a1fb69f",
-        "22bd38923c92a52ce461f8ec99b8b7b2d3b8c52fb8ab7d36ae0f56ee297aa614",
-        "54dffc32e6dc0dfa2e9eb9bd7af8b4093f419e42963d44f0af0e70aec335d098",
+        "f3207e64c367a24df5de80acc0bc37faa28f36d3c506e1e153c11a984f1c08fc",
+        "86bee434ec3e78eae3c04bdf33111d4730a885fc9d0e6655a44031e00367beba",
+        "f8ce2ec6ea8046fea9ebb0cfa3655f91463008c47d35cd4143306c0de3cc5030",
     ),
     "perturb0.5": (
         "ab05906f0a1bfea897d3040d9e2a84e8c2142742ec8e66892e3930d10e725649",

@@ -11,7 +11,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from ufg import graphs, transform
 from ufg.datasets import GaussianFeatures, generate_sbm, random_er_graph
-from ufg.filters import FilterBank, SpectralFunction, chebyshev_fit, haar_filter_bank
+from ufg.filters import FilterBank, chebyshev_fit, haar_filter_bank
 from ufg.graphs import build_graph, eigendecompose, lambda_max, normalized_laplacian
 from ufg.sparse import SparseMatrix
 from ufg.transform import (
@@ -154,10 +154,10 @@ def test_path_equivalence_exact_vs_chebyshev(small_laplacian, small_spectrum):
 def _linear_bank():
     """Linear framelet masks (Dong 2017): two high passes."""
     return FilterBank(
-        low_pass=SpectralFunction("linear_low", lambda xi: np.cos(xi / 2.0) ** 2),
+        low_pass=lambda xi: np.cos(xi / 2.0) ** 2,
         high_passes=(
-            SpectralFunction("linear_high_1", lambda xi: np.sin(xi) / np.sqrt(2.0)),
-            SpectralFunction("linear_high_2", lambda xi: np.sin(xi / 2.0) ** 2),
+            lambda xi: np.sin(xi) / np.sqrt(2.0),
+            lambda xi: np.sin(xi / 2.0) ** 2,
         ),
     )
 
