@@ -349,15 +349,16 @@ def _build_parser() -> _Parser:
     _add_system_flags(p)
     p.set_defaults(func=_cmd_pool)
 
-    def add_training_flags(p, with_activation=True):
+    def add_training_flags(p, node_model=True):
         p.add_argument("--hidden", type=int, default=32)
         p.add_argument("--lr", type=float, default=0.01)
         p.add_argument("--weight-decay", type=float, default=0.005)
-        p.add_argument("--dropout", type=float, default=0.5)
         p.add_argument("--epochs", type=int, default=200)
         p.add_argument("--seeds", default="0-9")
         p.add_argument("--metrics-out")
-        if with_activation:
+        # The graph model has no dropout layer and no activation choice.
+        if node_model:
+            p.add_argument("--dropout", type=float, default=0.5)
             p.add_argument(
                 "--activation", choices=("relu", "shrinkage"), default="relu"
             )
@@ -397,9 +398,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--pool-mode", choices=("sum", "spectrum", "mean"),
                    default="spectrum")
-    # Early stopping; node training runs every epoch and has no patience.
+    # Early stopping. Both tasks share one training loop, but node runs
+    # train every epoch, so only graph training takes this flag.
     p.add_argument("--patience", type=int, default=20)
-    add_training_flags(p, with_activation=False)
+    add_training_flags(p, node_model=False)
     _add_system_flags(p)
     p.set_defaults(func=_cmd_train_graph)
 

@@ -61,8 +61,10 @@ class ExperimentConfig:
     """Settings for one experiment family.
 
     Defaults are the grid centroids used throughout: lr 0.01, weight decay
-    0.005, hidden width 32, dropout 0.5, 200 epochs, patience 20 (early
-    stopping, read by graph classification only).
+    0.005, hidden width 32, dropout 0.5, 200 epochs, patience 20. Both
+    tasks train in one loop; ``dropout`` is read by the node model only
+    (the graph model has no dropout layer) and ``patience``, the early
+    stopping, by graph classification only.
     """
 
     task: str = "sbm_node"
@@ -91,8 +93,12 @@ class ExperimentConfig:
             raise ValueError("lr must be finite and > 0")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be finite and >= 0")
-        if np.isnan(self.sigma):
-            raise ValueError("sigma must not be NaN (inf allowed)")
+        if not self.sigma >= 0:
+            raise ValueError(f"sigma must be >= 0 (inf allowed), got {self.sigma}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be nonempty and distinct, got {self.seeds}")
         if self.activation not in ACTIVATION_KINDS:
@@ -181,33 +187,56 @@ def _conv_params(params: dict[str, np.ndarray], prefix: str) -> ConvLayerParams:
     )
 
 
-def _layer_compression(
-    params: dict[str, np.ndarray],
-    op: DecompositionOperator,
-    coeff_x: np.ndarray,
-    acts: tuple[LayerActivation, LayerActivation],
-) -> float:
-    """Final-layer compression ratio in evaluation mode (no dropout): what
-    layer 2's shrinkage, as its forward cache records it, leaves nonzero."""
-    h1, _ = ufg_input_conv_forward(_conv_params(params, "l1"), op, coeff_x, acts[0])
-    _, cache = ufg_conv_forward(_conv_params(params, "l2"), op, h1, acts[1])
-    return compression_ratio(cache["filtered"], cache["shrunk"])
+_SPLITS = ("train", "val", "test")
 
 
-def train_node_single(
-    data: NodeDataset,
-    op: DecompositionOperator,
-    coeff_x: np.ndarray,
-    config: ExperimentConfig,
-    seed: int,
-    metrics_sink: list | None = None,
-) -> dict:
-    """One seeded node-classification run.
+def _fit(task, config: ExperimentConfig, seed: int, patience: float,
+         metrics_sink: list | None = None) -> tuple[float, dict | None]:
+    """One seeded training run of ``task``; the loop both tasks share.
 
-    Two framelet convolutions with dropout between, softmax cross entropy on
-    the training mask, Adam with coupled L2 on the dense weights only.
-    Model selection keeps the epoch with the best validation accuracy and
-    reports its test accuracy. Returns NaN accuracy if the loss diverges.
+    ``task.init(rng)`` draws the parameters and runs the first forward
+    pass; each epoch is then ``task.step`` (loss and gradients of the state
+    the last evaluation left), one Adam step with coupled L2 on
+    ``task.decay_keys``, and ``task.evaluate`` (the logits, read on the
+    train/val/test ``task.masks``). Each epoch's three metrics rows reach
+    ``metrics_sink`` as the epoch ends. Training stops after ``patience``
+    epochs without validation improvement, and model selection keeps the
+    epoch with the best validation accuracy.
+
+    Returns that epoch's test accuracy and parameters, or ``(nan, None)``
+    if the loss diverges.
+    """
+    rng = np.random.default_rng(seed)
+    params = task.init(rng)
+    adam = AdamState(lr=config.lr)
+    best_val, best = -1.0, (np.nan, None)
+    stale = 0
+    for epoch in range(config.epochs):
+        loss, grads = task.step(params, rng)
+        if not np.isfinite(loss):
+            return np.nan, None
+        params = adam_step(adam, params, grads, config.weight_decay, task.decay_keys)
+        logits = task.evaluate(params)
+        accs = [accuracy(logits, task.labels, mask) for mask in task.masks]
+        if metrics_sink is not None:
+            for split, acc in zip(_SPLITS, accs):
+                metrics_sink.append(
+                    {"seed": seed, "epoch": epoch, "split": split,
+                     "loss": float(loss), "accuracy": acc}
+                )
+        if accs[1] > best_val:
+            best_val, best = accs[1], (accs[2], params)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    return best
+
+
+class _NodeTask:
+    """Node classification: two framelet convolutions with dropout between,
+    softmax cross entropy on the training mask, L2 on the dense weights.
 
     ``coeff_x`` is ``decompose(op, data.features).data``: layer 1 runs on
     it (``nn.ufg_input_conv_forward``) and never decomposes its input.
@@ -220,68 +249,59 @@ def train_node_single(
     input width; with shrinkage, or when the input is at least as wide,
     it projects first and both run at ``hidden``.
     """
-    rng = np.random.default_rng(seed)
-    X, labels = data.features, data.labels
-    num_classes = data.num_classes
-    acts = _layer_activations(config)
-    l1 = init_params(X.shape[1], config.hidden, op.num_rows, rng)
-    l2 = init_params(config.hidden, num_classes, op.num_rows, rng)
-    params = {
-        "l1.W": l1.W, "l1.theta": l1.theta, "l1.bias": l1.bias,
-        "l2.W": l2.W, "l2.theta": l2.theta, "l2.bias": l2.bias,
-    }
-    adam = AdamState(lr=config.lr)
-    decay_keys = {"l1.W", "l2.W"}
-    best = {"val": -1.0, "test": np.nan, "epoch": -1, "params": params}
-    failed = False
-    h1, c1 = ufg_input_conv_forward(l1, op, coeff_x, acts[0])
-    for epoch in range(config.epochs):
-        hd, cd = dropout_forward(h1, config.dropout, rng, training=True)
-        logits, c2 = ufg_conv_forward(_conv_params(params, "l2"), op, hd, acts[1])
-        loss, dlogits = softmax_cross_entropy(logits, labels, data.train_mask)
-        if not np.isfinite(loss):
-            failed = True
-            break
+
+    decay_keys = frozenset({"l1.W", "l2.W"})
+
+    def __init__(self, data: NodeDataset, op: DecompositionOperator,
+                 coeff_x: np.ndarray, config: ExperimentConfig):
+        self.data, self.op, self.coeff_x, self.config = data, op, coeff_x, config
+        self.acts = _layer_activations(config)
+        self.labels = data.labels
+        self.masks = (data.train_mask, data.val_mask, data.test_mask)
+
+    def _layer1(self, params) -> None:
+        self.h1, self.c1 = ufg_input_conv_forward(
+            _conv_params(params, "l1"), self.op, self.coeff_x, self.acts[0]
+        )
+
+    def init(self, rng) -> dict[str, np.ndarray]:
+        l1 = init_params(self.data.features.shape[1], self.config.hidden,
+                         self.op.num_rows, rng)
+        l2 = init_params(self.config.hidden, self.data.num_classes,
+                         self.op.num_rows, rng)
+        params = {
+            "l1.W": l1.W, "l1.theta": l1.theta, "l1.bias": l1.bias,
+            "l2.W": l2.W, "l2.theta": l2.theta, "l2.bias": l2.bias,
+        }
+        self._layer1(params)
+        return params
+
+    def step(self, params, rng):
+        hd, cd = dropout_forward(self.h1, self.config.dropout, rng, training=True)
+        logits, c2 = ufg_conv_forward(_conv_params(params, "l2"), self.op, hd,
+                                      self.acts[1])
+        loss, dlogits = softmax_cross_entropy(logits, self.labels, self.masks[0])
         dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
-        dW1, dth1, db1 = ufg_input_conv_backward(c1, dropout_backward(cd, dh))
-        grads = {
+        dW1, dth1, db1 = ufg_input_conv_backward(self.c1, dropout_backward(cd, dh))
+        return loss, {
             "l1.W": dW1, "l1.theta": dth1, "l1.bias": db1,
             "l2.W": dW2, "l2.theta": dth2, "l2.bias": db2,
         }
-        params = adam_step(adam, params, grads, config.weight_decay, decay_keys)
-        # Evaluation pass; its h1 is also the next epoch's training h1.
-        h1, c1 = ufg_input_conv_forward(
-            _conv_params(params, "l1"), op, coeff_x, acts[0]
-        )
-        eval_logits, _ = ufg_conv_forward(_conv_params(params, "l2"), op, h1, acts[1])
-        val_acc = accuracy(eval_logits, labels, data.val_mask)
-        test_acc = accuracy(eval_logits, labels, data.test_mask)
-        if metrics_sink is not None:
-            train_acc = accuracy(eval_logits, labels, data.train_mask)
-            for split, acc_val in (
-                ("train", train_acc), ("val", val_acc), ("test", test_acc)
-            ):
-                metrics_sink.append(
-                    {"seed": seed, "epoch": epoch, "split": split,
-                     "loss": float(loss), "accuracy": acc_val}
-                )
-        if val_acc > best["val"]:
-            best = {
-                "val": val_acc,
-                "test": test_acc,
-                "epoch": epoch,
-                "params": {k: v.copy() for k, v in params.items()},
-            }
-    out = {
-        "seed": seed,
-        "test_accuracy": np.nan if failed else best["test"],
-        "val_accuracy": best["val"],
-        "best_epoch": best["epoch"],
-        "failed": failed,
-    }
-    if config.activation == "shrinkage" and not failed:
-        out["compression_ratio"] = _layer_compression(best["params"], op, coeff_x, acts)
-    return out
+
+    def _eval_forward(self, params):
+        # Its layer 1 output is also the next epoch's training input.
+        self._layer1(params)
+        return ufg_conv_forward(_conv_params(params, "l2"), self.op, self.h1,
+                                self.acts[1])
+
+    def evaluate(self, params) -> np.ndarray:
+        return self._eval_forward(params)[0]
+
+    def compression(self, params) -> float:
+        """Final-layer compression ratio in evaluation mode (no dropout): what
+        layer 2's shrinkage, as its forward cache records it, leaves nonzero."""
+        cache = self._eval_forward(params)[1]
+        return compression_ratio(cache["filtered"], cache["shrunk"])
 
 
 def train_node_classifier(
@@ -289,21 +309,22 @@ def train_node_classifier(
     config: ExperimentConfig,
     metrics_sink: list | None = None,
 ) -> MetricsRecord:
-    """Multi-seed node classification; see ``train_node_single``.
+    """Multi-seed node classification; see ``_NodeTask`` and ``_fit``.
 
-    The input is decomposed once per call and its coefficients are shared
-    by every seed.
+    Every seed runs all ``config.epochs`` (no early stopping). The input is
+    decomposed once per call and its coefficients are shared by every seed.
     """
     start = time.perf_counter()
     op = build_node_operator(data, config)
     coeff_x = decompose(op, data.features).data
+    task = _NodeTask(data, op, coeff_x, config)
     per_seed: list[float] = []
     compressions: list[float] = []
     for seed in config.seeds:
-        result = train_node_single(data, op, coeff_x, config, seed, metrics_sink)
-        per_seed.append(result["test_accuracy"])
-        if "compression_ratio" in result:
-            compressions.append(result["compression_ratio"])
+        test_acc, params = _fit(task, config, seed, np.inf, metrics_sink)
+        per_seed.append(test_acc)
+        if config.activation == "shrinkage" and params is not None:
+            compressions.append(task.compression(params))
     extra: dict = {"task": config.task, "activation": config.activation}
     if compressions:
         extra["compression_ratio"] = float(np.mean(compressions))
@@ -380,76 +401,49 @@ def _union_backward(caches, dlogits: np.ndarray, union: _GraphUnion) -> dict:
     return grads
 
 
-def train_graph_single(
-    union: _GraphUnion,
-    config: ExperimentConfig,
-    seed: int,
-    split_sizes: tuple[int, int],
-    metrics_sink: list | None = None,
-) -> dict:
-    """One seeded graph-classification run.
-
-    Two GCN layers, a pooling readout (framelet sum/spectrum or mean
-    baseline) and a two-layer MLP; a seeded random split with
-    ``split_sizes`` = (train, validation) graphs and the rest for test,
-    early stopping after ``patience`` epochs without validation
-    improvement, best-validation model selection. Every epoch is one
-    masked full-batch pass over the disjoint union of the graphs.
+class _GraphTask:
+    """Graph classification: two GCN layers, a pooling readout (framelet
+    sum/spectrum or mean baseline) and a two-layer MLP, trained full-batch
+    on the disjoint union of the graphs. ``init`` first draws the seed's
+    split: ``split_sizes`` = (train, validation) graphs, the rest for test.
+    The logits and caches of each evaluation are the next epoch's forward
+    pass.
     """
-    rng = np.random.default_rng(seed)
-    m = union.labels.size
-    perm = rng.permutation(m)
-    n_train, n_val = split_sizes
-    train_mask, val_mask, test_mask = (np.zeros(m, dtype=bool) for _ in range(3))
-    train_mask[perm[:n_train]] = True
-    val_mask[perm[n_train : n_train + n_val]] = True
-    test_mask[perm[n_train + n_val :]] = True
-    hidden = config.hidden
-    pool_dim = hidden * (union.ops[0].num_blocks if union.ops else 1)
-    params = {
-        "g1.W": xavier_uniform(union.features.shape[1], hidden, rng),
-        "g2.W": xavier_uniform(hidden, hidden, rng),
-    }
-    params.update(mlp_init(pool_dim, hidden, int(union.labels.max()) + 1, rng))
-    adam = AdamState(lr=config.lr)
-    decay_keys = {"g1.W", "g2.W", "W1", "W2"}
-    best = {"val": -1.0, "test": np.nan, "epoch": -1}
-    stale = 0
-    failed = False
-    # The logits after an epoch's step are the next epoch's forward pass.
-    logits, caches = _union_forward(params, union, config.pool_mode)
-    for epoch in range(config.epochs):
-        loss, dlogits = softmax_cross_entropy(logits, union.labels, train_mask)
-        if not np.isfinite(loss):
-            failed = True
-            break
-        grads = _union_backward(caches, dlogits, union)
-        params = adam_step(adam, params, grads, config.weight_decay, decay_keys)
-        logits, caches = _union_forward(params, union, config.pool_mode)
-        val_acc = accuracy(logits, union.labels, val_mask)
-        if metrics_sink is not None:
-            metrics_sink.append(
-                {"seed": seed, "epoch": epoch, "split": "val",
-                 "loss": float(loss), "accuracy": val_acc}
-            )
-        if val_acc > best["val"]:
-            best = {
-                "val": val_acc,
-                "test": accuracy(logits, union.labels, test_mask),
-                "epoch": epoch,
-            }
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    return {
-        "seed": seed,
-        "test_accuracy": np.nan if failed else best["test"],
-        "val_accuracy": best["val"],
-        "best_epoch": best["epoch"],
-        "failed": failed,
-    }
+
+    decay_keys = frozenset({"g1.W", "g2.W", "W1", "W2"})
+
+    def __init__(self, union: _GraphUnion, config: ExperimentConfig,
+                 split_sizes: tuple[int, int]):
+        self.union, self.config, self.split_sizes = union, config, split_sizes
+        self.labels = union.labels
+
+    def init(self, rng) -> dict[str, np.ndarray]:
+        m = self.labels.size
+        perm = rng.permutation(m)
+        n_train, n_val = self.split_sizes
+        train_mask, val_mask, test_mask = (np.zeros(m, dtype=bool) for _ in range(3))
+        train_mask[perm[:n_train]] = True
+        val_mask[perm[n_train : n_train + n_val]] = True
+        test_mask[perm[n_train + n_val :]] = True
+        self.masks = (train_mask, val_mask, test_mask)
+        union, hidden = self.union, self.config.hidden
+        pool_dim = hidden * (union.ops[0].num_blocks if union.ops else 1)
+        params = {
+            "g1.W": xavier_uniform(union.features.shape[1], hidden, rng),
+            "g2.W": xavier_uniform(hidden, hidden, rng),
+        }
+        params.update(mlp_init(pool_dim, hidden, int(self.labels.max()) + 1, rng))
+        self.evaluate(params)
+        return params
+
+    def step(self, params, rng):
+        loss, dlogits = softmax_cross_entropy(self.logits, self.labels, self.masks[0])
+        return loss, _union_backward(self.caches, dlogits, self.union)
+
+    def evaluate(self, params) -> np.ndarray:
+        self.logits, self.caches = _union_forward(params, self.union,
+                                                  self.config.pool_mode)
+        return self.logits
 
 
 def train_graph_classifier(
@@ -457,19 +451,21 @@ def train_graph_classifier(
     config: ExperimentConfig,
     metrics_sink: list | None = None,
 ) -> MetricsRecord:
-    """Multi-seed graph classification on an 80/10/10 split; see
-    ``train_graph_single``. An empty test split raises ``ValueError``."""
+    """Multi-seed graph classification on an 80/10/10 split, with early
+    stopping after ``config.patience`` epochs without validation
+    improvement; see ``_GraphTask`` and ``_fit``. An empty test split
+    raises ``ValueError``."""
     start = time.perf_counter()
     m = len(samples)
     n_train = int(round(0.8 * m))
     n_val = max(1, int(round(0.1 * m)))
     if m - n_train - n_val <= 0:
         raise ValueError(f"{m} graphs are too few for an 80/10/10 split")
-    union = _graph_union(samples, config)
-    per_seed = []
-    for seed in config.seeds:
-        result = train_graph_single(union, config, seed, (n_train, n_val), metrics_sink)
-        per_seed.append(result["test_accuracy"])
+    task = _GraphTask(_graph_union(samples, config), config, (n_train, n_val))
+    per_seed = [
+        _fit(task, config, seed, config.patience, metrics_sink)[0]
+        for seed in config.seeds
+    ]
     extra = {"task": config.task, "pool_mode": config.pool_mode}
     return make_record(config.fingerprint(), per_seed, _elapsed(start), extra)
 

@@ -61,6 +61,8 @@ def test_help_exits_zero(capsys):
         # A perturbation needs both a model and a value.
         ["train-node", "--perturb-value", "2"],
         ["train-node", "--perturb-model", "edge_ratio"],
+        # The graph model has no dropout layer, so no --dropout flag.
+        ["train-graph", "--dropout", "0.5"],
     ],
 )
 def test_usage_errors_exit_one(argv, monkeypatch, capsys):
@@ -223,10 +225,13 @@ def test_denoise_single_node_graph_is_identity(tmp_path, capsys, mode):
 
 
 def _no_training(monkeypatch):
+    """Make building the node operator or the graph union fail loudly, so a
+    run that gets past its checks says "training started"."""
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
     monkeypatch.setattr(experiments_mod, "build_node_operator", no_training)
+    monkeypatch.setattr(experiments_mod, "_graph_union", no_training)
 
 
 @pytest.mark.parametrize(
@@ -238,6 +243,9 @@ def _no_training(monkeypatch):
         ("--weight-decay", "nan", "weight_decay"),
         ("--weight-decay", "inf", "weight_decay"),
         ("--sigma", "nan", "sigma"),
+        ("--sigma", "-1", "sigma"),
+        ("--dropout", "1", "dropout"),
+        ("--dropout", "nan", "dropout"),
         ("--hidden", "0", "hidden"),
     ],
 )
@@ -411,14 +419,23 @@ def test_train_node_empty_split_exits_two_before_training(monkeypatch, capsys):
 
 
 def test_train_graph_too_few_graphs_exits_two_before_the_union(monkeypatch, capsys):
-    def no_union(*args, **kwargs):
-        raise AssertionError("union built")
-
-    monkeypatch.setattr(experiments_mod, "_graph_union", no_union)
+    _no_training(monkeypatch)
     argv = ["train-graph", "--num-per-class", "0", "--epochs", "1", "--seeds", "0"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "too few for an 80/10/10 split" in err and "union built" not in err
+    assert "too few for an 80/10/10 split" in err and "training started" not in err
+
+
+@pytest.mark.parametrize("patience", ["0", "-3"])
+def test_train_graph_patience_below_one_exits_two_before_training(
+    monkeypatch, capsys, patience
+):
+    _no_training(monkeypatch)
+    argv = ["train-graph", "--num-per-class", "5", "--epochs", "5", "--seeds", "0",
+            f"--patience={patience}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "patience" in err and "training started" not in err
 
 
 def test_perturb_reports_flip_probability(tmp_path, capsys):

@@ -110,7 +110,9 @@ BAD_TRAINING_NUMBERS = [
     ("lr", -1.0), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
     ("weight_decay", -0.5), ("weight_decay", float("nan")),
     ("weight_decay", float("inf")),
-    ("sigma", float("nan")),
+    ("sigma", float("nan")), ("sigma", -1.0),
+    ("dropout", 1.0), ("dropout", -0.1), ("dropout", float("nan")),
+    ("patience", 0), ("patience", -3),
     ("hidden", 0),
 ]
 
@@ -122,7 +124,8 @@ def test_config_rejects_bad_training_numbers(field, value):
 
 
 def test_config_accepts_training_number_edges():
-    ExperimentConfig(weight_decay=0.0, sigma=float("inf"), hidden=1, lr=1e-12)
+    ExperimentConfig(weight_decay=0.0, sigma=float("inf"), hidden=1, lr=1e-12,
+                     dropout=0.0, patience=1)
 
 
 @pytest.mark.parametrize("seeds", [(), (1, 1), (0, 1, 2, 1)])
@@ -246,14 +249,31 @@ def test_node_shrinkage_reports_compression(sbm_data):
     assert 0.0 < rec.extra["compression_ratio"] <= 1.0
 
 
-def test_node_metrics_sink_rows(sbm_data):
-    cfg = ExperimentConfig(epochs=4, seeds=(0, 1), hidden=8)
+@pytest.mark.parametrize("task", ["node", "graph"])
+def test_metrics_sink_rows(monkeypatch, sbm_data, task):
     sink: list = []
-    train_node_classifier(sbm_data, cfg, metrics_sink=sink)
-    assert len(sink) == 4 * 3 * 2  # epochs x splits x seeds
-    row = sink[0]
-    assert set(row) == {"seed", "epoch", "split", "loss", "accuracy"}
-    assert {r["split"] for r in sink} == {"train", "val", "test"}
+    rows_at_step = []
+    real_step = experiments.adam_step
+
+    def counting(*args, **kwargs):
+        rows_at_step.append(len(sink))
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "adam_step", counting)
+    cfg = ExperimentConfig(epochs=4, patience=4, seeds=(0, 1), hidden=8)
+    if task == "node":
+        train_node_classifier(sbm_data, cfg, metrics_sink=sink)
+    else:
+        train_graph_classifier(cycles_and_stars(10, (5, 8), seed=0), cfg, sink)
+    # Seed-major, then epoch, then split; the three rows share the loss.
+    assert [(r["seed"], r["epoch"], r["split"]) for r in sink] == [
+        (seed, epoch, split)
+        for seed in (0, 1) for epoch in range(4) for split in ("train", "val", "test")
+    ]
+    assert set(sink[0]) == {"seed", "epoch", "split", "loss", "accuracy"}
+    assert all(len({r["loss"] for r in sink[i : i + 3]}) == 1 for i in range(0, 24, 3))
+    # Each epoch's rows reach the sink before the next Adam step.
+    assert rows_at_step == [3 * k for k in range(8)]
 
 
 def test_build_node_operator_chebyshev_path(sbm_data):
@@ -379,6 +399,58 @@ def test_node_epoch_applies_operator_eight_times(
         ("decompose", layer1): 1, ("reconstruct", layer1): 1,
     })
     assert sum(per_epoch.values()) == 8
+
+
+# Small seeded runs, recorded before node and graph training shared one
+# loop. Accuracies are count ratios (42 test and 12 validation nodes, 4
+# test and 4 validation graphs), so a change of RNG draw order or of an
+# epoch's steps shows as a changed count, not as round-off. Per activation:
+# test counts per seed, compression ratio, validation counts per epoch.
+PINNED_NODE_RUNS = {
+    "relu": ((11, 15), None, ((2, 2, 2, 2, 2, 2), (6, 6, 6, 6, 6, 5))),
+    "shrinkage": ((11, 7), 0.7722222222222221, ((1, 1, 1, 1, 0, 0), (5, 6, 6, 5, 5, 5))),
+}
+# Per pool mode: test counts per seed, validation counts per epoch until
+# early stopping (patience 3) or the last of 8 epochs.
+PINNED_GRAPH_RUNS = {
+    "sum": ((1, 2), ((1, 3, 3, 3, 3), (4, 4, 4, 4))),
+    "spectrum": ((4, 2), ((4, 3, 3, 3), (4, 4, 4, 0))),
+    "mean": ((4, 2), ((1, 3, 3, 3, 4, 4, 4, 3), (0, 0, 0, 0))),
+}
+
+
+def _val_counts(sink, size):
+    return tuple(
+        tuple(round(r["accuracy"] * size) for r in sink
+              if r["split"] == "val" and r["seed"] == seed)
+        for seed in (0, 1)
+    )
+
+
+@pytest.mark.parametrize("activation", sorted(PINNED_NODE_RUNS))
+def test_node_training_reproduces_pinned_outputs(activation):
+    test_counts, compression, val_counts = PINNED_NODE_RUNS[activation]
+    data = generate_sbm(
+        [20, 20, 20], 0.3, 0.05, GaussianFeatures(6, noise_std=1.0), seed=3
+    )
+    assert (data.val_mask.sum(), data.test_mask.sum()) == (12, 42)
+    cfg = ExperimentConfig(activation=activation, epochs=6, seeds=(0, 1), hidden=8)
+    sink: list = []
+    rec = train_node_classifier(data, cfg, metrics_sink=sink)
+    assert rec.per_seed == tuple(k / 42 for k in test_counts)
+    assert rec.extra.get("compression_ratio") == compression
+    assert _val_counts(sink, 12) == val_counts
+
+
+@pytest.mark.parametrize("pool_mode", sorted(PINNED_GRAPH_RUNS))
+def test_graph_training_reproduces_pinned_outputs(pool_mode):
+    test_counts, val_counts = PINNED_GRAPH_RUNS[pool_mode]
+    samples = cycles_and_stars(20, (5, 8), seed=0)
+    cfg = ExperimentConfig(pool_mode=pool_mode, epochs=8, patience=3, seeds=(0, 1), hidden=8)
+    sink: list = []
+    rec = train_graph_classifier(samples, cfg, metrics_sink=sink)
+    assert rec.per_seed == tuple(k / 4 for k in test_counts)
+    assert _val_counts(sink, 4) == val_counts
 
 
 # ------------------------------------------------------ graph classification
