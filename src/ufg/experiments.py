@@ -521,8 +521,9 @@ def bench_transform(
 
     Random sparse ER graphs and a ``BENCH_FEATURES``-column signal; per size,
     reports mean and median seconds over ``repetitions`` (at least 1) plus
-    the operator's block count and ``recurrence_degree``. The build is the whole ``framelet_operator``
-    call: Laplacian, Lanczos estimate of the top eigenvalue and block fits,
+    the operator's block count, ``recurrence_degree`` and
+    ``operator_bytes``. The build is the whole ``framelet_operator`` call:
+    Laplacian, Lanczos estimate of the top eigenvalue and block fits,
     each repetition on a fresh copy of the graph, whose spectral cache is
     empty. The transform runs matrix-free, one Chebyshev recurrence in each
     direction whatever the number of high passes, of ``recurrence_degree``
@@ -568,6 +569,7 @@ def bench_transform(
                     "transform_median_s": float(np.median(roundtrip_times)),
                     "blocks": op.num_blocks,
                     "recurrence_degree": op.system.recurrence_degree,
+                    "operator_bytes": op.operator_bytes,
                 }
             )
         except MemoryError:

@@ -2,7 +2,8 @@
 
 ``SparseMatrix`` is a thin immutable wrapper around ``scipy.sparse.csr_array``
 that pins the storage contract: canonical CSR layout (strictly increasing
-column indices per row, nondecreasing row offsets) and finite values only.
+column indices per row, nondecreasing row offsets), finite values only, and
+32-bit ``indptr``/``indices`` whenever the shape and entry count fit them.
 Graph adjacencies and Laplacians travel through this type.
 """
 
@@ -15,9 +16,22 @@ import scipy.sparse as sp
 
 
 def _canonical(mat: sp.csr_array) -> sp.csr_array:
+    """Float64 values, summed duplicates, sorted column indices, and int32
+    ``indptr``/``indices`` when every index and offset fits, else int64.
+
+    Narrow indices halve the index bytes each sparse product streams (index
+    compression; Williams et al. 2007) and leave the values and their order,
+    so every product is bit-identical to its int64 counterpart. Index arrays
+    may therefore be int32: widen them (``astype(np.int64)``) before any
+    arithmetic on them, such as coding a pair as ``row * n + col``.
+    """
     mat = mat.astype(np.float64, copy=False)
     mat.sum_duplicates()
     mat.sort_indices()
+    fits = max(*mat.shape, mat.nnz) <= np.iinfo(np.int32).max
+    index = np.int32 if fits else np.int64
+    mat.indptr = mat.indptr.astype(index, copy=False)
+    mat.indices = mat.indices.astype(index, copy=False)
     return mat
 
 

@@ -268,12 +268,24 @@ class DecompositionOperator:
         return self.num_blocks * self.num_nodes
 
     @property
+    def operator_bytes(self) -> int:
+        """Bytes the operator holds for its products: the dense stack in
+        exact mode, the CSR arrays of ``S`` in Chebyshev mode (12 nnz(S) +
+        4 (N + 1) with 32-bit indices)."""
+        if self.stack is not None:
+            return self.stack.nbytes
+        s = self.recurrence.csr
+        return s.data.nbytes + s.indices.nbytes + s.indptr.nbytes
+
+    @property
     def provenance(self) -> dict:
-        """How the operator was built: mode, degree, K, dilation, levels, and
-        in Chebyshev mode ``recurrence_degree`` and ``fit_residual``."""
+        """How the operator was built: mode, degree, K, dilation, levels,
+        ``operator_bytes``, and in Chebyshev mode ``recurrence_degree`` and
+        ``fit_residual``."""
         s = self.system
         out = {"mode": s.mode, "degree": s.degree, "K": s.K,
-               "dilation": s.dilation, "levels": s.levels}
+               "dilation": s.dilation, "levels": s.levels,
+               "operator_bytes": self.operator_bytes}
         if s.mode == "chebyshev":
             out["recurrence_degree"] = s.recurrence_degree
             out["fit_residual"] = s.fit_residual
@@ -420,15 +432,19 @@ def _recurrence_matrix(lap: SparseMatrix) -> SparseMatrix:
     return SparseMatrix.from_scipy(s)
 
 
-def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> None:
-    """``y += a * x`` in place: one BLAS pass and no temporary.
+def _axpy_blocks(coeffs: list[float], flat: np.ndarray, y: np.ndarray) -> None:
+    """``y += sum_b coeffs[b] * flat[b]`` in place: one BLAS axpy per block
+    and no temporary.
 
-    Both arrays must be C-contiguous float64 of one shape. A flat view of
-    any other layout would be a copy and the update would be lost, so the
-    reshape refuses to copy and raises instead.
+    ``flat`` holds one C-contiguous float64 row per block, each of ``y``'s
+    size, and ``y`` must be C-contiguous float64. A flat view of any other
+    layout would be a copy and the update would be lost, so the reshape
+    refuses to copy and raises instead.
     """
-    if y.size:
-        daxpy(x.reshape(-1, copy=False), y.reshape(-1, copy=False), a=a)
+    y_flat = y.reshape(-1, copy=False)
+    if y_flat.size:
+        for a, x in zip(coeffs, flat):
+            daxpy(x, y_flat, a=a)
 
 
 def chebyshev_decompose(
@@ -454,16 +470,18 @@ def chebyshev_decompose(
     S = _recurrence_matrix(lap) if recurrence is None else recurrence
     index = system.block_index()
     coeffs = system.chebyshev_coeffs
+    # Row k holds step k's coefficients, contiguous, as dger reads them.
+    steps = np.ascontiguousarray(coeffs.T)
     # C-contiguous output whatever the layout of X. Flattened, block b is
     # column b of the Fortran-ordered (N d) x B matrix ``columns``, a view,
     # so dger updates the output in place.
     data = np.empty((len(index) * X.shape[0], X.shape[1]))
     blocks = data.reshape(len(index), *X.shape)
     columns = data.reshape(len(index), -1, copy=False).T
-    for out, c in zip(blocks, coeffs[:, 0]):
+    for out, c in zip(blocks, steps[0]):
         np.multiply(X, c, out=out)
     t_prev, t_cur = None, X
-    for k in range(1, coeffs.shape[1]):
+    for k in range(1, len(steps)):
         # T_k = S T_{k-1} - T_{k-2}, with T_1 = S T_0 / 2
         t_next = S @ t_cur
         if t_prev is None:
@@ -472,7 +490,7 @@ def chebyshev_decompose(
             t_next -= t_prev
         t_prev, t_cur = t_cur, t_next
         if data.size:
-            dger(1.0, t_cur.ravel(), coeffs[:, k], a=columns, overwrite_a=True)
+            dger(1.0, t_cur.ravel(), steps[k], a=columns, overwrite_a=True)
     return CoefficientStack(data=data, block_index=index, num_nodes=lap.num_rows)
 
 
@@ -496,21 +514,21 @@ def chebyshev_reconstruct(
     if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
         raise ValueError("coefficient stack does not match the system")
     S = _recurrence_matrix(lap) if recurrence is None else recurrence
-    # Blocks of a C-contiguous array are C-contiguous, as _axpy needs.
+    # One flat row per block, C-contiguous, as _axpy_blocks needs.
     blocks = np.ascontiguousarray(c.blocks, dtype=np.float64)
-    coeffs = system.chebyshev_coeffs
-    t = coeffs.shape[1] - 1
+    flat = blocks.reshape(len(blocks), -1)
+    # steps[k]: step k's coefficients, one per block.
+    steps = system.chebyshev_coeffs.T.tolist()
+    t = len(steps) - 1
     # b_k = w_k + S b_{k+1} - b_{k+2}, started at b_t = w_t; the sum is
     # w_0 + S b_1 / 2 - b_2.
-    b, b_next = blocks[0] * coeffs[0, t], None
-    for cf, v in zip(coeffs[1:, t], blocks[1:]):
-        _axpy(cf, v, b)
+    b, b_next = blocks[0] * steps[t][0], None
+    _axpy_blocks(steps[t][1:], flat[1:], b)
     for k in range(t - 1, -1, -1):
         y = S @ b
         if k == 0:
             y *= 0.5
-        for cf, v in zip(coeffs[:, k], blocks):
-            _axpy(cf, v, y)
+        _axpy_blocks(steps[k], flat, y)
         if b_next is not None:
             y -= b_next
         b, b_next = y, b

@@ -530,7 +530,7 @@ def test_bench_prints_one_row_per_size(capsys):
     assert [(r["n"], r["status"]) for r in rows] == [(30, "ok"), (40, "ok")]
     for row in rows:
         assert {"build_mean_s", "build_median_s", "transform_mean_s",
-                "transform_median_s"} <= set(row)
+                "transform_median_s", "operator_bytes"} <= set(row)
 
 
 def test_transform_and_bench_report_the_applied_recurrence_degree(
@@ -557,6 +557,7 @@ def test_transform_and_bench_report_the_applied_recurrence_degree(
     assert prov["mode"] == "chebyshev"
     assert 1 <= prov["recurrence_degree"] <= 16 + 4
     assert 0.0 <= prov["fit_residual"] <= 1e-12
+    assert prov["operator_bytes"] > 0
     # K = 0 at two levels and t = 16: 15 of the 20 fitted degrees are kept.
     assert bench_out["recurrence_degree"] == 15
 

@@ -124,10 +124,10 @@ def _perturbed_edges(value):
     return perturb(_weighted_base_graph(), np.zeros((40, 1)), spec)[0]
 
 
-# sha256 of the CSR (indptr, indices, data) bytes. er2000 dates from before
-# array ingest; er300 and both perturbations from the move of their pair
-# draws to ``datasets.sample_pairs``; sbm from the move of the block model to
-# binomial edge counts per block pair.
+# sha256 of the CSR (indptr, indices, data) bytes, the index arrays as
+# int64. er2000 dates from before array ingest; er300 and both perturbations
+# from the move of their pair draws to ``datasets.sample_pairs``; sbm from the
+# move of the block model to binomial edge counts per block pair.
 GOLDEN_GRAPHS = {
     "er300": lambda: random_er_graph(300, 5.0, 0),
     "er2000": lambda: random_er_graph(2000, 5.0, 1),
@@ -167,8 +167,12 @@ GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_generated_graphs_match_golden_digests(name):
     csr = GOLDEN_GRAPHS[name]().adjacency.csr
-    arrays = (csr.indptr, csr.indices, csr.data)
-    assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64]
+    assert [a.dtype for a in (csr.indptr, csr.indices, csr.data)] == [
+        np.int32, np.int32, np.float64
+    ]
+    # The digests were recorded from int64 index arrays; hashing the indices
+    # widened back to int64 shows the graphs themselves did not change.
+    arrays = (csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
     assert got == GOLDEN_DIGESTS[name]
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ufg import perturb as perturb_mod
 from ufg.datasets import random_er_graph
 from ufg.graphs import build_graph
 from ufg.perturb import PerturbationSpec, perturb
@@ -120,6 +121,34 @@ def test_edge_ratio_preserves_loops_and_weights():
     a = g2.adjacency.to_dense()
     assert a[0, 0] == pytest.approx(2.0)
     assert a[0, 1] == pytest.approx(3.0)
+
+
+def test_edge_ratio_pair_codes_do_not_overflow_int32_indices(monkeypatch):
+    # Adjacency indices are int32, and int32 ``u * n + v`` wraps from
+    # n = 46341; at n = 50000 the pair (49998, 49999) codes to about 2.5e9.
+    n = 50_000
+    original = [(0, 49_999, 2.0), (12_345, 40_000, 3.0), (49_998, 49_999, 4.0)]
+    graph = build_graph(n, original)
+    assert graph.adjacency.csr.indices.dtype == np.int32
+    calls = []
+    sample_pairs = perturb_mod.sample_pairs
+
+    def spy(n_, m, rng, taken=None):
+        codes = sample_pairs(n_, m, rng, taken=taken)
+        calls.append((taken, codes))
+        return codes
+
+    monkeypatch.setattr(perturb_mod, "sample_pairs", spy)
+    spec = PerturbationSpec("edge_ratio", 3.0, seed=0)  # 3 -> 9 edges
+    g2, _ = perturb(graph, np.zeros((n, 1)), spec)
+    [(taken, codes)] = calls
+    assert sorted(zip(taken // n, taken % n)) == [(u, v) for u, v, _ in original]
+    u, v = codes // n, codes % n
+    assert np.all((0 <= u) & (u < v) & (v < n))
+    assert g2.num_edges == 9
+    a = g2.adjacency.csr
+    for p, q, w in original:
+        assert a[p, q] == a[q, p] == w
 
 
 def test_edge_ratio_overfull_raises():

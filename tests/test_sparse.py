@@ -7,7 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ufg import io
+from ufg.datasets import cycles_and_stars, generate_sbm, random_er_graph
+from ufg.experiments import ExperimentConfig, _graph_union
+from ufg.graphs import build_graph
+from ufg.perturb import PerturbationSpec, perturb
 from ufg.sparse import SparseMatrix
+from ufg.transform import _recurrence_matrix
 
 ALGEBRA_TOL = 1e-12
 
@@ -110,3 +116,53 @@ def test_gershgorin_bounds_spectral_radius(rng):
     lam = np.max(np.abs(np.linalg.eigvalsh(a)))
     assert m.gershgorin_bound() >= lam - ALGEBRA_TOL
 
+
+def _read_graph_text(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("4 3\n0 1\n1 2 2.5\n3 3\n")
+    return io.read_graph_text(str(path)).adjacency
+
+
+def _edge_ratio_adjacency(_):
+    graph = random_er_graph(40, 3.0, np.random.default_rng(1))
+    spec = PerturbationSpec("edge_ratio", 2.0, seed=2)
+    return perturb(graph, np.zeros((40, 1)), spec)[0].adjacency
+
+
+# Every way the library builds a sparse matrix. Each builder takes a
+# temporary directory, which only the file reader uses.
+LIBRARY_MATRICES = {
+    "build_graph": lambda _: build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)]).adjacency,
+    "read_graph_text": _read_graph_text,
+    "random_er_graph": lambda _: random_er_graph(50, 4.0, 0).adjacency,
+    "generate_sbm": lambda _: generate_sbm([10, 10], 0.5, 0.1, seed=0).graph.adjacency,
+    "edge_ratio": _edge_ratio_adjacency,
+    "laplacian": lambda _: random_er_graph(50, 4.0, 0).laplacian,
+    "gcn_adjacency": lambda _: random_er_graph(50, 4.0, 0).gcn_adjacency,
+    "recurrence": lambda _: _recurrence_matrix(random_er_graph(50, 4.0, 0).laplacian),
+    "graph_union": lambda _: _graph_union(
+        cycles_and_stars(3, seed=0), ExperimentConfig(task="graph", pool_mode="mean")
+    ).norm_adj,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_MATRICES))
+def test_library_matrices_have_int32_indices(name, tmp_path):
+    csr = LIBRARY_MATRICES[name](tmp_path).csr
+    assert csr.nnz > 0
+    assert (csr.indptr.dtype, csr.indices.dtype) == (np.int32, np.int32)
+
+
+def test_from_scipy_keeps_int64_indices_past_int32():
+    # One row, so indptr has two entries: a column index past 2^31 - 1 is
+    # the only thing int32 cannot hold.
+    n = 2**31 + 5
+    big = sp.csr_array(
+        (np.array([3.0]), np.array([n - 1], dtype=np.int64), np.array([0, 1])),
+        shape=(1, n),
+    )
+    m = SparseMatrix.from_scipy(big)
+    assert (m.csr.indptr.dtype, m.csr.indices.dtype) == (np.int64, np.int64)
+    assert m.nnz == 1
+    assert m.csr.indices.tolist() == [n - 1]
+    assert m.csr.data.tolist() == [3.0]

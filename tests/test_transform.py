@@ -369,6 +369,41 @@ def test_chebyshev_operator_builds_its_recurrence_matrix_once(
         dataclasses.replace(op, recurrence=None)
 
 
+def test_chebyshev_transforms_are_bitwise_the_same_with_int64_indices():
+    # S holds int32 indices. An int64 copy stores the same values in the same
+    # order, so every product, and so both transforms, agree bit for bit.
+    lap = random_er_graph(200, 6.0, np.random.default_rng(15)).laplacian
+    system = make_system(haar_filter_bank(), 2.0, levels=2, mode="chebyshev")
+    narrow = _recurrence_matrix(lap)
+    wide_csr = narrow.csr.copy()
+    wide_csr.indptr = wide_csr.indptr.astype(np.int64)
+    wide_csr.indices = wide_csr.indices.astype(np.int64)
+    wide = SparseMatrix(wide_csr)
+    assert (narrow.csr.indices.dtype, wide.csr.indices.dtype) == (np.int32, np.int64)
+    X = np.random.default_rng(16).normal(size=(200, 5))
+    c = chebyshev_decompose(system, lap, X, recurrence=narrow)
+    c_wide = chebyshev_decompose(system, lap, X, recurrence=wide)
+    assert np.array_equal(c.data, c_wide.data)
+    assert np.array_equal(
+        chebyshev_reconstruct(system, lap, c, recurrence=narrow),
+        chebyshev_reconstruct(system, lap, c, recurrence=wide),
+    )
+
+
+def test_operator_bytes_counts_the_arrays_products_read(
+    small_laplacian, small_spectrum, small_system
+):
+    exact = build_operators(small_system, small_laplacian, small_spectrum)
+    assert exact.provenance["operator_bytes"] == exact.stack.nbytes
+    cheb = build_operators(
+        dataclasses.replace(small_system, mode="chebyshev"), small_laplacian
+    )
+    S = cheb.recurrence
+    assert S.csr.indices.dtype == np.int32
+    # 8-byte values and 4-byte column indices per entry, 4-byte row offsets.
+    assert cheb.provenance["operator_bytes"] == 12 * S.nnz + 4 * (S.num_rows + 1)
+
+
 @pytest.mark.parametrize("mode", ["exact", "chebyshev"])
 def test_zero_column_signal_gives_zero_column_outputs(
     small_laplacian, small_spectrum, small_system, mode
