@@ -236,7 +236,7 @@ def _fit(task, config: ExperimentConfig, seed: int, patience: float,
 
 class _NodeTask:
     """Node classification: two framelet convolutions with dropout between,
-    softmax cross entropy on the training mask, L2 on the dense weights.
+    softmax cross entropy on the training nodes, L2 on the dense weights.
 
     ``coeff_x`` is ``decompose(op, data.features).data``: layer 1 runs on
     it (``nn.ufg_input_conv_forward``) and never decomposes its input.
@@ -248,6 +248,15 @@ class _NodeTask:
     reconstructs ``theta * coeff_x`` before projecting, so both run at the
     input width; with shrinkage, or when the input is at least as wide,
     it projects first and both run at ``hidden``.
+
+    The loss reads only the training nodes, so the training pass's layer 2
+    reconstructs its output on them alone and decomposes a gradient that
+    lives on them alone, through ``train_op = op.restrict(training
+    nodes)``: 2 of the 8 applications. In exact mode each is a product by
+    the ``(B N) x n_train`` columns of the stack instead of all N; in
+    Chebyshev mode each still runs the full recurrence, with the same
+    result bit for bit. The evaluation pass reads every node and keeps
+    ``op``.
     """
 
     decay_keys = frozenset({"l1.W", "l2.W"})
@@ -255,6 +264,7 @@ class _NodeTask:
     def __init__(self, data: NodeDataset, op: DecompositionOperator,
                  coeff_x: np.ndarray, config: ExperimentConfig):
         self.data, self.op, self.coeff_x, self.config = data, op, coeff_x, config
+        self.train_op = op.restrict(np.flatnonzero(data.train_mask))
         self.acts = _layer_activations(config)
         self.labels = data.labels
         self.masks = (data.train_mask, data.val_mask, data.test_mask)
@@ -279,8 +289,8 @@ class _NodeTask:
     def step(self, params, rng):
         hd, cd = dropout_forward(self.h1, self.config.dropout, rng, training=True)
         logits, c2 = ufg_conv_forward(_conv_params(params, "l2"), self.op, hd,
-                                      self.acts[1])
-        loss, dlogits = softmax_cross_entropy(logits, self.labels, self.masks[0])
+                                      self.acts[1], out_op=self.train_op)
+        loss, dlogits = softmax_cross_entropy(logits, self.labels[self.train_op.rows])
         dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
         dW1, dth1, db1 = ufg_input_conv_backward(self.c1, dropout_backward(cd, dh))
         return loss, {

@@ -127,9 +127,9 @@ def _coeff_conv_forward(
 
     ``coeff`` holds the decomposed projected input ``decompose(X W)``; the
     core scales it by ``theta``, applies the activation around the one
-    reconstruction and adds the bias. The shrinkage variant keeps its
-    thresholds and its stacks before and after shrinking in the cache
-    (``thresholds``, ``filtered``, ``shrunk``).
+    reconstruction, through ``op``, and adds the bias. The shrinkage
+    variant keeps its thresholds and its stacks before and after shrinking
+    in the cache (``thresholds``, ``filtered``, ``shrunk``).
     """
     fstack = _filtered_stack(params.theta, op, coeff)
     cache: dict = {"theta": params.theta, "coeff": coeff, "op": op, "act": act}
@@ -172,6 +172,7 @@ def ufg_conv_forward(
     X: np.ndarray,
     act: LayerActivation,
     frozen_thresholds: np.ndarray | None = None,
+    out_op: DecompositionOperator | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Framelet convolution forward pass.
 
@@ -186,12 +187,25 @@ def ufg_conv_forward(
     checks use the nominal point's thresholds here because the backward
     pass stop-gradients them. The thresholds actually used are in the
     cache.
+
+    ``out_op`` (default ``op``) reconstructs the output, and the backward
+    pass decomposes the upstream gradient through it. With ``out_op =
+    op.restrict(rows)`` the layer outputs only the rows ``rows`` and takes
+    its upstream gradient on them alone: the same layer for a loss that
+    reads no other row, whose two output-side products in exact mode run
+    on n columns of the stack instead of N. The input side and ``dX`` keep
+    ``op``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.W.shape[0]:
         raise ValueError("X shape does not match W")
+    if out_op is None:
+        out_op = op
+    elif out_op.lap is not op.lap or out_op.system is not op.system:
+        raise ValueError("out_op must be op or a restriction of it")
     coeff = decompose(op, X @ params.W).data
-    y, cache = _coeff_conv_forward(params, op, coeff, act, frozen_thresholds)
+    y, cache = _coeff_conv_forward(params, out_op, coeff, act, frozen_thresholds)
+    cache["in_op"] = op
     cache["X"] = X
     cache["W"] = params.W
     return y, cache
@@ -200,8 +214,9 @@ def ufg_conv_forward(
 def ufg_conv_backward(
     cache: dict, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dX, dW, dtheta, dbias) of the framelet convolution."""
-    op: DecompositionOperator = cache["op"]
+    """Gradients (dX, dW, dtheta, dbias) of the framelet convolution;
+    ``grad_out`` has the rows of the forward pass's output."""
+    op: DecompositionOperator = cache["in_op"]
     d_coeff, dtheta, dbias = _coeff_conv_backward(cache, grad_out)
     stack = CoefficientStack(
         data=d_coeff, block_index=op.block_index, num_nodes=op.num_nodes
@@ -336,12 +351,22 @@ def ufg_pool_backward(cache: dict, grad_out: np.ndarray) -> np.ndarray:
     return reconstruct(cache["op"], coeff.with_data(d_blocks.reshape(coeff.data.shape)))
 
 
+def _check_lengths(logits: np.ndarray, labels: np.ndarray, mask) -> None:
+    """Refuse labels or a mask that do not have one entry per logit row."""
+    m = logits.shape[0]
+    if labels.shape != (m,):
+        raise ValueError(f"labels have shape {labels.shape}, the logits {m} rows")
+    if mask is not None and np.shape(mask) != (m,):
+        raise ValueError(f"mask has shape {np.shape(mask)}, the logits {m} rows")
+
+
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, mask: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Masked mean cross entropy with softmax; returns loss and dlogits."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    _check_lengths(logits, labels, mask)
     m = logits.shape[0]
     if mask is None:
         mask = np.ones(m, dtype=bool)
@@ -363,8 +388,9 @@ def softmax_cross_entropy(
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray | None = None) -> float:
-    labels = np.asarray(labels)
-    pred = np.asarray(logits).argmax(axis=1)
+    logits, labels = np.asarray(logits), np.asarray(labels)
+    _check_lengths(logits, labels, mask)
+    pred = logits.argmax(axis=1)
     if mask is None:
         return float(np.mean(pred == labels))
     mask = np.asarray(mask, dtype=bool)

@@ -37,6 +37,9 @@ costs ``recurrence_degree`` sparse products for any number of levels and
 high passes: 30 for a default round trip instead of 40 unchopped.
 ``framelet_operator`` builds either backend from a graph, from the
 Laplacian and spectrum or Lanczos estimate that the ``Graph`` caches.
+``DecompositionOperator.restrict`` gives the operator for signals that
+live on a subset of the nodes, such as the labelled nodes a training loss
+reads.
 """
 
 from __future__ import annotations
@@ -234,12 +237,20 @@ class DecompositionOperator:
     ``recurrence`` is None. In Chebyshev mode ``stack`` is None and
     ``recurrence`` holds ``S = 2(L - I)``, built once from ``lap``: both
     products run the system's block polynomials on it matrix-free.
+
+    ``rows`` is None, or the sorted node indices of a restricted operator
+    (see ``restrict``): ``W P`` for the ``N x n`` selection ``P`` of those
+    nodes. Its ``decompose`` reads an ``n x d`` signal on them, its
+    ``reconstruct`` returns only those n rows, and its coefficient stacks
+    keep all ``B N`` rows. In exact mode ``stack`` is then the ``(B N) x
+    n`` gather of the full stack's columns.
     """
 
     system: FrameletSystem
     lap: SparseMatrix = field(repr=False)
     stack: np.ndarray | None = field(default=None, repr=False)
     recurrence: SparseMatrix | None = field(default=None, repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         chebyshev = self.system.mode == "chebyshev"
@@ -247,9 +258,41 @@ class DecompositionOperator:
             raise ValueError("exact mode needs a dense stack, chebyshev mode none")
         if (self.recurrence is None) == chebyshev:
             raise ValueError("chebyshev mode needs a recurrence matrix, exact mode none")
-        shape = (self.num_rows, self.num_nodes)
+        shape = (self.num_rows, self.num_signal_rows)
         if self.stack is not None and self.stack.shape != shape:
-            raise ValueError("stack must be (num blocks * N) x N")
+            raise ValueError("stack must be (num blocks * N) x (signal rows)")
+
+    def restrict(self, rows) -> "DecompositionOperator":
+        """The operator for signals on the nodes ``rows`` only: ``W P``.
+
+        ``rows`` must be a nonempty 1-d integer array, strictly increasing
+        and within ``[0, N)``, and this operator must not be restricted
+        already. ``decompose`` of the result equals ``decompose`` of the
+        signal zero-padded to all N nodes, and its ``reconstruct`` equals
+        rows ``rows`` of the full reconstruction: bitwise in Chebyshev
+        mode, which scatters and gathers around the unchanged recurrences
+        on the shared ``S``, and up to GEMM reassociation in exact mode,
+        whose stack columns are gathered here, once.
+        """
+        if self.rows is not None:
+            raise ValueError("operator is already restricted")
+        rows = np.asarray(rows)
+        integer = np.issubdtype(rows.dtype, np.integer)
+        if rows.ndim != 1 or rows.size == 0 or not integer:
+            raise ValueError("rows must be a nonempty 1-d integer array")
+        if rows.min() < 0 or rows.max() >= self.num_nodes:
+            raise ValueError(f"rows must lie in [0, {self.num_nodes})")
+        if np.any(rows[1:] <= rows[:-1]):
+            raise ValueError("rows must be strictly increasing")
+        rows = rows.astype(np.intp)
+        rows.flags.writeable = False
+        # C-contiguous like the full stack (``stack[:, rows]`` would be
+        # Fortran-ordered), so BLAS sums in the same order and every row
+        # reproduces the full products bitwise.
+        stack = None if self.stack is None else self.stack.take(rows, axis=1)
+        return DecompositionOperator(
+            self.system, self.lap, stack, self.recurrence, rows
+        )
 
     @cached_property
     def block_index(self) -> tuple[tuple[int, int], ...]:
@@ -258,6 +301,12 @@ class DecompositionOperator:
     @property
     def num_nodes(self) -> int:
         return self.lap.num_rows
+
+    @property
+    def num_signal_rows(self) -> int:
+        """Rows of the signals ``decompose`` reads and ``reconstruct``
+        returns: ``len(rows)`` when restricted, else N."""
+        return self.num_nodes if self.rows is None else self.rows.size
 
     @property
     def num_blocks(self) -> int:
@@ -403,11 +452,16 @@ def framelet_operator(
 
 
 def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:
-    """Forward transform: block b of the output is ``W_b @ X``."""
+    """Forward transform: block b of the output is ``W_b @ X``, with X on
+    the operator's ``rows`` when it is restricted."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != op.num_nodes:
-        raise ValueError(f"X must be 2-d with {op.num_nodes} rows")
+    if X.ndim != 2 or X.shape[0] != op.num_signal_rows:
+        raise ValueError(f"X must be 2-d with {op.num_signal_rows} rows")
     if op.stack is None:
+        if op.rows is not None:
+            padded = np.zeros((op.num_nodes, X.shape[1]))
+            padded[op.rows] = X
+            X = padded
         return chebyshev_decompose(op.system, op.lap, X, recurrence=op.recurrence)
     return CoefficientStack(
         data=op.stack @ X, block_index=op.block_index, num_nodes=op.num_nodes
@@ -415,11 +469,13 @@ def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:
 
 
 def reconstruct(op: DecompositionOperator, c: CoefficientStack) -> np.ndarray:
-    """Inverse transform: ``sum_b W_b^T c_b``, exact by tightness."""
+    """Inverse transform: ``sum_b W_b^T c_b``, exact by tightness; only the
+    operator's ``rows`` when it is restricted."""
     if c.block_index != op.block_index or c.num_nodes != op.num_nodes:
         raise ValueError("coefficient stack does not match operator")
     if op.stack is None:
-        return chebyshev_reconstruct(op.system, op.lap, c, recurrence=op.recurrence)
+        out = chebyshev_reconstruct(op.system, op.lap, c, recurrence=op.recurrence)
+        return out if op.rows is None else out[op.rows]
     return op.stack.T @ c.data
 
 

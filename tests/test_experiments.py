@@ -62,6 +62,8 @@ ROUNDTRIP_TOL = 1e-10
 GRAD_TOL = 1e-5
 # Batched and per-graph gradients differ only in summation order.
 BATCH_TOL = 1e-12
+# So do exact-mode losses trained on the training rows and on every node.
+ROWS_TOL = 1e-12
 POOL_MODES = ("sum", "spectrum", "mean")
 # Label-shuffle control: informative features must beat shuffled labels by
 # this margin, and the shuffled run must sit in a loose chance band.
@@ -346,17 +348,26 @@ def test_node_model_gradients_through_input_coefficients(sbm_data, activation, h
 
 
 def _operator_applications(monkeypatch, data, cfg):
-    """(kind, width) of every decompose/reconstruct one training call makes."""
+    """(kind, width, rows) of every decompose/reconstruct one training call
+    makes; rows is "train" for an operator restricted to the training
+    nodes, "all" for the full one."""
     calls = []
+    train_rows = np.flatnonzero(data.train_mask)
+
+    def rows(op):
+        if op.rows is None:
+            return "all"
+        return "train" if np.array_equal(op.rows, train_rows) else "other"
+
     for module in (experiments, nn):
         real_dec, real_rec = module.decompose, module.reconstruct
 
         def dec(op, X, real=real_dec):
-            calls.append(("decompose", X.shape[1]))
+            calls.append(("decompose", X.shape[1], rows(op)))
             return real(op, X)
 
         def rec(op, c, real=real_rec):
-            calls.append(("reconstruct", c.data.shape[1]))
+            calls.append(("reconstruct", c.data.shape[1], rows(op)))
             return real(op, c)
 
         monkeypatch.setattr(module, "decompose", dec)
@@ -391,24 +402,33 @@ def test_node_epoch_applies_operator_eight_times(
     # layer 2 transforms both ways in each of the three passes, layer 1
     # reconstructs in the evaluation pass and decomposes its gradient, at
     # the input width when a ReLU layer 1 widens, else at hidden width.
+    # Only the training pass's layer-2 reconstruct and the decompose of its
+    # loss gradient run on the training rows alone.
     layer1 = d_in if activation == "relu" and hidden > d_in else hidden
     per_epoch = Counter(long)
     per_epoch.subtract(Counter(short))
     assert +per_epoch == Counter({
-        ("decompose", classes): 3, ("reconstruct", classes): 3,
-        ("decompose", layer1): 1, ("reconstruct", layer1): 1,
+        ("decompose", classes, "all"): 2, ("reconstruct", classes, "all"): 2,
+        ("decompose", classes, "train"): 1, ("reconstruct", classes, "train"): 1,
+        ("decompose", layer1, "all"): 1, ("reconstruct", layer1, "all"): 1,
     })
     assert sum(per_epoch.values()) == 8
 
 
 # Small seeded runs, recorded before node and graph training shared one
-# loop. Accuracies are count ratios (42 test and 12 validation nodes, 4
-# test and 4 validation graphs), so a change of RNG draw order or of an
-# epoch's steps shows as a changed count, not as round-off. Per activation:
+# loop; the Chebyshev ones before the training pass's layer 2 ran on the
+# training rows alone. Accuracies are count ratios (42 test and 12
+# validation nodes, 4 test and 4 validation graphs), so a change of RNG
+# draw order or of an epoch's steps shows as a changed count, not as
+# round-off. Per activation, in exact mode unless the key names another:
 # test counts per seed, compression ratio, validation counts per epoch.
 PINNED_NODE_RUNS = {
     "relu": ((11, 15), None, ((2, 2, 2, 2, 2, 2), (6, 6, 6, 6, 6, 5))),
     "shrinkage": ((11, 7), 0.7722222222222221, ((1, 1, 1, 1, 0, 0), (5, 6, 6, 5, 5, 5))),
+    "relu-chebyshev": ((11, 15), None, ((2, 2, 2, 2, 2, 2), (6, 6, 6, 6, 6, 5))),
+    "shrinkage-chebyshev": (
+        (11, 7), 0.7722222222222221, ((1, 1, 1, 1, 0, 0), (5, 6, 6, 5, 5, 5))
+    ),
 }
 # Per pool mode: test counts per seed, validation counts per epoch until
 # early stopping (patience 3) or the last of 8 epochs.
@@ -427,19 +447,68 @@ def _val_counts(sink, size):
     )
 
 
-@pytest.mark.parametrize("activation", sorted(PINNED_NODE_RUNS))
-def test_node_training_reproduces_pinned_outputs(activation):
-    test_counts, compression, val_counts = PINNED_NODE_RUNS[activation]
-    data = generate_sbm(
+def _pinned_node_data():
+    return generate_sbm(
         [20, 20, 20], 0.3, 0.05, GaussianFeatures(6, noise_std=1.0), seed=3
     )
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_NODE_RUNS))
+def test_node_training_reproduces_pinned_outputs(run):
+    test_counts, compression, val_counts = PINNED_NODE_RUNS[run]
+    activation, _, mode = run.partition("-")
+    data = _pinned_node_data()
     assert (data.val_mask.sum(), data.test_mask.sum()) == (12, 42)
-    cfg = ExperimentConfig(activation=activation, epochs=6, seeds=(0, 1), hidden=8)
+    cfg = ExperimentConfig(activation=activation, mode=mode or "exact", epochs=6,
+                           seeds=(0, 1), hidden=8)
     sink: list = []
     rec = train_node_classifier(data, cfg, metrics_sink=sink)
     assert rec.per_seed == tuple(k / 42 for k in test_counts)
     assert rec.extra.get("compression_ratio") == compression
     assert _val_counts(sink, 12) == val_counts
+
+
+class _FullOutputNodeTask(experiments._NodeTask):
+    """The node task whose training pass reconstructs layer 2 on every node
+    and masks the loss, as it did before the training-row operator."""
+
+    def step(self, params, rng):
+        hd, cd = dropout_forward(self.h1, self.config.dropout, rng, training=True)
+        logits, c2 = ufg_conv_forward(_conv_params(params, "l2"), self.op, hd,
+                                      self.acts[1])
+        loss, dlogits = softmax_cross_entropy(logits, self.labels, self.masks[0])
+        dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
+        dW1, dth1, db1 = ufg_input_conv_backward(self.c1, dropout_backward(cd, dh))
+        return loss, {
+            "l1.W": dW1, "l1.theta": dth1, "l1.bias": db1,
+            "l2.W": dW2, "l2.theta": dth2, "l2.bias": db2,
+        }
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+@pytest.mark.parametrize("activation", ["relu", "shrinkage"])
+def test_training_row_step_trains_as_the_full_output_step(activation, mode):
+    # Bitwise in Chebyshev mode; in exact mode the restricted stack's GEMMs
+    # sum in another order.
+    data = _pinned_node_data()
+    cfg = ExperimentConfig(activation=activation, mode=mode, epochs=6, seeds=(0,),
+                           hidden=8)
+    op = build_node_operator(data, cfg)
+    coeff_x = decompose(op, data.features).data
+    runs = []
+    for task_type in (experiments._NodeTask, _FullOutputNodeTask):
+        sink: list = []
+        task = task_type(data, op, coeff_x, cfg)
+        test_acc, params = experiments._fit(task, cfg, 0, np.inf, sink)
+        runs.append((test_acc, params, [r["loss"] for r in sink]))
+    (acc, params, losses), (full_acc, full_params, full_losses) = runs
+    assert acc == full_acc
+    if mode == "chebyshev":
+        assert losses == full_losses
+        for key in params:
+            np.testing.assert_array_equal(params[key], full_params[key], strict=True)
+    else:
+        np.testing.assert_allclose(losses, full_losses, rtol=ROWS_TOL, atol=0)
 
 
 @pytest.mark.parametrize("pool_mode", sorted(PINNED_GRAPH_RUNS))

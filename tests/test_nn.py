@@ -134,24 +134,26 @@ def _pack_conv(p):
     return np.concatenate([p.W.ravel(), p.theta, p.bias])
 
 
-def _conv_fd(small_operator, act, seed, frozen=None):
+def _conv_fd(small_operator, act, seed, frozen=None, out_op=None):
     rng = np.random.default_rng(seed)
     n, d_in, d_out = small_operator.num_nodes, 3, 2
     X = rng.normal(size=(n, d_in))
     params = init_params(d_in, d_out, small_operator.num_rows, rng)
-    target = rng.normal(size=(n, d_out))
+    out_rows = n if out_op is None else out_op.num_signal_rows
+    target = rng.normal(size=(out_rows, d_out))
 
     def unpack(vec):
         w = vec[: d_in * d_out].reshape(d_in, d_out)
         theta = vec[d_in * d_out : d_in * d_out + small_operator.num_rows]
         return ConvLayerParams(W=w, theta=theta, bias=vec[-d_out:])
 
-    y, cache = ufg_conv_forward(params, small_operator, X, act)
+    y, cache = ufg_conv_forward(params, small_operator, X, act, out_op=out_op)
     thresholds = cache.get("thresholds") if frozen is None else frozen
 
     def loss_fn(vec):
         out, c = ufg_conv_forward(
-            unpack(vec), small_operator, X, act, frozen_thresholds=thresholds
+            unpack(vec), small_operator, X, act, frozen_thresholds=thresholds,
+            out_op=out_op,
         )
         return 0.5 * float(np.sum((out - target) ** 2)), activation_signature(c)
 
@@ -167,6 +169,22 @@ def _rel_err(a, b):
 
 
 ACTIVATIONS = ("relu", "shrinkage", "none")
+
+
+def _operator(small_graph, small_operator, mode):
+    if mode == "exact":
+        return small_operator
+    return framelet_operator(small_graph, 2.0, 2, 16, "chebyshev")
+
+
+def _activation(kind):
+    return {
+        "relu": LayerActivation.relu(),
+        "shrinkage": LayerActivation.shrinkage(ThresholdConfig(1.0, "energy_scaled")),
+        "none": LayerActivation.none(),
+    }[kind]
+
+
 # d_in < d_out: ReLU and none reconstruct theta * coeff_x first.
 INPUT_LAYER_CASES = [
     pytest.param(kind, 4, 3, "exact", id=kind) for kind in ACTIVATIONS
@@ -181,15 +199,8 @@ INPUT_LAYER_CASES = [
 def test_input_layer_matches_conv_on_decomposed_input(
     small_graph, small_operator, kind, d_in, d_out, mode
 ):
-    operator = (
-        small_operator if mode == "exact"
-        else framelet_operator(small_graph, 2.0, 2, 16, "chebyshev")
-    )
-    act = {
-        "relu": LayerActivation.relu(),
-        "shrinkage": LayerActivation.shrinkage(ThresholdConfig(1.0, "energy_scaled")),
-        "none": LayerActivation.none(),
-    }[kind]
+    operator = _operator(small_graph, small_operator, mode)
+    act = _activation(kind)
     rng = np.random.default_rng(3)
     X = rng.normal(size=(operator.num_nodes, d_in))
     params = init_params(d_in, d_out, operator.num_rows, rng)
@@ -249,6 +260,60 @@ def test_conv_gradients_shrinkage_frozen_threshold(small_operator):
     act = LayerActivation.shrinkage(ThresholdConfig(1.0, "energy_scaled"))
     rel, checked, _ = _conv_fd(small_operator, act, seed=1)
     assert checked > 0 and rel <= GRAD_TOL
+
+
+# Nodes a restricted layer outputs: unsorted draws would be refused.
+OUT_ROWS = np.array([0, 2, 3, 7, 11, 12, 19, 23])
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+@pytest.mark.parametrize("kind", ACTIVATIONS)
+def test_conv_gradients_on_restricted_output_rows(
+    small_graph, small_operator, kind, mode
+):
+    op = _operator(small_graph, small_operator, mode)
+    # Shrinkage thresholds stay at the nominal point's (stop-gradient).
+    out_op = op.restrict(OUT_ROWS)
+    rel, checked, _ = _conv_fd(op, _activation(kind), seed=5, out_op=out_op)
+    assert checked > 0 and rel <= GRAD_TOL
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+@pytest.mark.parametrize("kind", ACTIVATIONS)
+def test_restricted_output_layer_is_the_full_layer_under_a_masked_loss(
+    small_graph, small_operator, kind, mode
+):
+    # Outputs on the rows and every gradient, for an upstream gradient that
+    # is zero off the rows: bitwise in Chebyshev mode, whose restricted
+    # products are the full ones padded and gathered.
+    op = _operator(small_graph, small_operator, mode)
+    act = _activation(kind)
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(op.num_nodes, 3))
+    params = init_params(3, 2, op.num_rows, rng)
+    params.bias = rng.normal(size=2)
+    grad_rows = rng.normal(size=(OUT_ROWS.size, 2))
+    grad_full = np.zeros((op.num_nodes, 2))
+    grad_full[OUT_ROWS] = grad_rows
+    y, cache = ufg_conv_forward(params, op, X, act)
+    y_rows, cache_rows = ufg_conv_forward(params, op, X, act,
+                                          out_op=op.restrict(OUT_ROWS))
+    full = (y[OUT_ROWS], *ufg_conv_backward(cache, grad_full))
+    rows = (y_rows, *ufg_conv_backward(cache_rows, grad_rows))
+    for actual, expected in zip(rows, full):
+        if mode == "chebyshev":
+            np.testing.assert_array_equal(actual, expected, strict=True)
+        else:
+            assert _rel_err(actual, expected) <= REASSOC_TOL
+
+
+def test_conv_refuses_an_output_operator_of_another_graph(small_graph, small_operator):
+    other = framelet_operator(small_graph, 2.0, 2, 16, "chebyshev")
+    params = init_params(3, 2, small_operator.num_rows, 0)
+    X = np.zeros((small_operator.num_nodes, 3))
+    with pytest.raises(ValueError, match="out_op"):
+        ufg_conv_forward(params, small_operator, X, LayerActivation.none(),
+                         out_op=other.restrict(OUT_ROWS))
 
 
 def test_conv_gradient_negative_control(small_operator, rng):
@@ -386,6 +451,27 @@ def test_accuracy():
     labels = np.array([0, 1, 1])
     assert accuracy(logits, labels) == pytest.approx(2.0 / 3.0)
     assert accuracy(logits, labels, np.array([1, 1, 0], bool)) == 1.0
+
+
+@pytest.mark.parametrize("loss", [softmax_cross_entropy, accuracy])
+@pytest.mark.parametrize(
+    "labels, mask, message",
+    [
+        pytest.param(np.zeros(4, int), None, r"labels .*\(4,\).* 3 rows", id="long-labels"),
+        pytest.param(np.zeros(2, int), None, r"labels .*\(2,\).* 3 rows", id="short-labels"),
+        pytest.param(np.zeros((3, 1), int), None, r"labels .*\(3, 1\).* 3 rows",
+                     id="2d-labels"),
+        pytest.param(np.zeros(3, int), np.ones(4, bool), r"mask .*\(4,\).* 3 rows",
+                     id="long-mask"),
+        pytest.param(np.zeros(3, int), np.ones(2, bool), r"mask .*\(2,\).* 3 rows",
+                     id="short-mask"),
+    ],
+)
+def test_loss_and_accuracy_refuse_labels_or_mask_of_another_length(
+    loss, labels, mask, message
+):
+    with pytest.raises(ValueError, match=message):
+        loss(np.zeros((3, 2)), labels, mask)
 
 
 def test_dropout():

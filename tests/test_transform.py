@@ -624,3 +624,124 @@ def test_cached_operator_is_bitwise_a_fresh_build(mode):
     c = decompose(cached, X)
     np.testing.assert_array_equal(c.data, decompose(fresh, X).data, strict=True)
     np.testing.assert_array_equal(reconstruct(cached, c), reconstruct(fresh, c))
+
+
+# ------------------------------------------------ operators on a row subset
+
+# Exact restricted products differ from full ones by GEMM reassociation.
+RESTRICT_TOL = 1e-12
+
+
+def _both_modes(system, lap, spectrum):
+    return (
+        build_operators(system, lap, spectrum),
+        build_operators(dataclasses.replace(system, mode="chebyshev", degree=16), lap),
+    )
+
+
+def _assert_matches(actual, expected, bitwise):
+    if bitwise:
+        np.testing.assert_array_equal(actual, expected, strict=True)
+    else:
+        assert actual.shape == expected.shape
+        scale = np.max(np.abs(expected), initial=0.0)
+        assert np.max(np.abs(actual - expected), initial=0.0) <= RESTRICT_TOL * scale
+
+
+def _check_restriction(op, rows, X):
+    """``op.restrict(rows)`` is ``op`` on the signal zero-padded outside
+    ``rows`` and ``op``'s reconstruction read at ``rows``."""
+    sub = op.restrict(rows)
+    chebyshev = op.system.mode == "chebyshev"
+    assert sub.num_signal_rows == rows.size and sub.num_rows == op.num_rows
+    padded = np.zeros_like(X)
+    padded[rows] = X[rows]
+    _assert_matches(decompose(sub, X[rows]).data, decompose(op, padded).data, chebyshev)
+    c = decompose(op, X)
+    back = reconstruct(sub, c)
+    _assert_matches(back, reconstruct(op, c)[rows], chebyshev)
+    tol = ROUND_TRIP_TOL if not chebyshev else TIGHTNESS_TOL
+    assert np.max(np.abs(back - X[rows])) <= tol * np.max(np.abs(X))
+    # Every row: the full operator's products, bit for bit.
+    whole = op.restrict(np.arange(op.num_nodes))
+    np.testing.assert_array_equal(decompose(whole, X).data, c.data, strict=True)
+    np.testing.assert_array_equal(reconstruct(whole, c), reconstruct(op, c), strict=True)
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+def test_restricted_operator_is_the_full_one_on_its_rows(
+    small_laplacian, small_spectrum, small_system, mode
+):
+    op = _both_modes(small_system, small_laplacian, small_spectrum)[mode == "chebyshev"]
+    n = op.num_nodes
+    X = np.random.default_rng(21).normal(size=(n, 3))
+    for rows in (np.array([0]), np.array([n - 1]), np.arange(0, n, 3),
+                 np.arange(n // 2), np.arange(1, n)):
+        _check_restriction(op, rows, X)
+    sub = op.restrict(np.arange(0, n, 2))
+    assert sub.rows.dtype == np.intp and not sub.rows.flags.writeable
+    if mode == "exact":
+        np.testing.assert_array_equal(sub.stack, op.stack[:, ::2], strict=True)
+    else:
+        assert sub.stack is None and sub.recurrence is op.recurrence
+
+
+@given(edge_case_graphs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(build_graph(1, []), 2, 0)  # a single node
+@example(build_graph(4, []), 3, 1)  # no edges at all
+@example(build_graph(3, [(0, 0, 1.0), (1, 2, 1.0), (2, 2, 0.5)]), 2, 2)
+def test_restricted_operators_agree_with_full_ones_on_edge_case_graphs(
+    graph, levels, seed
+):
+    lap = normalized_laplacian(graph)
+    spectrum = eigendecompose(lap)
+    system = make_system(haar_filter_bank(), float(spectrum.values[-1]), levels=levels)
+    rng = np.random.default_rng(seed)
+    n = graph.num_nodes
+    rows = np.flatnonzero(rng.random(n) < 0.5)
+    if rows.size == 0:
+        rows = np.array([rng.integers(n)])
+    X = rng.normal(size=(n, 2))
+    for op in _both_modes(system, lap, spectrum):
+        _check_restriction(op, rows, X)
+
+
+BAD_ROWS = {
+    "empty": (np.array([], dtype=np.int64), "nonempty"),
+    "two-d": (np.array([[0, 1]]), "1-d"),
+    "float": (np.array([0.0, 1.0]), "integer"),
+    "bool": (np.array([True, False]), "integer"),
+    "unsorted": (np.array([2, 1]), "increasing"),
+    "duplicate": (np.array([1, 1, 2]), "increasing"),
+    "negative": (np.array([-1, 0]), r"\[0, 24\)"),
+    "too-large": (np.array([0, 24]), r"\[0, 24\)"),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_restrict_rejects_bad_rows(
+    small_laplacian, small_spectrum, small_system, mode, case
+):
+    op = _both_modes(small_system, small_laplacian, small_spectrum)[mode == "chebyshev"]
+    assert op.num_nodes == 24
+    rows, message = BAD_ROWS[case]
+    with pytest.raises(ValueError, match=message):
+        op.restrict(rows)
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+def test_restrict_rejects_a_restricted_operator(
+    small_laplacian, small_spectrum, small_system, mode
+):
+    op = _both_modes(small_system, small_laplacian, small_spectrum)[mode == "chebyshev"]
+    sub = op.restrict(np.arange(5))
+    with pytest.raises(ValueError, match="already restricted"):
+        sub.restrict(np.arange(2))
+
+
+def test_restricted_products_check_the_signal_rows(small_operator):
+    sub = small_operator.restrict(np.arange(5))
+    with pytest.raises(ValueError, match="5 rows"):
+        decompose(sub, np.zeros((small_operator.num_nodes, 2)))
+    assert decompose(sub, np.zeros((5, 2))).data.shape == (small_operator.num_rows, 2)
