@@ -35,6 +35,7 @@ import numpy as np
 from . import datasets, experiments, io, nn, transform
 from . import perturb as perturb_mod
 from . import verify as verify_mod
+from .filters import DEFAULT_CHEBYSHEV_DEGREE
 
 
 _DEGREE_HELP = ("Chebyshev degree t of one level's filters; chebyshev mode fits every "
@@ -95,7 +96,9 @@ def _parse_int_list(text: str) -> list[int]:
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dilation", type=float, default=2.0)
     p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--degree", type=int, default=16, help=_DEGREE_HELP)
+    p.add_argument(
+        "--degree", type=int, default=DEFAULT_CHEBYSHEV_DEGREE, help=_DEGREE_HELP
+    )
     p.add_argument("--mode", choices=("exact", "chebyshev"), default="exact")
 
 

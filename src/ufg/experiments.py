@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .datasets import GraphSample, NodeDataset, random_er_graph
+from .filters import DEFAULT_CHEBYSHEV_DEGREE
 from .io import deterministic_mode
 from .nn import (
     ACTIVATION_KINDS,
@@ -70,7 +71,7 @@ class ExperimentConfig:
     task: str = "sbm_node"
     dilation: float = 2.0
     levels: int = 2
-    degree: int = 16
+    degree: int = DEFAULT_CHEBYSHEV_DEGREE
     mode: str = "exact"
     activation: str = "relu"
     sigma: float = 1.0
@@ -155,10 +156,6 @@ def make_record(
         wall_clock=0.0 if deterministic_mode() else float(wall_clock),
         extra=extra,
     )
-
-
-def _elapsed(start: float) -> float:
-    return 0.0 if deterministic_mode() else time.perf_counter() - start
 
 
 def build_node_operator(
@@ -287,7 +284,7 @@ class _NodeTask:
         return params
 
     def step(self, params, rng):
-        hd, cd = dropout_forward(self.h1, self.config.dropout, rng, training=True)
+        hd, cd = dropout_forward(self.h1, self.config.dropout, rng)
         logits, c2 = ufg_conv_forward(_conv_params(params, "l2"), self.op, hd,
                                       self.acts[1], out_op=self.train_op)
         loss, dlogits = softmax_cross_entropy(logits, self.labels[self.train_op.rows])
@@ -338,7 +335,8 @@ def train_node_classifier(
     extra: dict = {"task": config.task, "activation": config.activation}
     if compressions:
         extra["compression_ratio"] = float(np.mean(compressions))
-    return make_record(config.fingerprint(), per_seed, _elapsed(start), extra)
+    wall_clock = time.perf_counter() - start
+    return make_record(config.fingerprint(), per_seed, wall_clock, extra)
 
 
 @dataclass(frozen=True)
@@ -477,7 +475,8 @@ def train_graph_classifier(
         for seed in config.seeds
     ]
     extra = {"task": config.task, "pool_mode": config.pool_mode}
-    return make_record(config.fingerprint(), per_seed, _elapsed(start), extra)
+    wall_clock = time.perf_counter() - start
+    return make_record(config.fingerprint(), per_seed, wall_clock, extra)
 
 
 def majority_class_accuracy(samples: list[GraphSample]) -> float:

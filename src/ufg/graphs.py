@@ -196,28 +196,23 @@ def gcn_norm_adjacency(graph: Graph) -> SparseMatrix:
     return SparseMatrix.from_scipy(scaled)
 
 
-def lambda_max(lap: SparseMatrix, method: str = "exact") -> float:
-    """Largest eigenvalue of a symmetric PSD matrix.
+def lambda_max(lap: SparseMatrix, method: str = "lanczos") -> float:
+    """Upper estimate of the largest eigenvalue of a symmetric PSD matrix.
 
-    ``exact`` runs a dense symmetric eigensolve (sizes up to
-    ``EXACT_SPECTRUM_MAX_NODES``). The two estimates return
-    ``min(1.01 * estimate, gershgorin_bound)``, a cheap value that does not
-    undershoot badly and never exceeds the disc bound. ``lanczos`` takes the
-    estimate from ARPACK's Lanczos iteration (``eigsh``; Lehoucq, Sorensen &
-    Yang 1998) at relative tolerance ``LANCZOS_TOL``. ``power_iteration``
-    runs a deterministic power method, which usually stops at its
-    ``POWER_ITER_MAX_STEPS`` cap; both start from the same vector.
+    Both methods return ``min(1.01 * estimate, gershgorin_bound)``, a cheap
+    value that does not undershoot badly and never exceeds the disc bound.
+    ``lanczos`` takes the estimate from ARPACK's Lanczos iteration
+    (``eigsh``; Lehoucq, Sorensen & Yang 1998) at relative tolerance
+    ``LANCZOS_TOL``; it is the bound ``Graph.lanczos_bound`` caches and
+    ``transform.framelet_operator`` sets K from in both modes.
+    ``power_iteration`` runs a deterministic power method, which usually
+    stops at its ``POWER_ITER_MAX_STEPS`` cap; both start from the same
+    vector. The exact top eigenvalue is the last of ``eigendecompose``'s
+    values.
     """
     n = lap.num_rows
     if n == 0:
         return 0.0
-    if method == "exact":
-        if n > EXACT_SPECTRUM_MAX_NODES:
-            raise ValueError(
-                f"exact lambda_max limited to {EXACT_SPECTRUM_MAX_NODES} nodes, got {n}"
-            )
-        vals = scipy.linalg.eigvalsh(lap.to_dense())
-        return float(max(vals[-1], 0.0))
     if method not in ("lanczos", "power_iteration"):
         raise ValueError(f"unknown method {method!r}")
     gersh = lap.gershgorin_bound()

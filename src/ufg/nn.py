@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import gcn_norm_adjacency  # re-exported; it lives with the Laplacian
 from .shrinkage import ThresholdConfig, shrink_stack, stack_thresholds
 from .sparse import SparseMatrix
 from .transform import CoefficientStack, DecompositionOperator, decompose, reconstruct
@@ -441,14 +440,13 @@ def mlp_backward(cache: dict, dlogits: np.ndarray) -> tuple[dict[str, np.ndarray
     return grads, dX
 
 
-def dropout_forward(
-    X: np.ndarray, p: float, rng, training: bool
-) -> tuple[np.ndarray, dict]:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
+def dropout_forward(X: np.ndarray, p: float, rng) -> tuple[np.ndarray, dict]:
+    """Inverted dropout of a training pass: zero with probability p, scale
+    survivors by 1/(1-p). Evaluation passes do not call it."""
     if not (0.0 <= p < 1.0):
         raise ValueError("dropout probability must be in [0, 1)")
     X = np.asarray(X, dtype=np.float64)
-    if not training or p == 0.0:
+    if p == 0.0:
         return X, {"mask": None, "p": p}
     rng = np.random.default_rng(rng)
     mask = rng.random(X.shape) >= p

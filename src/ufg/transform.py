@@ -36,7 +36,9 @@ one product by ``S`` and one in-place BLAS axpy per block. Each direction
 costs ``recurrence_degree`` sparse products for any number of levels and
 high passes: 30 for a default round trip instead of 40 unchopped.
 ``framelet_operator`` builds either backend from a graph, from the
-Laplacian and spectrum or Lanczos estimate that the ``Graph`` caches.
+Laplacian, Lanczos estimate and (in exact mode) spectrum that the ``Graph``
+caches; K comes from the Lanczos estimate in both modes, so the two
+backends of one graph approximate the same transform.
 ``DecompositionOperator.restrict`` gives the operator for signals that
 live on a subset of the nodes, such as the labelled nodes a training loss
 reads.
@@ -429,26 +431,24 @@ def framelet_operator(
 ) -> DecompositionOperator:
     """Haar framelet operator of a graph's normalized Laplacian.
 
-    K comes from the top eigenvalue of the full spectrum in exact mode and
-    from the Lanczos estimate of ``graphs.lambda_max`` in Chebyshev mode,
-    which never computes a spectrum. The estimate sets K only; the
-    Chebyshev fits use the certified interval ``[0, 2]``.
+    K comes from one bound on the top eigenvalue in both modes: the
+    Lanczos estimate of ``graphs.lambda_max``, so the exact and Chebyshev
+    operators of one graph are the same transform. The estimate sets K
+    only; the Chebyshev fits use the certified interval ``[0, 2]``, and
+    only exact mode computes the full spectrum, to build its dense stack.
 
-    The Laplacian, spectrum and estimate are the graph's cached
-    ``laplacian``, ``spectrum`` and ``lanczos_bound``: every operator built
+    The Laplacian, estimate and spectrum are the graph's cached
+    ``laplacian``, ``lanczos_bound`` and ``spectrum``: every operator built
     from one ``Graph`` object, in either mode and at any dilation, levels
-    or degree, shares one Laplacian and one eigendecomposition or Lanczos
-    run, kept as long as the graph lives. The graph must not be mutated.
+    or degree, shares one Laplacian, one Lanczos run and at most one
+    eigendecomposition, kept as long as the graph lives. The graph must not
+    be mutated.
     """
-    lap = graph.laplacian
-    spectrum = None
-    if mode == "exact":
-        spectrum = graph.spectrum
-        lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
-    else:
-        lam = graph.lanczos_bound
-    system = make_system(haar_filter_bank(), lam, dilation, levels, degree, mode)
-    return build_operators(system, lap, spectrum)
+    spectrum = graph.spectrum if mode == "exact" else None
+    system = make_system(
+        haar_filter_bank(), graph.lanczos_bound, dilation, levels, degree, mode
+    )
+    return build_operators(system, graph.laplacian, spectrum)
 
 
 def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:

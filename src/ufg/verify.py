@@ -9,15 +9,12 @@ and fails with a dedicated exit code if any check fails.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .datasets import GaussianFeatures, generate_sbm, random_er_graph
 from .experiments import ExperimentConfig, train_node_classifier
-from .filters import chebyshev_fit, haar_filter_bank, verify_refinement
-from .graphs import lambda_max
+from .filters import chebyshev_fit, verify_refinement
 from .nn import (
     LayerActivation,
     ConvLayerParams,
@@ -36,14 +33,7 @@ from .shrinkage import (
     shrink_stack,
     soft_threshold,
 )
-from .transform import (
-    build_operators,
-    block_energies,
-    decompose,
-    framelet_operator,
-    make_system,
-    reconstruct,
-)
+from .transform import block_energies, decompose, framelet_operator, reconstruct
 
 
 def _rel(err: float, scale: float) -> float:
@@ -64,15 +54,13 @@ def _explicit(op) -> np.ndarray:
 def _fixtures(n: int, seed: int, mode: str):
     rng = np.random.default_rng(seed)
     graph = random_er_graph(n, avg_degree=6.0, rng=rng)
-    # K comes from the exact top eigenvalue in both modes.
-    lap, spectrum = graph.laplacian, graph.spectrum
-    lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
-    system = make_system(haar_filter_bank(), lam, levels=2, mode=mode)
-    op = build_operators(system, lap, spectrum if mode == "exact" else None)
+    # Every operator of the suite comes from framelet_operator, so K comes
+    # from the graph's one Lanczos bound in both modes.
+    op = framelet_operator(graph, levels=2, mode=mode)
     X = rng.normal(size=(n, 3))
     return {
-        "rng": rng, "graph": graph, "lap": lap, "spectrum": spectrum,
-        "lam": lam, "system": system, "op": op, "X": X,
+        "rng": rng, "graph": graph, "lap": graph.laplacian,
+        "spectrum": graph.spectrum, "system": op.system, "op": op, "X": X,
     }
 
 
@@ -139,8 +127,8 @@ def _check_laplacian_spectrum(fx):
 
 
 def _check_lambda_max_bounds(fx):
-    exact = lambda_max(fx["lap"], "exact")
-    # The estimate framelet_operator takes K from in Chebyshev mode.
+    exact = float(fx["spectrum"].values[-1])
+    # The estimate framelet_operator takes K from in both modes.
     lanczos = fx["graph"].lanczos_bound
     gersh = fx["lap"].gershgorin_bound()
     ok = exact - 1e-6 <= lanczos <= gersh + 1e-12
@@ -187,12 +175,11 @@ def _check_parseval(fx):
 
 
 def _check_cascade(fx):
-    system, lap, spectrum, X = fx["system"], fx["lap"], fx["spectrum"], fx["X"]
+    system, X = fx["system"], fx["X"]
     worst = 0.0
     prev_low = X
     for j in range(1, system.levels + 1):
-        sub = dataclasses.replace(system, levels=j)
-        op_j = build_operators(sub, lap, spectrum if system.mode == "exact" else None)
+        op_j = framelet_operator(fx["graph"], levels=j, mode=system.mode)
         c = decompose(op_j, X)
         low_j = c.low_pass()
         detail = sum(
@@ -207,21 +194,20 @@ def _check_cascade(fx):
 
 def _check_stacked_tightness(fx):
     errors = {}
+    levels = fx["system"].levels
     for t in (8, 16):
-        system = dataclasses.replace(fx["system"], mode="chebyshev", degree=t)
-        w = _explicit(build_operators(system, fx["lap"]))
+        w = _explicit(
+            framelet_operator(fx["graph"], levels=levels, degree=t, mode="chebyshev")
+        )
         errors[t] = float(np.max(np.abs(w.T @ w - np.eye(fx["lap"].num_rows))))
     ok = errors[16] <= 1e-6 and errors[8] > errors[16]
     return ok, f"tightness error t=16 {errors[16]:.2e}, t=8 {errors[8]:.2e}"
 
 
 def _check_path_equivalence(fx):
-    exact_op = build_operators(
-        dataclasses.replace(fx["system"], mode="exact"), fx["lap"], fx["spectrum"]
-    )
-    cheb_op = build_operators(
-        dataclasses.replace(fx["system"], mode="chebyshev", degree=16), fx["lap"]
-    )
+    graph, levels = fx["graph"], fx["system"].levels
+    exact_op = framelet_operator(graph, levels=levels, mode="exact")
+    cheb_op = framelet_operator(graph, levels=levels, degree=16, mode="chebyshev")
     worst = float(np.max(np.abs(_explicit(exact_op) - _explicit(cheb_op))))
     return _bounded(worst, 1e-6, f"max entrywise block difference {worst:.2e}")
 
@@ -233,9 +219,7 @@ def _check_lowpass_telescope(fx):
     for j in range(1, system.levels + 1):
         prod = prod * system.bank.low_pass(system.factor_scale(j) * lam)
     direct = spectrum.matrix_function(prod)
-    exact_op = build_operators(
-        dataclasses.replace(system, mode="exact"), fx["lap"], spectrum
-    )
+    exact_op = framelet_operator(fx["graph"], levels=system.levels, mode="exact")
     low = _explicit(exact_op)[: exact_op.num_nodes]
     err = float(np.max(np.abs(low - direct)))
     return _bounded(err, 1e-10, f"low-pass telescope mismatch {err:.2e}")

@@ -30,7 +30,12 @@ from ufg.experiments import (
     train_node_classifier,
 )
 from ufg.filters import haar_filter_bank
-from ufg.graphs import eigendecompose, lambda_max, normalized_laplacian
+from ufg.graphs import (
+    eigendecompose,
+    gcn_norm_adjacency,
+    lambda_max,
+    normalized_laplacian,
+)
 from ufg.nn import (
     ConvLayerParams,
     LayerActivation,
@@ -38,7 +43,6 @@ from ufg.nn import (
     finite_difference_check,
     gcn_conv_backward,
     gcn_conv_forward,
-    gcn_norm_adjacency,
     init_params,
     mlp_backward,
     mlp_forward,

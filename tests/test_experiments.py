@@ -36,7 +36,7 @@ from ufg.experiments import (
     _union_backward,
     _union_forward,
 )
-from ufg.graphs import eigendecompose, normalized_laplacian
+from ufg.graphs import eigendecompose, gcn_norm_adjacency, normalized_laplacian
 from ufg.nn import (
     activation_signature,
     dropout_backward,
@@ -44,7 +44,6 @@ from ufg.nn import (
     finite_difference_check,
     gcn_conv_backward,
     gcn_conv_forward,
-    gcn_norm_adjacency,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -318,7 +317,7 @@ def test_node_model_gradients_through_input_coefficients(sbm_data, activation, h
             _conv_params(p, "l1"), op, coeff_x, acts[0], frozen[0]
         )
         # Seeded, so every evaluation drops the same entries.
-        hd, cd = dropout_forward(h1, 0.5, 11, training=True)
+        hd, cd = dropout_forward(h1, 0.5, 11)
         logits, c2 = ufg_conv_forward(_conv_params(p, "l2"), op, hd, acts[1], frozen[1])
         return logits, (c1, cd, c2)
 
@@ -473,7 +472,7 @@ class _FullOutputNodeTask(experiments._NodeTask):
     and masks the loss, as it did before the training-row operator."""
 
     def step(self, params, rng):
-        hd, cd = dropout_forward(self.h1, self.config.dropout, rng, training=True)
+        hd, cd = dropout_forward(self.h1, self.config.dropout, rng)
         logits, c2 = ufg_conv_forward(_conv_params(params, "l2"), self.op, hd,
                                       self.acts[1])
         loss, dlogits = softmax_cross_entropy(logits, self.labels, self.masks[0])

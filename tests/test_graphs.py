@@ -216,24 +216,31 @@ def test_normalized_spectrum_in_unit_band(n, avg_deg, seed):
     assert vals[-1] <= 2.0 + SPECTRUM_TOL
 
 
+def _exact_lambda_max(lap):
+    return float(eigendecompose(lap).values[-1])
+
+
 def test_lambda_max_exact_vs_power(small_laplacian):
-    exact = lambda_max(small_laplacian, "exact")
+    exact = _exact_lambda_max(small_laplacian)
     power = lambda_max(small_laplacian, "power_iteration")
     gersh = small_laplacian.gershgorin_bound()
     assert exact <= power + SPECTRUM_TOL
     assert power <= gersh + SPECTRUM_TOL
 
 
-def test_lambda_max_size_cap():
+def test_eigendecompose_size_cap():
     big = SparseMatrix.identity(EXACT_SPECTRUM_MAX_NODES + 1)
     with pytest.raises(ValueError, match="limited"):
-        lambda_max(big, "exact")
+        eigendecompose(big)
+    # The estimates have no size cap.
     assert lambda_max(big, "power_iteration") == pytest.approx(1.0, rel=0.02)
 
 
 def test_lambda_max_unknown_method(small_laplacian):
-    with pytest.raises(ValueError, match="unknown method"):
-        lambda_max(small_laplacian, "arnoldi")
+    # The exact top eigenvalue is eigendecompose's, not an estimate's.
+    for method in ("arnoldi", "exact"):
+        with pytest.raises(ValueError, match="unknown method"):
+            lambda_max(small_laplacian, method)
 
 
 def _isolated_edges(pairs):
@@ -258,7 +265,7 @@ LANCZOS_CASES = {
 def test_lanczos_estimate_between_exact_and_gershgorin(name):
     lap = normalized_laplacian(LANCZOS_CASES[name])
     estimate = lambda_max(lap, "lanczos")
-    exact = lambda_max(lap, "exact")
+    exact = _exact_lambda_max(lap)
     assert exact - 1e-6 <= estimate <= lap.gershgorin_bound()
 
 
@@ -266,7 +273,7 @@ def test_lanczos_estimate_between_exact_and_gershgorin(name):
 def test_lanczos_estimate_bounds_sbm_spectrum(seed):
     data = generate_sbm([100] * 3, 0.1, 0.01, seed=seed)
     lap = normalized_laplacian(data.graph)
-    exact = lambda_max(lap, "exact")
+    exact = _exact_lambda_max(lap)
     estimate = lambda_max(lap, "lanczos")
     # A Ritz value never exceeds the top eigenvalue, so 1.01x caps it.
     assert exact - 1e-6 <= estimate <= min(1.01 * exact, lap.gershgorin_bound()) + 1e-12

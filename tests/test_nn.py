@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ufg.datasets import path_graph
-from ufg.graphs import build_graph
+from ufg.graphs import build_graph, gcn_norm_adjacency
 from ufg.nn import (
     AdamState,
     ConvLayerParams,
@@ -19,7 +19,6 @@ from ufg.nn import (
     finite_difference_check,
     gcn_conv_backward,
     gcn_conv_forward,
-    gcn_norm_adjacency,
     init_params,
     mlp_backward,
     mlp_forward,
@@ -477,18 +476,16 @@ def test_loss_and_accuracy_refuse_labels_or_mask_of_another_length(
 def test_dropout():
     rng_seed = 5
     X = np.ones((50, 20))
-    out, cache = dropout_forward(X, 0.0, rng_seed, training=True)
+    out, cache = dropout_forward(X, 0.0, rng_seed)
     np.testing.assert_array_equal(out, X)
-    out, cache = dropout_forward(X, 0.5, rng_seed, training=False)
-    np.testing.assert_array_equal(out, X)
-    out, cache = dropout_forward(X, 0.5, rng_seed, training=True)
+    out, cache = dropout_forward(X, 0.5, rng_seed)
     kept = cache["mask"]
     np.testing.assert_array_equal(out[kept], 2.0)
     np.testing.assert_array_equal(out[~kept], 0.0)
     grad = dropout_backward(cache, np.ones_like(X))
     np.testing.assert_array_equal(grad[kept], 2.0)
     with pytest.raises(ValueError, match="probability"):
-        dropout_forward(X, 1.0, rng_seed, training=True)
+        dropout_forward(X, 1.0, rng_seed)
 
 
 def test_adam_single_step_oracle():

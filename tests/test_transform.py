@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
@@ -543,6 +543,30 @@ def test_backends_agree_on_edge_case_graphs(graph, levels):
     for op, tol in ((op_e, ROUND_TRIP_TOL), (op_c, TIGHTNESS_TOL)):
         back = reconstruct(op, decompose(op, X))
         assert np.max(np.abs(back - X)) / scale <= tol
+
+
+@st.composite
+def near_boundary_er_graphs(draw):
+    """Dense ER graphs on 200 nodes whose top eigenvalue lies within 1% of
+    pi/2, the K = -1 / K = 0 boundary: an exact eigenvalue and an estimate
+    of it can fall on either side."""
+    avg_degree = draw(st.floats(9.5, 11.0))
+    graph = random_er_graph(200, avg_degree, draw(st.integers(0, 2**32 - 1)))
+    assume(abs(graph.spectrum.values[-1] / (np.pi / 2) - 1.0) <= 0.01)
+    return graph
+
+
+@given(st.one_of(edge_case_graphs(), near_boundary_er_graphs()))
+# exact top eigenvalue 1.5685 (K = -1), Lanczos bound 1.5840 (K = 0)
+@example(random_er_graph(200, 10, 0))
+# the default SBM-300 node dataset at data seed 7: 1.5620 vs 1.5775
+@example(generate_sbm([100] * 3, 0.1, 0.01, seed=7).graph)
+def test_both_modes_build_one_transform_of_a_graph(graph):
+    op_e = framelet_operator(graph, mode="exact")
+    op_c = framelet_operator(graph, mode="chebyshev")
+    assert op_e.system.K == op_c.system.K
+    assert op_e.system.lam_max == op_c.system.lam_max == graph.lanczos_bound
+    np.testing.assert_allclose(_explicit(op_e), _explicit(op_c), atol=PATH_TOL)
 
 
 def test_chebyshev_operator_never_multiplies_sparse_matrices(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 import ufg.verify as verify_mod
 from ufg.cli import main
+from ufg.transform import compute_K
 from ufg.verify import run_verify
 
 
@@ -21,6 +22,15 @@ def test_run_verify_all_properties_pass(mode):
         if r["value"] is not None:
             assert r["value"] <= r["tol"]
     assert sum(r["value"] is not None for r in reports) >= 9
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+def test_default_fixture_has_K_zero_under_both_bounds(mode):
+    # The fixture's K does not depend on which bound of the top eigenvalue
+    # sets it, so the suite's values do not either.
+    fx = verify_mod._fixtures(100, 7, mode)
+    assert fx["op"].system.K == 0
+    assert compute_K(float(fx["spectrum"].values[-1]), 2.0) == 0
 
 
 def test_run_verify_rejects_unknown_mode():
