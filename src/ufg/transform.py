@@ -30,11 +30,15 @@ all their scales off one Chebyshev basis (Hammond, Vandergheynst &
 Gribonval 2011). Both recur on ``S = 2(L - I)``, which ``build_operators``
 builds once per operator with its explicit zeros dropped: the unit
 diagonal cancels, so on a graph without self loops ``S`` stores only the
-off-diagonal entries. A forward step is one product by ``S`` and one BLAS
-rank-1 update that adds the step's term to all blocks; an adjoint step is
-one product by ``S`` and one in-place BLAS axpy per block. Each direction
-costs ``recurrence_degree`` sparse products for any number of levels and
-high passes: 30 for a default round trip instead of 40 unchopped.
+off-diagonal entries. Each recurrence works in place on two N x d arrays,
+which hold its latest two terms up to sign: a step is one call of SciPy's
+sparse kernel that adds ``S`` or ``-S`` times the newer term into the
+older (``_spmm_add``), with no temporary, zero fill or subtraction. A
+forward step then adds the new term to all blocks with one BLAS rank-1
+update; an adjoint step first adds ``w_k`` from all blocks with one BLAS
+matrix-vector product. Each direction costs ``recurrence_degree`` sparse
+products for any number of levels and high passes: 30 for a default
+round trip instead of 40 unchopped.
 ``framelet_operator`` builds either backend from a graph, from the
 Laplacian, Lanczos estimate and (in exact mode) spectrum that the ``Graph``
 caches; K comes from the Lanczos estimate in both modes, so the two
@@ -53,7 +57,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.chebyshev import chebval
-from scipy.linalg.blas import daxpy, dger
+from scipy.linalg.blas import dgemv, dger
+from scipy.sparse._sparsetools import csr_matvecs
 
 from . import graphs
 from .filters import (
@@ -488,19 +493,32 @@ def _recurrence_matrix(lap: SparseMatrix) -> SparseMatrix:
     return SparseMatrix.from_scipy(s)
 
 
-def _axpy_blocks(coeffs: list[float], flat: np.ndarray, y: np.ndarray) -> None:
-    """``y += sum_b coeffs[b] * flat[b]`` in place: one BLAS axpy per block
-    and no temporary.
+def _spmm_add(
+    s: sp.csr_array, values: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> None:
+    """``y += A x`` in place, for the matrix ``A`` with the CSR pattern of
+    ``s`` and the stored values ``values``.
 
-    ``flat`` holds one C-contiguous float64 row per block, each of ``y``'s
-    size, and ``y`` must be C-contiguous float64. A flat view of any other
-    layout would be a copy and the update would be lost, so the reshape
-    refuses to copy and raises instead.
+    This is SciPy's sparse x dense kernel, the one ``s @ x`` runs after
+    zero-filling a new output, called directly: no output is allocated and
+    the sum lands on what ``y`` holds. ``values`` must be float64 with one
+    entry per stored entry of ``s``; ``x`` and ``y`` C-contiguous float64
+    arrays of ``s``'s column and row counts and one width; ``y`` writeable.
+    The kernel trusts the sizes it is given and writes through a copy of a
+    ``y`` of any other layout, so anything else raises instead.
     """
-    y_flat = y.reshape(-1, copy=False)
-    if y_flat.size:
-        for a, x in zip(coeffs, flat):
-            daxpy(x, y_flat, a=a)
+    n, m = s.shape
+    if not (
+        values.dtype == x.dtype == y.dtype == np.float64
+        and values.shape == s.data.shape
+        and x.ndim == 2 and x.shape[0] == m and y.shape == (n, x.shape[1])
+        and x.flags.c_contiguous and y.flags.c_contiguous and y.flags.writeable
+    ):
+        raise ValueError("_spmm_add needs float64 values, x and y of matching "
+                         "shapes, C-contiguous, y writeable")
+    # Flat operands, as ``s @ x`` passes them.
+    csr_matvecs(n, m, x.shape[1], s.indptr, s.indices, values, x.reshape(-1),
+                y.reshape(-1, copy=False))
 
 
 def chebyshev_decompose(
@@ -513,9 +531,10 @@ def chebyshev_decompose(
     """Forward transform applied matrix-free to a signal.
 
     One Chebyshev recurrence ``T_k(L - I) X`` serves all B blocks. A step
-    is one product by ``S = 2(L - I)``, one subtraction and one BLAS rank-1
-    update that adds ``c_{b,k} T_k`` to every block b at once, so work is
-    ``recurrence_degree`` sparse products, and memory stays at a few N x d
+    is one in-place sparse product that adds ``S T_{k-1}`` or ``-S T_{k-1}``,
+    with ``S = 2(L - I)``, to the array holding ``T_{k-2}``, and one BLAS
+    rank-1 update that adds ``c_{b,k} T_k`` to every block b at once. Work
+    is ``recurrence_degree`` sparse products, and memory is two N x d work
     arrays besides the output. ``recurrence`` is the operator's ``S``;
     without it ``S`` is built from ``lap`` on every call. ``X`` is only
     read and may have any memory layout.
@@ -523,7 +542,7 @@ def chebyshev_decompose(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != lap.num_rows:
         raise ValueError(f"X must be 2-d with {lap.num_rows} rows")
-    S = _recurrence_matrix(lap) if recurrence is None else recurrence
+    S = (_recurrence_matrix(lap) if recurrence is None else recurrence).csr
     index = system.block_index()
     coeffs = system.chebyshev_coeffs
     # Row k holds step k's coefficients, contiguous, as dger reads them.
@@ -536,17 +555,19 @@ def chebyshev_decompose(
     columns = data.reshape(len(index), -1, copy=False).T
     for out, c in zip(blocks, steps[0]):
         np.multiply(X, c, out=out)
-    t_prev, t_cur = None, X
+    # terms[k % 2] holds (-1)^(k // 2) T_k: with signs +, +, -, -, ... each
+    # step adds S T_{k-1} (k odd) or -S T_{k-1} (k even) into the array
+    # of T_{k-2}, which then holds the signed T_k = S T_{k-1} - T_{k-2}.
+    # T_1 = S T_0 / 2 goes into zeros. The copy keeps X unwritten.
+    terms = (np.array(X, order="C"), np.zeros(X.shape))
+    values = (-S.data, S.data)
     for k in range(1, len(steps)):
-        # T_k = S T_{k-1} - T_{k-2}, with T_1 = S T_0 / 2
-        t_next = S @ t_cur
-        if t_prev is None:
-            t_next *= 0.5
-        else:
-            t_next -= t_prev
-        t_prev, t_cur = t_cur, t_next
+        t_k = terms[k % 2]
+        _spmm_add(S, 0.5 * S.data if k == 1 else values[k % 2],
+                  terms[1 - k % 2], t_k)
         if data.size:
-            dger(1.0, t_cur.ravel(), steps[k], a=columns, overwrite_a=True)
+            dger((-1.0) ** (k // 2), t_k.reshape(-1, copy=False), steps[k],
+                 a=columns, overwrite_a=True)
     return CoefficientStack(data=data, block_index=index, num_nodes=lap.num_rows)
 
 
@@ -562,33 +583,38 @@ def chebyshev_reconstruct(
     Every block is a polynomial in the symmetric Laplacian and hence
     symmetric, so the adjoint is ``sum_b p_b(L) C_b`` over the blocks
     ``C_b``. All blocks share one basis, so that is ``sum_k T_k(L - I) w_k``
-    with ``w_k = sum_b c_{b,k} C_b``, summed by one Clenshaw recurrence with
-    each ``w_k`` added in place, one axpy per block, into the step's product
-    by ``S = 2(L - I)``. Mirrors ``chebyshev_decompose`` in cost and in its
-    use of ``recurrence``; ``c`` is only read.
+    with ``w_k = sum_b c_{b,k} C_b``, summed by one Clenshaw recurrence on
+    two N x d work arrays. A step adds ``w_k`` to the array holding
+    ``b_{k+2}`` with one BLAS matrix-vector product over all blocks, then
+    ``S b_{k+1}`` or ``-S b_{k+1}`` with one in-place sparse product.
+    Mirrors ``chebyshev_decompose`` in cost and in its use of
+    ``recurrence``; ``c`` is only read.
     """
     if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
         raise ValueError("coefficient stack does not match the system")
-    S = _recurrence_matrix(lap) if recurrence is None else recurrence
-    # One flat row per block, C-contiguous, as _axpy_blocks needs.
+    S = (_recurrence_matrix(lap) if recurrence is None else recurrence).csr
     blocks = np.ascontiguousarray(c.blocks, dtype=np.float64)
-    flat = blocks.reshape(len(blocks), -1)
+    # Block b is column b of the Fortran-ordered (N d) x B view, as dgemv
+    # reads it without a copy.
+    columns = blocks.reshape(len(blocks), -1, copy=False).T
     # steps[k]: step k's coefficients, one per block.
-    steps = system.chebyshev_coeffs.T.tolist()
-    t = len(steps) - 1
-    # b_k = w_k + S b_{k+1} - b_{k+2}, started at b_t = w_t; the sum is
-    # w_0 + S b_1 / 2 - b_2.
-    b, b_next = blocks[0] * steps[t][0], None
-    _axpy_blocks(steps[t][1:], flat[1:], b)
-    for k in range(t - 1, -1, -1):
-        y = S @ b
-        if k == 0:
-            y *= 0.5
-        _axpy_blocks(steps[k], flat, y)
-        if b_next is not None:
-            y -= b_next
-        b, b_next = y, b
-    return b
+    steps = np.ascontiguousarray(system.chebyshev_coeffs.T)
+    # b_k = w_k + S b_{k+1} - b_{k+2} from b_{t+1} = b_{t+2} = 0; the sum is
+    # b_0 = w_0 + S b_1 / 2 - b_2. terms[k % 2] holds (-1)^(k // 2) b_k, so
+    # step k adds S b_{k+1} (k even) or -S b_{k+1} (k odd), and b_0 comes
+    # out with sign +.
+    terms = (np.zeros(blocks.shape[1:]), np.zeros(blocks.shape[1:]))
+    values = (S.data, -S.data)
+    for k in range(len(steps) - 1, -1, -1):
+        b_k = terms[k % 2]
+        flat = b_k.reshape(-1, copy=False)
+        if flat.size:
+            dgemv((-1.0) ** (k // 2), columns, steps[k], beta=1.0, y=flat,
+                  overwrite_y=True)
+        if k < len(steps) - 1:
+            _spmm_add(S, 0.5 * S.data if k == 0 else values[k % 2],
+                      terms[1 - k % 2], b_k)
+    return terms[0]
 
 
 def block_energies(c: CoefficientStack) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Transform blocks: round trips, tightness, path equivalence, block order."""
 
 import dataclasses
+import itertools
 from functools import partial
 
 import numpy as np
@@ -177,13 +178,13 @@ def test_one_recurrence_serves_every_block(
     np.testing.assert_allclose(_explicit(op_e), _explicit(op_c), atol=PATH_TOL)
 
     calls = []
-    matmul = SparseMatrix.__matmul__
+    spmm_add = transform._spmm_add
 
-    def counting(self, other):
-        calls.append(other.shape)
-        return matmul(self, other)
+    def counting(s, values, x, y):
+        calls.append(x.shape)
+        spmm_add(s, values, x, y)
 
-    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    monkeypatch.setattr(transform, "_spmm_add", counting)
     X = np.random.default_rng(2).normal(size=(small_laplacian.num_rows, 3))
     c = decompose(op_c, X)
     forward = len(calls)
@@ -305,40 +306,124 @@ def test_matrix_free_matches_materialized(small_laplacian):
     assert np.max(np.abs(back - X)) <= 1e-8  # tight-frame round trip
 
 
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 @pytest.mark.parametrize("levels", [1, 3])
 def test_chebyshev_backend_reads_any_layout_and_never_writes_inputs(
-    small_laplacian, levels
+    small_laplacian, small_spectrum, levels
 ):
-    # The recurrences update their outputs in place through flat views and a
-    # Fortran-ordered view, which alias only C-contiguous buffers: such a
-    # view of any other buffer is a copy, and updates made to it are lost.
-    # The operator and the direct functions share the recurrences, so both
-    # paths run.
-    system = make_system(haar_filter_bank(), 2.0, levels=levels, mode="chebyshev")
-    op = build_operators(system, small_laplacian)
+    # The recurrences add into their work arrays in place, with SciPy's
+    # sparse kernel and BLAS, through views that alias only C-contiguous
+    # buffers: such a view of any other buffer is a copy, and updates made
+    # to it are lost. Inputs of any layout are read into those arrays
+    # first, so every layout gives bitwise the contiguous result and no
+    # input is written. The operator and the direct functions share the
+    # recurrences, so both paths run; at one level, degrees 0 and 1 run no
+    # step or one.
     n = small_laplacian.num_rows
-    wide = np.random.default_rng(levels).normal(size=(n, 6))
-    X = np.ascontiguousarray(wide[:, ::2])
-    paths = (
-        (partial(chebyshev_decompose, system, small_laplacian),
-         partial(chebyshev_reconstruct, system, small_laplacian)),
-        (partial(decompose, op), partial(reconstruct, op)),
-    )
-    for forward, adjoint in paths:
-        ref = forward(X)
-        back = adjoint(ref)
-        # Fortran order (the layout of A.T for a C-ordered A) and a strided view.
-        for layout in (np.asfortranarray(X), wide[:, ::2]):
-            kept = layout.copy()
-            c = forward(layout)
-            np.testing.assert_allclose(c.data, ref.data, rtol=0, atol=1e-13)
-            np.testing.assert_array_equal(layout, kept)
-        for data in (ref.data, np.asfortranarray(ref.data)):
-            kept = data.copy()
-            got = adjoint(ref.with_data(data))
-            np.testing.assert_allclose(got, back, rtol=0, atol=1e-13)
-            np.testing.assert_array_equal(data, kept)
-        assert np.max(np.abs(back - X)) <= TIGHTNESS_TOL
+    for degree, width in itertools.product((0, 1, 16), (3, 0)):
+        system = make_system(
+            haar_filter_bank(), 2.0, levels=levels, degree=degree, mode="chebyshev"
+        )
+        if levels == 1 and degree <= 1:
+            assert system.recurrence_degree == degree
+        op = build_operators(system, small_laplacian)
+        wide = np.random.default_rng(levels + degree).normal(size=(n, 2 * width))
+        X = np.ascontiguousarray(wide[:, ::2])
+        reference = np.concatenate([
+            small_spectrum.matrix_function(chebval(small_spectrum.values - 1.0, cf))
+            for cf in system.chebyshev_coeffs
+        ])
+        paths = (
+            (partial(chebyshev_decompose, system, small_laplacian),
+             partial(chebyshev_reconstruct, system, small_laplacian)),
+            (partial(decompose, op), partial(reconstruct, op)),
+        )
+        for forward, adjoint in paths:
+            ref = forward(X)
+            back = adjoint(ref)
+            np.testing.assert_allclose(ref.data, reference @ X, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                back, reference.T @ ref.data, rtol=0, atol=1e-12
+            )
+            # The contiguous input itself, Fortran order (the layout of A.T
+            # for a C-ordered A), a strided view and a read-only array.
+            for layout in (X, np.asfortranarray(X), wide[:, ::2], _read_only(X)):
+                kept = layout.copy()
+                c = forward(layout)
+                np.testing.assert_array_equal(c.data, ref.data)
+                np.testing.assert_array_equal(layout, kept)
+            wide_data = np.zeros((ref.data.shape[0], 2 * width))
+            wide_data[:, ::2] = ref.data
+            for data in (ref.data, np.asfortranarray(ref.data),
+                         wide_data[:, ::2], _read_only(ref.data)):
+                kept = data.copy()
+                got = adjoint(ref.with_data(data))
+                np.testing.assert_array_equal(got, back)
+                np.testing.assert_array_equal(data, kept)
+            if degree == 16:
+                assert np.max(np.abs(back - X), initial=0.0) <= TIGHTNESS_TOL
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+def test_spmm_add_is_the_sparse_product_added_in_place(index):
+    # The recurrences' one sparse kernel: into zeros it is bitwise ``S @ X``
+    # (SciPy's ``@`` zero-fills its output and runs the same kernel), and
+    # into a nonzero ``y`` it adds to what is there. Values other than the
+    # matrix's own scale its product; negated ones subtract it.
+    s = _recurrence_matrix(random_er_graph(300, 6.0, 21).laplacian).csr.copy()
+    s.indptr = s.indptr.astype(index)
+    s.indices = s.indices.astype(index)
+    rng = np.random.default_rng(22)
+    for width in (0, 1, 4, 16):
+        X = rng.normal(size=(300, width))
+        kept = X.copy()
+        product = s @ X
+        for values, expected in ((s.data, product), (-s.data, -product),
+                                 (0.5 * s.data, 0.5 * product)):
+            y = np.zeros((300, width))
+            transform._spmm_add(s, values, X, y)
+            np.testing.assert_array_equal(y, expected)
+        y0 = rng.normal(size=(300, width))
+        y = y0.copy()
+        transform._spmm_add(s, s.data, X, y)
+        expected = y0 + product
+        assert np.max(np.abs(y - expected), initial=0.0) <= 1e-15 * np.max(
+            np.abs(expected), initial=0.0
+        )
+        np.testing.assert_array_equal(X, kept)
+
+
+def test_spmm_add_rejects_operands_it_cannot_update_in_place():
+    # The kernel trusts the sizes it is given, and writes an output of any
+    # other layout through a copy, so its wrapper checks first.
+    s = _recurrence_matrix(random_er_graph(30, 4.0, 3).laplacian).csr
+    X = np.ones((30, 4))
+    good = np.zeros((30, 4))
+    bad = {
+        "values length": (s.data[:-1], X, good),
+        "values dtype": (s.data.astype(np.float32), X, good),
+        "x rows": (s.data, np.ones((29, 4)), good),
+        "x dtype": (s.data, X.astype(np.float32), good),
+        "x layout": (s.data, np.asfortranarray(X), good),
+        "y shape": (s.data, X, np.zeros((30, 3))),
+        "y rows": (s.data, X, np.zeros((29, 4))),
+        "y layout": (s.data, X, np.zeros((30, 4), order="F")),
+        "y strided": (s.data, X, np.zeros((30, 8))[:, ::2]),
+        "y read-only": (s.data, X, _read_only(good)),
+        "x 1-d": (s.data, np.ones(30), np.zeros(30)),
+    }
+    for name, (values, x, y) in bad.items():
+        kept = y.copy()
+        with pytest.raises(ValueError, match="_spmm_add"):
+            transform._spmm_add(s, values, x, y)
+        np.testing.assert_array_equal(y, kept, err_msg=name)
+    transform._spmm_add(s, s.data, X, good)
+    np.testing.assert_array_equal(good, s @ X)
 
 
 def test_chebyshev_operator_builds_its_recurrence_matrix_once(
@@ -571,15 +656,26 @@ def test_both_modes_build_one_transform_of_a_graph(graph):
 
 def test_chebyshev_operator_never_multiplies_sparse_matrices(monkeypatch):
     # Sparse matrix polynomials fill in to dense: on this Cora-sized graph
-    # materializing them took minutes and over a gigabyte.
+    # materializing them took minutes and over a gigabyte. Every product of
+    # the recurrences goes through the in-place kernel, so that is where
+    # the operands are checked; a product by ``@`` must not be sparse either.
     matmul = SparseMatrix.__matmul__
+    spmm_add = transform._spmm_add
+    dense_products = []
 
     def no_spgemm(self, other):
         if isinstance(other, SparseMatrix):
             raise AssertionError("sparse @ sparse product")
         return matmul(self, other)
 
+    def dense_only(s, values, x, y):
+        if not type(x) is type(y) is np.ndarray:
+            raise AssertionError("non-dense operand in the recurrence")
+        dense_products.append(x.shape)
+        spmm_add(s, values, x, y)
+
     monkeypatch.setattr(SparseMatrix, "__matmul__", no_spgemm)
+    monkeypatch.setattr(transform, "_spmm_add", dense_only)
     data = generate_sbm(
         [387] * 6 + [386], 0.009, 0.0002, GaussianFeatures(dim=8), seed=0
     )
@@ -589,6 +685,7 @@ def test_chebyshev_operator_never_multiplies_sparse_matrices(monkeypatch):
     X = data.features
     back = reconstruct(op, decompose(op, X))
     assert np.linalg.norm(back - X) / np.linalg.norm(X) <= 1e-6
+    assert dense_products == [X.shape] * (2 * op.system.recurrence_degree)
 
 
 # --------------------------------------------- one spectrum per Graph object
