@@ -312,7 +312,8 @@ def load_citation(directory: str | os.PathLike) -> NodeDataset:
     Expects ``graph.txt`` (graph text format), ``features.csv``,
     ``labels.txt`` (one integer per line), ``splits.json`` (train/val/test
     index lists) and ``manifest.json`` with the expected sizes. Split-size
-    mismatches against the manifest warn; structural problems raise.
+    mismatches against the manifest warn; structural problems raise, among
+    them a split index that is not a JSON integer and a node in two splits.
     """
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
@@ -329,12 +330,19 @@ def load_citation(directory: str | os.PathLike) -> NodeDataset:
         raise ValueError("features/labels row count does not match the graph")
     masks = {}
     for name in ("train", "val", "test"):
-        idx = np.asarray(splits[name], dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
+        idx = splits[name]
+        # bool is an int subclass, and an int64 cast truncates a float.
+        if not isinstance(idx, list) or any(type(i) is not int for i in idx):
+            raise ValueError(f"{name} split must be a list of integer node indices")
+        if any(not 0 <= i < n for i in idx):
             raise ValueError(f"{name} split indices out of range")
         mask = np.zeros(n, dtype=bool)
         mask[idx] = True
         masks[name] = mask
+    shared = [f"{a}/{b}" for a, b in itertools.combinations(masks, 2)
+              if np.any(masks[a] & masks[b])]
+    if shared:
+        raise ValueError(f"splits share nodes: {', '.join(shared)}")
     checks = {
         "num_nodes": n,
         "num_features": features.shape[1],

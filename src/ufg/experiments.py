@@ -38,8 +38,6 @@ from .nn import (
     softmax_cross_entropy,
     ufg_conv_backward,
     ufg_conv_forward,
-    ufg_input_conv_backward,
-    ufg_input_conv_forward,
     ufg_pool_backward,
     ufg_pool_forward,
     xavier_uniform,
@@ -235,16 +233,16 @@ class _NodeTask:
     """Node classification: two framelet convolutions with dropout between,
     softmax cross entropy on the training nodes, L2 on the dense weights.
 
-    ``coeff_x`` is ``decompose(op, data.features).data``: layer 1 runs on
-    it (``nn.ufg_input_conv_forward``) and never decomposes its input.
-    Layer 1's output before dropout is the same in epoch e's evaluation
-    pass and epoch e+1's training pass, so it is computed once and carried
-    over. An epoch then applies the operator 8 times, twice in layer 1:
-    its reconstruct and the decompose of its upstream gradient. With ReLU
-    or no activation and fewer input features than ``hidden``, layer 1
-    reconstructs ``theta * coeff_x`` before projecting, so both run at the
-    input width; with shrinkage, or when the input is at least as wide,
-    it projects first and both run at ``hidden``.
+    The task decomposes the features once, and layer 1 runs on their
+    ``CoefficientStack`` (``nn.ufg_conv_forward``), so it neither
+    decomposes its input nor forms its gradient. Layer 1's output before
+    dropout is the same in epoch e's evaluation pass and epoch e+1's
+    training pass, so it is computed once and carried over. An epoch then
+    applies the operator 8 times, twice in layer 1: its reconstruct and
+    the decompose of its upstream gradient. With ReLU or no activation and
+    fewer input features than ``hidden``, layer 1 reconstructs first, so
+    both run at the input width; with shrinkage, or when the input is at
+    least as wide, it projects first and both run at ``hidden``.
 
     The loss reads only the training nodes, so the training pass's layer 2
     reconstructs its output on them alone and decomposes a gradient that
@@ -259,15 +257,16 @@ class _NodeTask:
     decay_keys = frozenset({"l1.W", "l2.W"})
 
     def __init__(self, data: NodeDataset, op: DecompositionOperator,
-                 coeff_x: np.ndarray, config: ExperimentConfig):
-        self.data, self.op, self.coeff_x, self.config = data, op, coeff_x, config
+                 config: ExperimentConfig):
+        self.data, self.op, self.config = data, op, config
+        self.coeff_x = decompose(op, data.features)
         self.train_op = op.restrict(np.flatnonzero(data.train_mask))
         self.acts = _layer_activations(config)
         self.labels = data.labels
         self.masks = (data.train_mask, data.val_mask, data.test_mask)
 
     def _layer1(self, params) -> None:
-        self.h1, self.c1 = ufg_input_conv_forward(
+        self.h1, self.c1 = ufg_conv_forward(
             _conv_params(params, "l1"), self.op, self.coeff_x, self.acts[0]
         )
 
@@ -289,7 +288,7 @@ class _NodeTask:
                                       self.acts[1], out_op=self.train_op)
         loss, dlogits = softmax_cross_entropy(logits, self.labels[self.train_op.rows])
         dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
-        dW1, dth1, db1 = ufg_input_conv_backward(self.c1, dropout_backward(cd, dh))
+        _, dW1, dth1, db1 = ufg_conv_backward(self.c1, dropout_backward(cd, dh))
         return loss, {
             "l1.W": dW1, "l1.theta": dth1, "l1.bias": db1,
             "l2.W": dW2, "l2.theta": dth2, "l2.bias": db2,
@@ -323,8 +322,7 @@ def train_node_classifier(
     """
     start = time.perf_counter()
     op = build_node_operator(data, config)
-    coeff_x = decompose(op, data.features).data
-    task = _NodeTask(data, op, coeff_x, config)
+    task = _NodeTask(data, op, config)
     per_seed: list[float] = []
     compressions: list[float] = []
     for seed in config.seeds:

@@ -2,21 +2,16 @@
 
 Layers follow a forward/backward pair convention: the forward returns the
 output plus a cache, the backward consumes the cache and the upstream
-gradient and returns exact gradients for every input.
+gradient and returns exact gradients for every input but a fixed one.
 
 The framelet convolution computes ``Y = act(V diag(theta) W X')`` with
 ``X' = X W_dense``: project features, decompose, scale every stacked
 coefficient row by the trainable filter ``theta``, apply the activation in
 the coefficient domain (shrinkage) or after reconstruction (ReLU), and
 reconstruct. ``theta`` has one entry per stacked coefficient row, shared
-across feature columns. ``ufg_input_conv_forward`` is the same layer for a
-fixed input given by its coefficients ``C_X = decompose(X)``. With
-shrinkage, or when ``d_in >= d_out``, it projects first and shares the
-coefficient-domain core of ``ufg_conv_forward`` for theta, the activation
-and the bias. With ReLU or no activation and ``d_in < d_out`` it
-reconstructs ``theta * C_X`` first and projects afterwards, so both of its
-operator applications run at the narrower width ``d_in``: theta scales
-rows and W mixes columns, so the two orders give the same layer.
+across feature columns. ``ufg_conv_forward`` is the one layer, on a
+signal on the nodes or on the coefficients of a fixed one; theta scales
+rows and W mixes columns, so it may reconstruct before projecting.
 """
 
 from __future__ import annotations
@@ -99,76 +94,10 @@ def _filtered_stack(
     )
 
 
-def _activate(z: np.ndarray, act: LayerActivation, cache: dict) -> np.ndarray:
-    """ReLU or identity after reconstruction; ReLU records its mask."""
-    if act.kind == "relu":
-        cache["relu_mask"] = z > 0.0
-        return np.maximum(z, 0.0)
-    return z
-
-
-def _masked_grad(cache: dict, grad_out: np.ndarray) -> np.ndarray:
-    """Upstream gradient through ``_activate``; ReLU uses subgradient 0 at 0."""
-    g = np.asarray(grad_out, dtype=np.float64)
-    if cache["act"].kind == "relu":
-        g = g * cache["relu_mask"]
-    return g
-
-
-def _coeff_conv_forward(
-    params: ConvLayerParams,
-    op: DecompositionOperator,
-    coeff: np.ndarray,
-    act: LayerActivation,
-    frozen_thresholds: np.ndarray | None,
-) -> tuple[np.ndarray, dict]:
-    """Activation core of the framelet convolution, shared by both layers.
-
-    ``coeff`` holds the decomposed projected input ``decompose(X W)``; the
-    core scales it by ``theta``, applies the activation around the one
-    reconstruction, through ``op``, and adds the bias. The shrinkage
-    variant keeps its thresholds and its stacks before and after shrinking
-    in the cache (``thresholds``, ``filtered``, ``shrunk``).
-    """
-    fstack = _filtered_stack(params.theta, op, coeff)
-    cache: dict = {"theta": params.theta, "coeff": coeff, "op": op, "act": act}
-    if act.kind == "shrinkage":
-        thresholds = (
-            stack_thresholds(fstack, act.threshold)
-            if frozen_thresholds is None
-            else frozen_thresholds
-        )
-        shrunk = shrink_stack(fstack, act.threshold, thresholds=thresholds)
-        y = reconstruct(op, shrunk) + params.bias
-        cache["active_mask"] = shrunk.data != 0.0
-        cache.update(thresholds=thresholds, filtered=fstack, shrunk=shrunk)
-        return y, cache
-    return _activate(reconstruct(op, fstack) + params.bias, act, cache), cache
-
-
-def _coeff_conv_backward(
-    cache: dict, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d coeff, dtheta, dbias) of the activation core.
-
-    Shrinkage dead zones pass zero gradient; the data-dependent threshold is
-    treated as a constant (stop-gradient). ReLU uses subgradient 0 at 0.
-    """
-    act: LayerActivation = cache["act"]
-    g = _masked_grad(cache, grad_out)
-    dbias = g.sum(axis=0)
-    d_filtered = decompose(cache["op"], g).data
-    if act.kind == "shrinkage":
-        d_filtered = d_filtered * cache["active_mask"]
-    dtheta = np.sum(d_filtered * cache["coeff"], axis=1)
-    d_coeff = d_filtered * cache["theta"][:, None]
-    return d_coeff, dtheta, dbias
-
-
 def ufg_conv_forward(
     params: ConvLayerParams,
     op: DecompositionOperator,
-    X: np.ndarray,
+    X: np.ndarray | CoefficientStack,
     act: LayerActivation,
     frozen_thresholds: np.ndarray | None = None,
     out_op: DecompositionOperator | None = None,
@@ -180,12 +109,27 @@ def ufg_conv_forward(
     reconstruction and adds the bias outside: ``Y = reconstruct(shrink(theta
     * decompose(X W))) + bias``.
 
+    ``X`` is an ``(N, d_in)`` signal on the nodes, or the
+    ``CoefficientStack`` ``decompose(op, X)`` of a fixed input, which must
+    match ``op``'s blocks and nodes: a network whose first layer sees the
+    same input every epoch decomposes it once.
+
+    With ReLU or no activation and ``d_in < d_out`` the layer reconstructs
+    first: ``R = reconstruct(theta * decompose(X))``, then ``act(R W +
+    bias)``, so the operator runs at the narrower width ``d_in`` here and
+    in the backward pass. Otherwise it projects first, the only order for
+    shrinkage, which acts on the projected coefficients; ``decompose(X W)``
+    of a coefficient input is ``C W`` by linearity. The cache holds the
+    stack theta scales (``coeff``) and, when reconstructing first, ``R``
+    (``reconstructed``).
+
     ``frozen_thresholds`` pins the shrinkage thresholds instead of deriving
     them from the current coefficients: a ``(B,)`` array in block order, as
     ``shrinkage.stack_thresholds`` returns. Finite-difference gradient
     checks use the nominal point's thresholds here because the backward
     pass stop-gradients them. The thresholds actually used are in the
-    cache.
+    cache, with the stacks before and after shrinking (``thresholds``,
+    ``filtered``, ``shrunk``).
 
     ``out_op`` (default ``op``) reconstructs the output, and the backward
     pass decomposes the upstream gradient through it. With ``out_op =
@@ -195,100 +139,78 @@ def ufg_conv_forward(
     on n columns of the stack instead of N. The input side and ``dX`` keep
     ``op``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.W.shape[0]:
+    W, theta = params.W, params.theta
+    coeff_in = isinstance(X, CoefficientStack)
+    if coeff_in:
+        if X.block_index != op.block_index or X.num_nodes != op.num_nodes:
+            raise ValueError("coefficient input does not match the operator")
+        x = X.data
+    else:
+        X = x = np.asarray(X, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != W.shape[0]:
         raise ValueError("X shape does not match W")
     if out_op is None:
         out_op = op
     elif out_op.lap is not op.lap or out_op.system is not op.system:
         raise ValueError("out_op must be op or a restriction of it")
-    coeff = decompose(op, X @ params.W).data
-    y, cache = _coeff_conv_forward(params, out_op, coeff, act, frozen_thresholds)
-    cache["in_op"] = op
-    cache["X"] = X
-    cache["W"] = params.W
-    return y, cache
+    cache = dict(op=op, out_op=out_op, act=act, theta=theta, W=W, X=X)
+    if act.kind != "shrinkage" and W.shape[0] < W.shape[1]:
+        coeff = x if coeff_in else decompose(op, x).data
+        r = reconstruct(out_op, _filtered_stack(theta, op, coeff))
+        cache.update(coeff=coeff, reconstructed=r)
+        z = r @ W + params.bias
+    else:
+        coeff = x @ W if coeff_in else decompose(op, x @ W).data
+        fstack = _filtered_stack(theta, op, coeff)
+        cache["coeff"] = coeff
+        if act.kind == "shrinkage":
+            thresholds = (
+                stack_thresholds(fstack, act.threshold)
+                if frozen_thresholds is None
+                else frozen_thresholds
+            )
+            shrunk = shrink_stack(fstack, act.threshold, thresholds=thresholds)
+            cache.update(thresholds=thresholds, filtered=fstack, shrunk=shrunk,
+                         active_mask=shrunk.data != 0.0)
+            return reconstruct(out_op, shrunk) + params.bias, cache
+        z = reconstruct(out_op, fstack) + params.bias
+    if act.kind == "relu":
+        cache["relu_mask"] = z > 0.0
+        z = np.maximum(z, 0.0)
+    return z, cache
 
 
 def ufg_conv_backward(
     cache: dict, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dX, dW, dtheta, dbias) of the framelet convolution;
-    ``grad_out`` has the rows of the forward pass's output."""
-    op: DecompositionOperator = cache["in_op"]
-    d_coeff, dtheta, dbias = _coeff_conv_backward(cache, grad_out)
-    stack = CoefficientStack(
-        data=d_coeff, block_index=op.block_index, num_nodes=op.num_nodes
-    )
-    dx_proj = reconstruct(op, stack)
-    dW = cache["X"].T @ dx_proj
-    dX = dx_proj @ cache["W"].T
-    return dX, dW, dtheta, dbias
+    ``grad_out`` has the rows of the forward pass's output.
 
-
-def _reconstructs_first(act: LayerActivation, W: np.ndarray) -> bool:
-    """Whether the input layer transforms at width ``d_in`` rather than
-    ``d_out``: only when that is narrower and the activation comes after
-    reconstruction (shrinkage acts on the projected coefficients)."""
-    return act.kind != "shrinkage" and W.shape[0] < W.shape[1]
-
-
-def ufg_input_conv_forward(
-    params: ConvLayerParams,
-    op: DecompositionOperator,
-    coeff_x: np.ndarray,
-    act: LayerActivation,
-    frozen_thresholds: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict]:
-    """``ufg_conv_forward`` on an input given by its coefficients.
-
-    ``coeff_x`` is ``decompose(op, X).data`` for a fixed input X, so a
-    network whose first layer sees the same X every epoch decomposes X
-    once. The layer's one reconstruction runs at the narrower of W's two
-    widths where the activation allows:
-
-    - ReLU or none with ``d_in < d_out``: ``R = reconstruct(theta *
-      coeff_x)`` at width ``d_in``, then ``act(R W + bias)``. The cache
-      holds ``R`` (``reconstructed``) instead of the coefficient stack.
-    - Otherwise: ``decompose(X W) = coeff_x @ W`` by linearity, then the
-      activation core of ``ufg_conv_forward``. This is the only order for
-      shrinkage and the cheaper one when ``d_in >= d_out``.
-
-    ``frozen_thresholds`` is as in ``ufg_conv_forward``.
+    ``dX`` is None for a coefficient input, whose reconstruct is skipped.
+    When the forward pass reconstructed first, ``dW = Rᵀ g`` needs no
+    transform and the one decompose, of ``g Wᵀ``, runs at width ``d_in``.
+    Shrinkage dead zones pass zero gradient; the data-dependent threshold
+    is treated as a constant (stop-gradient). ReLU uses subgradient 0 at 0.
     """
-    coeff_x = np.asarray(coeff_x, dtype=np.float64)
-    if coeff_x.shape != (op.num_rows, params.W.shape[0]):
-        raise ValueError("coeff_x shape does not match the operator and W")
-    if _reconstructs_first(act, params.W):
-        r = reconstruct(op, _filtered_stack(params.theta, op, coeff_x))
-        cache: dict = {"op": op, "act": act, "reconstructed": r, "W": params.W}
-        y = _activate(r @ params.W + params.bias, act, cache)
+    op, act, theta, W, X = (cache[k] for k in ("op", "act", "theta", "W", "X"))
+    g = np.asarray(grad_out, dtype=np.float64)
+    if act.kind == "relu":
+        g = g * cache["relu_mask"]
+    r = cache.get("reconstructed")
+    d_filtered = decompose(cache["out_op"], g if r is None else g @ W.T).data
+    if act.kind == "shrinkage":
+        d_filtered = d_filtered * cache["active_mask"]
+    dtheta = np.sum(d_filtered * cache["coeff"], axis=1)
+    coeff_in = isinstance(X, CoefficientStack)
+    if r is not None:
+        dW = r.T @ g
+        dX = None if coeff_in else reconstruct(op, _filtered_stack(theta, op, d_filtered))
+    elif coeff_in:
+        dW, dX = X.data.T @ (theta[:, None] * d_filtered), None
     else:
-        y, cache = _coeff_conv_forward(
-            params, op, coeff_x @ params.W, act, frozen_thresholds
-        )
-    cache["coeff_x"] = coeff_x
-    return y, cache
-
-
-def ufg_input_conv_backward(
-    cache: dict, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dW, dtheta, dbias) of ``ufg_input_conv_forward``.
-
-    In the reconstruct-first order ``dW = Rᵀ g`` needs no transform, and
-    ``dtheta`` sums ``decompose(g Wᵀ) * coeff_x`` over its row, so the one
-    decompose runs at width ``d_in``. In the project-first order ``dW =
-    coeff_xᵀ d coeff`` needs no reconstruction. The gradient of the fixed
-    input is not formed.
-    """
-    if "reconstructed" in cache:
-        g = _masked_grad(cache, grad_out)
-        d_coeff_x = decompose(cache["op"], g @ cache["W"].T).data
-        dtheta = np.sum(d_coeff_x * cache["coeff_x"], axis=1)
-        return cache["reconstructed"].T @ g, dtheta, g.sum(axis=0)
-    d_coeff, dtheta, dbias = _coeff_conv_backward(cache, grad_out)
-    return cache["coeff_x"].T @ d_coeff, dtheta, dbias
+        dx_proj = reconstruct(op, _filtered_stack(theta, op, d_filtered))
+        dW, dX = X.T @ dx_proj, dx_proj @ W.T
+    return dX, dW, dtheta, g.sum(axis=0)
 
 
 def gcn_conv_forward(

@@ -103,7 +103,8 @@ class FrameletSystem:
     bank : FilterBank
         Low-pass / high-pass masks; tightness requires partition of unity.
     dilation : float
-        Scale base d > 1.
+        Finite scale base d > 1, small enough that the largest filter
+        argument ``d^(J-1-K) * 2`` is finite.
     levels : int
         Number of scale levels J >= 1.
     K : int
@@ -132,10 +133,17 @@ class FrameletSystem:
     mode: str = "exact"
 
     def __post_init__(self):
-        if not (self.dilation > 1):
-            raise ValueError("dilation must exceed 1")
+        if not (1 < self.dilation < math.inf):
+            raise ValueError("dilation must be finite and exceed 1")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
+        try:
+            finite = math.isfinite(self.factor_scale(self.levels) * 2.0)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"dilation {self.dilation!r} overflows the top filter "
+                             f"argument d^(J-1-K) * 2 at J = {self.levels}, K = {self.K}")
         if self.mode not in ("exact", "chebyshev"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.lam_max < 0:

@@ -144,6 +144,18 @@ def test_reconstruct_non_finite_coefficients_exits_two(tmp_path, graph_files, ca
     assert not rpath.exists()
 
 
+@pytest.mark.parametrize("dilation", ["inf", "1e308"])
+def test_transform_rejects_a_dilation_it_cannot_evaluate(
+    tmp_path, graph_files, capsys, dilation
+):
+    gpath, spath, _ = graph_files
+    cpath = tmp_path / "c.ufgc"
+    assert main(["transform", "--graph", gpath, "--signal", spath,
+                 "--out", str(cpath), "--dilation", dilation]) == 2
+    assert "dilation" in capsys.readouterr().err
+    assert not cpath.exists()
+
+
 # Fingerprints of the subcommands' default configs; every training summary
 # prints them, so they must not move.
 DEFAULT_FINGERPRINTS = [

@@ -365,11 +365,37 @@ def test_load_citation_structure_mismatch_raises(tmp_path):
 
 def test_load_citation_bad_split_indices(tmp_path):
     _write_citation_fixture(tmp_path)
+    # 10**30 does not fit an int64 either.
+    for bad in (99, -1, 10**30):
+        (tmp_path / "splits.json").write_text(
+            json.dumps({"train": [0, bad], "val": [2], "test": [3]})
+        )
+        with pytest.raises(ValueError, match="train split indices out of range"):
+            load_citation(tmp_path)
+
+
+@pytest.mark.parametrize("bad", [2.7, True, 2.0, "2"])
+def test_load_citation_rejects_a_split_index_that_is_not_an_integer(tmp_path, bad):
+    _write_citation_fixture(tmp_path)
     (tmp_path / "splits.json").write_text(
-        json.dumps({"train": [0, 99], "val": [2], "test": [3]})
+        json.dumps({"train": [0, 1], "val": [bad, 3], "test": [4, 5]})
     )
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="val split must be a list of integer"):
         load_citation(tmp_path)
+
+
+def test_load_citation_rejects_a_node_in_two_splits(tmp_path, capsys):
+    from ufg.cli import main
+
+    _write_citation_fixture(tmp_path)
+    (tmp_path / "splits.json").write_text(
+        json.dumps({"train": [0, 1, 2], "val": [2, 3], "test": [3, 4, 5]})
+    )
+    with pytest.raises(ValueError, match="splits share nodes: train/val, val/test$"):
+        load_citation(tmp_path)
+    assert main(["train-node", "--dataset", "citation", "--data-dir",
+                 str(tmp_path), "--epochs", "1", "--seeds", "0"]) == 2
+    assert "splits share nodes" in capsys.readouterr().err
 
 
 def test_load_citation_rejects_an_empty_split(tmp_path):

@@ -50,8 +50,6 @@ from ufg.nn import (
     softmax_cross_entropy,
     ufg_conv_backward,
     ufg_conv_forward,
-    ufg_input_conv_backward,
-    ufg_input_conv_forward,
     ufg_pool_backward,
     ufg_pool_forward,
 )
@@ -297,7 +295,7 @@ def test_build_node_operator_chebyshev_path(sbm_data):
 def test_node_model_gradients_through_input_coefficients(sbm_data, activation, hidden):
     cfg = ExperimentConfig(activation=activation, hidden=hidden)
     op = build_node_operator(sbm_data, cfg)
-    coeff_x = decompose(op, sbm_data.features).data
+    coeff_x = decompose(op, sbm_data.features)
     acts = _layer_activations(cfg)
     rng = np.random.default_rng(4)
     d_in, classes = sbm_data.features.shape[1], sbm_data.num_classes
@@ -313,9 +311,7 @@ def test_node_model_gradients_through_input_coefficients(sbm_data, activation, h
     sizes = [params[k].size for k in keys]
 
     def forward(p, frozen=(None, None)):
-        h1, c1 = ufg_input_conv_forward(
-            _conv_params(p, "l1"), op, coeff_x, acts[0], frozen[0]
-        )
+        h1, c1 = ufg_conv_forward(_conv_params(p, "l1"), op, coeff_x, acts[0], frozen[0])
         # Seeded, so every evaluation drops the same entries.
         hd, cd = dropout_forward(h1, 0.5, 11)
         logits, c2 = ufg_conv_forward(_conv_params(p, "l2"), op, hd, acts[1], frozen[1])
@@ -335,7 +331,8 @@ def test_node_model_gradients_through_input_coefficients(sbm_data, activation, h
 
     _, dlogits = softmax_cross_entropy(logits, sbm_data.labels, sbm_data.train_mask)
     dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
-    dW1, dth1, db1 = ufg_input_conv_backward(c1, dropout_backward(cd, dh))
+    dX, dW1, dth1, db1 = ufg_conv_backward(c1, dropout_backward(cd, dh))
+    assert dX is None
     grads = {
         "l1.W": dW1, "l1.theta": dth1, "l1.bias": db1,
         "l2.W": dW2, "l2.theta": dth2, "l2.bias": db2,
@@ -477,7 +474,7 @@ class _FullOutputNodeTask(experiments._NodeTask):
                                       self.acts[1])
         loss, dlogits = softmax_cross_entropy(logits, self.labels, self.masks[0])
         dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
-        dW1, dth1, db1 = ufg_input_conv_backward(self.c1, dropout_backward(cd, dh))
+        _, dW1, dth1, db1 = ufg_conv_backward(self.c1, dropout_backward(cd, dh))
         return loss, {
             "l1.W": dW1, "l1.theta": dth1, "l1.bias": db1,
             "l2.W": dW2, "l2.theta": dth2, "l2.bias": db2,
@@ -493,11 +490,10 @@ def test_training_row_step_trains_as_the_full_output_step(activation, mode):
     cfg = ExperimentConfig(activation=activation, mode=mode, epochs=6, seeds=(0,),
                            hidden=8)
     op = build_node_operator(data, cfg)
-    coeff_x = decompose(op, data.features).data
     runs = []
     for task_type in (experiments._NodeTask, _FullOutputNodeTask):
         sink: list = []
-        task = task_type(data, op, coeff_x, cfg)
+        task = task_type(data, op, cfg)
         test_acc, params = experiments._fit(task, cfg, 0, np.inf, sink)
         runs.append((test_acc, params, [r["loss"] for r in sink]))
     (acc, params, losses), (full_acc, full_params, full_losses) = runs

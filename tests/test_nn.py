@@ -26,14 +26,12 @@ from ufg.nn import (
     softmax_cross_entropy,
     ufg_conv_backward,
     ufg_conv_forward,
-    ufg_input_conv_backward,
-    ufg_input_conv_forward,
     ufg_pool_backward,
     ufg_pool_forward,
     _stencil_crossed_kink,
 )
 from ufg.shrinkage import ThresholdConfig, shrink_stack
-from ufg.transform import decompose, framelet_operator
+from ufg.transform import CoefficientStack, decompose, framelet_operator
 
 GRAD_TOL = 1e-5
 IDENTITY_TOL = 1e-10
@@ -133,33 +131,39 @@ def _pack_conv(p):
     return np.concatenate([p.W.ravel(), p.theta, p.bias])
 
 
-def _conv_fd(small_operator, act, seed, frozen=None, out_op=None):
+def _conv_fd(small_operator, act, seed, frozen=None, out_op=None, d_in=3, d_out=2,
+             wrt_input=False, max_coords=40):
+    """``finite_difference_check`` of the layer's gradients in W, theta and
+    bias, and with ``wrt_input`` in X before them."""
     rng = np.random.default_rng(seed)
-    n, d_in, d_out = small_operator.num_nodes, 3, 2
+    n = small_operator.num_nodes
     X = rng.normal(size=(n, d_in))
     params = init_params(d_in, d_out, small_operator.num_rows, rng)
     out_rows = n if out_op is None else out_op.num_signal_rows
     target = rng.normal(size=(out_rows, d_out))
+    sizes = (X.size if wrt_input else 0, d_in * d_out, small_operator.num_rows, d_out)
 
     def unpack(vec):
-        w = vec[: d_in * d_out].reshape(d_in, d_out)
-        theta = vec[d_in * d_out : d_in * d_out + small_operator.num_rows]
-        return ConvLayerParams(W=w, theta=theta, bias=vec[-d_out:])
+        x, w, theta, bias = np.split(vec, np.cumsum(sizes)[:-1])
+        x = x.reshape(n, d_in) if wrt_input else X
+        return x, ConvLayerParams(W=w.reshape(d_in, d_out), theta=theta, bias=bias)
 
     y, cache = ufg_conv_forward(params, small_operator, X, act, out_op=out_op)
     thresholds = cache.get("thresholds") if frozen is None else frozen
 
     def loss_fn(vec):
+        x, p = unpack(vec)
         out, c = ufg_conv_forward(
-            unpack(vec), small_operator, X, act, frozen_thresholds=thresholds,
-            out_op=out_op,
+            p, small_operator, x, act, frozen_thresholds=thresholds, out_op=out_op,
         )
         return 0.5 * float(np.sum((out - target) ** 2)), activation_signature(c)
 
-    _, dW, dtheta, dbias = ufg_conv_backward(cache, y - target)
-    grad = np.concatenate([dW.ravel(), dtheta, dbias])
+    dX, dW, dtheta, dbias = ufg_conv_backward(cache, y - target)
+    point, grad = _pack_conv(params), np.concatenate([dW.ravel(), dtheta, dbias])
+    if wrt_input:
+        point, grad = np.concatenate([X.ravel(), point]), np.concatenate([dX.ravel(), grad])
     return finite_difference_check(
-        loss_fn, _pack_conv(params), grad, max_coords=40, seed=seed
+        loss_fn, point, grad, max_coords=max_coords, seed=seed
     )
 
 
@@ -184,7 +188,7 @@ def _activation(kind):
     }[kind]
 
 
-# d_in < d_out: ReLU and none reconstruct theta * coeff_x first.
+# d_in < d_out: ReLU and none reconstruct theta * decompose(X) first.
 INPUT_LAYER_CASES = [
     pytest.param(kind, 4, 3, "exact", id=kind) for kind in ACTIVATIONS
 ] + [
@@ -205,13 +209,19 @@ def test_input_layer_matches_conv_on_decomposed_input(
     params = init_params(d_in, d_out, operator.num_rows, rng)
     params.bias = rng.normal(size=d_out)
     grad_out = rng.normal(size=(operator.num_nodes, d_out))
-    y, cache = ufg_conv_forward(params, operator, X, act)
-    coeff_x = decompose(operator, X).data
-    y_in, cache_in = ufg_input_conv_forward(params, operator, coeff_x, act)
+    # Zero columns of X and rows of W widen the input to d_out: the same
+    # layer, which then projects first in every case.
+    pad = max(d_out - d_in, 0)
+    wide = ConvLayerParams(W=np.vstack([params.W, np.zeros((pad, d_out))]),
+                           theta=params.theta, bias=params.bias)
+    y, cache = ufg_conv_forward(wide, operator, np.pad(X, ((0, 0), (0, pad))), act)
+    assert "reconstructed" not in cache
+    coeff_x = decompose(operator, X)
+    y_in, cache_in = ufg_conv_forward(params, operator, coeff_x, act)
     assert _rel_err(y_in, y) <= REASSOC_TOL
     if kind != "shrinkage" and d_in < d_out:
         # No B*N x d_out coefficient stack is formed or kept.
-        assert "coeff" not in cache_in
+        assert cache_in["coeff"] is coeff_x.data
         assert cache_in["reconstructed"].shape == (operator.num_nodes, d_in)
     else:
         assert "reconstructed" not in cache_in
@@ -226,28 +236,37 @@ def test_input_layer_matches_conv_on_decomposed_input(
             cache["thresholds"], rel=REASSOC_TOL
         )
     _, dW, dtheta, dbias = ufg_conv_backward(cache, grad_out)
-    dW_in, dtheta_in, dbias_in = ufg_input_conv_backward(cache_in, grad_out)
-    assert _rel_err(dW_in, dW) <= REASSOC_TOL
+    dX_in, dW_in, dtheta_in, dbias_in = ufg_conv_backward(cache_in, grad_out)
+    assert dX_in is None
+    assert _rel_err(dW_in, dW[:d_in]) <= REASSOC_TOL
     assert _rel_err(dtheta_in, dtheta) <= REASSOC_TOL
     assert _rel_err(dbias_in, dbias) <= REASSOC_TOL
 
 
-def test_input_layer_shape_errors(small_operator, rng):
+def test_input_layer_shape_errors(small_graph, small_operator, rng):
     params = init_params(3, 2, small_operator.num_rows, rng)
-    with pytest.raises(ValueError, match="coeff_x shape"):
-        ufg_input_conv_forward(
-            params, small_operator, np.zeros((small_operator.num_nodes, 3)),
-            LayerActivation.relu(),
-        )
+    # A graph with one more node, or this graph at another level count: the
+    # stack does not match the operator either way.
+    for other in (framelet_operator(path_graph(small_operator.num_nodes + 1)),
+                  framelet_operator(small_graph, levels=3)):
+        coeff = decompose(other, np.zeros((other.num_nodes, 3)))
+        with pytest.raises(ValueError, match="coefficient input does not match"):
+            ufg_conv_forward(params, small_operator, coeff, LayerActivation.relu())
+    with pytest.raises(ValueError, match="X shape"):
+        narrow = decompose(small_operator, np.zeros((small_operator.num_nodes, 2)))
+        ufg_conv_forward(params, small_operator, narrow, LayerActivation.relu())
     # Both orders refuse a theta of the wrong length: (3, 6) reconstructs
     # first under ReLU and none, (4, 3) projects first.
     for (d_in, d_out), act in itertools.product(
         [(4, 3), (3, 6)], [LayerActivation.relu(), LayerActivation.none()]
     ):
         long = init_params(d_in, d_out, small_operator.num_rows + 1, rng)
-        coeff_x = np.zeros((small_operator.num_rows, d_in))
+        coeff_x = CoefficientStack(
+            np.zeros((small_operator.num_rows, d_in)), small_operator.block_index,
+            small_operator.num_nodes,
+        )
         with pytest.raises(ValueError, match="theta length"):
-            ufg_input_conv_forward(long, small_operator, coeff_x, act)
+            ufg_conv_forward(long, small_operator, coeff_x, act)
 
 
 def test_conv_gradients_relu(small_operator):
@@ -274,6 +293,28 @@ def test_conv_gradients_on_restricted_output_rows(
     # Shrinkage thresholds stay at the nominal point's (stop-gradient).
     out_op = op.restrict(OUT_ROWS)
     rel, checked, _ = _conv_fd(op, _activation(kind), seed=5, out_op=out_op)
+    assert checked > 0 and rel <= GRAD_TOL
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+@pytest.mark.parametrize("kind", ["relu", "none"])
+def test_conv_gradients_reconstructing_first_on_a_node_input(
+    small_graph, small_operator, kind, mode, restricted
+):
+    # d_in < d_out: every gradient, dX included, in the reconstruct-first order.
+    op = _operator(small_graph, small_operator, mode)
+    act = _activation(kind)
+    out_op = op.restrict(OUT_ROWS) if restricted else None
+    X = np.zeros((op.num_nodes, 2))
+    _, cache = ufg_conv_forward(init_params(2, 4, op.num_rows, 0), op, X, act,
+                                out_op=out_op)
+    rows = OUT_ROWS.size if restricted else op.num_nodes
+    assert cache["reconstructed"].shape == (rows, 2)
+    rel, checked, excluded = _conv_fd(op, act, seed=7, out_op=out_op, d_in=2, d_out=4,
+                                      wrt_input=True, max_coords=200)
+    # Every coordinate of X, W, theta and bias: 48 + 8 + 72 + 4.
+    assert checked + len(excluded) == 2 * op.num_nodes + 8 + op.num_rows + 4
     assert checked > 0 and rel <= GRAD_TOL
 
 

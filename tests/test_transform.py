@@ -92,6 +92,22 @@ def test_system_validation():
         FrameletSystem(bank, K=-2, lam_max=2.0)
 
 
+@pytest.mark.parametrize(
+    "dilation, levels, match",
+    [
+        (np.inf, 1, "finite"),
+        (np.nan, 2, "exceed 1"),
+        (1e308, 2, "overflows"),  # d * 2 overflows to inf
+        (1e200, 3, "overflows"),  # d ** 2 raises OverflowError
+    ],
+)
+def test_system_rejects_a_dilation_it_cannot_evaluate(dilation, levels, match):
+    with pytest.raises(ValueError, match=match):
+        FrameletSystem(haar_filter_bank(), dilation=dilation, levels=levels)
+    # The largest that still evaluates: its top argument d^(J-1-K) * 2 is finite.
+    assert FrameletSystem(haar_filter_bank(), dilation=1e200, levels=2).dilation == 1e200
+
+
 @given(st.integers(6, 40), st.integers(1, 3), st.integers(0, 20))
 @settings(max_examples=15)
 def test_exact_round_trip_and_parseval(n, levels, seed):
