@@ -114,7 +114,7 @@ def _cmd_transform(args) -> int:
     signal = io.read_features_csv(args.signal)
     op = _operator(graph, args)
     stack = transform.decompose(op, signal)
-    io.write_coefficients(stack, args.out)
+    io.write_coefficients(op.system, stack, args.out)
     _emit_json(
         {
             "nodes": graph.num_nodes,
@@ -130,8 +130,13 @@ def _cmd_transform(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     graph = io.read_graph_text(args.graph)
-    stack = io.read_coefficients(args.coeffs)
-    op = _operator(graph, args)
+    settings, num_high, num_nodes, data = io.read_coefficients(args.coeffs)
+    op = transform.framelet_operator(graph, **settings)
+    if (num_nodes, num_high) != (op.num_nodes, op.system.num_high):
+        raise ValueError(
+            f"{args.coeffs}: coefficients of {num_nodes} nodes and {num_high} high "
+            f"passes; the graph's Haar operator has {op.num_nodes} and {op.system.num_high}")
+    stack = transform.CoefficientStack(data, op.block_index, num_nodes)
     signal = transform.reconstruct(op, stack)
     summary = {"nodes": graph.num_nodes, "out": args.out}
     if args.reference:
@@ -332,7 +337,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--coeffs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--reference", help="original signal to compare against")
-    _add_system_flags(p)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("denoise", help="soft-threshold high-pass coefficients")

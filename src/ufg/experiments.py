@@ -21,7 +21,6 @@ from .datasets import GraphSample, NodeDataset, random_er_graph
 from .filters import DEFAULT_CHEBYSHEV_DEGREE
 from .io import deterministic_mode
 from .nn import (
-    ACTIVATION_KINDS,
     AdamState,
     ConvLayerParams,
     LayerActivation,
@@ -100,7 +99,7 @@ class ExperimentConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be nonempty and distinct, got {self.seeds}")
-        if self.activation not in ACTIVATION_KINDS:
+        if self.activation not in ("relu", "shrinkage"):
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.pool_mode not in ("sum", "spectrum", "mean"):
             raise ValueError(f"unknown pool mode {self.pool_mode!r}")
@@ -166,12 +165,10 @@ def build_node_operator(
 
 
 def _layer_activations(config: ExperimentConfig) -> tuple[LayerActivation, LayerActivation]:
-    if config.activation == "shrinkage":
-        cfg = ThresholdConfig(config.sigma, config.threshold_mode)
-        return LayerActivation.shrinkage(cfg), LayerActivation.shrinkage(cfg)
     if config.activation == "relu":
         return LayerActivation.relu(), LayerActivation.none()
-    return LayerActivation.none(), LayerActivation.none()
+    cfg = ThresholdConfig(config.sigma, config.threshold_mode)
+    return LayerActivation.shrinkage(cfg), LayerActivation.shrinkage(cfg)
 
 
 def _conv_params(params: dict[str, np.ndarray], prefix: str) -> ConvLayerParams:
@@ -239,8 +236,8 @@ class _NodeTask:
     dropout is the same in epoch e's evaluation pass and epoch e+1's
     training pass, so it is computed once and carried over. An epoch then
     applies the operator 8 times, twice in layer 1: its reconstruct and
-    the decompose of its upstream gradient. With ReLU or no activation and
-    fewer input features than ``hidden``, layer 1 reconstructs first, so
+    the decompose of its upstream gradient. With ReLU and fewer input
+    features than ``hidden``, layer 1 reconstructs first, so
     both run at the input width; with shrinkage, or when the input is at
     least as wide, it projects first and both run at ``hidden``.
 

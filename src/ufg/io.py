@@ -8,9 +8,11 @@ Formats (all little-endian, all floats 64-bit):
   Floats are written with ``repr`` (shortest round-trip, 17 significant
   digits), so write-read is exact.
 - Labels text: one nonnegative integer (class id) per line.
-- Coefficient file: magic ``UFGC``, version u32, then N, d (features),
-  n (high passes), J (levels) as u32, the block map as (r, j) u32 pairs in
-  stack order, then the row-major f64 payload. Bitwise round-trip.
+- Coefficient file: magic ``UFGC``, then as u32 the version (2), N, d
+  (features), n (high passes), J (levels), the degree t and the mode (0
+  exact, 1 chebyshev), the dilation as f64, and the row-major f64 ``(nJ +
+  1) N x d`` payload in ``FrameletSystem.block_index`` order: the graph
+  and the file rebuild the operator. Bitwise round-trip.
 - Metrics: JSON lines written by ``encode_json``.
 """
 
@@ -23,10 +25,13 @@ import struct
 
 import numpy as np
 
-from . import graphs, transform
+from . import graphs
 
 COEFF_MAGIC = b"UFGC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# After the magic: version, N, d, n, J, t, mode code; dilation.
+_COEFF_HEADER = struct.Struct("<7Id")
+_MODES = ("exact", "chebyshev")
 
 
 def deterministic_mode() -> bool:
@@ -144,59 +149,51 @@ def read_labels_text(path: str) -> np.ndarray:
 # -- coefficient stacks ------------------------------------------------------
 
 
-def write_coefficients(stack, path: str) -> None:
-    n_high = max((r for r, _ in stack.block_index), default=0)
-    levels = stack.block_index[0][1]
+def write_coefficients(system, stack, path: str) -> None:
+    """Write ``stack``, the coefficients of a signal under ``system``."""
+    if stack.block_index != system.block_index():
+        raise ValueError("coefficient stack does not match the system")
+    header = _COEFF_HEADER.pack(
+        FORMAT_VERSION, stack.num_nodes, stack.num_features, system.num_high,
+        system.levels, system.degree, _MODES.index(system.mode), system.dilation,
+    )
     with open(path, "wb") as fh:
-        fh.write(COEFF_MAGIC)
-        fh.write(
-            struct.pack(
-                "<5I",
-                FORMAT_VERSION,
-                stack.num_nodes,
-                stack.num_features,
-                n_high,
-                levels,
-            )
-        )
-        for r, j in stack.block_index:
-            fh.write(struct.pack("<2I", r, j))
+        fh.write(COEFF_MAGIC + header)
         fh.write(np.ascontiguousarray(stack.data, dtype="<f8").tobytes())
 
 
 def read_coefficients(path: str):
+    """``(settings, num_high, num_nodes, data)``: ``settings`` are the
+    dilation, levels, degree and mode keywords of ``framelet_operator``,
+    ``data`` the payload."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != COEFF_MAGIC:
         raise ValueError(f"{path}: bad magic, not a coefficient file")
-    if len(blob) < 24:
+    if len(blob) < 8:
         raise ValueError(f"{path}: truncated header")
-    version, n, d, n_high, levels = struct.unpack_from("<5I", blob, 4)
+    (version,) = struct.unpack_from("<I", blob, 4)
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    num_blocks = n_high * levels + 1
-    offset = 24
-    block_index = []
-    for _ in range(num_blocks):
-        if offset + 8 > len(blob):
-            raise ValueError(f"{path}: truncated block map")
-        r, j = struct.unpack_from("<2I", blob, offset)
-        block_index.append((r, j))
-        offset += 8
-    expected = num_blocks * n * d * 8
+        raise ValueError(f"{path}: unsupported version {version}; rerun "
+                         f"`ufg transform` to write version {FORMAT_VERSION}")
+    offset = 4 + _COEFF_HEADER.size
+    if len(blob) < offset:
+        raise ValueError(f"{path}: truncated header")
+    _, n, d, n_high, levels, degree, mode, dilation = _COEFF_HEADER.unpack_from(blob, 4)
+    if mode >= len(_MODES):
+        raise ValueError(f"{path}: unknown mode code {mode}")
+    rows = (n_high * levels + 1) * n
     payload = blob[offset:]
-    if len(payload) != expected:
+    if len(payload) != rows * d * 8:
         raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
+            f"{path}: payload is {len(payload)} bytes, expected {rows * d * 8}"
         )
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(
-        num_blocks * n, d
-    )
+    data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(rows, d)
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in the payload")
-    return transform.CoefficientStack(
-        data=data, block_index=tuple(block_index), num_nodes=n
-    )
+    settings = {"dilation": dilation, "levels": levels, "degree": degree,
+                "mode": _MODES[mode]}
+    return settings, n_high, n, data
 
 
 # -- metrics ---------------------------------------------------------------

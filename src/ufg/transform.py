@@ -107,19 +107,17 @@ class FrameletSystem:
         argument ``d^(J-1-K) * 2`` is finite.
     levels : int
         Number of scale levels J >= 1.
-    K : int
-        Spectral normalizer; must satisfy ``d^K * pi >= lam_max``.
     lam_max : float
-        Top of the Laplacian spectrum, exact or estimated; it sets K only.
-        Chebyshev fits use the certified interval ``[0, 2]``.
+        Top of the Laplacian spectrum, exact or estimated, finite and >= 0.
+        It sets only the spectral normalizer ``K``, which is derived from
+        it and never given: the smallest integer with ``d^K * pi >=
+        lam_max``, or 0 when ``lam_max == 0``. Chebyshev fits use the
+        certified interval ``[0, 2]``.
     degree : int
         Chebyshev degree t of one level's factors. A block at level J is a
-        product of up to J dilated factors and needs more degree for the
-        same accuracy, so the Chebyshev backend fits every block's gain
-        directly at ``t + 4 (J - 1)`` and then chops the terms that are
-        round-off in every block; ``recurrence_degree`` is what is left,
-        15 of 20 at t = 16, J = 2 and K = 0 (30 sparse products per round
-        trip instead of 40).
+        product of up to J of them, so the Chebyshev backend fits every
+        block's gain at ``t + 4 (J - 1)`` and keeps ``recurrence_degree``
+        after chopping the round-off terms.
     mode : str
         ``"exact"`` (eigenbasis) or ``"chebyshev"`` (matrix-free polynomials).
     """
@@ -127,7 +125,6 @@ class FrameletSystem:
     bank: FilterBank
     dilation: float = 2.0
     levels: int = 2
-    K: int = 0
     lam_max: float = 2.0
     degree: int = DEFAULT_CHEBYSHEV_DEGREE
     mode: str = "exact"
@@ -137,6 +134,8 @@ class FrameletSystem:
             raise ValueError("dilation must be finite and exceed 1")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
+        if not (0 <= self.lam_max < math.inf):
+            raise ValueError(f"lam_max must be finite and nonnegative, got {self.lam_max!r}")
         try:
             finite = math.isfinite(self.factor_scale(self.levels) * 2.0)
         except OverflowError:
@@ -146,12 +145,14 @@ class FrameletSystem:
                              f"argument d^(J-1-K) * 2 at J = {self.levels}, K = {self.K}")
         if self.mode not in ("exact", "chebyshev"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.lam_max < 0:
-            raise ValueError("lam_max must be nonnegative")
-        if self.lam_max > 0 and self.dilation**self.K * math.pi < self.lam_max:
-            raise ValueError("K too small for lam_max: d^K * pi < lam_max")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
+
+    @cached_property
+    def K(self) -> int:
+        """Spectral normalizer: ``compute_K(lam_max, dilation)``, 0 when
+        ``lam_max == 0`` (an edgeless graph's DC-only spectrum)."""
+        return compute_K(self.lam_max, self.dilation) if self.lam_max > 0 else 0
 
     @property
     def num_high(self) -> int:
@@ -233,13 +234,10 @@ def make_system(
     degree: int = DEFAULT_CHEBYSHEV_DEGREE,
     mode: str = "exact",
 ) -> FrameletSystem:
-    """Build a ``FrameletSystem`` with K derived from the top eigenvalue.
-
-    ``lam_max == 0`` (edgeless graph, DC-only spectrum) gets K = 0.
-    """
-    K = compute_K(lam_max, dilation) if lam_max > 0 else 0
-    return FrameletSystem(bank=bank, dilation=dilation, levels=levels, K=K,
-                          lam_max=float(lam_max), degree=degree, mode=mode)
+    """``FrameletSystem`` with ``lam_max`` first. Kept under this name
+    only because the benchmark workloads call it; construct
+    ``FrameletSystem`` directly instead."""
+    return FrameletSystem(bank, dilation, levels, float(lam_max), degree, mode)
 
 
 @dataclass(frozen=True)
@@ -458,8 +456,8 @@ def framelet_operator(
     be mutated.
     """
     spectrum = graph.spectrum if mode == "exact" else None
-    system = make_system(
-        haar_filter_bank(), graph.lanczos_bound, dilation, levels, degree, mode
+    system = FrameletSystem(
+        haar_filter_bank(), dilation, levels, graph.lanczos_bound, degree, mode
     )
     return build_operators(system, graph.laplacian, spectrum)
 

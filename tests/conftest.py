@@ -7,7 +7,7 @@ from hypothesis import settings
 from ufg.datasets import random_er_graph
 from ufg.filters import haar_filter_bank
 from ufg.graphs import eigendecompose, normalized_laplacian
-from ufg.transform import build_operators, make_system
+from ufg.transform import FrameletSystem, build_operators
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
@@ -36,7 +36,7 @@ def small_spectrum(small_laplacian):
 @pytest.fixture(scope="session")
 def small_system(small_spectrum):
     lam = float(small_spectrum.values[-1])
-    return make_system(haar_filter_bank(), lam, levels=2, mode="exact")
+    return FrameletSystem(haar_filter_bank(), levels=2, lam_max=lam, mode="exact")
 
 
 @pytest.fixture(scope="session")

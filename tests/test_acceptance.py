@@ -61,10 +61,10 @@ from ufg.shrinkage import (
     shrink_stack,
 )
 from ufg.transform import (
+    FrameletSystem,
     block_energies,
     build_operators,
     decompose,
-    make_system,
     reconstruct,
 )
 
@@ -103,8 +103,8 @@ def corpus():
         lap = normalized_laplacian(graph)
         spectrum = eigendecompose(lap)
         lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
-        system = make_system(
-            haar_filter_bank(), lam, dilation=2.0, levels=1 + i % 3,
+        system = FrameletSystem(
+            haar_filter_bank(), dilation=2.0, levels=1 + i % 3, lam_max=lam,
             mode="exact",
         )
         op = build_operators(system, lap, spectrum)
@@ -151,8 +151,8 @@ def test_criterion_03_chebyshev_tightness_convergence(report):
     lam = lambda_max(lap, "power_iteration")
     errors = {}
     for t in (8, 16):
-        system = make_system(
-            haar_filter_bank(), lam, levels=2, degree=t, mode="chebyshev"
+        system = FrameletSystem(
+            haar_filter_bank(), levels=2, lam_max=lam, degree=t, mode="chebyshev"
         )
         op = build_operators(system, lap)
         w = decompose(op, np.eye(lap.num_rows)).data
@@ -277,7 +277,7 @@ def test_criterion_06_gradient_fidelity(report):
         lap = normalized_laplacian(graph)
         spectrum = eigendecompose(lap)
         lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
-        system = make_system(haar_filter_bank(), lam, levels=2, mode="exact")
+        system = FrameletSystem(haar_filter_bank(), levels=2, lam_max=lam, mode="exact")
         op = build_operators(system, lap, spectrum)
         X = rng.normal(size=(12, 3))
         labels = rng.integers(0, 2, size=12)
@@ -326,8 +326,8 @@ def test_criterion_08_denoising_efficacy(report):
     graph = path_graph(n)
     lap = normalized_laplacian(graph)
     spectrum = eigendecompose(lap)
-    system = make_system(
-        haar_filter_bank(), float(spectrum.values[-1]), levels=2, mode="exact"
+    system = FrameletSystem(
+        haar_filter_bank(), levels=2, lam_max=float(spectrum.values[-1]), mode="exact"
     )
     op = build_operators(system, lap, spectrum)
     truth = np.sin(2.0 * np.pi * 3.0 * np.arange(n) / n)

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import ufg.verify as verify_mod
 from ufg.cli import _build_parser, _emit_json, _experiment_config, _UsageError, main
 from ufg.datasets import BinaryFeatures, generate_sbm, random_er_graph
 from ufg.experiments import ExperimentConfig, train_node_classifier
+from ufg.filters import FilterBank, haar_filter_bank
 from ufg.io import (
     read_coefficients,
     read_features_csv,
@@ -25,6 +27,7 @@ from ufg.io import (
     write_graph_text,
 )
 from ufg.perturb import PerturbationSpec, perturb
+from ufg.transform import CoefficientStack, FrameletSystem
 
 ROUNDTRIP_TOL = 1e-10
 
@@ -133,15 +136,99 @@ def test_reconstruct_non_finite_coefficients_exits_two(tmp_path, graph_files, ca
     rpath = tmp_path / "recon.csv"
     assert main(["transform", "--graph", gpath, "--signal", spath,
                  "--out", cpath]) == 0
-    stack = read_coefficients(cpath)
-    data = stack.data.copy()
+    settings, _, num_nodes, data = read_coefficients(cpath)
+    system = FrameletSystem(haar_filter_bank(), **settings)
+    data = data.copy()
     data[3, 0] = np.nan
-    write_coefficients(stack.with_data(data), cpath)
+    write_coefficients(system, CoefficientStack(data, system.block_index(), num_nodes),
+                       cpath)
     capsys.readouterr()
     assert main(["reconstruct", "--graph", gpath, "--coeffs", cpath,
                  "--out", str(rpath)]) == 2
     assert f"{cpath}: non-finite" in capsys.readouterr().err
     assert not rpath.exists()
+
+
+def test_reconstruct_reads_the_transform_from_the_file(tmp_path, graph_files, capsys):
+    gpath, spath, _ = graph_files
+    cpath, rpath = str(tmp_path / "c.ufgc"), str(tmp_path / "recon.csv")
+    assert main(["transform", "--graph", gpath, "--signal", spath, "--out", cpath,
+                 "--dilation", "3", "--levels", "3", "--mode", "chebyshev",
+                 "--degree", "8"]) == 0
+    provenance = _last_json(capsys)["provenance"]
+    assert (provenance["dilation"], provenance["levels"]) == (3.0, 3)
+    assert main(["reconstruct", "--graph", gpath, "--coeffs", cpath,
+                 "--out", rpath, "--reference", spath]) == 0
+    assert _last_json(capsys)["relative_error"] <= 1e-6
+
+
+@pytest.mark.parametrize("flag", ["--dilation", "--levels", "--degree", "--mode"])
+def test_reconstruct_takes_no_system_flags(tmp_path, graph_files, capsys, flag):
+    gpath, spath, _ = graph_files
+    cpath, out = str(tmp_path / "c.ufgc"), tmp_path / "recon.csv"
+    assert main(["transform", "--graph", gpath, "--signal", spath, "--out", cpath]) == 0
+    value = {"--dilation": "3", "--levels": "3", "--degree": "8",
+             "--mode": "chebyshev"}[flag]
+    assert main(["reconstruct", "--graph", gpath, "--coeffs", cpath,
+                 "--out", str(out), flag, value]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _version_1_file(path, graph_files):
+    """Version 1: N, d, n, J, then a block map of (r, j) pairs, no settings."""
+    blocks = ((0, 2), (1, 1), (1, 2))
+    block_map = b"".join(struct.pack("<2I", r, j) for r, j in blocks)
+    path.write_bytes(b"UFGC" + struct.pack("<5I", 1, 16, 2, 1, 2) + block_map
+                     + np.zeros((48, 2)).tobytes())
+    return graph_files[0], (f"{path}: unsupported version 1; rerun `ufg transform` "
+                            "to write version 2")
+
+
+def _other_graph_file(path, graph_files):
+    """A 16-node file, read against a 20-node graph."""
+    gpath, spath, _ = graph_files
+    other = str(path.parent / "other.txt")
+    write_graph_text(random_er_graph(20, avg_degree=4.0, rng=np.random.default_rng(5)),
+                     other)
+    assert main(["transform", "--graph", gpath, "--signal", spath, "--out", str(path)]) == 0
+    return other, (f"{path}: coefficients of 16 nodes and 1 high passes; "
+                   "the graph's Haar operator has 20 and 1")
+
+
+def _two_high_pass_file(path, graph_files):
+    """A 16-node file of a bank with two high passes."""
+    bank = FilterBank(low_pass=np.cos, high_passes=(np.sin, np.sin))
+    system = FrameletSystem(bank, levels=2)
+    index = system.block_index()
+    write_coefficients(system, CoefficientStack(np.ones((16 * len(index), 2)), index, 16),
+                       str(path))
+    return graph_files[0], (f"{path}: coefficients of 16 nodes and 2 high passes; "
+                            "the graph's Haar operator has 16 and 1")
+
+
+def _unknown_mode_file(path, graph_files):
+    """A file whose mode code is neither 0 (exact) nor 1 (chebyshev)."""
+    gpath, spath, _ = graph_files
+    assert main(["transform", "--graph", gpath, "--signal", spath, "--out", str(path)]) == 0
+    blob = bytearray(path.read_bytes())
+    blob[28:32] = (5).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    return gpath, f"{path}: unknown mode code 5"
+
+
+@pytest.mark.parametrize(
+    "make", [_version_1_file, _other_graph_file, _two_high_pass_file, _unknown_mode_file],
+    ids=["version-1", "other-graph", "two-high-passes", "unknown-mode"],
+)
+def test_reconstruct_refuses_a_file_it_cannot_use(tmp_path, graph_files, capsys, make):
+    cpath, out = tmp_path / "c.ufgc", tmp_path / "recon.csv"
+    gpath, message = make(cpath, graph_files)
+    capsys.readouterr()
+    assert main(["reconstruct", "--graph", gpath, "--coeffs", str(cpath),
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dilation", ["inf", "1e308"])

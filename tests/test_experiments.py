@@ -138,8 +138,10 @@ def test_layer_activation_variants():
     assert shr[0].kind == shr[1].kind == "shrinkage"
     relu = _layer_activations(ExperimentConfig(activation="relu"))
     assert (relu[0].kind, relu[1].kind) == ("relu", "none")
-    none = _layer_activations(ExperimentConfig(activation="none"))
-    assert (none[0].kind, none[1].kind) == ("none", "none")
+    # The CLI offers relu and shrinkage only; a layer without an activation
+    # is not a model choice.
+    with pytest.raises(ValueError, match="unknown activation 'none'"):
+        ExperimentConfig(activation="none")
 
 
 # ---------------------------------------------------------------- records

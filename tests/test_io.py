@@ -1,6 +1,7 @@
 """File formats: graph text, CSV, binary coefficients, metrics."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from ufg.io import (
     write_graph_text,
     write_metrics_jsonl,
 )
-from ufg.transform import CoefficientStack
+from ufg.filters import FilterBank, haar_filter_bank
+from ufg.transform import CoefficientStack, FrameletSystem
 
 
 # -- graph text --------------------------------------------------------------
@@ -124,20 +126,74 @@ def test_labels_reject_negative_ids(tmp_path):
 # -- coefficient stacks ------------------------------------------------------
 
 
+def _stack(system, num_nodes, num_features, rng):
+    index = system.block_index()
+    data = rng.normal(size=(len(index) * num_nodes, num_features))
+    return CoefficientStack(data=data, block_index=index, num_nodes=num_nodes)
+
+
 @pytest.fixture
-def stack(rng):
-    index = ((0, 2), (1, 1), (1, 2))
-    data = rng.normal(size=(len(index) * 6, 3))
-    return CoefficientStack(data=data, block_index=index, num_nodes=6)
+def system():
+    return FrameletSystem(haar_filter_bank(), levels=2)
 
 
-def test_coefficients_binary_round_trip_is_bitwise(tmp_path, stack):
+@pytest.fixture
+def stack(system, rng):
+    return _stack(system, 6, 3, rng)
+
+
+def _header_field(blob, k):
+    """The k-th u32 after the magic: version, N, d, n, J, t, mode code."""
+    return int.from_bytes(blob[4 + 4 * k: 8 + 4 * k], "little")
+
+
+def test_coefficients_binary_round_trip_is_bitwise(tmp_path, system, stack):
     path = str(tmp_path / "c.ufgc")
-    write_coefficients(stack, path)
-    back = read_coefficients(path)
-    assert back.block_index == stack.block_index
-    assert back.num_nodes == stack.num_nodes
-    np.testing.assert_array_equal(back.data, stack.data)
+    write_coefficients(system, stack, path)
+    settings, num_high, num_nodes, data = read_coefficients(path)
+    assert settings == {"dilation": 2.0, "levels": 2, "degree": system.degree,
+                        "mode": "exact"}
+    assert (num_high, num_nodes) == (1, stack.num_nodes)
+    np.testing.assert_array_equal(data, stack.data, strict=True)
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+@pytest.mark.parametrize("degree", [0, 8, 16])
+@pytest.mark.parametrize("levels", [1, 3])
+@pytest.mark.parametrize("dilation", [1.25, 2.0, 3.0])
+def test_coefficient_file_records_its_transform(
+    tmp_path, rng, dilation, levels, degree, mode
+):
+    system = FrameletSystem(haar_filter_bank(), dilation=dilation, levels=levels,
+                            degree=degree, mode=mode)
+    stack = _stack(system, 5, 2, rng)
+    path = str(tmp_path / "c.ufgc")
+    write_coefficients(system, stack, path)
+    settings, num_high, num_nodes, data = read_coefficients(path)
+    assert settings == {"dilation": dilation, "levels": levels, "degree": degree,
+                        "mode": mode}
+    assert (num_high, num_nodes) == (system.num_high, 5)
+    assert data.tobytes() == stack.data.tobytes()
+    # The settings rebuild the system, and so its block order.
+    assert FrameletSystem(haar_filter_bank(), **settings).block_index() == stack.block_index
+
+
+def test_coefficients_record_every_high_pass(tmp_path, rng):
+    linear = FilterBank(low_pass=np.cos, high_passes=(np.sin, np.sin))
+    system = FrameletSystem(linear, levels=2)
+    stack = _stack(system, 4, 1, rng)
+    path = str(tmp_path / "c.ufgc")
+    write_coefficients(system, stack, path)
+    _, num_high, _, data = read_coefficients(path)
+    assert num_high == 2
+    np.testing.assert_array_equal(data, stack.data)
+
+
+def test_coefficients_of_another_system_are_not_written(tmp_path, stack):
+    path = tmp_path / "c.ufgc"
+    with pytest.raises(ValueError, match="does not match the system"):
+        write_coefficients(FrameletSystem(haar_filter_bank(), levels=3), stack, str(path))
+    assert not path.exists()
 
 
 def test_coefficients_bad_magic(tmp_path):
@@ -147,40 +203,67 @@ def test_coefficients_bad_magic(tmp_path):
         read_coefficients(str(path))
 
 
-def test_coefficients_truncation_errors(tmp_path, stack):
+def test_coefficients_truncation_errors(tmp_path, system, stack):
     path = tmp_path / "c.ufgc"
-    write_coefficients(stack, str(path))
+    write_coefficients(system, stack, str(path))
     blob = path.read_bytes()
-    short = tmp_path / "short.ufgc"
-    short.write_bytes(blob[:30])  # inside the block map
-    with pytest.raises(ValueError, match="truncated block map"):
-        read_coefficients(str(short))
+    for cut in (6, 30, 39):  # inside the version, the sizes, the dilation
+        short = tmp_path / "short.ufgc"
+        short.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="truncated header"):
+            read_coefficients(str(short))
     clipped = tmp_path / "clipped.ufgc"
     clipped.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="payload"):
         read_coefficients(str(clipped))
+    padded = tmp_path / "padded.ufgc"
+    padded.write_bytes(blob + bytes(8))
+    with pytest.raises(ValueError, match="payload is 440 bytes, expected 432"):
+        read_coefficients(str(padded))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_coefficients_reject_non_finite_payload(tmp_path, stack, bad):
+def test_coefficients_reject_non_finite_payload(tmp_path, system, stack, bad):
     data = stack.data.copy()
     data[4, 1] = bad
     path = str(tmp_path / "c.ufgc")
-    write_coefficients(stack.with_data(data), path)
+    write_coefficients(system, stack.with_data(data), path)
     with pytest.raises(ValueError, match="non-finite") as err:
         read_coefficients(path)
     assert path in str(err.value)
 
 
-def test_coefficients_unsupported_version(tmp_path, stack):
+def test_coefficients_unsupported_version(tmp_path, system, stack):
     path = tmp_path / "c.ufgc"
-    write_coefficients(stack, str(path))
+    write_coefficients(system, stack, str(path))
     blob = bytearray(path.read_bytes())
+    assert _header_field(blob, 0) == 2
     blob[4:8] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="unsupported version 99"):
         read_coefficients(str(path))
     assert blob[:4] == COEFF_MAGIC
+
+
+def test_coefficients_version_1_is_refused(tmp_path, stack):
+    # Version 1: N, d, n, J, then a block map of (r, j) pairs, no settings.
+    path = tmp_path / "c.ufgc"
+    block_map = b"".join(struct.pack("<2I", r, j) for r, j in stack.block_index)
+    path.write_bytes(COEFF_MAGIC + struct.pack("<5I", 1, 6, 3, 1, 2) + block_map
+                     + stack.data.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="unsupported version 1; rerun `ufg transform`"):
+        read_coefficients(str(path))
+
+
+def test_coefficients_unknown_mode_code(tmp_path, system, stack):
+    path = tmp_path / "c.ufgc"
+    write_coefficients(system, stack, str(path))
+    blob = bytearray(path.read_bytes())
+    assert _header_field(blob, 6) == 0  # exact
+    blob[28:32] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unknown mode code 2"):
+        read_coefficients(str(path))
 
 
 # -- metrics ---------------------------------------------------------------

@@ -26,7 +26,6 @@ from ufg.transform import (
     compute_K,
     decompose,
     framelet_operator,
-    make_system,
     reconstruct,
 )
 
@@ -45,7 +44,7 @@ def _exact_setup(n, avg_deg, levels, seed):
     lap = normalized_laplacian(g)
     spec = eigendecompose(lap)
     lam = float(spec.values[-1]) if spec.values.size else 0.0
-    system = make_system(haar_filter_bank(), lam, levels=levels)
+    system = FrameletSystem(haar_filter_bank(), levels=levels, lam_max=lam)
     return system, lap, spec
 
 
@@ -64,19 +63,20 @@ def test_compute_K_rejects_bad_args():
 
 
 def test_block_index_order():
-    system = make_system(haar_filter_bank(), 2.0, levels=3)
+    system = FrameletSystem(haar_filter_bank(), levels=3, lam_max=2.0)
     assert system.block_index() == ((0, 3), (1, 1), (1, 2), (1, 3))
     assert system.num_blocks == 4
 
 
 def test_factor_scale():
-    system = FrameletSystem(haar_filter_bank(), dilation=2.0, levels=2, K=1)
+    system = FrameletSystem(haar_filter_bank(), dilation=2.0, levels=2, lam_max=2 * np.pi)
+    assert system.K == 1
     assert system.factor_scale(1) == pytest.approx(0.5)
     assert system.factor_scale(2) == pytest.approx(1.0)
 
 
-def test_make_system_zero_spectrum():
-    system = make_system(haar_filter_bank(), 0.0)
+def test_zero_spectrum_gets_K_zero():
+    system = FrameletSystem(haar_filter_bank(), lam_max=0.0)
     assert system.K == 0
 
 
@@ -88,8 +88,44 @@ def test_system_validation():
         FrameletSystem(bank, levels=0)
     with pytest.raises(ValueError, match="mode"):
         FrameletSystem(bank, mode="lanczos")
-    with pytest.raises(ValueError, match="K too small"):
-        FrameletSystem(bank, K=-2, lam_max=2.0)
+    with pytest.raises(ValueError, match="lam_max"):
+        FrameletSystem(bank, lam_max=-2.0)
+
+
+@pytest.mark.parametrize("lam_max", [np.nan, np.inf, -np.inf, -1.0])
+def test_system_rejects_a_lam_max_that_sets_no_K(lam_max):
+    with pytest.raises(ValueError, match="lam_max must be finite and nonnegative"):
+        FrameletSystem(haar_filter_bank(), lam_max=lam_max)
+
+
+def test_replaced_system_derives_K_again():
+    system = FrameletSystem(haar_filter_bank(), lam_max=1.5)
+    assert system.K == -1
+    assert dataclasses.replace(system, dilation=1.25).K == -3
+    assert dataclasses.replace(system, lam_max=2 * np.pi).K == 1
+
+
+def _is_normalizer(K, lam, dilation):
+    """K is the smallest integer with lam <= d^K pi, or 0 when lam = 0."""
+    if lam == 0:
+        return K == 0
+    return lam <= dilation**K * np.pi and dilation ** (K - 1) * np.pi < lam
+
+
+@pytest.mark.parametrize("dilation", [1.25, 1.5, 2.0, 3.0, 4.0])
+def test_K_is_the_smallest_normalizer_of_lam_max(dilation):
+    boundaries = [np.pi * dilation**k for k in range(-4, 3)]
+    grid = [0.0, 1e-3, 0.5, 1.0, 1.5, np.pi / 2, 1.5840, 2.0, np.pi, 10.0,
+            *boundaries, *np.nextafter(boundaries, np.inf)]
+    for lam in grid:
+        K = FrameletSystem(haar_filter_bank(), dilation=dilation, lam_max=lam).K
+        assert _is_normalizer(K, lam, dilation), (lam, K)
+    # framelet_operator's K is that of the graph's Lanczos bound.
+    for graph in (build_graph(3, []), random_er_graph(40, 4.0, 1),
+                  generate_sbm([100] * 3, 0.1, 0.01, seed=7).graph):
+        op = framelet_operator(graph, dilation=dilation, mode="chebyshev")
+        assert op.system.lam_max == graph.lanczos_bound
+        assert _is_normalizer(op.system.K, graph.lanczos_bound, dilation)
 
 
 @pytest.mark.parametrize(
@@ -150,7 +186,9 @@ def test_chebyshev_tightness_improves_with_degree():
     lam = lambda_max(lap, "power_iteration")
     errs = {}
     for t in (8, 16):
-        system = make_system(haar_filter_bank(), lam, degree=t, mode="chebyshev")
+        system = FrameletSystem(
+            haar_filter_bank(), lam_max=lam, degree=t, mode="chebyshev"
+        )
         w = _explicit(build_operators(system, lap))
         errs[t] = np.max(np.abs(w.T @ w - np.eye(50)))
     assert errs[16] <= TIGHTNESS_TOL
@@ -159,9 +197,9 @@ def test_chebyshev_tightness_improves_with_degree():
 
 def test_path_equivalence_exact_vs_chebyshev(small_laplacian, small_spectrum):
     lam = float(small_spectrum.values[-1])
-    exact_sys = make_system(haar_filter_bank(), lam, levels=2, mode="exact")
-    cheb_sys = make_system(
-        haar_filter_bank(), lam, levels=2, degree=16, mode="chebyshev"
+    exact_sys = FrameletSystem(haar_filter_bank(), levels=2, lam_max=lam, mode="exact")
+    cheb_sys = FrameletSystem(
+        haar_filter_bank(), levels=2, lam_max=lam, degree=16, mode="chebyshev"
     )
     op_e = build_operators(exact_sys, small_laplacian, small_spectrum)
     op_c = build_operators(cheb_sys, small_laplacian)
@@ -187,7 +225,7 @@ def test_one_recurrence_serves_every_block(
     t = 16
     filters = haar_filter_bank() if bank == "haar" else _linear_bank()
     lam = float(small_spectrum.values[-1])
-    exact_sys = make_system(filters, lam, levels=levels, degree=t, mode="exact")
+    exact_sys = FrameletSystem(filters, levels=levels, lam_max=lam, degree=t, mode="exact")
     op_e = build_operators(exact_sys, small_laplacian, small_spectrum)
     cheb_sys = dataclasses.replace(exact_sys, mode="chebyshev")
     op_c = build_operators(cheb_sys, small_laplacian)
@@ -224,13 +262,14 @@ def test_direct_block_fit_never_less_accurate_than_factor_cascade(
     bank, dilation, levels, K, t
 ):
     # The reference fits each dilated mask factor at degree t and chains the
-    # fitted factors per block, as a per-level cascade applies them. With
-    # lam_max = 0 the system takes K as given.
+    # fitted factors per block, as a per-level cascade applies them.
+    # lam_max = pi d^K is the largest top eigenvalue that gives this K.
     system = FrameletSystem(
         haar_filter_bank() if bank == "haar" else _linear_bank(),
-        dilation=dilation, levels=levels, K=K, lam_max=0.0, degree=t,
+        dilation=dilation, levels=levels, lam_max=np.pi * dilation**K, degree=t,
         mode="chebyshev",
     )
+    assert system.K == K
     grid = np.linspace(0.0, 2.0, 2001)
     x = grid - 1.0
     factors = [
@@ -260,9 +299,10 @@ def test_direct_block_fit_never_less_accurate_than_factor_cascade(
 def test_chop_moves_no_block_by_more_than_chop_tol(bank, dilation, K, levels, t):
     system = FrameletSystem(
         haar_filter_bank() if bank == "haar" else _linear_bank(),
-        dilation=dilation, levels=levels, K=K, lam_max=0.0, degree=t,
+        dilation=dilation, levels=levels, lam_max=np.pi * dilation**K, degree=t,
         mode="chebyshev",
     )
+    assert system.K == K
     full = chebyshev_fit(system.block_gains, t + 4 * (levels - 1))
     chopped = system.chebyshev_coeffs
     # The chop only drops trailing columns, never all of them.
@@ -274,7 +314,9 @@ def test_chop_moves_no_block_by_more_than_chop_tol(bank, dilation, K, levels, t)
 
 @pytest.mark.parametrize("lam, K", [(2.0, 0), (1.5, -1)])
 def test_chebyshev_provenance_measures_the_fit(small_laplacian, lam, K):
-    system = make_system(haar_filter_bank(), lam, levels=2, degree=16, mode="chebyshev")
+    system = FrameletSystem(
+        haar_filter_bank(), levels=2, lam_max=lam, degree=16, mode="chebyshev"
+    )
     assert system.K == K
     prov = build_operators(system, small_laplacian).provenance
     t_J = prov["recurrence_degree"]
@@ -292,8 +334,8 @@ def test_chebyshev_backend_applies_the_fitted_polynomials(degree, levels, seed):
     # Reference: every block's fitted polynomial evaluated in the eigenbasis.
     lap = normalized_laplacian(random_er_graph(15, 3.0, np.random.default_rng(seed)))
     spec = eigendecompose(lap)
-    system = make_system(
-        _linear_bank(), float(spec.values[-1]), levels=levels, degree=degree,
+    system = FrameletSystem(
+        _linear_bank(), levels=levels, lam_max=float(spec.values[-1]), degree=degree,
         mode="chebyshev",
     )
     coeffs = system.chebyshev_coeffs
@@ -310,7 +352,7 @@ def test_chebyshev_backend_applies_the_fitted_polynomials(degree, levels, seed):
 
 def test_matrix_free_matches_materialized(small_laplacian):
     lam = lambda_max(small_laplacian, "power_iteration")
-    system = make_system(haar_filter_bank(), lam, levels=3, mode="chebyshev")
+    system = FrameletSystem(haar_filter_bank(), levels=3, lam_max=lam, mode="chebyshev")
     w = _explicit(build_operators(system, small_laplacian))
     rng = np.random.default_rng(9)
     X = rng.normal(size=(small_laplacian.num_rows, 4))
@@ -342,8 +384,9 @@ def test_chebyshev_backend_reads_any_layout_and_never_writes_inputs(
     # step or one.
     n = small_laplacian.num_rows
     for degree, width in itertools.product((0, 1, 16), (3, 0)):
-        system = make_system(
-            haar_filter_bank(), 2.0, levels=levels, degree=degree, mode="chebyshev"
+        system = FrameletSystem(
+            haar_filter_bank(), levels=levels, lam_max=2.0, degree=degree,
+            mode="chebyshev",
         )
         if levels == 1 and degree <= 1:
             assert system.recurrence_degree == degree
@@ -448,7 +491,7 @@ def test_chebyshev_operator_builds_its_recurrence_matrix_once(
     # S = 2(L - I) is fixed for an operator: build_operators builds it, and
     # every product reuses it. The direct functions, given only the
     # Laplacian, build the same S, so both paths agree bit for bit.
-    system = make_system(haar_filter_bank(), 2.0, levels=2, mode="chebyshev")
+    system = FrameletSystem(haar_filter_bank(), levels=2, lam_max=2.0, mode="chebyshev")
     X = np.random.default_rng(3).normal(size=(small_laplacian.num_rows, 3))
     ref = chebyshev_decompose(system, small_laplacian, X)
     back_ref = chebyshev_reconstruct(system, small_laplacian, ref)
@@ -474,7 +517,7 @@ def test_chebyshev_transforms_are_bitwise_the_same_with_int64_indices():
     # S holds int32 indices. An int64 copy stores the same values in the same
     # order, so every product, and so both transforms, agree bit for bit.
     lap = random_er_graph(200, 6.0, np.random.default_rng(15)).laplacian
-    system = make_system(haar_filter_bank(), 2.0, levels=2, mode="chebyshev")
+    system = FrameletSystem(haar_filter_bank(), levels=2, lam_max=2.0, mode="chebyshev")
     narrow = _recurrence_matrix(lap)
     wide_csr = narrow.csr.copy()
     wide_csr.indptr = wide_csr.indptr.astype(np.int64)
@@ -633,7 +676,9 @@ def test_backends_agree_on_edge_case_graphs(graph, levels):
     assert np.count_nonzero(s.row == s.col) == loops
     assert s.nnz == 2 * graph.num_edges - loops
     spectrum = eigendecompose(lap)
-    system = make_system(haar_filter_bank(), float(spectrum.values[-1]), levels=levels)
+    system = FrameletSystem(
+        haar_filter_bank(), levels=levels, lam_max=float(spectrum.values[-1])
+    )
     op_e = build_operators(system, lap, spectrum)
     op_c = build_operators(
         dataclasses.replace(system, mode="chebyshev", degree=16), lap
@@ -832,7 +877,9 @@ def test_restricted_operators_agree_with_full_ones_on_edge_case_graphs(
 ):
     lap = normalized_laplacian(graph)
     spectrum = eigendecompose(lap)
-    system = make_system(haar_filter_bank(), float(spectrum.values[-1]), levels=levels)
+    system = FrameletSystem(
+        haar_filter_bank(), levels=levels, lam_max=float(spectrum.values[-1])
+    )
     rng = np.random.default_rng(seed)
     n = graph.num_nodes
     rows = np.flatnonzero(rng.random(n) < 0.5)
