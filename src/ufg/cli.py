@@ -9,8 +9,8 @@ counts, thresholds) is a shell loop over runs. ``train-node`` can apply one
 ``perturb`` noise model to its dataset before training (``--perturb-*``).
 
 Output: stdout carries one ``io.encode_json`` line per result and nothing
-else: one summary per run, one row per size (``bench``) or per property
-(``verify``). Every line is strict JSON:
+else: one summary per run, one row per size (``bench``) or per property and
+backend (``verify``). Every line is strict JSON:
 keys are sorted, NumPy integer, float and bool scalars are written as plain
 numbers and booleans, and a non-finite float, such as the NaN accuracy of a
 diverged seed in ``per_seed``, is written as ``null``. Any other object that
@@ -114,7 +114,7 @@ def _cmd_transform(args) -> int:
     signal = io.read_features_csv(args.signal)
     op = _operator(graph, args)
     stack = transform.decompose(op, signal)
-    io.write_coefficients(op.system, stack, args.out)
+    io.write_coefficients(op, stack, args.out)
     _emit_json(
         {
             "nodes": graph.num_nodes,
@@ -130,12 +130,14 @@ def _cmd_transform(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     graph = io.read_graph_text(args.graph)
-    settings, num_high, num_nodes, data = io.read_coefficients(args.coeffs)
+    settings, num_high, num_nodes, digest, data = io.read_coefficients(args.coeffs)
     op = transform.framelet_operator(graph, **settings)
     if (num_nodes, num_high) != (op.num_nodes, op.system.num_high):
         raise ValueError(
             f"{args.coeffs}: coefficients of {num_nodes} nodes and {num_high} high "
             f"passes; the graph's Haar operator has {op.num_nodes} and {op.system.num_high}")
+    if digest != io.laplacian_digest(op.lap):
+        raise ValueError(f"{args.coeffs}: written for another graph than {args.graph}")
     stack = transform.CoefficientStack(data, op.block_index, num_nodes)
     signal = transform.reconstruct(op, stack)
     summary = {"nodes": graph.num_nodes, "out": args.out}
@@ -315,7 +317,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = verify_mod.run_verify(mode=args.mode, n=args.n, seed=args.seed)
+    reports = verify_mod.run_verify(n=args.n, seed=args.seed)
     for report in reports:
         _emit_json(report)
     return 0 if all(r["passed"] for r in reports) else 3
@@ -432,8 +434,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--mode", choices=("exact", "chebyshev"), default="exact")
+    p = sub.add_parser("verify", help="run the invariant suite on both backends")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_verify)

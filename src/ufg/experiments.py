@@ -41,9 +41,10 @@ from .nn import (
     ufg_pool_forward,
     xavier_uniform,
 )
-from .shrinkage import ThresholdConfig, compression_ratio, shrink_stack
+from .shrinkage import THRESHOLD_MODES, ThresholdConfig, compression_ratio, shrink_stack
 from .sparse import SparseMatrix
 from .transform import (
+    MODES,
     DecompositionOperator,
     decompose,
     framelet_operator,
@@ -99,6 +100,10 @@ class ExperimentConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be nonempty and distinct, got {self.seeds}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.threshold_mode not in THRESHOLD_MODES:
+            raise ValueError(f"unknown threshold mode {self.threshold_mode!r}")
         if self.activation not in ("relu", "shrinkage"):
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.pool_mode not in ("sum", "spectrum", "mean"):

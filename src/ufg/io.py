@@ -8,16 +8,19 @@ Formats (all little-endian, all floats 64-bit):
   Floats are written with ``repr`` (shortest round-trip, 17 significant
   digits), so write-read is exact.
 - Labels text: one nonnegative integer (class id) per line.
-- Coefficient file: magic ``UFGC``, then as u32 the version (2), N, d
+- Coefficient file: magic ``UFGC``, then as u32 the version (3), N, d
   (features), n (high passes), J (levels), the degree t and the mode (0
-  exact, 1 chebyshev), the dilation as f64, and the row-major f64 ``(nJ +
-  1) N x d`` payload in ``FrameletSystem.block_index`` order: the graph
-  and the file rebuild the operator. Bitwise round-trip.
+  exact, 1 chebyshev), the dilation as f64, the 32-byte
+  ``laplacian_digest`` of the graph, and the row-major f64 ``(nJ + 1) N x
+  d`` payload in ``FrameletSystem.block_index`` order: the graph and the
+  file rebuild the operator, and the digest tells whether it is the
+  file's graph. Bitwise round-trip.
 - Metrics: JSON lines written by ``encode_json``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -26,12 +29,12 @@ import struct
 import numpy as np
 
 from . import graphs
+from .transform import MODES
 
 COEFF_MAGIC = b"UFGC"
-FORMAT_VERSION = 2
-# After the magic: version, N, d, n, J, t, mode code; dilation.
-_COEFF_HEADER = struct.Struct("<7Id")
-_MODES = ("exact", "chebyshev")
+FORMAT_VERSION = 3
+# After the magic: version, N, d, n, J, t, mode code; dilation; digest.
+_COEFF_HEADER = struct.Struct("<7Id32s")
 
 
 def deterministic_mode() -> bool:
@@ -149,13 +152,29 @@ def read_labels_text(path: str) -> np.ndarray:
 # -- coefficient stacks ------------------------------------------------------
 
 
-def write_coefficients(system, stack, path: str) -> None:
-    """Write ``stack``, the coefficients of a signal under ``system``."""
-    if stack.block_index != system.block_index():
-        raise ValueError("coefficient stack does not match the system")
+def laplacian_digest(lap) -> bytes:
+    """SHA-256 of a Laplacian's CSR arrays: ``indptr`` and ``indices``
+    widened to little-endian int64, so the digest does not depend on the
+    index width, then ``data`` as little-endian f8. A framelet operator
+    depends on its graph only through the normalized Laplacian, so a
+    coefficient file records the graph by this digest."""
+    csr = lap.csr
+    digest = hashlib.sha256()
+    for array, dtype in ((csr.indptr, "<i8"), (csr.indices, "<i8"), (csr.data, "<f8")):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return digest.digest()
+
+
+def write_coefficients(op, stack, path: str) -> None:
+    """Write ``stack``, the coefficients of a signal under the framelet
+    operator ``op``, with its transform settings and graph digest."""
+    system = op.system
+    if (stack.block_index, stack.num_nodes) != (op.block_index, op.num_nodes):
+        raise ValueError("coefficient stack does not match the operator")
     header = _COEFF_HEADER.pack(
         FORMAT_VERSION, stack.num_nodes, stack.num_features, system.num_high,
-        system.levels, system.degree, _MODES.index(system.mode), system.dilation,
+        system.levels, system.degree, MODES.index(system.mode), system.dilation,
+        laplacian_digest(op.lap),
     )
     with open(path, "wb") as fh:
         fh.write(COEFF_MAGIC + header)
@@ -163,9 +182,10 @@ def write_coefficients(system, stack, path: str) -> None:
 
 
 def read_coefficients(path: str):
-    """``(settings, num_high, num_nodes, data)``: ``settings`` are the
-    dilation, levels, degree and mode keywords of ``framelet_operator``,
-    ``data`` the payload."""
+    """``(settings, num_high, num_nodes, digest, data)``: ``settings`` are
+    the dilation, levels, degree and mode keywords of ``framelet_operator``,
+    ``digest`` the ``laplacian_digest`` of the file's graph, ``data`` the
+    payload."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != COEFF_MAGIC:
@@ -179,8 +199,9 @@ def read_coefficients(path: str):
     offset = 4 + _COEFF_HEADER.size
     if len(blob) < offset:
         raise ValueError(f"{path}: truncated header")
-    _, n, d, n_high, levels, degree, mode, dilation = _COEFF_HEADER.unpack_from(blob, 4)
-    if mode >= len(_MODES):
+    header = _COEFF_HEADER.unpack_from(blob, 4)
+    _, n, d, n_high, levels, degree, mode, dilation, digest = header
+    if mode >= len(MODES):
         raise ValueError(f"{path}: unknown mode code {mode}")
     rows = (n_high * levels + 1) * n
     payload = blob[offset:]
@@ -192,8 +213,8 @@ def read_coefficients(path: str):
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in the payload")
     settings = {"dilation": dilation, "levels": levels, "degree": degree,
-                "mode": _MODES[mode]}
-    return settings, n_high, n, data
+                "mode": MODES[mode]}
+    return settings, n_high, n, digest, data
 
 
 # -- metrics ---------------------------------------------------------------

@@ -74,6 +74,10 @@ from .sparse import SparseMatrix
 # any block's polynomial moves on [0, 2].
 CHOP_TOL = 1e-14
 
+# The two backends of ``DecompositionOperator``; the order is the mode code
+# of the ``.ufgc`` header.
+MODES = ("exact", "chebyshev")
+
 
 def compute_K(lambda_max: float, d: float) -> int:
     """Smallest integer K with ``lambda_max <= d^K * pi``.
@@ -143,7 +147,7 @@ class FrameletSystem:
         if not finite:
             raise ValueError(f"dilation {self.dilation!r} overflows the top filter "
                              f"argument d^(J-1-K) * 2 at J = {self.levels}, K = {self.K}")
-        if self.mode not in ("exact", "chebyshev"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")

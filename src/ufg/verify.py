@@ -1,10 +1,10 @@
 """Self-contained invariant suite for the transform stack.
 
 ``run_verify`` rebuilds small random instances and checks every structural
-invariant the library promises: tight-frame identities, Chebyshev
-convergence, shrinkage laws, gradient fidelity, pooling conservation and
-determinism. The CLI ``verify`` subcommand prints one JSON line per property
-and fails with a dedicated exit code if any check fails.
+invariant the library promises, on the exact and the Chebyshev backend:
+tight-frame identities, Chebyshev convergence, shrinkage laws, gradient
+fidelity, pooling conservation and determinism. The CLI ``verify`` prints
+one JSON line per property and backend, and exits 3 if any check fails.
 """
 
 from __future__ import annotations
@@ -33,7 +33,11 @@ from .shrinkage import (
     shrink_stack,
     soft_threshold,
 )
-from .transform import block_energies, decompose, framelet_operator, reconstruct
+from .transform import MODES, block_energies, decompose, framelet_operator, reconstruct
+
+# Round-trip tolerance of each backend: the exact stack is tight to
+# round-off, the degree-16 Chebyshev fit to 1e-6.
+_ROUND_TRIP_TOL = {"exact": 1e-10, "chebyshev": 1e-6}
 
 
 def _rel(err: float, scale: float) -> float:
@@ -51,86 +55,89 @@ def _explicit(op) -> np.ndarray:
     return decompose(op, np.eye(op.num_nodes)).data
 
 
-def _fixtures(n: int, seed: int, mode: str):
+def _fixtures(n: int, seed: int):
     rng = np.random.default_rng(seed)
     graph = random_er_graph(n, avg_degree=6.0, rng=rng)
     # Every operator of the suite comes from framelet_operator, so K comes
-    # from the graph's one Lanczos bound in both modes.
-    op = framelet_operator(graph, levels=2, mode=mode)
+    # from the graph's one Lanczos bound on both backends.
+    ops = {mode: framelet_operator(graph, levels=2, mode=mode) for mode in MODES}
     X = rng.normal(size=(n, 3))
-    return {
-        "rng": rng, "graph": graph, "lap": graph.laplacian,
-        "spectrum": graph.spectrum, "system": op.system, "op": op, "X": X,
-    }
+    return {"rng": rng, "graph": graph, "system": ops["exact"].system, "ops": ops, "X": X}
 
 
-def run_verify(mode: str = "exact", n: int = 100, seed: int = 7) -> list[dict]:
-    """Run every invariant check; returns one report dict per property.
+def run_verify(n: int = 100, seed: int = 7) -> list[dict]:
+    """Run every invariant check; returns one report dict per row.
 
-    Each report holds ``name``, ``passed`` and ``detail``, plus ``value`` and
-    ``tol``: the measured number and its tolerance for a check that compares
-    one number with a tolerance, ``None`` for every other check.
+    A check that reads a framelet operator runs on the fixture graph's
+    exact operator, then on its Chebyshev one; every other check runs once.
+    Each report holds ``name``, ``mode`` (the backend, ``None`` for a check
+    run once), ``passed`` and ``detail``, plus ``value`` and ``tol``: the
+    measured number and its tolerance for a check that compares one number
+    with a tolerance, ``None`` for every other check.
     """
-    if mode not in ("exact", "chebyshev"):
-        raise ValueError("mode must be 'exact' or 'chebyshev'")
     if n < 1:
         raise ValueError(f"n must be at least 1 node, got {n}")
-    fx = _fixtures(n, seed, mode)
+    fx = _fixtures(n, seed)
+    once = (None,)
     checks = [
-        _check_csr_layout,
-        _check_laplacian_spectrum,
-        _check_lambda_max_bounds,
-        _check_partition_of_unity,
-        _check_refinement,
-        _check_chebyshev_scalar_fit,
-        _check_round_trip,
-        _check_parseval,
-        _check_cascade,
-        _check_stacked_tightness,
-        _check_path_equivalence,
-        _check_lowpass_telescope,
-        _check_shrinkage_laws,
-        _check_soft_threshold_nonexpansive,
-        _check_layer_identity,
-        _check_sigma_zero_ab,
-        _check_gradients,
-        _check_spectrum_pool,
-        _check_training_determinism,
+        (_check_csr_layout, once),
+        (_check_laplacian_spectrum, once),
+        (_check_lambda_max_bounds, once),
+        (_check_partition_of_unity, once),
+        (_check_refinement, once),
+        (_check_chebyshev_scalar_fit, once),
+        (_check_round_trip, MODES),
+        (_check_parseval, MODES),
+        (_check_cascade, MODES),
+        (_check_stacked_tightness, once),
+        (_check_path_equivalence, once),
+        (_check_lowpass_telescope, once),
+        (_check_shrinkage_laws, MODES),
+        (_check_soft_threshold_nonexpansive, once),
+        (_check_layer_identity, MODES),
+        (_check_sigma_zero_ab, MODES),
+        (_check_gradients, MODES),
+        (_check_spectrum_pool, MODES),
+        (_check_training_determinism, MODES),
     ]
     reports = []
-    for check in checks:
+    for check, modes in checks:
         name = check.__name__.removeprefix("_check_")
-        value = tol = None
-        try:
-            passed, detail, *measured = check(fx)
-            if measured:
-                value, tol = measured
-        except Exception as exc:  # a crashed check is a failed property
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        reports.append({"name": name, "passed": bool(passed), "detail": detail,
-                        "value": value, "tol": tol})
+        for mode in modes:
+            value = tol = None
+            try:
+                args = (fx,) if mode is None else (fx, fx["ops"][mode])
+                passed, detail, *measured = check(*args)
+                if measured:
+                    value, tol = measured
+            except Exception as exc:  # a crashed check is a failed property
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            reports.append({"name": name, "mode": mode, "passed": bool(passed),
+                            "detail": detail, "value": value, "tol": tol})
     return reports
 
 
 def _check_csr_layout(fx):
-    fx["lap"].validate()
-    fx["graph"].adjacency.validate()
-    asym = fx["lap"].max_abs_asymmetry()
+    graph = fx["graph"]
+    graph.laplacian.validate()
+    graph.adjacency.validate()
+    asym = graph.laplacian.max_abs_asymmetry()
     return _bounded(asym, 1e-12, f"max asymmetry {asym:.2e}")
 
 
 def _check_laplacian_spectrum(fx):
-    vals = fx["spectrum"].values
+    spectrum = fx["graph"].spectrum
+    vals = spectrum.values
     ok = vals.size == 0 or (vals[0] >= -1e-10 and vals[-1] <= 2.0 + 1e-9)
-    ortho = np.max(np.abs(fx["spectrum"].vectors.T @ fx["spectrum"].vectors - np.eye(len(vals))))
+    ortho = np.max(np.abs(spectrum.vectors.T @ spectrum.vectors - np.eye(len(vals))))
     return ok and ortho <= 1e-9, f"range [{vals[0]:.2e}, {vals[-1]:.6f}], orthonormality {ortho:.2e}"
 
 
 def _check_lambda_max_bounds(fx):
-    exact = float(fx["spectrum"].values[-1])
+    exact = float(fx["graph"].spectrum.values[-1])
     # The estimate framelet_operator takes K from in both modes.
     lanczos = fx["graph"].lanczos_bound
-    gersh = fx["lap"].gershgorin_bound()
+    gersh = fx["graph"].laplacian.gershgorin_bound()
     ok = exact - 1e-6 <= lanczos <= gersh + 1e-12
     return ok, f"exact {exact:.6f} <= lanczos {lanczos:.6f} <= gershgorin {gersh:.6f}"
 
@@ -158,24 +165,24 @@ def _check_chebyshev_scalar_fit(fx):
     return _bounded(worst, 1e-9, f"max fit error at t=16: {worst:.2e}")
 
 
-def _check_round_trip(fx):
+def _check_round_trip(fx, op):
     X = fx["X"]
-    err = np.linalg.norm(reconstruct(fx["op"], decompose(fx["op"], X)) - X)
+    err = np.linalg.norm(reconstruct(op, decompose(op, X)) - X)
     rel = _rel(err, np.linalg.norm(X))
-    tol = 1e-10 if fx["op"].provenance["mode"] == "exact" else 1e-6
+    tol = _ROUND_TRIP_TOL[op.system.mode]
     return _bounded(rel, tol, f"relative round-trip error {rel:.2e} (tol {tol:g})")
 
 
-def _check_parseval(fx):
+def _check_parseval(fx, op):
     X = fx["X"]
-    total = sum(block_energies(decompose(fx["op"], X)))
+    total = sum(block_energies(decompose(op, X)))
     rel = abs(total - np.sum(X**2)) / np.sum(X**2)
-    tol = 1e-10 if fx["op"].provenance["mode"] == "exact" else 1e-6
+    tol = _ROUND_TRIP_TOL[op.system.mode]
     return _bounded(rel, tol, f"relative energy mismatch {rel:.2e} (tol {tol:g})")
 
 
-def _check_cascade(fx):
-    system, X = fx["system"], fx["X"]
+def _check_cascade(fx, op):
+    system, X = op.system, fx["X"]
     worst = 0.0
     prev_low = X
     for j in range(1, system.levels + 1):
@@ -194,39 +201,36 @@ def _check_cascade(fx):
 
 def _check_stacked_tightness(fx):
     errors = {}
-    levels = fx["system"].levels
-    for t in (8, 16):
-        w = _explicit(
-            framelet_operator(fx["graph"], levels=levels, degree=t, mode="chebyshev")
-        )
-        errors[t] = float(np.max(np.abs(w.T @ w - np.eye(fx["lap"].num_rows))))
+    cheb8 = framelet_operator(fx["graph"], levels=fx["system"].levels, degree=8,
+                              mode="chebyshev")
+    # The fixture's Chebyshev operator is the t = 16 one.
+    for t, op in ((8, cheb8), (16, fx["ops"]["chebyshev"])):
+        w = _explicit(op)
+        errors[t] = float(np.max(np.abs(w.T @ w - np.eye(w.shape[1]))))
     ok = errors[16] <= 1e-6 and errors[8] > errors[16]
     return ok, f"tightness error t=16 {errors[16]:.2e}, t=8 {errors[8]:.2e}"
 
 
 def _check_path_equivalence(fx):
-    graph, levels = fx["graph"], fx["system"].levels
-    exact_op = framelet_operator(graph, levels=levels, mode="exact")
-    cheb_op = framelet_operator(graph, levels=levels, degree=16, mode="chebyshev")
-    worst = float(np.max(np.abs(_explicit(exact_op) - _explicit(cheb_op))))
+    ops = fx["ops"]
+    worst = float(np.max(np.abs(_explicit(ops["exact"]) - _explicit(ops["chebyshev"]))))
     return _bounded(worst, 1e-6, f"max entrywise block difference {worst:.2e}")
 
 
 def _check_lowpass_telescope(fx):
-    system, spectrum = fx["system"], fx["spectrum"]
+    system, spectrum = fx["system"], fx["graph"].spectrum
     lam = spectrum.values
     prod = np.ones_like(lam)
     for j in range(1, system.levels + 1):
         prod = prod * system.bank.low_pass(system.factor_scale(j) * lam)
     direct = spectrum.matrix_function(prod)
-    exact_op = framelet_operator(fx["graph"], levels=system.levels, mode="exact")
-    low = _explicit(exact_op)[: exact_op.num_nodes]
+    low = _explicit(fx["ops"]["exact"])[: lam.size]
     err = float(np.max(np.abs(low - direct)))
     return _bounded(err, 1e-10, f"low-pass telescope mismatch {err:.2e}")
 
 
-def _check_shrinkage_laws(fx):
-    c = decompose(fx["op"], fx["X"])
+def _check_shrinkage_laws(fx, op):
+    c = decompose(op, fx["X"])
     prev_nnz = None
     monotone = True
     for sigma in (0.0, 0.5, 1.0, 2.0, 4.0, np.inf):
@@ -261,35 +265,33 @@ def _check_soft_threshold_nonexpansive(fx):
     return True, "|S(x)-S(y)| <= |x-y| on 1000 samples, 3 thresholds"
 
 
-def _check_layer_identity(fx):
-    if fx["op"].provenance["mode"] != "exact":
-        return True, "skipped (exact-path property)"
+def _check_layer_identity(fx, op):
     X = fx["X"]
     d = X.shape[1]
-    params = ConvLayerParams(
-        W=np.eye(d), theta=np.ones(fx["op"].num_rows), bias=np.zeros(d)
-    )
-    y, _ = ufg_conv_forward(params, fx["op"], X, LayerActivation.none())
+    params = ConvLayerParams(W=np.eye(d), theta=np.ones(op.num_rows), bias=np.zeros(d))
+    y, _ = ufg_conv_forward(params, op, X, LayerActivation.none())
     rel = _rel(np.linalg.norm(y - X), np.linalg.norm(X))
-    return _bounded(rel, 1e-10, f"identity-layer relative error {rel:.2e}")
+    tol = _ROUND_TRIP_TOL[op.system.mode]
+    return _bounded(rel, tol, f"identity-layer relative error {rel:.2e}")
 
 
-def _check_sigma_zero_ab(fx):
+def _check_sigma_zero_ab(fx, op):
     X = fx["X"]
     d = X.shape[1]
     rng = np.random.default_rng(0)
-    params = init_params(d, 2, fx["op"].num_rows, rng)
+    params = init_params(d, 2, op.num_rows, rng)
     act_s = LayerActivation.shrinkage(ThresholdConfig(0.0, "global"))
-    y_s, _ = ufg_conv_forward(params, fx["op"], X, act_s)
-    y_n, _ = ufg_conv_forward(params, fx["op"], X, LayerActivation.none())
+    y_s, _ = ufg_conv_forward(params, op, X, act_s)
+    y_n, _ = ufg_conv_forward(params, op, X, LayerActivation.none())
     same = np.array_equal(y_s, y_n)
     return same, f"sigma=0 shrinkage layer bitwise equals linear layer: {same}"
 
 
-def _check_gradients(fx):
+def _check_gradients(fx, fixture_op):
     rng = np.random.default_rng(11)
     n, d, dd = 12, 3, 2
-    op = framelet_operator(random_er_graph(n, avg_degree=3.0, rng=rng), levels=2)
+    graph = random_er_graph(n, avg_degree=3.0, rng=rng)
+    op = framelet_operator(graph, levels=2, mode=fixture_op.system.mode)
     X = rng.normal(size=(n, d))
     labels = rng.integers(0, dd, size=n)
     params = init_params(d, dd, op.num_rows, rng)
@@ -305,9 +307,7 @@ def _check_gradients(fx):
 
     acts = {
         "relu": LayerActivation.relu(),
-        "shrinkage": LayerActivation.shrinkage(
-            ThresholdConfig(1.0, mode="energy_scaled")
-        ),
+        "shrinkage": LayerActivation.shrinkage(ThresholdConfig(1.0, mode="energy_scaled")),
     }
     details = []
     ok = True
@@ -333,20 +333,19 @@ def _check_gradients(fx):
     return ok, "max relative gradient error " + ", ".join(details)
 
 
-def _check_spectrum_pool(fx):
-    if fx["op"].provenance["mode"] != "exact":
-        return True, "skipped (exact-path property)"
+def _check_spectrum_pool(fx, op):
     X = fx["X"]
-    pooled, _ = ufg_pool_forward(fx["op"], X, "spectrum")
+    pooled, _ = ufg_pool_forward(op, X, "spectrum")
     rel = _rel(abs(float(pooled.sum()) - float(np.sum(X**2))), float(np.sum(X**2)))
     return _bounded(rel, 1e-8, f"pooled energy relative mismatch {rel:.2e}")
 
 
-def _check_training_determinism(fx):
+def _check_training_determinism(fx, op):
     data = generate_sbm(
         [20, 20], 0.3, 0.05, GaussianFeatures(dim=4, noise_std=0.3), seed=5
     )
-    config = ExperimentConfig(epochs=3, seeds=(0,), hidden=4, task="determinism")
+    config = ExperimentConfig(epochs=3, seeds=(0,), hidden=4, task="determinism",
+                              mode=op.system.mode)
     a = train_node_classifier(data, config)
     b = train_node_classifier(data, config)
     same = a.per_seed == b.per_seed and a.mean == b.mean

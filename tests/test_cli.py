@@ -17,7 +17,7 @@ import ufg.verify as verify_mod
 from ufg.cli import _build_parser, _emit_json, _experiment_config, _UsageError, main
 from ufg.datasets import BinaryFeatures, generate_sbm, random_er_graph
 from ufg.experiments import ExperimentConfig, train_node_classifier
-from ufg.filters import FilterBank, haar_filter_bank
+from ufg.filters import FilterBank
 from ufg.io import (
     read_coefficients,
     read_features_csv,
@@ -27,7 +27,12 @@ from ufg.io import (
     write_graph_text,
 )
 from ufg.perturb import PerturbationSpec, perturb
-from ufg.transform import CoefficientStack, FrameletSystem
+from ufg.transform import (
+    CoefficientStack,
+    FrameletSystem,
+    build_operators,
+    framelet_operator,
+)
 
 ROUNDTRIP_TOL = 1e-10
 
@@ -59,6 +64,8 @@ def test_help_exits_zero(capsys):
         [],
         ["transform"],  # missing required flags
         ["verify", "--mode", "approximate"],
+        # One verify run checks both backends, so it takes no --mode.
+        ["verify", "--mode", "exact"],
         # Node training has no early stopping, so no --patience flag.
         ["train-node", "--patience", "5"],
         # A perturbation needs both a model and a value.
@@ -136,12 +143,11 @@ def test_reconstruct_non_finite_coefficients_exits_two(tmp_path, graph_files, ca
     rpath = tmp_path / "recon.csv"
     assert main(["transform", "--graph", gpath, "--signal", spath,
                  "--out", cpath]) == 0
-    settings, _, num_nodes, data = read_coefficients(cpath)
-    system = FrameletSystem(haar_filter_bank(), **settings)
+    settings, _, num_nodes, _, data = read_coefficients(cpath)
+    op = framelet_operator(read_graph_text(gpath), **settings)
     data = data.copy()
     data[3, 0] = np.nan
-    write_coefficients(system, CoefficientStack(data, system.block_index(), num_nodes),
-                       cpath)
+    write_coefficients(op, CoefficientStack(data, op.block_index, num_nodes), cpath)
     capsys.readouterr()
     assert main(["reconstruct", "--graph", gpath, "--coeffs", cpath,
                  "--out", str(rpath)]) == 2
@@ -182,7 +188,15 @@ def _version_1_file(path, graph_files):
     path.write_bytes(b"UFGC" + struct.pack("<5I", 1, 16, 2, 1, 2) + block_map
                      + np.zeros((48, 2)).tobytes())
     return graph_files[0], (f"{path}: unsupported version 1; rerun `ufg transform` "
-                            "to write version 2")
+                            "to write version 3")
+
+
+def _version_2_file(path, graph_files):
+    """Version 2: the settings of version 3, but no graph digest."""
+    header = struct.pack("<7Id", 2, 16, 2, 1, 2, 16, 0, 2.0)
+    path.write_bytes(b"UFGC" + header + np.zeros((48, 2)).tobytes())
+    return graph_files[0], (f"{path}: unsupported version 2; rerun `ufg transform` "
+                            "to write version 3")
 
 
 def _other_graph_file(path, graph_files):
@@ -196,12 +210,33 @@ def _other_graph_file(path, graph_files):
                    "the graph's Haar operator has 20 and 1")
 
 
+def _same_size_other_graph_file(path, graph_files):
+    """A 16-node file, read against another 16-node graph."""
+    gpath, spath, _ = graph_files
+    other = str(path.parent / "other.txt")
+    write_graph_text(random_er_graph(16, avg_degree=4.0, rng=np.random.default_rng(6)),
+                     other)
+    assert main(["transform", "--graph", gpath, "--signal", spath, "--out", str(path)]) == 0
+    return other, f"{path}: written for another graph than {other}"
+
+
+def _flipped_digest_file(path, graph_files):
+    """The graph's own file with one byte of its graph digest flipped."""
+    gpath, spath, _ = graph_files
+    assert main(["transform", "--graph", gpath, "--signal", spath, "--out", str(path)]) == 0
+    blob = bytearray(path.read_bytes())
+    blob[40 + 17] ^= 0x01  # inside the 32-byte digest after the dilation
+    path.write_bytes(bytes(blob))
+    return gpath, f"{path}: written for another graph than {gpath}"
+
+
 def _two_high_pass_file(path, graph_files):
     """A 16-node file of a bank with two high passes."""
     bank = FilterBank(low_pass=np.cos, high_passes=(np.sin, np.sin))
-    system = FrameletSystem(bank, levels=2)
-    index = system.block_index()
-    write_coefficients(system, CoefficientStack(np.ones((16 * len(index), 2)), index, 16),
+    graph = read_graph_text(graph_files[0])
+    op = build_operators(FrameletSystem(bank, levels=2), graph.laplacian, graph.spectrum)
+    index = op.block_index
+    write_coefficients(op, CoefficientStack(np.ones((16 * len(index), 2)), index, 16),
                        str(path))
     return graph_files[0], (f"{path}: coefficients of 16 nodes and 2 high passes; "
                             "the graph's Haar operator has 16 and 1")
@@ -218,8 +253,11 @@ def _unknown_mode_file(path, graph_files):
 
 
 @pytest.mark.parametrize(
-    "make", [_version_1_file, _other_graph_file, _two_high_pass_file, _unknown_mode_file],
-    ids=["version-1", "other-graph", "two-high-passes", "unknown-mode"],
+    "make", [_version_1_file, _version_2_file, _other_graph_file,
+             _same_size_other_graph_file, _flipped_digest_file, _two_high_pass_file,
+             _unknown_mode_file],
+    ids=["version-1", "version-2", "other-graph", "same-size-other-graph",
+         "flipped-digest", "two-high-passes", "unknown-mode"],
 )
 def test_reconstruct_refuses_a_file_it_cannot_use(tmp_path, graph_files, capsys, make):
     cpath, out = tmp_path / "c.ufgc", tmp_path / "recon.csv"
@@ -664,26 +702,31 @@ def test_transform_and_bench_report_the_applied_recurrence_degree(
 def test_verify_passes_and_prints_report(capsys):
     assert main(["verify", "--n", "30", "--seed", "7"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(rows) == 19
-    assert all(set(r) == {"name", "passed", "detail", "value", "tol"} for r in rows)
+    assert len(rows) == 28
+    assert all(set(r) == {"name", "mode", "passed", "detail", "value", "tol"}
+               for r in rows)
     assert all(r["passed"] for r in rows)
-    by_name = {r["name"]: r for r in rows}
-    assert by_name["round_trip"]["tol"] == 1e-10
-    assert 0.0 <= by_name["round_trip"]["value"] <= 1e-10
-    assert by_name["shrinkage_laws"]["value"] is None
-    assert by_name["shrinkage_laws"]["tol"] is None
+    by_key = {(r["name"], r["mode"]): r for r in rows}
+    assert by_key[("round_trip", "exact")]["tol"] == 1e-10
+    assert 0.0 <= by_key[("round_trip", "exact")]["value"] <= 1e-10
+    assert by_key[("round_trip", "chebyshev")]["tol"] == 1e-6
+    assert 0.0 <= by_key[("round_trip", "chebyshev")]["value"] <= 1e-6
+    for mode in ("exact", "chebyshev"):
+        assert by_key[("shrinkage_laws", mode)]["value"] is None
+        assert by_key[("shrinkage_laws", mode)]["tol"] is None
+    assert by_key[("csr_layout", None)]["tol"] == 1e-12
 
 
 def test_verify_failure_exits_three(monkeypatch, capsys):
-    def fake_verify(mode, n, seed):
-        return [{"name": "round_trip", "passed": False, "detail": "bad",
-                 "value": 1.0, "tol": 1e-10}]
+    def fake_verify(n, seed):
+        return [{"name": "round_trip", "mode": "chebyshev", "passed": False,
+                 "detail": "bad", "value": 1.0, "tol": 1e-6}]
 
     monkeypatch.setattr(verify_mod, "run_verify", fake_verify)
     assert main(["verify"]) == 3
     assert _last_json(capsys) == {
-        "name": "round_trip", "passed": False, "detail": "bad",
-        "value": 1.0, "tol": 1e-10,
+        "name": "round_trip", "mode": "chebyshev", "passed": False, "detail": "bad",
+        "value": 1.0, "tol": 1e-6,
     }
 
 

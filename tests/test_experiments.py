@@ -127,6 +127,17 @@ def test_config_accepts_training_number_edges():
                      dropout=0.0, patience=1)
 
 
+# Before any dataset is generated or trained on: "exakt" failed only when the
+# operator was built, and "bogus" trained as relu.
+@pytest.mark.parametrize("field, value, message", [
+    ("mode", "exakt", "unknown mode 'exakt'"),
+    ("threshold_mode", "bogus", "unknown threshold mode 'bogus'"),
+])
+def test_config_rejects_an_unknown_mode(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{field: value})
+
+
 @pytest.mark.parametrize("seeds", [(), (1, 1), (0, 1, 2, 1)])
 def test_config_rejects_empty_or_duplicate_seeds(seeds):
     with pytest.raises(ValueError, match="nonempty and distinct"):

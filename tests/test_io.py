@@ -6,10 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from ufg.datasets import random_er_graph
 from ufg.graphs import build_graph
 from ufg.io import (
     COEFF_MAGIC,
     deterministic_mode,
+    laplacian_digest,
     read_coefficients,
     read_features_csv,
     read_graph_text,
@@ -20,7 +22,13 @@ from ufg.io import (
     write_metrics_jsonl,
 )
 from ufg.filters import FilterBank, haar_filter_bank
-from ufg.transform import CoefficientStack, FrameletSystem
+from ufg.sparse import SparseMatrix
+from ufg.transform import (
+    CoefficientStack,
+    FrameletSystem,
+    build_operators,
+    framelet_operator,
+)
 
 
 # -- graph text --------------------------------------------------------------
@@ -126,20 +134,24 @@ def test_labels_reject_negative_ids(tmp_path):
 # -- coefficient stacks ------------------------------------------------------
 
 
-def _stack(system, num_nodes, num_features, rng):
-    index = system.block_index()
-    data = rng.normal(size=(len(index) * num_nodes, num_features))
-    return CoefficientStack(data=data, block_index=index, num_nodes=num_nodes)
+def _graph(num_nodes, seed=3):
+    return random_er_graph(num_nodes, avg_degree=3.0, rng=np.random.default_rng(seed))
+
+
+def _stack(op, num_features, rng):
+    index = op.block_index
+    data = rng.normal(size=(len(index) * op.num_nodes, num_features))
+    return CoefficientStack(data=data, block_index=index, num_nodes=op.num_nodes)
 
 
 @pytest.fixture
-def system():
-    return FrameletSystem(haar_filter_bank(), levels=2)
+def op():
+    return framelet_operator(_graph(6), levels=2)
 
 
 @pytest.fixture
-def stack(system, rng):
-    return _stack(system, 6, 3, rng)
+def stack(op, rng):
+    return _stack(op, 3, rng)
 
 
 def _header_field(blob, k):
@@ -147,14 +159,35 @@ def _header_field(blob, k):
     return int.from_bytes(blob[4 + 4 * k: 8 + 4 * k], "little")
 
 
-def test_coefficients_binary_round_trip_is_bitwise(tmp_path, system, stack):
+def test_coefficients_binary_round_trip_is_bitwise(tmp_path, op, stack):
     path = str(tmp_path / "c.ufgc")
-    write_coefficients(system, stack, path)
-    settings, num_high, num_nodes, data = read_coefficients(path)
-    assert settings == {"dilation": 2.0, "levels": 2, "degree": system.degree,
+    write_coefficients(op, stack, path)
+    settings, num_high, num_nodes, digest, data = read_coefficients(path)
+    assert settings == {"dilation": 2.0, "levels": 2, "degree": op.system.degree,
                         "mode": "exact"}
     assert (num_high, num_nodes) == (1, stack.num_nodes)
+    assert digest == laplacian_digest(op.lap)
     np.testing.assert_array_equal(data, stack.data, strict=True)
+    # The payload follows the 72-byte header bitwise.
+    blob = (tmp_path / "c.ufgc").read_bytes()
+    assert _header_field(blob, 0) == 3
+    assert blob[40:72] == digest
+    assert blob[72:] == stack.data.astype("<f8").tobytes()
+
+
+def test_laplacian_digest_names_the_graph_not_its_index_width():
+    lap = _graph(8).laplacian
+    assert lap.csr.indices.dtype == np.int32
+    wide = lap.csr.copy()
+    wide.indptr, wide.indices = wide.indptr.astype(np.int64), wide.indices.astype(np.int64)
+    assert laplacian_digest(SparseMatrix(wide)) == laplacian_digest(lap)
+    assert len(laplacian_digest(lap)) == 32
+    # Another graph of the same size, or the same graph reweighted, differs.
+    assert laplacian_digest(_graph(8, seed=4).laplacian) != laplacian_digest(lap)
+    coo = _graph(8).adjacency.csr.tocoo()
+    reweighted = build_graph(8, [(int(u), int(v), 2.0 * w if u == 0 else w)
+                                 for u, v, w in zip(coo.row, coo.col, coo.data) if u <= v])
+    assert laplacian_digest(reweighted.laplacian) != laplacian_digest(lap)
 
 
 @pytest.mark.parametrize("mode", ["exact", "chebyshev"])
@@ -164,15 +197,15 @@ def test_coefficients_binary_round_trip_is_bitwise(tmp_path, system, stack):
 def test_coefficient_file_records_its_transform(
     tmp_path, rng, dilation, levels, degree, mode
 ):
-    system = FrameletSystem(haar_filter_bank(), dilation=dilation, levels=levels,
-                            degree=degree, mode=mode)
-    stack = _stack(system, 5, 2, rng)
+    op = framelet_operator(_graph(5), dilation, levels, degree, mode)
+    stack = _stack(op, 2, rng)
     path = str(tmp_path / "c.ufgc")
-    write_coefficients(system, stack, path)
-    settings, num_high, num_nodes, data = read_coefficients(path)
+    write_coefficients(op, stack, path)
+    settings, num_high, num_nodes, digest, data = read_coefficients(path)
     assert settings == {"dilation": dilation, "levels": levels, "degree": degree,
                         "mode": mode}
-    assert (num_high, num_nodes) == (system.num_high, 5)
+    assert (num_high, num_nodes) == (op.system.num_high, 5)
+    assert digest == laplacian_digest(_graph(5).laplacian)
     assert data.tobytes() == stack.data.tobytes()
     # The settings rebuild the system, and so its block order.
     assert FrameletSystem(haar_filter_bank(), **settings).block_index() == stack.block_index
@@ -180,19 +213,24 @@ def test_coefficient_file_records_its_transform(
 
 def test_coefficients_record_every_high_pass(tmp_path, rng):
     linear = FilterBank(low_pass=np.cos, high_passes=(np.sin, np.sin))
-    system = FrameletSystem(linear, levels=2)
-    stack = _stack(system, 4, 1, rng)
+    graph = _graph(4)
+    op = build_operators(FrameletSystem(linear, levels=2), graph.laplacian, graph.spectrum)
+    stack = _stack(op, 1, rng)
     path = str(tmp_path / "c.ufgc")
-    write_coefficients(system, stack, path)
-    _, num_high, _, data = read_coefficients(path)
+    write_coefficients(op, stack, path)
+    _, num_high, _, _, data = read_coefficients(path)
     assert num_high == 2
     np.testing.assert_array_equal(data, stack.data)
 
 
 def test_coefficients_of_another_system_are_not_written(tmp_path, stack):
     path = tmp_path / "c.ufgc"
-    with pytest.raises(ValueError, match="does not match the system"):
-        write_coefficients(FrameletSystem(haar_filter_bank(), levels=3), stack, str(path))
+    with pytest.raises(ValueError, match="does not match the operator"):
+        write_coefficients(framelet_operator(_graph(6), levels=3), stack, str(path))
+    assert not path.exists()
+    # Nor those of another node count: the digest would name the wrong graph.
+    with pytest.raises(ValueError, match="does not match the operator"):
+        write_coefficients(framelet_operator(_graph(7), levels=2), stack, str(path))
     assert not path.exists()
 
 
@@ -203,11 +241,11 @@ def test_coefficients_bad_magic(tmp_path):
         read_coefficients(str(path))
 
 
-def test_coefficients_truncation_errors(tmp_path, system, stack):
+def test_coefficients_truncation_errors(tmp_path, op, stack):
     path = tmp_path / "c.ufgc"
-    write_coefficients(system, stack, str(path))
+    write_coefficients(op, stack, str(path))
     blob = path.read_bytes()
-    for cut in (6, 30, 39):  # inside the version, the sizes, the dilation
+    for cut in (6, 30, 39, 60):  # inside the version, sizes, dilation, digest
         short = tmp_path / "short.ufgc"
         short.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match="truncated header"):
@@ -223,21 +261,21 @@ def test_coefficients_truncation_errors(tmp_path, system, stack):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_coefficients_reject_non_finite_payload(tmp_path, system, stack, bad):
+def test_coefficients_reject_non_finite_payload(tmp_path, op, stack, bad):
     data = stack.data.copy()
     data[4, 1] = bad
     path = str(tmp_path / "c.ufgc")
-    write_coefficients(system, stack.with_data(data), path)
+    write_coefficients(op, stack.with_data(data), path)
     with pytest.raises(ValueError, match="non-finite") as err:
         read_coefficients(path)
     assert path in str(err.value)
 
 
-def test_coefficients_unsupported_version(tmp_path, system, stack):
+def test_coefficients_unsupported_version(tmp_path, op, stack):
     path = tmp_path / "c.ufgc"
-    write_coefficients(system, stack, str(path))
+    write_coefficients(op, stack, str(path))
     blob = bytearray(path.read_bytes())
-    assert _header_field(blob, 0) == 2
+    assert _header_field(blob, 0) == 3
     blob[4:8] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="unsupported version 99"):
@@ -255,9 +293,19 @@ def test_coefficients_version_1_is_refused(tmp_path, stack):
         read_coefficients(str(path))
 
 
-def test_coefficients_unknown_mode_code(tmp_path, system, stack):
+def test_coefficients_version_2_is_refused(tmp_path, stack):
+    # Version 2: the settings of version 3, but no graph digest.
     path = tmp_path / "c.ufgc"
-    write_coefficients(system, stack, str(path))
+    path.write_bytes(COEFF_MAGIC + struct.pack("<7Id", 2, 6, 3, 1, 2, 16, 0, 2.0)
+                     + stack.data.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="unsupported version 2; rerun `ufg transform` "
+                                         "to write version 3"):
+        read_coefficients(str(path))
+
+
+def test_coefficients_unknown_mode_code(tmp_path, op, stack):
+    path = tmp_path / "c.ufgc"
+    write_coefficients(op, stack, str(path))
     blob = bytearray(path.read_bytes())
     assert _header_field(blob, 6) == 0  # exact
     blob[28:32] = (2).to_bytes(4, "little")

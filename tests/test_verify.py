@@ -1,41 +1,87 @@
-"""Invariant suite: all properties pass on small instances, report fields."""
+"""Invariant suite: all properties pass on both backends, report fields."""
+
+import json
 
 import pytest
 
 import ufg.verify as verify_mod
 from ufg.cli import main
-from ufg.transform import compute_K
+from ufg.transform import MODES, compute_K
 from ufg.verify import run_verify
 
+# Properties of an operator, one row per backend, and the checks run once.
+PER_BACKEND = ["round_trip", "parseval", "cascade", "shrinkage_laws", "layer_identity",
+               "sigma_zero_ab", "gradients", "spectrum_pool", "training_determinism"]
+ONCE = ["csr_layout", "laplacian_spectrum", "lambda_max_bounds", "partition_of_unity",
+        "refinement", "chebyshev_scalar_fit", "stacked_tightness", "path_equivalence",
+        "lowpass_telescope", "soft_threshold_nonexpansive"]
 
-@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
-def test_run_verify_all_properties_pass(mode):
-    reports = run_verify(mode=mode, n=30, seed=7)
+
+@pytest.fixture(scope="module")
+def reports_30():
+    return run_verify(n=30, seed=7)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_verify_all_properties_pass(reports_30, mode):
+    # The rows of one backend: every property the suite checks, once each.
+    reports = [r for r in reports_30 if r["mode"] in (None, mode)]
     failed = [r["name"] for r in reports if not r["passed"]]
     assert failed == []
     assert len(reports) == 19
     assert len({r["name"] for r in reports}) == len(reports)
     assert all(isinstance(r["detail"], str) for r in reports)
+    assert sum(r["value"] is not None for r in reports) >= 9
+
+
+@pytest.mark.parametrize("n", [30, 1])
+def test_run_verify_checks_every_property_on_both_backends(reports_30, n):
+    reports = reports_30 if n == 30 else run_verify(n=n, seed=7)
+    failed = [(r["name"], r["mode"]) for r in reports if not r["passed"]]
+    assert failed == []
+    assert len(reports) == 28
+    assert len({(r["name"], r["mode"]) for r in reports}) == len(reports)
+    assert sorted(r["name"] for r in reports if r["mode"] is None) == sorted(ONCE)
+    for mode in MODES:
+        names = [r["name"] for r in reports if r["mode"] == mode]
+        assert sorted(names) == sorted(PER_BACKEND)
+    # A per-backend property prints its exact row, then its Chebyshev row.
+    for first, second in zip(reports, reports[1:]):
+        if first["name"] == second["name"]:
+            assert (first["mode"], second["mode"]) == MODES
+    assert all(isinstance(r["detail"], str) for r in reports)
+    assert not any("skipped" in r["detail"] for r in reports)
     # A measured value comes with its tolerance, and passing means value <= tol.
     for r in reports:
         assert (r["value"] is None) == (r["tol"] is None)
         if r["value"] is not None:
             assert r["value"] <= r["tol"]
-    assert sum(r["value"] is not None for r in reports) >= 9
+    assert sum(r["value"] is not None for r in reports) >= 13
 
 
-@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+def test_layer_identity_and_pooling_are_measured_on_the_chebyshev_operator(reports_30):
+    rows = {(r["name"], r["mode"]): r for r in reports_30}
+    assert rows[("layer_identity", "chebyshev")]["tol"] == 1e-6
+    assert rows[("layer_identity", "exact")]["tol"] == 1e-10
+    assert rows[("spectrum_pool", "chebyshev")]["tol"] == 1e-8
+    for mode in MODES:
+        assert rows[("round_trip", mode)]["tol"] == rows[("layer_identity", mode)]["tol"]
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_default_fixture_has_K_zero_under_both_bounds(mode):
     # The fixture's K does not depend on which bound of the top eigenvalue
     # sets it, so the suite's values do not either.
-    fx = verify_mod._fixtures(100, 7, mode)
-    assert fx["op"].system.K == 0
-    assert compute_K(float(fx["spectrum"].values[-1]), 2.0) == 0
+    fx = verify_mod._fixtures(100, 7)
+    assert set(fx["ops"]) == set(MODES)
+    assert fx["ops"][mode].system.mode == mode
+    assert fx["ops"][mode].system.K == 0
+    assert compute_K(float(fx["graph"].spectrum.values[-1]), 2.0) == 0
 
 
-def test_run_verify_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        run_verify(mode="fast")
+def test_run_verify_takes_no_mode():
+    with pytest.raises(TypeError, match="mode"):
+        run_verify(mode="exact")
 
 
 @pytest.mark.parametrize("n", [0, -2])
@@ -45,7 +91,7 @@ def test_run_verify_rejects_a_graph_without_nodes(monkeypatch, capsys, n):
 
     monkeypatch.setattr(verify_mod, "_fixtures", no_fixtures)
     with pytest.raises(ValueError, match="n must be at least 1"):
-        run_verify(mode="exact", n=n)
+        run_verify(n=n)
     # A usage mistake is a runtime failure (2), not a failed property (3).
     assert main(["verify", "--n", str(n)]) == 2
     assert "n must be at least 1" in capsys.readouterr().err
@@ -57,9 +103,43 @@ def test_crashed_check_reports_as_failure(monkeypatch):
 
     boom.__name__ = "_check_csr_layout"  # report names come from __name__
     monkeypatch.setattr(verify_mod, "_check_csr_layout", boom)
-    reports = run_verify(mode="exact", n=20, seed=7)
-    crashed = next(r for r in reports if r["name"] == "csr_layout")
-    assert not crashed["passed"]
-    assert "synthetic crash" in crashed["detail"]
+    reports = run_verify(n=20, seed=7)
+    crashed = [r for r in reports if r["name"] == "csr_layout"]
+    assert len(crashed) == 1 and crashed[0]["mode"] is None
+    assert not crashed[0]["passed"]
+    assert "synthetic crash" in crashed[0]["detail"]
     others = [r for r in reports if r["name"] != "csr_layout"]
     assert all(r["passed"] for r in others)
+
+
+def test_crashed_per_backend_check_fails_both_rows(monkeypatch):
+    def boom(fx, op):
+        raise RuntimeError(f"synthetic crash on {op.system.mode}")
+
+    boom.__name__ = "_check_parseval"
+    monkeypatch.setattr(verify_mod, "_check_parseval", boom)
+    reports = run_verify(n=20, seed=7)
+    crashed = [r for r in reports if r["name"] == "parseval"]
+    assert [(r["mode"], r["passed"]) for r in crashed] == [(m, False) for m in MODES]
+    for r in crashed:
+        assert f"synthetic crash on {r['mode']}" in r["detail"]
+    assert all(r["passed"] for r in reports if r["name"] != "parseval")
+
+
+def test_a_check_failing_on_one_backend_fails_one_row(monkeypatch, capsys):
+    round_trip = verify_mod._check_round_trip
+
+    def chebyshev_only_failure(fx, op):
+        passed, detail, value, tol = round_trip(fx, op)
+        if op.system.mode == "chebyshev":
+            return False, detail, value, tol
+        return passed, detail, value, tol
+
+    chebyshev_only_failure.__name__ = "_check_round_trip"
+    monkeypatch.setattr(verify_mod, "_check_round_trip", chebyshev_only_failure)
+    failed = [(r["name"], r["mode"]) for r in run_verify(n=20, seed=7) if not r["passed"]]
+    assert failed == [("round_trip", "chebyshev")]
+    assert main(["verify", "--n", "20"]) == 3
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 28
+    assert [(r["name"], r["mode"]) for r in rows if not r["passed"]] == failed
