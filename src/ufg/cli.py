@@ -243,11 +243,11 @@ def _record_summary(record) -> dict:
 
 def _cmd_train_node(args) -> int:
     spec = _perturbation(args)
+    config = _experiment_config(args, task=f"{args.dataset}_node")
     data, info = _node_dataset(args)
     if spec is not None:
         graph, features = perturb_mod.perturb(data.graph, data.features, spec)
         data = replace(data, graph=graph, features=features)
-    config = _experiment_config(args, task=f"{args.dataset}_node")
     sink = [] if args.metrics_out else None
     record = experiments.train_node_classifier(data, config, metrics_sink=sink)
     if args.metrics_out:
@@ -262,10 +262,10 @@ def _cmd_train_node(args) -> int:
 
 
 def _cmd_train_graph(args) -> int:
+    config = _experiment_config(args, task=args.task)
     make = {"cycles-stars": datasets.cycles_and_stars,
             "sbm-family": datasets.sbm_graph_family}[args.task]
     samples = make(num_per_class=args.num_per_class, seed=args.data_seed)
-    config = _experiment_config(args, task=args.task)
     sink = [] if args.metrics_out else None
     record = experiments.train_graph_classifier(samples, config, metrics_sink=sink)
     if args.metrics_out:

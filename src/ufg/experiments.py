@@ -44,8 +44,8 @@ from .nn import (
 from .shrinkage import THRESHOLD_MODES, ThresholdConfig, compression_ratio, shrink_stack
 from .sparse import SparseMatrix
 from .transform import (
-    MODES,
     DecompositionOperator,
+    check_settings,
     decompose,
     framelet_operator,
     reconstruct,
@@ -100,8 +100,7 @@ class ExperimentConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be nonempty and distinct, got {self.seeds}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_settings(self.dilation, self.levels, self.degree, self.mode)
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ValueError(f"unknown threshold mode {self.threshold_mode!r}")
         if self.activation not in ("relu", "shrinkage"):

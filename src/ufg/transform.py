@@ -31,14 +31,14 @@ Gribonval 2011). Both recur on ``S = 2(L - I)``, which ``build_operators``
 builds once per operator with its explicit zeros dropped: the unit
 diagonal cancels, so on a graph without self loops ``S`` stores only the
 off-diagonal entries. Each recurrence works in place on two N x d arrays,
-which hold its latest two terms up to sign: a step is one call of SciPy's
-sparse kernel that adds ``S`` or ``-S`` times the newer term into the
-older (``_spmm_add``), with no temporary, zero fill or subtraction. A
-forward step then adds the new term to all blocks with one BLAS rank-1
-update; an adjoint step first adds ``w_k`` from all blocks with one BLAS
-matrix-vector product. Each direction costs ``recurrence_degree`` sparse
-products for any number of levels and high passes: 30 for a default
-round trip instead of 40 unchopped.
+which hold its latest two terms up to sign. Its operands are checked once
+per call (``_kernel_operands``), so a step is two bare kernel calls:
+SciPy's sparse kernel adds ``S`` or ``-S`` times the newer term into the
+older, with no temporary, zero fill or subtraction, and one BLAS call
+updates all blocks, a rank-1 update adding the new term (forward) or a
+matrix-vector product adding ``w_k`` first (adjoint). Each direction
+costs ``recurrence_degree`` sparse products for any number of levels and
+high passes: 30 for a default round trip instead of 40 unchopped.
 ``framelet_operator`` builds either backend from a graph, from the
 Laplacian, Lanczos estimate and (in exact mode) spectrum that the ``Graph``
 caches; K comes from the Lanczos estimate in both modes, so the two
@@ -98,6 +98,20 @@ def compute_K(lambda_max: float, d: float) -> int:
     return k
 
 
+def check_settings(dilation: float, levels: int, degree: int, mode: str) -> None:
+    """Raise ``ValueError`` unless the settings can build a transform on
+    some graph: finite dilation > 1, levels >= 1, a known mode, degree >= 0.
+    ``FrameletSystem`` and ``experiments.ExperimentConfig`` both check here."""
+    if not (1 < dilation < math.inf):
+        raise ValueError("dilation must be finite and exceed 1")
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+
+
 @dataclass(frozen=True)
 class FrameletSystem:
     """Immutable description of a framelet transform for one Laplacian.
@@ -134,10 +148,7 @@ class FrameletSystem:
     mode: str = "exact"
 
     def __post_init__(self):
-        if not (1 < self.dilation < math.inf):
-            raise ValueError("dilation must be finite and exceed 1")
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
+        check_settings(self.dilation, self.levels, self.degree, self.mode)
         if not (0 <= self.lam_max < math.inf):
             raise ValueError(f"lam_max must be finite and nonnegative, got {self.lam_max!r}")
         try:
@@ -147,10 +158,6 @@ class FrameletSystem:
         if not finite:
             raise ValueError(f"dilation {self.dilation!r} overflows the top filter "
                              f"argument d^(J-1-K) * 2 at J = {self.levels}, K = {self.K}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
 
     @cached_property
     def K(self) -> int:
@@ -503,32 +510,29 @@ def _recurrence_matrix(lap: SparseMatrix) -> SparseMatrix:
     return SparseMatrix.from_scipy(s)
 
 
-def _spmm_add(
-    s: sp.csr_array, values: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> None:
-    """``y += A x`` in place, for the matrix ``A`` with the CSR pattern of
-    ``s`` and the stored values ``values``.
+def _kernel_operands(lap: SparseMatrix, recurrence: SparseMatrix | None, terms):
+    """Every operand of one recurrence's kernel calls, checked once: ``S``
+    (``recurrence``, else built from ``lap``), the values of ``-S``, ``S``
+    and ``S / 2``, and flat views of the two work arrays ``terms``.
 
-    This is SciPy's sparse x dense kernel, the one ``s @ x`` runs after
-    zero-filling a new output, called directly: no output is allocated and
-    the sum lands on what ``y`` holds. ``values`` must be float64 with one
-    entry per stored entry of ``s``; ``x`` and ``y`` C-contiguous float64
-    arrays of ``s``'s column and row counts and one width; ``y`` writeable.
-    The kernel trusts the sizes it is given and writes through a copy of a
-    ``y`` of any other layout, so anything else raises instead.
+    SciPy's sparse kernel ``csr_matvecs`` (what ``S @ x`` runs into zeros)
+    trusts the sizes it is given, and it and BLAS would update a copy for
+    a flat view of any other layout, so anything but float64 values with
+    nnz(S) entries, ``S`` N x N for an N-row signal, and C-contiguous,
+    writeable float64 N x d work arrays raises here.
     """
-    n, m = s.shape
+    S = (_recurrence_matrix(lap) if recurrence is None else recurrence).csr
+    values = (-S.data, S.data, 0.5 * S.data)
+    shape = terms[0].shape
     if not (
-        values.dtype == x.dtype == y.dtype == np.float64
-        and values.shape == s.data.shape
-        and x.ndim == 2 and x.shape[0] == m and y.shape == (n, x.shape[1])
-        and x.flags.c_contiguous and y.flags.c_contiguous and y.flags.writeable
+        all(v.dtype == np.float64 and v.shape == (S.nnz,) for v in values)
+        and len(shape) == 2 and S.shape == (shape[0], shape[0])
+        and all(t.dtype == np.float64 and t.shape == shape and t.flags.c_contiguous
+                and t.flags.writeable for t in terms)
     ):
-        raise ValueError("_spmm_add needs float64 values, x and y of matching "
-                         "shapes, C-contiguous, y writeable")
-    # Flat operands, as ``s @ x`` passes them.
-    csr_matvecs(n, m, x.shape[1], s.indptr, s.indices, values, x.reshape(-1),
-                y.reshape(-1, copy=False))
+        raise ValueError("a Chebyshev recurrence needs float64 S values, S N x N for "
+                         "an N-row signal, C-contiguous writeable float64 work arrays")
+    return S, values, tuple(t.reshape(-1, copy=False) for t in terms)
 
 
 def chebyshev_decompose(
@@ -540,45 +544,43 @@ def chebyshev_decompose(
 ) -> CoefficientStack:
     """Forward transform applied matrix-free to a signal.
 
-    One Chebyshev recurrence ``T_k(L - I) X`` serves all B blocks. A step
-    is one in-place sparse product that adds ``S T_{k-1}`` or ``-S T_{k-1}``,
-    with ``S = 2(L - I)``, to the array holding ``T_{k-2}``, and one BLAS
-    rank-1 update that adds ``c_{b,k} T_k`` to every block b at once. Work
-    is ``recurrence_degree`` sparse products, and memory is two N x d work
-    arrays besides the output. ``recurrence`` is the operator's ``S``;
-    without it ``S`` is built from ``lap`` on every call. ``X`` is only
-    read and may have any memory layout.
+    One Chebyshev recurrence ``T_k(L - I) X`` serves all B blocks. Its
+    operands are checked once per call, so a step is two bare kernel
+    calls: one in-place sparse product that adds ``S T_{k-1}`` or ``-S
+    T_{k-1}``, with ``S = 2(L - I)``, to the array holding ``T_{k-2}``, and
+    one BLAS rank-1 update that adds ``c_{b,k} T_k`` to every block b at
+    once. Work is ``recurrence_degree`` sparse products, and memory is two
+    N x d work arrays besides the output. ``recurrence`` is the operator's
+    ``S``; without it ``S`` is built from ``lap`` on every call. ``X`` is
+    only read and may have any memory layout.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != lap.num_rows:
         raise ValueError(f"X must be 2-d with {lap.num_rows} rows")
-    S = (_recurrence_matrix(lap) if recurrence is None else recurrence).csr
+    n, d = X.shape
     index = system.block_index()
-    coeffs = system.chebyshev_coeffs
     # Row k holds step k's coefficients, contiguous, as dger reads them.
-    steps = np.ascontiguousarray(coeffs.T)
-    # C-contiguous output whatever the layout of X. Flattened, block b is
-    # column b of the Fortran-ordered (N d) x B matrix ``columns``, a view,
-    # so dger updates the output in place.
-    data = np.empty((len(index) * X.shape[0], X.shape[1]))
-    blocks = data.reshape(len(index), *X.shape)
-    columns = data.reshape(len(index), -1, copy=False).T
-    for out, c in zip(blocks, steps[0]):
-        np.multiply(X, c, out=out)
-    # terms[k % 2] holds (-1)^(k // 2) T_k: with signs +, +, -, -, ... each
+    steps = np.ascontiguousarray(system.chebyshev_coeffs.T)
+    # terms[k & 1] holds (-1)^(k // 2) T_k: with signs +, +, -, -, ... each
     # step adds S T_{k-1} (k odd) or -S T_{k-1} (k even) into the array
     # of T_{k-2}, which then holds the signed T_k = S T_{k-1} - T_{k-2}.
     # T_1 = S T_0 / 2 goes into zeros. The copy keeps X unwritten.
     terms = (np.array(X, order="C"), np.zeros(X.shape))
-    values = (-S.data, S.data)
+    S, values, flat = _kernel_operands(lap, recurrence, terms)
+    # C-contiguous output whatever the layout of X; flattened, block b is
+    # column b of the Fortran-ordered (N d) x B view ``columns`` dger updates.
+    data = np.empty((len(index) * n, d))
+    columns = data.reshape(len(index), -1, copy=False).T
+    for out, c in zip(data.reshape(len(index), n, d), steps[0]):
+        np.multiply(X, c, out=out)
     for k in range(1, len(steps)):
-        t_k = terms[k % 2]
-        _spmm_add(S, 0.5 * S.data if k == 1 else values[k % 2],
-                  terms[1 - k % 2], t_k)
+        odd = k & 1
+        csr_matvecs(n, n, d, S.indptr, S.indices, values[2 if k == 1 else odd],
+                    flat[1 - odd], flat[odd])
         if data.size:
-            dger((-1.0) ** (k // 2), t_k.reshape(-1, copy=False), steps[k],
-                 a=columns, overwrite_a=True)
-    return CoefficientStack(data=data, block_index=index, num_nodes=lap.num_rows)
+            dger(-1.0 if k & 2 else 1.0, flat[odd], steps[k], a=columns,
+                 overwrite_a=True)
+    return CoefficientStack(data=data, block_index=index, num_nodes=n)
 
 
 def chebyshev_reconstruct(
@@ -594,36 +596,34 @@ def chebyshev_reconstruct(
     symmetric, so the adjoint is ``sum_b p_b(L) C_b`` over the blocks
     ``C_b``. All blocks share one basis, so that is ``sum_k T_k(L - I) w_k``
     with ``w_k = sum_b c_{b,k} C_b``, summed by one Clenshaw recurrence on
-    two N x d work arrays. A step adds ``w_k`` to the array holding
-    ``b_{k+2}`` with one BLAS matrix-vector product over all blocks, then
-    ``S b_{k+1}`` or ``-S b_{k+1}`` with one in-place sparse product.
-    Mirrors ``chebyshev_decompose`` in cost and in its use of
-    ``recurrence``; ``c`` is only read.
+    two N x d work arrays. Its operands are checked once per call, so a
+    step is two bare kernel calls: a BLAS matrix-vector product over all
+    blocks adds ``w_k`` to the array of ``b_{k+2}``, then an in-place
+    sparse product adds ``S b_{k+1}`` or ``-S b_{k+1}``. Cost and use of
+    ``recurrence`` are those of ``chebyshev_decompose``; ``c`` is only read.
     """
     if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
         raise ValueError("coefficient stack does not match the system")
-    S = (_recurrence_matrix(lap) if recurrence is None else recurrence).csr
     blocks = np.ascontiguousarray(c.blocks, dtype=np.float64)
+    n, d = blocks.shape[1:]
     # Block b is column b of the Fortran-ordered (N d) x B view, as dgemv
-    # reads it without a copy.
+    # reads it without a copy; steps[k] holds step k's coefficients.
     columns = blocks.reshape(len(blocks), -1, copy=False).T
-    # steps[k]: step k's coefficients, one per block.
     steps = np.ascontiguousarray(system.chebyshev_coeffs.T)
     # b_k = w_k + S b_{k+1} - b_{k+2} from b_{t+1} = b_{t+2} = 0; the sum is
-    # b_0 = w_0 + S b_1 / 2 - b_2. terms[k % 2] holds (-1)^(k // 2) b_k, so
+    # b_0 = w_0 + S b_1 / 2 - b_2. terms[k & 1] holds (-1)^(k // 2) b_k, so
     # step k adds S b_{k+1} (k even) or -S b_{k+1} (k odd), and b_0 comes
     # out with sign +.
-    terms = (np.zeros(blocks.shape[1:]), np.zeros(blocks.shape[1:]))
-    values = (S.data, -S.data)
+    terms = (np.zeros((n, d)), np.zeros((n, d)))
+    S, values, flat = _kernel_operands(lap, recurrence, terms)
     for k in range(len(steps) - 1, -1, -1):
-        b_k = terms[k % 2]
-        flat = b_k.reshape(-1, copy=False)
-        if flat.size:
-            dgemv((-1.0) ** (k // 2), columns, steps[k], beta=1.0, y=flat,
-                  overwrite_y=True)
+        odd = k & 1
+        if columns.size:
+            dgemv(-1.0 if k & 2 else 1.0, columns, steps[k], beta=1.0,
+                  y=flat[odd], overwrite_y=True)
         if k < len(steps) - 1:
-            _spmm_add(S, 0.5 * S.data if k == 0 else values[k % 2],
-                      terms[1 - k % 2], b_k)
+            csr_matvecs(n, n, d, S.indptr, S.indices,
+                        values[2 if k == 0 else 1 - odd], flat[1 - odd], flat[odd])
     return terms[0]
 
 

@@ -446,6 +446,31 @@ def test_train_node_bad_feature_model_exits_two_before_training(
     assert named in err and "training started" not in err
 
 
+@pytest.mark.parametrize("command", ["train-node", "train-graph"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--levels", "0", "levels must be >= 1"),
+    ("--degree", "-1", "degree must be nonnegative"),
+    ("--dilation", "1", "dilation must be finite and exceed 1"),
+    ("--dilation", "inf", "dilation must be finite and exceed 1"),
+])
+def test_bad_transform_settings_exit_two_before_any_dataset(
+    monkeypatch, capsys, command, flag, value, message
+):
+    # The config is built, and refuses the settings, before any data is
+    # generated or loaded.
+    def no_data(*args, **kwargs):
+        raise AssertionError("dataset generated")
+
+    for name in ("generate_sbm", "load_citation", "cycles_and_stars",
+                 "sbm_graph_family"):
+        monkeypatch.setattr(cli.datasets, name, no_data)
+    argv = [command, "--epochs", "1", "--seeds", "0", f"{flag}={value}"]
+    argv += ["--sbm-sizes", "20,20"] if command == "train-node" else []
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "dataset generated" not in err
+
+
 def test_train_node_duplicate_seeds_exit_two(monkeypatch, capsys):
     _no_training(monkeypatch)
     argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1",

@@ -53,7 +53,8 @@ from ufg.nn import (
     ufg_pool_backward,
     ufg_pool_forward,
 )
-from ufg.transform import decompose, framelet_operator
+from ufg.filters import haar_filter_bank
+from ufg.transform import FrameletSystem, decompose, framelet_operator
 
 ROUNDTRIP_TOL = 1e-10
 GRAD_TOL = 1e-5
@@ -136,6 +137,22 @@ def test_config_accepts_training_number_edges():
 def test_config_rejects_an_unknown_mode(field, value, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**{field: value})
+
+
+# Transform settings no graph can build on: each of these got a config and
+# a fingerprint, and a run generated its dataset before the operator failed.
+@pytest.mark.parametrize("field, value, message", [
+    ("levels", 0, "levels must be >= 1"),
+    ("degree", -1, "degree must be nonnegative"),
+    ("dilation", 1.0, "dilation must be finite and exceed 1"),
+    ("dilation", float("inf"), "dilation must be finite and exceed 1"),
+])
+def test_config_rejects_settings_no_transform_can_use(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{field: value})
+    # One rule, one message: the transform refuses the same value the same way.
+    with pytest.raises(ValueError, match=message):
+        FrameletSystem(haar_filter_bank(), **{field: value})
 
 
 @pytest.mark.parametrize("seeds", [(), (1, 1), (0, 1, 2, 1)])

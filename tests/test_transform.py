@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,13 +233,13 @@ def test_one_recurrence_serves_every_block(
     np.testing.assert_allclose(_explicit(op_e), _explicit(op_c), atol=PATH_TOL)
 
     calls = []
-    spmm_add = transform._spmm_add
+    kernel = transform.csr_matvecs
 
-    def counting(s, values, x, y):
-        calls.append(x.shape)
-        spmm_add(s, values, x, y)
+    def counting(*args):
+        calls.append(args[:3])
+        kernel(*args)
 
-    monkeypatch.setattr(transform, "_spmm_add", counting)
+    monkeypatch.setattr(transform, "csr_matvecs", counting)
     X = np.random.default_rng(2).normal(size=(small_laplacian.num_rows, 3))
     c = decompose(op_c, X)
     forward = len(calls)
@@ -428,12 +429,20 @@ def test_chebyshev_backend_reads_any_layout_and_never_writes_inputs(
                 assert np.max(np.abs(back - X), initial=0.0) <= TIGHTNESS_TOL
 
 
+def _kernel_call(S, values, flat, width):
+    """One step's sparse kernel call, as the recurrences make it: add the
+    product of the matrix with ``S``'s pattern and ``values`` by the first
+    flat work array into the second."""
+    transform.csr_matvecs(*S.shape, width, S.indptr, S.indices, values, *flat)
+
+
 @pytest.mark.parametrize("index", [np.int32, np.int64])
 def test_spmm_add_is_the_sparse_product_added_in_place(index):
-    # The recurrences' one sparse kernel: into zeros it is bitwise ``S @ X``
-    # (SciPy's ``@`` zero-fills its output and runs the same kernel), and
-    # into a nonzero ``y`` it adds to what is there. Values other than the
-    # matrix's own scale its product; negated ones subtract it.
+    # The recurrences' one sparse kernel, on the operands they check once:
+    # into zeros it is bitwise ``S @ X`` (SciPy's ``@`` zero-fills its
+    # output and runs the same kernel), and into a nonzero ``y`` it adds to
+    # what is there, through the flat views. The value arrays of ``-S``,
+    # ``S`` and ``S / 2`` scale the product by -1, 1 and 1/2.
     s = _recurrence_matrix(random_er_graph(300, 6.0, 21).laplacian).csr.copy()
     s.indptr = s.indptr.astype(index)
     s.indices = s.indices.astype(index)
@@ -442,14 +451,16 @@ def test_spmm_add_is_the_sparse_product_added_in_place(index):
         X = rng.normal(size=(300, width))
         kept = X.copy()
         product = s @ X
-        for values, expected in ((s.data, product), (-s.data, -product),
-                                 (0.5 * s.data, 0.5 * product)):
-            y = np.zeros((300, width))
-            transform._spmm_add(s, values, X, y)
+        y = np.zeros((300, width))
+        S, values, flat = transform._kernel_operands(None, SparseMatrix(s), (X, y))
+        assert S is s and values[1] is s.data
+        for v, expected in zip(values, (-product, product, 0.5 * product)):
+            y[...] = 0.0
+            _kernel_call(S, v, flat, width)
             np.testing.assert_array_equal(y, expected)
         y0 = rng.normal(size=(300, width))
-        y = y0.copy()
-        transform._spmm_add(s, s.data, X, y)
+        y[...] = y0
+        _kernel_call(S, values[1], flat, width)
         expected = y0 + product
         assert np.max(np.abs(y - expected), initial=0.0) <= 1e-15 * np.max(
             np.abs(expected), initial=0.0
@@ -458,31 +469,80 @@ def test_spmm_add_is_the_sparse_product_added_in_place(index):
 
 
 def test_spmm_add_rejects_operands_it_cannot_update_in_place():
-    # The kernel trusts the sizes it is given, and writes an output of any
-    # other layout through a copy, so its wrapper checks first.
+    # The kernel trusts the sizes it is given, and the flat view of an
+    # array of any other layout is a copy it would update instead, so each
+    # recurrence checks every operand once, before its first product. Both
+    # work arrays are read and written, so both must be C-contiguous.
     s = _recurrence_matrix(random_er_graph(30, 4.0, 3).laplacian).csr
     X = np.ones((30, 4))
     good = np.zeros((30, 4))
+
+    def values(data):
+        t = s.copy()
+        t.data = data
+        return t
+
     bad = {
-        "values length": (s.data[:-1], X, good),
-        "values dtype": (s.data.astype(np.float32), X, good),
-        "x rows": (s.data, np.ones((29, 4)), good),
-        "x dtype": (s.data, X.astype(np.float32), good),
-        "x layout": (s.data, np.asfortranarray(X), good),
-        "y shape": (s.data, X, np.zeros((30, 3))),
-        "y rows": (s.data, X, np.zeros((29, 4))),
-        "y layout": (s.data, X, np.zeros((30, 4), order="F")),
-        "y strided": (s.data, X, np.zeros((30, 8))[:, ::2]),
-        "y read-only": (s.data, X, _read_only(good)),
-        "x 1-d": (s.data, np.ones(30), np.zeros(30)),
+        "values length": (values(s.data[:-1]), X, good),
+        "values dtype": (values(s.data.astype(np.float32)), X, good),
+        "x rows": (s, np.ones((29, 4)), good),
+        "x dtype": (s, X.astype(np.float32), good),
+        "x layout": (s, np.asfortranarray(X), good),
+        "y shape": (s, X, np.zeros((30, 3))),
+        "y rows": (s, X, np.zeros((29, 4))),
+        "y layout": (s, X, np.zeros((30, 4), order="F")),
+        "y strided": (s, X, np.zeros((30, 8))[:, ::2]),
+        "y read-only": (s, X, _read_only(good)),
+        "x 1-d": (s, np.ones(30), np.zeros(30)),
     }
-    for name, (values, x, y) in bad.items():
+    for name, (matrix, x, y) in bad.items():
         kept = y.copy()
-        with pytest.raises(ValueError, match="_spmm_add"):
-            transform._spmm_add(s, values, x, y)
+        with pytest.raises(ValueError, match="Chebyshev recurrence"):
+            transform._kernel_operands(None, SparseMatrix(matrix), (x, y))
         np.testing.assert_array_equal(y, kept, err_msg=name)
-    transform._spmm_add(s, s.data, X, good)
+    S, vals, flat = transform._kernel_operands(None, SparseMatrix(s), (X, good))
+    _kernel_call(S, vals[1], flat, 4)
     np.testing.assert_array_equal(good, s @ X)
+
+
+def test_only_transform_imports_the_private_sparse_kernel():
+    # ``scipy.sparse._sparsetools`` is private: SciPy may rename or change
+    # it in any release. One importer keeps the CI check at the dependency
+    # floors, and any port, to one file.
+    from scipy.sparse import _sparsetools
+
+    src = Path(transform.__file__).parent
+    importers = [p.relative_to(src).as_posix() for p in sorted(src.rglob("*.py"))
+                 if "_sparsetools" in p.read_text(encoding="utf-8")]
+    assert importers == ["transform.py"]
+    assert transform.csr_matvecs is _sparsetools.csr_matvecs
+
+
+@pytest.mark.parametrize("bad", ["smaller graph", "larger graph", "float32"])
+def test_recurrences_refuse_a_wrong_operand_before_the_first_product(
+    monkeypatch, small_laplacian, bad
+):
+    # The kernel trusts the sizes it is given: an S built for another graph
+    # size would read and write past the work arrays. Both recurrences
+    # check every operand once, so neither makes a single product.
+    n = small_laplacian.num_rows
+    system = FrameletSystem(haar_filter_bank(), levels=2, lam_max=2.0, mode="chebyshev")
+    X = np.random.default_rng(4).normal(size=(n, 3))
+    c = chebyshev_decompose(system, small_laplacian, X)
+    recurrence = {
+        "smaller graph": _recurrence_matrix(random_er_graph(n - 1, 4.0, 5).laplacian),
+        "larger graph": _recurrence_matrix(random_er_graph(n + 1, 4.0, 5).laplacian),
+        "float32": SparseMatrix(
+            _recurrence_matrix(small_laplacian).csr.astype(np.float32)
+        ),
+    }[bad]
+    calls = []
+    monkeypatch.setattr(transform, "csr_matvecs", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="Chebyshev recurrence"):
+        chebyshev_decompose(system, small_laplacian, X, recurrence=recurrence)
+    with pytest.raises(ValueError, match="Chebyshev recurrence"):
+        chebyshev_reconstruct(system, small_laplacian, c, recurrence=recurrence)
+    assert calls == []
 
 
 def test_chebyshev_operator_builds_its_recurrence_matrix_once(
@@ -718,10 +778,10 @@ def test_both_modes_build_one_transform_of_a_graph(graph):
 def test_chebyshev_operator_never_multiplies_sparse_matrices(monkeypatch):
     # Sparse matrix polynomials fill in to dense: on this Cora-sized graph
     # materializing them took minutes and over a gigabyte. Every product of
-    # the recurrences goes through the in-place kernel, so that is where
-    # the operands are checked; a product by ``@`` must not be sparse either.
+    # the recurrences is a call of the in-place kernel on dense operands;
+    # a product by ``@`` must not be sparse either.
     matmul = SparseMatrix.__matmul__
-    spmm_add = transform._spmm_add
+    kernel = transform.csr_matvecs
     dense_products = []
 
     def no_spgemm(self, other):
@@ -729,14 +789,14 @@ def test_chebyshev_operator_never_multiplies_sparse_matrices(monkeypatch):
             raise AssertionError("sparse @ sparse product")
         return matmul(self, other)
 
-    def dense_only(s, values, x, y):
+    def dense_only(n_row, n_col, n_vecs, indptr, indices, values, x, y):
         if not type(x) is type(y) is np.ndarray:
             raise AssertionError("non-dense operand in the recurrence")
-        dense_products.append(x.shape)
-        spmm_add(s, values, x, y)
+        dense_products.append((n_row, n_vecs))
+        kernel(n_row, n_col, n_vecs, indptr, indices, values, x, y)
 
     monkeypatch.setattr(SparseMatrix, "__matmul__", no_spgemm)
-    monkeypatch.setattr(transform, "_spmm_add", dense_only)
+    monkeypatch.setattr(transform, "csr_matvecs", dense_only)
     data = generate_sbm(
         [387] * 6 + [386], 0.009, 0.0002, GaussianFeatures(dim=8), seed=0
     )
