@@ -8,6 +8,14 @@ One run is one experiment point: a grid (noise levels, dilations, level
 counts, thresholds) is a shell loop over runs. ``train-node`` can apply one
 ``perturb`` noise model to its dataset before training (``--perturb-*``).
 
+Defaults: a flag left out takes the library's default (a command passes
+on only the flags given), and choices are the library's tuples. Training
+flags default to ``experiments.ExperimentConfig``, transform flags to
+``transform.FrameletSystem`` (via ``framelet_operator`` or the config),
+``bench``'s to ``bench_transform``, ``verify``'s to ``run_verify`` and
+``perturb --seed`` to ``PerturbationSpec``. Only the dataset flags, ``bench
+--sizes`` and ``pool --pool-mode`` have defaults of their own.
+
 Output: stdout carries one ``io.encode_json`` line per result and nothing
 else: one summary per run, one row per size (``bench``) or per property and
 backend (``verify``). Every line is strict JSON:
@@ -32,10 +40,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import datasets, experiments, io, nn, transform
+from . import datasets, experiments, io, nn, shrinkage, transform
 from . import perturb as perturb_mod
 from . import verify as verify_mod
-from .filters import DEFAULT_CHEBYSHEV_DEGREE
 
 
 _DEGREE_HELP = ("Chebyshev degree t of one level's filters; chebyshev mode fits every "
@@ -93,38 +100,37 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
+def _given(args, *names) -> dict:
+    """The flags among ``names`` given on the command line, by name: a
+    flag left out is None and passed on to no one, so the library's
+    default applies."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dilation", type=float, default=2.0)
-    p.add_argument("--levels", type=int, default=2)
-    p.add_argument(
-        "--degree", type=int, default=DEFAULT_CHEBYSHEV_DEGREE, help=_DEGREE_HELP
-    )
-    p.add_argument("--mode", choices=("exact", "chebyshev"), default="exact")
+    p.add_argument("--dilation", type=float)
+    p.add_argument("--levels", type=int)
+    p.add_argument("--degree", type=int, help=_DEGREE_HELP)
+    p.add_argument("--mode", choices=transform.MODES)
 
 
-def _operator(graph, args):
-    """The framelet operator of ``graph`` set by the system flags."""
-    return transform.framelet_operator(
-        graph, args.dilation, args.levels, args.degree, args.mode
-    )
+def _signal_and_operator(args):
+    """The ``--signal`` file, and the framelet operator of the ``--graph``
+    file set by the system flags."""
+    graph = io.read_graph_text(args.graph)
+    signal = io.read_features_csv(args.signal)
+    return signal, transform.framelet_operator(
+        graph, **_given(args, "dilation", "levels", "degree", "mode"))
 
 
 def _cmd_transform(args) -> int:
-    graph = io.read_graph_text(args.graph)
-    signal = io.read_features_csv(args.signal)
-    op = _operator(graph, args)
+    signal, op = _signal_and_operator(args)
     stack = transform.decompose(op, signal)
     io.write_coefficients(op, stack, args.out)
-    _emit_json(
-        {
-            "nodes": graph.num_nodes,
-            "features": signal.shape[1],
-            "blocks": op.num_blocks,
-            "K": op.system.K,
-            "out": args.out,
-            "provenance": op.provenance,
-        }
-    )
+    _emit_json({"nodes": op.num_nodes, "features": signal.shape[1],
+                "blocks": op.num_blocks, "K": op.system.K, "out": args.out,
+                "provenance": op.provenance})
     return 0
 
 
@@ -157,13 +163,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    graph = io.read_graph_text(args.graph)
-    noisy = io.read_features_csv(args.signal)
+    noisy, op = _signal_and_operator(args)
     truth = io.read_features_csv(args.truth) if args.truth else None
-    op = _operator(graph, args)
-    denoised, report = experiments.denoise_signal(
-        op, noisy, sigma=args.sigma, truth=truth
-    )
+    denoised, report = experiments.denoise_signal(op, noisy, sigma=args.sigma, truth=truth)
     io.write_features_csv(denoised, args.out)
     report["out"] = args.out
     _emit_json(report)
@@ -171,14 +173,10 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_pool(args) -> int:
-    graph = io.read_graph_text(args.graph)
-    signal = io.read_features_csv(args.signal)
-    op = _operator(graph, args)
+    signal, op = _signal_and_operator(args)
     pooled, _ = nn.ufg_pool_forward(op, signal, args.pool_mode)
     io.write_features_csv(pooled[None, :], args.out)
-    _emit_json(
-        {"length": int(pooled.shape[0]), "mode": args.pool_mode, "out": args.out}
-    )
+    _emit_json({"length": int(pooled.shape[0]), "mode": args.pool_mode, "out": args.out})
     return 0
 
 
@@ -221,12 +219,12 @@ def _perturbation(args):
 
 
 def _experiment_config(args, task: str):
-    """The subcommand's flags as an ``ExperimentConfig``; fields it has no
-    flag for keep their dataclass defaults."""
-    flags = {f.name: getattr(args, f.name)
-             for f in fields(experiments.ExperimentConfig) if hasattr(args, f.name)}
-    flags.update(task=task, seeds=tuple(_parse_int_list(args.seeds)))
-    return experiments.ExperimentConfig(**flags)
+    """The subcommand's flags as an ``ExperimentConfig``; fields whose flag
+    is absent or not given keep their dataclass defaults."""
+    flags = _given(args, *(f.name for f in fields(experiments.ExperimentConfig)))
+    if "seeds" in flags:
+        flags["seeds"] = tuple(_parse_int_list(flags["seeds"]))
+    return experiments.ExperimentConfig(**{**flags, "task": task})
 
 
 def _record_summary(record) -> dict:
@@ -281,18 +279,14 @@ def _cmd_train_graph(args) -> int:
 def _cmd_perturb(args) -> int:
     graph = io.read_graph_text(args.graph)
     features = io.read_features_csv(args.features)
-    spec = perturb_mod.PerturbationSpec(args.model, args.value, args.seed)
+    spec = perturb_mod.PerturbationSpec(args.model, args.value, **_given(args, "seed"))
     new_graph, new_features = perturb_mod.perturb(graph, features, spec)
     if args.out_graph:
         io.write_graph_text(new_graph, args.out_graph)
     if args.out_features:
         io.write_features_csv(new_features, args.out_features)
-    summary = {
-        "model": args.model,
-        "value": args.value,
-        "edges_before": graph.num_edges,
-        "edges_after": new_graph.num_edges,
-    }
+    summary = {"model": args.model, "value": args.value,
+               "edges_before": graph.num_edges, "edges_after": new_graph.num_edges}
     if args.model == "bernoulli_flip":
         nnz = int(np.count_nonzero(features))
         summary["flip_probability"] = min(1.0, args.value * nnz / features.size)
@@ -302,22 +296,15 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = experiments.bench_transform(
-        _parse_int_list(args.sizes),
-        avg_degree=args.avg_degree,
-        levels=args.levels,
-        degree=args.degree,
-        dilation=args.dilation,
-        repetitions=args.reps,
-        seed=args.seed,
-    )
+    rows = experiments.bench_transform(_parse_int_list(args.sizes), **_given(
+        args, "avg_degree", "levels", "degree", "dilation", "repetitions", "seed"))
     for row in rows:
         _emit_json(row)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    reports = verify_mod.run_verify(n=args.n, seed=args.seed)
+    reports = verify_mod.run_verify(**_given(args, "n", "seed"))
     for report in reports:
         _emit_json(report)
     return 0 if all(r["passed"] for r in reports) else 3
@@ -354,29 +341,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pool-mode", choices=("sum", "spectrum"), default="spectrum")
+    p.add_argument("--pool-mode", choices=nn.READOUTS, default="spectrum")
     _add_system_flags(p)
     p.set_defaults(func=_cmd_pool)
 
     def add_training_flags(p, node_model=True):
-        p.add_argument("--hidden", type=int, default=32)
-        p.add_argument("--lr", type=float, default=0.01)
-        p.add_argument("--weight-decay", type=float, default=0.005)
-        p.add_argument("--epochs", type=int, default=200)
-        p.add_argument("--seeds", default="0-9")
+        p.add_argument("--hidden", type=int)
+        p.add_argument("--lr", type=float)
+        p.add_argument("--weight-decay", type=float)
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--seeds")
         p.add_argument("--metrics-out")
         # The graph model has no dropout layer and no activation choice.
         if node_model:
-            p.add_argument("--dropout", type=float, default=0.5)
-            p.add_argument(
-                "--activation", choices=("relu", "shrinkage"), default="relu"
-            )
-            p.add_argument("--sigma", type=float, default=1.0)
-            p.add_argument(
-                "--threshold-mode",
-                choices=("global", "energy_scaled"),
-                default="energy_scaled",
-            )
+            p.add_argument("--dropout", type=float)
+            p.add_argument("--activation", choices=experiments.ACTIVATIONS)
+            p.add_argument("--sigma", type=float)
+            p.add_argument("--threshold-mode", choices=shrinkage.THRESHOLD_MODES)
 
     p = sub.add_parser("train-node", help="node classification experiment")
     p.add_argument("--dataset", choices=("sbm", "citation"), default="sbm")
@@ -405,11 +386,10 @@ def _build_parser() -> _Parser:
                    default="cycles-stars")
     p.add_argument("--num-per-class", type=int, default=100)
     p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--pool-mode", choices=("sum", "spectrum", "mean"),
-                   default="spectrum")
+    p.add_argument("--pool-mode", choices=experiments.POOL_MODES)
     # Early stopping. Both tasks share one training loop, but node runs
     # train every epoch, so only graph training takes this flag.
-    p.add_argument("--patience", type=int, default=20)
+    p.add_argument("--patience", type=int)
     add_training_flags(p, node_model=False)
     _add_system_flags(p)
     p.set_defaults(func=_cmd_train_graph)
@@ -419,24 +399,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--model", choices=perturb_mod.PERTURB_MODELS, required=True)
     p.add_argument("--value", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-graph")
     p.add_argument("--out-features")
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("bench", help="time operator build and transform")
     p.add_argument("--sizes", default="1000,2000,4000,8000")
-    p.add_argument("--avg-degree", type=float, default=1.5)
-    p.add_argument("--levels", type=int, default=1)
-    p.add_argument("--degree", type=int, default=5, help=_DEGREE_HELP)
-    p.add_argument("--dilation", type=float, default=2.0)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--avg-degree", type=float)
+    p.add_argument("--levels", type=int)
+    p.add_argument("--degree", type=int, help=_DEGREE_HELP)
+    p.add_argument("--dilation", type=float)
+    p.add_argument("--reps", dest="repetitions", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="run the invariant suite on both backends")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--n", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -18,9 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .datasets import GraphSample, NodeDataset, random_er_graph
-from .filters import DEFAULT_CHEBYSHEV_DEGREE
 from .io import deterministic_mode
 from .nn import (
+    READOUTS,
     AdamState,
     ConvLayerParams,
     LayerActivation,
@@ -41,36 +41,39 @@ from .nn import (
     ufg_pool_forward,
     xavier_uniform,
 )
-from .shrinkage import THRESHOLD_MODES, ThresholdConfig, compression_ratio, shrink_stack
+from .shrinkage import ThresholdConfig, compression_ratio, shrink_stack
 from .sparse import SparseMatrix
 from .transform import (
     DecompositionOperator,
+    FrameletSystem,
     check_settings,
+    check_top_argument,
     decompose,
     framelet_operator,
     reconstruct,
 )
 
 DEFAULT_SEEDS = tuple(range(10))
+ACTIVATIONS = ("relu", "shrinkage")
+POOL_MODES = (*READOUTS, "mean")  # the framelet readouts and the mean baseline
 BENCH_FEATURES = 4  # signal columns of each ``bench_transform`` round trip
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for one experiment family.
+    """Settings for one experiment family; the training defaults are the
+    grid centroids used throughout, the transform's are ``FrameletSystem``'s.
 
-    Defaults are the grid centroids used throughout: lr 0.01, weight decay
-    0.005, hidden width 32, dropout 0.5, 200 epochs, patience 20. Both
-    tasks train in one loop; ``dropout`` is read by the node model only
+    Both tasks train in one loop; ``dropout`` is read by the node model only
     (the graph model has no dropout layer) and ``patience``, the early
     stopping, by graph classification only.
     """
 
     task: str = "sbm_node"
-    dilation: float = 2.0
-    levels: int = 2
-    degree: int = DEFAULT_CHEBYSHEV_DEGREE
-    mode: str = "exact"
+    dilation: float = FrameletSystem.dilation
+    levels: int = FrameletSystem.levels
+    degree: int = FrameletSystem.degree
+    mode: str = FrameletSystem.mode
     activation: str = "relu"
     sigma: float = 1.0
     threshold_mode: str = "energy_scaled"
@@ -92,20 +95,20 @@ class ExperimentConfig:
             raise ValueError("lr must be finite and > 0")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be finite and >= 0")
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be >= 0 (inf allowed), got {self.sigma}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be nonempty and distinct, got {self.seeds}")
+        if not (self.seeds and len(set(self.seeds)) == len(self.seeds) and all(
+                isinstance(s, (int, np.integer)) and s >= 0 for s in self.seeds)):
+            raise ValueError("seeds must be nonempty and distinct nonnegative "
+                             f"integers, got {self.seeds}")
         check_settings(self.dilation, self.levels, self.degree, self.mode)
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise ValueError(f"unknown threshold mode {self.threshold_mode!r}")
-        if self.activation not in ("relu", "shrinkage"):
+        check_top_argument(self.dilation, self.levels)
+        ThresholdConfig(self.sigma, self.threshold_mode)
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.pool_mode not in ("sum", "spectrum", "mean"):
+        if self.pool_mode not in POOL_MODES:
             raise ValueError(f"unknown pool mode {self.pool_mode!r}")
 
     def fingerprint(self) -> str:
@@ -521,7 +524,7 @@ def bench_transform(
     avg_degree: float = 1.5,
     levels: int = 1,
     degree: int = 5,
-    dilation: float = 2.0,
+    dilation: float = FrameletSystem.dilation,
     repetitions: int = 100,
     seed: int = 0,
 ) -> list[dict]:

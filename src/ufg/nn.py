@@ -25,6 +25,7 @@ from .sparse import SparseMatrix
 from .transform import CoefficientStack, DecompositionOperator, decompose, reconstruct
 
 ACTIVATION_KINDS = ("relu", "shrinkage", "none")
+READOUTS = ("sum", "spectrum")  # the modes of ``ufg_pool_forward``
 
 
 @dataclass(frozen=True)
@@ -248,8 +249,8 @@ def ufg_pool_forward(
     squares (the framelet power spectrum). Blocks are concatenated in
     operator order, giving a vector of length ``(num blocks) * d``.
     """
-    if mode not in ("sum", "spectrum"):
-        raise ValueError("mode must be 'sum' or 'spectrum'")
+    if mode not in READOUTS:
+        raise ValueError(f"mode must be one of {READOUTS}")
     coeff = decompose(op, X)
     if mode == "sum":
         pooled = coeff.blocks.sum(axis=1)
@@ -452,15 +453,10 @@ def _stencil_crossed_kink(aux_plus, aux_minus) -> bool:
     return a.shape != b.shape or not np.array_equal(a, b)
 
 
-def finite_difference_check(
-    loss_fn,
-    point: np.ndarray,
-    analytic_grad: np.ndarray,
-    h: float = 1e-5,
-    max_coords: int = 200,
-    seed: int = 0,
-) -> tuple[float, int, list[int]]:
-    """Compare analytic gradients against central finite differences.
+def finite_differences(loss_fn, point: np.ndarray, analytic_grad: np.ndarray,
+                       h: float = 1e-5, max_coords: int = 200, seed: int = 0
+                       ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Central finite differences of a loss next to its analytic gradient.
 
     ``loss_fn(vec)`` must return ``(loss, aux)`` where ``aux`` describes the
     activation state at that point: ``None`` for a smooth loss, or an
@@ -469,9 +465,8 @@ def finite_difference_check(
     stencil crossed a kink). Coordinates are subsampled to ``max_coords``
     (seeded); exclusions are reported.
 
-    Returns ``(max relative error, checked count, excluded coordinates)``.
-    Absolute errors below 1e-10 pass outright to keep zero-gradient
-    coordinates from inflating the relative measure.
+    Returns ``(numeric, analytic, excluded coordinates)``, the two gradients
+    on the checked coordinates in order.
     """
     point = np.asarray(point, dtype=np.float64)
     analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
@@ -483,9 +478,7 @@ def finite_difference_check(
         coords = np.sort(rng.choice(size, size=max_coords, replace=False))
     else:
         coords = np.arange(size)
-    max_rel = 0.0
-    checked = 0
-    excluded: list[int] = []
+    checked, numeric, excluded = [], [], []
     for idx in coords:
         bumped = point.copy()
         bumped.flat[idx] += h
@@ -495,10 +488,22 @@ def finite_difference_check(
         if _stencil_crossed_kink(aux_plus, aux_minus):
             excluded.append(int(idx))
             continue
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        ana = analytic_grad.flat[idx]
-        abs_err = abs(numeric - ana)
-        if abs_err > 1e-10:
-            max_rel = max(max_rel, abs_err / max(abs(numeric), abs(ana)))
-        checked += 1
-    return max_rel, checked, excluded
+        numeric.append((f_plus - f_minus) / (2.0 * h))
+        checked.append(idx)
+    return np.array(numeric, dtype=np.float64), analytic_grad.flat[checked], excluded
+
+
+def finite_difference_check(loss_fn, point, analytic_grad, h: float = 1e-5,
+                            max_coords: int = 200, seed: int = 0
+                            ) -> tuple[float, int, list[int]]:
+    """``finite_differences`` summed up: ``(max relative error, checked
+    count, excluded coordinates)``. Absolute errors below 1e-10 pass
+    outright to keep zero-gradient coordinates from inflating the relative
+    measure.
+    """
+    numeric, ana, excluded = finite_differences(
+        loss_fn, point, analytic_grad, h, max_coords, seed)
+    err = np.abs(numeric - ana)
+    big = err > 1e-10
+    rel = err[big] / np.maximum(np.abs(numeric), np.abs(ana))[big]
+    return float(rel.max(initial=0.0)), numeric.size, excluded

@@ -38,10 +38,10 @@ class ThresholdConfig:
     mode: str = "global"
 
     def __post_init__(self):
-        if np.isnan(self.sigma) or self.sigma < 0:
-            raise ValueError("sigma must be >= 0 (inf allowed)")
+        if not self.sigma >= 0:
+            raise ValueError(f"sigma must be >= 0 (inf allowed), got {self.sigma}")
         if self.mode not in THRESHOLD_MODES:
-            raise ValueError(f"mode must be one of {THRESHOLD_MODES}")
+            raise ValueError(f"unknown threshold mode {self.mode!r}")
 
 
 def soft_threshold(x, lam: float):

@@ -112,6 +112,19 @@ def check_settings(dilation: float, levels: int, degree: int, mode: str) -> None
         raise ValueError("degree must be nonnegative")
 
 
+def check_top_argument(dilation: float, levels: int, K: int = 0) -> None:
+    """Raise ``ValueError`` unless the top filter argument ``d^(J-1-K) * 2``
+    is finite. A normalized Laplacian has K <= 0, so a failure at the
+    default K = 0 is a failure on every graph."""
+    try:
+        finite = math.isfinite(dilation ** (levels - 1 - K) * 2.0)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"dilation {dilation!r} overflows the top filter "
+                         f"argument d^(J-1-K) * 2 at J = {levels}, K = {K}")
+
+
 @dataclass(frozen=True)
 class FrameletSystem:
     """Immutable description of a framelet transform for one Laplacian.
@@ -151,13 +164,7 @@ class FrameletSystem:
         check_settings(self.dilation, self.levels, self.degree, self.mode)
         if not (0 <= self.lam_max < math.inf):
             raise ValueError(f"lam_max must be finite and nonnegative, got {self.lam_max!r}")
-        try:
-            finite = math.isfinite(self.factor_scale(self.levels) * 2.0)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"dilation {self.dilation!r} overflows the top filter "
-                             f"argument d^(J-1-K) * 2 at J = {self.levels}, K = {self.K}")
+        check_top_argument(self.dilation, self.levels, self.K)
 
     @cached_property
     def K(self) -> int:
@@ -237,18 +244,11 @@ class FrameletSystem:
         return float(np.max(np.abs(np.sum(p**2, axis=0) - 1.0)))
 
 
-def make_system(
-    bank: FilterBank,
-    lam_max: float,
-    dilation: float = 2.0,
-    levels: int = 2,
-    degree: int = DEFAULT_CHEBYSHEV_DEGREE,
-    mode: str = "exact",
-) -> FrameletSystem:
-    """``FrameletSystem`` with ``lam_max`` first. Kept under this name
-    only because the benchmark workloads call it; construct
-    ``FrameletSystem`` directly instead."""
-    return FrameletSystem(bank, dilation, levels, float(lam_max), degree, mode)
+def make_system(bank: FilterBank, lam_max: float, **settings) -> FrameletSystem:
+    """``FrameletSystem`` with ``lam_max`` first and its other fields as
+    keywords. Kept under this name only because the benchmark workloads
+    call it; construct ``FrameletSystem`` directly instead."""
+    return FrameletSystem(bank, lam_max=float(lam_max), **settings)
 
 
 @dataclass(frozen=True)
@@ -446,10 +446,10 @@ def build_operators(
 
 def framelet_operator(
     graph: graphs.Graph,
-    dilation: float = 2.0,
-    levels: int = 2,
-    degree: int = DEFAULT_CHEBYSHEV_DEGREE,
-    mode: str = "exact",
+    dilation: float = FrameletSystem.dilation,
+    levels: int = FrameletSystem.levels,
+    degree: int = FrameletSystem.degree,
+    mode: str = FrameletSystem.mode,
 ) -> DecompositionOperator:
     """Haar framelet operator of a graph's normalized Laplacian.
 

@@ -19,7 +19,7 @@ from .nn import (
     LayerActivation,
     ConvLayerParams,
     activation_signature,
-    finite_difference_check,
+    finite_differences,
     init_params,
     softmax_cross_entropy,
     ufg_conv_backward,
@@ -287,6 +287,15 @@ def _check_sigma_zero_ab(fx, op):
     return same, f"sigma=0 shrinkage layer bitwise equals linear layer: {same}"
 
 
+def _gradient_ratio(numeric: np.ndarray, analytic: np.ndarray) -> float:
+    """Largest ``|num - ana| / max(|num|, |ana|, 1e-5)`` over the
+    coordinates: at most 1e-5 exactly when each passes the rule of
+    ``finite_difference_check`` at 1e-5, ``|num - ana| <= max(1e-10,
+    1e-5 max(|num|, |ana|))``, but read above its 1e-10 floor too."""
+    scale = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-5)
+    return float((np.abs(numeric - analytic) / scale).max(initial=0.0))
+
+
 def _check_gradients(fx, fixture_op):
     rng = np.random.default_rng(11)
     n, d, dd = 12, 3, 2
@@ -309,8 +318,7 @@ def _check_gradients(fx, fixture_op):
         "relu": LayerActivation.relu(),
         "shrinkage": LayerActivation.shrinkage(ThresholdConfig(1.0, mode="energy_scaled")),
     }
-    details = []
-    ok = True
+    details, worst, checked = [], 0.0, []
     for name, act in acts.items():
         point = pack(params)
         y, cache = ufg_conv_forward(unpack(point), op, X, act)
@@ -325,12 +333,14 @@ def _check_gradients(fx, fixture_op):
             val, _ = softmax_cross_entropy(y2, labels)
             return val, activation_signature(c2)
 
-        max_rel, checked, excluded = finite_difference_check(
-            loss_fn, point, grad, max_coords=120, seed=3
-        )
-        ok = ok and max_rel <= 1e-5 and checked > 0
-        details.append(f"{name} {max_rel:.2e}/{checked} coords")
-    return ok, "max relative gradient error " + ", ".join(details)
+        numeric, ana, _ = finite_differences(loss_fn, point, grad, max_coords=120, seed=3)
+        ratio = _gradient_ratio(numeric, ana)
+        worst = max(worst, ratio)
+        checked.append(numeric.size)
+        details.append(f"{name} {ratio:.2e}/{numeric.size} coords")
+    passed, *measured = _bounded(
+        worst, 1e-5, "max relative gradient error " + ", ".join(details))
+    return passed and min(checked) > 0, *measured
 
 
 def _check_spectrum_pool(fx, op):

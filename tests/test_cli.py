@@ -1,10 +1,13 @@
 """End-to-end CLI runs through ``main(argv)`` with temp files."""
 
+import argparse
 import dataclasses
+import inspect
 import json
 import os
 import re
 import shlex
+import shutil
 import struct
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 import ufg.cli as cli
 import ufg.experiments as experiments_mod
 import ufg.verify as verify_mod
+from ufg import nn, shrinkage, transform
 from ufg.cli import _build_parser, _emit_json, _experiment_config, _UsageError, main
 from ufg.datasets import BinaryFeatures, generate_sbm, random_er_graph
 from ufg.experiments import ExperimentConfig, train_node_classifier
@@ -446,6 +450,16 @@ def test_train_node_bad_feature_model_exits_two_before_training(
     assert named in err and "training started" not in err
 
 
+def _no_data(monkeypatch):
+    """Make generating or loading any dataset fail loudly."""
+    def no_data(*args, **kwargs):
+        raise AssertionError("dataset generated")
+
+    for name in ("generate_sbm", "load_citation", "cycles_and_stars",
+                 "sbm_graph_family"):
+        monkeypatch.setattr(cli.datasets, name, no_data)
+
+
 @pytest.mark.parametrize("command", ["train-node", "train-graph"])
 @pytest.mark.parametrize("flag, value, message", [
     ("--levels", "0", "levels must be >= 1"),
@@ -458,13 +472,27 @@ def test_bad_transform_settings_exit_two_before_any_dataset(
 ):
     # The config is built, and refuses the settings, before any data is
     # generated or loaded.
-    def no_data(*args, **kwargs):
-        raise AssertionError("dataset generated")
-
-    for name in ("generate_sbm", "load_citation", "cycles_and_stars",
-                 "sbm_graph_family"):
-        monkeypatch.setattr(cli.datasets, name, no_data)
+    _no_data(monkeypatch)
     argv = [command, "--epochs", "1", "--seeds", "0", f"{flag}={value}"]
+    argv += ["--sbm-sizes", "20,20"] if command == "train-node" else []
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "dataset generated" not in err
+
+
+@pytest.mark.parametrize("command", ["train-node", "train-graph"])
+@pytest.mark.parametrize("extra, message", [
+    (["--seeds=-1"], "seeds must be nonempty and distinct nonnegative integers, got (-1,)"),
+    (["--seeds", "0,-2"], "got (0, -2)"),
+    # 1e200^(3-1) * 2 overflows; the top argument of any normalized
+    # Laplacian is at least that.
+    (["--dilation", "1e200", "--levels", "3"], "dilation 1e+200 overflows"),
+])
+def test_negative_seed_or_overflowing_dilation_exits_two_before_any_dataset(
+    monkeypatch, capsys, command, extra, message
+):
+    _no_data(monkeypatch)
+    argv = [command, "--epochs", "1", "--seeds", "0", *extra]
     argv += ["--sbm-sizes", "20,20"] if command == "train-node" else []
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -743,7 +771,7 @@ def test_verify_passes_and_prints_report(capsys):
 
 
 def test_verify_failure_exits_three(monkeypatch, capsys):
-    def fake_verify(n, seed):
+    def fake_verify(**settings):
         return [{"name": "round_trip", "mode": "chebyshev", "passed": False,
                  "detail": "bad", "value": 1.0, "tol": 1e-6}]
 
@@ -807,6 +835,155 @@ def test_every_subcommand_prints_strict_byte_stable_json(
     assert runs[0] == runs[1]
     # Besides stdout, the only results are the files the output flags name.
     assert set(tmp_path.iterdir()) - inputs == named
+
+
+def _options(command):
+    """The option strings of one subcommand and their argparse actions."""
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    return {flag: action for action in subparsers.choices[command]._actions
+            for flag in action.option_strings}
+
+
+# Every flag whose value a library function or dataclass defaults, by
+# subcommand, with that function or dataclass.
+SYSTEM_FLAGS = ("--dilation", "--levels", "--degree", "--mode")
+TRAINING_FLAGS = (*SYSTEM_FLAGS, "--hidden", "--lr", "--weight-decay", "--epochs",
+                  "--seeds")
+LIBRARY_DEFAULTED = {
+    "transform": (transform.framelet_operator, SYSTEM_FLAGS),
+    "denoise": (transform.framelet_operator, SYSTEM_FLAGS),
+    "pool": (transform.framelet_operator, SYSTEM_FLAGS),
+    "train-node": (ExperimentConfig, (*TRAINING_FLAGS, "--dropout", "--activation",
+                                      "--sigma", "--threshold-mode")),
+    "train-graph": (ExperimentConfig, (*TRAINING_FLAGS, "--pool-mode", "--patience")),
+    "perturb": (PerturbationSpec, ("--seed",)),
+    "bench": (experiments_mod.bench_transform,
+              ("--avg-degree", "--levels", "--degree", "--dilation", "--reps", "--seed")),
+    "verify": (verify_mod.run_verify, ("--n", "--seed")),
+}
+# The flags that keep a default of their own: no one library default exists
+# for them, or the command itself reads their value.
+CLI_DEFAULTED = {
+    "train-node": {"--dataset", "--sbm-sizes", "--p-in", "--p-out", "--feature-model",
+                   "--feature-dim", "--data-seed"},
+    "train-graph": {"--task", "--num-per-class", "--data-seed"},
+    "bench": {"--sizes"},
+    "pool": {"--pool-mode"},
+}
+
+
+def _library_defaults(source) -> dict:
+    """Default of every field of a dataclass or parameter of a function."""
+    if dataclasses.is_dataclass(source):
+        return {f.name: f.default for f in dataclasses.fields(source)}
+    return {name: p.default for name, p in inspect.signature(source).parameters.items()}
+
+
+def test_library_defaulted_flags_have_no_default_of_their_own():
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    for command in subparsers.choices:
+        options = _options(command)
+        source, flags = LIBRARY_DEFAULTED.get(command, (None, ()))
+        for flag in flags:
+            assert options[flag].default is None, (command, flag)
+            default = _library_defaults(source)[options[flag].dest]
+            assert default not in (dataclasses.MISSING, inspect.Parameter.empty)
+        with_default = {flag for flag, action in options.items()
+                        if action.default not in (None, argparse.SUPPRESS)}
+        assert with_default == CLI_DEFAULTED.get(command, set()), command
+
+
+@pytest.mark.parametrize("command, flag, choices", [
+    *((c, "--mode", transform.MODES) for c in ("transform", "denoise", "pool",
+                                               "train-node", "train-graph")),
+    ("train-node", "--threshold-mode", shrinkage.THRESHOLD_MODES),
+    ("train-node", "--activation", experiments_mod.ACTIVATIONS),
+    ("train-graph", "--pool-mode", experiments_mod.POOL_MODES),
+    ("pool", "--pool-mode", nn.READOUTS),
+])
+def test_choices_are_the_library_tuples(command, flag, choices):
+    assert _options(command)[flag].choices is choices
+
+
+def _spelled_out(command) -> list[str]:
+    """Every library-defaulted flag of ``command`` with the library's value."""
+    source, flags = LIBRARY_DEFAULTED[command]
+    defaults = _library_defaults(source)
+    argv = []
+    for flag in flags:
+        value = defaults[_options(command)[flag].dest]
+        argv += [flag, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("transform", transform, "framelet_operator"),
+    ("denoise", transform, "framelet_operator"),
+    ("pool", transform, "framelet_operator"),
+    ("perturb", cli.perturb_mod, "PerturbationSpec"),
+    ("bench", experiments_mod, "bench_transform"),
+    ("verify", verify_mod, "run_verify"),
+])
+def test_every_given_flag_reaches_the_library(
+    graph_files, monkeypatch, command, module, name
+):
+    gpath, spath, _ = graph_files
+    seen = {}
+
+    def record(*args, **kwargs):
+        seen.update(kwargs)
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(module, name, record)
+    files = ["--graph", gpath, "--signal", spath, "--out", "out"]
+    inputs = {"transform": files, "denoise": [*files, "--sigma", "1"], "pool": files,
+              "perturb": ["--graph", gpath, "--features", spath, "--model", "gaussian",
+                          "--value", "0.3"],
+              "bench": ["--sizes", "20"], "verify": []}
+    assert main([command, *inputs[command], *_spelled_out(command)]) == 2
+    source, flags = LIBRARY_DEFAULTED[command]
+    defaults = _library_defaults(source)
+    dests = [_options(command)[flag].dest for flag in flags]
+    assert seen == {dest: defaults[dest] for dest in dests}
+
+
+# Tiny runs that give no library-defaulted flag; paths are relative.
+TINY_RUNS = [
+    ["transform", "--graph", "g.txt", "--signal", "x.csv", "--out", "c.ufgc"],
+    ["denoise", "--graph", "g.txt", "--signal", "x.csv", "--sigma", "1",
+     "--truth", "x.csv", "--out", "d.csv"],
+    ["pool", "--graph", "g.txt", "--signal", "x.csv", "--out", "p.csv"],
+    ["train-node", "--sbm-sizes", "8,8", "--feature-dim", "3", "--metrics-out", "m.jsonl"],
+    ["train-node", "--sbm-sizes", "8,8", "--feature-dim", "3", "--activation",
+     "shrinkage", "--metrics-out", "m.jsonl"],
+    ["train-graph", "--num-per-class", "5", "--metrics-out", "m.jsonl"],
+    ["perturb", "--graph", "g.txt", "--features", "x.csv", "--model", "gaussian",
+     "--value", "0.3", "--out-features", "f.csv"],
+    ["bench", "--sizes", "20"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
+def test_a_flag_left_out_takes_the_library_default(
+    tmp_path, graph_files, monkeypatch, capsys, argv
+):
+    gpath, spath, _ = graph_files
+    monkeypatch.setenv("UFG_DETERMINISTIC", "1")
+    results = []
+    # A flag the run gives comes after, and so overrides, its spelled-out value.
+    for name, extra in (("bare", []), ("spelled", _spelled_out(argv[0]))):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        shutil.copy(gpath, run_dir / "g.txt")
+        shutil.copy(spath, run_dir / "x.csv")
+        monkeypatch.chdir(run_dir)
+        inputs = set(run_dir.iterdir())
+        assert main([argv[0], *extra, *argv[1:]]) == 0, extra
+        files = {p.name: p.read_bytes() for p in set(run_dir.iterdir()) - inputs}
+        results.append((capsys.readouterr().out, files))
+    assert results[0] == results[1]
+    assert results[0][0]
 
 
 def _denoise_loop(tmp_path):

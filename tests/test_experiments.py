@@ -1,6 +1,7 @@
 """Experiment drivers: configs, records, training loops, denoising, bench."""
 
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -159,6 +160,34 @@ def test_config_rejects_settings_no_transform_can_use(field, value, message):
 def test_config_rejects_empty_or_duplicate_seeds(seeds):
     with pytest.raises(ValueError, match="nonempty and distinct"):
         ExperimentConfig(seeds=seeds)
+
+
+@pytest.mark.parametrize("seeds, shown", [
+    ((-1,), "(-1,)"), ((0, -2), "(0, -2)"), ((1.5,), "(1.5,)"), (("0",), "('0',)"),
+])
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seeds, shown):
+    # (-1,) used to build, and a run generated its dataset before NumPy
+    # refused the seed.
+    with pytest.raises(ValueError, match=rf"seeds must .*, got {re.escape(shown)}"):
+        ExperimentConfig(seeds=seeds)
+    assert ExperimentConfig(seeds=(0, np.int64(3))).seeds == (0, 3)
+
+
+def test_config_rejects_a_dilation_that_overflows_on_every_graph():
+    # Every normalized Laplacian has K <= 0, so its top filter argument is
+    # at least d^(levels-1) * 2: 1e400 at levels 3, 2e200 at levels 2.
+    with pytest.raises(ValueError, match="dilation 1e[+]200 overflows"):
+        ExperimentConfig(dilation=1e200, levels=3)
+    assert ExperimentConfig(dilation=1e200, levels=2).dilation == 1e200
+    # Not a rule of every system: a custom lam_max above pi gives K > 0.
+    system = FrameletSystem(haar_filter_bank(), dilation=1e200, levels=3, lam_max=1e150)
+    assert system.K == 1
+
+
+def test_config_takes_its_transform_defaults_from_the_system():
+    config = ExperimentConfig()
+    for name in ("dilation", "levels", "degree", "mode"):
+        assert getattr(config, name) == getattr(FrameletSystem, name)
 
 
 def test_layer_activation_variants():

@@ -145,6 +145,20 @@ def test_system_rejects_a_dilation_it_cannot_evaluate(dilation, levels, match):
     assert FrameletSystem(haar_filter_bank(), dilation=1e200, levels=2).dilation == 1e200
 
 
+def test_make_system_builds_the_system_of_its_keywords():
+    # The two keyword calls of the benchmark workloads, one per backend.
+    bank = haar_filter_bank()
+    cases = [
+        (dict(dilation=2.0, levels=2, mode="exact"), np.float64(1.97)),
+        (dict(levels=2, degree=16, mode="chebyshev"), 1.5),
+    ]
+    for settings_, lam in cases:
+        system = transform.make_system(bank, lam, **settings_)
+        assert system == FrameletSystem(bank, lam_max=float(lam), **settings_)
+        assert type(system.lam_max) is float
+    assert transform.make_system(bank, 2) == FrameletSystem(bank)
+
+
 @given(st.integers(6, 40), st.integers(1, 3), st.integers(0, 20))
 @settings(max_examples=15)
 def test_exact_round_trip_and_parseval(n, levels, seed):
