@@ -8,13 +8,13 @@ One run is one experiment point: a grid (noise levels, dilations, level
 counts, thresholds) is a shell loop over runs. ``train-node`` can apply one
 ``perturb`` noise model to its dataset before training (``--perturb-*``).
 
-Defaults: a flag left out takes the library's default (a command passes
-on only the flags given), and choices are the library's tuples. Training
-flags default to ``experiments.ExperimentConfig``, transform flags to
-``transform.FrameletSystem`` (via ``framelet_operator`` or the config),
-``bench``'s to ``bench_transform``, ``verify``'s to ``run_verify`` and
-``perturb --seed`` to ``PerturbationSpec``. Only the dataset flags, ``bench
---sizes`` and ``pool --pool-mode`` have defaults of their own.
+Defaults: no flag has a default of its own. A flag left out takes the
+library's default (a command passes on only the flags given), and choices
+are the library's: training flags default to ``ExperimentConfig``,
+transform flags to ``FrameletSystem``, data flags to ``datasets.SBMData``
+or ``GraphData`` (``train-node --data-dir`` reads citation data instead of
+an SBM), the rest to the function or spec they reach. A training summary's
+``fingerprint`` hashes its config, data spec and perturbation.
 
 Output: stdout carries one ``io.encode_json`` line per result and nothing
 else: one summary per run, one row per size (``bench``) or per property and
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def _parse_token(kind, token: str, text: str):
         raise _UsageError(f"invalid {kind.__name__} {token!r} in {text!r}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str) -> tuple[int, ...]:
     """Comma-separated integers and ascending ``lo-hi`` ranges, inclusive."""
     out: list[int] = []
     for chunk in text.split(","):
@@ -97,7 +97,7 @@ def _parse_int_list(text: str) -> list[int]:
         out.extend(range(lo, hi + 1))
     if not out:
         raise _UsageError(f"empty integer list: {text!r}")
-    return out
+    return tuple(out)
 
 
 def _given(args, *names) -> dict:
@@ -174,112 +174,91 @@ def _cmd_denoise(args) -> int:
 
 def _cmd_pool(args) -> int:
     signal, op = _signal_and_operator(args)
-    pooled, _ = nn.ufg_pool_forward(op, signal, args.pool_mode)
+    pooled, cache = nn.ufg_pool_forward(op, signal, *_given(args, "pool_mode").values())
     io.write_features_csv(pooled[None, :], args.out)
-    _emit_json({"length": int(pooled.shape[0]), "mode": args.pool_mode, "out": args.out})
+    _emit_json({"length": int(pooled.shape[0]), "mode": cache["mode"], "out": args.out})
     return 0
 
 
-def _node_dataset(args):
-    """The ``train-node`` dataset and the summary's ``data`` object naming it."""
-    if args.dataset == "citation":
-        if not args.data_dir:
-            raise _UsageError("--data-dir is required for the citation dataset")
-        return datasets.load_citation(args.data_dir), {"data_dir": args.data_dir}
-    sizes = _parse_int_list(args.sbm_sizes)
-    info = {"sbm_sizes": sizes, "p_in": args.p_in, "p_out": args.p_out,
-            "feature_model": args.feature_model, "feature_dim": args.feature_dim,
-            "data_seed": args.data_seed}
-    if args.feature_model == "binary":
-        if args.feature_noise is not None:
-            raise _UsageError("--feature-noise does not apply to --feature-model binary")
-        model = datasets.BinaryFeatures(dim=args.feature_dim)
-    else:
-        noise = 0.5 if args.feature_noise is None else args.feature_noise
-        model = datasets.GaussianFeatures(dim=args.feature_dim, noise_std=noise)
-        info["feature_noise"] = noise
-    return datasets.generate_sbm(
-        sizes, args.p_in, args.p_out, model, seed=args.data_seed
-    ), info
+def _node_data(args):
+    """The ``train-node`` data spec: the citation data of ``--data-dir``, or
+    the SBM of the SBM flags given."""
+    sbm = _given(args, *(f.name for f in fields(datasets.SBMData)))
+    if args.data_dir is None:
+        return datasets.SBMData(**sbm)
+    if sbm:
+        flags = ", ".join("--" + name.replace("_", "-") for name in sbm)
+        raise _UsageError(f"--data-dir reads citation data and takes no SBM flag, got {flags}")
+    return datasets.CitationData(args.data_dir)
 
 
-def _perturbation(args):
+def _perturbation(args, data):
     """The ``--perturb-*`` flags of ``train-node`` as a ``PerturbationSpec``,
     or None when they are absent."""
+    if (args.perturb_model is None) != (args.perturb_value is None):
+        raise _UsageError("--perturb-model and --perturb-value come together")
     if args.perturb_model is None:
-        if args.perturb_value is not None:
-            raise _UsageError("--perturb-value needs --perturb-model")
         return None
-    if args.perturb_value is None:
-        raise _UsageError("--perturb-model needs --perturb-value")
     # Never the data seed, so the perturbation draws never replay the
-    # uniforms that generated the dataset.
-    seed = args.data_seed + 1
+    # uniforms that generated the dataset. Citation data has no seed.
+    seed = getattr(data, "data_seed", 0) + 1
     return perturb_mod.PerturbationSpec(args.perturb_model, args.perturb_value, seed)
 
 
 def _experiment_config(args, task: str):
-    """The subcommand's flags as an ``ExperimentConfig``; fields whose flag
-    is absent or not given keep their dataclass defaults."""
+    """The subcommand's flags as an ``ExperimentConfig`` of ``task``; fields
+    whose flag is absent or not given keep their dataclass defaults."""
     flags = _given(args, *(f.name for f in fields(experiments.ExperimentConfig)))
-    if "seeds" in flags:
-        flags["seeds"] = tuple(_parse_int_list(flags["seeds"]))
     return experiments.ExperimentConfig(**{**flags, "task": task})
 
 
-def _record_summary(record) -> dict:
-    summary = {
-        "fingerprint": record.fingerprint,
-        "mean": record.mean,
-        "std": record.std,
-        "per_seed": list(record.per_seed),
-        "wall_clock_s": record.wall_clock,
-    }
-    summary.update(record.extra)
+def _summary(record, config, data, perturbation=None) -> dict:
+    """A training run's line: its record, the ``fingerprint`` of its settings
+    and the ``data`` and ``perturbation`` these name; a setting that does not
+    apply, such as a binary SBM's noise, is left out of ``data``."""
+    summary = {"fingerprint": experiments.fingerprint(config, data, perturbation),
+               "mean": record.mean, "std": record.std, "per_seed": list(record.per_seed),
+               "wall_clock_s": record.wall_clock, **record.extra,
+               "data": {k: v for k, v in asdict(data).items() if v is not None}}
+    if perturbation is not None:
+        summary["perturbation"] = asdict(perturbation)
     return summary
 
 
 def _cmd_train_node(args) -> int:
-    spec = _perturbation(args)
-    config = _experiment_config(args, task=f"{args.dataset}_node")
-    data, info = _node_dataset(args)
+    data = _node_data(args)
+    spec = _perturbation(args, data)
+    config = _experiment_config(args, "citation_node" if args.data_dir else "sbm_node")
+    dataset = data.make()
     if spec is not None:
-        graph, features = perturb_mod.perturb(data.graph, data.features, spec)
-        data = replace(data, graph=graph, features=features)
+        graph, features = perturb_mod.perturb(dataset.graph, dataset.features, spec)
+        dataset = replace(dataset, graph=graph, features=features)
     sink = [] if args.metrics_out else None
-    record = experiments.train_node_classifier(data, config, metrics_sink=sink)
+    record = experiments.train_node_classifier(dataset, config, metrics_sink=sink)
     if args.metrics_out:
         io.write_metrics_jsonl(sink, args.metrics_out)
-    summary = _record_summary(record)
-    summary["data"] = info
-    if spec is not None:
-        summary["perturbation"] = {"model": spec.model, "value": spec.value,
-                                   "seed": spec.seed}
-    _emit_json(summary)
+    _emit_json(_summary(record, config, data, spec))
     return 0
 
 
 def _cmd_train_graph(args) -> int:
-    config = _experiment_config(args, task=args.task)
-    make = {"cycles-stars": datasets.cycles_and_stars,
-            "sbm-family": datasets.sbm_graph_family}[args.task]
-    samples = make(num_per_class=args.num_per_class, seed=args.data_seed)
+    data = datasets.GraphData(**_given(args, *(f.name for f in fields(datasets.GraphData))))
+    config = _experiment_config(args, data.task)
+    samples = data.make()
     sink = [] if args.metrics_out else None
     record = experiments.train_graph_classifier(samples, config, metrics_sink=sink)
     if args.metrics_out:
         io.write_metrics_jsonl(sink, args.metrics_out)
-    summary = _record_summary(record)
+    summary = _summary(record, config, data)
     summary["majority_baseline"] = experiments.majority_class_accuracy(samples)
-    summary["data"] = {"task": args.task, "num_per_class": args.num_per_class,
-                       "data_seed": args.data_seed}
     _emit_json(summary)
     return 0
 
 
 def _cmd_perturb(args) -> int:
+    spec = perturb_mod.PerturbationSpec(args.model, args.value, **_given(args, "seed"))
     graph = io.read_graph_text(args.graph)
     features = io.read_features_csv(args.features)
-    spec = perturb_mod.PerturbationSpec(args.model, args.value, **_given(args, "seed"))
     new_graph, new_features = perturb_mod.perturb(graph, features, spec)
     if args.out_graph:
         io.write_graph_text(new_graph, args.out_graph)
@@ -296,8 +275,9 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = experiments.bench_transform(_parse_int_list(args.sizes), **_given(
-        args, "avg_degree", "levels", "degree", "dilation", "repetitions", "seed"))
+    rows = experiments.bench_transform(**_given(
+        args, "node_sizes", "avg_degree", "levels", "degree", "dilation", "repetitions",
+        "seed"))
     for row in rows:
         _emit_json(row)
     return 0
@@ -341,7 +321,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pool-mode", choices=nn.READOUTS, default="spectrum")
+    p.add_argument("--pool-mode", choices=nn.READOUTS)
     _add_system_flags(p)
     p.set_defaults(func=_cmd_pool)
 
@@ -350,7 +330,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--lr", type=float)
         p.add_argument("--weight-decay", type=float)
         p.add_argument("--epochs", type=int)
-        p.add_argument("--seeds")
+        p.add_argument("--seeds", type=_parse_int_list)
         p.add_argument("--metrics-out")
         # The graph model has no dropout layer and no activation choice.
         if node_model:
@@ -360,18 +340,15 @@ def _build_parser() -> _Parser:
             p.add_argument("--threshold-mode", choices=shrinkage.THRESHOLD_MODES)
 
     p = sub.add_parser("train-node", help="node classification experiment")
-    p.add_argument("--dataset", choices=("sbm", "citation"), default="sbm")
-    p.add_argument("--data-dir")
-    p.add_argument("--sbm-sizes", default="100,100,100")
-    p.add_argument("--p-in", type=float, default=0.1)
-    p.add_argument("--p-out", type=float, default=0.01)
-    p.add_argument(
-        "--feature-model", choices=("gaussian", "binary"), default="gaussian"
-    )
-    p.add_argument("--feature-dim", type=int, default=16)
+    p.add_argument("--data-dir", help="citation dataset to train on instead of an SBM")
+    p.add_argument("--sbm-sizes", type=_parse_int_list)
+    p.add_argument("--p-in", type=float)
+    p.add_argument("--p-out", type=float)
+    p.add_argument("--feature-model", choices=datasets.FEATURE_MODELS)
+    p.add_argument("--feature-dim", type=int)
     p.add_argument("--feature-noise", type=float,
-                   help="noise std of the gaussian feature model (default 0.5)")
-    p.add_argument("--data-seed", type=int, default=0)
+                   help="noise std of the gaussian feature model")
+    p.add_argument("--data-seed", type=int)
     p.add_argument("--perturb-model", choices=perturb_mod.PERTURB_MODELS,
                    help="noise model applied to the dataset before training")
     p.add_argument("--perturb-value", type=float,
@@ -382,10 +359,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train_node)
 
     p = sub.add_parser("train-graph", help="graph classification experiment")
-    p.add_argument("--task", choices=("cycles-stars", "sbm-family"),
-                   default="cycles-stars")
-    p.add_argument("--num-per-class", type=int, default=100)
-    p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--task", choices=datasets.GRAPH_TASKS)
+    p.add_argument("--num-per-class", type=int)
+    p.add_argument("--data-seed", type=int)
     p.add_argument("--pool-mode", choices=experiments.POOL_MODES)
     # Early stopping. Both tasks share one training loop, but node runs
     # train every epoch, so only graph training takes this flag.
@@ -405,7 +381,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("bench", help="time operator build and transform")
-    p.add_argument("--sizes", default="1000,2000,4000,8000")
+    p.add_argument("--sizes", dest="node_sizes", type=_parse_int_list)
     p.add_argument("--avg-degree", type=float)
     p.add_argument("--levels", type=int)
     p.add_argument("--degree", type=int, help=_DEGREE_HELP)

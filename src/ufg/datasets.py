@@ -20,6 +20,13 @@ from . import io
 from .graphs import Graph, build_graph
 
 
+def check_seed(seed, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``seed`` is a nonnegative
+    integer, the seeds ``numpy.random.default_rng`` takes."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"{name} must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class NodeDataset:
     """Single graph with node features, labels and index-mask splits.
@@ -60,7 +67,7 @@ class GaussianFeatures:
     """Per-class unit-norm Gaussian mean plus isotropic noise."""
 
     dim: int = 16
-    noise_std: float = 1.0
+    noise_std: float = 0.5
 
     def __post_init__(self):
         if self.dim < 1:
@@ -78,7 +85,7 @@ class BinaryFeatures:
     elsewhere. Needed by perturbation models that flip binary entries.
     """
 
-    dim: int = 48
+    dim: int = 16
     p_active: float = 0.5
     p_background: float = 0.05
 
@@ -131,6 +138,8 @@ def random_er_graph(num_nodes: int, avg_degree: float, rng) -> Graph:
     subset of that size, so the result is exactly G(n, p), at a cost linear
     in the edge count rather than n^2 coin flips.
     """
+    if not (np.isfinite(avg_degree) and avg_degree >= 0):
+        raise ValueError(f"avg_degree must be finite and >= 0, got {avg_degree}")
     rng = np.random.default_rng(rng)
     n = num_nodes
     if n < 2:
@@ -254,18 +263,56 @@ def generate_sbm(
     )
 
 
+FEATURE_MODELS = {"gaussian": GaussianFeatures, "binary": BinaryFeatures}
+
+
+@dataclass(frozen=True)
+class SBMData:
+    """A ``generate_sbm`` dataset. A ``feature_dim`` or ``feature_noise`` left
+    None takes the feature model's default; binary features have no noise."""
+
+    sbm_sizes: tuple[int, ...] = (100, 100, 100)
+    p_in: float = 0.1
+    p_out: float = 0.01
+    feature_model: str = "gaussian"
+    feature_dim: int | None = None
+    feature_noise: float | None = None
+    data_seed: int = 0
+
+    def __post_init__(self):
+        check_seed(self.data_seed, "data_seed")
+        if self.feature_model not in FEATURE_MODELS:
+            raise ValueError(f"unknown feature_model {self.feature_model!r}")
+        if self.feature_model == "binary" and self.feature_noise is not None:
+            raise ValueError("feature_noise does not apply to feature_model 'binary'")
+        model = self.features()
+        object.__setattr__(self, "feature_dim", model.dim)
+        object.__setattr__(self, "feature_noise", getattr(model, "noise_std", None))
+
+    def features(self) -> GaussianFeatures | BinaryFeatures:
+        given = {"dim": self.feature_dim, "noise_std": self.feature_noise}
+        return FEATURE_MODELS[self.feature_model](
+            **{name: value for name, value in given.items() if value is not None})
+
+    def make(self) -> NodeDataset:
+        return generate_sbm(self.sbm_sizes, self.p_in, self.p_out, self.features(),
+                            seed=self.data_seed)
+
+
 def _degree_features(graph: Graph) -> np.ndarray:
     return np.column_stack([np.ones(graph.num_nodes), graph.degrees])
 
 
 def cycles_and_stars(
-    num_per_class: int = 100, size_range: tuple[int, int] = (10, 30), seed: int = 0
+    num_per_class: int, size_range: tuple[int, int] = (10, 30), seed: int = 0
 ) -> list[GraphSample]:
     """Binary graph-classification task: cycles (label 0) vs stars (label 1).
 
     Node features are (1, degree); sizes are drawn uniformly from
     ``size_range`` inclusive.
     """
+    if num_per_class < 0:
+        raise ValueError(f"num_per_class must be >= 0, got {num_per_class}")
     rng = np.random.default_rng(seed)
     samples: list[GraphSample] = []
     for label, maker in ((0, cycle_graph), (1, star_graph)):
@@ -277,9 +324,11 @@ def cycles_and_stars(
 
 
 def sbm_graph_family(
-    num_per_class: int = 50, size_range: tuple[int, int] = (20, 30), seed: int = 0
+    num_per_class: int, size_range: tuple[int, int] = (20, 30), seed: int = 0
 ) -> list[GraphSample]:
     """Two-block SBM graphs (label 0) vs density-matched ER graphs (label 1)."""
+    if num_per_class < 0:
+        raise ValueError(f"num_per_class must be >= 0, got {num_per_class}")
     rng = np.random.default_rng(seed)
     p_in, p_out = 0.5, 0.05
     samples: list[GraphSample] = []
@@ -304,6 +353,26 @@ def sbm_graph_family(
         g = random_er_graph(size, avg_deg, rng)
         samples.append(GraphSample(graph=g, features=_degree_features(g), label=1))
     return samples
+
+
+GRAPH_TASKS = {"cycles-stars": cycles_and_stars, "sbm-family": sbm_graph_family}
+
+
+@dataclass(frozen=True)
+class GraphData:
+    """The graphs of a ``GRAPH_TASKS`` task, ``num_per_class`` of each label."""
+
+    task: str = "cycles-stars"
+    num_per_class: int = 100
+    data_seed: int = 0
+
+    def __post_init__(self):
+        if self.task not in GRAPH_TASKS:
+            raise ValueError(f"unknown task {self.task!r}")
+        check_seed(self.data_seed, "data_seed")
+
+    def make(self) -> list[GraphSample]:
+        return GRAPH_TASKS[self.task](self.num_per_class, seed=self.data_seed)
 
 
 def load_citation(directory: str | os.PathLike) -> NodeDataset:
@@ -368,3 +437,13 @@ def load_citation(directory: str | os.PathLike) -> NodeDataset:
         val_mask=masks["val"],
         test_mask=masks["test"],
     )
+
+
+@dataclass(frozen=True)
+class CitationData:
+    """The citation dataset in ``data_dir``, read by ``load_citation``."""
+
+    data_dir: str
+
+    def make(self) -> NodeDataset:
+        return load_citation(self.data_dir)

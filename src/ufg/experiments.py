@@ -10,15 +10,14 @@ re-runs produce byte-identical outputs.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .datasets import GraphSample, NodeDataset, random_er_graph
-from .io import deterministic_mode
+from .datasets import GraphSample, NodeDataset, check_seed, random_er_graph
+from .io import deterministic_mode, encode_json
 from .nn import (
     READOUTS,
     AdamState,
@@ -99,10 +98,11 @@ class ExperimentConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not (self.seeds and len(set(self.seeds)) == len(self.seeds) and all(
-                isinstance(s, (int, np.integer)) and s >= 0 for s in self.seeds)):
-            raise ValueError("seeds must be nonempty and distinct nonnegative "
-                             f"integers, got {self.seeds}")
+        rule = f"seeds must be nonempty and distinct nonnegative integers, got {self.seeds}"
+        if not (self.seeds and len(set(self.seeds)) == len(self.seeds)):
+            raise ValueError(rule)
+        for seed in self.seeds:
+            check_seed(seed, f"{rule}: seed")
         check_settings(self.dilation, self.levels, self.degree, self.mode)
         check_top_argument(self.dilation, self.levels)
         ThresholdConfig(self.sigma, self.threshold_mode)
@@ -111,9 +111,12 @@ class ExperimentConfig:
         if self.pool_mode not in POOL_MODES:
             raise ValueError(f"unknown pool mode {self.pool_mode!r}")
 
-    def fingerprint(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+def fingerprint(config: ExperimentConfig, data, perturbation=None) -> str:
+    """12 hex digits naming a run: the SHA-256 of its config, its data spec
+    (``datasets.SBMData``, ``GraphData``, ``CitationData``) and perturbation."""
+    settings = [asdict(x) if is_dataclass(x) else x for x in (config, data, perturbation)]
+    return hashlib.sha256(encode_json(settings).encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,6 @@ class MetricsRecord:
     are listed in ``extra["failed_seeds"]``.
     """
 
-    fingerprint: str
     per_seed: tuple[float, ...]
     mean: float
     std: float
@@ -140,10 +142,7 @@ class MetricsRecord:
 
 
 def make_record(
-    fingerprint: str,
-    per_seed: list[float],
-    wall_clock: float,
-    extra: dict | None = None,
+    per_seed: list[float], wall_clock: float, extra: dict | None = None
 ) -> MetricsRecord:
     finite = [x for x in per_seed if np.isfinite(x)]
     extra = dict(extra or {})
@@ -153,7 +152,6 @@ def make_record(
     if not finite:
         raise ValueError("every seed failed")
     return MetricsRecord(
-        fingerprint=fingerprint,
         per_seed=tuple(per_seed),
         mean=float(np.mean(finite)),
         std=float(np.std(finite)),
@@ -338,7 +336,7 @@ def train_node_classifier(
     if compressions:
         extra["compression_ratio"] = float(np.mean(compressions))
     wall_clock = time.perf_counter() - start
-    return make_record(config.fingerprint(), per_seed, wall_clock, extra)
+    return make_record(per_seed, wall_clock, extra)
 
 
 @dataclass(frozen=True)
@@ -478,7 +476,7 @@ def train_graph_classifier(
     ]
     extra = {"task": config.task, "pool_mode": config.pool_mode}
     wall_clock = time.perf_counter() - start
-    return make_record(config.fingerprint(), per_seed, wall_clock, extra)
+    return make_record(per_seed, wall_clock, extra)
 
 
 def majority_class_accuracy(samples: list[GraphSample]) -> float:
@@ -520,7 +518,7 @@ def denoise_signal(
 
 
 def bench_transform(
-    node_sizes,
+    node_sizes=(1000, 2000, 4000, 8000),
     avg_degree: float = 1.5,
     levels: int = 1,
     degree: int = 5,
@@ -544,6 +542,7 @@ def bench_transform(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
+    check_seed(seed, "seed")
     sizes = list(node_sizes)
     if sizes != sorted(sizes):
         raise ValueError("node sizes must be ascending")

@@ -241,7 +241,7 @@ def gcn_conv_backward(cache: dict, grad_out: np.ndarray) -> tuple[np.ndarray, np
 
 
 def ufg_pool_forward(
-    op: DecompositionOperator, X: np.ndarray, mode: str
+    op: DecompositionOperator, X: np.ndarray, mode: str = "spectrum"
 ) -> tuple[np.ndarray, dict]:
     """Pool framelet coefficients blockwise into a fixed-length readout.
 

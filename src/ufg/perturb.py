@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import sample_pairs
+from .datasets import check_seed, sample_pairs
 from .graphs import Graph, build_graph
 
 PERTURB_MODELS = ("bernoulli_flip", "gaussian", "edge_ratio")
@@ -43,6 +43,7 @@ class PerturbationSpec:
             raise ValueError(
                 f"model parameter must be finite and nonnegative, got {self.value}"
             )
+        check_seed(self.seed, "seed")
 
 
 def perturb(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .datasets import GaussianFeatures, generate_sbm, random_er_graph
+from .datasets import GaussianFeatures, check_seed, generate_sbm, random_er_graph
 from .experiments import ExperimentConfig, train_node_classifier
 from .filters import chebyshev_fit, verify_refinement
 from .nn import (
@@ -77,6 +77,7 @@ def run_verify(n: int = 100, seed: int = 7) -> list[dict]:
     """
     if n < 1:
         raise ValueError(f"n must be at least 1 node, got {n}")
+    check_seed(seed, "seed")
     fx = _fixtures(n, seed)
     once = (None,)
     checks = [

@@ -17,10 +17,10 @@ import pytest
 import ufg.cli as cli
 import ufg.experiments as experiments_mod
 import ufg.verify as verify_mod
-from ufg import nn, shrinkage, transform
+from ufg import datasets, nn, shrinkage, transform
 from ufg.cli import _build_parser, _emit_json, _experiment_config, _UsageError, main
-from ufg.datasets import BinaryFeatures, generate_sbm, random_er_graph
-from ufg.experiments import ExperimentConfig, train_node_classifier
+from ufg.datasets import BinaryFeatures, GraphData, SBMData, generate_sbm, random_er_graph
+from ufg.experiments import ExperimentConfig, fingerprint, train_node_classifier
 from ufg.filters import FilterBank
 from ufg.io import (
     read_coefficients,
@@ -77,6 +77,8 @@ def test_help_exits_zero(capsys):
         ["train-node", "--perturb-model", "edge_ratio"],
         # The graph model has no dropout layer, so no --dropout flag.
         ["train-graph", "--dropout", "0.5"],
+        # No --dataset flag: --data-dir alone selects citation data.
+        ["train-node", "--dataset", "sbm"],
     ],
 )
 def test_usage_errors_exit_one(argv, monkeypatch, capsys):
@@ -285,21 +287,24 @@ def test_transform_rejects_a_dilation_it_cannot_evaluate(
     assert not cpath.exists()
 
 
-# Fingerprints of the subcommands' default configs; every training summary
-# prints them, so they must not move.
+# Fingerprints of the subcommands' default runs (config and data); every
+# training summary prints them, so they must not move.
 DEFAULT_FINGERPRINTS = [
-    (["train-node"], "sbm_node", "0e1749f5344a"),
-    (["train-node", "--activation", "shrinkage"], "sbm_node", "b50d613e2ec9"),
-    (["train-graph"], "cycles-stars", "d701cf410257"),
+    (["train-node"], "sbm_node", "788b55801e47"),
+    (["train-node", "--activation", "shrinkage"], "sbm_node", "9834e62652b0"),
+    (["train-graph"], "cycles-stars", "19590af63277"),
 ]
 
 
-@pytest.mark.parametrize("argv, task, fingerprint", DEFAULT_FINGERPRINTS)
-def test_experiment_config_takes_dataclass_defaults(argv, task, fingerprint):
-    config = _experiment_config(_build_parser().parse_args(argv), task)
-    assert config.fingerprint() == fingerprint
+@pytest.mark.parametrize("argv, task, expected", DEFAULT_FINGERPRINTS)
+def test_experiment_config_takes_dataclass_defaults(argv, task, expected):
+    args = _build_parser().parse_args(argv)
+    config = _experiment_config(args, task)
+    data = cli._node_data(args) if argv[0] == "train-node" else GraphData()
+    assert fingerprint(config, data) == expected
     if argv[0] == "train-node":  # every flag default is the dataclass default
         assert config == ExperimentConfig(task=task, activation=config.activation)
+        assert data == SBMData()
 
 
 def test_denoise_reports_mse_against_truth(tmp_path, graph_files, capsys):
@@ -420,14 +425,15 @@ def test_train_node_bad_list_flags_exit_one(monkeypatch, capsys, extra, named):
 
 
 @pytest.mark.parametrize("command", ["train-node"])
-def test_feature_noise_with_binary_features_exits_one(monkeypatch, capsys, command):
-    _no_training(monkeypatch)
+def test_feature_noise_with_binary_features_exits_two(monkeypatch, capsys, command):
+    # ``SBMData`` refuses the pair, before any data is made.
+    _no_data(monkeypatch)
     argv = [command, "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0",
             "--feature-model", "binary", "--feature-noise", "7"]
-    assert main(argv) == 1
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "--feature-noise" in err and "--feature-model binary" in err
-    assert "training started" not in err
+    assert "feature_noise does not apply to feature_model 'binary'" in err
+    assert "dataset generated" not in err
 
 
 @pytest.mark.parametrize(
@@ -458,6 +464,8 @@ def _no_data(monkeypatch):
     for name in ("generate_sbm", "load_citation", "cycles_and_stars",
                  "sbm_graph_family"):
         monkeypatch.setattr(cli.datasets, name, no_data)
+    for task in cli.datasets.GRAPH_TASKS:
+        monkeypatch.setitem(cli.datasets.GRAPH_TASKS, task, no_data)
 
 
 @pytest.mark.parametrize("command", ["train-node", "train-graph"])
@@ -553,9 +561,8 @@ def test_train_node_summary_names_its_data(capsys):
         argv = ["train-node", "--sbm-sizes", sizes, "--epochs", "1", "--seeds", "0"]
         assert main(argv) == 0
         lines.append(_last_json(capsys))
-    # The fingerprint names the training config only; ``data`` tells the
-    # two datasets apart.
-    assert lines[0]["fingerprint"] == lines[1]["fingerprint"]
+    # The fingerprint names the data too, as ``data`` does.
+    assert lines[0]["fingerprint"] != lines[1]["fingerprint"]
     assert lines[0]["data"] != lines[1]["data"]
     assert lines[0]["data"] == {
         "sbm_sizes": [10, 10], "p_in": 0.1, "p_out": 0.01,
@@ -606,6 +613,87 @@ def test_train_node_empty_split_exits_two_before_training(monkeypatch, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "empty split(s), no nodes in: test" in err and "training started" not in err
+
+
+@pytest.mark.parametrize("task", ["cycles-stars", "sbm-family"])
+def test_train_graph_negative_graph_count_exits_two(monkeypatch, capsys, task):
+    _no_training(monkeypatch)
+    argv = ["train-graph", "--task", task, "--num-per-class", "-3", "--epochs", "1",
+            "--seeds", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "num_per_class must be >= 0, got -3" in err and "training started" not in err
+
+
+@pytest.mark.parametrize("extra", [["--sbm-sizes", "10,10"], ["--data-seed", "0"],
+                                   ["--feature-model", "gaussian", "--p-in", "0.2"]])
+def test_data_dir_with_an_sbm_flag_exits_one(tmp_path, monkeypatch, capsys, extra):
+    _no_data(monkeypatch)
+    argv = ["train-node", "--data-dir", str(tmp_path), "--epochs", "1", "--seeds", "0",
+            *extra]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--data-dir" in err and "dataset generated" not in err
+    assert all(flag in err for flag in extra if flag.startswith("--"))
+
+
+def test_fingerprint_names_the_config_the_data_and_the_perturbation(capsys):
+    base = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0"]
+    binary = ["--feature-model", "binary"]
+    flip = ["--perturb-model", "bernoulli_flip", "--perturb-value", "0.5"]
+    variants = [[], ["--perturb-model", "gaussian", "--perturb-value", "0.5"], binary,
+                [*binary, "--feature-dim", "6", "--data-seed", "3"], [*binary, *flip],
+                ["--lr", "0.02"]]
+    lines = []
+    for extra in variants:
+        assert main([*base, *extra]) == 0
+        lines.append(_last_json(capsys))
+    assert len({line["fingerprint"] for line in lines}) == len(variants)
+    # The library's fingerprint of the run's settings.
+    config = ExperimentConfig(task="sbm_node", epochs=1, seeds=(0,))
+    data = SBMData(sbm_sizes=(10, 10), feature_model="binary")
+    assert lines[4]["fingerprint"] == fingerprint(
+        config, data, PerturbationSpec("bernoulli_flip", 0.5, 1))
+    assert lines[0]["fingerprint"] == fingerprint(config, SBMData(sbm_sizes=(10, 10)))
+    # The default noise spelled out is the same run.
+    assert main([*base, "--feature-noise", "0.5"]) == 0
+    assert _last_json(capsys)["fingerprint"] == lines[0]["fingerprint"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["perturb", "--graph", "g.txt", "--features", "x.csv", "--model", "gaussian",
+      "--value", "0.3", "--seed=-1"], "seed must be a nonnegative integer, got -1"),
+    (["bench", "--sizes", "30", "--reps", "1", "--seed=-1"],
+     "seed must be a nonnegative integer, got -1"),
+    (["verify", "--seed=-1"], "seed must be a nonnegative integer, got -1"),
+    (["train-node", "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0",
+      "--data-seed=-1"], "data_seed must be a nonnegative integer, got -1"),
+    (["train-graph", "--epochs", "1", "--seeds", "0", "--data-seed=-1"],
+     "data_seed must be a nonnegative integer, got -1"),
+])
+def test_negative_seed_exits_two_before_any_file_or_data(monkeypatch, capsys, argv, message):
+    # The seed is refused where it enters, before a file is read or data made.
+    def no_input(*args, **kwargs):
+        raise AssertionError("input read")
+
+    _no_data(monkeypatch)
+    for module, name in [(cli.io, "read_graph_text"), (cli.io, "read_features_csv"),
+                         (experiments_mod, "random_er_graph"),
+                         (verify_mod, "random_er_graph")]:
+        monkeypatch.setattr(module, name, no_input)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "input read" not in err and "dataset generated" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bench_average_degree_must_be_finite_and_nonnegative(capsys, value):
+    # nan used to time the complete graph, -1 to fail inside NumPy.
+    assert main(["bench", "--sizes", "30", "--reps", "1", f"--avg-degree={value}"]) == 2
+    captured = capsys.readouterr()
+    assert f"avg_degree must be finite and >= 0, got {value}" in captured.err
+    assert captured.out == ""
 
 
 def test_train_graph_too_few_graphs_exits_two_before_the_union(monkeypatch, capsys):
@@ -845,30 +933,31 @@ def _options(command):
 
 
 # Every flag whose value a library function or dataclass defaults, by
-# subcommand, with that function or dataclass.
+# subcommand, with that function or dataclass. A flag is named by its
+# argparse dest in the library, or given as a (flag, library name) pair.
 SYSTEM_FLAGS = ("--dilation", "--levels", "--degree", "--mode")
 TRAINING_FLAGS = (*SYSTEM_FLAGS, "--hidden", "--lr", "--weight-decay", "--epochs",
                   "--seeds")
 LIBRARY_DEFAULTED = {
-    "transform": (transform.framelet_operator, SYSTEM_FLAGS),
-    "denoise": (transform.framelet_operator, SYSTEM_FLAGS),
-    "pool": (transform.framelet_operator, SYSTEM_FLAGS),
-    "train-node": (ExperimentConfig, (*TRAINING_FLAGS, "--dropout", "--activation",
-                                      "--sigma", "--threshold-mode")),
-    "train-graph": (ExperimentConfig, (*TRAINING_FLAGS, "--pool-mode", "--patience")),
-    "perturb": (PerturbationSpec, ("--seed",)),
-    "bench": (experiments_mod.bench_transform,
-              ("--avg-degree", "--levels", "--degree", "--dilation", "--reps", "--seed")),
-    "verify": (verify_mod.run_verify, ("--n", "--seed")),
-}
-# The flags that keep a default of their own: no one library default exists
-# for them, or the command itself reads their value.
-CLI_DEFAULTED = {
-    "train-node": {"--dataset", "--sbm-sizes", "--p-in", "--p-out", "--feature-model",
-                   "--feature-dim", "--data-seed"},
-    "train-graph": {"--task", "--num-per-class", "--data-seed"},
-    "bench": {"--sizes"},
-    "pool": {"--pool-mode"},
+    "transform": [(transform.framelet_operator, SYSTEM_FLAGS)],
+    "denoise": [(transform.framelet_operator, SYSTEM_FLAGS)],
+    "pool": [(transform.framelet_operator, SYSTEM_FLAGS),
+             (nn.ufg_pool_forward, (("--pool-mode", "mode"),))],
+    "train-node": [
+        (ExperimentConfig, (*TRAINING_FLAGS, "--dropout", "--activation", "--sigma",
+                            "--threshold-mode")),
+        (SBMData, ("--sbm-sizes", "--p-in", "--p-out", "--feature-model", "--feature-dim",
+                   "--feature-noise", "--data-seed")),
+    ],
+    "train-graph": [
+        (ExperimentConfig, (*TRAINING_FLAGS, "--pool-mode", "--patience")),
+        (GraphData, ("--task", "--num-per-class", "--data-seed")),
+    ],
+    "perturb": [(PerturbationSpec, ("--seed",))],
+    "bench": [(experiments_mod.bench_transform,
+               ("--sizes", "--avg-degree", "--levels", "--degree", "--dilation", "--reps",
+                "--seed"))],
+    "verify": [(verify_mod.run_verify, ("--n", "--seed"))],
 }
 
 
@@ -879,18 +968,28 @@ def _library_defaults(source) -> dict:
     return {name: p.default for name, p in inspect.signature(source).parameters.items()}
 
 
+def _defaulted(command) -> list:
+    """``(flag, source, library name, library default)`` of every
+    library-defaulted flag of ``command``."""
+    rows = []
+    for source, flags in LIBRARY_DEFAULTED.get(command, ()):
+        defaults = _library_defaults(source)
+        for flag in flags:
+            flag, name = flag if isinstance(flag, tuple) else (flag, _options(command)[flag].dest)
+            rows.append((flag, source, name, defaults[name]))
+    return rows
+
+
 def test_library_defaulted_flags_have_no_default_of_their_own():
     subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
     for command in subparsers.choices:
         options = _options(command)
-        source, flags = LIBRARY_DEFAULTED.get(command, (None, ()))
-        for flag in flags:
+        for flag, _, _, default in _defaulted(command):
             assert options[flag].default is None, (command, flag)
-            default = _library_defaults(source)[options[flag].dest]
             assert default not in (dataclasses.MISSING, inspect.Parameter.empty)
         with_default = {flag for flag, action in options.items()
                         if action.default not in (None, argparse.SUPPRESS)}
-        assert with_default == CLI_DEFAULTED.get(command, set()), command
+        assert not with_default, command
 
 
 @pytest.mark.parametrize("command, flag, choices", [
@@ -900,19 +999,20 @@ def test_library_defaulted_flags_have_no_default_of_their_own():
     ("train-node", "--activation", experiments_mod.ACTIVATIONS),
     ("train-graph", "--pool-mode", experiments_mod.POOL_MODES),
     ("pool", "--pool-mode", nn.READOUTS),
+    ("train-node", "--feature-model", datasets.FEATURE_MODELS),
+    ("train-graph", "--task", datasets.GRAPH_TASKS),
 ])
 def test_choices_are_the_library_tuples(command, flag, choices):
     assert _options(command)[flag].choices is choices
 
 
 def _spelled_out(command) -> list[str]:
-    """Every library-defaulted flag of ``command`` with the library's value."""
-    source, flags = LIBRARY_DEFAULTED[command]
-    defaults = _library_defaults(source)
+    """Every library-defaulted flag of ``command`` with the library's value;
+    a None default, which the library resolves itself, has no spelling."""
     argv = []
-    for flag in flags:
-        value = defaults[_options(command)[flag].dest]
-        argv += [flag, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+    for flag, _, _, value in _defaulted(command):
+        if value is not None:
+            argv += [flag, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
     return argv
 
 
@@ -920,6 +1020,9 @@ def _spelled_out(command) -> list[str]:
     ("transform", transform, "framelet_operator"),
     ("denoise", transform, "framelet_operator"),
     ("pool", transform, "framelet_operator"),
+    ("pool", nn, "ufg_pool_forward"),
+    ("train-node", datasets, "SBMData"),
+    ("train-graph", datasets, "GraphData"),
     ("perturb", cli.perturb_mod, "PerturbationSpec"),
     ("bench", experiments_mod, "bench_transform"),
     ("verify", verify_mod, "run_verify"),
@@ -928,23 +1031,28 @@ def test_every_given_flag_reaches_the_library(
     graph_files, monkeypatch, command, module, name
 ):
     gpath, spath, _ = graph_files
+    source = getattr(module, name)
+    signature = inspect.signature(source)
     seen = {}
 
     def record(*args, **kwargs):
-        seen.update(kwargs)
+        seen.update(signature.bind(*args, **kwargs).arguments)
         raise RuntimeError("recorded")
 
-    monkeypatch.setattr(module, name, record)
+    # A dataclass stand-in keeps its fields, which the command reads.
+    fake = (type(name, (source,), {"__new__": lambda cls, *a, **k: record(*a, **k)})
+            if inspect.isclass(source) else record)
+    monkeypatch.setattr(module, name, fake)
     files = ["--graph", gpath, "--signal", spath, "--out", "out"]
     inputs = {"transform": files, "denoise": [*files, "--sigma", "1"], "pool": files,
               "perturb": ["--graph", gpath, "--features", spath, "--model", "gaussian",
-                          "--value", "0.3"],
-              "bench": ["--sizes", "20"], "verify": []}
-    assert main([command, *inputs[command], *_spelled_out(command)]) == 2
-    source, flags = LIBRARY_DEFAULTED[command]
-    defaults = _library_defaults(source)
-    dests = [_options(command)[flag].dest for flag in flags]
-    assert seen == {dest: defaults[dest] for dest in dests}
+                          "--value", "0.3"]}
+    assert main([command, *inputs.get(command, []), *_spelled_out(command)]) == 2
+    # The settings passed: the arguments that have a library default.
+    settings = {k: v for k, v in seen.items()
+                if signature.parameters[k].default is not inspect.Parameter.empty}
+    assert settings == {name: default for _, src, name, default in _defaulted(command)
+                        if src is source and default is not None}
 
 
 # Tiny runs that give no library-defaulted flag; paths are relative.

@@ -1,6 +1,7 @@
 """Synthetic generators: structure, determinism, splits, citation loading."""
 
 import json
+import re
 import time
 import tracemalloc
 
@@ -12,7 +13,11 @@ from hypothesis import strategies as st
 from ufg import datasets
 from ufg.datasets import (
     BinaryFeatures,
+    CitationData,
     GaussianFeatures,
+    GraphData,
+    SBMData,
+    check_seed,
     cycle_graph,
     cycles_and_stars,
     generate_sbm,
@@ -308,6 +313,87 @@ def test_sbm_graph_family():
     assert {s.label for s in samples} == {0, 1}
 
 
+@pytest.mark.parametrize("make", [cycles_and_stars, sbm_graph_family])
+def test_graph_tasks_refuse_a_negative_graph_count(make):
+    # NumPy used to refuse it with "negative dimensions are not allowed".
+    with pytest.raises(ValueError, match="num_per_class must be >= 0, got -3"):
+        make(-3)
+    assert make(0) == []
+
+
+@pytest.mark.parametrize("avg_degree", [float("nan"), float("inf"), -1.0])
+def test_random_er_graph_refuses_a_bad_average_degree(avg_degree):
+    # nan used to give the complete graph: min(1, nan / (n - 1)) is 1.
+    with pytest.raises(ValueError, match="avg_degree must be finite and >= 0"):
+        random_er_graph(30, avg_degree, 0)
+    assert random_er_graph(30, 0.0, 0).num_edges == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None, np.int64(-2)])
+def test_check_seed_names_the_setting(seed):
+    with pytest.raises(ValueError, match="data_seed must be a nonnegative integer, got"):
+        check_seed(seed, "data_seed")
+
+
+def test_check_seed_takes_nonnegative_integers():
+    for seed in (0, 7, np.int64(3)):
+        check_seed(seed, "seed")
+
+
+def _same_node_data(a, b):
+    np.testing.assert_array_equal(a.graph.adjacency.csr.toarray(),
+                                  b.graph.adjacency.csr.toarray())
+    for name in ("features", "labels", "train_mask", "val_mask", "test_mask"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_sbm_data_takes_the_feature_model_defaults():
+    assert (SBMData().feature_dim, SBMData().feature_noise) == (16, 0.5)
+    assert (GaussianFeatures().dim, GaussianFeatures().noise_std) == (16, 0.5)
+    binary = SBMData(feature_model="binary")
+    assert (binary.feature_dim, binary.feature_noise) == (BinaryFeatures().dim, None)
+    # A default spelled out is the same spec.
+    assert SBMData(feature_dim=16, feature_noise=0.5) == SBMData()
+    assert SBMData(feature_noise=0.0).feature_noise == 0.0
+    assert SBMData(feature_model="binary", feature_dim=6).feature_dim == 6
+
+
+def test_sbm_data_makes_its_generate_sbm_dataset():
+    spec = SBMData(sbm_sizes=(10, 12), p_in=0.3, feature_model="binary", feature_dim=6,
+                   data_seed=3)
+    _same_node_data(spec.make(), generate_sbm([10, 12], 0.3, 0.01, BinaryFeatures(6),
+                                              seed=3))
+    _same_node_data(SBMData(sbm_sizes=(10, 12), feature_noise=0.2).make(),
+                    generate_sbm([10, 12], 0.1, 0.01, GaussianFeatures(16, 0.2)))
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"feature_model": "binary", "feature_noise": 0.5},
+     "feature_noise does not apply to feature_model 'binary'"),
+    ({"feature_model": "onehot"}, "unknown feature_model 'onehot'"),
+    ({"data_seed": -1}, "data_seed must be a nonnegative integer, got -1"),
+    ({"feature_dim": 0}, "feature dim must be >= 1"),
+    ({"feature_noise": float("nan")}, "noise std must be finite"),
+])
+def test_sbm_data_refuses_bad_settings(settings, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SBMData(**settings)
+
+
+def test_graph_data_makes_its_task():
+    for task, make in datasets.GRAPH_TASKS.items():
+        got = GraphData(task=task, num_per_class=3, data_seed=1).make()
+        want = make(3, seed=1)
+        assert [s.label for s in got] == [s.label for s in want]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.graph.adjacency.csr.toarray(),
+                                          b.graph.adjacency.csr.toarray())
+    with pytest.raises(ValueError, match="unknown task 'rings'"):
+        GraphData(task="rings")
+    with pytest.raises(ValueError, match="data_seed must be a nonnegative integer"):
+        GraphData(data_seed=-1)
+
+
 def _write_citation_fixture(root, n=10, d=3, num_classes=2):
     from ufg import io as ufg_io
     from ufg.graphs import build_graph
@@ -393,7 +479,7 @@ def test_load_citation_rejects_a_node_in_two_splits(tmp_path, capsys):
     )
     with pytest.raises(ValueError, match="splits share nodes: train/val, val/test$"):
         load_citation(tmp_path)
-    assert main(["train-node", "--dataset", "citation", "--data-dir",
+    assert main(["train-node", "--data-dir",
                  str(tmp_path), "--epochs", "1", "--seeds", "0"]) == 2
     assert "splits share nodes" in capsys.readouterr().err
 
@@ -416,7 +502,7 @@ def test_train_node_rejects_negative_citation_labels(tmp_path, capsys):
     _, _, labels = _write_citation_fixture(tmp_path)
     labels[5] = -1
     (tmp_path / "labels.txt").write_text("".join(f"{y}\n" for y in labels))
-    assert main(["train-node", "--dataset", "citation", "--data-dir",
+    assert main(["train-node", "--data-dir",
                  str(tmp_path), "--epochs", "1", "--seeds", "0"]) == 2
     assert "labels.txt:6: labels must be nonnegative" in capsys.readouterr().err
 
@@ -425,10 +511,15 @@ def test_train_node_citation_summary_names_its_data_dir(tmp_path, capsys):
     from ufg.cli import main
 
     _write_citation_fixture(tmp_path)
-    assert main(["train-node", "--dataset", "citation", "--data-dir",
+    assert main(["train-node", "--data-dir",
                  str(tmp_path), "--epochs", "1", "--seeds", "0"]) == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert summary["data"] == {"data_dir": str(tmp_path)}
+
+
+def test_citation_data_makes_its_load_citation_dataset(tmp_path):
+    _write_citation_fixture(tmp_path)
+    _same_node_data(CitationData(str(tmp_path)).make(), load_citation(tmp_path))
 
 
 def test_load_citation_missing_directory(tmp_path):

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from ufg import experiments, graphs, nn
 from ufg.datasets import (
+    CitationData,
     GaussianFeatures,
+    GraphData,
     GraphSample,
+    SBMData,
     cycle_graph,
     cycles_and_stars,
     generate_sbm,
@@ -25,6 +28,7 @@ from ufg.experiments import (
     bench_transform,
     build_node_operator,
     denoise_signal,
+    fingerprint,
     majority_class_accuracy,
     make_record,
     train_graph_classifier,
@@ -38,6 +42,7 @@ from ufg.experiments import (
     _union_forward,
 )
 from ufg.graphs import eigendecompose, gcn_norm_adjacency, normalized_laplacian
+from ufg.perturb import PerturbationSpec
 from ufg.nn import (
     activation_signature,
     dropout_backward,
@@ -85,12 +90,26 @@ def quick_config():
 # ---------------------------------------------------------------- configs
 
 def test_fingerprint_deterministic_and_sensitive():
-    a = ExperimentConfig()
-    b = ExperimentConfig()
-    c = ExperimentConfig(lr=0.02)
-    assert a.fingerprint() == b.fingerprint()
-    assert a.fingerprint() != c.fingerprint()
-    assert len(a.fingerprint()) == 12
+    config, data = ExperimentConfig(), SBMData()
+    a = fingerprint(config, data)
+    assert a == fingerprint(ExperimentConfig(), SBMData())
+    assert len(a) == 12
+    # The config, the data and the perturbation each name the run.
+    others = {
+        fingerprint(ExperimentConfig(lr=0.02), data),
+        fingerprint(config, SBMData(sbm_sizes=(10, 10))),
+        fingerprint(config, SBMData(feature_model="binary")),
+        fingerprint(config, SBMData(data_seed=1)),
+        fingerprint(config, data, PerturbationSpec("gaussian", 0.5, 1)),
+        fingerprint(config, data, PerturbationSpec("gaussian", 0.5, 2)),
+        fingerprint(config, GraphData()),
+        fingerprint(config, CitationData("cora")),
+    }
+    assert len(others) == 8 and a not in others
+    # A default spelled out, or a NumPy scalar for a Python one, is the same run.
+    assert fingerprint(config, SBMData(feature_dim=16, feature_noise=0.5)) == a
+    assert fingerprint(ExperimentConfig(seeds=(0, np.int64(3))), data) == fingerprint(
+        ExperimentConfig(seeds=(0, 3)), data)
 
 
 @pytest.mark.parametrize(
@@ -204,7 +223,7 @@ def test_layer_activation_variants():
 # ---------------------------------------------------------------- records
 
 def test_make_record_filters_nan_and_lists_failures():
-    rec = make_record("abc", [0.5, np.nan, 0.7], wall_clock=1.0)
+    rec = make_record([0.5, np.nan, 0.7], wall_clock=1.0)
     assert rec.mean == pytest.approx(0.6)
     assert rec.extra["failed_seeds"] == [1]
     assert np.isnan(rec.per_seed[1])
@@ -212,30 +231,29 @@ def test_make_record_filters_nan_and_lists_failures():
 
 
 def test_make_record_single_seed_has_zero_std():
-    rec = make_record("abc", [0.8], wall_clock=0.1)
+    rec = make_record([0.8], wall_clock=0.1)
     assert rec.std == 0.0
     assert rec.mean == 0.8
 
 
 def test_make_record_all_failed_raises():
     with pytest.raises(ValueError, match="every seed failed"):
-        make_record("abc", [np.nan, np.nan], wall_clock=0.1)
+        make_record([np.nan, np.nan], wall_clock=0.1)
 
 
 def test_make_record_zeroes_wall_clock_in_deterministic_mode(monkeypatch):
     monkeypatch.setenv("UFG_DETERMINISTIC", "1")
-    rec = make_record("abc", [0.5], wall_clock=3.5)
+    rec = make_record([0.5], wall_clock=3.5)
     assert rec.wall_clock == 0.0
     monkeypatch.setenv("UFG_DETERMINISTIC", "0")
-    rec2 = make_record("abc", [0.5], wall_clock=3.5)
+    rec2 = make_record([0.5], wall_clock=3.5)
     assert rec2.wall_clock == 3.5
 
 
 def test_metrics_record_rejects_mean_outside_seed_range():
     with pytest.raises(ValueError, match="mean"):
         MetricsRecord(
-            fingerprint="x", per_seed=(0.5, 0.6), mean=0.9, std=0.0,
-            wall_clock=0.0,
+            per_seed=(0.5, 0.6), mean=0.9, std=0.0, wall_clock=0.0,
         )
 
 
@@ -246,7 +264,7 @@ def test_metrics_record_rejects_mean_outside_seed_range():
     )
 )
 def test_make_record_mean_between_extremes(values):
-    rec = make_record("p", values, wall_clock=0.0)
+    rec = make_record(values, wall_clock=0.0)
     assert min(values) - 1e-12 <= rec.mean <= max(values) + 1e-12
     assert rec.std >= 0.0
 
@@ -819,6 +837,16 @@ def test_bench_transform_rejects_fewer_than_one_repetition(monkeypatch, repetiti
     monkeypatch.setattr(experiments, "random_er_graph", no_graph)
     with pytest.raises(ValueError, match="repetitions must be at least 1"):
         bench_transform([30], repetitions=repetitions)
+
+
+@pytest.mark.parametrize("seed", [-1, 0.5])
+def test_bench_transform_rejects_a_seed_before_building_a_graph(monkeypatch, seed):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(experiments, "random_er_graph", no_graph)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        bench_transform([30], repetitions=1, seed=seed)
 
 
 def test_bench_transform_deterministic_mode_zeroes_times(monkeypatch):

@@ -42,6 +42,13 @@ def test_spec_requires_finite_nonnegative_value(model, value):
         PerturbationSpec(model, value)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_spec_requires_a_nonnegative_integer_seed(seed):
+    # NumPy used to refuse -1 only when the perturbation ran.
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        PerturbationSpec("gaussian", 0.5, seed)
+
+
 def test_bernoulli_requires_binary(er, rng):
     X = rng.normal(size=(30, 4))
     with pytest.raises(ValueError, match="0/1"):

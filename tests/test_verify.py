@@ -134,6 +134,16 @@ def test_run_verify_rejects_a_graph_without_nodes(monkeypatch, capsys, n):
     assert "n must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_run_verify_rejects_a_seed_before_building_fixtures(monkeypatch, seed):
+    def no_fixtures(*args):
+        raise AssertionError("fixtures were built")
+
+    monkeypatch.setattr(verify_mod, "_fixtures", no_fixtures)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        run_verify(seed=seed)
+
+
 def test_crashed_check_reports_as_failure(monkeypatch):
     def boom(fx):
         raise RuntimeError("synthetic crash")
