@@ -7,6 +7,7 @@ plain-text formats documented in ``ufg.io``; only synthetic generators ship.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -153,11 +154,6 @@ def random_er_graph(num_nodes: int, avg_degree: float, rng) -> Graph:
 def _unit_edges(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``(M, 3)`` edge rows of unit weight between ``rows`` and ``cols``."""
     return np.column_stack([rows, cols, np.ones(len(rows))])
-
-
-def path_graph(num_nodes: int) -> Graph:
-    """Path on ``num_nodes`` nodes with unit weights."""
-    return build_graph(num_nodes, [(i, i + 1, 1.0) for i in range(num_nodes - 1)])
 
 
 def cycle_graph(num_nodes: int) -> Graph:
@@ -447,3 +443,13 @@ class CitationData:
 
     def make(self) -> NodeDataset:
         return load_citation(self.data_dir)
+
+    def digest(self) -> str:
+        """SHA-256 over the SHA-256 of each file ``load_citation`` reads: it
+        names the data by content, under any path to any copy of it."""
+        sha = hashlib.sha256()
+        for name in ("graph.txt", "features.csv", "labels.txt", "splits.json",
+                     "manifest.json"):
+            with open(os.path.join(self.data_dir, name), "rb") as fh:
+                sha.update(hashlib.sha256(fh.read()).digest())
+        return sha.hexdigest()

@@ -16,12 +16,11 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .datasets import GraphSample, NodeDataset, check_seed, random_er_graph
+from .datasets import CitationData, GraphSample, NodeDataset, check_seed, random_er_graph
 from .io import deterministic_mode, encode_json
 from .nn import (
     READOUTS,
     AdamState,
-    ConvLayerParams,
     LayerActivation,
     accuracy,
     adam_step,
@@ -114,7 +113,10 @@ class ExperimentConfig:
 
 def fingerprint(config: ExperimentConfig, data, perturbation=None) -> str:
     """12 hex digits naming a run: the SHA-256 of its config, its data spec
-    (``datasets.SBMData``, ``GraphData``, ``CitationData``) and perturbation."""
+    (``datasets.SBMData``, ``GraphData``, ``CitationData``) and perturbation.
+    Citation data counts by its ``digest``, the content of its files."""
+    if isinstance(data, CitationData):
+        data = data.digest()
     settings = [asdict(x) if is_dataclass(x) else x for x in (config, data, perturbation)]
     return hashlib.sha256(encode_json(settings).encode()).hexdigest()[:12]
 
@@ -174,14 +176,6 @@ def _layer_activations(config: ExperimentConfig) -> tuple[LayerActivation, Layer
         return LayerActivation.relu(), LayerActivation.none()
     cfg = ThresholdConfig(config.sigma, config.threshold_mode)
     return LayerActivation.shrinkage(cfg), LayerActivation.shrinkage(cfg)
-
-
-def _conv_params(params: dict[str, np.ndarray], prefix: str) -> ConvLayerParams:
-    return ConvLayerParams(
-        W=params[f"{prefix}.W"],
-        theta=params[f"{prefix}.theta"],
-        bias=params[f"{prefix}.bias"],
-    )
 
 
 _SPLITS = ("train", "val", "test")
@@ -268,39 +262,32 @@ class _NodeTask:
         self.masks = (data.train_mask, data.val_mask, data.test_mask)
 
     def _layer1(self, params) -> None:
-        self.h1, self.c1 = ufg_conv_forward(
-            _conv_params(params, "l1"), self.op, self.coeff_x, self.acts[0]
-        )
+        self.h1, self.c1 = ufg_conv_forward(params["l1"], self.op, self.coeff_x,
+                                            self.acts[0])
 
-    def init(self, rng) -> dict[str, np.ndarray]:
-        l1 = init_params(self.data.features.shape[1], self.config.hidden,
-                         self.op.num_rows, rng)
-        l2 = init_params(self.config.hidden, self.data.num_classes,
-                         self.op.num_rows, rng)
+    def init(self, rng) -> dict[str, dict[str, np.ndarray]]:
         params = {
-            "l1.W": l1.W, "l1.theta": l1.theta, "l1.bias": l1.bias,
-            "l2.W": l2.W, "l2.theta": l2.theta, "l2.bias": l2.bias,
+            "l1": init_params(self.data.features.shape[1], self.config.hidden,
+                              self.op.num_rows, rng),
+            "l2": init_params(self.config.hidden, self.data.num_classes,
+                              self.op.num_rows, rng),
         }
         self._layer1(params)
         return params
 
     def step(self, params, rng):
         hd, cd = dropout_forward(self.h1, self.config.dropout, rng)
-        logits, c2 = ufg_conv_forward(_conv_params(params, "l2"), self.op, hd,
-                                      self.acts[1], out_op=self.train_op)
+        logits, c2 = ufg_conv_forward(params["l2"], self.op, hd, self.acts[1],
+                                      out_op=self.train_op)
         loss, dlogits = softmax_cross_entropy(logits, self.labels[self.train_op.rows])
-        dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
-        _, dW1, dth1, db1 = ufg_conv_backward(self.c1, dropout_backward(cd, dh))
-        return loss, {
-            "l1.W": dW1, "l1.theta": dth1, "l1.bias": db1,
-            "l2.W": dW2, "l2.theta": dth2, "l2.bias": db2,
-        }
+        g2, dh = ufg_conv_backward(c2, dlogits)
+        g1, _ = ufg_conv_backward(self.c1, dropout_backward(cd, dh))
+        return loss, {"l1": g1, "l2": g2}
 
     def _eval_forward(self, params):
         # Its layer 1 output is also the next epoch's training input.
         self._layer1(params)
-        return ufg_conv_forward(_conv_params(params, "l2"), self.op, self.h1,
-                                self.acts[1])
+        return ufg_conv_forward(params["l2"], self.op, self.h1, self.acts[1])
 
     def evaluate(self, params) -> np.ndarray:
         return self._eval_forward(params)[0]

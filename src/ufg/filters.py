@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-PARTITION_TOL = 1e-12
 DEFAULT_CHEBYSHEV_DEGREE = 16
 
 

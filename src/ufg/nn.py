@@ -3,6 +3,11 @@
 Layers follow a forward/backward pair convention: the forward returns the
 output plus a cache, the backward consumes the cache and the upstream
 gradient and returns exact gradients for every input but a fixed one.
+A layer's parameters are a dict of named arrays, and its backward returns
+their gradients as a dict of the same names; a model nests its layers'
+dicts under the layers' names. ``adam_step`` updates such dicts, and
+``gradient_check`` checks their gradients against kink-aware central
+differences.
 
 The framelet convolution computes ``Y = act(V diag(theta) W X')`` with
 ``X' = X W_dense``: project features, decompose, scale every stacked
@@ -54,23 +59,15 @@ class LayerActivation:
         return LayerActivation("shrinkage", cfg)
 
 
-@dataclass
-class ConvLayerParams:
-    """Trainable tensors of one framelet convolution layer."""
-
-    W: np.ndarray
-    theta: np.ndarray
-    bias: np.ndarray
-
-
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """A ``(fan_in, fan_out)`` draw from U(+-sqrt(6 / (fan_in + fan_out)))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(d_in: int, d_out: int, theta_len: int, rng) -> ConvLayerParams:
-    """Xavier-uniform W, theta near one, zero bias; deterministic given rng.
+def init_params(d_in: int, d_out: int, theta_len: int, rng) -> dict[str, np.ndarray]:
+    """A framelet convolution's parameters ``{"W", "theta", "bias"}``:
+    Xavier-uniform W, theta near one, zero bias; deterministic given rng.
 
     ``rng`` is a seed or ``numpy.random.Generator``. ``theta`` is drawn from
     U(0.9, 1.1) so the layer starts close to the tight-frame identity.
@@ -81,7 +78,7 @@ def init_params(d_in: int, d_out: int, theta_len: int, rng) -> ConvLayerParams:
     W = xavier_uniform(d_in, d_out, rng)
     theta = rng.uniform(0.9, 1.1, size=theta_len)
     bias = np.zeros(d_out)
-    return ConvLayerParams(W=W, theta=theta, bias=bias)
+    return {"W": W, "theta": theta, "bias": bias}
 
 
 def _filtered_stack(
@@ -96,7 +93,7 @@ def _filtered_stack(
 
 
 def ufg_conv_forward(
-    params: ConvLayerParams,
+    params: dict[str, np.ndarray],
     op: DecompositionOperator,
     X: np.ndarray | CoefficientStack,
     act: LayerActivation,
@@ -140,7 +137,7 @@ def ufg_conv_forward(
     on n columns of the stack instead of N. The input side and ``dX`` keep
     ``op``.
     """
-    W, theta = params.W, params.theta
+    W, theta, bias = params["W"], params["theta"], params["bias"]
     coeff_in = isinstance(X, CoefficientStack)
     if coeff_in:
         if X.block_index != op.block_index or X.num_nodes != op.num_nodes:
@@ -159,7 +156,7 @@ def ufg_conv_forward(
         coeff = x if coeff_in else decompose(op, x).data
         r = reconstruct(out_op, _filtered_stack(theta, op, coeff))
         cache.update(coeff=coeff, reconstructed=r)
-        z = r @ W + params.bias
+        z = r @ W + bias
     else:
         coeff = x @ W if coeff_in else decompose(op, x @ W).data
         fstack = _filtered_stack(theta, op, coeff)
@@ -173,8 +170,8 @@ def ufg_conv_forward(
             shrunk = shrink_stack(fstack, act.threshold, thresholds=thresholds)
             cache.update(thresholds=thresholds, filtered=fstack, shrunk=shrunk,
                          active_mask=shrunk.data != 0.0)
-            return reconstruct(out_op, shrunk) + params.bias, cache
-        z = reconstruct(out_op, fstack) + params.bias
+            return reconstruct(out_op, shrunk) + bias, cache
+        z = reconstruct(out_op, fstack) + bias
     if act.kind == "relu":
         cache["relu_mask"] = z > 0.0
         z = np.maximum(z, 0.0)
@@ -183,9 +180,10 @@ def ufg_conv_forward(
 
 def ufg_conv_backward(
     cache: dict, grad_out: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dX, dW, dtheta, dbias) of the framelet convolution;
-    ``grad_out`` has the rows of the forward pass's output.
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Gradients of the framelet convolution: the parameter dict (W,
+    theta, bias) plus dX; ``grad_out`` has the rows of the forward pass's
+    output.
 
     ``dX`` is None for a coefficient input, whose reconstruct is skipped.
     When the forward pass reconstructed first, ``dW = Rᵀ g`` needs no
@@ -211,7 +209,7 @@ def ufg_conv_backward(
     else:
         dx_proj = reconstruct(op, _filtered_stack(theta, op, d_filtered))
         dW, dX = X.T @ dx_proj, dx_proj @ W.T
-    return dX, dW, dtheta, g.sum(axis=0)
+    return {"W": dW, "theta": dtheta, "bias": g.sum(axis=0)}, dX
 
 
 def gcn_conv_forward(
@@ -395,23 +393,44 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _leaves(params: dict, path: tuple = ()):
+    """``(path, array)`` of every array in a dict of named arrays, or of
+    such dicts, in dict order; ``path`` is the tuple of names to it."""
+    for key, value in params.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, (*path, key))
+        else:
+            yield (*path, key), value
+
+
+def _replaced(params: dict, path: tuple, value: np.ndarray) -> dict:
+    """``params`` with the array at ``path`` replaced, the others shared."""
+    key, *rest = path
+    return {**params, key: _replaced(params[key], rest, value) if rest else value}
+
+
 def adam_step(
     state: AdamState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: dict,
+    grads: dict,
     weight_decay: float = 0.0,
     decay_keys: frozenset[str] | set[str] = frozenset(),
-) -> dict[str, np.ndarray]:
+) -> dict:
     """One bias-corrected Adam update; returns the new parameter dict.
 
-    Weight decay is coupled (added to the gradient as an L2 term) and only
-    applied to parameters named in ``decay_keys``.
+    ``params`` and ``grads`` are dicts of named arrays, or of such dicts (a
+    layer's parameters under the layer's name). A parameter's name joins
+    its path with dots, as in ``"l1.W"``. Weight decay is coupled (added to
+    the gradient as an L2 term) and only applied to parameters named in
+    ``decay_keys``.
     """
     state.step += 1
     t = state.step
-    out: dict[str, np.ndarray] = {}
-    for key, p in params.items():
-        g = np.asarray(grads[key], dtype=np.float64)
+    grads = dict(_leaves(grads))
+    out = params
+    for path, p in _leaves(params):
+        key = ".".join(path)
+        g = np.asarray(grads[path], dtype=np.float64)
         if g.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {key!r}")
         if weight_decay and key in decay_keys:
@@ -423,7 +442,7 @@ def adam_step(
         state.v[key] = state.beta2 * state.v[key] + (1 - state.beta2) * g**2
         m_hat = state.m[key] / (1 - state.beta1**t)
         v_hat = state.v[key] / (1 - state.beta2**t)
-        out[key] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        out = _replaced(out, path, p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
     return out
 
 
@@ -453,57 +472,50 @@ def _stencil_crossed_kink(aux_plus, aux_minus) -> bool:
     return a.shape != b.shape or not np.array_equal(a, b)
 
 
-def finite_differences(loss_fn, point: np.ndarray, analytic_grad: np.ndarray,
-                       h: float = 1e-5, max_coords: int = 200, seed: int = 0
-                       ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Central finite differences of a loss next to its analytic gradient.
+def gradient_check(loss_fn, params: dict, grads: dict, h: float = 1e-5,
+                   max_coords: int = 200, seed: int = 0) -> tuple[float, int, list[int]]:
+    """Central finite differences of a loss against its analytic gradients.
 
-    ``loss_fn(vec)`` must return ``(loss, aux)`` where ``aux`` describes the
-    activation state at that point: ``None`` for a smooth loss, or an
-    ``activation_signature`` array (the coordinate is excluded exactly when
-    the signature differs between the two perturbed points, i.e. the
-    stencil crossed a kink). Coordinates are subsampled to ``max_coords``
-    (seeded); exclusions are reported.
+    ``params`` and ``grads`` are dicts of named arrays, or of such dicts,
+    with the same names and shapes; the coordinates are numbered through
+    ``params`` flattened in its order. ``loss_fn(params)`` returns ``(loss,
+    aux)``, where ``aux`` describes the activation state there: ``None``
+    for a smooth loss, or an ``activation_signature`` array (a coordinate
+    is excluded exactly when the signature differs between its two
+    perturbed points, i.e. the stencil crossed a kink). Coordinates are
+    subsampled to ``max_coords`` (seeded).
 
-    Returns ``(numeric, analytic, excluded coordinates)``, the two gradients
-    on the checked coordinates in order.
+    Returns ``(ratio, checked, excluded)``: the largest ``|num - ana| /
+    max(|num|, |ana|, 1e-5)`` over the checked coordinates, their count
+    and the excluded coordinates. The 1e-5 floor keeps zero-gradient
+    coordinates from inflating the ratio; a gradient passes at a tolerance
+    ``tol >= 1e-5`` when ``ratio <= tol``.
     """
-    point = np.asarray(point, dtype=np.float64)
-    analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
-    if point.shape != analytic_grad.shape:
-        raise ValueError("gradient shape must match the point")
-    size = point.size
-    rng = np.random.default_rng(seed)
-    if size > max_coords:
-        coords = np.sort(rng.choice(size, size=max_coords, replace=False))
-    else:
-        coords = np.arange(size)
-    checked, numeric, excluded = [], [], []
+    leaves = list(_leaves(params))
+    analytic = dict(_leaves(grads))
+    if {p: np.shape(a) for p, a in leaves} != {p: np.shape(g) for p, g in analytic.items()}:
+        raise ValueError("grads must have the names and shapes of params")
+    offsets = np.cumsum([0] + [np.size(a) for _, a in leaves])
+    coords = np.arange(offsets[-1])
+    if coords.size > max_coords:
+        rng = np.random.default_rng(seed)
+        coords = np.sort(rng.choice(coords.size, size=max_coords, replace=False))
+    numeric, ana, excluded = [], [], []
     for idx in coords:
+        k = np.searchsorted(offsets, idx, side="right") - 1
+        path, value = leaves[k]
+        i = idx - offsets[k]
+        point = np.asarray(value, dtype=np.float64)
         bumped = point.copy()
-        bumped.flat[idx] += h
-        f_plus, aux_plus = loss_fn(bumped)
-        bumped.flat[idx] = point.flat[idx] - h
-        f_minus, aux_minus = loss_fn(bumped)
+        bumped.flat[i] += h
+        f_plus, aux_plus = loss_fn(_replaced(params, path, bumped))
+        bumped.flat[i] = point.flat[i] - h
+        f_minus, aux_minus = loss_fn(_replaced(params, path, bumped))
         if _stencil_crossed_kink(aux_plus, aux_minus):
             excluded.append(int(idx))
             continue
         numeric.append((f_plus - f_minus) / (2.0 * h))
-        checked.append(idx)
-    return np.array(numeric, dtype=np.float64), analytic_grad.flat[checked], excluded
-
-
-def finite_difference_check(loss_fn, point, analytic_grad, h: float = 1e-5,
-                            max_coords: int = 200, seed: int = 0
-                            ) -> tuple[float, int, list[int]]:
-    """``finite_differences`` summed up: ``(max relative error, checked
-    count, excluded coordinates)``. Absolute errors below 1e-10 pass
-    outright to keep zero-gradient coordinates from inflating the relative
-    measure.
-    """
-    numeric, ana, excluded = finite_differences(
-        loss_fn, point, analytic_grad, h, max_coords, seed)
-    err = np.abs(numeric - ana)
-    big = err > 1e-10
-    rel = err[big] / np.maximum(np.abs(numeric), np.abs(ana))[big]
-    return float(rel.max(initial=0.0)), numeric.size, excluded
+        ana.append(np.asarray(analytic[path], dtype=np.float64).flat[i])
+    numeric, ana = np.array(numeric, dtype=np.float64), np.array(ana, dtype=np.float64)
+    scale = np.maximum(np.maximum(np.abs(numeric), np.abs(ana)), 1e-5)
+    return float((np.abs(numeric - ana) / scale).max(initial=0.0)), numeric.size, excluded

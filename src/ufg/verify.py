@@ -17,9 +17,8 @@ from .experiments import ExperimentConfig, train_node_classifier
 from .filters import chebyshev_fit, verify_refinement
 from .nn import (
     LayerActivation,
-    ConvLayerParams,
     activation_signature,
-    finite_differences,
+    gradient_check,
     init_params,
     softmax_cross_entropy,
     ufg_conv_backward,
@@ -269,7 +268,7 @@ def _check_soft_threshold_nonexpansive(fx):
 def _check_layer_identity(fx, op):
     X = fx["X"]
     d = X.shape[1]
-    params = ConvLayerParams(W=np.eye(d), theta=np.ones(op.num_rows), bias=np.zeros(d))
+    params = {"W": np.eye(d), "theta": np.ones(op.num_rows), "bias": np.zeros(d)}
     y, _ = ufg_conv_forward(params, op, X, LayerActivation.none())
     rel = _rel(np.linalg.norm(y - X), np.linalg.norm(X))
     tol = _ROUND_TRIP_TOL[op.system.mode]
@@ -288,15 +287,6 @@ def _check_sigma_zero_ab(fx, op):
     return same, f"sigma=0 shrinkage layer bitwise equals linear layer: {same}"
 
 
-def _gradient_ratio(numeric: np.ndarray, analytic: np.ndarray) -> float:
-    """Largest ``|num - ana| / max(|num|, |ana|, 1e-5)`` over the
-    coordinates: at most 1e-5 exactly when each passes the rule of
-    ``finite_difference_check`` at 1e-5, ``|num - ana| <= max(1e-10,
-    1e-5 max(|num|, |ana|))``, but read above its 1e-10 floor too."""
-    scale = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-5)
-    return float((np.abs(numeric - analytic) / scale).max(initial=0.0))
-
-
 def _check_gradients(fx, fixture_op):
     rng = np.random.default_rng(11)
     n, d, dd = 12, 3, 2
@@ -304,41 +294,28 @@ def _check_gradients(fx, fixture_op):
     op = framelet_operator(graph, levels=2, mode=fixture_op.system.mode)
     X = rng.normal(size=(n, d))
     labels = rng.integers(0, dd, size=n)
+    # Its W, theta, bias order numbers the coordinates the seeded check draws.
     params = init_params(d, dd, op.num_rows, rng)
-
-    def pack(p):
-        return np.concatenate([p.W.ravel(), p.theta, p.bias])
-
-    def unpack(vec):
-        w = vec[: d * dd].reshape(d, dd)
-        theta = vec[d * dd : d * dd + op.num_rows]
-        bias = vec[d * dd + op.num_rows :]
-        return ConvLayerParams(W=w, theta=theta, bias=bias)
-
     acts = {
         "relu": LayerActivation.relu(),
         "shrinkage": LayerActivation.shrinkage(ThresholdConfig(1.0, mode="energy_scaled")),
     }
     details, worst, checked = [], 0.0, []
     for name, act in acts.items():
-        point = pack(params)
-        y, cache = ufg_conv_forward(unpack(point), op, X, act)
-        loss, dlogits = softmax_cross_entropy(y, labels)
-        _, dW, dtheta, dbias = ufg_conv_backward(cache, dlogits)
-        grad = np.concatenate([dW.ravel(), dtheta, dbias])
+        y, cache = ufg_conv_forward(params, op, X, act)
+        _, dlogits = softmax_cross_entropy(y, labels)
+        grads, _ = ufg_conv_backward(cache, dlogits)
         frozen = cache.get("thresholds")
 
-        def loss_fn(vec):
-            p = unpack(vec)
+        def loss_fn(p):
             y2, c2 = ufg_conv_forward(p, op, X, act, frozen_thresholds=frozen)
             val, _ = softmax_cross_entropy(y2, labels)
             return val, activation_signature(c2)
 
-        numeric, ana, _ = finite_differences(loss_fn, point, grad, max_coords=120, seed=3)
-        ratio = _gradient_ratio(numeric, ana)
+        ratio, count, _ = gradient_check(loss_fn, params, grads, max_coords=120, seed=3)
         worst = max(worst, ratio)
-        checked.append(numeric.size)
-        details.append(f"{name} {ratio:.2e}/{numeric.size} coords")
+        checked.append(count)
+        details.append(f"{name} {ratio:.2e}/{count} coords")
     passed, *measured = _bounded(
         worst, 1e-5, "max relative gradient error " + ", ".join(details))
     return passed and min(checked) > 0, *measured

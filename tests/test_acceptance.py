@@ -13,13 +13,13 @@ import time
 import numpy as np
 import pytest
 
+from conftest import path_graph
 from ufg.datasets import (
     BinaryFeatures,
     GaussianFeatures,
     cycles_and_stars,
     generate_sbm,
     load_citation,
-    path_graph,
     random_er_graph,
 )
 from ufg.experiments import (
@@ -37,12 +37,11 @@ from ufg.graphs import (
     normalized_laplacian,
 )
 from ufg.nn import (
-    ConvLayerParams,
     LayerActivation,
     activation_signature,
-    finite_difference_check,
     gcn_conv_backward,
     gcn_conv_forward,
+    gradient_check,
     init_params,
     mlp_backward,
     mlp_forward,
@@ -202,31 +201,19 @@ def test_criterion_05_cascade_energy_identity(corpus, report):
     )
 
 
-def _unflat_conv(vec, d_in, d_out, rows):
-    W = vec[: d_in * d_out].reshape(d_in, d_out)
-    return ConvLayerParams(
-        W=W, theta=vec[d_in * d_out : d_in * d_out + rows],
-        bias=vec[d_in * d_out + rows :],
-    )
-
-
 def _conv_fd(op, X, labels, act, rng, fd_seed):
-    d_in, d_out = X.shape[1], int(labels.max()) + 1
-    params = init_params(d_in, d_out, op.num_rows, rng)
-    point = np.concatenate([params.W.ravel(), params.theta, params.bias])
+    params = init_params(X.shape[1], int(labels.max()) + 1, op.num_rows, rng)
     y, cache = ufg_conv_forward(params, op, X, act)
     _, dlogits = softmax_cross_entropy(y, labels)
-    _, dW, dtheta, dbias = ufg_conv_backward(cache, dlogits)
-    grad = np.concatenate([dW.ravel(), dtheta, dbias])
+    grads, _ = ufg_conv_backward(cache, dlogits)
     frozen = cache.get("thresholds")
 
-    def loss_fn(vec):
-        p = _unflat_conv(vec, d_in, d_out, op.num_rows)
+    def loss_fn(p):
         y2, c2 = ufg_conv_forward(p, op, X, act, frozen_thresholds=frozen)
         val, _ = softmax_cross_entropy(y2, labels)
         return val, activation_signature(c2)
 
-    return finite_difference_check(loss_fn, point, grad, max_coords=40, seed=fd_seed)
+    return gradient_check(loss_fn, params, grads, max_coords=40, seed=fd_seed)
 
 
 def _gcn_fd(graph, X, labels, rng, fd_seed):
@@ -236,37 +223,28 @@ def _gcn_fd(graph, X, labels, rng, fd_seed):
     _, dlogits = softmax_cross_entropy(y, labels)
     _, dW = gcn_conv_backward(cache, dlogits)
 
-    def loss_fn(vec):
-        y2, _ = gcn_conv_forward(vec.reshape(W.shape), norm_adj, X)
+    def loss_fn(p):
+        y2, _ = gcn_conv_forward(p["W"], norm_adj, X)
         val, _ = softmax_cross_entropy(y2, labels)
         return val, None
 
-    return finite_difference_check(loss_fn, W.ravel(), dW.ravel(), max_coords=40, seed=fd_seed)
+    return gradient_check(loss_fn, {"W": W}, {"W": dW}, max_coords=40, seed=fd_seed)
 
 
 def _head_fd(rng, fd_seed):
     Xh = rng.normal(size=(6, 4))
     labels = rng.integers(0, 3, size=6)
     params = mlp_init(4, 5, 3, rng)
-    names = sorted(params)
-    splits = np.cumsum([params[k].size for k in names])[:-1]
-
-    def unpack(vec):
-        parts = np.split(vec, splits)
-        return {k: parts[i].reshape(params[k].shape) for i, k in enumerate(names)}
-
-    point = np.concatenate([params[k].ravel() for k in names])
     logits, cache = mlp_forward(params, Xh)
     _, dlogits = softmax_cross_entropy(logits, labels)
     grads, _ = mlp_backward(cache, dlogits)
-    grad = np.concatenate([grads[k].ravel() for k in names])
 
-    def loss_fn(vec):
-        logits2, c2 = mlp_forward(unpack(vec), Xh)
+    def loss_fn(p):
+        logits2, c2 = mlp_forward(p, Xh)
         val, _ = softmax_cross_entropy(logits2, labels)
         return val, activation_signature(c2)
 
-    return finite_difference_check(loss_fn, point, grad, max_coords=40, seed=fd_seed)
+    return gradient_check(loss_fn, params, grads, max_coords=40, seed=fd_seed)
 
 
 def test_criterion_06_gradient_fidelity(report):

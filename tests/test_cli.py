@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_citation_fixture
 import ufg.cli as cli
 import ufg.experiments as experiments_mod
 import ufg.verify as verify_mod
@@ -658,6 +659,32 @@ def test_fingerprint_names_the_config_the_data_and_the_perturbation(capsys):
     # The default noise spelled out is the same run.
     assert main([*base, "--feature-noise", "0.5"]) == 0
     assert _last_json(capsys)["fingerprint"] == lines[0]["fingerprint"]
+
+
+def test_citation_fingerprint_names_the_files_not_their_path(tmp_path, monkeypatch,
+                                                             capsys):
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        write_citation_fixture(tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    base = ["train-node", "--epochs", "1", "--seeds", "0", "--data-dir"]
+    # One copy by a relative and by an absolute path, and another copy.
+    dirs = ["a", str(tmp_path / "a"), "b"]
+    lines = [_last_json(capsys) for d in dirs if main([*base, d]) == 0]
+    assert [line["data"] for line in lines] == [{"data_dir": d} for d in dirs]
+    assert len({line["fingerprint"] for line in lines}) == 1
+    # Editing any one of the five files names other data.
+    config = ExperimentConfig(task="citation_node", epochs=1, seeds=(0,))
+    seen = {fingerprint(config, datasets.CitationData("b"))} | {lines[0]["fingerprint"]}
+    for path in sorted((tmp_path / "b").iterdir()):
+        original = path.read_bytes()
+        path.write_bytes(original + b"\n")
+        seen.add(fingerprint(config, datasets.CitationData("b")))
+        path.write_bytes(original)
+    assert len(seen) == 6
+    # A missing directory still exits 2, when the data is loaded.
+    assert main([*base, "missing"]) == 2
+    assert capsys.readouterr().err.endswith("dataset directory not found: missing\n")
 
 
 @pytest.mark.parametrize("argv, message", [

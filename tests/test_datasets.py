@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import path_graph, write_citation_fixture
 from ufg import datasets
 from ufg.datasets import (
     BinaryFeatures,
@@ -22,7 +23,6 @@ from ufg.datasets import (
     cycles_and_stars,
     generate_sbm,
     load_citation,
-    path_graph,
     random_er_graph,
     sample_pairs,
     sbm_graph_family,
@@ -394,35 +394,8 @@ def test_graph_data_makes_its_task():
         GraphData(data_seed=-1)
 
 
-def _write_citation_fixture(root, n=10, d=3, num_classes=2):
-    from ufg import io as ufg_io
-    from ufg.graphs import build_graph
-
-    rng = np.random.default_rng(0)
-    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
-    graph = build_graph(n, edges)
-    features = rng.normal(size=(n, d))
-    labels = rng.integers(0, num_classes, size=n)
-    labels[:num_classes] = np.arange(num_classes)  # every class present
-    ufg_io.write_graph_text(graph, root / "graph.txt")
-    ufg_io.write_features_csv(features, root / "features.csv")
-    (root / "labels.txt").write_text("".join(f"{y}\n" for y in labels))
-    splits = {"train": [0, 1], "val": [2, 3], "test": list(range(4, n))}
-    (root / "splits.json").write_text(json.dumps(splits))
-    manifest = {
-        "num_nodes": n,
-        "num_features": d,
-        "num_classes": num_classes,
-        "train_size": 2,
-        "val_size": 2,
-        "test_size": n - 4,
-    }
-    (root / "manifest.json").write_text(json.dumps(manifest))
-    return graph, features, labels
-
-
 def test_load_citation_round_trip(tmp_path):
-    graph, features, labels = _write_citation_fixture(tmp_path)
+    graph, features, labels = write_citation_fixture(tmp_path)
     data = load_citation(tmp_path)
     assert data.graph.num_nodes == graph.num_nodes
     np.testing.assert_allclose(data.features, features)
@@ -432,7 +405,7 @@ def test_load_citation_round_trip(tmp_path):
 
 
 def test_load_citation_size_mismatch_warns(tmp_path):
-    _write_citation_fixture(tmp_path)
+    write_citation_fixture(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["train_size"] = 99
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -441,7 +414,7 @@ def test_load_citation_size_mismatch_warns(tmp_path):
 
 
 def test_load_citation_structure_mismatch_raises(tmp_path):
-    _write_citation_fixture(tmp_path)
+    write_citation_fixture(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["num_nodes"] = 99
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -450,7 +423,7 @@ def test_load_citation_structure_mismatch_raises(tmp_path):
 
 
 def test_load_citation_bad_split_indices(tmp_path):
-    _write_citation_fixture(tmp_path)
+    write_citation_fixture(tmp_path)
     # 10**30 does not fit an int64 either.
     for bad in (99, -1, 10**30):
         (tmp_path / "splits.json").write_text(
@@ -462,7 +435,7 @@ def test_load_citation_bad_split_indices(tmp_path):
 
 @pytest.mark.parametrize("bad", [2.7, True, 2.0, "2"])
 def test_load_citation_rejects_a_split_index_that_is_not_an_integer(tmp_path, bad):
-    _write_citation_fixture(tmp_path)
+    write_citation_fixture(tmp_path)
     (tmp_path / "splits.json").write_text(
         json.dumps({"train": [0, 1], "val": [bad, 3], "test": [4, 5]})
     )
@@ -473,7 +446,7 @@ def test_load_citation_rejects_a_split_index_that_is_not_an_integer(tmp_path, ba
 def test_load_citation_rejects_a_node_in_two_splits(tmp_path, capsys):
     from ufg.cli import main
 
-    _write_citation_fixture(tmp_path)
+    write_citation_fixture(tmp_path)
     (tmp_path / "splits.json").write_text(
         json.dumps({"train": [0, 1, 2], "val": [2, 3], "test": [3, 4, 5]})
     )
@@ -485,7 +458,7 @@ def test_load_citation_rejects_a_node_in_two_splits(tmp_path, capsys):
 
 
 def test_load_citation_rejects_an_empty_split(tmp_path):
-    _write_citation_fixture(tmp_path)
+    write_citation_fixture(tmp_path)
     (tmp_path / "splits.json").write_text(
         json.dumps({"train": [0, 1], "val": [], "test": [2, 3]})
     )
@@ -499,7 +472,7 @@ def test_load_citation_rejects_an_empty_split(tmp_path):
 def test_train_node_rejects_negative_citation_labels(tmp_path, capsys):
     from ufg.cli import main
 
-    _, _, labels = _write_citation_fixture(tmp_path)
+    _, _, labels = write_citation_fixture(tmp_path)
     labels[5] = -1
     (tmp_path / "labels.txt").write_text("".join(f"{y}\n" for y in labels))
     assert main(["train-node", "--data-dir",
@@ -510,7 +483,7 @@ def test_train_node_rejects_negative_citation_labels(tmp_path, capsys):
 def test_train_node_citation_summary_names_its_data_dir(tmp_path, capsys):
     from ufg.cli import main
 
-    _write_citation_fixture(tmp_path)
+    write_citation_fixture(tmp_path)
     assert main(["train-node", "--data-dir",
                  str(tmp_path), "--epochs", "1", "--seeds", "0"]) == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
@@ -518,7 +491,7 @@ def test_train_node_citation_summary_names_its_data_dir(tmp_path, capsys):
 
 
 def test_citation_data_makes_its_load_citation_dataset(tmp_path):
-    _write_citation_fixture(tmp_path)
+    write_citation_fixture(tmp_path)
     _same_node_data(CitationData(str(tmp_path)).make(), load_citation(tmp_path))
 
 

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import path_graph, write_citation_fixture
+
 from ufg import experiments, graphs, nn
 from ufg.datasets import (
     CitationData,
@@ -19,7 +21,6 @@ from ufg.datasets import (
     cycle_graph,
     cycles_and_stars,
     generate_sbm,
-    path_graph,
     star_graph,
 )
 from ufg.experiments import (
@@ -35,7 +36,6 @@ from ufg.experiments import (
     train_node_classifier,
 )
 from ufg.experiments import (
-    _conv_params,
     _graph_union,
     _layer_activations,
     _union_backward,
@@ -47,9 +47,9 @@ from ufg.nn import (
     activation_signature,
     dropout_backward,
     dropout_forward,
-    finite_difference_check,
     gcn_conv_backward,
     gcn_conv_forward,
+    gradient_check,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -89,7 +89,8 @@ def quick_config():
 
 # ---------------------------------------------------------------- configs
 
-def test_fingerprint_deterministic_and_sensitive():
+def test_fingerprint_deterministic_and_sensitive(tmp_path):
+    write_citation_fixture(tmp_path)
     config, data = ExperimentConfig(), SBMData()
     a = fingerprint(config, data)
     assert a == fingerprint(ExperimentConfig(), SBMData())
@@ -103,7 +104,7 @@ def test_fingerprint_deterministic_and_sensitive():
         fingerprint(config, data, PerturbationSpec("gaussian", 0.5, 1)),
         fingerprint(config, data, PerturbationSpec("gaussian", 0.5, 2)),
         fingerprint(config, GraphData()),
-        fingerprint(config, CitationData("cora")),
+        fingerprint(config, CitationData(str(tmp_path))),
     }
     assert len(others) == 8 and a not in others
     # A default spelled out, or a NumPy scalar for a Python one, is the same run.
@@ -359,6 +360,52 @@ def test_build_node_operator_chebyshev_path(sbm_data):
     assert op.num_blocks == 2  # one high-pass level plus low pass
 
 
+def _node_model_check(data, activation, hidden, corrupt=None):
+    """``gradient_check`` of the node task's two-layer model, through the
+    input coefficients; ``corrupt = (layer, name)`` scales that gradient by
+    1.001 first. Returns the check and layer 1's forward cache."""
+    cfg = ExperimentConfig(activation=activation, hidden=hidden)
+    op = build_node_operator(data, cfg)
+    coeff_x = decompose(op, data.features)
+    acts = _layer_activations(cfg)
+    rng = np.random.default_rng(4)
+    d_in, classes = data.features.shape[1], data.num_classes
+    params = {
+        "l1": {"W": rng.normal(size=(d_in, hidden)) / np.sqrt(d_in),
+               "theta": rng.uniform(0.9, 1.1, op.num_rows),
+               "bias": rng.normal(size=hidden)},
+        "l2": {"W": rng.normal(size=(hidden, classes)) / 2.0,
+               "theta": rng.uniform(0.9, 1.1, op.num_rows),
+               "bias": rng.normal(size=classes)},
+    }
+
+    def forward(p, frozen=(None, None)):
+        h1, c1 = ufg_conv_forward(p["l1"], op, coeff_x, acts[0], frozen[0])
+        # Seeded, so every evaluation drops the same entries.
+        hd, cd = dropout_forward(h1, 0.5, 11)
+        logits, c2 = ufg_conv_forward(p["l2"], op, hd, acts[1], frozen[1])
+        return logits, (c1, cd, c2)
+
+    logits, (c1, cd, c2) = forward(params)
+    # Shrinkage thresholds are stop-gradient: hold the nominal ones fixed.
+    frozen = (c1.get("thresholds"), c2.get("thresholds"))
+
+    def loss_fn(p):
+        out, caches = forward(p, frozen)
+        loss, _ = softmax_cross_entropy(out, data.labels, data.train_mask)
+        return loss, activation_signature(*caches)
+
+    _, dlogits = softmax_cross_entropy(logits, data.labels, data.train_mask)
+    g2, dh = ufg_conv_backward(c2, dlogits)
+    g1, dX = ufg_conv_backward(c1, dropout_backward(cd, dh))
+    assert dX is None
+    grads = {"l1": g1, "l2": g2}
+    if corrupt is not None:
+        layer, name = corrupt
+        grads[layer][name] = grads[layer][name] * 1.001
+    return gradient_check(loss_fn, params, grads, max_coords=80, seed=3), c1
+
+
 # hidden 4 is narrower than the 8 input features, so layer 1 projects
 # first; at hidden 12 a ReLU layer 1 reconstructs first.
 @pytest.mark.parametrize(
@@ -370,54 +417,13 @@ def test_build_node_operator_chebyshev_path(sbm_data):
     ],
 )
 def test_node_model_gradients_through_input_coefficients(sbm_data, activation, hidden):
-    cfg = ExperimentConfig(activation=activation, hidden=hidden)
-    op = build_node_operator(sbm_data, cfg)
-    coeff_x = decompose(op, sbm_data.features)
-    acts = _layer_activations(cfg)
-    rng = np.random.default_rng(4)
-    d_in, classes = sbm_data.features.shape[1], sbm_data.num_classes
-    params = {
-        "l1.W": rng.normal(size=(d_in, hidden)) / np.sqrt(d_in),
-        "l1.theta": rng.uniform(0.9, 1.1, op.num_rows),
-        "l1.bias": rng.normal(size=hidden),
-        "l2.W": rng.normal(size=(hidden, classes)) / 2.0,
-        "l2.theta": rng.uniform(0.9, 1.1, op.num_rows),
-        "l2.bias": rng.normal(size=classes),
-    }
-    keys = sorted(params)
-    sizes = [params[k].size for k in keys]
-
-    def forward(p, frozen=(None, None)):
-        h1, c1 = ufg_conv_forward(_conv_params(p, "l1"), op, coeff_x, acts[0], frozen[0])
-        # Seeded, so every evaluation drops the same entries.
-        hd, cd = dropout_forward(h1, 0.5, 11)
-        logits, c2 = ufg_conv_forward(_conv_params(p, "l2"), op, hd, acts[1], frozen[1])
-        return logits, (c1, cd, c2)
-
-    logits, (c1, cd, c2) = forward(params)
-    assert ("reconstructed" in c1) == (activation == "relu" and hidden > d_in)
-    # Shrinkage thresholds are stop-gradient: hold the nominal ones fixed.
-    frozen = (c1.get("thresholds"), c2.get("thresholds"))
-
-    def loss_fn(vec):
-        parts = np.split(vec, np.cumsum(sizes)[:-1])
-        p = {k: part.reshape(params[k].shape) for k, part in zip(keys, parts)}
-        out, caches = forward(p, frozen)
-        loss, _ = softmax_cross_entropy(out, sbm_data.labels, sbm_data.train_mask)
-        return loss, activation_signature(*caches)
-
-    _, dlogits = softmax_cross_entropy(logits, sbm_data.labels, sbm_data.train_mask)
-    dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
-    dX, dW1, dth1, db1 = ufg_conv_backward(c1, dropout_backward(cd, dh))
-    assert dX is None
-    grads = {
-        "l1.W": dW1, "l1.theta": dth1, "l1.bias": db1,
-        "l2.W": dW2, "l2.theta": dth2, "l2.bias": db2,
-    }
-    point = np.concatenate([params[k].ravel() for k in keys])
-    grad = np.concatenate([grads[k].ravel() for k in keys])
-    rel, checked, _ = finite_difference_check(loss_fn, point, grad, max_coords=80, seed=3)
+    (rel, checked, _), c1 = _node_model_check(sbm_data, activation, hidden)
+    assert ("reconstructed" in c1) == (activation == "relu" and hidden > 8)
     assert checked > 0 and rel <= GRAD_TOL
+    # A 0.1% error in one parameter group of either layer is flagged.
+    for corrupt in (("l1", "W"), ("l2", "theta")):
+        (rel, _, _), _ = _node_model_check(sbm_data, activation, hidden, corrupt)
+        assert rel > GRAD_TOL, corrupt
 
 
 def _operator_applications(monkeypatch, data, cfg):
@@ -547,15 +553,11 @@ class _FullOutputNodeTask(experiments._NodeTask):
 
     def step(self, params, rng):
         hd, cd = dropout_forward(self.h1, self.config.dropout, rng)
-        logits, c2 = ufg_conv_forward(_conv_params(params, "l2"), self.op, hd,
-                                      self.acts[1])
+        logits, c2 = ufg_conv_forward(params["l2"], self.op, hd, self.acts[1])
         loss, dlogits = softmax_cross_entropy(logits, self.labels, self.masks[0])
-        dh, dW2, dth2, db2 = ufg_conv_backward(c2, dlogits)
-        _, dW1, dth1, db1 = ufg_conv_backward(self.c1, dropout_backward(cd, dh))
-        return loss, {
-            "l1.W": dW1, "l1.theta": dth1, "l1.bias": db1,
-            "l2.W": dW2, "l2.theta": dth2, "l2.bias": db2,
-        }
+        g2, dh = ufg_conv_backward(c2, dlogits)
+        g1, _ = ufg_conv_backward(self.c1, dropout_backward(cd, dh))
+        return loss, {"l1": g1, "l2": g2}
 
 
 @pytest.mark.parametrize("mode", ["exact", "chebyshev"])
@@ -577,8 +579,9 @@ def test_training_row_step_trains_as_the_full_output_step(activation, mode):
     assert acc == full_acc
     if mode == "chebyshev":
         assert losses == full_losses
-        for key in params:
-            np.testing.assert_array_equal(params[key], full_params[key], strict=True)
+        for layer, values in params.items():
+            for name, value in values.items():
+                np.testing.assert_array_equal(value, full_params[layer][name], strict=True)
     else:
         np.testing.assert_allclose(losses, full_losses, rtol=ROWS_TOL, atol=0)
 
@@ -693,28 +696,30 @@ def _mixed_union(pool_mode):
     return samples, cfg, union, params, mask
 
 
-@pytest.mark.parametrize("pool_mode", POOL_MODES)
-def test_union_model_gradients(pool_mode):
+def _union_model_check(pool_mode, corrupt=None):
+    """``gradient_check`` of the graph task's model on ``_mixed_union``;
+    ``corrupt`` names a gradient to scale by 1.001 first."""
     _, cfg, union, params, mask = _mixed_union(pool_mode)
-    keys = sorted(params)
-    sizes = [params[k].size for k in keys]
 
-    def unpack(vec):
-        parts = np.split(vec, np.cumsum(sizes)[:-1])
-        return {k: part.reshape(params[k].shape) for k, part in zip(keys, parts)}
-
-    def loss_fn(vec):
-        logits, (c1, c2, _, cm) = _union_forward(unpack(vec), union, cfg.pool_mode)
+    def loss_fn(p):
+        logits, (c1, c2, _, cm) = _union_forward(p, union, cfg.pool_mode)
         loss, _ = softmax_cross_entropy(logits, union.labels, mask)
         return loss, activation_signature(c1, c2, cm)
 
     logits, caches = _union_forward(params, union, cfg.pool_mode)
     _, dlogits = softmax_cross_entropy(logits, union.labels, mask)
     grads = _union_backward(caches, dlogits, union)
-    point = np.concatenate([params[k].ravel() for k in keys])
-    grad = np.concatenate([grads[k].ravel() for k in keys])
-    rel, checked, _ = finite_difference_check(loss_fn, point, grad, max_coords=80, seed=2)
+    if corrupt is not None:
+        grads[corrupt] = grads[corrupt] * 1.001
+    return gradient_check(loss_fn, params, grads, max_coords=80, seed=2)
+
+
+@pytest.mark.parametrize("pool_mode", POOL_MODES)
+def test_union_model_gradients(pool_mode):
+    rel, checked, _ = _union_model_check(pool_mode)
     assert checked > 0 and rel <= GRAD_TOL
+    # A 0.1% error in the first layer's weights is flagged.
+    assert _union_model_check(pool_mode, corrupt="g1.W")[0] > GRAD_TOL
 
 
 def _single_graph_step(params, sample, cfg):

@@ -8,12 +8,12 @@ from numpy.polynomial.chebyshev import chebval
 
 from ufg.filters import (
     FilterBank,
-    PARTITION_TOL,
     chebyshev_fit,
     haar_filter_bank,
     verify_refinement,
 )
 
+PARTITION_TOL = 1e-12
 # Frozen during development: t=16 quadrature fit of the low pass on [0, 2].
 SCALAR_FIT_TOL = 1e-12
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ufg.datasets import generate_sbm, path_graph, random_er_graph
+from conftest import path_graph
+from ufg.datasets import generate_sbm, random_er_graph
 from ufg.graphs import (
     EXACT_SPECTRUM_MAX_NODES,
     LANCZOS_MIN_NODES,

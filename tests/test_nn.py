@@ -5,20 +5,19 @@ import itertools
 import numpy as np
 import pytest
 
-from ufg.datasets import path_graph
+from conftest import path_graph
 from ufg.graphs import build_graph, gcn_norm_adjacency
 from ufg.nn import (
     AdamState,
-    ConvLayerParams,
     LayerActivation,
     accuracy,
     activation_signature,
     adam_step,
     dropout_backward,
     dropout_forward,
-    finite_difference_check,
     gcn_conv_backward,
     gcn_conv_forward,
+    gradient_check,
     init_params,
     mlp_backward,
     mlp_forward,
@@ -41,17 +40,16 @@ REASSOC_TOL = 1e-12
 
 
 def _identity_params(op, d):
-    return ConvLayerParams(
-        W=np.eye(d), theta=np.ones(op.num_rows), bias=np.zeros(d)
-    )
+    return {"W": np.eye(d), "theta": np.ones(op.num_rows), "bias": np.zeros(d)}
 
 
 def test_init_params_ranges(rng):
     p = init_params(4, 3, 10, rng)
-    assert p.W.shape == (4, 3)
-    assert p.theta.shape == (10,)
-    assert np.all((p.theta >= 0.9) & (p.theta <= 1.1))
-    np.testing.assert_array_equal(p.bias, 0.0)
+    assert list(p) == ["W", "theta", "bias"]
+    assert p["W"].shape == (4, 3)
+    assert p["theta"].shape == (10,)
+    assert np.all((p["theta"] >= 0.9) & (p["theta"] <= 1.1))
+    np.testing.assert_array_equal(p["bias"], 0.0)
     with pytest.raises(ValueError, match="positive"):
         init_params(0, 3, 10, rng)
 
@@ -64,7 +62,7 @@ def test_xavier_draws_keep_their_order():
     W = rng.uniform(-lim, lim, size=(4, 3))
     theta = rng.uniform(0.9, 1.1, size=10)
     p = init_params(4, 3, 10, 7)
-    assert p.W.tobytes() == W.tobytes() and p.theta.tobytes() == theta.tobytes()
+    assert p["W"].tobytes() == W.tobytes() and p["theta"].tobytes() == theta.tobytes()
     rng = np.random.default_rng(8)
     W1 = rng.uniform(-np.sqrt(6.0 / 9), np.sqrt(6.0 / 9), size=(5, 4))
     W2 = rng.uniform(-np.sqrt(6.0 / 6), np.sqrt(6.0 / 6), size=(4, 2))
@@ -107,7 +105,7 @@ def test_shrinkage_cache_holds_its_stacks(small_operator, rng):
     cfg = ThresholdConfig(1.0, "energy_scaled")
     _, cache = ufg_conv_forward(params, small_operator, X, LayerActivation.shrinkage(cfg))
     filtered, shrunk = cache["filtered"], cache["shrunk"]
-    np.testing.assert_array_equal(filtered.data, params.theta[:, None] * cache["coeff"])
+    np.testing.assert_array_equal(filtered.data, params["theta"][:, None] * cache["coeff"])
     expected = shrink_stack(filtered, cfg, thresholds=cache["thresholds"])
     np.testing.assert_array_equal(shrunk.data, expected.data)
     np.testing.assert_array_equal(cache["active_mask"], shrunk.data != 0.0)
@@ -117,7 +115,7 @@ def test_conv_shape_errors(small_operator, rng):
     params = init_params(3, 2, small_operator.num_rows, rng)
     with pytest.raises(ValueError, match="X shape"):
         ufg_conv_forward(params, small_operator, np.zeros((5, 4)), LayerActivation.relu())
-    short = ConvLayerParams(W=np.eye(3), theta=np.ones(3), bias=np.zeros(3))
+    short = {"W": np.eye(3), "theta": np.ones(3), "bias": np.zeros(3)}
     with pytest.raises(ValueError, match="theta length"):
         ufg_conv_forward(
             short,
@@ -127,44 +125,33 @@ def test_conv_shape_errors(small_operator, rng):
         )
 
 
-def _pack_conv(p):
-    return np.concatenate([p.W.ravel(), p.theta, p.bias])
-
-
 def _conv_fd(small_operator, act, seed, frozen=None, out_op=None, d_in=3, d_out=2,
-             wrt_input=False, max_coords=40):
-    """``finite_difference_check`` of the layer's gradients in W, theta and
-    bias, and with ``wrt_input`` in X before them."""
+             wrt_input=False, max_coords=40, corrupt=None):
+    """``gradient_check`` of the layer's gradients in W, theta and bias, and
+    with ``wrt_input`` in X before them; ``corrupt(grads)`` edits the
+    analytic gradients first."""
     rng = np.random.default_rng(seed)
     n = small_operator.num_nodes
     X = rng.normal(size=(n, d_in))
     params = init_params(d_in, d_out, small_operator.num_rows, rng)
     out_rows = n if out_op is None else out_op.num_signal_rows
     target = rng.normal(size=(out_rows, d_out))
-    sizes = (X.size if wrt_input else 0, d_in * d_out, small_operator.num_rows, d_out)
-
-    def unpack(vec):
-        x, w, theta, bias = np.split(vec, np.cumsum(sizes)[:-1])
-        x = x.reshape(n, d_in) if wrt_input else X
-        return x, ConvLayerParams(W=w.reshape(d_in, d_out), theta=theta, bias=bias)
-
     y, cache = ufg_conv_forward(params, small_operator, X, act, out_op=out_op)
     thresholds = cache.get("thresholds") if frozen is None else frozen
 
-    def loss_fn(vec):
-        x, p = unpack(vec)
+    def loss_fn(p):
         out, c = ufg_conv_forward(
-            p, small_operator, x, act, frozen_thresholds=thresholds, out_op=out_op,
+            p, small_operator, p.get("X", X), act, frozen_thresholds=thresholds,
+            out_op=out_op,
         )
         return 0.5 * float(np.sum((out - target) ** 2)), activation_signature(c)
 
-    dX, dW, dtheta, dbias = ufg_conv_backward(cache, y - target)
-    point, grad = _pack_conv(params), np.concatenate([dW.ravel(), dtheta, dbias])
+    grads, dX = ufg_conv_backward(cache, y - target)
     if wrt_input:
-        point, grad = np.concatenate([X.ravel(), point]), np.concatenate([dX.ravel(), grad])
-    return finite_difference_check(
-        loss_fn, point, grad, max_coords=max_coords, seed=seed
-    )
+        params, grads = {"X": X, **params}, {"X": dX, **grads}
+    if corrupt is not None:
+        corrupt(grads)
+    return gradient_check(loss_fn, params, grads, max_coords=max_coords, seed=seed)
 
 
 def _rel_err(a, b):
@@ -207,13 +194,12 @@ def test_input_layer_matches_conv_on_decomposed_input(
     rng = np.random.default_rng(3)
     X = rng.normal(size=(operator.num_nodes, d_in))
     params = init_params(d_in, d_out, operator.num_rows, rng)
-    params.bias = rng.normal(size=d_out)
+    params["bias"] = rng.normal(size=d_out)
     grad_out = rng.normal(size=(operator.num_nodes, d_out))
     # Zero columns of X and rows of W widen the input to d_out: the same
     # layer, which then projects first in every case.
     pad = max(d_out - d_in, 0)
-    wide = ConvLayerParams(W=np.vstack([params.W, np.zeros((pad, d_out))]),
-                           theta=params.theta, bias=params.bias)
+    wide = {**params, "W": np.vstack([params["W"], np.zeros((pad, d_out))])}
     y, cache = ufg_conv_forward(wide, operator, np.pad(X, ((0, 0), (0, pad))), act)
     assert "reconstructed" not in cache
     coeff_x = decompose(operator, X)
@@ -235,12 +221,12 @@ def test_input_layer_matches_conv_on_decomposed_input(
         assert cache_in["thresholds"] == pytest.approx(
             cache["thresholds"], rel=REASSOC_TOL
         )
-    _, dW, dtheta, dbias = ufg_conv_backward(cache, grad_out)
-    dX_in, dW_in, dtheta_in, dbias_in = ufg_conv_backward(cache_in, grad_out)
+    grads, _ = ufg_conv_backward(cache, grad_out)
+    grads_in, dX_in = ufg_conv_backward(cache_in, grad_out)
     assert dX_in is None
-    assert _rel_err(dW_in, dW[:d_in]) <= REASSOC_TOL
-    assert _rel_err(dtheta_in, dtheta) <= REASSOC_TOL
-    assert _rel_err(dbias_in, dbias) <= REASSOC_TOL
+    assert _rel_err(grads_in["W"], grads["W"][:d_in]) <= REASSOC_TOL
+    assert _rel_err(grads_in["theta"], grads["theta"]) <= REASSOC_TOL
+    assert _rel_err(grads_in["bias"], grads["bias"]) <= REASSOC_TOL
 
 
 def test_input_layer_shape_errors(small_graph, small_operator, rng):
@@ -331,15 +317,17 @@ def test_restricted_output_layer_is_the_full_layer_under_a_masked_loss(
     rng = np.random.default_rng(6)
     X = rng.normal(size=(op.num_nodes, 3))
     params = init_params(3, 2, op.num_rows, rng)
-    params.bias = rng.normal(size=2)
+    params["bias"] = rng.normal(size=2)
     grad_rows = rng.normal(size=(OUT_ROWS.size, 2))
     grad_full = np.zeros((op.num_nodes, 2))
     grad_full[OUT_ROWS] = grad_rows
     y, cache = ufg_conv_forward(params, op, X, act)
     y_rows, cache_rows = ufg_conv_forward(params, op, X, act,
                                           out_op=op.restrict(OUT_ROWS))
-    full = (y[OUT_ROWS], *ufg_conv_backward(cache, grad_full))
-    rows = (y_rows, *ufg_conv_backward(cache_rows, grad_rows))
+    grads, dX = ufg_conv_backward(cache, grad_full)
+    full = (y[OUT_ROWS], dX, *grads.values())
+    grads, dX = ufg_conv_backward(cache_rows, grad_rows)
+    rows = (y_rows, dX, *grads.values())
     for actual, expected in zip(rows, full):
         if mode == "chebyshev":
             np.testing.assert_array_equal(actual, expected, strict=True)
@@ -356,30 +344,26 @@ def test_conv_refuses_an_output_operator_of_another_graph(small_graph, small_ope
                          out_op=other.restrict(OUT_ROWS))
 
 
-def test_conv_gradient_negative_control(small_operator, rng):
+def test_conv_gradient_negative_control(small_operator):
     # A corrupted gradient must be flagged; guards against vacuous checks.
-    n, d = small_operator.num_nodes, 3
-    X = rng.normal(size=(n, d))
-    params = init_params(d, 2, small_operator.num_rows, rng)
-    target = rng.normal(size=(n, 2))
-    y, cache = ufg_conv_forward(params, small_operator, X, LayerActivation.relu())
-    _, dW, dtheta, dbias = ufg_conv_backward(cache, y - target)
-    corrupted = np.concatenate([dW.ravel() * 1.5, dtheta, dbias])
+    def corrupt(grads):
+        grads["W"] = grads["W"] * 1.5
 
-    def unpack(vec):
-        w = vec[: d * 2].reshape(d, 2)
-        return ConvLayerParams(
-            W=w, theta=vec[d * 2 : d * 2 + small_operator.num_rows], bias=vec[-2:]
-        )
-
-    def loss_fn(vec):
-        out, c = ufg_conv_forward(unpack(vec), small_operator, X, LayerActivation.relu())
-        return 0.5 * float(np.sum((out - target) ** 2)), activation_signature(c)
-
-    rel, checked, _ = finite_difference_check(
-        loss_fn, _pack_conv(params), corrupted, max_coords=40, seed=2
-    )
+    rel, checked, _ = _conv_fd(small_operator, LayerActivation.relu(), seed=2,
+                               corrupt=corrupt)
     assert checked > 0 and rel > 1e-2
+
+
+@pytest.mark.parametrize("name", ["W", "theta", "bias"])
+def test_conv_gradient_check_flags_a_tenth_of_a_percent_in_one_group(
+    small_operator, name
+):
+    def corrupt(grads):
+        grads[name] = grads[name] * 1.001
+
+    rel, checked, _ = _conv_fd(small_operator, LayerActivation.relu(), seed=0,
+                               max_coords=200, corrupt=corrupt)
+    assert checked > 0 and rel > GRAD_TOL
 
 
 def test_gcn_norm_adjacency_oracle():
@@ -399,13 +383,11 @@ def test_gcn_gradients(rng):
     y, cache = gcn_conv_forward(W, adj, X)
     _, dW = gcn_conv_backward(cache, y - target)
 
-    def loss_fn(vec):
-        out, c = gcn_conv_forward(vec.reshape(3, 2), adj, X)
+    def loss_fn(p):
+        out, c = gcn_conv_forward(p["W"], adj, X)
         return 0.5 * float(np.sum((out - target) ** 2)), activation_signature(c)
 
-    rel, checked, _ = finite_difference_check(
-        loss_fn, W.ravel(), dW.ravel(), max_coords=6, seed=0
-    )
+    rel, checked, _ = gradient_check(loss_fn, {"W": W}, {"W": dW}, max_coords=6, seed=0)
     assert checked > 0 and rel <= GRAD_TOL
 
 
@@ -413,24 +395,16 @@ def test_mlp_gradients(rng):
     params = mlp_init(4, 5, 3, rng)
     X = rng.normal(size=(6, 4))
     labels = rng.integers(0, 3, size=6)
-    keys = sorted(params)
-    sizes = [params[k].size for k in keys]
 
-    def unpack(vec):
-        parts = np.split(vec, np.cumsum(sizes)[:-1])
-        return {k: part.reshape(params[k].shape) for k, part in zip(keys, parts)}
-
-    def loss_fn(vec):
-        logits, c = mlp_forward(unpack(vec), X)
+    def loss_fn(p):
+        logits, c = mlp_forward(p, X)
         loss, _ = softmax_cross_entropy(logits, labels)
         return loss, activation_signature(c)
 
     logits, cache = mlp_forward(params, X)
     loss, dlogits = softmax_cross_entropy(logits, labels)
     grads, _ = mlp_backward(cache, dlogits)
-    point = np.concatenate([params[k].ravel() for k in keys])
-    grad = np.concatenate([grads[k].ravel() for k in keys])
-    rel, checked, _ = finite_difference_check(loss_fn, point, grad, max_coords=40, seed=1)
+    rel, checked, _ = gradient_check(loss_fn, params, grads, max_coords=40, seed=1)
     assert checked > 0 and rel <= GRAD_TOL
 
 
@@ -463,13 +437,12 @@ def test_pool_gradients(small_operator, rng):
         target = rng.normal(size=pooled.shape)
         dX = ufg_pool_backward(cache, pooled - target)
 
-        def loss_fn(vec):
-            out, _ = ufg_pool_forward(small_operator, vec.reshape(n, 2), mode)
+        def loss_fn(p):
+            out, _ = ufg_pool_forward(small_operator, p["X"], mode)
             return 0.5 * float(np.sum((out - target) ** 2)), None
 
-        rel, checked, _ = finite_difference_check(
-            loss_fn, X.ravel(), dX.ravel(), max_coords=30, seed=3
-        )
+        rel, checked, _ = gradient_check(loss_fn, {"X": X}, {"X": dX}, max_coords=30,
+                                         seed=3)
         assert checked > 0 and rel <= GRAD_TOL, mode
 
 
@@ -572,15 +545,67 @@ def test_stencil_crossed_kink_rules():
     assert _stencil_crossed_kink(a, np.array([True, True])) is True
 
 
-def test_finite_difference_check_quadratic():
+def test_gradient_check_quadratic():
     # Smooth quadratic: analytic gradient is exact, no exclusions.
     point = np.array([1.0, -2.0, 3.0])
 
-    def loss_fn(vec):
-        return float(np.sum(vec**2)), None
+    def loss_fn(p):
+        return float(np.sum(p["x"] ** 2)), None
 
-    rel, checked, excluded = finite_difference_check(loss_fn, point, 2 * point)
+    rel, checked, excluded = gradient_check(loss_fn, {"x": point}, {"x": 2 * point})
     assert rel <= 1e-8
     assert checked == 3 and not excluded
-    with pytest.raises(ValueError, match="shape"):
-        finite_difference_check(loss_fn, point, np.zeros(2))
+
+
+@pytest.mark.parametrize("grads", [
+    {"x": np.zeros(2), "y": np.zeros((2, 1))},  # another shape
+    {"x": np.zeros(3)},  # a name missing
+    {"x": np.zeros(3), "y": np.zeros((2, 1)), "z": np.zeros(1)},  # one too many
+    {"x": np.zeros(3), "y": {"y": np.zeros((2, 1))}},  # nested once more
+])
+def test_gradient_check_refuses_gradients_of_other_names_or_shapes(grads):
+    # No loss: the check refuses before it would evaluate one.
+    with pytest.raises(ValueError, match="names and shapes"):
+        gradient_check(None, {"x": np.ones(3), "y": np.ones((2, 1))}, grads)
+
+
+def test_gradient_check_numbers_coordinates_in_dict_order():
+    # Coordinate k is the k-th entry of the parameters flattened in their
+    # order, nested dicts included, whatever order the gradients come in.
+    params = {"b": np.array([[1.0, 2.0], [3.0, 4.0]]), "a": np.array([5.0]),
+              "c": {"e": np.array([6.0, 7.0]), "d": np.array([8.0])}}
+    grads = {"c": {"d": np.array([16.0]), "e": np.array([12.0, 15.0])},
+             "a": np.array([10.0]), "b": 2.0 * params["b"]}
+    bumped = []
+
+    def loss_fn(p):
+        flat = np.concatenate([p["b"].ravel(), p["a"], p["c"]["e"], p["c"]["d"]])
+        bumped.append(int(np.flatnonzero(flat != np.arange(1.0, 9.0))[0]))
+        # Only coordinate 6, whose gradient is off, crosses a kink.
+        return float(np.sum(flat**2)), np.array([flat[6] > 7.0])
+
+    rel, checked, excluded = gradient_check(loss_fn, params, grads)
+    assert bumped[::2] == list(range(8))
+    assert excluded == [6] and checked == 7 and rel <= 1e-8
+
+
+# Boundaries of the 1e-5 pass rule for a linear loss whose gradient is
+# off by ``offset`` in one coordinate, on both sides of the rule's 1e-5
+# floor of the gradient scale and of 1e-5 relative.
+@pytest.mark.parametrize("slope, offset, passes", [
+    (1e-7, 5e-11, True),  # 5e-6 of the 1e-5 floor
+    (1e-7, 5e-10, False),  # 5e-5 of the floor
+    (1.0, 5e-6, True),
+    (1.0, 5e-5, False),
+])
+def test_gradient_check_verdict_at_the_floor(slope, offset, passes):
+    point = np.array([0.3, -0.2, 0.7])
+    slopes = slope * np.array([1.0, -2.0, 0.5])
+
+    def loss_fn(p):
+        return float(slopes @ p["x"]), None
+
+    grad = slopes.copy()
+    grad[1] += offset
+    rel, checked, _ = gradient_check(loss_fn, {"x": point}, {"x": grad})
+    assert checked == 3 and (rel <= GRAD_TOL) == passes

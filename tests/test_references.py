@@ -1,0 +1,54 @@
+"""Every public top-level name of ``src/ufg`` is referenced beyond its own
+definition, so code that only tests call does not stay in the package."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# A "module:function" lookup site, as the benchmark's span table and the
+# console-script entry point write them.
+SITE = re.compile(r"[\"']ufg(?:\.\w+)*:([\w.]+)[\"']")
+# Public names kept without a reference in src/ufg, each with its reason.
+UNREFERENCED = {
+    "transform.make_system": "perfbench/workloads.py builds its framelet systems "
+    "through it, and the benchmark's files change only with the benchmark",
+}
+
+
+def _defined(stmt: ast.stmt) -> set[str]:
+    """Names a top-level statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _reference(node: ast.AST) -> str | None:
+    """The name an import, a loaded name or an attribute refers to."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.name if isinstance(node, ast.alias) else None
+
+
+def test_every_public_name_is_referenced_outside_its_definition():
+    public, refs = set(), set()
+    for path in sorted((ROOT / "src" / "ufg").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _defined(stmt)
+            public.update(f"{path.stem}.{n}" for n in names if not n.startswith("_"))
+            refs.update({_reference(node) for node in ast.walk(stmt)} - names)
+    for path in [ROOT / "pyproject.toml", *(ROOT / "perfbench").rglob("*.py")]:
+        for match in SITE.finditer(path.read_text(encoding="utf-8")):
+            refs.update(match[1].split("."))
+    orphans = sorted(name for name in public if name.split(".")[1] not in refs)
+    # An allow-listed name that gained a reference leaves the list.
+    assert orphans == sorted(UNREFERENCED), orphans

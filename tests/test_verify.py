@@ -3,12 +3,10 @@
 import json
 import re
 
-import numpy as np
 import pytest
 
 import ufg.verify as verify_mod
 from ufg.cli import main
-from ufg.nn import finite_difference_check, finite_differences
 from ufg.transform import MODES, compute_K
 from ufg.verify import run_verify
 
@@ -72,8 +70,9 @@ def test_layer_identity_and_pooling_are_measured_on_the_chebyshev_operator(repor
 
 
 def test_gradient_rows_show_their_margin(reports_30):
-    # Both rows used to read 0.00e+00 with no value: every absolute
-    # error fell under finite_difference_check's 1e-10 floor.
+    # The value is gradient_check's ratio: its 1e-5 floor is on the gradient
+    # scale, and no absolute error passes outright, so it is positive even
+    # where every absolute error is below 1e-10.
     for mode in MODES:
         row = next(r for r in reports_30 if (r["name"], r["mode"]) == ("gradients", mode))
         assert row["tol"] == 1e-5 and 0.0 < row["value"] <= row["tol"]
@@ -82,27 +81,6 @@ def test_gradient_rows_show_their_margin(reports_30):
         assert ratios and int(ratios[2]) > 0 and int(ratios[4]) > 0
         assert row["value"] == pytest.approx(max(float(ratios[1]), float(ratios[3])),
                                              rel=1e-2)
-
-
-@pytest.mark.parametrize("slope, offset, passes", [
-    (1e-7, 5e-11, True),  # below the 1e-10 floor: passes outright
-    (1e-7, 5e-10, False),  # above it, and far above 1e-5 relative
-    (1.0, 5e-6, True),
-    (1.0, 5e-5, False),
-])
-def test_gradient_ratio_gives_the_verdict_of_the_absolute_floor(slope, offset, passes):
-    point = np.array([0.3, -0.2, 0.7])
-    slopes = slope * np.array([1.0, -2.0, 0.5])
-
-    def loss_fn(vec):
-        return float(slopes @ vec), None
-
-    grad = slopes.copy()
-    grad[1] += offset
-    rel, checked, _ = finite_difference_check(loss_fn, point, grad)
-    assert checked == 3 and (rel <= 1e-5) == passes
-    numeric, ana, _ = finite_differences(loss_fn, point, grad)
-    assert (verify_mod._gradient_ratio(numeric, ana) <= 1e-5) == passes
 
 
 @pytest.mark.parametrize("mode", MODES)
