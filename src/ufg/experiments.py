@@ -520,8 +520,8 @@ def bench_transform(
     the operator's block count, ``recurrence_degree`` and
     ``operator_bytes``. The build is the whole ``framelet_operator`` call:
     Laplacian, Lanczos estimate of the top eigenvalue and block fits,
-    each repetition on a fresh copy of the graph, whose spectral cache is
-    empty. The transform runs matrix-free, one Chebyshev recurrence in each
+    each repetition on a fresh copy of the graph, whose spectral cache and
+    kept operator are empty. The transform runs matrix-free, one Chebyshev recurrence in each
     direction whatever the number of high passes, of ``recurrence_degree``
     sparse products: the block fits at degree ``degree + 4 (levels - 1)``
     with their round-off tail chopped. Out-of-memory records the size as
@@ -542,7 +542,7 @@ def bench_transform(
             op = None
             for _ in range(repetitions):
                 # An equal graph with an empty cache, so that every build
-                # computes its own Laplacian and estimate.
+                # computes its own Laplacian, estimate and operator.
                 fresh = replace(graph)
                 t0 = time.perf_counter()
                 op = framelet_operator(fresh, dilation, levels, degree, "chebyshev")

@@ -6,15 +6,20 @@ it alone: ``laplacian``, ``gcn_adjacency``, ``spectrum`` and
 ``lanczos_bound`` are computed on first use and live as long as the graph,
 so every operator or classifier built from one ``Graph`` object shares
 them. The exact spectrum holds N^2 doubles, at most 32 MB at
-``EXACT_SPECTRUM_MAX_NODES``. A graph
-and its arrays must therefore never be mutated; the cached arrays are
-read-only, so a write into one raises ``ValueError``.
+``EXACT_SPECTRUM_MAX_NODES``. ``Graph.cached`` keeps one more value, the
+latest one built for some key: ``transform.framelet_operator`` keeps the
+graph's framelet operator there, so a second call with the same settings
+returns the same operator, and a call with other settings replaces it. A
+graph and its arrays must therefore never be mutated; the cached arrays
+are read-only, so a write into one raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 import scipy.linalg
@@ -44,9 +49,10 @@ class Graph:
     """Undirected weighted graph with a symmetric adjacency matrix.
 
     Immutable: neither the graph nor its adjacency arrays may be changed
-    after construction, because the spectral data below is computed once
-    and kept for the graph's lifetime. ``dataclasses.replace`` gives an
-    equal graph that computes its own.
+    after construction, because the spectral data below and the value in
+    the ``cached`` slot are computed once and kept for the graph's
+    lifetime. ``dataclasses.replace`` gives an equal graph that computes
+    its own and starts with an empty slot.
     """
 
     num_nodes: int
@@ -84,6 +90,24 @@ class Graph:
     def lanczos_bound(self) -> float:
         """``lambda_max(self.laplacian, "lanczos")``, computed once."""
         return lambda_max(self.laplacian, "lanczos")
+
+    def cached(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """``build()``, kept in the graph's one slot under ``key``.
+
+        A call with the key of the kept value returns that very object; a
+        call with another key drops the kept value, so that the graph never
+        holds two, and keeps what ``build`` returns instead. Equal keys must
+        mean results that are interchangeable bit for bit, so a key should
+        tell apart every input whose type or value ``build`` records.
+        """
+        # Written as ``cached_property`` writes, past the frozen __setattr__.
+        attrs = vars(self)
+        if "_slot" in attrs and attrs["_slot"][0] == key:
+            return attrs["_slot"][1]
+        attrs.pop("_slot", None)  # dropped before the build, not after
+        value = build()
+        attrs["_slot"] = (key, value)
+        return value
 
     @property
     def degrees(self) -> np.ndarray:

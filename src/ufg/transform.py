@@ -42,7 +42,9 @@ high passes: 30 for a default round trip instead of 40 unchopped.
 ``framelet_operator`` builds either backend from a graph, from the
 Laplacian, Lanczos estimate and (in exact mode) spectrum that the ``Graph``
 caches; K comes from the Lanczos estimate in both modes, so the two
-backends of one graph approximate the same transform.
+backends of one graph approximate the same transform. The graph also keeps
+the operator built for its latest settings, so a second call with those
+settings builds nothing; the arrays an operator builds are read-only.
 ``DecompositionOperator.restrict`` gives the operator for signals that
 live on a subset of the nodes, such as the labelled nodes a training loss
 reads.
@@ -233,7 +235,9 @@ class FrameletSystem:
         # tail[k]: sum over the columns from k on of their largest magnitude
         tail = np.cumsum(np.max(np.abs(coeffs), axis=0)[::-1])[::-1]
         keep = max(1, int(np.count_nonzero(tail >= CHOP_TOL)))
-        return coeffs[:, :keep]
+        kept = coeffs[:, :keep]
+        graphs._freeze(kept)  # every operator of the system reads it
+        return kept
 
     @cached_property
     def fit_residual(self) -> float:
@@ -268,6 +272,11 @@ class DecompositionOperator:
     ``reconstruct`` returns only those n rows, and its coefficient stacks
     keep all ``B N`` rows. In exact mode ``stack`` is then the ``(B N) x
     n`` gather of the full stack's columns.
+
+    One operator may serve many callers (see ``framelet_operator``), so the
+    arrays ``build_operators`` and ``restrict`` make for it, the stack and
+    the CSR arrays of ``S``, are read-only: a write into one raises
+    ``ValueError``.
     """
 
     system: FrameletSystem
@@ -313,7 +322,10 @@ class DecompositionOperator:
         # C-contiguous like the full stack (``stack[:, rows]`` would be
         # Fortran-ordered), so BLAS sums in the same order and every row
         # reproduces the full products bitwise.
-        stack = None if self.stack is None else self.stack.take(rows, axis=1)
+        stack = self.stack
+        if stack is not None:
+            stack = stack.take(rows, axis=1)
+            graphs._freeze(stack)
         return DecompositionOperator(
             self.system, self.lap, stack, self.recurrence, rows
         )
@@ -416,8 +428,16 @@ class CoefficientStack:
 
 
 def _exact_stack(system: FrameletSystem, spectrum: graphs.Spectrum) -> np.ndarray:
+    """The dense ``(B N) x N`` stack: block b is ``spectrum.matrix_function``
+    of the b-th gain, bit for bit, written into its rows in place, so the
+    build holds the stack and one N x N temporary."""
     gains = system.block_gains(spectrum.values)
-    return np.concatenate([spectrum.matrix_function(g) for g in gains], axis=0)
+    U = spectrum.vectors
+    n = U.shape[0]
+    stack = np.empty((len(gains) * n, n))
+    for g, block in zip(gains, stack.reshape(len(gains), n, n)):
+        np.matmul(U * g, U.T, out=block)
+    return stack
 
 
 def build_operators(
@@ -439,9 +459,13 @@ def build_operators(
             raise ValueError("exact mode requires a spectrum")
         if spectrum.values.shape[0] != n:
             raise ValueError("spectrum size does not match Laplacian")
-        return DecompositionOperator(system, lap, _exact_stack(system, spectrum))
+        stack = _exact_stack(system, spectrum)
+        graphs._freeze(stack)
+        return DecompositionOperator(system, lap, stack)
     system.chebyshev_coeffs  # fit once now, not on the first product
-    return DecompositionOperator(system, lap, recurrence=_recurrence_matrix(lap))
+    S = _recurrence_matrix(lap)
+    graphs._freeze(S.csr.data, S.csr.indices, S.csr.indptr)
+    return DecompositionOperator(system, lap, recurrence=S)
 
 
 def framelet_operator(
@@ -463,14 +487,24 @@ def framelet_operator(
     ``laplacian``, ``lanczos_bound`` and ``spectrum``: every operator built
     from one ``Graph`` object, in either mode and at any dilation, levels
     or degree, shares one Laplacian, one Lanczos run and at most one
-    eigendecomposition, kept as long as the graph lives. The graph must not
-    be mutated.
+    eigendecomposition, kept as long as the graph lives. The graph also
+    keeps the operator itself, in its ``cached`` slot: a call with the
+    settings of the kept operator returns that very object, and a call with
+    other settings builds one and replaces it. Settings that print
+    differently, such as ``dilation=2`` and ``2.0``, count as different.
+    The graph and the operator's arrays must not be mutated; the arrays are
+    read-only.
     """
-    spectrum = graph.spectrum if mode == "exact" else None
-    system = FrameletSystem(
-        haar_filter_bank(), dilation, levels, graph.lanczos_bound, degree, mode
-    )
-    return build_operators(system, graph.laplacian, spectrum)
+    settings = (dilation, levels, degree, mode)
+
+    def build() -> DecompositionOperator:
+        spectrum = graph.spectrum if mode == "exact" else None
+        system = FrameletSystem(
+            haar_filter_bank(), dilation, levels, graph.lanczos_bound, degree, mode
+        )
+        return build_operators(system, graph.laplacian, spectrum)
+
+    return graph.cached(tuple((type(v), v) for v in settings), build)
 
 
 def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:

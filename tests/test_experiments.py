@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import path_graph, write_citation_fixture
 
-from ufg import experiments, graphs, nn
+from ufg import experiments, graphs, nn, transform
 from ufg.datasets import (
     CitationData,
     GaussianFeatures,
@@ -286,25 +286,32 @@ def test_relu_then_shrinkage_on_one_dataset_eigendecomposes_once(monkeypatch):
     def dataset():
         return generate_sbm([20, 20], 0.4, 0.05, GaussianFeatures(4), seed=3)
 
-    calls = []
-    real = graphs.eigendecompose
+    calls, stacks = [], []
+    real, real_stack = graphs.eigendecompose, transform._exact_stack
 
     def counting(lap):
         calls.append(lap.num_rows)
         return real(lap)
 
+    def counting_stack(system, spectrum):
+        stacks.append(spectrum.values.size)
+        return real_stack(system, spectrum)
+
     monkeypatch.setattr(graphs, "eigendecompose", counting)
+    monkeypatch.setattr(transform, "_exact_stack", counting_stack)
     data = dataset()
     relu = ExperimentConfig(epochs=3, seeds=(0, 1), hidden=4)
     shrink = dataclasses.replace(relu, activation="shrinkage")
     train_node_classifier(data, relu)
     cached = train_node_classifier(data, shrink)
-    assert calls == [40]
-    # The shared spectrum changes nothing: a fresh equal dataset, which
-    # eigendecomposes again, trains to the same record.
+    # Both calls share the graph's spectrum and its one operator.
+    assert calls == stacks == [40]
+    # The shared spectrum and operator change nothing: a fresh equal
+    # dataset, which eigendecomposes and builds again, trains to the same
+    # record.
     fresh = train_node_classifier(dataset(), shrink)
     assert (fresh.per_seed, fresh.extra) == (cached.per_seed, cached.extra)
-    assert calls == [40, 40]
+    assert calls == stacks == [40, 40]
 
 
 def test_node_classifier_beats_label_shuffle(sbm_data, quick_config):
@@ -817,16 +824,23 @@ def test_bench_transform_rows():
 
 
 def test_bench_transform_times_every_build_from_an_empty_cache(monkeypatch):
-    calls = []
-    real = graphs.lambda_max
+    calls, builds = [], []
+    real, real_build = graphs.lambda_max, transform.build_operators
 
     def counting(lap, method="exact"):
         calls.append(method)
         return real(lap, method)
 
+    def counting_build(system, lap, spectrum=None):
+        builds.append(lap.num_rows)
+        return real_build(system, lap, spectrum)
+
     monkeypatch.setattr(graphs, "lambda_max", counting)
-    bench_transform([30], repetitions=3, seed=0)
-    assert calls == ["lanczos"] * 3
+    monkeypatch.setattr(transform, "build_operators", counting_build)
+    bench_transform([30, 60], repetitions=3, seed=0)
+    # Each repetition builds: a graph's kept operator would time nothing.
+    assert calls == ["lanczos"] * 6
+    assert builds == [30] * 3 + [60] * 3
 
 
 def test_bench_transform_rejects_descending_sizes():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import json
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -859,7 +861,7 @@ def test_cached_operator_is_bitwise_a_fresh_build(mode):
         return random_er_graph(40, 4.0, np.random.default_rng(13))
 
     g = graph()
-    framelet_operator(g, mode=mode)  # fills the cache
+    framelet_operator(g, mode=mode)  # fills the spectral cache
     cached = framelet_operator(g, levels=3, mode=mode)
     fresh = framelet_operator(graph(), levels=3, mode=mode)
     for name in ("K", "lam_max"):
@@ -880,6 +882,71 @@ def test_cached_operator_is_bitwise_a_fresh_build(mode):
     c = decompose(cached, X)
     np.testing.assert_array_equal(c.data, decompose(fresh, X).data, strict=True)
     np.testing.assert_array_equal(reconstruct(cached, c), reconstruct(fresh, c))
+
+
+def test_graph_keeps_the_operator_of_its_latest_settings(monkeypatch):
+    builds = []
+    real = transform.build_operators
+
+    def counting(system, lap, spectrum=None):
+        builds.append((system.dilation, system.levels))
+        return real(system, lap, spectrum)
+
+    monkeypatch.setattr(transform, "build_operators", counting)
+    g = random_er_graph(30, 4.0, np.random.default_rng(15))
+    first = framelet_operator(g)
+    assert framelet_operator(g, 2.0, 2, FrameletSystem.degree, "exact") is first
+    assert len(builds) == 1
+    # Other settings build again and take the graph's one slot.
+    assert framelet_operator(g, levels=3).system.levels == 3
+    assert framelet_operator(g) is not first
+    assert builds == [(2.0, 2), (2.0, 3), (2.0, 2)]
+    # An equal graph starts with an empty slot.
+    framelet_operator(dataclasses.replace(g))
+    assert len(builds) == 4
+    # 2 and 2.0 are equal keys to a dict but print different provenance.
+    as_int = framelet_operator(g, dilation=2)
+    as_float = framelet_operator(g, dilation=2.0)
+    assert len(builds) == 6
+    for op in (as_int, as_float):
+        fresh = framelet_operator(dataclasses.replace(g), dilation=op.system.dilation)
+        assert json.dumps(op.provenance) == json.dumps(fresh.provenance)
+    assert json.dumps(as_int.provenance) != json.dumps(as_float.provenance)
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+def test_cached_operator_arrays_are_read_only(mode):
+    g = random_er_graph(20, 3.0, np.random.default_rng(16))
+    op = framelet_operator(g, mode=mode)
+    arrays = {"system.chebyshev_coeffs": op.system.chebyshev_coeffs}
+    if mode == "exact":
+        arrays["stack"] = op.stack
+        arrays["restricted stack"] = op.restrict(np.arange(0, 20, 2)).stack
+    else:
+        for name in ("data", "indices", "indptr"):
+            arrays[f"recurrence.{name}"] = getattr(op.recurrence.csr, name)
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        assert np.any(a != 0), name
+
+
+def test_exact_stack_is_built_in_place_from_the_blocks():
+    system, lap, spec = _exact_setup(200, 6.0, levels=2, seed=17)
+    n = lap.num_rows
+    tracemalloc.start()
+    try:
+        stack = transform._exact_stack(system, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gains = system.block_gains(spec.values)
+    blocks = [spec.matrix_function(g) for g in gains]
+    np.testing.assert_array_equal(stack, np.concatenate(blocks), strict=True)
+    # The stack, one N x N temporary (``U * g``), the gains and 256 kB of
+    # slack, of which the build uses about 70 kB. B blocks concatenated
+    # afterwards would peak at twice the stack, 370 kB above the bound.
+    assert peak <= stack.nbytes + n * n * 8 + 2 * gains.nbytes + 256 * 1024
 
 
 # ------------------------------------------------ operators on a row subset

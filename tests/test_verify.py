@@ -6,6 +6,7 @@ import re
 import pytest
 
 import ufg.verify as verify_mod
+from ufg import graphs
 from ufg.cli import main
 from ufg.transform import MODES, compute_K
 from ufg.verify import run_verify
@@ -92,6 +93,22 @@ def test_default_fixture_has_K_zero_under_both_bounds(mode):
     assert fx["ops"][mode].system.mode == mode
     assert fx["ops"][mode].system.K == 0
     assert compute_K(float(fx["graph"].spectrum.values[-1]), 2.0) == 0
+
+
+def test_training_determinism_rebuilds_what_it_compares(monkeypatch):
+    fx = verify_mod._fixtures(12, 7)
+    calls = []
+    real = graphs.eigendecompose
+
+    def counting(lap):
+        calls.append(lap.num_rows)
+        return real(lap)
+
+    monkeypatch.setattr(graphs, "eigendecompose", counting)
+    passed, detail = verify_mod._check_training_determinism(fx, fx["ops"]["exact"])
+    # Each run eigendecomposes its own equal 40-node graph.
+    assert passed and calls == [40, 40]
+    assert detail == "re-run metrics identical: True"
 
 
 def test_run_verify_takes_no_mode():
