@@ -267,8 +267,7 @@ def _cmd_perturb(args) -> int:
     summary = {"model": args.model, "value": args.value,
                "edges_before": graph.num_edges, "edges_after": new_graph.num_edges}
     if args.model == "bernoulli_flip":
-        nnz = int(np.count_nonzero(features))
-        summary["flip_probability"] = min(1.0, args.value * nnz / features.size)
+        summary["flip_probability"] = perturb_mod.flip_probability(features, args.value)
         summary["note"] = "ratio is relative to the nonzero entry count"
     _emit_json(summary)
     return 0

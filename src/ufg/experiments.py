@@ -21,7 +21,6 @@ from .io import deterministic_mode, encode_json
 from .nn import (
     READOUTS,
     AdamState,
-    LayerActivation,
     accuracy,
     adam_step,
     dropout_backward,
@@ -171,11 +170,14 @@ def build_node_operator(
     )
 
 
-def _layer_activations(config: ExperimentConfig) -> tuple[LayerActivation, LayerActivation]:
+def _layer_activations(
+    config: ExperimentConfig,
+) -> tuple[str | ThresholdConfig, ThresholdConfig | None]:
+    """The two node layers' ``act``: relu then linear, or shrinkage twice."""
     if config.activation == "relu":
-        return LayerActivation.relu(), LayerActivation.none()
+        return "relu", None
     cfg = ThresholdConfig(config.sigma, config.threshold_mode)
-    return LayerActivation.shrinkage(cfg), LayerActivation.shrinkage(cfg)
+    return cfg, cfg
 
 
 _SPLITS = ("train", "val", "test")

@@ -1,17 +1,19 @@
 """Undirected weighted graphs, their Laplacians and spectra.
 
 ``normalized_laplacian``, ``gcn_norm_adjacency``, ``eigendecompose`` and
-``lambda_max`` compute on every call. A ``Graph`` also keeps what depends on
-it alone: ``laplacian``, ``gcn_adjacency``, ``spectrum`` and
-``lanczos_bound`` are computed on first use and live as long as the graph,
-so every operator or classifier built from one ``Graph`` object shares
-them. The exact spectrum holds N^2 doubles, at most 32 MB at
-``EXACT_SPECTRUM_MAX_NODES``. ``Graph.cached`` keeps one more value, the
-latest one built for some key: ``transform.framelet_operator`` keeps the
-graph's framelet operator there, so a second call with the same settings
-returns the same operator, and a call with other settings replaces it. A
-graph and its arrays must therefore never be mutated; the cached arrays
-are read-only, so a write into one raises ``ValueError``.
+``lambda_max`` compute on every call; ``validate_csr`` checks the canonical
+layout of a CSR array and ``gershgorin_bound`` bounds its spectrum. A
+``Graph`` also keeps what depends on it alone: ``laplacian``,
+``gcn_adjacency``, ``spectrum`` and ``lanczos_bound`` are computed on first
+use and live as long as the graph, so every operator or classifier built
+from one ``Graph`` object shares them. The exact spectrum holds N^2
+doubles, at most 32 MB at ``EXACT_SPECTRUM_MAX_NODES``. ``Graph.cached``
+keeps one more value, the latest one built for some key:
+``transform.framelet_operator`` keeps the graph's framelet operator there,
+so a second call with the same settings returns the same operator, and a
+call with other settings replaces it. A graph and its arrays must
+therefore never be mutated; the cached arrays are read-only, so a write
+into one raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class Graph:
     adjacency: SparseMatrix = field(repr=False)
 
     def __post_init__(self):
-        if self.adjacency.shape != (self.num_nodes, self.num_nodes):
+        if self.adjacency.csr.shape != (self.num_nodes, self.num_nodes):
             raise ValueError("adjacency shape does not match num_nodes")
 
     @cached_property
@@ -121,6 +123,34 @@ class Graph:
         # int(): a full-array np.count_nonzero returns np.int64 on NumPy 2.
         loops = int(np.count_nonzero(a.diagonal()))
         return (a.nnz - loops) // 2 + loops
+
+
+def validate_csr(csr: sp.csr_array) -> None:
+    """Raise ``ValueError`` if ``csr`` breaks the canonical layout: row
+    offsets must not decrease, the column indices of a row must strictly
+    increase, and the stored values must be finite."""
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    if np.any(np.diff(indptr) < 0):
+        raise ValueError("row offsets must be nondecreasing")
+    # Only steps between neighbours in the same row must increase.
+    row_of = np.repeat(np.arange(csr.shape[0]), np.diff(indptr))
+    steps = np.diff(indices[indptr[0] : indptr[-1]])
+    bad = np.flatnonzero((row_of[1:] == row_of[:-1]) & (steps <= 0))
+    if bad.size:
+        raise ValueError(
+            f"row {row_of[bad[0]]}: column indices not strictly increasing"
+        )
+    if data.size and not np.all(np.isfinite(data)):
+        raise ValueError("stored values must be finite")
+
+
+def gershgorin_bound(csr: sp.csr_array) -> float:
+    """Upper bound on the spectral radius via Gershgorin discs."""
+    if csr.shape[0] == 0:
+        return 0.0
+    diag = csr.diagonal()
+    abs_row_sums = np.asarray(abs(csr).sum(axis=1)).ravel()
+    return float(np.max(diag + (abs_row_sums - np.abs(diag))))
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -205,7 +235,7 @@ def normalized_laplacian(graph: Graph) -> SparseMatrix:
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     a = graph.adjacency.csr
     scaled = a.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
-    lap = SparseMatrix.identity(n).csr - scaled.tocsr()
+    lap = sp.eye_array(n, format="csr") - scaled.tocsr()
     # Symmetrize to scrub roundoff from the two-sided scaling.
     lap = (lap + lap.T) * 0.5
     return SparseMatrix.from_scipy(lap)
@@ -213,10 +243,11 @@ def normalized_laplacian(graph: Graph) -> SparseMatrix:
 
 def gcn_norm_adjacency(graph: Graph) -> SparseMatrix:
     """Self-loop-augmented symmetric normalization ``D~^{-1/2}(A+I)D~^{-1/2}``."""
-    a_tilde = graph.adjacency.add(SparseMatrix.identity(graph.num_nodes))
-    deg = np.asarray(a_tilde.csr.sum(axis=1)).ravel()
+    eye = sp.eye_array(graph.num_nodes, format="csr")
+    a_tilde = SparseMatrix.from_scipy(graph.adjacency.csr + eye).csr
+    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
-    scaled = a_tilde.csr.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
+    scaled = a_tilde.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
     return SparseMatrix.from_scipy(scaled)
 
 
@@ -231,22 +262,23 @@ def lambda_max(lap: SparseMatrix, method: str = "lanczos") -> float:
     ``transform.framelet_operator`` sets K from in both modes.
     ``power_iteration`` runs a deterministic power method, which usually
     stops at its ``POWER_ITER_MAX_STEPS`` cap; both start from the same
-    vector. The exact top eigenvalue is the last of ``eigendecompose``'s
-    values.
+    vector. It is kept only because the benchmark workloads call it; use
+    the Lanczos estimate instead. The exact top eigenvalue is the last of
+    ``eigendecompose``'s values.
     """
     n = lap.num_rows
     if n == 0:
         return 0.0
     if method not in ("lanczos", "power_iteration"):
         raise ValueError(f"unknown method {method!r}")
-    gersh = lap.gershgorin_bound()
+    gersh = gershgorin_bound(lap.csr)
     if lap.nnz == 0:
         return 0.0
     # Deterministic start vector with no exact symmetry to get trapped in.
     vec = 1.0 + np.arange(n, dtype=np.float64) / n
     if method == "lanczos":
         if n < LANCZOS_MIN_NODES:
-            rho = float(scipy.linalg.eigvalsh(lap.to_dense())[-1])
+            rho = float(scipy.linalg.eigvalsh(lap.csr.toarray())[-1])
         else:
             rho = float(scipy.sparse.linalg.eigsh(
                 lap.csr, k=1, which="LA", tol=LANCZOS_TOL, v0=vec,
@@ -285,7 +317,7 @@ def eigendecompose(lap: SparseMatrix) -> Spectrum:
         )
     if n == 0:
         return Spectrum(values=np.zeros(0), vectors=np.zeros((0, 0)))
-    vals, vecs = scipy.linalg.eigh(lap.to_dense())
+    vals, vecs = scipy.linalg.eigh(lap.csr.toarray())
     if vals.size and vals[0] < -1e-8:
         raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]}")
     return Spectrum(values=np.clip(vals, 0.0, None), vectors=vecs)

@@ -29,34 +29,7 @@ from .shrinkage import ThresholdConfig, shrink_stack, stack_thresholds
 from .sparse import SparseMatrix
 from .transform import CoefficientStack, DecompositionOperator, decompose, reconstruct
 
-ACTIVATION_KINDS = ("relu", "shrinkage", "none")
 READOUTS = ("sum", "spectrum")  # the modes of ``ufg_pool_forward``
-
-
-@dataclass(frozen=True)
-class LayerActivation:
-    """Activation variant of a framelet convolution layer."""
-
-    kind: str
-    threshold: ThresholdConfig | None = None
-
-    def __post_init__(self):
-        if self.kind not in ACTIVATION_KINDS:
-            raise ValueError(f"kind must be one of {ACTIVATION_KINDS}")
-        if (self.kind == "shrinkage") != (self.threshold is not None):
-            raise ValueError("threshold required iff kind is 'shrinkage'")
-
-    @staticmethod
-    def relu() -> "LayerActivation":
-        return LayerActivation("relu")
-
-    @staticmethod
-    def none() -> "LayerActivation":
-        return LayerActivation("none")
-
-    @staticmethod
-    def shrinkage(cfg: ThresholdConfig) -> "LayerActivation":
-        return LayerActivation("shrinkage", cfg)
 
 
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,16 +69,18 @@ def ufg_conv_forward(
     params: dict[str, np.ndarray],
     op: DecompositionOperator,
     X: np.ndarray | CoefficientStack,
-    act: LayerActivation,
+    act: str | ThresholdConfig | None,
     frozen_thresholds: np.ndarray | None = None,
     out_op: DecompositionOperator | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Framelet convolution forward pass.
 
-    ReLU variant: ``Y = relu(reconstruct(theta * decompose(X W)) + bias)``.
-    Shrinkage variant thresholds the scaled coefficients before
-    reconstruction and adds the bias outside: ``Y = reconstruct(shrink(theta
-    * decompose(X W))) + bias``.
+    ``act`` is ``"relu"``, ``None`` (linear) or the ``ThresholdConfig`` of a
+    shrinkage activation; anything else raises ``ValueError``. ReLU:
+    ``Y = relu(reconstruct(theta * decompose(X W)) + bias)``, and ``None``
+    leaves out the relu. Shrinkage thresholds the scaled coefficients by
+    its config's rule before reconstruction and adds the bias outside:
+    ``Y = reconstruct(shrink(theta * decompose(X W))) + bias``.
 
     ``X`` is an ``(N, d_in)`` signal on the nodes, or the
     ``CoefficientStack`` ``decompose(op, X)`` of a fixed input, which must
@@ -137,6 +112,9 @@ def ufg_conv_forward(
     on n columns of the stack instead of N. The input side and ``dX`` keep
     ``op``.
     """
+    shrinks = isinstance(act, ThresholdConfig)
+    if not (shrinks or act is None or act == "relu"):
+        raise ValueError(f"act must be 'relu', None or a ThresholdConfig, got {act!r}")
     W, theta, bias = params["W"], params["theta"], params["bias"]
     coeff_in = isinstance(X, CoefficientStack)
     if coeff_in:
@@ -152,7 +130,7 @@ def ufg_conv_forward(
     elif out_op.lap is not op.lap or out_op.system is not op.system:
         raise ValueError("out_op must be op or a restriction of it")
     cache = dict(op=op, out_op=out_op, act=act, theta=theta, W=W, X=X)
-    if act.kind != "shrinkage" and W.shape[0] < W.shape[1]:
+    if not shrinks and W.shape[0] < W.shape[1]:
         coeff = x if coeff_in else decompose(op, x).data
         r = reconstruct(out_op, _filtered_stack(theta, op, coeff))
         cache.update(coeff=coeff, reconstructed=r)
@@ -161,18 +139,18 @@ def ufg_conv_forward(
         coeff = x @ W if coeff_in else decompose(op, x @ W).data
         fstack = _filtered_stack(theta, op, coeff)
         cache["coeff"] = coeff
-        if act.kind == "shrinkage":
+        if shrinks:
             thresholds = (
-                stack_thresholds(fstack, act.threshold)
+                stack_thresholds(fstack, act)
                 if frozen_thresholds is None
                 else frozen_thresholds
             )
-            shrunk = shrink_stack(fstack, act.threshold, thresholds=thresholds)
+            shrunk = shrink_stack(fstack, act, thresholds=thresholds)
             cache.update(thresholds=thresholds, filtered=fstack, shrunk=shrunk,
                          active_mask=shrunk.data != 0.0)
             return reconstruct(out_op, shrunk) + bias, cache
         z = reconstruct(out_op, fstack) + bias
-    if act.kind == "relu":
+    if act == "relu":
         cache["relu_mask"] = z > 0.0
         z = np.maximum(z, 0.0)
     return z, cache
@@ -193,11 +171,11 @@ def ufg_conv_backward(
     """
     op, act, theta, W, X = (cache[k] for k in ("op", "act", "theta", "W", "X"))
     g = np.asarray(grad_out, dtype=np.float64)
-    if act.kind == "relu":
+    if act == "relu":
         g = g * cache["relu_mask"]
     r = cache.get("reconstructed")
     d_filtered = decompose(cache["out_op"], g if r is None else g @ W.T).data
-    if act.kind == "shrinkage":
+    if isinstance(act, ThresholdConfig):
         d_filtered = d_filtered * cache["active_mask"]
     dtheta = np.sum(d_filtered * cache["coeff"], axis=1)
     coeff_in = isinstance(X, CoefficientStack)

@@ -7,7 +7,7 @@ addition toward a target edge-count ratio.
 The Bernoulli "noise ratio" can exceed 1 because it is measured relative to
 the nonzero entries: the expected number of flipped entries equals
 ``ratio * nnz(X)``, so the per-entry flip probability is
-``min(1, ratio * nnz / size)``.
+``min(1, ratio * nnz / size)`` (``flip_probability``).
 """
 
 from __future__ import annotations
@@ -46,6 +46,12 @@ class PerturbationSpec:
         check_seed(self.seed, "seed")
 
 
+def flip_probability(features: np.ndarray, ratio: float) -> float:
+    """Per-entry ``bernoulli_flip`` probability of ``features`` at flip
+    ratio ``ratio``: ``min(1, ratio * nnz / size)``."""
+    return min(1.0, ratio * int(np.count_nonzero(features)) / features.size)
+
+
 def perturb(
     graph: Graph, features: np.ndarray, spec: PerturbationSpec
 ) -> tuple[Graph, np.ndarray]:
@@ -67,9 +73,7 @@ def perturb(
             return graph, features
         if not np.all(np.isin(features, (0.0, 1.0))):
             raise ValueError("bernoulli_flip requires 0/1 features")
-        nnz = int(np.count_nonzero(features))
-        p = min(1.0, spec.value * nnz / features.size)
-        flip = rng.random(features.shape) < p
+        flip = rng.random(features.shape) < flip_probability(features, spec.value)
         return graph, np.where(flip, 1.0 - features, features)
     if spec.model == "gaussian":
         if spec.value == 0.0:

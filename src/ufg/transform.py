@@ -452,7 +452,7 @@ def build_operators(
     the recurrence matrix ``S = 2(L - I)`` that every product reuses.
     """
     n = lap.num_rows
-    if lap.num_cols != n:
+    if lap.csr.shape[1] != n:
         raise ValueError("Laplacian must be square")
     if system.mode == "exact":
         if spectrum is None:

@@ -15,8 +15,8 @@ from numpy.polynomial.chebyshev import chebval
 from .datasets import GaussianFeatures, check_seed, generate_sbm, random_er_graph
 from .experiments import ExperimentConfig, train_node_classifier
 from .filters import chebyshev_fit, verify_refinement
+from .graphs import gershgorin_bound, validate_csr
 from .nn import (
-    LayerActivation,
     activation_signature,
     gradient_check,
     init_params,
@@ -119,9 +119,11 @@ def run_verify(n: int = 100, seed: int = 7) -> list[dict]:
 
 def _check_csr_layout(fx):
     graph = fx["graph"]
-    graph.laplacian.validate()
-    graph.adjacency.validate()
-    asym = graph.laplacian.max_abs_asymmetry()
+    lap = graph.laplacian.csr
+    validate_csr(lap)
+    validate_csr(graph.adjacency.csr)
+    diff = lap - lap.T
+    asym = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
     return _bounded(asym, 1e-12, f"max asymmetry {asym:.2e}")
 
 
@@ -137,7 +139,7 @@ def _check_lambda_max_bounds(fx):
     exact = float(fx["graph"].spectrum.values[-1])
     # The estimate framelet_operator takes K from in both modes.
     lanczos = fx["graph"].lanczos_bound
-    gersh = fx["graph"].laplacian.gershgorin_bound()
+    gersh = gershgorin_bound(fx["graph"].laplacian.csr)
     ok = exact - 1e-6 <= lanczos <= gersh + 1e-12
     return ok, f"exact {exact:.6f} <= lanczos {lanczos:.6f} <= gershgorin {gersh:.6f}"
 
@@ -186,7 +188,10 @@ def _check_cascade(fx, op):
     worst = 0.0
     prev_low = X
     for j in range(1, system.levels + 1):
-        op_j = framelet_operator(fx["graph"], levels=j, mode=system.mode)
+        # The graph keeps only its latest operator, the levels J - 1 one by
+        # now, so the levels-J operator is the fixture's rather than a rebuild.
+        op_j = (op if j == system.levels
+                else framelet_operator(fx["graph"], levels=j, mode=system.mode))
         c = decompose(op_j, X)
         low_j = c.low_pass()
         detail = sum(
@@ -269,7 +274,7 @@ def _check_layer_identity(fx, op):
     X = fx["X"]
     d = X.shape[1]
     params = {"W": np.eye(d), "theta": np.ones(op.num_rows), "bias": np.zeros(d)}
-    y, _ = ufg_conv_forward(params, op, X, LayerActivation.none())
+    y, _ = ufg_conv_forward(params, op, X, None)
     rel = _rel(np.linalg.norm(y - X), np.linalg.norm(X))
     tol = _ROUND_TRIP_TOL[op.system.mode]
     return _bounded(rel, tol, f"identity-layer relative error {rel:.2e}")
@@ -280,9 +285,8 @@ def _check_sigma_zero_ab(fx, op):
     d = X.shape[1]
     rng = np.random.default_rng(0)
     params = init_params(d, 2, op.num_rows, rng)
-    act_s = LayerActivation.shrinkage(ThresholdConfig(0.0, "global"))
-    y_s, _ = ufg_conv_forward(params, op, X, act_s)
-    y_n, _ = ufg_conv_forward(params, op, X, LayerActivation.none())
+    y_s, _ = ufg_conv_forward(params, op, X, ThresholdConfig(0.0, "global"))
+    y_n, _ = ufg_conv_forward(params, op, X, None)
     same = np.array_equal(y_s, y_n)
     return same, f"sigma=0 shrinkage layer bitwise equals linear layer: {same}"
 
@@ -297,8 +301,8 @@ def _check_gradients(fx, fixture_op):
     # Its W, theta, bias order numbers the coordinates the seeded check draws.
     params = init_params(d, dd, op.num_rows, rng)
     acts = {
-        "relu": LayerActivation.relu(),
-        "shrinkage": LayerActivation.shrinkage(ThresholdConfig(1.0, mode="energy_scaled")),
+        "relu": "relu",
+        "shrinkage": ThresholdConfig(1.0, mode="energy_scaled"),
     }
     details, worst, checked = [], 0.0, []
     for name, act in acts.items():

@@ -60,6 +60,7 @@ from ufg.nn import (
     ufg_pool_forward,
 )
 from ufg.filters import haar_filter_bank
+from ufg.shrinkage import ThresholdConfig
 from ufg.transform import FrameletSystem, decompose, framelet_operator
 
 ROUNDTRIP_TOL = 1e-10
@@ -211,10 +212,9 @@ def test_config_takes_its_transform_defaults_from_the_system():
 
 
 def test_layer_activation_variants():
-    shr = _layer_activations(ExperimentConfig(activation="shrinkage"))
-    assert shr[0].kind == shr[1].kind == "shrinkage"
-    relu = _layer_activations(ExperimentConfig(activation="relu"))
-    assert (relu[0].kind, relu[1].kind) == ("relu", "none")
+    config = ExperimentConfig(activation="shrinkage", sigma=2.0, threshold_mode="global")
+    assert _layer_activations(config) == (ThresholdConfig(2.0, "global"),) * 2
+    assert _layer_activations(ExperimentConfig(activation="relu")) == ("relu", None)
     # The CLI offers relu and shrinkage only; a layer without an activation
     # is not a model choice.
     with pytest.raises(ValueError, match="unknown activation 'none'"):

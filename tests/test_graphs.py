@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,8 +19,10 @@ from ufg.graphs import (
     build_graph,
     eigendecompose,
     gcn_norm_adjacency,
+    gershgorin_bound,
     lambda_max,
     normalized_laplacian,
+    validate_csr,
 )
 from ufg.perturb import PerturbationSpec, perturb
 from ufg.sparse import SparseMatrix
@@ -32,7 +35,7 @@ K2_LAPLACIAN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 def test_build_graph_symmetrizes_and_sums_duplicates():
     g = build_graph(3, [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 0.5)])
-    a = g.adjacency.to_dense()
+    a = g.adjacency.csr.toarray()
     np.testing.assert_array_equal(a, a.T)
     assert a[0, 1] == pytest.approx(3.0)
     assert a[1, 2] == pytest.approx(0.5)
@@ -41,7 +44,7 @@ def test_build_graph_symmetrizes_and_sums_duplicates():
 
 def test_build_graph_self_loops():
     g = build_graph(2, [(0, 0, 2.0), (0, 1, 1.0)])
-    assert g.adjacency.to_dense()[0, 0] == pytest.approx(2.0)
+    assert g.adjacency.csr.toarray()[0, 0] == pytest.approx(2.0)
     assert g.num_edges == 2
 
 
@@ -99,8 +102,8 @@ def test_build_graph_matches_dense_reference(case):
         if u != v:
             ref[v, u] += w
     g = build_graph(n, edges)
-    g.adjacency.validate()
-    np.testing.assert_array_equal(g.adjacency.to_dense(), ref)
+    validate_csr(g.adjacency.csr)
+    np.testing.assert_array_equal(g.adjacency.csr.toarray(), ref)
     from_array = build_graph(
         n, np.array(edges, dtype=np.float64).reshape(-1, 3)
     ).adjacency.csr
@@ -180,7 +183,7 @@ def test_generated_graphs_match_golden_digests(name):
 
 def test_graph_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        Graph(num_nodes=3, adjacency=SparseMatrix.identity(2))
+        Graph(num_nodes=3, adjacency=SparseMatrix.from_scipy(sp.eye_array(2)))
 
 
 def test_degrees():
@@ -191,19 +194,19 @@ def test_degrees():
 def test_normalized_laplacian_single_edge():
     g = build_graph(2, [(0, 1, 1.0)])
     np.testing.assert_allclose(
-        normalized_laplacian(g).to_dense(), K2_LAPLACIAN, atol=SPECTRUM_TOL
+        normalized_laplacian(g).csr.toarray(), K2_LAPLACIAN, atol=SPECTRUM_TOL
     )
 
 
 def test_normalized_laplacian_path3_spectrum():
     lap = normalized_laplacian(path_graph(3))
-    vals = np.linalg.eigvalsh(lap.to_dense())
+    vals = np.linalg.eigvalsh(lap.csr.toarray())
     np.testing.assert_allclose(vals, [0.0, 1.0, 2.0], atol=SPECTRUM_TOL)
 
 
 def test_normalized_laplacian_isolated_node():
     g = build_graph(3, [(0, 1, 1.0)])  # node 2 isolated
-    lap = normalized_laplacian(g).to_dense()
+    lap = normalized_laplacian(g).csr.toarray()
     np.testing.assert_allclose(lap[2], [0.0, 0.0, 1.0], atol=SPECTRUM_TOL)
 
 
@@ -211,8 +214,8 @@ def test_normalized_laplacian_isolated_node():
 def test_normalized_spectrum_in_unit_band(n, avg_deg, seed):
     g = random_er_graph(n, avg_deg, np.random.default_rng(seed))
     lap = normalized_laplacian(g)
-    assert lap.max_abs_asymmetry() == 0.0
-    vals = np.linalg.eigvalsh(lap.to_dense())
+    assert (lap.csr != lap.csr.T).nnz == 0
+    vals = np.linalg.eigvalsh(lap.csr.toarray())
     assert vals[0] >= -SPECTRUM_TOL
     assert vals[-1] <= 2.0 + SPECTRUM_TOL
 
@@ -224,13 +227,13 @@ def _exact_lambda_max(lap):
 def test_lambda_max_exact_vs_power(small_laplacian):
     exact = _exact_lambda_max(small_laplacian)
     power = lambda_max(small_laplacian, "power_iteration")
-    gersh = small_laplacian.gershgorin_bound()
+    gersh = gershgorin_bound(small_laplacian.csr)
     assert exact <= power + SPECTRUM_TOL
     assert power <= gersh + SPECTRUM_TOL
 
 
 def test_eigendecompose_size_cap():
-    big = SparseMatrix.identity(EXACT_SPECTRUM_MAX_NODES + 1)
+    big = SparseMatrix.from_scipy(sp.eye_array(EXACT_SPECTRUM_MAX_NODES + 1))
     with pytest.raises(ValueError, match="limited"):
         eigendecompose(big)
     # The estimates have no size cap.
@@ -267,7 +270,7 @@ def test_lanczos_estimate_between_exact_and_gershgorin(name):
     lap = normalized_laplacian(LANCZOS_CASES[name])
     estimate = lambda_max(lap, "lanczos")
     exact = _exact_lambda_max(lap)
-    assert exact - 1e-6 <= estimate <= lap.gershgorin_bound()
+    assert exact - 1e-6 <= estimate <= gershgorin_bound(lap.csr)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -277,7 +280,7 @@ def test_lanczos_estimate_bounds_sbm_spectrum(seed):
     exact = _exact_lambda_max(lap)
     estimate = lambda_max(lap, "lanczos")
     # A Ritz value never exceeds the top eigenvalue, so 1.01x caps it.
-    assert exact - 1e-6 <= estimate <= min(1.01 * exact, lap.gershgorin_bound()) + 1e-12
+    assert exact - 1e-6 <= estimate <= min(1.01 * exact, gershgorin_bound(lap.csr)) + 1e-12
 
 
 def _two_product_power_estimate(lap):
@@ -297,7 +300,7 @@ def _two_product_power_estimate(lap):
             rho = rho_new
             break
         rho, vec = rho_new, nxt
-    return float(min(1.01 * max(rho, 0.0), lap.gershgorin_bound()))
+    return float(min(1.01 * max(rho, 0.0), gershgorin_bound(lap.csr)))
 
 
 def test_power_iteration_one_product_per_step(monkeypatch):
@@ -328,7 +331,7 @@ def test_eigendecompose_orthonormal(small_laplacian):
     assert np.all(np.diff(spec.values) >= 0)
     assert np.all(spec.values >= 0)
     recon = spec.matrix_function(spec.values)
-    np.testing.assert_allclose(recon, small_laplacian.to_dense(), atol=1e-12)
+    np.testing.assert_allclose(recon, small_laplacian.csr.toarray(), atol=1e-12)
 
 
 def test_matrix_function_identity(small_spectrum):

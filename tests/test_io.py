@@ -41,7 +41,7 @@ def test_graph_text_round_trip_with_weights_and_loop(tmp_path):
     back = read_graph_text(path)
     assert back.num_nodes == 4
     np.testing.assert_array_equal(
-        back.adjacency.to_dense(), graph.adjacency.to_dense()
+        back.adjacency.csr.toarray(), graph.adjacency.csr.toarray()
     )
 
 
@@ -51,7 +51,7 @@ def test_graph_text_comments_blanks_and_default_weight(tmp_path):
         "# a toy graph\n\n3 2  # header\n0 1\n1 2 3.5 # weighted\n"
     )
     graph = read_graph_text(str(path))
-    dense = graph.adjacency.to_dense()
+    dense = graph.adjacency.csr.toarray()
     assert dense[0, 1] == 1.0
     assert dense[1, 2] == 3.5
 

@@ -9,7 +9,6 @@ from conftest import path_graph
 from ufg.graphs import build_graph, gcn_norm_adjacency
 from ufg.nn import (
     AdamState,
-    LayerActivation,
     accuracy,
     activation_signature,
     adam_step,
@@ -70,13 +69,19 @@ def test_xavier_draws_keep_their_order():
     assert m["W1"].tobytes() == W1.tobytes() and m["W2"].tobytes() == W2.tobytes()
 
 
-def test_layer_activation_validation():
-    with pytest.raises(ValueError, match="kind"):
-        LayerActivation("tanh")
-    with pytest.raises(ValueError, match="threshold"):
-        LayerActivation("shrinkage")
-    with pytest.raises(ValueError, match="threshold"):
-        LayerActivation("relu", ThresholdConfig(1.0))
+def test_layer_activation_validation(small_operator, monkeypatch):
+    # Refused before any operator product: the layer's products fail here.
+    def no_product(*args):
+        raise AssertionError("an operator product ran")
+
+    monkeypatch.setattr("ufg.nn.decompose", no_product)
+    monkeypatch.setattr("ufg.nn.reconstruct", no_product)
+    params = init_params(3, 2, small_operator.num_rows, 0)
+    X = np.zeros((small_operator.num_nodes, 3))
+    # The old kind strings "shrinkage" and "none" are refused too.
+    for act in ("tanh", "shrinkage", "none", 1.0):
+        with pytest.raises(ValueError, match="act must be 'relu', None or a ThresholdConfig"):
+            ufg_conv_forward(params, small_operator, X, act)
 
 
 def test_linear_identity_layer(small_operator, rng):
@@ -84,7 +89,7 @@ def test_linear_identity_layer(small_operator, rng):
     n = small_operator.num_nodes
     X = rng.normal(size=(n, 3))
     y, _ = ufg_conv_forward(
-        _identity_params(small_operator, 3), small_operator, X, LayerActivation.none()
+        _identity_params(small_operator, 3), small_operator, X, None
     )
     assert np.max(np.abs(y - X)) <= IDENTITY_TOL
 
@@ -93,9 +98,8 @@ def test_sigma_zero_shrinkage_equals_linear(small_operator, rng):
     n = small_operator.num_nodes
     X = rng.normal(size=(n, 3))
     params = init_params(3, 2, small_operator.num_rows, rng)
-    y_lin, _ = ufg_conv_forward(params, small_operator, X, LayerActivation.none())
-    act = LayerActivation.shrinkage(ThresholdConfig(0.0))
-    y_shr, _ = ufg_conv_forward(params, small_operator, X, act)
+    y_lin, _ = ufg_conv_forward(params, small_operator, X, None)
+    y_shr, _ = ufg_conv_forward(params, small_operator, X, ThresholdConfig(0.0))
     np.testing.assert_array_equal(y_lin, y_shr)
 
 
@@ -103,7 +107,7 @@ def test_shrinkage_cache_holds_its_stacks(small_operator, rng):
     X = rng.normal(size=(small_operator.num_nodes, 3))
     params = init_params(3, 2, small_operator.num_rows, rng)
     cfg = ThresholdConfig(1.0, "energy_scaled")
-    _, cache = ufg_conv_forward(params, small_operator, X, LayerActivation.shrinkage(cfg))
+    _, cache = ufg_conv_forward(params, small_operator, X, cfg)
     filtered, shrunk = cache["filtered"], cache["shrunk"]
     np.testing.assert_array_equal(filtered.data, params["theta"][:, None] * cache["coeff"])
     expected = shrink_stack(filtered, cfg, thresholds=cache["thresholds"])
@@ -114,14 +118,14 @@ def test_shrinkage_cache_holds_its_stacks(small_operator, rng):
 def test_conv_shape_errors(small_operator, rng):
     params = init_params(3, 2, small_operator.num_rows, rng)
     with pytest.raises(ValueError, match="X shape"):
-        ufg_conv_forward(params, small_operator, np.zeros((5, 4)), LayerActivation.relu())
+        ufg_conv_forward(params, small_operator, np.zeros((5, 4)), "relu")
     short = {"W": np.eye(3), "theta": np.ones(3), "bias": np.zeros(3)}
     with pytest.raises(ValueError, match="theta length"):
         ufg_conv_forward(
             short,
             small_operator,
             np.zeros((small_operator.num_nodes, 3)),
-            LayerActivation.relu(),
+            "relu",
         )
 
 
@@ -169,9 +173,9 @@ def _operator(small_graph, small_operator, mode):
 
 def _activation(kind):
     return {
-        "relu": LayerActivation.relu(),
-        "shrinkage": LayerActivation.shrinkage(ThresholdConfig(1.0, "energy_scaled")),
-        "none": LayerActivation.none(),
+        "relu": "relu",
+        "shrinkage": ThresholdConfig(1.0, "energy_scaled"),
+        "none": None,
     }[kind]
 
 
@@ -237,14 +241,14 @@ def test_input_layer_shape_errors(small_graph, small_operator, rng):
                   framelet_operator(small_graph, levels=3)):
         coeff = decompose(other, np.zeros((other.num_nodes, 3)))
         with pytest.raises(ValueError, match="coefficient input does not match"):
-            ufg_conv_forward(params, small_operator, coeff, LayerActivation.relu())
+            ufg_conv_forward(params, small_operator, coeff, "relu")
     with pytest.raises(ValueError, match="X shape"):
         narrow = decompose(small_operator, np.zeros((small_operator.num_nodes, 2)))
-        ufg_conv_forward(params, small_operator, narrow, LayerActivation.relu())
+        ufg_conv_forward(params, small_operator, narrow, "relu")
     # Both orders refuse a theta of the wrong length: (3, 6) reconstructs
     # first under ReLU and none, (4, 3) projects first.
     for (d_in, d_out), act in itertools.product(
-        [(4, 3), (3, 6)], [LayerActivation.relu(), LayerActivation.none()]
+        [(4, 3), (3, 6)], ["relu", None]
     ):
         long = init_params(d_in, d_out, small_operator.num_rows + 1, rng)
         coeff_x = CoefficientStack(
@@ -256,12 +260,12 @@ def test_input_layer_shape_errors(small_graph, small_operator, rng):
 
 
 def test_conv_gradients_relu(small_operator):
-    rel, checked, _ = _conv_fd(small_operator, LayerActivation.relu(), seed=0)
+    rel, checked, _ = _conv_fd(small_operator, "relu", seed=0)
     assert checked > 0 and rel <= GRAD_TOL
 
 
 def test_conv_gradients_shrinkage_frozen_threshold(small_operator):
-    act = LayerActivation.shrinkage(ThresholdConfig(1.0, "energy_scaled"))
+    act = ThresholdConfig(1.0, "energy_scaled")
     rel, checked, _ = _conv_fd(small_operator, act, seed=1)
     assert checked > 0 and rel <= GRAD_TOL
 
@@ -340,7 +344,7 @@ def test_conv_refuses_an_output_operator_of_another_graph(small_graph, small_ope
     params = init_params(3, 2, small_operator.num_rows, 0)
     X = np.zeros((small_operator.num_nodes, 3))
     with pytest.raises(ValueError, match="out_op"):
-        ufg_conv_forward(params, small_operator, X, LayerActivation.none(),
+        ufg_conv_forward(params, small_operator, X, None,
                          out_op=other.restrict(OUT_ROWS))
 
 
@@ -349,7 +353,7 @@ def test_conv_gradient_negative_control(small_operator):
     def corrupt(grads):
         grads["W"] = grads["W"] * 1.5
 
-    rel, checked, _ = _conv_fd(small_operator, LayerActivation.relu(), seed=2,
+    rel, checked, _ = _conv_fd(small_operator, "relu", seed=2,
                                corrupt=corrupt)
     assert checked > 0 and rel > 1e-2
 
@@ -361,7 +365,7 @@ def test_conv_gradient_check_flags_a_tenth_of_a_percent_in_one_group(
     def corrupt(grads):
         grads[name] = grads[name] * 1.001
 
-    rel, checked, _ = _conv_fd(small_operator, LayerActivation.relu(), seed=0,
+    rel, checked, _ = _conv_fd(small_operator, "relu", seed=0,
                                max_coords=200, corrupt=corrupt)
     assert checked > 0 and rel > GRAD_TOL
 
@@ -370,7 +374,7 @@ def test_gcn_norm_adjacency_oracle():
     # Single edge: A + I is all-ones, degrees 2, normalized entries all 1/2.
     g = build_graph(2, [(0, 1, 1.0)])
     np.testing.assert_allclose(
-        gcn_norm_adjacency(g).to_dense(), np.full((2, 2), 0.5), atol=1e-12
+        gcn_norm_adjacency(g).csr.toarray(), np.full((2, 2), 0.5), atol=1e-12
     )
 
 

@@ -1,9 +1,14 @@
 """Every public top-level name of ``src/ufg`` is referenced beyond its own
-definition, so code that only tests call does not stay in the package."""
+definition, so code that only tests call does not stay in the package, and
+every name the benchmark workloads call exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+from ufg import graphs
+from ufg.datasets import random_er_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 # A "module:function" lookup site, as the benchmark's span table and the
@@ -52,3 +57,38 @@ def test_every_public_name_is_referenced_outside_its_definition():
     orphans = sorted(name for name in public if name.split(".")[1] not in refs)
     # An allow-listed name that gained a reference leaves the list.
     assert orphans == sorted(UNREFERENCED), orphans
+
+
+def _workload_names(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of every attribute the workloads read of a module
+    they import as ``from ufg import graphs``."""
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "ufg"
+               for alias in node.names}
+    return {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def _lambda_max_methods(tree: ast.Module) -> set[str]:
+    """The method names the workloads pass to ``graphs.lambda_max``."""
+    return {arg.value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "graphs.lambda_max"
+            for arg in node.args if isinstance(arg, ast.Constant)}
+
+
+def test_every_library_name_the_benchmark_workloads_use_exists():
+    # Tier-1 runs tests/ only, so without this a change that drops one of
+    # these names passes here and fails only in the benchmark run.
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    used = _workload_names(tree)
+    assert {m for m, _ in used} >= {"datasets", "experiments", "graphs", "transform"}
+    missing = sorted(f"{m}.{name}" for m, name in used
+                     if not hasattr(importlib.import_module(f"ufg.{m}"), name))
+    assert missing == []
+    # The workloads read these of a Laplacian, and pick a lambda_max method.
+    lap = graphs.normalized_laplacian(random_er_graph(30, 4.0, 0))
+    assert (lap.num_rows, lap.nnz) == (30, lap.csr.nnz)
+    for method in _lambda_max_methods(tree):
+        assert 0.0 < graphs.lambda_max(lap, method) <= 2.0

@@ -1,4 +1,4 @@
-"""CSR wrapper: layout contract, algebra against dense references."""
+"""Canonical CSR matrices: layout contract, products against dense references."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from ufg import io
 from ufg.datasets import cycles_and_stars, generate_sbm, random_er_graph
 from ufg.experiments import ExperimentConfig, _graph_union
-from ufg.graphs import build_graph
+from ufg.graphs import build_graph, gershgorin_bound, validate_csr
 from ufg.perturb import PerturbationSpec, perturb
 from ufg.sparse import SparseMatrix
 from ufg.transform import _recurrence_matrix
@@ -28,23 +28,18 @@ def test_from_dense_round_trip(rng):
     a = rng.normal(size=(5, 7))
     a[np.abs(a) < 0.8] = 0.0
     m = SparseMatrix.from_scipy(a)
-    np.testing.assert_array_equal(m.to_dense(), a)
-    assert m.shape == (5, 7)
+    np.testing.assert_array_equal(m.csr.toarray(), a)
+    assert m.csr.shape == (5, 7)
     assert m.nnz == np.count_nonzero(a)
-    m.validate()
+    validate_csr(m.csr)
 
 
 def test_from_scipy_sums_coo_duplicates():
     coo = sp.coo_array(([2.0, 3.0, 1.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
     m = SparseMatrix.from_scipy(coo)
-    np.testing.assert_array_equal(m.to_dense(), [[0.0, 5.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(m.csr.toarray(), [[0.0, 5.0], [1.0, 0.0]])
     assert m.nnz == 2
-    m.validate()
-
-
-def test_identity():
-    eye = SparseMatrix.identity(4)
-    np.testing.assert_array_equal(eye.to_dense(), np.eye(4))
+    validate_csr(m.csr)
 
 
 def test_constructor_rejects_non_csr():
@@ -55,13 +50,13 @@ def test_constructor_rejects_non_csr():
 def test_validate_catches_nonfinite():
     bad = sp.csr_array(np.array([[1.0, np.inf], [0.0, 2.0]]))
     with pytest.raises(ValueError, match="finite"):
-        SparseMatrix(bad).validate()
+        validate_csr(bad)
 
 
 def _raw_csr(indptr, indices):
     """CSR array stored exactly as given, without canonicalization."""
     data = np.ones(len(indices))
-    return SparseMatrix(sp.csr_array((data, indices, indptr), shape=(3, 5)))
+    return sp.csr_array((data, indices, indptr), shape=(3, 5))
 
 
 @pytest.mark.parametrize(
@@ -73,11 +68,11 @@ def _raw_csr(indptr, indices):
 )
 def test_validate_rejects_bad_row_layout(indptr, indices, row):
     with pytest.raises(ValueError, match=f"row {row}: column indices not strictly"):
-        _raw_csr(indptr, indices).validate()
+        validate_csr(_raw_csr(indptr, indices))
 
 
 def test_validate_allows_row_starting_below_previous_row_end():
-    _raw_csr([0, 2, 4, 5], [3, 4, 0, 1, 0]).validate()
+    validate_csr(_raw_csr([0, 2, 4, 5], [3, 4, 0, 1, 0]))
 
 
 @given(dense_matrices, st.data())
@@ -94,27 +89,11 @@ def test_matmul_matches_dense(a, data):
     np.testing.assert_allclose(out, a @ b, atol=ALGEBRA_TOL)
 
 
-@given(dense_matrices)
-def test_add_matches_dense(a):
-    m = SparseMatrix.from_scipy(a)
-    np.testing.assert_allclose(
-        m.add(SparseMatrix.from_scipy(0.5 * a)).to_dense(), 1.5 * a, atol=ALGEBRA_TOL
-    )
-
-
-def test_max_abs_asymmetry():
-    sym = SparseMatrix.from_scipy(np.array([[0.0, 2.0], [2.0, 1.0]]))
-    assert sym.max_abs_asymmetry() == 0.0
-    asym = SparseMatrix.from_scipy(np.array([[0.0, 2.0], [1.0, 0.0]]))
-    assert asym.max_abs_asymmetry() == pytest.approx(1.0)
-
-
 def test_gershgorin_bounds_spectral_radius(rng):
     a = rng.normal(size=(10, 10))
     a = (a + a.T) / 2
-    m = SparseMatrix.from_scipy(a)
     lam = np.max(np.abs(np.linalg.eigvalsh(a)))
-    assert m.gershgorin_bound() >= lam - ALGEBRA_TOL
+    assert gershgorin_bound(SparseMatrix.from_scipy(a).csr) >= lam - ALGEBRA_TOL
 
 
 def _read_graph_text(tmp_path):

@@ -200,7 +200,7 @@ def test_stacked_operator_tightness_exact(small_operator):
 def test_chebyshev_tightness_improves_with_degree():
     g = random_er_graph(50, 4.0, np.random.default_rng(5))
     lap = normalized_laplacian(g)
-    lam = lambda_max(lap, "power_iteration")
+    lam = lambda_max(lap)
     errs = {}
     for t in (8, 16):
         system = FrameletSystem(
@@ -368,7 +368,7 @@ def test_chebyshev_backend_applies_the_fitted_polynomials(degree, levels, seed):
 
 
 def test_matrix_free_matches_materialized(small_laplacian):
-    lam = lambda_max(small_laplacian, "power_iteration")
+    lam = lambda_max(small_laplacian)
     system = FrameletSystem(haar_filter_bank(), levels=3, lam_max=lam, mode="chebyshev")
     w = _explicit(build_operators(system, small_laplacian))
     rng = np.random.default_rng(9)

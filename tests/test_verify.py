@@ -2,12 +2,14 @@
 
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 
 import ufg.verify as verify_mod
-from ufg import graphs
+from ufg import graphs, transform
 from ufg.cli import main
+from ufg.sparse import SparseMatrix
 from ufg.transform import MODES, compute_K
 from ufg.verify import run_verify
 
@@ -109,6 +111,38 @@ def test_training_determinism_rebuilds_what_it_compares(monkeypatch):
     # Each run eigendecomposes its own equal 40-node graph.
     assert passed and calls == [40, 40]
     assert detail == "re-run metrics identical: True"
+
+
+def test_run_verify_builds_each_operator_once(monkeypatch):
+    builds = []
+    real = transform.build_operators
+
+    def counting(system, lap, spectrum=None):
+        builds.append((lap.num_rows, system.mode, system.levels, system.degree))
+        return real(system, lap, spectrum)
+
+    monkeypatch.setattr(transform, "build_operators", counting)
+    assert all(r["passed"] for r in run_verify())
+    # The cascade takes the fixture's levels-2 operator instead of
+    # rebuilding it; the gradient graph has 12 nodes and each training
+    # run its own 40-node graph.
+    assert builds == [
+        (100, "exact", 2, 16), (100, "chebyshev", 2, 16),
+        (100, "exact", 1, 16), (100, "chebyshev", 1, 16), (100, "chebyshev", 2, 8),
+        (12, "exact", 2, 16), (12, "chebyshev", 2, 16),
+        *[(40, "exact", 2, 16)] * 2, *[(40, "chebyshev", 2, 16)] * 2,
+    ]
+
+
+def test_csr_layout_fails_an_asymmetric_laplacian():
+    graph = graphs.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    lap = graph.laplacian.csr.toarray()
+    lap[0, 1] += 0.5
+    fx = {"graph": SimpleNamespace(laplacian=SparseMatrix.from_scipy(lap),
+                                   adjacency=graph.adjacency)}
+    passed, detail, value, tol = verify_mod._check_csr_layout(fx)
+    assert not passed and value == pytest.approx(0.5) and value > tol
+    assert detail == "max asymmetry 5.00e-01"
 
 
 def test_run_verify_takes_no_mode():
