@@ -1,8 +1,11 @@
 """Synthetic graph datasets and citation-data loading.
 
 Everything here is seeded through ``numpy.random.default_rng`` and fully
-deterministic given the seed. Citation-scale data is user-supplied in the
-plain-text formats documented in ``ufg.io``; only synthetic generators ship.
+deterministic given the seed. Random graphs draw their edges with
+``sample_pairs``, which costs O(N + E) and keeps each pair's first draw, and
+hand them to ``graphs.build_graph`` as one ``(M, 3)`` edge array.
+Citation-scale data is user-supplied in the plain-text formats documented
+in ``ufg.io``; only synthetic generators ship.
 """
 
 from __future__ import annotations
@@ -109,8 +112,15 @@ def sample_pairs(n: int, m: int, rng, taken: np.ndarray | None = None) -> np.nda
     first drops the codes taken or kept before it, with one ``np.isin``
     that runs as a table lookup while codes are dense, and then its own
     repeats, so only its new codes are sorted. Raises ``ValueError`` if
-    fewer than ``m`` pairs are free.
+    ``m`` is negative, if
+    fewer than ``m`` pairs are free, or if the largest code,
+    ``n^2 - n - 1``, does not fit int64.
     """
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    n = int(n)
+    if n * n - n - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"n = {n} is too large: pair codes u * n + v overflow int64")
     # The taken codes, then the drawn ones in draw order.
     seen = np.asarray([] if taken is None else taken, dtype=np.int64)
     pairs = n * (n - 1) // 2

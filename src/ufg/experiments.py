@@ -14,8 +14,8 @@ import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import graphs
 from .datasets import CitationData, GraphSample, NodeDataset, check_seed, random_er_graph
 from .io import deterministic_mode, encode_json
 from .nn import (
@@ -355,13 +355,23 @@ def _graph_union(samples: list[GraphSample], config: ExperimentConfig) -> _Graph
             )
             for s in samples
         )
+    # The block-diagonal GCN adjacency: each graph's canonical CSR arrays,
+    # shifted past the rows and entries of the graphs before it.
+    adjs = [s.graph.gcn_adjacency.csr for s in samples]
+    nnz = np.array([a.nnz for a in adjs])
+    firsts = np.cumsum(nnz) - nnz
+    starts = np.cumsum(sizes) - sizes
+    n = int(sizes.sum())
     return _GraphUnion(
-        norm_adj=SparseMatrix.from_scipy(
-            sp.block_diag([s.graph.gcn_adjacency.csr for s in samples], format="csr")
+        norm_adj=graphs._csr(
+            (n, n),
+            np.concatenate([[0]] + [a.indptr[1:] + f for a, f in zip(adjs, firsts)]),
+            np.concatenate([a.indices + s for a, s in zip(adjs, starts)]),
+            np.concatenate([a.data for a in adjs]),
         ),
         features=np.vstack([s.features for s in samples]),
         labels=np.array([s.label for s in samples]),
-        starts=np.cumsum(sizes) - sizes,
+        starts=starts,
         sizes=sizes,
         ops=ops,
     )

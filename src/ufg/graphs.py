@@ -14,6 +14,14 @@ so a second call with the same settings returns the same operator, and a
 call with other settings replaces it. A graph and its arrays must
 therefore never be mutated; the cached arrays are read-only, so a write
 into one raises ``ValueError``.
+
+Every sparse matrix of the library is assembled here, with no SciPy
+format conversion or sparse sum: ``_assemble`` sorts an adjacency's entries
+once, ``_with_diagonal`` merges a diagonal into rows already sorted (the
+Laplacian, the GCN adjacency and ``transform``'s recurrence matrix), and
+``_csr``, the one home of the int32 index rule, ends every build. Values
+take SciPy's operations in SciPy's order, so each matrix is the one
+SciPy's sparse arithmetic would build, bit for bit.
 """
 
 from __future__ import annotations
@@ -177,12 +185,109 @@ class Spectrum:
         return (self.vectors * fvals) @ self.vectors.T
 
 
+def _csr(shape: tuple[int, int], indptr, indices, data) -> SparseMatrix:
+    """The ``SparseMatrix`` of canonical CSR arrays, with int32 ``indptr`` and
+    ``indices`` when every index and offset fits, else int64.
+
+    Every matrix the library builds ends here. Narrow indices halve the index
+    bytes each sparse product streams (index compression; Williams et al.
+    2007) and leave the values and their order, so every product is
+    bit-identical to its int64 counterpart. Index arrays may therefore be
+    int32: widen them (``astype(np.int64)``) before any arithmetic on them,
+    such as coding a pair as ``row * n + col``.
+    """
+    index = np.int32 if max(*shape, len(data)) <= np.iinfo(np.int32).max else np.int64
+    return SparseMatrix(sp.csr_array(
+        (data, indices.astype(index, copy=False), indptr.astype(index, copy=False)),
+        shape=shape,
+    ))
+
+
+def _assemble(shape: tuple[int, int], rows, cols, vals) -> SparseMatrix:
+    """The matrix with ``vals`` at ``(rows, cols)``, in canonical CSR.
+
+    The entries are sorted by (row, col) once. Entries at one position are
+    summed in input order, ``(v_1 + v_2) + v_3``, whatever order the sort
+    leaves them in, and no sum is dropped, not even a zero one.
+    """
+    key = np.asarray(rows, dtype=np.int64) * shape[1] + cols
+    vals = np.asarray(vals, dtype=np.float64)
+    order = np.argsort(key)
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if first.all():
+        data = vals[order]
+    else:
+        slot = np.empty_like(order)
+        slot[order] = np.cumsum(first) - 1
+        # -0.0 + v is v for every v, so each sum starts at its first term.
+        data = np.full(np.count_nonzero(first), -0.0)
+        np.add.at(data, slot, vals)
+        key = key[first]
+    indptr = np.searchsorted(key, np.arange(shape[0] + 1) * shape[1])
+    return _csr(shape, indptr, key % shape[1], data)
+
+
+def _with_diagonal(csr: sp.csr_array, values: np.ndarray, diagonal: Callable):
+    """CSR arrays ``(indptr, indices, data)`` of the square matrix with
+    ``values`` at the stored off-diagonal entries of ``csr`` and
+    ``diagonal(d)`` on its diagonal, where ``d`` holds each row's stored
+    diagonal value (0 where the row stores none). Exact zeros are dropped,
+    as SciPy's sparse sums drop them.
+
+    ``values`` holds one value per stored entry and is written over. The
+    entries keep ``csr``'s canonical order: a row's diagonal takes the place
+    of its stored one or goes in after its entries left of it, so nothing is
+    sorted.
+    """
+    n = csr.shape[0]
+    indptr, col = csr.indptr, csr.indices
+    row = np.repeat(np.arange(n, dtype=indptr.dtype), np.diff(indptr))
+    on = np.flatnonzero(col == row)
+    rows_on = row[on]
+    insert = on.size < n  # some row stores no diagonal
+    if insert:
+        missing = np.ones(n, dtype=bool)
+        missing[rows_on] = False
+        new = np.flatnonzero(missing)
+        at = indptr[new] + np.bincount(row[col < row], minlength=n)[new]
+    del row  # before the copies below, to keep the peak low
+    stored = np.zeros(n)
+    stored[rows_on] = csr.data[on]
+    diag = diagonal(stored)
+    values[on] = diag[rows_on]
+    if insert:
+        col, values = np.insert(col, at, new), np.insert(values, at, diag[new])
+        indptr = indptr + np.concatenate([[0], np.cumsum(missing)])
+    else:
+        col, indptr = col.copy(), indptr.copy()  # compacted in place below
+    if col.size <= np.iinfo(col.dtype).max:  # else SciPy widens col
+        indptr = indptr.astype(col.dtype, copy=False)
+    # SciPy's eliminate_zeros compacts the arrays in place in one pass; NumPy
+    # masks (np.delete) make S at N = 20000 take 1.5 times as long.
+    out = sp.csr_array((values, col, indptr), shape=csr.shape)
+    entries = out.nnz
+    out.eliminate_zeros()
+    indptr, col, values = out.indptr, out.indices, out.data
+    if out.nnz < entries:
+        # Views into the longer buffers: keep only the kept entries, one
+        # array at a time, so the longer col is freed before data is copied.
+        del out
+        col = col.copy()
+        values = values.copy()
+    return indptr, col, values
+
+
 def build_graph(num_nodes: int, edges: ArrayLike) -> Graph:
     """Assemble an undirected graph from weighted ``(u, v, w)`` edge rows.
 
     Each ``(u, v, w)`` contributes ``w`` to both ``A[u, v]`` and ``A[v, u]``;
-    duplicate pairs accumulate by summation. Self loops in the input are kept
-    once on the diagonal.
+    duplicate pairs accumulate by summation in input order: rows ``w_1``,
+    ``w_2``, ``w_3`` naming one pair give ``(w_1 + w_2) + w_3`` at both of
+    its entries, so the adjacency is exactly symmetric. Self loops in the
+    input are kept once on the diagonal.
 
     Parameters
     ----------
@@ -218,8 +323,8 @@ def build_graph(num_nodes: int, edges: ArrayLike) -> Graph:
     rows = np.column_stack([u, v])[keep]
     cols = np.column_stack([v, u])[keep]
     vals = np.column_stack([w, w])[keep]
-    coo = sp.coo_array((vals, (rows, cols)), shape=(num_nodes, num_nodes))
-    return Graph(num_nodes=num_nodes, adjacency=SparseMatrix.from_scipy(coo))
+    shape = (num_nodes, num_nodes)
+    return Graph(num_nodes=num_nodes, adjacency=_assemble(shape, rows, cols, vals))
 
 
 def normalized_laplacian(graph: Graph) -> SparseMatrix:
@@ -234,21 +339,32 @@ def normalized_laplacian(graph: Graph) -> SparseMatrix:
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     a = graph.adjacency.csr
-    scaled = a.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
-    lap = sp.eye_array(n, format="csr") - scaled.tocsr()
-    # Symmetrize to scrub roundoff from the two-sided scaling.
-    lap = (lap + lap.T) * 0.5
-    return SparseMatrix.from_scipy(lap)
+    d_row, d_col = np.repeat(inv_sqrt, np.diff(a.indptr)), inv_sqrt[a.indices]
+    # L = I - S with S = D^{-1/2} A D^{-1/2}, symmetrized as (L + L^T) / 2 to
+    # scrub roundoff from the two-sided scaling; A is symmetric, so the
+    # transposed entry of (i, j) is -(w d_j) d_i.
+    off = -(a.data * d_row) * d_col + -(a.data * d_col) * d_row
+
+    def doubled_diagonal(loops):
+        one_minus = 1.0 - (loops * inv_sqrt) * inv_sqrt
+        return one_minus + one_minus
+
+    indptr, indices, data = _with_diagonal(a, off, doubled_diagonal)
+    data *= 0.5
+    return _csr((n, n), indptr, indices, data)
 
 
 def gcn_norm_adjacency(graph: Graph) -> SparseMatrix:
     """Self-loop-augmented symmetric normalization ``D~^{-1/2}(A+I)D~^{-1/2}``."""
-    eye = sp.eye_array(graph.num_nodes, format="csr")
-    a_tilde = SparseMatrix.from_scipy(graph.adjacency.csr + eye).csr
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    scaled = a_tilde.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
-    return SparseMatrix.from_scipy(scaled)
+    n = graph.num_nodes
+    a = graph.adjacency.csr
+    # A + I as SciPy adds them: a + 0 off the diagonal, a_ii + 1 on it.
+    indptr, indices, data = _with_diagonal(a, a.data + 0.0, lambda loops: loops + 1.0)
+    # Row sums as SciPy's sum(axis=1) takes them; every row of A + I stores
+    # its diagonal, so none is empty.
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(data, indptr[:-1]))
+    d_row, d_col = np.repeat(inv_sqrt, np.diff(indptr)), inv_sqrt[indices]
+    return _csr((n, n), indptr, indices, (data * d_row) * d_col)
 
 
 def lambda_max(lap: SparseMatrix, method: str = "lanczos") -> float:

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial.chebyshev import chebval
 from scipy.linalg.blas import dgemv, dger
 from scipy.sparse._sparsetools import csr_matvecs
@@ -538,10 +537,13 @@ def reconstruct(op: DecompositionOperator, c: CoefficientStack) -> np.ndarray:
 def _recurrence_matrix(lap: SparseMatrix) -> SparseMatrix:
     """``S = 2(L - I)``, the matrix both Chebyshev recurrences multiply by,
     with explicit zeros dropped. A normalized Laplacian's unit diagonal
-    cancels exactly, so only self loops leave diagonal entries in ``S``."""
-    s = 2.0 * (lap.csr - sp.eye_array(lap.num_rows, format="csr"))
-    s.eliminate_zeros()
-    return SparseMatrix.from_scipy(s)
+    cancels exactly, so only self loops leave diagonal entries in ``S``; a
+    row with no stored diagonal in ``L`` gets -2."""
+    L = lap.csr
+    indptr, indices, data = graphs._with_diagonal(
+        L, L.data * 2.0, lambda diag: (diag - 1.0) * 2.0
+    )
+    return graphs._csr(L.shape, indptr, indices, data)
 
 
 def _kernel_operands(lap: SparseMatrix, recurrence: SparseMatrix | None, terms):

@@ -1,5 +1,6 @@
 """Shared fixtures: small seeded graphs and prebuilt transform systems,
-and helpers that build a path graph and write a citation dataset."""
+and helpers that build a path graph, assemble a dense array as a sparse
+matrix and write a citation dataset."""
 
 import json
 
@@ -10,13 +11,21 @@ from hypothesis import settings
 from ufg import io as ufg_io
 from ufg.datasets import random_er_graph
 from ufg.filters import haar_filter_bank
-from ufg.graphs import build_graph, eigendecompose, normalized_laplacian
+from ufg.graphs import _assemble, build_graph, eigendecompose, normalized_laplacian
+from ufg.sparse import SparseMatrix
 from ufg.transform import FrameletSystem, build_operators
 
 
 def path_graph(num_nodes):
     """Path on ``num_nodes`` nodes with unit weights."""
     return build_graph(num_nodes, [(i, i + 1, 1.0) for i in range(num_nodes - 1)])
+
+
+def sparse_matrix(dense) -> SparseMatrix:
+    """The nonzero entries of ``dense`` as the library assembles a matrix."""
+    a = np.asarray(dense, dtype=np.float64)
+    rows, cols = np.nonzero(a)
+    return _assemble(a.shape, rows, cols, a[rows, cols])
 
 
 def write_citation_fixture(root, n=10, d=3, num_classes=2):

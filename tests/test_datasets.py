@@ -1,6 +1,7 @@
 """Synthetic generators: structure, determinism, splits, citation loading."""
 
 import json
+import math
 import re
 import time
 import tracemalloc
@@ -141,6 +142,30 @@ def test_sample_pairs_takes_the_last_free_pairs_in_few_batches(keep):
     codes = sample_pairs(n, keep, rng, taken=np.setdiff1d(upper, free))
     np.testing.assert_array_equal(np.sort(codes), np.sort(free))
     assert rng.batches <= 12
+
+
+def _largest_codable_n():
+    """The largest n whose largest pair code, n^2 - n - 1, fits int64."""
+    n = math.isqrt(np.iinfo(np.int64).max)
+    while (n + 1) ** 2 - (n + 1) - 1 <= np.iinfo(np.int64).max:
+        n += 1
+    return n
+
+
+def test_sample_pairs_refuses_an_n_whose_codes_overflow():
+    n = _largest_codable_n()
+    codes = sample_pairs(n, 50, np.random.default_rng(0))
+    u, v = np.divmod(codes, n)
+    assert codes.dtype == np.int64 and np.unique(codes).size == 50
+    assert np.all((0 <= u) & (u < v) & (v < n))
+    for bad in (n + 1, 4_000_000_000):
+        with pytest.raises(ValueError, match=f"n = {bad} is too large"):
+            sample_pairs(bad, 1, np.random.default_rng(0))
+
+
+def test_sample_pairs_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="m must be >= 0, got -1"):
+        sample_pairs(10, -1, np.random.default_rng(0))
 
 
 def test_complete_graph_on_1000_nodes_is_drawn_in_under_a_second():

@@ -4,11 +4,10 @@ import hashlib
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import path_graph
+from conftest import path_graph, sparse_matrix
 from ufg.datasets import generate_sbm, random_er_graph
 from ufg.graphs import (
     EXACT_SPECTRUM_MAX_NODES,
@@ -16,6 +15,7 @@ from ufg.graphs import (
     POWER_ITER_MAX_STEPS,
     POWER_ITER_TOL,
     Graph,
+    _assemble,
     build_graph,
     eigendecompose,
     gcn_norm_adjacency,
@@ -40,6 +40,23 @@ def test_build_graph_symmetrizes_and_sums_duplicates():
     assert a[0, 1] == pytest.approx(3.0)
     assert a[1, 2] == pytest.approx(0.5)
     assert g.num_edges == 2
+
+
+def test_build_graph_sums_duplicates_in_input_order():
+    # 3000 edges on 40 nodes: rows of about 150 entries, every pair given
+    # several times. The sum of a pair is its weights added left to right
+    # in input order, the same at both entries, however the entries sort.
+    rng = np.random.default_rng(5)
+    ends = rng.integers(0, 40, size=(3000, 2))
+    weights = rng.random(3000) * 3 + 1e-3
+    want = {}
+    for (u, v), w in zip(ends.tolist(), weights.tolist()):
+        for pair in {(u, v), (v, u)}:
+            want[pair] = want[pair] + w if pair in want else w
+    a = build_graph(40, np.column_stack([ends, weights])).adjacency.csr
+    assert a.nnz == len(want)
+    rows, cols = a.nonzero()
+    assert dict(zip(zip(rows.tolist(), cols.tolist()), a.data.tolist())) == want
 
 
 def test_build_graph_self_loops():
@@ -183,7 +200,7 @@ def test_generated_graphs_match_golden_digests(name):
 
 def test_graph_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        Graph(num_nodes=3, adjacency=SparseMatrix.from_scipy(sp.eye_array(2)))
+        Graph(num_nodes=3, adjacency=sparse_matrix(np.eye(2)))
 
 
 def test_degrees():
@@ -233,7 +250,8 @@ def test_lambda_max_exact_vs_power(small_laplacian):
 
 
 def test_eigendecompose_size_cap():
-    big = SparseMatrix.from_scipy(sp.eye_array(EXACT_SPECTRUM_MAX_NODES + 1))
+    n = EXACT_SPECTRUM_MAX_NODES + 1
+    big = _assemble((n, n), np.arange(n), np.arange(n), np.ones(n))
     with pytest.raises(ValueError, match="limited"):
         eigendecompose(big)
     # The estimates have no size cap.
@@ -343,7 +361,7 @@ def test_matrix_function_identity(small_spectrum):
 
 
 def test_eigendecompose_rejects_indefinite():
-    neg = SparseMatrix.from_scipy(np.diag([-1.0, 1.0]))
+    neg = sparse_matrix(np.diag([-1.0, 1.0]))
     with pytest.raises(ValueError, match="not PSD"):
         eigendecompose(neg)
 

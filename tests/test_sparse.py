@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import sparse_matrix
 from ufg import io
 from ufg.datasets import cycles_and_stars, generate_sbm, random_er_graph
 from ufg.experiments import ExperimentConfig, _graph_union
-from ufg.graphs import build_graph, gershgorin_bound, validate_csr
+from ufg.graphs import _assemble, build_graph, gershgorin_bound, validate_csr
 from ufg.perturb import PerturbationSpec, perturb
 from ufg.sparse import SparseMatrix
 from ufg.transform import _recurrence_matrix
@@ -27,19 +28,27 @@ dense_matrices = hnp.arrays(
 def test_from_dense_round_trip(rng):
     a = rng.normal(size=(5, 7))
     a[np.abs(a) < 0.8] = 0.0
-    m = SparseMatrix.from_scipy(a)
+    m = sparse_matrix(a)
     np.testing.assert_array_equal(m.csr.toarray(), a)
     assert m.csr.shape == (5, 7)
     assert m.nnz == np.count_nonzero(a)
     validate_csr(m.csr)
 
 
-def test_from_scipy_sums_coo_duplicates():
-    coo = sp.coo_array(([2.0, 3.0, 1.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
-    m = SparseMatrix.from_scipy(coo)
+def test_assemble_sums_duplicates_in_input_order():
+    m = _assemble((2, 2), [0, 1, 0], [1, 0, 1], [2.0, 1.0, 3.0])
     np.testing.assert_array_equal(m.csr.toarray(), [[0.0, 5.0], [1.0, 0.0]])
     assert m.nnz == 2
     validate_csr(m.csr)
+    # Rounding tells the orders apart: (1 + h) + h is 1, (h + h) + 1 is not.
+    h = 2.0**-53
+    for vals, want in (([1.0, h, h], 1.0), ([h, h, 1.0], 1.0 + 2 * h)):
+        assert _assemble((1, 1), [0, 0, 0], [0, 0, 0], vals).csr.data.tolist() == [want]
+    # Repeats apart from each other in the input, among other columns.
+    m = _assemble((1, 10), [0] * 5, [5, 3, 5, 9, 5], [1.0, 2.0, h, 4.0, h])
+    assert m.csr.indptr.tolist() == [0, 3]
+    assert m.csr.indices.tolist() == [3, 5, 9]
+    assert m.csr.data.tolist() == [2.0, 1.0, 4.0]
 
 
 def test_constructor_rejects_non_csr():
@@ -84,7 +93,7 @@ def test_matmul_matches_dense(a, data):
             elements=st.floats(-5, 5, allow_nan=False),
         )
     )
-    out = SparseMatrix.from_scipy(a) @ b
+    out = sparse_matrix(a) @ b
     assert isinstance(out, np.ndarray)
     np.testing.assert_allclose(out, a @ b, atol=ALGEBRA_TOL)
 
@@ -93,7 +102,7 @@ def test_gershgorin_bounds_spectral_radius(rng):
     a = rng.normal(size=(10, 10))
     a = (a + a.T) / 2
     lam = np.max(np.abs(np.linalg.eigvalsh(a)))
-    assert gershgorin_bound(SparseMatrix.from_scipy(a).csr) >= lam - ALGEBRA_TOL
+    assert gershgorin_bound(sparse_matrix(a).csr) >= lam - ALGEBRA_TOL
 
 
 def _read_graph_text(tmp_path):
@@ -132,15 +141,11 @@ def test_library_matrices_have_int32_indices(name, tmp_path):
     assert (csr.indptr.dtype, csr.indices.dtype) == (np.int32, np.int32)
 
 
-def test_from_scipy_keeps_int64_indices_past_int32():
+def test_assemble_keeps_int64_indices_past_int32():
     # One row, so indptr has two entries: a column index past 2^31 - 1 is
     # the only thing int32 cannot hold.
     n = 2**31 + 5
-    big = sp.csr_array(
-        (np.array([3.0]), np.array([n - 1], dtype=np.int64), np.array([0, 1])),
-        shape=(1, n),
-    )
-    m = SparseMatrix.from_scipy(big)
+    m = _assemble((1, n), np.array([0]), np.array([n - 1]), np.array([3.0]))
     assert (m.csr.indptr.dtype, m.csr.indices.dtype) == (np.int64, np.int64)
     assert m.nnz == 1
     assert m.csr.indices.tolist() == [n - 1]

@@ -7,9 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 import ufg.verify as verify_mod
+from conftest import sparse_matrix
 from ufg import graphs, transform
 from ufg.cli import main
-from ufg.sparse import SparseMatrix
 from ufg.transform import MODES, compute_K
 from ufg.verify import run_verify
 
@@ -138,7 +138,7 @@ def test_csr_layout_fails_an_asymmetric_laplacian():
     graph = graphs.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     lap = graph.laplacian.csr.toarray()
     lap[0, 1] += 0.5
-    fx = {"graph": SimpleNamespace(laplacian=SparseMatrix.from_scipy(lap),
+    fx = {"graph": SimpleNamespace(laplacian=sparse_matrix(lap),
                                    adjacency=graph.adjacency)}
     passed, detail, value, tol = verify_mod._check_csr_layout(fx)
     assert not passed and value == pytest.approx(0.5) and value > tol
