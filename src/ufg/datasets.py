@@ -216,8 +216,9 @@ def generate_sbm(
     ``feature_model``; labels are the block ids; splits are stratified
     10/20/70 train/val/test. Deterministic given ``seed``.
     """
-    if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
+    for name, p in (("p_in", p_in), ("p_out", p_out)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probabilities must lie in [0, 1], got {name} = {p}")
     block_sizes = [int(s) for s in block_sizes]
     if not block_sizes or min(block_sizes) <= 0:
         raise ValueError("every block must be nonempty")
@@ -291,6 +292,11 @@ class SBMData:
             raise ValueError(f"unknown feature_model {self.feature_model!r}")
         if self.feature_model == "binary" and self.feature_noise is not None:
             raise ValueError("feature_noise does not apply to feature_model 'binary'")
+        if self.feature_dim is not None and self.feature_dim < 1:
+            raise ValueError(f"feature dim must be >= 1, got feature_dim = {self.feature_dim}")
+        noise = self.feature_noise
+        if noise is not None and not (np.isfinite(noise) and noise >= 0):
+            raise ValueError(f"noise std must be finite and >= 0, got feature_noise = {noise}")
         model = self.features()
         object.__setattr__(self, "feature_dim", model.dim)
         object.__setattr__(self, "feature_noise", getattr(model, "noise_std", None))

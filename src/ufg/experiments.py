@@ -39,7 +39,6 @@ from .nn import (
     xavier_uniform,
 )
 from .shrinkage import ThresholdConfig, compression_ratio, shrink_stack
-from .sparse import SparseMatrix
 from .transform import (
     DecompositionOperator,
     FrameletSystem,
@@ -328,128 +327,101 @@ def train_node_classifier(
     return make_record(per_seed, wall_clock, extra)
 
 
-@dataclass(frozen=True)
-class _GraphUnion:
-    """Graph samples as one graph: the disjoint union of their nodes.
-
-    Graph ``g`` owns rows ``starts[g] : starts[g] + sizes[g]`` of the
-    block-diagonal GCN adjacency and of the stacked features, and keeps its
-    own framelet operator ``ops[g]`` (``ops`` is empty for the mean readout).
-    """
-
-    norm_adj: SparseMatrix
-    features: np.ndarray
-    labels: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
-    ops: tuple[DecompositionOperator, ...]
-
-
-def _graph_union(samples: list[GraphSample], config: ExperimentConfig) -> _GraphUnion:
-    sizes = np.array([s.graph.num_nodes for s in samples])
-    ops = ()
-    if config.pool_mode != "mean":
-        ops = tuple(
-            framelet_operator(
-                s.graph, config.dilation, config.levels, config.degree, config.mode
-            )
-            for s in samples
-        )
-    # The block-diagonal GCN adjacency: each graph's canonical CSR arrays,
-    # shifted past the rows and entries of the graphs before it.
-    adjs = [s.graph.gcn_adjacency.csr for s in samples]
-    nnz = np.array([a.nnz for a in adjs])
-    firsts = np.cumsum(nnz) - nnz
-    starts = np.cumsum(sizes) - sizes
-    n = int(sizes.sum())
-    return _GraphUnion(
-        norm_adj=graphs._csr(
-            (n, n),
-            np.concatenate([[0]] + [a.indptr[1:] + f for a, f in zip(adjs, firsts)]),
-            np.concatenate([a.indices + s for a, s in zip(adjs, starts)]),
-            np.concatenate([a.data for a in adjs]),
-        ),
-        features=np.vstack([s.features for s in samples]),
-        labels=np.array([s.label for s in samples]),
-        starts=starts,
-        sizes=sizes,
-        ops=ops,
-    )
-
-
-def _union_forward(params, union: _GraphUnion, pool_mode: str):
-    """Logits of every graph: two GCN layers, the readout, the MLP."""
-    y1, c1 = gcn_conv_forward(params["g1.W"], union.norm_adj, union.features)
-    y2, c2 = gcn_conv_forward(params["g2.W"], union.norm_adj, y1)
-    if pool_mode == "mean":
-        pooled = np.add.reduceat(y2, union.starts) / union.sizes[:, None]
-        cp = None
-    else:
-        # The only per-graph loop: each graph has its own operator.
-        pools = [
-            ufg_pool_forward(op, y2[start : start + size], pool_mode)
-            for op, start, size in zip(union.ops, union.starts, union.sizes)
-        ]
-        pooled = np.stack([p for p, _ in pools])
-        cp = [c for _, c in pools]
-    logits, cm = mlp_forward(params, pooled)
-    return logits, (c1, c2, cp, cm)
-
-
-def _union_backward(caches, dlogits: np.ndarray, union: _GraphUnion) -> dict:
-    c1, c2, cp, cm = caches
-    grads, dpooled = mlp_backward(cm, dlogits)
-    if cp is None:
-        dy2 = np.repeat(dpooled / union.sizes[:, None], union.sizes, axis=0)
-    else:
-        dy2 = np.vstack([ufg_pool_backward(c, d) for c, d in zip(cp, dpooled)])
-    dy1, grads["g2.W"] = gcn_conv_backward(c2, dy2)
-    _, grads["g1.W"] = gcn_conv_backward(c1, dy1)
-    return grads
-
-
 class _GraphTask:
     """Graph classification: two GCN layers, a pooling readout (framelet
     sum/spectrum or mean baseline) and a two-layer MLP, trained full-batch
-    on the disjoint union of the graphs. ``init`` first draws the seed's
-    split: ``split_sizes`` = (train, validation) graphs, the rest for test.
-    The logits and caches of each evaluation are the next epoch's forward
-    pass.
+    on the disjoint union of the graphs.
+
+    Graph ``g`` owns rows ``starts[g] : starts[g] + sizes[g]`` of the
+    block-diagonal GCN adjacency ``norm_adj`` and of the stacked
+    ``features``, and keeps its own framelet operator ``ops[g]`` (``ops``
+    is empty for the mean readout). ``split_sizes`` = (train, validation)
+    graphs of the 80/10/10 split, the rest for test, which must not be
+    empty. ``init`` first draws the seed's split. The logits and caches of
+    each evaluation are the next epoch's forward pass.
     """
 
     decay_keys = frozenset({"g1.W", "g2.W", "W1", "W2"})
 
-    def __init__(self, union: _GraphUnion, config: ExperimentConfig,
-                 split_sizes: tuple[int, int]):
-        self.union, self.config, self.split_sizes = union, config, split_sizes
-        self.labels = union.labels
+    def __init__(self, samples: list[GraphSample], config: ExperimentConfig):
+        m = len(samples)
+        n_train = int(round(0.8 * m))
+        n_val = max(1, int(round(0.1 * m)))
+        if m - n_train - n_val <= 0:
+            raise ValueError(f"{m} graphs are too few for an 80/10/10 split")
+        self.config, self.split_sizes = config, (n_train, n_val)
+        self.sizes = sizes = np.array([s.graph.num_nodes for s in samples])
+        self.ops = () if config.pool_mode == "mean" else tuple(
+            framelet_operator(s.graph, config.dilation, config.levels, config.degree,
+                              config.mode)
+            for s in samples
+        )
+        # The block-diagonal GCN adjacency: each graph's canonical CSR arrays,
+        # shifted past the rows and entries of the graphs before it.
+        adjs = [s.graph.gcn_adjacency.csr for s in samples]
+        nnz = np.array([a.nnz for a in adjs])
+        firsts = np.cumsum(nnz) - nnz
+        self.starts = starts = np.cumsum(sizes) - sizes
+        n = int(sizes.sum())
+        self.norm_adj = graphs._csr(
+            (n, n),
+            np.concatenate([[0]] + [a.indptr[1:] + f for a, f in zip(adjs, firsts)]),
+            np.concatenate([a.indices + s for a, s in zip(adjs, starts)]),
+            np.concatenate([a.data for a in adjs]),
+        )
+        self.features = np.vstack([s.features for s in samples])
+        self.labels = np.array([s.label for s in samples])
 
     def init(self, rng) -> dict[str, np.ndarray]:
         m = self.labels.size
-        perm = rng.permutation(m)
         n_train, n_val = self.split_sizes
-        train_mask, val_mask, test_mask = (np.zeros(m, dtype=bool) for _ in range(3))
-        train_mask[perm[:n_train]] = True
-        val_mask[perm[n_train : n_train + n_val]] = True
-        test_mask[perm[n_train + n_val :]] = True
-        self.masks = (train_mask, val_mask, test_mask)
-        union, hidden = self.union, self.config.hidden
-        pool_dim = hidden * (union.ops[0].num_blocks if union.ops else 1)
+        self.masks = tuple(np.isin(np.arange(m), part) for part in
+                           np.split(rng.permutation(m), [n_train, n_train + n_val]))
+        hidden = self.config.hidden
+        pool_dim = hidden * (self.ops[0].num_blocks if self.ops else 1)
         params = {
-            "g1.W": xavier_uniform(union.features.shape[1], hidden, rng),
+            "g1.W": xavier_uniform(self.features.shape[1], hidden, rng),
             "g2.W": xavier_uniform(hidden, hidden, rng),
         }
         params.update(mlp_init(pool_dim, hidden, int(self.labels.max()) + 1, rng))
         self.evaluate(params)
         return params
 
+    def forward(self, params):
+        """Logits of every graph: two GCN layers, the readout, the MLP."""
+        y1, c1 = gcn_conv_forward(params["g1.W"], self.norm_adj, self.features)
+        y2, c2 = gcn_conv_forward(params["g2.W"], self.norm_adj, y1)
+        if self.config.pool_mode == "mean":
+            pooled = np.add.reduceat(y2, self.starts) / self.sizes[:, None]
+            cp = None
+        else:
+            # The only per-graph loop: each graph has its own operator.
+            pools = [
+                ufg_pool_forward(op, y2[start : start + size], self.config.pool_mode)
+                for op, start, size in zip(self.ops, self.starts, self.sizes)
+            ]
+            pooled = np.stack([p for p, _ in pools])
+            cp = [c for _, c in pools]
+        logits, cm = mlp_forward(params, pooled)
+        return logits, (c1, c2, cp, cm)
+
+    def backward(self, caches, dlogits: np.ndarray) -> dict:
+        c1, c2, cp, cm = caches
+        grads, dpooled = mlp_backward(cm, dlogits)
+        if cp is None:
+            dy2 = np.repeat(dpooled / self.sizes[:, None], self.sizes, axis=0)
+        else:
+            dy2 = np.vstack([ufg_pool_backward(c, d) for c, d in zip(cp, dpooled)])
+        dy1, grads["g2.W"] = gcn_conv_backward(c2, dy2)
+        _, grads["g1.W"] = gcn_conv_backward(c1, dy1)
+        return grads
+
     def step(self, params, rng):
         loss, dlogits = softmax_cross_entropy(self.logits, self.labels, self.masks[0])
-        return loss, _union_backward(self.caches, dlogits, self.union)
+        return loss, self.backward(self.caches, dlogits)
 
     def evaluate(self, params) -> np.ndarray:
-        self.logits, self.caches = _union_forward(params, self.union,
-                                                  self.config.pool_mode)
+        self.logits, self.caches = self.forward(params)
         return self.logits
 
 
@@ -463,12 +435,7 @@ def train_graph_classifier(
     improvement; see ``_GraphTask`` and ``_fit``. An empty test split
     raises ``ValueError``."""
     start = time.perf_counter()
-    m = len(samples)
-    n_train = int(round(0.8 * m))
-    n_val = max(1, int(round(0.1 * m)))
-    if m - n_train - n_val <= 0:
-        raise ValueError(f"{m} graphs are too few for an 80/10/10 split")
-    task = _GraphTask(_graph_union(samples, config), config, (n_train, n_val))
+    task = _GraphTask(samples, config)
     per_seed = [
         _fit(task, config, seed, config.patience, metrics_sink)[0]
         for seed in config.seeds

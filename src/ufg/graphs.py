@@ -11,9 +11,9 @@ doubles, at most 32 MB at ``EXACT_SPECTRUM_MAX_NODES``. ``Graph.cached``
 keeps one more value, the latest one built for some key:
 ``transform.framelet_operator`` keeps the graph's framelet operator there,
 so a second call with the same settings returns the same operator, and a
-call with other settings replaces it. A graph and its arrays must
-therefore never be mutated; the cached arrays are read-only, so a write
-into one raises ``ValueError``.
+call with other settings replaces it. A graph's adjacency and cached
+arrays are therefore read-only, so a write into one raises
+``ValueError``; the arrays the plain functions return belong to the caller.
 
 Every sparse matrix of the library is assembled here, with no SciPy
 format conversion or sparse sum: ``_assemble`` sorts an adjacency's entries
@@ -58,19 +58,21 @@ LANCZOS_MIN_NODES = 20
 class Graph:
     """Undirected weighted graph with a symmetric adjacency matrix.
 
-    Immutable: neither the graph nor its adjacency arrays may be changed
-    after construction, because the spectral data below and the value in
-    the ``cached`` slot are computed once and kept for the graph's
-    lifetime. ``dataclasses.replace`` gives an equal graph that computes
-    its own and starts with an empty slot.
+    Frozen, and the adjacency's CSR ``data``, ``indices`` and ``indptr``
+    are made read-only on construction, because the spectral data below
+    and the value in the ``cached`` slot are computed once and kept for
+    the graph's lifetime. ``dataclasses.replace`` gives an equal graph that
+    computes its own and starts with an empty slot.
     """
 
     num_nodes: int
     adjacency: SparseMatrix = field(repr=False)
 
     def __post_init__(self):
-        if self.adjacency.csr.shape != (self.num_nodes, self.num_nodes):
+        csr = self.adjacency.csr
+        if csr.shape != (self.num_nodes, self.num_nodes):
             raise ValueError("adjacency shape does not match num_nodes")
+        _freeze(csr.data, csr.indices, csr.indptr)
 
     @cached_property
     def laplacian(self) -> SparseMatrix:
@@ -292,7 +294,9 @@ def build_graph(num_nodes: int, edges: ArrayLike) -> Graph:
     Parameters
     ----------
     num_nodes : int
-        Number of nodes; edge endpoints must lie in ``[0, num_nodes)``.
+        Number of nodes, at most 3 037 000 499 so that the assembly's
+        ``row * N + col`` keys fit int64; edge endpoints must lie in
+        ``[0, num_nodes)``.
     edges : array_like, shape (M, 3)
         One ``(u, v, w)`` row per edge, e.g. an ``(M, 3)`` array or a list of
         triples; endpoints are truncated to integers. Weights must be
@@ -300,6 +304,9 @@ def build_graph(num_nodes: int, edges: ArrayLike) -> Graph:
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be nonnegative")
+    if int(num_nodes) ** 2 - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"num_nodes = {num_nodes} is too large: entry keys "
+                         "row * N + col overflow int64")
     arr = np.asarray(edges, dtype=np.float64)
     if arr.size == 0:
         arr = arr.reshape(0, 3)

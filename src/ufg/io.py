@@ -8,13 +8,15 @@ Formats (all little-endian, all floats 64-bit):
   Floats are written with ``repr`` (shortest round-trip, 17 significant
   digits), so write-read is exact.
 - Labels text: one nonnegative integer (class id) per line.
-- Coefficient file: magic ``UFGC``, then as u32 the version (3), N, d
+- Coefficient file: magic ``UFGC``, then as u32 the version (4), N, d
   (features), n (high passes), J (levels), the degree t and the mode (0
   exact, 1 chebyshev), the dilation as f64, the 32-byte
-  ``laplacian_digest`` of the graph, and the row-major f64 ``(nJ + 1) N x
-  d`` payload in ``FrameletSystem.block_index`` order: the graph and the
-  file rebuild the operator, and the digest tells whether it is the
-  file's graph. Bitwise round-trip.
+  ``laplacian_digest`` of the graph, a 32-byte SHA-256 of every byte
+  before it and of the payload, and the row-major f64 ``(nJ + 1) N x d``
+  payload in ``FrameletSystem.block_index`` order: the graph and the file
+  rebuild the operator, the digest tells whether it is the file's graph,
+  and the checksum is checked before any setting is returned. Bitwise
+  round-trip.
 - Metrics: JSON lines written by ``encode_json``.
 """
 
@@ -32,8 +34,9 @@ from . import graphs
 from .transform import MODES
 
 COEFF_MAGIC = b"UFGC"
-FORMAT_VERSION = 3
-# After the magic: version, N, d, n, J, t, mode code; dilation; digest.
+FORMAT_VERSION = 4
+# After the magic: version, N, d, n, J, t, mode code; dilation; digest. The
+# 32-byte checksum follows.
 _COEFF_HEADER = struct.Struct("<7Id32s")
 
 
@@ -87,7 +90,10 @@ def read_graph_text(path: str):
         edges.append((u, v, w))
     if len(edges) != m:
         raise ValueError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return graphs.build_graph(n, edges)
+    try:
+        return graphs.build_graph(n, edges)
+    except MemoryError:
+        raise ValueError(f"{path}: a graph of N = {n} nodes does not fit in memory") from None
 
 
 def write_graph_text(graph, path: str) -> None:
@@ -171,14 +177,17 @@ def write_coefficients(op, stack, path: str) -> None:
     system = op.system
     if (stack.block_index, stack.num_nodes) != (op.block_index, op.num_nodes):
         raise ValueError("coefficient stack does not match the operator")
-    header = _COEFF_HEADER.pack(
+    head = COEFF_MAGIC + _COEFF_HEADER.pack(
         FORMAT_VERSION, stack.num_nodes, stack.num_features, system.num_high,
         system.levels, system.degree, MODES.index(system.mode), system.dilation,
         laplacian_digest(op.lap),
     )
+    payload = np.ascontiguousarray(stack.data, dtype="<f8").tobytes()
+    checksum = hashlib.sha256(head)
+    checksum.update(payload)
     with open(path, "wb") as fh:
-        fh.write(COEFF_MAGIC + header)
-        fh.write(np.ascontiguousarray(stack.data, dtype="<f8").tobytes())
+        fh.write(head + checksum.digest())
+        fh.write(payload)
 
 
 def read_coefficients(path: str):
@@ -196,15 +205,20 @@ def read_coefficients(path: str):
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {version}; rerun "
                          f"`ufg transform` to write version {FORMAT_VERSION}")
-    offset = 4 + _COEFF_HEADER.size
+    end = 4 + _COEFF_HEADER.size
+    offset = end + 32
     if len(blob) < offset:
         raise ValueError(f"{path}: truncated header")
+    payload = blob[offset:]
+    checksum = hashlib.sha256(blob[:end])
+    checksum.update(payload)
+    if checksum.digest() != blob[end:offset]:
+        raise ValueError(f"{path}: checksum mismatch, the header or payload is corrupt")
     header = _COEFF_HEADER.unpack_from(blob, 4)
     _, n, d, n_high, levels, degree, mode, dilation, digest = header
     if mode >= len(MODES):
         raise ValueError(f"{path}: unknown mode code {mode}")
     rows = (n_high * levels + 1) * n
-    payload = blob[offset:]
     if len(payload) != rows * d * 8:
         raise ValueError(
             f"{path}: payload is {len(payload)} bytes, expected {rows * d * 8}"

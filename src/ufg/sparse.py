@@ -20,10 +20,12 @@ import scipy.sparse as sp
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Immutable CSR matrix in canonical layout.
+    """CSR matrix in canonical layout, in a frozen dataclass.
 
     The constructor takes a ``csr_array`` that is already canonical; the
-    library's matrices come from the assembler in ``graphs``.
+    library's matrices come from the assembler in ``graphs``. The arrays a
+    graph or an operator keeps are read-only; a matrix that a plain
+    function returns belongs to the caller.
     """
 
     csr: sp.csr_array = field(repr=False)

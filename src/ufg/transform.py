@@ -491,7 +491,7 @@ def framelet_operator(
     settings of the kept operator returns that very object, and a call with
     other settings builds one and replaces it. Settings that print
     differently, such as ``dilation=2`` and ``2.0``, count as different.
-    The graph and the operator's arrays must not be mutated; the arrays are
+    The graph's adjacency and caches and the operator's arrays are
     read-only.
     """
     settings = (dilation, levels, degree, mode)

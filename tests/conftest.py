@@ -1,7 +1,8 @@
 """Shared fixtures: small seeded graphs and prebuilt transform systems,
 and helpers that build a path graph, assemble a dense array as a sparse
-matrix and write a citation dataset."""
+matrix, write a citation dataset and reseal an edited coefficient file."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -26,6 +27,16 @@ def sparse_matrix(dense) -> SparseMatrix:
     a = np.asarray(dense, dtype=np.float64)
     rows, cols = np.nonzero(a)
     return _assemble(a.shape, rows, cols, a[rows, cols])
+
+
+def reseal(blob: bytes) -> bytes:
+    """A coefficient file's bytes with the checksum recomputed, so that an
+    edited header or payload gets past the checksum to the reader's other
+    checks."""
+    end = 4 + ufg_io._COEFF_HEADER.size
+    checksum = hashlib.sha256(blob[:end])
+    checksum.update(blob[end + 32:])
+    return blob[:end] + checksum.digest() + blob[end + 32:]
 
 
 def write_citation_fixture(root, n=10, d=3, num_classes=2):

@@ -28,7 +28,7 @@ from ufg.datasets import (
     sbm_graph_family,
     star_graph,
 )
-from ufg.experiments import ExperimentConfig, _graph_union
+from ufg.experiments import ExperimentConfig, _GraphTask
 from ufg.transform import _recurrence_matrix
 
 
@@ -209,6 +209,6 @@ def test_generated_graphs_equal_scipy_construction(name, tmp_path, monkeypatch):
 def test_graph_union_equals_scipy_block_diag(task):
     samples = {"cycles-stars": cycles_and_stars, "sbm-family": sbm_graph_family}[task](
         4, seed=1)
-    union = _graph_union(samples, ExperimentConfig(task="graph", pool_mode="mean"))
+    task = _GraphTask(samples, ExperimentConfig(task="graph", pool_mode="mean"))
     want = ref_union([s.graph.gcn_adjacency.csr for s in samples])
-    assert_same_csr(union.norm_adj.csr, want)
+    assert_same_csr(task.norm_adj.csr, want)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_citation_fixture
+from conftest import reseal, write_citation_fixture
 import ufg.cli as cli
 import ufg.experiments as experiments_mod
 import ufg.verify as verify_mod
@@ -195,7 +195,7 @@ def _version_1_file(path, graph_files):
     path.write_bytes(b"UFGC" + struct.pack("<5I", 1, 16, 2, 1, 2) + block_map
                      + np.zeros((48, 2)).tobytes())
     return graph_files[0], (f"{path}: unsupported version 1; rerun `ufg transform` "
-                            "to write version 3")
+                            "to write version 4")
 
 
 def _version_2_file(path, graph_files):
@@ -203,7 +203,18 @@ def _version_2_file(path, graph_files):
     header = struct.pack("<7Id", 2, 16, 2, 1, 2, 16, 0, 2.0)
     path.write_bytes(b"UFGC" + header + np.zeros((48, 2)).tobytes())
     return graph_files[0], (f"{path}: unsupported version 2; rerun `ufg transform` "
-                            "to write version 3")
+                            "to write version 4")
+
+
+def _version_3_file(path, graph_files):
+    """Version 3: the header of version 4 without its checksum."""
+    gpath, spath, _ = graph_files
+    assert main(["transform", "--graph", gpath, "--signal", spath, "--out", str(path)]) == 0
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (3).to_bytes(4, "little")
+    path.write_bytes(bytes(blob[:72] + blob[104:]))
+    return gpath, (f"{path}: unsupported version 3; rerun `ufg transform` "
+                   "to write version 4")
 
 
 def _other_graph_file(path, graph_files):
@@ -228,12 +239,13 @@ def _same_size_other_graph_file(path, graph_files):
 
 
 def _flipped_digest_file(path, graph_files):
-    """The graph's own file with one byte of its graph digest flipped."""
+    """The graph's own file with one byte of its graph digest flipped and
+    the checksum recomputed."""
     gpath, spath, _ = graph_files
     assert main(["transform", "--graph", gpath, "--signal", spath, "--out", str(path)]) == 0
     blob = bytearray(path.read_bytes())
     blob[40 + 17] ^= 0x01  # inside the 32-byte digest after the dilation
-    path.write_bytes(bytes(blob))
+    path.write_bytes(reseal(bytes(blob)))
     return gpath, f"{path}: written for another graph than {gpath}"
 
 
@@ -255,15 +267,15 @@ def _unknown_mode_file(path, graph_files):
     assert main(["transform", "--graph", gpath, "--signal", spath, "--out", str(path)]) == 0
     blob = bytearray(path.read_bytes())
     blob[28:32] = (5).to_bytes(4, "little")
-    path.write_bytes(bytes(blob))
+    path.write_bytes(reseal(bytes(blob)))
     return gpath, f"{path}: unknown mode code 5"
 
 
 @pytest.mark.parametrize(
-    "make", [_version_1_file, _version_2_file, _other_graph_file,
+    "make", [_version_1_file, _version_2_file, _version_3_file, _other_graph_file,
              _same_size_other_graph_file, _flipped_digest_file, _two_high_pass_file,
              _unknown_mode_file],
-    ids=["version-1", "version-2", "other-graph", "same-size-other-graph",
+    ids=["version-1", "version-2", "version-3", "other-graph", "same-size-other-graph",
          "flipped-digest", "two-high-passes", "unknown-mode"],
 )
 def test_reconstruct_refuses_a_file_it_cannot_use(tmp_path, graph_files, capsys, make):
@@ -274,6 +286,27 @@ def test_reconstruct_refuses_a_file_it_cannot_use(tmp_path, graph_files, capsys,
                  "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reconstruct_refuses_every_single_bit_flip_of_the_header(tmp_path, capsys):
+    # Without the checksum, 19 of the 64 flips of the dilation alone reconstruct
+    # (exit 0) with a relative error up to 0.98.
+    gpath, spath = str(tmp_path / "g.txt"), str(tmp_path / "x.csv")
+    write_graph_text(random_er_graph(12, 3.0, np.random.default_rng(0)), gpath)
+    write_features_csv(np.random.default_rng(1).normal(size=(12, 2)), spath)
+    cpath, out = tmp_path / "c.ufgc", tmp_path / "y.csv"
+    assert main(["transform", "--graph", gpath, "--signal", spath, "--out", str(cpath)]) == 0
+    blob = cpath.read_bytes()
+    header_bits = 8 * 104
+    # Every bit of the header, then one bit in the middle of the payload.
+    for bit in [*range(header_bits), 8 * (104 + (len(blob) - 104) // 2) + 3]:
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        cpath.write_bytes(bytes(flipped))
+        code = main(["reconstruct", "--graph", gpath, "--coeffs", str(cpath),
+                     "--out", str(out), "--reference", spath])
+        assert (code, out.exists()) == (2, False), bit
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("dilation", ["inf", "1e308"])
@@ -372,13 +405,14 @@ def test_denoise_single_node_graph_is_identity(tmp_path, capsys, mode):
 
 
 def _no_training(monkeypatch):
-    """Make building the node operator or the graph union fail loudly, so a
-    run that gets past its checks says "training started"."""
+    """Make building the node operator or the first pass of the graph task
+    fail loudly, so a run that gets past its checks says "training
+    started"."""
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
     monkeypatch.setattr(experiments_mod, "build_node_operator", no_training)
-    monkeypatch.setattr(experiments_mod, "_graph_union", no_training)
+    monkeypatch.setattr(experiments_mod._GraphTask, "init", no_training)
 
 
 @pytest.mark.parametrize(
@@ -455,6 +489,34 @@ def test_train_node_bad_feature_model_exits_two_before_training(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert named in err and "training started" not in err
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--p-in", "2"], "got p_in = 2.0"),
+        (["--p-out", "-1"], "got p_out = -1.0"),
+        (["--feature-dim", "0"], "got feature_dim = 0"),
+        (["--feature-model", "binary", "--feature-dim", "0"], "got feature_dim = 0"),
+        (["--feature-noise", "-1"], "got feature_noise = -1.0"),
+    ],
+)
+def test_train_node_data_flag_messages_name_their_field(monkeypatch, capsys, extra, named):
+    _no_training(monkeypatch)
+    argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0", *extra]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "training started" not in err
+
+
+def test_transform_refuses_a_node_count_whose_keys_overflow(tmp_path, capsys):
+    gpath, spath = tmp_path / "g.txt", tmp_path / "x.csv"
+    gpath.write_text("99999999999 1\n0 1\n")
+    spath.write_text("0.5\n")
+    assert main(["transform", "--graph", str(gpath), "--signal", str(spath),
+                 "--out", str(tmp_path / "c.ufgc")]) == 2
+    assert "num_nodes = 99999999999 is too large" in capsys.readouterr().err
+    assert not (tmp_path / "c.ufgc").exists()
 
 
 def _no_data(monkeypatch):

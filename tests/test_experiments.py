@@ -35,12 +35,7 @@ from ufg.experiments import (
     train_graph_classifier,
     train_node_classifier,
 )
-from ufg.experiments import (
-    _graph_union,
-    _layer_activations,
-    _union_backward,
-    _union_forward,
-)
+from ufg.experiments import _GraphTask, _layer_activations
 from ufg.graphs import eigendecompose, gcn_norm_adjacency, normalized_laplacian
 from ufg.perturb import PerturbationSpec
 from ufg.nn import (
@@ -683,39 +678,41 @@ def test_sum_then_spectrum_builds_each_gcn_adjacency_once(monkeypatch):
 
 
 def _mixed_union(pool_mode):
-    """Four graphs of different sizes, both labels, generic features."""
+    """The graph task on eight graphs of different sizes, both labels,
+    generic features: the fewest graphs an 80/10/10 split takes."""
     rng = np.random.default_rng(5)
-    graphs = [cycle_graph(5), star_graph(7), path_graph(9), cycle_graph(6)]
+    graphs = [cycle_graph(5), star_graph(7), path_graph(9), cycle_graph(6),
+              star_graph(4), path_graph(3), cycle_graph(8), star_graph(6)]
     samples = [
         GraphSample(graph=g, features=rng.normal(size=(g.num_nodes, 3)), label=y)
-        for g, y in zip(graphs, (0, 1, 1, 0))
+        for g, y in zip(graphs, (0, 1, 1, 0, 1, 0, 0, 1))
     ]
     cfg = ExperimentConfig(task="graph", pool_mode=pool_mode, hidden=4)
-    union = _graph_union(samples, cfg)
-    pool_dim = 4 * (union.ops[0].num_blocks if union.ops else 1)
+    task = _GraphTask(samples, cfg)
+    pool_dim = 4 * (task.ops[0].num_blocks if task.ops else 1)
     params = {
         "g1.W": rng.normal(size=(3, 4)),
         "g2.W": rng.normal(size=(4, 4)),
         **mlp_init(pool_dim, 5, 2, rng),
     }
-    # The third graph is outside the loss, as validation graphs are.
-    mask = np.array([True, True, False, True])
-    return samples, cfg, union, params, mask
+    # The third and sixth graphs are outside the loss, as validation graphs are.
+    mask = np.array([True, True, False, True, True, False, True, True])
+    return samples, cfg, task, params, mask
 
 
 def _union_model_check(pool_mode, corrupt=None):
     """``gradient_check`` of the graph task's model on ``_mixed_union``;
     ``corrupt`` names a gradient to scale by 1.001 first."""
-    _, cfg, union, params, mask = _mixed_union(pool_mode)
+    _, _, task, params, mask = _mixed_union(pool_mode)
 
     def loss_fn(p):
-        logits, (c1, c2, _, cm) = _union_forward(p, union, cfg.pool_mode)
-        loss, _ = softmax_cross_entropy(logits, union.labels, mask)
+        logits, (c1, c2, _, cm) = task.forward(p)
+        loss, _ = softmax_cross_entropy(logits, task.labels, mask)
         return loss, activation_signature(c1, c2, cm)
 
-    logits, caches = _union_forward(params, union, cfg.pool_mode)
-    _, dlogits = softmax_cross_entropy(logits, union.labels, mask)
-    grads = _union_backward(caches, dlogits, union)
+    logits, caches = task.forward(params)
+    _, dlogits = softmax_cross_entropy(logits, task.labels, mask)
+    grads = task.backward(caches, dlogits)
     if corrupt is not None:
         grads[corrupt] = grads[corrupt] * 1.001
     return gradient_check(loss_fn, params, grads, max_coords=80, seed=2)
@@ -755,10 +752,10 @@ def _single_graph_step(params, sample, cfg):
 
 @pytest.mark.parametrize("pool_mode", POOL_MODES)
 def test_union_gradient_is_mean_of_per_graph_gradients(pool_mode):
-    samples, cfg, union, params, mask = _mixed_union(pool_mode)
-    logits, caches = _union_forward(params, union, cfg.pool_mode)
-    loss, dlogits = softmax_cross_entropy(logits, union.labels, mask)
-    grads = _union_backward(caches, dlogits, union)
+    samples, cfg, task, params, mask = _mixed_union(pool_mode)
+    logits, caches = task.forward(params)
+    loss, dlogits = softmax_cross_entropy(logits, task.labels, mask)
+    grads = task.backward(caches, dlogits)
     steps = [
         _single_graph_step(params, s, cfg) for s, keep in zip(samples, mask) if keep
     ]

@@ -98,6 +98,13 @@ def test_build_graph_rejects_bad_edges():
             build_graph(3, [[1, bad, 1]])
 
 
+def test_build_graph_refuses_a_node_count_whose_keys_overflow():
+    # The assembly codes entry (row, col) as row * N + col, at most N^2 - 1:
+    # N = 3 037 000 499 is the largest N whose codes fit int64.
+    with pytest.raises(ValueError, match="num_nodes = 3037000500 is too large"):
+        build_graph(3_037_000_500, [])
+
+
 @st.composite
 def edge_lists(draw):
     n = draw(st.integers(1, 6))
@@ -392,6 +399,9 @@ def test_graph_spectral_cache_is_bitwise_the_uncached_functions():
 def test_graph_spectral_cache_arrays_are_read_only():
     g = random_er_graph(20, 3.0, np.random.default_rng(9))
     arrays = {
+        "adjacency.data": g.adjacency.csr.data,
+        "adjacency.indices": g.adjacency.csr.indices,
+        "adjacency.indptr": g.adjacency.csr.indptr,
         "laplacian.data": g.laplacian.csr.data,
         "laplacian.indices": g.laplacian.csr.indices,
         "laplacian.indptr": g.laplacian.csr.indptr,

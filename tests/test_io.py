@@ -1,11 +1,15 @@
 """File formats: graph text, CSV, binary coefficients, metrics."""
 
+import hashlib
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from conftest import reseal
+from ufg import graphs
 from ufg.datasets import random_er_graph
 from ufg.graphs import build_graph
 from ufg.io import (
@@ -78,6 +82,18 @@ def test_graph_text_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# comment\n2 1\n0 x\n")
     with pytest.raises(ValueError, match=r":3:"):
+        read_graph_text(str(path))
+
+
+def test_graph_text_too_large_for_memory_names_file_and_n(tmp_path, monkeypatch):
+    def out_of_memory(num_nodes, edges):
+        raise MemoryError
+
+    monkeypatch.setattr(graphs, "build_graph", out_of_memory)
+    path = tmp_path / "big.txt"
+    path.write_text("2000000000 1\n0 1\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: a graph of N = 2000000000 nodes does not fit in memory")):
         read_graph_text(str(path))
 
 
@@ -168,11 +184,13 @@ def test_coefficients_binary_round_trip_is_bitwise(tmp_path, op, stack):
     assert (num_high, num_nodes) == (1, stack.num_nodes)
     assert digest == laplacian_digest(op.lap)
     np.testing.assert_array_equal(data, stack.data, strict=True)
-    # The payload follows the 72-byte header bitwise.
+    # The payload follows the 104-byte header bitwise; the header ends with
+    # the SHA-256 of the bytes before it and of the payload.
     blob = (tmp_path / "c.ufgc").read_bytes()
-    assert _header_field(blob, 0) == 3
+    assert _header_field(blob, 0) == 4
     assert blob[40:72] == digest
-    assert blob[72:] == stack.data.astype("<f8").tobytes()
+    assert blob[72:104] == hashlib.sha256(blob[:72] + blob[104:]).digest()
+    assert blob[104:] == stack.data.astype("<f8").tobytes()
 
 
 def test_laplacian_digest_names_the_graph_not_its_index_width():
@@ -251,11 +269,11 @@ def test_coefficients_truncation_errors(tmp_path, op, stack):
         with pytest.raises(ValueError, match="truncated header"):
             read_coefficients(str(short))
     clipped = tmp_path / "clipped.ufgc"
-    clipped.write_bytes(blob[:-8])
+    clipped.write_bytes(reseal(blob[:-8]))
     with pytest.raises(ValueError, match="payload"):
         read_coefficients(str(clipped))
     padded = tmp_path / "padded.ufgc"
-    padded.write_bytes(blob + bytes(8))
+    padded.write_bytes(reseal(blob + bytes(8)))
     with pytest.raises(ValueError, match="payload is 440 bytes, expected 432"):
         read_coefficients(str(padded))
 
@@ -275,7 +293,7 @@ def test_coefficients_unsupported_version(tmp_path, op, stack):
     path = tmp_path / "c.ufgc"
     write_coefficients(op, stack, str(path))
     blob = bytearray(path.read_bytes())
-    assert _header_field(blob, 0) == 3
+    assert _header_field(blob, 0) == 4
     blob[4:8] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="unsupported version 99"):
@@ -299,7 +317,7 @@ def test_coefficients_version_2_is_refused(tmp_path, stack):
     path.write_bytes(COEFF_MAGIC + struct.pack("<7Id", 2, 6, 3, 1, 2, 16, 0, 2.0)
                      + stack.data.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="unsupported version 2; rerun `ufg transform` "
-                                         "to write version 3"):
+                                         "to write version 4"):
         read_coefficients(str(path))
 
 
@@ -309,7 +327,7 @@ def test_coefficients_unknown_mode_code(tmp_path, op, stack):
     blob = bytearray(path.read_bytes())
     assert _header_field(blob, 6) == 0  # exact
     blob[28:32] = (2).to_bytes(4, "little")
-    path.write_bytes(bytes(blob))
+    path.write_bytes(reseal(bytes(blob)))
     with pytest.raises(ValueError, match="unknown mode code 2"):
         read_coefficients(str(path))
 

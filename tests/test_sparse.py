@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import sparse_matrix
 from ufg import io
 from ufg.datasets import cycles_and_stars, generate_sbm, random_er_graph
-from ufg.experiments import ExperimentConfig, _graph_union
+from ufg.experiments import ExperimentConfig, _GraphTask
 from ufg.graphs import _assemble, build_graph, gershgorin_bound, validate_csr
 from ufg.perturb import PerturbationSpec, perturb
 from ufg.sparse import SparseMatrix
@@ -128,8 +128,8 @@ LIBRARY_MATRICES = {
     "laplacian": lambda _: random_er_graph(50, 4.0, 0).laplacian,
     "gcn_adjacency": lambda _: random_er_graph(50, 4.0, 0).gcn_adjacency,
     "recurrence": lambda _: _recurrence_matrix(random_er_graph(50, 4.0, 0).laplacian),
-    "graph_union": lambda _: _graph_union(
-        cycles_and_stars(3, seed=0), ExperimentConfig(task="graph", pool_mode="mean")
+    "graph_union": lambda _: _GraphTask(
+        cycles_and_stars(4, seed=0), ExperimentConfig(task="graph", pool_mode="mean")
     ).norm_adj,
 }
 
