@@ -200,6 +200,17 @@ def stratified_split(
     return train, val, test
 
 
+def check_sbm(block_sizes: Sequence[int], p_in: float, p_out: float) -> None:
+    """Raise ``ValueError`` unless the block model is drawable: both
+    probabilities in [0, 1] (so not NaN) and at least one block, every block
+    nonempty. ``generate_sbm`` and ``SBMData`` both check here."""
+    for name, p in (("p_in", p_in), ("p_out", p_out)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probabilities must lie in [0, 1], got {name} = {p}")
+    if not block_sizes or min(int(s) for s in block_sizes) <= 0:
+        raise ValueError("every block must be nonempty")
+
+
 def generate_sbm(
     block_sizes: Sequence[int],
     p_in: float,
@@ -216,12 +227,8 @@ def generate_sbm(
     ``feature_model``; labels are the block ids; splits are stratified
     10/20/70 train/val/test. Deterministic given ``seed``.
     """
-    for name, p in (("p_in", p_in), ("p_out", p_out)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probabilities must lie in [0, 1], got {name} = {p}")
+    check_sbm(block_sizes, p_in, p_out)
     block_sizes = [int(s) for s in block_sizes]
-    if not block_sizes or min(block_sizes) <= 0:
-        raise ValueError("every block must be nonempty")
     num_classes = len(block_sizes)
     if isinstance(feature_model, BinaryFeatures) and feature_model.dim < num_classes:
         raise ValueError("feature dim smaller than the number of classes")
@@ -288,6 +295,7 @@ class SBMData:
 
     def __post_init__(self):
         check_seed(self.data_seed, "data_seed")
+        check_sbm(self.sbm_sizes, self.p_in, self.p_out)
         if self.feature_model not in FEATURE_MODELS:
             raise ValueError(f"unknown feature_model {self.feature_model!r}")
         if self.feature_model == "binary" and self.feature_noise is not None:

@@ -324,12 +324,15 @@ def build_graph(num_nodes: int, edges: ArrayLike) -> Graph:
         if out_of_range[k]:
             raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
         raise ValueError(f"edge ({u}, {v}) has invalid weight {float(w[k])}")
-    u, v = ends.astype(np.int64).T
-    # Each non-loop edge is followed by its mirror; loops appear once.
-    keep = np.column_stack([np.ones(u.size, dtype=bool), u != v])
-    rows = np.column_stack([u, v])[keep]
-    cols = np.column_stack([v, u])[keep]
-    vals = np.column_stack([w, w])[keep]
+    # Each edge is followed by its mirror, read off the (M, 2) endpoint
+    # array flat and reversed; a loop's mirror is then dropped.
+    pairs = ends.astype(np.int64)
+    rows, cols, vals = pairs.reshape(-1), pairs[:, ::-1].reshape(-1), np.repeat(w, 2)
+    loop = pairs[:, 0] == pairs[:, 1]
+    if loop.any():
+        keep = np.ones(rows.size, dtype=bool)
+        keep[1::2] = ~loop
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
     shape = (num_nodes, num_nodes)
     return Graph(num_nodes=num_nodes, adjacency=_assemble(shape, rows, cols, vals))
 

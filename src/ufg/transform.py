@@ -39,6 +39,26 @@ updates all blocks, a rank-1 update adding the new term (forward) or a
 matrix-vector product adding ``w_k`` first (adjoint). Each direction
 costs ``recurrence_degree`` sparse products for any number of levels and
 high passes: 30 for a default round trip instead of 40 unchopped.
+
+Large products use every usable CPU (the process's affinity mask, so
+``taskset`` narrows it; the BLAS thread variables do not). When nnz(S)
+times the signal width d exceeds ``SPLIT_WORK`` and d is at least
+``SPLIT_MIN_COLUMNS``, both recurrences split the columns into ``min(CPUs,
+d // 8)`` contiguous groups. Each group runs the whole recurrence on its own
+work arrays with no waits between steps: the calling thread takes the
+first group and a thread pool, made on first use, the others, and the
+groups' outputs are then joined into one C-contiguous array. Columns never
+mix in either recurrence, and every kernel computes an entry of a column
+the same way whatever the width, except that BLAS treats the last few
+entries of a flat vector apart (OpenBLAS's gemv the last ``len mod 4``).
+Every group but the last starts and ends on a multiple of 8 columns, so
+its flat length has no such tail and the last group's tail is the full
+width's. So with BLAS on one thread the output is bitwise the one-group
+result on any number of CPUs. A multi-threaded BLAS splits each flat
+vector among its own threads at points that move with the length, so its
+last bits already depend on the BLAS thread count, split or not. Below the
+crossover the single loop runs as it is, with no pool.
+
 ``framelet_operator`` builds either backend from a graph, from the
 Laplacian, Lanczos estimate and (in exact mode) spectrum that the ``Graph``
 caches; K comes from the Lanczos estimate in both modes, so the two
@@ -53,6 +73,9 @@ reads.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -78,6 +101,18 @@ CHOP_TOL = 1e-14
 # The two backends of ``DecompositionOperator``; the order is the mode code
 # of the ``.ufgc`` header.
 MODES = ("exact", "chebyshev")
+
+# A Chebyshev recurrence splits its signal's columns into groups, each run
+# on its own thread, when nnz(S) times the signal width exceeds SPLIT_WORK
+# and the signal has at least SPLIT_MIN_COLUMNS columns. Groups are at
+# least GROUP_MIN_COLUMNS wide: 8 float64 fill one 64-byte cache line.
+SPLIT_WORK = 500_000
+SPLIT_MIN_COLUMNS = 16
+GROUP_MIN_COLUMNS = 8
+
+# The thread pool of the column groups, made on first use under the lock.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
 def compute_K(lambda_max: float, d: float) -> int:
@@ -546,10 +581,10 @@ def _recurrence_matrix(lap: SparseMatrix) -> SparseMatrix:
     return graphs._csr(L.shape, indptr, indices, data)
 
 
-def _kernel_operands(lap: SparseMatrix, recurrence: SparseMatrix | None, terms):
-    """Every operand of one recurrence's kernel calls, checked once: ``S``
-    (``recurrence``, else built from ``lap``), the values of ``-S``, ``S``
-    and ``S / 2``, and flat views of the two work arrays ``terms``.
+def _kernel_operands(S: SparseMatrix, terms):
+    """Every operand of one recurrence's kernel calls, checked once: the
+    CSR arrays of ``S``, the values of ``-S``, ``S`` and ``S / 2``, and
+    flat views of the two work arrays ``terms``.
 
     SciPy's sparse kernel ``csr_matvecs`` (what ``S @ x`` runs into zeros)
     trusts the sizes it is given, and it and BLAS would update a copy for
@@ -557,7 +592,7 @@ def _kernel_operands(lap: SparseMatrix, recurrence: SparseMatrix | None, terms):
     nnz(S) entries, ``S`` N x N for an N-row signal, and C-contiguous,
     writeable float64 N x d work arrays raises here.
     """
-    S = (_recurrence_matrix(lap) if recurrence is None else recurrence).csr
+    S = S.csr
     values = (-S.data, S.data, 0.5 * S.data)
     shape = terms[0].shape
     if not (
@@ -569,6 +604,58 @@ def _kernel_operands(lap: SparseMatrix, recurrence: SparseMatrix | None, terms):
         raise ValueError("a Chebyshev recurrence needs float64 S values, S N x N for "
                          "an N-row signal, C-contiguous writeable float64 work arrays")
     return S, values, tuple(t.reshape(-1, copy=False) for t in terms)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which ``taskset``
+    narrows, where the platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _column_groups(nnz: int, d: int) -> list[tuple[int, int]]:
+    """The contiguous column ranges ``[lo, hi)`` a recurrence over ``d``
+    columns of a product with ``nnz`` entries runs as: ``[(0, d)]`` up to
+    ``SPLIT_WORK`` or below ``SPLIT_MIN_COLUMNS``, else ``min(usable CPUs,
+    d // GROUP_MIN_COLUMNS)`` groups, each at least GROUP_MIN_COLUMNS
+    wide, that start at multiples of GROUP_MIN_COLUMNS (see the module
+    docstring)."""
+    if nnz * d <= SPLIT_WORK or d < SPLIT_MIN_COLUMNS:
+        return [(0, d)]
+    k = min(_usable_cpus(), d // GROUP_MIN_COLUMNS)
+    bounds = [GROUP_MIN_COLUMNS * (d * i // (GROUP_MIN_COLUMNS * k)) for i in range(k)]
+    return list(zip(bounds, bounds[1:] + [d]))
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+def _run_groups(groups, work) -> list:
+    """``work(lo, hi)`` for every column group, in group order: the first
+    on this thread, the others on the module's thread pool, made on first
+    use with one thread per usable CPU but this one. Returns once every
+    group is done; the first group's exception, else the first worker's,
+    reaches the caller."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
+                                       thread_name_prefix="ufg-columns")
+    futures = [_pool.submit(work, lo, hi) for lo, hi in groups[1:]]
+    try:
+        first = work(*groups[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
+# A child process has none of its parent's threads, so it makes a new pool.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def chebyshev_decompose(
@@ -588,7 +675,10 @@ def chebyshev_decompose(
     once. Work is ``recurrence_degree`` sparse products, and memory is two
     N x d work arrays besides the output. ``recurrence`` is the operator's
     ``S``; without it ``S`` is built from ``lap`` on every call. ``X`` is
-    only read and may have any memory layout.
+    only read and may have any memory layout. Above the crossover each
+    column group runs its own recurrence (``_column_groups``); with BLAS
+    on one thread the output is bitwise the same (see the module
+    docstring).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != lap.num_rows:
@@ -597,17 +687,34 @@ def chebyshev_decompose(
     index = system.block_index()
     # Row k holds step k's coefficients, contiguous, as dger reads them.
     steps = np.ascontiguousarray(system.chebyshev_coeffs.T)
+    S = _recurrence_matrix(lap) if recurrence is None else recurrence
+    groups = _column_groups(S.nnz, d)
+    if len(groups) == 1:
+        data = _decompose_columns(S, steps, X)
+    else:
+        parts = _run_groups(
+            groups, lambda lo, hi: _decompose_columns(S, steps, X[:, lo:hi]))
+        blocks = [part.reshape(len(index), n, -1) for part in parts]
+        data = np.concatenate(blocks, axis=2).reshape(-1, d)
+    return CoefficientStack(data=data, block_index=index, num_nodes=n)
+
+
+def _decompose_columns(S: SparseMatrix, steps: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The forward recurrence of ``chebyshev_decompose`` on the N x w signal
+    ``X``: its C-contiguous ``(B N) x w`` coefficient data."""
+    n, d = X.shape
     # terms[k & 1] holds (-1)^(k // 2) T_k: with signs +, +, -, -, ... each
     # step adds S T_{k-1} (k odd) or -S T_{k-1} (k even) into the array
     # of T_{k-2}, which then holds the signed T_k = S T_{k-1} - T_{k-2}.
     # T_1 = S T_0 / 2 goes into zeros. The copy keeps X unwritten.
     terms = (np.array(X, order="C"), np.zeros(X.shape))
-    S, values, flat = _kernel_operands(lap, recurrence, terms)
+    S, values, flat = _kernel_operands(S, terms)
     # C-contiguous output whatever the layout of X; flattened, block b is
     # column b of the Fortran-ordered (N d) x B view ``columns`` dger updates.
-    data = np.empty((len(index) * n, d))
-    columns = data.reshape(len(index), -1, copy=False).T
-    for out, c in zip(data.reshape(len(index), n, d), steps[0]):
+    num_blocks = steps.shape[1]
+    data = np.empty((num_blocks * n, d))
+    columns = data.reshape(num_blocks, -1, copy=False).T
+    for out, c in zip(data.reshape(num_blocks, n, d), steps[0]):
         np.multiply(X, c, out=out)
     for k in range(1, len(steps)):
         odd = k & 1
@@ -616,7 +723,7 @@ def chebyshev_decompose(
         if data.size:
             dger(-1.0 if k & 2 else 1.0, flat[odd], steps[k], a=columns,
                  overwrite_a=True)
-    return CoefficientStack(data=data, block_index=index, num_nodes=n)
+    return data
 
 
 def chebyshev_reconstruct(
@@ -635,23 +742,38 @@ def chebyshev_reconstruct(
     two N x d work arrays. Its operands are checked once per call, so a
     step is two bare kernel calls: a BLAS matrix-vector product over all
     blocks adds ``w_k`` to the array of ``b_{k+2}``, then an in-place
-    sparse product adds ``S b_{k+1}`` or ``-S b_{k+1}``. Cost and use of
-    ``recurrence`` are those of ``chebyshev_decompose``; ``c`` is only read.
+    sparse product adds ``S b_{k+1}`` or ``-S b_{k+1}``. Cost, use of
+    ``recurrence`` and column groups are those of ``chebyshev_decompose``;
+    ``c`` is only read.
     """
     if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
         raise ValueError("coefficient stack does not match the system")
-    blocks = np.ascontiguousarray(c.blocks, dtype=np.float64)
+    blocks = c.blocks
+    n, d = blocks.shape[1:]
+    steps = np.ascontiguousarray(system.chebyshev_coeffs.T)
+    S = _recurrence_matrix(lap) if recurrence is None else recurrence
+    groups = _column_groups(S.nnz, d)
+    if len(groups) == 1:
+        return _reconstruct_columns(S, steps, blocks)
+    parts = _run_groups(
+        groups, lambda lo, hi: _reconstruct_columns(S, steps, blocks[:, :, lo:hi]))
+    return np.concatenate(parts, axis=1)
+
+
+def _reconstruct_columns(S: SparseMatrix, steps: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The adjoint recurrence of ``chebyshev_reconstruct`` on the ``(B, N,
+    w)`` coefficient blocks ``blocks``: the N x w result."""
+    blocks = np.ascontiguousarray(blocks, dtype=np.float64)
     n, d = blocks.shape[1:]
     # Block b is column b of the Fortran-ordered (N d) x B view, as dgemv
     # reads it without a copy; steps[k] holds step k's coefficients.
     columns = blocks.reshape(len(blocks), -1, copy=False).T
-    steps = np.ascontiguousarray(system.chebyshev_coeffs.T)
     # b_k = w_k + S b_{k+1} - b_{k+2} from b_{t+1} = b_{t+2} = 0; the sum is
     # b_0 = w_0 + S b_1 / 2 - b_2. terms[k & 1] holds (-1)^(k // 2) b_k, so
     # step k adds S b_{k+1} (k even) or -S b_{k+1} (k odd), and b_0 comes
     # out with sign +.
     terms = (np.zeros((n, d)), np.zeros((n, d)))
-    S, values, flat = _kernel_operands(lap, recurrence, terms)
+    S, values, flat = _kernel_operands(S, terms)
     for k in range(len(steps) - 1, -1, -1):
         odd = k & 1
         if columns.size:

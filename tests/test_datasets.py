@@ -405,6 +405,23 @@ def test_sbm_data_refuses_bad_settings(settings, message):
         SBMData(**settings)
 
 
+@pytest.mark.parametrize("graph, message", [
+    ({"p_in": 2.0, "sbm_sizes": (0, 5)}, "got p_in = 2.0"),
+    ({"p_out": float("nan")}, "got p_out = nan"),
+    ({"p_out": -0.5}, "got p_out = -0.5"),
+    ({"sbm_sizes": (0, 5)}, "every block must be nonempty"),
+    ({"sbm_sizes": ()}, "every block must be nonempty"),
+])
+def test_sbm_data_refuses_an_impossible_graph_when_built(graph, message):
+    # A spec that names no drawable graph gets no fingerprint: it fails when
+    # built, with the message generate_sbm gives for the same settings.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SBMData(**graph)
+    spec = {"sbm_sizes": (3, 3), "p_in": 0.1, "p_out": 0.01, **graph}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_sbm(spec["sbm_sizes"], spec["p_in"], spec["p_out"])
+
+
 def test_graph_data_makes_its_task():
     for task, make in datasets.GRAPH_TASKS.items():
         got = GraphData(task=task, num_per_class=3, data_seed=1).make()

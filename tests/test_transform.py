@@ -3,7 +3,13 @@
 import dataclasses
 import itertools
 import json
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -468,7 +474,7 @@ def test_spmm_add_is_the_sparse_product_added_in_place(index):
         kept = X.copy()
         product = s @ X
         y = np.zeros((300, width))
-        S, values, flat = transform._kernel_operands(None, SparseMatrix(s), (X, y))
+        S, values, flat = transform._kernel_operands(SparseMatrix(s), (X, y))
         assert S is s and values[1] is s.data
         for v, expected in zip(values, (-product, product, 0.5 * product)):
             y[...] = 0.0
@@ -514,11 +520,205 @@ def test_spmm_add_rejects_operands_it_cannot_update_in_place():
     for name, (matrix, x, y) in bad.items():
         kept = y.copy()
         with pytest.raises(ValueError, match="Chebyshev recurrence"):
-            transform._kernel_operands(None, SparseMatrix(matrix), (x, y))
+            transform._kernel_operands(SparseMatrix(matrix), (x, y))
         np.testing.assert_array_equal(y, kept, err_msg=name)
-    S, vals, flat = transform._kernel_operands(None, SparseMatrix(s), (X, good))
+    S, vals, flat = transform._kernel_operands(SparseMatrix(s), (X, good))
     _kernel_call(S, vals[1], flat, 4)
     np.testing.assert_array_equal(good, s @ X)
+
+
+@pytest.fixture(scope="module")
+def split_operator():
+    """A Chebyshev operator on a graph whose products split at d >= 16."""
+    op = framelet_operator(random_er_graph(5001, 8.0, 31), mode="chebyshev")
+    assert op.recurrence.nnz * 16 > transform.SPLIT_WORK
+    return op
+
+
+def _one_group(op, X):
+    """The one-group recurrences of ``op`` on ``X``: decompose data and the
+    reconstruction of it, what every CPU count must reproduce bitwise."""
+    steps = np.ascontiguousarray(op.system.chebyshev_coeffs.T)
+    data = transform._decompose_columns(op.recurrence, steps, X)
+    blocks = data.reshape(op.num_blocks, op.num_nodes, -1)
+    return data, transform._reconstruct_columns(op.recurrence, steps, blocks)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("d", [23, 32, 33])
+def test_column_groups_are_bitwise_the_one_group_result(
+    monkeypatch, split_operator, cpus, d
+):
+    # Above the crossover each column group runs its own recurrence, on a
+    # thread of its own, and the groups' outputs are scattered into one
+    # array: bitwise the one-group result, also with uneven groups (d = 23
+    # and 33), through the operator, the bare Laplacian and a restricted
+    # operator. At N = 5001 a group of 11 columns would end its flat vectors
+    # in a BLAS tail that the one-group vectors do not have. Only the
+    # private helpers run off the calling thread.
+    op = split_operator
+    n = op.num_nodes
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: cpus)
+    groups = transform._column_groups(op.recurrence.nnz, d)
+    assert len(groups) == min(cpus, d // 8) and groups[-1][1] == d
+    X = np.random.default_rng(d).normal(size=(n, d))
+    data, back = _one_group(op, X)
+
+    widths, threads = [], set()
+    for name in ("_decompose_columns", "_reconstruct_columns"):
+        helper = getattr(transform, name)
+
+        def spy(S, steps, signal, helper=helper):
+            widths.append(signal.shape[-1])
+            threads.add(threading.get_ident())
+            return helper(S, steps, signal)
+
+        monkeypatch.setattr(transform, name, spy)
+    public = []
+    for name in ("decompose", "reconstruct", "chebyshev_decompose", "chebyshev_reconstruct"):
+        function = getattr(transform, name)
+
+        def traced(*args, function=function, **kwargs):
+            public.append(threading.get_ident())
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(transform, name, traced)
+
+    c = transform.decompose(op, X)
+    assert c.data.flags.c_contiguous
+    np.testing.assert_array_equal(c.data, data)
+    np.testing.assert_array_equal(transform.reconstruct(op, c), back)
+    assert sorted(widths) == sorted(2 * [hi - lo for lo, hi in groups])
+    assert len(threads) > 1 and set(public) == {threading.get_ident()}
+
+    bare = transform.chebyshev_decompose(op.system, op.lap, np.asfortranarray(X))
+    np.testing.assert_array_equal(bare.data, data)
+    np.testing.assert_array_equal(
+        transform.chebyshev_reconstruct(op.system, op.lap, bare), back)
+
+    rows = np.arange(0, n, 3)
+    padded = np.zeros_like(X)
+    padded[rows] = X[rows]
+    data, back = _one_group(op, padded)
+    restricted = op.restrict(rows)
+    c = transform.decompose(restricted, X[rows])
+    np.testing.assert_array_equal(c.data, data)
+    np.testing.assert_array_equal(transform.reconstruct(restricted, c), back[rows])
+
+
+def test_one_usable_cpu_or_a_small_product_makes_no_pool(monkeypatch, split_operator):
+    # With one usable CPU, or below the crossover, both recurrences run the
+    # one-group loop on the calling thread: no thread pool is made.
+    op = split_operator
+    X = np.random.default_rng(5).normal(size=(op.num_nodes, 32))
+    data, back = _one_group(op, X)
+    monkeypatch.setattr(transform, "_pool", None)
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 1)
+    c = decompose(op, X)
+    np.testing.assert_array_equal(c.data, data)
+    np.testing.assert_array_equal(reconstruct(op, c), back)
+    assert transform._pool is None
+
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+    small = framelet_operator(random_er_graph(300, 6.0, 8), mode="chebyshev")
+    assert small.recurrence.nnz * 32 <= transform.SPLIT_WORK
+    reconstruct(small, decompose(small, np.ones((300, 32))))
+    narrow = np.ones((op.num_nodes, 15))
+    reconstruct(op, decompose(op, narrow))
+    assert transform._pool is None
+
+
+@pytest.mark.parametrize("name", ["_decompose_columns", "_reconstruct_columns"])
+def test_a_worker_group_exception_reaches_the_caller(monkeypatch, split_operator, name):
+    # The calling thread waits for every group, then raises a worker's
+    # exception as its own.
+    op = split_operator
+    helper = getattr(transform, name)
+    main = threading.get_ident()
+
+    def failing(S, steps, signal):
+        if threading.get_ident() != main:
+            raise RuntimeError("worker group failed")
+        return helper(S, steps, signal)
+
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+    X = np.ones((op.num_nodes, 32))
+    monkeypatch.setattr(transform, name, failing)
+    with pytest.raises(RuntimeError, match="worker group failed"):
+        reconstruct(op, decompose(op, X))
+
+
+def test_concurrent_callers_share_the_pool_and_keep_their_results(
+    monkeypatch, split_operator
+):
+    # Callers on several threads at once, each splitting into more groups
+    # than this host has CPUs, under a short switch interval: every round
+    # trip is still bitwise the one-group result.
+    op = split_operator
+    X = np.random.default_rng(9).normal(size=(op.num_nodes, 32))
+    data, back = _one_group(op, X)
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 4)
+    results = []
+
+    def call():
+        for _ in range(2):
+            c = decompose(op, X)
+            results.append(np.array_equal(c.data, data)
+                           and np.array_equal(reconstruct(op, c), back))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == 8 * [True]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_makes_its_own_pool(monkeypatch, split_operator):
+    # A child process has none of its parent's pool threads: work it
+    # submitted to the inherited pool would never run. After a fork the
+    # child forgets the pool and makes its own on first use.
+    op = split_operator
+    X = np.random.default_rng(11).normal(size=(op.num_nodes, 32))
+    data, _ = _one_group(op, X)
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+    decompose(op, X)
+    assert transform._pool is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        ok = transform._pool is None and np.array_equal(decompose(op, X).data, data)
+        os._exit(0 if ok and transform._pool is not None else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_a_column_slice_is_refused_as_a_work_array():
+    # A group runs on its own C-contiguous work arrays. A column slice of a
+    # wider array is not one: its flat view is a copy, and f2py would update
+    # a copy of it too, so the kernels' updates would be lost.
+    s = _recurrence_matrix(random_er_graph(30, 4.0, 3).laplacian)
+    wide = np.zeros((30, 16))
+    good = np.zeros((30, 8))
+    for terms in ((wide[:, :8], good), (good, wide[:, 8:])):
+        with pytest.raises(ValueError, match="Chebyshev recurrence"):
+            transform._kernel_operands(s, terms)
+    a = np.asfortranarray(np.zeros((30, 32)))[:, ::2]
+    updated = transform.dger(1.0, np.ones(30), np.ones(16), a=a, overwrite_a=True)
+    assert updated is not a and updated.all() and not a.any()
 
 
 def test_only_transform_imports_the_private_sparse_kernel():
