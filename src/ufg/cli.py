@@ -28,8 +28,11 @@ name (``--out``, ``--out-graph``, ``--out-features``, ``--metrics-out``);
 ``--metrics-out`` files follow the same JSON rule.
 
 Environment: the standard ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``
-variables cap BLAS threads; ``UFG_DETERMINISTIC=1`` zeroes wall-clock fields
-so repeated runs emit byte-identical outputs.
+variables cap BLAS threads. Large Chebyshev transforms run one column group
+per CPU the process may use, whatever those say: only ``taskset`` narrows
+that, and with BLAS on one thread the output is the same.
+``UFG_DETERMINISTIC=1`` zeroes wall-clock fields so repeated runs at a fixed
+BLAS thread count emit byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import numpy as np
 from . import datasets, experiments, io, nn, shrinkage, transform
 from . import perturb as perturb_mod
 from . import verify as verify_mod
+from .filters import haar_filter_bank
 
 
 _DEGREE_HELP = ("Chebyshev degree t of one level's filters; chebyshev mode fits every "
@@ -117,11 +121,13 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
 
 def _signal_and_operator(args):
     """The ``--signal`` file, and the framelet operator of the ``--graph``
-    file set by the system flags."""
+    file set by the system flags. The settings are checked first, as
+    ``ExperimentConfig`` checks them, so bad ones read no file."""
+    settings = _given(args, "dilation", "levels", "degree", "mode")
+    transform.FrameletSystem(haar_filter_bank(), **settings)
     graph = io.read_graph_text(args.graph)
     signal = io.read_features_csv(args.signal)
-    return signal, transform.framelet_operator(
-        graph, **_given(args, "dilation", "levels", "degree", "mode"))
+    return signal, transform.framelet_operator(graph, **settings)
 
 
 def _cmd_transform(args) -> int:
@@ -163,6 +169,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
+    shrinkage.ThresholdConfig(args.sigma)  # refuse a bad sigma before any file is read
     noisy, op = _signal_and_operator(args)
     truth = io.read_features_csv(args.truth) if args.truth else None
     denoised, report = experiments.denoise_signal(op, noisy, sigma=args.sigma, truth=truth)

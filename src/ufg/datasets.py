@@ -141,6 +141,12 @@ def sample_pairs(n: int, m: int, rng, taken: np.ndarray | None = None) -> np.nda
     return seen[start:]
 
 
+def check_avg_degree(avg_degree: float) -> None:
+    """Raise ``ValueError`` unless ``avg_degree`` is finite and >= 0."""
+    if not (np.isfinite(avg_degree) and avg_degree >= 0):
+        raise ValueError(f"avg_degree must be finite and >= 0, got {avg_degree}")
+
+
 def random_er_graph(num_nodes: int, avg_degree: float, rng) -> Graph:
     """Erdos-Renyi graph G(n, p) with ``p = min(1, avg_degree / (n - 1))``.
 
@@ -149,8 +155,7 @@ def random_er_graph(num_nodes: int, avg_degree: float, rng) -> Graph:
     subset of that size, so the result is exactly G(n, p), at a cost linear
     in the edge count rather than n^2 coin flips.
     """
-    if not (np.isfinite(avg_degree) and avg_degree >= 0):
-        raise ValueError(f"avg_degree must be finite and >= 0, got {avg_degree}")
+    check_avg_degree(avg_degree)
     rng = np.random.default_rng(rng)
     n = num_nodes
     if n < 2:
@@ -389,10 +394,23 @@ class GraphData:
     def __post_init__(self):
         if self.task not in GRAPH_TASKS:
             raise ValueError(f"unknown task {self.task!r}")
+        if self.num_per_class < 1:
+            raise ValueError(f"num_per_class must be >= 1, got {self.num_per_class}: "
+                             "too few for an 80/10/10 split")
         check_seed(self.data_seed, "data_seed")
 
     def make(self) -> list[GraphSample]:
         return GRAPH_TASKS[self.task](self.num_per_class, seed=self.data_seed)
+
+
+def _read_json(directory: str, name: str):
+    """The JSON value in file ``name`` of ``directory``; a syntax error
+    raises ``ValueError`` naming the file."""
+    with open(os.path.join(directory, name), encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{name}: invalid JSON: {exc}") from None
 
 
 def load_citation(directory: str | os.PathLike) -> NodeDataset:
@@ -410,10 +428,12 @@ def load_citation(directory: str | os.PathLike) -> NodeDataset:
     graph = io.read_graph_text(os.path.join(directory, "graph.txt"))
     features = io.read_features_csv(os.path.join(directory, "features.csv"))
     labels = io.read_labels_text(os.path.join(directory, "labels.txt"))
-    with open(os.path.join(directory, "splits.json"), encoding="utf-8") as fh:
-        splits = json.load(fh)
-    with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    splits = _read_json(directory, "splits.json")
+    if not isinstance(splits, dict) or not {"train", "val", "test"} <= splits.keys():
+        raise ValueError('splits.json: must be an object with "train", "val" and "test" lists')
+    manifest = _read_json(directory, "manifest.json")
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest.json: must be an object of expected sizes")
     n = graph.num_nodes
     if features.shape[0] != n or labels.shape[0] != n:
         raise ValueError("features/labels row count does not match the graph")

@@ -16,7 +16,14 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 import numpy as np
 
 from . import graphs
-from .datasets import CitationData, GraphSample, NodeDataset, check_seed, random_er_graph
+from .datasets import (
+    CitationData,
+    GraphSample,
+    NodeDataset,
+    check_avg_degree,
+    check_seed,
+    random_er_graph,
+)
 from .io import deterministic_mode, encode_json
 from .nn import (
     READOUTS,
@@ -509,6 +516,9 @@ def bench_transform(
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     check_seed(seed, "seed")
+    check_avg_degree(avg_degree)
+    check_settings(dilation, levels, degree, "chebyshev")
+    check_top_argument(dilation, levels)
     sizes = list(node_sizes)
     if sizes != sorted(sizes):
         raise ValueError("node sizes must be ascending")

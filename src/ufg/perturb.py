@@ -40,9 +40,7 @@ class PerturbationSpec:
         if self.model not in PERTURB_MODELS:
             raise ValueError(f"model must be one of {PERTURB_MODELS}")
         if not (np.isfinite(self.value) and self.value >= 0):
-            raise ValueError(
-                f"model parameter must be finite and nonnegative, got {self.value}"
-            )
+            raise ValueError(f"value must be finite and nonnegative, got {self.value}")
         check_seed(self.seed, "seed")
 
 

@@ -282,11 +282,22 @@ class FrameletSystem:
         return float(np.max(np.abs(np.sum(p**2, axis=0) - 1.0)))
 
 
+# Kept under these names only because the benchmark workloads call them:
+# construct ``FrameletSystem`` and apply ``decompose``/``reconstruct`` to
+# ``build_operators``' operator instead. Each ``chebyshev_*`` call builds
+# an operator, and so ``S``, anew.
 def make_system(bank: FilterBank, lam_max: float, **settings) -> FrameletSystem:
     """``FrameletSystem`` with ``lam_max`` first and its other fields as
-    keywords. Kept under this name only because the benchmark workloads
-    call it; construct ``FrameletSystem`` directly instead."""
+    keywords."""
     return FrameletSystem(bank, lam_max=float(lam_max), **settings)
+
+
+def chebyshev_decompose(system: FrameletSystem, lap: SparseMatrix, X) -> CoefficientStack:
+    return decompose(build_operators(system, lap), X)
+
+
+def chebyshev_reconstruct(system: FrameletSystem, lap: SparseMatrix, c) -> np.ndarray:
+    return reconstruct(build_operators(system, lap), c)
 
 
 @dataclass(frozen=True)
@@ -543,7 +554,16 @@ def framelet_operator(
 
 def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:
     """Forward transform: block b of the output is ``W_b @ X``, with X on
-    the operator's ``rows`` when it is restricted."""
+    the operator's ``rows`` when it is restricted. ``X`` is only read and
+    may have any memory layout.
+
+    In Chebyshev mode one recurrence ``T_k(L - I) X`` serves all B blocks:
+    each step is one in-place sparse product that adds ``S T_{k-1}`` or
+    ``-S T_{k-1}`` to the array holding ``T_{k-2}``, and one BLAS rank-1
+    update that adds ``c_{b,k} T_k`` to every block b at once. Work is
+    ``recurrence_degree`` sparse products, and memory is two N x d work
+    arrays besides the output.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != op.num_signal_rows:
         raise ValueError(f"X must be 2-d with {op.num_signal_rows} rows")
@@ -552,21 +572,30 @@ def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:
             padded = np.zeros((op.num_nodes, X.shape[1]))
             padded[op.rows] = X
             X = padded
-        return chebyshev_decompose(op.system, op.lap, X, recurrence=op.recurrence)
-    return CoefficientStack(
-        data=op.stack @ X, block_index=op.block_index, num_nodes=op.num_nodes
-    )
+        data = _by_column_groups(op, _decompose_columns, X)
+    else:
+        data = op.stack @ X
+    return CoefficientStack(data=data, block_index=op.block_index, num_nodes=op.num_nodes)
 
 
 def reconstruct(op: DecompositionOperator, c: CoefficientStack) -> np.ndarray:
     """Inverse transform: ``sum_b W_b^T c_b``, exact by tightness; only the
-    operator's ``rows`` when it is restricted."""
+    operator's ``rows`` when it is restricted. ``c`` is only read.
+
+    Every block is a polynomial in the symmetric Laplacian and hence
+    symmetric, so in Chebyshev mode the adjoint is ``sum_k T_k(L - I) w_k``
+    with ``w_k = sum_b c_{b,k} C_b`` over the blocks ``C_b``, summed by one
+    Clenshaw recurrence: each step is a BLAS matrix-vector product over
+    all blocks that adds ``w_k`` to the array of ``b_{k+2}``, then an
+    in-place sparse product that adds ``S b_{k+1}`` or ``-S b_{k+1}``. Its
+    cost is that of ``decompose``.
+    """
     if c.block_index != op.block_index or c.num_nodes != op.num_nodes:
         raise ValueError("coefficient stack does not match operator")
-    if op.stack is None:
-        out = chebyshev_reconstruct(op.system, op.lap, c, recurrence=op.recurrence)
-        return out if op.rows is None else out[op.rows]
-    return op.stack.T @ c.data
+    if op.stack is not None:
+        return op.stack.T @ c.data
+    out = _by_column_groups(op, _reconstruct_columns, c.blocks)
+    return out if op.rows is None else out[op.rows]
 
 
 def _recurrence_matrix(lap: SparseMatrix) -> SparseMatrix:
@@ -658,50 +687,28 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def chebyshev_decompose(
-    system: FrameletSystem,
-    lap: SparseMatrix,
-    X: np.ndarray,
-    *,
-    recurrence: SparseMatrix | None = None,
-) -> CoefficientStack:
-    """Forward transform applied matrix-free to a signal.
-
-    One Chebyshev recurrence ``T_k(L - I) X`` serves all B blocks. Its
-    operands are checked once per call, so a step is two bare kernel
-    calls: one in-place sparse product that adds ``S T_{k-1}`` or ``-S
-    T_{k-1}``, with ``S = 2(L - I)``, to the array holding ``T_{k-2}``, and
-    one BLAS rank-1 update that adds ``c_{b,k} T_k`` to every block b at
-    once. Work is ``recurrence_degree`` sparse products, and memory is two
-    N x d work arrays besides the output. ``recurrence`` is the operator's
-    ``S``; without it ``S`` is built from ``lap`` on every call. ``X`` is
-    only read and may have any memory layout. Above the crossover each
-    column group runs its own recurrence (``_column_groups``); with BLAS
-    on one thread the output is bitwise the same (see the module
-    docstring).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != lap.num_rows:
-        raise ValueError(f"X must be 2-d with {lap.num_rows} rows")
-    n, d = X.shape
-    index = system.block_index()
-    # Row k holds step k's coefficients, contiguous, as dger reads them.
-    steps = np.ascontiguousarray(system.chebyshev_coeffs.T)
-    S = _recurrence_matrix(lap) if recurrence is None else recurrence
+def _by_column_groups(op: DecompositionOperator, recurrence, signal: np.ndarray) -> np.ndarray:
+    """``recurrence(S, steps, signal)`` on the operator's ``S`` and block
+    fits, ``steps[k]`` holding step k's coefficients: run as it is for one
+    column group (``_column_groups``), else once per group of the last
+    axis of ``signal`` and joined into one C-contiguous ``(rows, d)``
+    array, bitwise the same with BLAS on one thread (see the module
+    docstring)."""
+    S = op.recurrence
+    steps = np.ascontiguousarray(op.system.chebyshev_coeffs.T)
+    d = signal.shape[-1]
     groups = _column_groups(S.nnz, d)
     if len(groups) == 1:
-        data = _decompose_columns(S, steps, X)
-    else:
-        parts = _run_groups(
-            groups, lambda lo, hi: _decompose_columns(S, steps, X[:, lo:hi]))
-        blocks = [part.reshape(len(index), n, -1) for part in parts]
-        data = np.concatenate(blocks, axis=2).reshape(-1, d)
-    return CoefficientStack(data=data, block_index=index, num_nodes=n)
+        return recurrence(S, steps, signal)
+    parts = _run_groups(groups, lambda lo, hi: recurrence(S, steps, signal[..., lo:hi]))
+    n = op.num_nodes
+    blocks = [part.reshape(-1, n, part.shape[1]) for part in parts]
+    return np.concatenate(blocks, axis=2).reshape(-1, d)
 
 
 def _decompose_columns(S: SparseMatrix, steps: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The forward recurrence of ``chebyshev_decompose`` on the N x w signal
-    ``X``: its C-contiguous ``(B N) x w`` coefficient data."""
+    """The forward recurrence of ``decompose`` on the N x w signal ``X``:
+    its C-contiguous ``(B N) x w`` coefficient data."""
     n, d = X.shape
     # terms[k & 1] holds (-1)^(k // 2) T_k: with signs +, +, -, -, ... each
     # step adds S T_{k-1} (k odd) or -S T_{k-1} (k even) into the array
@@ -726,43 +733,9 @@ def _decompose_columns(S: SparseMatrix, steps: np.ndarray, X: np.ndarray) -> np.
     return data
 
 
-def chebyshev_reconstruct(
-    system: FrameletSystem,
-    lap: SparseMatrix,
-    c: CoefficientStack,
-    *,
-    recurrence: SparseMatrix | None = None,
-) -> np.ndarray:
-    """Adjoint transform applied matrix-free to a coefficient stack.
-
-    Every block is a polynomial in the symmetric Laplacian and hence
-    symmetric, so the adjoint is ``sum_b p_b(L) C_b`` over the blocks
-    ``C_b``. All blocks share one basis, so that is ``sum_k T_k(L - I) w_k``
-    with ``w_k = sum_b c_{b,k} C_b``, summed by one Clenshaw recurrence on
-    two N x d work arrays. Its operands are checked once per call, so a
-    step is two bare kernel calls: a BLAS matrix-vector product over all
-    blocks adds ``w_k`` to the array of ``b_{k+2}``, then an in-place
-    sparse product adds ``S b_{k+1}`` or ``-S b_{k+1}``. Cost, use of
-    ``recurrence`` and column groups are those of ``chebyshev_decompose``;
-    ``c`` is only read.
-    """
-    if c.block_index != system.block_index() or c.num_nodes != lap.num_rows:
-        raise ValueError("coefficient stack does not match the system")
-    blocks = c.blocks
-    n, d = blocks.shape[1:]
-    steps = np.ascontiguousarray(system.chebyshev_coeffs.T)
-    S = _recurrence_matrix(lap) if recurrence is None else recurrence
-    groups = _column_groups(S.nnz, d)
-    if len(groups) == 1:
-        return _reconstruct_columns(S, steps, blocks)
-    parts = _run_groups(
-        groups, lambda lo, hi: _reconstruct_columns(S, steps, blocks[:, :, lo:hi]))
-    return np.concatenate(parts, axis=1)
-
-
 def _reconstruct_columns(S: SparseMatrix, steps: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The adjoint recurrence of ``chebyshev_reconstruct`` on the ``(B, N,
-    w)`` coefficient blocks ``blocks``: the N x w result."""
+    """The adjoint recurrence of ``reconstruct`` on the ``(B, N, w)``
+    coefficient blocks ``blocks``: the N x w result."""
     blocks = np.ascontiguousarray(blocks, dtype=np.float64)
     n, d = blocks.shape[1:]
     # Block b is column b of the Fortran-ordered (N d) x B view, as dgemv

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import re
@@ -685,7 +686,7 @@ def test_train_graph_negative_graph_count_exits_two(monkeypatch, capsys, task):
             "--seeds", "0"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "num_per_class must be >= 0, got -3" in err and "training started" not in err
+    assert "num_per_class must be >= 1, got -3" in err and "training started" not in err
 
 
 @pytest.mark.parametrize("extra", [["--sbm-sizes", "10,10"], ["--data-seed", "0"],
@@ -1264,3 +1265,108 @@ def test_every_readme_command_parses():
             parser.parse_args(argv)
         except _UsageError as exc:
             pytest.fail(f"README command 'ufg {shlex.join(argv)}' does not parse: {exc}")
+
+
+class _Reached(BaseException):
+    """Raised by a patched data generator, graph reader or operator factory:
+    a flag value got past every check. Not an ``Exception``, so ``main``
+    does not turn it into exit code 2."""
+
+
+# Valid required flags of every subcommand with an int or float flag. The
+# flag under test comes after them, so it overrides a flag of the same name.
+_FLAG_BASE = {
+    "transform": ["--graph", "g.txt", "--signal", "x.csv", "--out", "c.ufgc"],
+    "denoise": ["--graph", "g.txt", "--signal", "x.csv", "--out", "y.csv",
+                "--sigma", "1"],
+    "pool": ["--graph", "g.txt", "--signal", "x.csv", "--out", "p.csv"],
+    "train-node": ["--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0",
+                   "--perturb-model", "gaussian", "--perturb-value", "0.5"],
+    "train-graph": ["--epochs", "1", "--seeds", "0"],
+    "perturb": ["--graph", "g.txt", "--features", "x.csv", "--model", "gaussian",
+                "--value", "1"],
+    "bench": ["--sizes", "30", "--reps", "1"],
+    "verify": [],
+}
+_FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0")
+# The values of the list above that are valid, so that they reach the data,
+# the graph file or the operator, each with its reason.
+_VALID_FLAG_VALUES = {
+    **{(command, "--degree", "0"): "degree-0 fits are constant gains"
+       for command in ("transform", "denoise", "pool", "train-node", "train-graph",
+                       "bench")},
+    **{(command, flag, "0"): "seeds are nonnegative integers"
+       for command, flag in (("train-node", "--data-seed"), ("train-graph", "--data-seed"),
+                             ("perturb", "--seed"), ("bench", "--seed"),
+                             ("verify", "--seed"))},
+    **{(command, flag, "0"): "no weight decay"
+       for command, flag in (("train-node", "--weight-decay"),
+                             ("train-graph", "--weight-decay"))},
+    **{(command, "--sigma", value): reason
+       for command in ("train-node", "denoise")
+       for value, reason in (("0", "a zero threshold keeps every coefficient"),
+                             ("inf", "an infinite threshold zeroes every high pass"))},
+    ("train-node", "--p-in", "0"): "an SBM may have no edge inside a block",
+    ("train-node", "--p-out", "0"): "an SBM may have no edge between blocks",
+    ("train-node", "--feature-noise", "0"): "noise-free gaussian features",
+    ("train-node", "--perturb-value", "0"): "a zero perturbation changes nothing",
+    ("perturb", "--value", "0"): "a zero perturbation changes nothing",
+    ("train-node", "--dropout", "0"): "no dropout",
+    ("bench", "--avg-degree", "0"): "an edgeless ER graph",
+}
+
+
+def _numeric_flags():
+    """``(subcommand, flag, dest)`` of every ``int`` and ``float`` flag."""
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    return [(command, action.option_strings[-1], action.dest)
+            for command, sub in subparsers.choices.items()
+            for action in sub._actions if action.type in (int, float)]
+
+
+def test_every_numeric_flag_refuses_a_bad_value_before_any_work(monkeypatch, capsys):
+    # Each int and float flag of every subcommand, at NaN, +-inf, -1 and 0:
+    # a value must be refused (exit 1 or 2, a message naming the flag or its
+    # field) before any data is made, any graph file is read or any operator
+    # is built, unless it is valid and listed with its reason. Valid values
+    # reach a patched entry point and stop there, so nothing trains.
+    def reached(*args, **kwargs):
+        raise _Reached()
+
+    for module, names in (
+        (datasets, ("generate_sbm", "load_citation", "cycles_and_stars",
+                    "sbm_graph_family", "random_er_graph")),
+        (experiments_mod, ("random_er_graph", "framelet_operator")),
+        (verify_mod, ("random_er_graph", "generate_sbm", "framelet_operator")),
+        (cli.io, ("read_graph_text",)),
+        (transform, ("framelet_operator",)),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, reached)
+    for task in datasets.GRAPH_TASKS:
+        monkeypatch.setitem(datasets.GRAPH_TASKS, task, reached)
+
+    flags = _numeric_flags()
+    covered, passed, misses = set(), set(), []
+    for (command, flag, dest), value in itertools.product(flags, _FLAG_VALUES):
+        key = (command, flag, value)
+        try:
+            code = main([command, *_FLAG_BASE[command], f"{flag}={value}"])
+        except _Reached:
+            code = None
+            passed.add(key)
+        err = capsys.readouterr().err
+        covered.add((command, flag))
+        if code is None:
+            if key not in _VALID_FLAG_VALUES:
+                misses.append(f"{key}: reached the data unrefused")
+            continue
+        # --perturb-value sets PerturbationSpec's field ``value``.
+        names = (flag, dest, dest.removeprefix("perturb_"))
+        named = any(re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", line)
+                    for name in names for line in err.splitlines())
+        if code not in (1, 2) or not named:
+            misses.append(f"{key}: exit {code}, stderr {err!r}")
+    assert misses == []
+    assert passed == set(_VALID_FLAG_VALUES)
+    assert len(covered) == len(flags) == 45

@@ -436,6 +436,13 @@ def test_graph_data_makes_its_task():
         GraphData(data_seed=-1)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_graph_data_refuses_fewer_than_one_graph_per_class_when_built(count):
+    with pytest.raises(ValueError, match=rf"num_per_class must be >= 1, got {count}: "
+                                         "too few for an 80/10/10 split"):
+        GraphData(num_per_class=count)
+
+
 def test_load_citation_round_trip(tmp_path):
     graph, features, labels = write_citation_fixture(tmp_path)
     data = load_citation(tmp_path)
@@ -509,6 +516,33 @@ def test_load_citation_rejects_an_empty_split(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="no nodes in: val$"):
         load_citation(tmp_path)
+
+
+SPLITS_RULE = 'splits.json: must be an object with "train", "val" and "test" lists'
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("splits.json", json.dumps({"train": [0, 1], "val": [2, 3]}), SPLITS_RULE),
+    ("splits.json", json.dumps([[0, 1], [2, 3], [4, 5]]), SPLITS_RULE),
+    ("manifest.json", json.dumps([10, 3, 2]),
+     "manifest.json: must be an object of expected sizes"),
+    ("splits.json", '{"train": [0, 1],', "splits.json: invalid JSON: "),
+    ("manifest.json", "{num_nodes: 10}", "manifest.json: invalid JSON: "),
+], ids=["missing split", "splits list", "manifest list", "splits syntax",
+        "manifest syntax"])
+def test_load_citation_names_the_file_of_a_malformed_json(
+    tmp_path, capsys, name, text, message
+):
+    from ufg.cli import main
+
+    write_citation_fixture(tmp_path)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_citation(tmp_path)
+    assert str(info.value).startswith(message)
+    assert main(["train-node", "--data-dir",
+                 str(tmp_path), "--epochs", "1", "--seeds", "0"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_train_node_rejects_negative_citation_labels(tmp_path, capsys):

@@ -865,6 +865,23 @@ def test_bench_transform_rejects_a_seed_before_building_a_graph(monkeypatch, see
         bench_transform([30], repetitions=1, seed=seed)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"levels": 0}, "levels must be >= 1"),
+    ({"degree": -1}, "degree must be nonnegative"),
+    ({"dilation": 1.0}, "dilation must be finite and exceed 1"),
+    ({"dilation": 1e300, "levels": 3}, "overflows the top filter argument"),
+], ids=["levels", "degree", "dilation", "overflow"])
+def test_bench_transform_rejects_transform_settings_before_building_a_graph(
+    monkeypatch, settings, message
+):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(experiments, "random_er_graph", no_graph)
+    with pytest.raises(ValueError, match=message):
+        bench_transform([30], repetitions=1, **settings)
+
+
 def test_bench_transform_deterministic_mode_zeroes_times(monkeypatch):
     monkeypatch.setenv("UFG_DETERMINISTIC", "1")
     rows = bench_transform([30], repetitions=1, seed=0)

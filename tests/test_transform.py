@@ -10,7 +10,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,6 @@ from ufg.transform import (
     FrameletSystem,
     block_energies,
     build_operators,
-    chebyshev_decompose,
-    chebyshev_reconstruct,
     compute_K,
     decompose,
     framelet_operator,
@@ -376,12 +373,13 @@ def test_chebyshev_backend_applies_the_fitted_polynomials(degree, levels, seed):
 def test_matrix_free_matches_materialized(small_laplacian):
     lam = lambda_max(small_laplacian)
     system = FrameletSystem(haar_filter_bank(), levels=3, lam_max=lam, mode="chebyshev")
-    w = _explicit(build_operators(system, small_laplacian))
+    op = build_operators(system, small_laplacian)
+    w = _explicit(op)
     rng = np.random.default_rng(9)
     X = rng.normal(size=(small_laplacian.num_rows, 4))
-    c_free = chebyshev_decompose(system, small_laplacian, X)
+    c_free = decompose(op, X)
     np.testing.assert_allclose(c_free.data, w @ X, atol=1e-12)
-    back = chebyshev_reconstruct(system, small_laplacian, c_free)
+    back = reconstruct(op, c_free)
     # The matrix-free reconstruct is the transpose of the matrix-free decompose.
     np.testing.assert_allclose(back, w.T @ c_free.data, atol=1e-12)
     assert np.max(np.abs(back - X)) <= 1e-8  # tight-frame round trip
@@ -402,9 +400,7 @@ def test_chebyshev_backend_reads_any_layout_and_never_writes_inputs(
     # buffers: such a view of any other buffer is a copy, and updates made
     # to it are lost. Inputs of any layout are read into those arrays
     # first, so every layout gives bitwise the contiguous result and no
-    # input is written. The operator and the direct functions share the
-    # recurrences, so both paths run; at one level, degrees 0 and 1 run no
-    # step or one.
+    # input is written. At one level, degrees 0 and 1 run no step or one.
     n = small_laplacian.num_rows
     for degree, width in itertools.product((0, 1, 16), (3, 0)):
         system = FrameletSystem(
@@ -420,35 +416,29 @@ def test_chebyshev_backend_reads_any_layout_and_never_writes_inputs(
             small_spectrum.matrix_function(chebval(small_spectrum.values - 1.0, cf))
             for cf in system.chebyshev_coeffs
         ])
-        paths = (
-            (partial(chebyshev_decompose, system, small_laplacian),
-             partial(chebyshev_reconstruct, system, small_laplacian)),
-            (partial(decompose, op), partial(reconstruct, op)),
+        ref = decompose(op, X)
+        back = reconstruct(op, ref)
+        np.testing.assert_allclose(ref.data, reference @ X, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            back, reference.T @ ref.data, rtol=0, atol=1e-12
         )
-        for forward, adjoint in paths:
-            ref = forward(X)
-            back = adjoint(ref)
-            np.testing.assert_allclose(ref.data, reference @ X, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                back, reference.T @ ref.data, rtol=0, atol=1e-12
-            )
-            # The contiguous input itself, Fortran order (the layout of A.T
-            # for a C-ordered A), a strided view and a read-only array.
-            for layout in (X, np.asfortranarray(X), wide[:, ::2], _read_only(X)):
-                kept = layout.copy()
-                c = forward(layout)
-                np.testing.assert_array_equal(c.data, ref.data)
-                np.testing.assert_array_equal(layout, kept)
-            wide_data = np.zeros((ref.data.shape[0], 2 * width))
-            wide_data[:, ::2] = ref.data
-            for data in (ref.data, np.asfortranarray(ref.data),
-                         wide_data[:, ::2], _read_only(ref.data)):
-                kept = data.copy()
-                got = adjoint(ref.with_data(data))
-                np.testing.assert_array_equal(got, back)
-                np.testing.assert_array_equal(data, kept)
-            if degree == 16:
-                assert np.max(np.abs(back - X), initial=0.0) <= TIGHTNESS_TOL
+        # The contiguous input itself, Fortran order (the layout of A.T
+        # for a C-ordered A), a strided view and a read-only array.
+        for layout in (X, np.asfortranarray(X), wide[:, ::2], _read_only(X)):
+            kept = layout.copy()
+            c = decompose(op, layout)
+            np.testing.assert_array_equal(c.data, ref.data)
+            np.testing.assert_array_equal(layout, kept)
+        wide_data = np.zeros((ref.data.shape[0], 2 * width))
+        wide_data[:, ::2] = ref.data
+        for data in (ref.data, np.asfortranarray(ref.data),
+                     wide_data[:, ::2], _read_only(ref.data)):
+            kept = data.copy()
+            got = reconstruct(op, ref.with_data(data))
+            np.testing.assert_array_equal(got, back)
+            np.testing.assert_array_equal(data, kept)
+        if degree == 16:
+            assert np.max(np.abs(back - X), initial=0.0) <= TIGHTNESS_TOL
 
 
 def _kernel_call(S, values, flat, width):
@@ -552,10 +542,10 @@ def test_column_groups_are_bitwise_the_one_group_result(
     # Above the crossover each column group runs its own recurrence, on a
     # thread of its own, and the groups' outputs are scattered into one
     # array: bitwise the one-group result, also with uneven groups (d = 23
-    # and 33), through the operator, the bare Laplacian and a restricted
-    # operator. At N = 5001 a group of 11 columns would end its flat vectors
-    # in a BLAS tail that the one-group vectors do not have. Only the
-    # private helpers run off the calling thread.
+    # and 33), through the operator and a restricted operator. At N = 5001
+    # a group of 11 columns would end its flat vectors in a BLAS tail that
+    # the one-group vectors do not have. Only the private helpers run off
+    # the calling thread.
     op = split_operator
     n = op.num_nodes
     monkeypatch.setattr(transform, "_usable_cpus", lambda: cpus)
@@ -575,7 +565,7 @@ def test_column_groups_are_bitwise_the_one_group_result(
 
         monkeypatch.setattr(transform, name, spy)
     public = []
-    for name in ("decompose", "reconstruct", "chebyshev_decompose", "chebyshev_reconstruct"):
+    for name in ("decompose", "reconstruct"):
         function = getattr(transform, name)
 
         def traced(*args, function=function, **kwargs):
@@ -591,11 +581,6 @@ def test_column_groups_are_bitwise_the_one_group_result(
     assert sorted(widths) == sorted(2 * [hi - lo for lo, hi in groups])
     assert len(threads) > 1 and set(public) == {threading.get_ident()}
 
-    bare = transform.chebyshev_decompose(op.system, op.lap, np.asfortranarray(X))
-    np.testing.assert_array_equal(bare.data, data)
-    np.testing.assert_array_equal(
-        transform.chebyshev_reconstruct(op.system, op.lap, bare), back)
-
     rows = np.arange(0, n, 3)
     padded = np.zeros_like(X)
     padded[rows] = X[rows]
@@ -604,6 +589,32 @@ def test_column_groups_are_bitwise_the_one_group_result(
     c = transform.decompose(restricted, X[rows])
     np.testing.assert_array_equal(c.data, data)
     np.testing.assert_array_equal(transform.reconstruct(restricted, c), back[rows])
+
+
+def test_benchmark_shims_are_the_operator_transforms(monkeypatch, split_operator):
+    # The benchmark workloads call chebyshev_decompose(system, lap, X) and
+    # chebyshev_reconstruct(system, lap, c) with a bare Laplacian. Each call
+    # builds one operator, so one S, and applies it: bitwise the operator's
+    # transforms, here split into two column groups.
+    op = split_operator
+    X = np.random.default_rng(32).normal(size=(op.num_nodes, 32))
+    data, back = _one_group(op, X)
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+    assert len(transform._column_groups(op.recurrence.nnz, 32)) == 2
+    built = []
+
+    def counting(*args, build=transform.build_operators):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(transform, "build_operators", counting)
+    c = transform.chebyshev_decompose(op.system, op.lap, np.asfortranarray(X))
+    np.testing.assert_array_equal(c.data, data)
+    np.testing.assert_array_equal(c.data, decompose(op, X).data)
+    y = transform.chebyshev_reconstruct(op.system, op.lap, c)
+    np.testing.assert_array_equal(y, back)
+    np.testing.assert_array_equal(y, reconstruct(op, c))
+    assert built == [(op.system, op.lap), (op.system, op.lap)]
 
 
 def test_one_usable_cpu_or_a_small_product_makes_no_pool(monkeypatch, split_operator):
@@ -743,8 +754,9 @@ def test_recurrences_refuse_a_wrong_operand_before_the_first_product(
     # check every operand once, so neither makes a single product.
     n = small_laplacian.num_rows
     system = FrameletSystem(haar_filter_bank(), levels=2, lam_max=2.0, mode="chebyshev")
+    op = build_operators(system, small_laplacian)
     X = np.random.default_rng(4).normal(size=(n, 3))
-    c = chebyshev_decompose(system, small_laplacian, X)
+    c = decompose(op, X)
     recurrence = {
         "smaller graph": _recurrence_matrix(random_er_graph(n - 1, 4.0, 5).laplacian),
         "larger graph": _recurrence_matrix(random_er_graph(n + 1, 4.0, 5).laplacian),
@@ -754,10 +766,11 @@ def test_recurrences_refuse_a_wrong_operand_before_the_first_product(
     }[bad]
     calls = []
     monkeypatch.setattr(transform, "csr_matvecs", lambda *args: calls.append(args))
+    bad_op = dataclasses.replace(op, recurrence=recurrence)
     with pytest.raises(ValueError, match="Chebyshev recurrence"):
-        chebyshev_decompose(system, small_laplacian, X, recurrence=recurrence)
+        decompose(bad_op, X)
     with pytest.raises(ValueError, match="Chebyshev recurrence"):
-        chebyshev_reconstruct(system, small_laplacian, c, recurrence=recurrence)
+        reconstruct(bad_op, c)
     assert calls == []
 
 
@@ -765,12 +778,12 @@ def test_chebyshev_operator_builds_its_recurrence_matrix_once(
     monkeypatch, small_laplacian
 ):
     # S = 2(L - I) is fixed for an operator: build_operators builds it, and
-    # every product reuses it. The direct functions, given only the
-    # Laplacian, build the same S, so both paths agree bit for bit.
+    # every product reuses it, bit for bit what a fresh operator computes.
     system = FrameletSystem(haar_filter_bank(), levels=2, lam_max=2.0, mode="chebyshev")
     X = np.random.default_rng(3).normal(size=(small_laplacian.num_rows, 3))
-    ref = chebyshev_decompose(system, small_laplacian, X)
-    back_ref = chebyshev_reconstruct(system, small_laplacian, ref)
+    fresh = build_operators(system, small_laplacian)
+    ref = decompose(fresh, X)
+    back_ref = reconstruct(fresh, ref)
     build = transform._recurrence_matrix
     calls = []
 
@@ -800,14 +813,13 @@ def test_chebyshev_transforms_are_bitwise_the_same_with_int64_indices():
     wide_csr.indices = wide_csr.indices.astype(np.int64)
     wide = SparseMatrix(wide_csr)
     assert (narrow.csr.indices.dtype, wide.csr.indices.dtype) == (np.int32, np.int64)
+    op = dataclasses.replace(build_operators(system, lap), recurrence=narrow)
+    op_wide = dataclasses.replace(op, recurrence=wide)
     X = np.random.default_rng(16).normal(size=(200, 5))
-    c = chebyshev_decompose(system, lap, X, recurrence=narrow)
-    c_wide = chebyshev_decompose(system, lap, X, recurrence=wide)
+    c = decompose(op, X)
+    c_wide = decompose(op_wide, X)
     assert np.array_equal(c.data, c_wide.data)
-    assert np.array_equal(
-        chebyshev_reconstruct(system, lap, c, recurrence=narrow),
-        chebyshev_reconstruct(system, lap, c, recurrence=wide),
-    )
+    assert np.array_equal(reconstruct(op, c), reconstruct(op_wide, c))
 
 
 def test_operator_bytes_counts_the_arrays_products_read(
@@ -836,11 +848,6 @@ def test_zero_column_signal_gives_zero_column_outputs(
     c = decompose(op, X)
     assert c.data.shape == (op.num_rows, 0)
     assert reconstruct(op, c).shape == (op.num_nodes, 0)
-    if mode == "chebyshev":
-        c = chebyshev_decompose(op.system, small_laplacian, X)
-        assert c.data.shape == (op.num_rows, 0)
-        back = chebyshev_reconstruct(op.system, small_laplacian, c)
-        assert back.shape == (op.num_nodes, 0)
 
 
 def test_operator_accessors(small_operator, small_system):
