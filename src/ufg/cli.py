@@ -75,15 +75,23 @@ def _emit_json(obj) -> None:
     print(io.encode_json(obj))
 
 
-def _parse_token(kind, token: str, text: str):
+def _int64(token: str, text: str | None = None) -> int:
+    """The value of an integer flag, or of one ``token`` of the list flag
+    ``text``: an int that fits int64, NumPy's widest integer, so that a huge
+    one is refused here, with the flag's name, rather than deep in NumPy."""
+    where = "" if text is None else f" in {text!r}"
     try:
-        return kind(token)
+        value = int(token)
     except ValueError:
-        raise _UsageError(f"invalid {kind.__name__} {token!r} in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int {token!r}{where}") from None
+    if not -(2**63) <= value < 2**63:
+        raise argparse.ArgumentTypeError(f"{token!r}{where} does not fit int64")
+    return value
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated integers and ascending ``lo-hi`` ranges, inclusive."""
+    """Comma-separated integers and ascending ``lo-hi`` ranges, inclusive,
+    each bound fitting int64."""
     out: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -92,15 +100,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         # A leading minus sign is the start's sign, not the range dash.
         dash = chunk.find("-", 1)
         if dash < 0:
-            out.append(_parse_token(int, chunk, text))
+            out.append(_int64(chunk, text))
             continue
-        lo = _parse_token(int, chunk[:dash], text)
-        hi = _parse_token(int, chunk[dash + 1 :], text)
+        lo = _int64(chunk[:dash], text)
+        hi = _int64(chunk[dash + 1 :], text)
         if hi < lo:
-            raise _UsageError(f"descending range {chunk!r} in {text!r}")
+            raise argparse.ArgumentTypeError(f"descending range {chunk!r} in {text!r}")
         out.extend(range(lo, hi + 1))
     if not out:
-        raise _UsageError(f"empty integer list: {text!r}")
+        raise argparse.ArgumentTypeError(f"empty integer list: {text!r}")
     return tuple(out)
 
 
@@ -114,8 +122,8 @@ def _given(args, *names) -> dict:
 
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dilation", type=float)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--degree", type=int, help=_DEGREE_HELP)
+    p.add_argument("--levels", type=_int64)
+    p.add_argument("--degree", type=_int64, help=_DEGREE_HELP)
     p.add_argument("--mode", choices=transform.MODES)
 
 
@@ -132,8 +140,7 @@ def _signal_and_operator(args):
 
 def _cmd_transform(args) -> int:
     signal, op = _signal_and_operator(args)
-    stack = transform.decompose(op, signal)
-    io.write_coefficients(op, stack, args.out)
+    io.write_coefficients(op, transform.decompose(op, signal), args.out)
     _emit_json({"nodes": op.num_nodes, "features": signal.shape[1],
                 "blocks": op.num_blocks, "K": op.system.K, "out": args.out,
                 "provenance": op.provenance})
@@ -150,8 +157,7 @@ def _cmd_reconstruct(args) -> int:
             f"passes; the graph's Haar operator has {op.num_nodes} and {op.system.num_high}")
     if digest != io.laplacian_digest(op.lap):
         raise ValueError(f"{args.coeffs}: written for another graph than {args.graph}")
-    stack = transform.CoefficientStack(data, op.block_index, num_nodes)
-    signal = transform.reconstruct(op, stack)
+    signal = transform.reconstruct(op, data)
     summary = {"nodes": graph.num_nodes, "out": args.out}
     if args.reference:
         ref = io.read_features_csv(args.reference)
@@ -332,10 +338,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_pool)
 
     def add_training_flags(p, node_model=True):
-        p.add_argument("--hidden", type=int)
+        p.add_argument("--hidden", type=_int64)
         p.add_argument("--lr", type=float)
         p.add_argument("--weight-decay", type=float)
-        p.add_argument("--epochs", type=int)
+        p.add_argument("--epochs", type=_int64)
         p.add_argument("--seeds", type=_parse_int_list)
         p.add_argument("--metrics-out")
         # The graph model has no dropout layer and no activation choice.
@@ -351,10 +357,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--p-in", type=float)
     p.add_argument("--p-out", type=float)
     p.add_argument("--feature-model", choices=datasets.FEATURE_MODELS)
-    p.add_argument("--feature-dim", type=int)
+    p.add_argument("--feature-dim", type=_int64)
     p.add_argument("--feature-noise", type=float,
                    help="noise std of the gaussian feature model")
-    p.add_argument("--data-seed", type=int)
+    p.add_argument("--data-seed", type=_int64)
     p.add_argument("--perturb-model", choices=perturb_mod.PERTURB_MODELS,
                    help="noise model applied to the dataset before training")
     p.add_argument("--perturb-value", type=float,
@@ -366,12 +372,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train-graph", help="graph classification experiment")
     p.add_argument("--task", choices=datasets.GRAPH_TASKS)
-    p.add_argument("--num-per-class", type=int)
-    p.add_argument("--data-seed", type=int)
+    p.add_argument("--num-per-class", type=_int64)
+    p.add_argument("--data-seed", type=_int64)
     p.add_argument("--pool-mode", choices=experiments.POOL_MODES)
     # Early stopping. Both tasks share one training loop, but node runs
     # train every epoch, so only graph training takes this flag.
-    p.add_argument("--patience", type=int)
+    p.add_argument("--patience", type=_int64)
     add_training_flags(p, node_model=False)
     _add_system_flags(p)
     p.set_defaults(func=_cmd_train_graph)
@@ -381,7 +387,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--model", choices=perturb_mod.PERTURB_MODELS, required=True)
     p.add_argument("--value", type=float, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int64)
     p.add_argument("--out-graph")
     p.add_argument("--out-features")
     p.set_defaults(func=_cmd_perturb)
@@ -389,16 +395,16 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="time operator build and transform")
     p.add_argument("--sizes", dest="node_sizes", type=_parse_int_list)
     p.add_argument("--avg-degree", type=float)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--degree", type=int, help=_DEGREE_HELP)
+    p.add_argument("--levels", type=_int64)
+    p.add_argument("--degree", type=_int64, help=_DEGREE_HELP)
     p.add_argument("--dilation", type=float)
-    p.add_argument("--reps", dest="repetitions", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--reps", dest="repetitions", type=_int64)
+    p.add_argument("--seed", type=_int64)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="run the invariant suite on both backends")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--n", type=_int64)
+    p.add_argument("--seed", type=_int64)
     p.set_defaults(func=_cmd_verify)
 
     return parser

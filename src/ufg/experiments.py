@@ -238,7 +238,7 @@ class _NodeTask:
     softmax cross entropy on the training nodes, L2 on the dense weights.
 
     The task decomposes the features once, and layer 1 runs on their
-    ``CoefficientStack`` (``nn.ufg_conv_forward``), so it neither
+    ``(B, N, d)`` coefficients (``nn.ufg_conv_forward``), so it neither
     decomposes its input nor forms its gradient. Layer 1's output before
     dropout is the same in epoch e's evaluation pass and epoch e+1's
     training pass, so it is computed once and carried over. An epoch then

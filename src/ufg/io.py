@@ -12,8 +12,8 @@ Formats (all little-endian, all floats 64-bit):
   (features), n (high passes), J (levels), the degree t and the mode (0
   exact, 1 chebyshev), the dilation as f64, the 32-byte
   ``laplacian_digest`` of the graph, a 32-byte SHA-256 of every byte
-  before it and of the payload, and the row-major f64 ``(nJ + 1) N x d``
-  payload in ``FrameletSystem.block_index`` order: the graph and the file
+  before it and of the payload, and the row-major f64 ``(nJ + 1, N, d)``
+  coefficients in ``FrameletSystem.block_index`` order: the graph and the file
   rebuild the operator, the digest tells whether it is the file's graph,
   and the checksum is checked before any setting is returned. Bitwise
   round-trip.
@@ -155,7 +155,7 @@ def read_labels_text(path: str) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-# -- coefficient stacks ------------------------------------------------------
+# -- coefficients ------------------------------------------------------------
 
 
 def laplacian_digest(lap) -> bytes:
@@ -171,18 +171,19 @@ def laplacian_digest(lap) -> bytes:
     return digest.digest()
 
 
-def write_coefficients(op, stack, path: str) -> None:
-    """Write ``stack``, the coefficients of a signal under the framelet
-    operator ``op``, with its transform settings and graph digest."""
-    system = op.system
-    if (stack.block_index, stack.num_nodes) != (op.block_index, op.num_nodes):
-        raise ValueError("coefficient stack does not match the operator")
+def write_coefficients(op, coeffs, path: str) -> None:
+    """Write ``coeffs``, the ``(B, N, d)`` coefficients of a signal under the
+    framelet operator ``op``, with its transform settings and graph digest."""
+    system, shape = op.system, np.shape(coeffs)
+    if len(shape) != 3 or shape[:2] != (op.num_blocks, op.num_nodes):
+        raise ValueError(f"coefficient array does not match the operator: shape "
+                         f"{shape}, need ({op.num_blocks}, {op.num_nodes}, d)")
     head = COEFF_MAGIC + _COEFF_HEADER.pack(
-        FORMAT_VERSION, stack.num_nodes, stack.num_features, system.num_high,
+        FORMAT_VERSION, op.num_nodes, shape[2], system.num_high,
         system.levels, system.degree, MODES.index(system.mode), system.dilation,
         laplacian_digest(op.lap),
     )
-    payload = np.ascontiguousarray(stack.data, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(coeffs, dtype="<f8").tobytes()
     checksum = hashlib.sha256(head)
     checksum.update(payload)
     with open(path, "wb") as fh:
@@ -194,7 +195,7 @@ def read_coefficients(path: str):
     """``(settings, num_high, num_nodes, digest, data)``: ``settings`` are
     the dilation, levels, degree and mode keywords of ``framelet_operator``,
     ``digest`` the ``laplacian_digest`` of the file's graph, ``data`` the
-    payload."""
+    ``(B, N, d)`` coefficients."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != COEFF_MAGIC:
@@ -218,12 +219,12 @@ def read_coefficients(path: str):
     _, n, d, n_high, levels, degree, mode, dilation, digest = header
     if mode >= len(MODES):
         raise ValueError(f"{path}: unknown mode code {mode}")
-    rows = (n_high * levels + 1) * n
-    if len(payload) != rows * d * 8:
+    shape = (n_high * levels + 1, n, d)
+    if len(payload) != math.prod(shape) * 8:
         raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, expected {rows * d * 8}"
+            f"{path}: payload is {len(payload)} bytes, expected {math.prod(shape) * 8}"
         )
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(rows, d)
+    data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in the payload")
     settings = {"dilation": dilation, "levels": levels, "degree": degree,

@@ -13,10 +13,11 @@ The framelet convolution computes ``Y = act(V diag(theta) W X')`` with
 ``X' = X W_dense``: project features, decompose, scale every stacked
 coefficient row by the trainable filter ``theta``, apply the activation in
 the coefficient domain (shrinkage) or after reconstruction (ReLU), and
-reconstruct. ``theta`` has one entry per stacked coefficient row, shared
-across feature columns. ``ufg_conv_forward`` is the one layer, on a
-signal on the nodes or on the coefficients of a fixed one; theta scales
-rows and W mixes columns, so it may reconstruct before projecting.
+reconstruct. ``theta`` has one entry per (block, node) row of the ``(B,
+N, d)`` coefficients, flattened to ``B N`` entries and shared across
+feature columns. ``ufg_conv_forward`` is the one layer, on a signal on the
+nodes or on the coefficients of a fixed one; theta scales rows and W mixes
+columns, so it may reconstruct before projecting.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .shrinkage import ThresholdConfig, shrink_stack, stack_thresholds
 from .sparse import SparseMatrix
-from .transform import CoefficientStack, DecompositionOperator, decompose, reconstruct
+from .transform import DecompositionOperator, decompose, reconstruct
 
 READOUTS = ("sum", "spectrum")  # the modes of ``ufg_pool_forward``
 
@@ -56,19 +57,25 @@ def init_params(d_in: int, d_out: int, theta_len: int, rng) -> dict[str, np.ndar
 
 def _filtered_stack(
     theta: np.ndarray, op: DecompositionOperator, coeff: np.ndarray
-) -> CoefficientStack:
-    """``coeff`` with every stacked row scaled by its ``theta`` entry."""
+) -> np.ndarray:
+    """The ``(B, N, d)`` ``coeff`` with every (block, node) row scaled by
+    its ``theta`` entry."""
     if theta.shape[0] != op.num_rows:
         raise ValueError("theta length must equal stacked row count")
-    return CoefficientStack(
-        data=theta[:, None] * coeff, block_index=op.block_index, num_nodes=op.num_nodes
-    )
+    return theta.reshape(op.num_blocks, op.num_nodes, 1) * coeff
+
+
+def _flat(c: np.ndarray) -> np.ndarray:
+    """The ``(B N) x d`` matrix of the ``(B, N, d)`` coefficients ``c``, a
+    view when ``c`` is C-contiguous: one BLAS product then serves every
+    block."""
+    return c.reshape(c.shape[0] * c.shape[1], c.shape[2])
 
 
 def ufg_conv_forward(
     params: dict[str, np.ndarray],
     op: DecompositionOperator,
-    X: np.ndarray | CoefficientStack,
+    X: np.ndarray,
     act: str | ThresholdConfig | None,
     frozen_thresholds: np.ndarray | None = None,
     out_op: DecompositionOperator | None = None,
@@ -82,10 +89,10 @@ def ufg_conv_forward(
     its config's rule before reconstruction and adds the bias outside:
     ``Y = reconstruct(shrink(theta * decompose(X W))) + bias``.
 
-    ``X`` is an ``(N, d_in)`` signal on the nodes, or the
-    ``CoefficientStack`` ``decompose(op, X)`` of a fixed input, which must
-    match ``op``'s blocks and nodes: a network whose first layer sees the
-    same input every epoch decomposes it once.
+    ``X`` is an ``(N, d_in)`` signal on the nodes, or, when 3-d, the
+    ``(B, N, d_in)`` coefficients ``decompose(op, X)`` of a fixed input,
+    whose first two axes must be ``op``'s blocks and nodes: a network whose
+    first layer sees the same input every epoch decomposes it once.
 
     With ReLU or no activation and ``d_in < d_out`` the layer reconstructs
     first: ``R = reconstruct(theta * decompose(X))``, then ``act(R W +
@@ -116,14 +123,12 @@ def ufg_conv_forward(
     if not (shrinks or act is None or act == "relu"):
         raise ValueError(f"act must be 'relu', None or a ThresholdConfig, got {act!r}")
     W, theta, bias = params["W"], params["theta"], params["bias"]
-    coeff_in = isinstance(X, CoefficientStack)
-    if coeff_in:
-        if X.block_index != op.block_index or X.num_nodes != op.num_nodes:
-            raise ValueError("coefficient input does not match the operator")
-        x = X.data
-    else:
-        X = x = np.asarray(X, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != W.shape[0]:
+    X = np.asarray(X, dtype=np.float64)
+    coeff_in = X.ndim == 3
+    if coeff_in and X.shape[:2] != (op.num_blocks, op.num_nodes):
+        raise ValueError(f"coefficient input does not match the operator: shape "
+                         f"{X.shape}, need ({op.num_blocks}, {op.num_nodes}, d_in)")
+    if X.ndim not in (2, 3) or X.shape[-1] != W.shape[0]:
         raise ValueError("X shape does not match W")
     if out_op is None:
         out_op = op
@@ -131,10 +136,10 @@ def ufg_conv_forward(
         raise ValueError("out_op must be op or a restriction of it")
     cache = dict(op=op, out_op=out_op, act=act, theta=theta, W=W, X=X)
     project = shrinks or W.shape[0] >= W.shape[1]
-    if project:
-        coeff = x @ W if coeff_in else decompose(op, x @ W).data
+    if coeff_in:
+        coeff = (_flat(X) @ W).reshape(*X.shape[:2], W.shape[1]) if project else X
     else:
-        coeff = x if coeff_in else decompose(op, x).data
+        coeff = decompose(op, X @ W if project else X)
     cache["coeff"] = coeff
     stack = _filtered_stack(theta, op, coeff)
     if shrinks:
@@ -142,10 +147,10 @@ def ufg_conv_forward(
                       else frozen_thresholds)
         shrunk = shrink_stack(stack, act, thresholds=thresholds)
         cache.update(thresholds=thresholds, filtered=stack, shrunk=shrunk,
-                     active_mask=shrunk.data != 0.0)
+                     active_mask=shrunk != 0.0)
         stack = shrunk
     r = reconstruct(out_op, stack)
-    # Freed before the products below: held to the return, this (B N) x d
+    # Freed before the products below: held to the return, this (B, N, d)
     # temporary made Chebyshev node-training epochs about 5% slower.
     del stack
     if not project:
@@ -176,16 +181,16 @@ def ufg_conv_backward(
     if act == "relu":
         g = g * cache["relu_mask"]
     r = cache.get("reconstructed")
-    d_filtered = decompose(cache["out_op"], g if r is None else g @ W.T).data
+    d_filtered = decompose(cache["out_op"], g if r is None else g @ W.T)
     if isinstance(act, ThresholdConfig):
         d_filtered = d_filtered * cache["active_mask"]
-    dtheta = np.sum(d_filtered * cache["coeff"], axis=1)
-    coeff_in = isinstance(X, CoefficientStack)
+    dtheta = np.sum(d_filtered * cache["coeff"], axis=2).ravel()
+    coeff_in = X.ndim == 3
     if r is not None:
         dW = r.T @ g
         dX = None if coeff_in else reconstruct(op, _filtered_stack(theta, op, d_filtered))
     elif coeff_in:
-        dW, dX = X.data.T @ (theta[:, None] * d_filtered), None
+        dW, dX = _flat(X).T @ _flat(_filtered_stack(theta, op, d_filtered)), None
     else:
         dx_proj = reconstruct(op, _filtered_stack(theta, op, d_filtered))
         dW, dX = X.T @ dx_proj, dx_proj @ W.T
@@ -230,25 +235,19 @@ def ufg_pool_forward(
     if mode not in READOUTS:
         raise ValueError(f"mode must be one of {READOUTS}")
     coeff = decompose(op, X)
-    if mode == "sum":
-        pooled = coeff.blocks.sum(axis=1)
-    else:
-        pooled = (coeff.blocks**2).sum(axis=1)
+    pooled = (coeff if mode == "sum" else coeff**2).sum(axis=1)
     return pooled.ravel(), {"op": op, "coeff": coeff, "mode": mode}
 
 
 def ufg_pool_backward(cache: dict, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient dX of the pooling readout."""
-    coeff: CoefficientStack = cache["coeff"]
-    blocks = coeff.blocks
-    g = np.asarray(grad_out, dtype=np.float64).reshape(
-        coeff.num_blocks, 1, coeff.num_features
-    )
+    """Gradient dX of the pooling readout. In ``sum`` mode every node of a
+    block gets the same gradient, which ``reconstruct`` reads as a
+    read-only broadcast view."""
+    coeff = cache["coeff"]
+    g = np.asarray(grad_out, dtype=np.float64).reshape(len(coeff), 1, coeff.shape[2])
     if cache["mode"] == "sum":
-        d_blocks = np.broadcast_to(g, blocks.shape)
-    else:
-        d_blocks = 2.0 * blocks * g
-    return reconstruct(cache["op"], coeff.with_data(d_blocks.reshape(coeff.data.shape)))
+        return reconstruct(cache["op"], np.broadcast_to(g, coeff.shape))
+    return reconstruct(cache["op"], 2.0 * coeff * g)
 
 
 def _check_lengths(logits: np.ndarray, labels: np.ndarray, mask) -> None:

@@ -46,8 +46,8 @@ times the signal width d exceeds ``SPLIT_WORK`` and d is at least
 ``SPLIT_MIN_COLUMNS``, both recurrences split the columns into ``min(CPUs,
 d // 8)`` contiguous groups. Each group runs the whole recurrence on its own
 work arrays with no waits between steps: the calling thread takes the
-first group and a thread pool, made on first use, the others, and the
-groups' outputs are then joined into one C-contiguous array. Columns never
+first group and threads made for the call the others, and the groups'
+outputs are then joined into one C-contiguous array. Columns never
 mix in either recurrence, and every kernel computes an entry of a column
 the same way whatever the width, except that BLAS treats the last few
 entries of a flat vector apart (OpenBLAS's gemv the last ``len mod 4``).
@@ -57,7 +57,7 @@ width's. So with BLAS on one thread the output is bitwise the one-group
 result on any number of CPUs. A multi-threaded BLAS splits each flat
 vector among its own threads at points that move with the length, so its
 last bits already depend on the BLAS thread count, split or not. Below the
-crossover the single loop runs as it is, with no pool.
+crossover the single loop runs as it is, on the calling thread alone.
 
 ``framelet_operator`` builds either backend from a graph, from the
 Laplacian, Lanczos estimate and (in exact mode) spectrum that the ``Graph``
@@ -68,14 +68,18 @@ settings builds nothing; the arrays an operator builds are read-only.
 ``DecompositionOperator.restrict`` gives the operator for signals that
 live on a subset of the nodes, such as the labelled nodes a training loss
 reads.
+
+Coefficients are a plain C-contiguous ``(B, N, d)`` array, block b at
+``[b]`` in ``block_index`` order with the low pass at 0. ``decompose``
+returns one; ``reconstruct``, shrinkage, pooling and the coefficient file
+take one, and a per-block quantity is an operation on its first axis.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -109,11 +113,6 @@ MODES = ("exact", "chebyshev")
 SPLIT_WORK = 500_000
 SPLIT_MIN_COLUMNS = 16
 GROUP_MIN_COLUMNS = 8
-
-# The thread pool of the column groups, made on first use under the lock.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
 
 def compute_K(lambda_max: float, d: float) -> int:
     """Smallest integer K with ``lambda_max <= d^K * pi``.
@@ -292,7 +291,7 @@ def make_system(bank: FilterBank, lam_max: float, **settings) -> FrameletSystem:
     return FrameletSystem(bank, lam_max=float(lam_max), **settings)
 
 
-def chebyshev_decompose(system: FrameletSystem, lap: SparseMatrix, X) -> CoefficientStack:
+def chebyshev_decompose(system: FrameletSystem, lap: SparseMatrix, X) -> np.ndarray:
     return decompose(build_operators(system, lap), X)
 
 
@@ -314,8 +313,8 @@ class DecompositionOperator:
     ``rows`` is None, or the sorted node indices of a restricted operator
     (see ``restrict``): ``W P`` for the ``N x n`` selection ``P`` of those
     nodes. Its ``decompose`` reads an ``n x d`` signal on them, its
-    ``reconstruct`` returns only those n rows, and its coefficient stacks
-    keep all ``B N`` rows. In exact mode ``stack`` is then the ``(B N) x
+    ``reconstruct`` returns only those n rows, and its coefficients keep
+    all N nodes. In exact mode ``stack`` is then the ``(B N) x
     n`` gather of the full stack's columns.
 
     One operator may serve many callers (see ``framelet_operator``), so the
@@ -422,56 +421,6 @@ class DecompositionOperator:
         return out
 
 
-@dataclass(frozen=True)
-class CoefficientStack:
-    """Framelet coefficients as a block-stacked matrix.
-
-    ``data`` has ``B * N`` rows, one block of N rows for each of the
-    ``B = nJ + 1`` entries of ``block_index`` (low pass first), and one
-    column per signal feature. ``blocks`` views it as a ``(B, N, d)``
-    array; every per-block reader goes through that view, and per-block
-    quantities such as ``block_energies`` and the shrinkage thresholds are
-    ``(B,)`` arrays in block order.
-    """
-
-    data: np.ndarray = field(repr=False)
-    block_index: tuple[tuple[int, int], ...]
-    num_nodes: int
-
-    def __post_init__(self):
-        if self.data.ndim != 2:
-            raise ValueError("coefficient data must be 2-d")
-        if self.data.shape[0] != len(self.block_index) * self.num_nodes:
-            raise ValueError("row count must be (num blocks) * N")
-        if not self.block_index or self.block_index[0][0] != 0:
-            raise ValueError("low-pass block must come first")
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_index)
-
-    @property
-    def num_features(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """``data`` as a ``(B, N, d)`` array, a view when ``data`` is
-        C-contiguous; block b is ``blocks[b]``."""
-        return self.data.reshape(self.num_blocks, self.num_nodes, self.num_features)
-
-    def block(self, r: int, j: int) -> np.ndarray:
-        return self.blocks[self.block_index.index((r, j))]
-
-    def low_pass(self) -> np.ndarray:
-        return self.blocks[0]
-
-    def with_data(self, data: np.ndarray) -> "CoefficientStack":
-        return CoefficientStack(
-            data=data, block_index=self.block_index, num_nodes=self.num_nodes
-        )
-
-
 def _exact_stack(system: FrameletSystem, spectrum: graphs.Spectrum) -> np.ndarray:
     """The dense ``(B N) x N`` stack: block b is ``spectrum.matrix_function``
     of the b-th gain, bit for bit, written into its rows in place, so the
@@ -552,10 +501,12 @@ def framelet_operator(
     return graph.cached(tuple((type(v), v) for v in settings), build)
 
 
-def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:
-    """Forward transform: block b of the output is ``W_b @ X``, with X on
-    the operator's ``rows`` when it is restricted. ``X`` is only read and
-    may have any memory layout.
+def decompose(op: DecompositionOperator, X: np.ndarray) -> np.ndarray:
+    """Forward transform: the C-contiguous ``(B, N, d)`` coefficients whose
+    block b is ``W_b @ X``, in ``block_index`` order with the low pass at
+    0. With a restricted operator X lives on its ``rows`` and the output
+    still has all N nodes. ``X`` is only read and may have any memory
+    layout.
 
     In Chebyshev mode one recurrence ``T_k(L - I) X`` serves all B blocks:
     each step is one in-place sparse product that adds ``S T_{k-1}`` or
@@ -567,34 +518,35 @@ def decompose(op: DecompositionOperator, X: np.ndarray) -> CoefficientStack:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != op.num_signal_rows:
         raise ValueError(f"X must be 2-d with {op.num_signal_rows} rows")
-    if op.stack is None:
-        if op.rows is not None:
-            padded = np.zeros((op.num_nodes, X.shape[1]))
-            padded[op.rows] = X
-            X = padded
-        data = _by_column_groups(op, _decompose_columns, X)
-    else:
-        data = op.stack @ X
-    return CoefficientStack(data=data, block_index=op.block_index, num_nodes=op.num_nodes)
+    if op.stack is not None:
+        return (op.stack @ X).reshape(op.num_blocks, op.num_nodes, X.shape[1])
+    if op.rows is not None:
+        padded = np.zeros((op.num_nodes, X.shape[1]))
+        padded[op.rows] = X
+        X = padded
+    return _by_column_groups(op, _decompose_columns, X)
 
 
-def reconstruct(op: DecompositionOperator, c: CoefficientStack) -> np.ndarray:
-    """Inverse transform: ``sum_b W_b^T c_b``, exact by tightness; only the
-    operator's ``rows`` when it is restricted. ``c`` is only read.
+def reconstruct(op: DecompositionOperator, c: np.ndarray) -> np.ndarray:
+    """Inverse transform of the ``(B, N, d)`` coefficients ``c``: ``sum_b
+    W_b^T c[b]``, exact by tightness; only the operator's ``rows`` when it
+    is restricted. ``c`` is only read and may be any view.
 
     Every block is a polynomial in the symmetric Laplacian and hence
     symmetric, so in Chebyshev mode the adjoint is ``sum_k T_k(L - I) w_k``
-    with ``w_k = sum_b c_{b,k} C_b`` over the blocks ``C_b``, summed by one
-    Clenshaw recurrence: each step is a BLAS matrix-vector product over
-    all blocks that adds ``w_k`` to the array of ``b_{k+2}``, then an
-    in-place sparse product that adds ``S b_{k+1}`` or ``-S b_{k+1}``. Its
-    cost is that of ``decompose``.
+    with ``w_k = sum_b c_{b,k} c[b]``, summed by one Clenshaw recurrence:
+    each step is a BLAS matrix-vector product over all blocks that adds
+    ``w_k`` to the array of ``b_{k+2}``, then an in-place sparse product
+    that adds ``S b_{k+1}`` or ``-S b_{k+1}``. Its cost is that of
+    ``decompose``.
     """
-    if c.block_index != op.block_index or c.num_nodes != op.num_nodes:
-        raise ValueError("coefficient stack does not match operator")
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 3 or c.shape[:2] != (op.num_blocks, op.num_nodes):
+        raise ValueError(f"coefficient array does not match the operator: shape "
+                         f"{c.shape}, need ({op.num_blocks}, {op.num_nodes}, d)")
     if op.stack is not None:
-        return op.stack.T @ c.data
-    out = _by_column_groups(op, _reconstruct_columns, c.blocks)
+        return op.stack.T @ c.reshape(op.num_rows, c.shape[2])
+    out = _by_column_groups(op, _reconstruct_columns, c)
     return out if op.rows is None else out[op.rows]
 
 
@@ -658,57 +610,36 @@ def _column_groups(nnz: int, d: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:] + [d]))
 
 
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
 def _run_groups(groups, work) -> list:
     """``work(lo, hi)`` for every column group, in group order: the first
-    on this thread, the others on the module's thread pool, made on first
-    use with one thread per usable CPU but this one. Returns once every
-    group is done; the first group's exception, else the first worker's,
-    reaches the caller."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
-                                       thread_name_prefix="ufg-columns")
-    futures = [_pool.submit(work, lo, hi) for lo, hi in groups[1:]]
-    try:
+    on this thread, the others on threads made for this call. Returns once
+    every group is done; the first group's exception, else the first
+    worker's, reaches the caller."""
+    with ThreadPoolExecutor(len(groups) - 1, thread_name_prefix="ufg-columns") as pool:
+        futures = [pool.submit(work, lo, hi) for lo, hi in groups[1:]]
         first = work(*groups[0])
-    finally:
-        wait(futures)
     return [first] + [f.result() for f in futures]
-
-
-# A child process has none of its parent's threads, so it makes a new pool.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _by_column_groups(op: DecompositionOperator, recurrence, signal: np.ndarray) -> np.ndarray:
     """``recurrence(S, steps, signal)`` on the operator's ``S`` and block
     fits, ``steps[k]`` holding step k's coefficients: run as it is for one
     column group (``_column_groups``), else once per group of the last
-    axis of ``signal`` and joined into one C-contiguous ``(rows, d)``
+    axis of ``signal`` and joined along that axis into one C-contiguous
     array, bitwise the same with BLAS on one thread (see the module
     docstring)."""
     S = op.recurrence
     steps = np.ascontiguousarray(op.system.chebyshev_coeffs.T)
-    d = signal.shape[-1]
-    groups = _column_groups(S.nnz, d)
+    groups = _column_groups(S.nnz, signal.shape[-1])
     if len(groups) == 1:
         return recurrence(S, steps, signal)
     parts = _run_groups(groups, lambda lo, hi: recurrence(S, steps, signal[..., lo:hi]))
-    n = op.num_nodes
-    blocks = [part.reshape(-1, n, part.shape[1]) for part in parts]
-    return np.concatenate(blocks, axis=2).reshape(-1, d)
+    return np.concatenate(parts, axis=-1)
 
 
 def _decompose_columns(S: SparseMatrix, steps: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The forward recurrence of ``decompose`` on the N x w signal ``X``:
-    its C-contiguous ``(B N) x w`` coefficient data."""
+    its C-contiguous ``(B, N, w)`` coefficients."""
     n, d = X.shape
     # terms[k & 1] holds (-1)^(k // 2) T_k: with signs +, +, -, -, ... each
     # step adds S T_{k-1} (k odd) or -S T_{k-1} (k even) into the array
@@ -719,9 +650,9 @@ def _decompose_columns(S: SparseMatrix, steps: np.ndarray, X: np.ndarray) -> np.
     # C-contiguous output whatever the layout of X; flattened, block b is
     # column b of the Fortran-ordered (N d) x B view ``columns`` dger updates.
     num_blocks = steps.shape[1]
-    data = np.empty((num_blocks * n, d))
+    data = np.empty((num_blocks, n, d))
     columns = data.reshape(num_blocks, -1, copy=False).T
-    for out, c in zip(data.reshape(num_blocks, n, d), steps[0]):
+    for out, c in zip(data, steps[0]):
         np.multiply(X, c, out=out)
     for k in range(1, len(steps)):
         odd = k & 1
@@ -758,7 +689,7 @@ def _reconstruct_columns(S: SparseMatrix, steps: np.ndarray, blocks: np.ndarray)
     return terms[0]
 
 
-def block_energies(c: CoefficientStack) -> np.ndarray:
-    """Squared Frobenius norm of every coefficient block: a ``(B,)`` array
-    in ``block_index`` order."""
-    return np.sum(c.blocks**2, axis=(1, 2))
+def block_energies(c: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every block of the ``(B, N, d)``
+    coefficients ``c``: a ``(B,)`` array in ``block_index`` order."""
+    return np.sum(c**2, axis=(1, 2))

@@ -34,7 +34,6 @@ from ufg.io import (
 )
 from ufg.perturb import PerturbationSpec, perturb
 from ufg.transform import (
-    CoefficientStack,
     FrameletSystem,
     build_operators,
     framelet_operator,
@@ -151,11 +150,11 @@ def test_reconstruct_non_finite_coefficients_exits_two(tmp_path, graph_files, ca
     rpath = tmp_path / "recon.csv"
     assert main(["transform", "--graph", gpath, "--signal", spath,
                  "--out", cpath]) == 0
-    settings, _, num_nodes, _, data = read_coefficients(cpath)
+    settings, _, _, _, data = read_coefficients(cpath)
     op = framelet_operator(read_graph_text(gpath), **settings)
     data = data.copy()
-    data[3, 0] = np.nan
-    write_coefficients(op, CoefficientStack(data, op.block_index, num_nodes), cpath)
+    data[0, 3, 0] = np.nan
+    write_coefficients(op, data, cpath)
     capsys.readouterr()
     assert main(["reconstruct", "--graph", gpath, "--coeffs", cpath,
                  "--out", str(rpath)]) == 2
@@ -255,9 +254,7 @@ def _two_high_pass_file(path, graph_files):
     bank = FilterBank(low_pass=np.cos, high_passes=(np.sin, np.sin))
     graph = read_graph_text(graph_files[0])
     op = build_operators(FrameletSystem(bank, levels=2), graph.laplacian, graph.spectrum)
-    index = op.block_index
-    write_coefficients(op, CoefficientStack(np.ones((16 * len(index), 2)), index, 16),
-                       str(path))
+    write_coefficients(op, np.ones((op.num_blocks, 16, 2)), str(path))
     return graph_files[0], (f"{path}: coefficients of 16 nodes and 2 high passes; "
                             "the graph's Haar operator has 16 and 1")
 
@@ -1289,6 +1286,7 @@ _FLAG_BASE = {
     "verify": [],
 }
 _FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0")
+_HUGE_INT = str(10**30)
 # The values of the list above that are valid, so that they reach the data,
 # the graph file or the operator, each with its reason.
 _VALID_FLAG_VALUES = {
@@ -1316,12 +1314,17 @@ _VALID_FLAG_VALUES = {
 }
 
 
-def _numeric_flags():
-    """``(subcommand, flag, dest)`` of every ``int`` and ``float`` flag."""
+def _flags(*types):
+    """``(subcommand, flag, dest)`` of every flag parsed by one of ``types``."""
     subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
     return [(command, action.option_strings[-1], action.dest)
             for command, sub in subparsers.choices.items()
-            for action in sub._actions if action.type in (int, float)]
+            for action in sub._actions if action.type in types]
+
+
+def _numeric_flags():
+    """``(subcommand, flag, dest)`` of every integer and ``float`` flag."""
+    return _flags(cli._int64, float)
 
 
 def test_every_numeric_flag_refuses_a_bad_value_before_any_work(monkeypatch, capsys):
@@ -1346,9 +1349,13 @@ def test_every_numeric_flag_refuses_a_bad_value_before_any_work(monkeypatch, cap
     for task in datasets.GRAPH_TASKS:
         monkeypatch.setitem(datasets.GRAPH_TASKS, task, reached)
 
-    flags = _numeric_flags()
+    flags, ints, lists = _numeric_flags(), _flags(cli._int64), _flags(cli._parse_int_list)
+    # An integer must fit int64, NumPy's widest integer, but 1e30 is a valid
+    # float. Each integer list flag gets one huge entry after a valid one.
+    cases = list(itertools.product(flags, _FLAG_VALUES))
+    cases += [(flag, _HUGE_INT) for flag in ints] + [(flag, f"3,{_HUGE_INT}") for flag in lists]
     covered, passed, misses = set(), set(), []
-    for (command, flag, dest), value in itertools.product(flags, _FLAG_VALUES):
+    for (command, flag, dest), value in cases:
         key = (command, flag, value)
         try:
             code = main([command, *_FLAG_BASE[command], f"{flag}={value}"])
@@ -1367,6 +1374,9 @@ def test_every_numeric_flag_refuses_a_bad_value_before_any_work(monkeypatch, cap
                     for name in names for line in err.splitlines())
         if code not in (1, 2) or not named:
             misses.append(f"{key}: exit {code}, stderr {err!r}")
+        if _HUGE_INT in value and (code != 1 or f"argument {flag}: " not in err):
+            misses.append(f"{key}: exit {code} (not a usage error), stderr {err!r}")
     assert misses == []
     assert passed == set(_VALID_FLAG_VALUES)
-    assert len(covered) == len(flags) == 45
+    assert len(ints) == 26 and len(lists) == 4
+    assert len(covered) == len(flags) + len(lists) == 45 + 4

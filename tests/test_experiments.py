@@ -448,7 +448,7 @@ def _operator_applications(monkeypatch, data, cfg):
             return real(op, X)
 
         def rec(op, c, real=real_rec):
-            calls.append(("reconstruct", c.data.shape[1], rows(op)))
+            calls.append(("reconstruct", c.shape[-1], rows(op)))
             return real(op, c)
 
         monkeypatch.setattr(module, "decompose", dec)

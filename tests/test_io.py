@@ -28,7 +28,6 @@ from ufg.io import (
 from ufg.filters import FilterBank, haar_filter_bank
 from ufg.sparse import SparseMatrix
 from ufg.transform import (
-    CoefficientStack,
     FrameletSystem,
     build_operators,
     framelet_operator,
@@ -147,7 +146,7 @@ def test_labels_reject_negative_ids(tmp_path):
         read_labels_text(str(path))
 
 
-# -- coefficient stacks ------------------------------------------------------
+# -- coefficients ------------------------------------------------------------
 
 
 def _graph(num_nodes, seed=3):
@@ -155,9 +154,7 @@ def _graph(num_nodes, seed=3):
 
 
 def _stack(op, num_features, rng):
-    index = op.block_index
-    data = rng.normal(size=(len(index) * op.num_nodes, num_features))
-    return CoefficientStack(data=data, block_index=index, num_nodes=op.num_nodes)
+    return rng.normal(size=(op.num_blocks, op.num_nodes, num_features))
 
 
 @pytest.fixture
@@ -181,16 +178,16 @@ def test_coefficients_binary_round_trip_is_bitwise(tmp_path, op, stack):
     settings, num_high, num_nodes, digest, data = read_coefficients(path)
     assert settings == {"dilation": 2.0, "levels": 2, "degree": op.system.degree,
                         "mode": "exact"}
-    assert (num_high, num_nodes) == (1, stack.num_nodes)
+    assert (num_high, num_nodes) == (1, op.num_nodes)
     assert digest == laplacian_digest(op.lap)
-    np.testing.assert_array_equal(data, stack.data, strict=True)
+    np.testing.assert_array_equal(data, stack, strict=True)
     # The payload follows the 104-byte header bitwise; the header ends with
     # the SHA-256 of the bytes before it and of the payload.
     blob = (tmp_path / "c.ufgc").read_bytes()
     assert _header_field(blob, 0) == 4
     assert blob[40:72] == digest
     assert blob[72:104] == hashlib.sha256(blob[:72] + blob[104:]).digest()
-    assert blob[104:] == stack.data.astype("<f8").tobytes()
+    assert blob[104:] == stack.astype("<f8").tobytes()
 
 
 def test_laplacian_digest_names_the_graph_not_its_index_width():
@@ -224,9 +221,9 @@ def test_coefficient_file_records_its_transform(
                         "mode": mode}
     assert (num_high, num_nodes) == (op.system.num_high, 5)
     assert digest == laplacian_digest(_graph(5).laplacian)
-    assert data.tobytes() == stack.data.tobytes()
+    assert data.shape == stack.shape and data.tobytes() == stack.tobytes()
     # The settings rebuild the system, and so its block order.
-    assert FrameletSystem(haar_filter_bank(), **settings).block_index() == stack.block_index
+    assert FrameletSystem(haar_filter_bank(), **settings).block_index() == op.block_index
 
 
 def test_coefficients_record_every_high_pass(tmp_path, rng):
@@ -238,7 +235,7 @@ def test_coefficients_record_every_high_pass(tmp_path, rng):
     write_coefficients(op, stack, path)
     _, num_high, _, _, data = read_coefficients(path)
     assert num_high == 2
-    np.testing.assert_array_equal(data, stack.data)
+    np.testing.assert_array_equal(data, stack, strict=True)
 
 
 def test_coefficients_of_another_system_are_not_written(tmp_path, stack):
@@ -250,6 +247,21 @@ def test_coefficients_of_another_system_are_not_written(tmp_path, stack):
     with pytest.raises(ValueError, match="does not match the operator"):
         write_coefficients(framelet_operator(_graph(7), levels=2), stack, str(path))
     assert not path.exists()
+
+
+def test_write_coefficients_refuses_a_flat_or_mismatched_array(tmp_path, op, stack):
+    # Only the operator's (B, N, d) array is written: not its flat (B N) x d
+    # rows, nor an array with a block or a node too many or too few.
+    b, n = op.num_blocks, op.num_nodes
+    path = tmp_path / "c.ufgc"
+    for bad in (stack.reshape(b * n, 3), stack[0], stack[:-1],
+                np.concatenate([stack, stack[:1]]), stack[:, :-1],
+                np.zeros((b, n + 1, 3)), stack[..., None]):
+        with pytest.raises(ValueError, match=rf"need \({b}, {n}, d\)"):
+            write_coefficients(op, bad, str(path))
+        assert not path.exists()
+    write_coefficients(op, np.asfortranarray(stack), str(path))
+    np.testing.assert_array_equal(read_coefficients(str(path))[4], stack, strict=True)
 
 
 def test_coefficients_bad_magic(tmp_path):
@@ -280,10 +292,10 @@ def test_coefficients_truncation_errors(tmp_path, op, stack):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_coefficients_reject_non_finite_payload(tmp_path, op, stack, bad):
-    data = stack.data.copy()
-    data[4, 1] = bad
+    data = stack.copy()
+    data[0, 4, 1] = bad
     path = str(tmp_path / "c.ufgc")
-    write_coefficients(op, stack.with_data(data), path)
+    write_coefficients(op, data, path)
     with pytest.raises(ValueError, match="non-finite") as err:
         read_coefficients(path)
     assert path in str(err.value)
@@ -301,12 +313,12 @@ def test_coefficients_unsupported_version(tmp_path, op, stack):
     assert blob[:4] == COEFF_MAGIC
 
 
-def test_coefficients_version_1_is_refused(tmp_path, stack):
+def test_coefficients_version_1_is_refused(tmp_path, op, stack):
     # Version 1: N, d, n, J, then a block map of (r, j) pairs, no settings.
     path = tmp_path / "c.ufgc"
-    block_map = b"".join(struct.pack("<2I", r, j) for r, j in stack.block_index)
+    block_map = b"".join(struct.pack("<2I", r, j) for r, j in op.block_index)
     path.write_bytes(COEFF_MAGIC + struct.pack("<5I", 1, 6, 3, 1, 2) + block_map
-                     + stack.data.astype("<f8").tobytes())
+                     + stack.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="unsupported version 1; rerun `ufg transform`"):
         read_coefficients(str(path))
 
@@ -315,7 +327,7 @@ def test_coefficients_version_2_is_refused(tmp_path, stack):
     # Version 2: the settings of version 3, but no graph digest.
     path = tmp_path / "c.ufgc"
     path.write_bytes(COEFF_MAGIC + struct.pack("<7Id", 2, 6, 3, 1, 2, 16, 0, 2.0)
-                     + stack.data.astype("<f8").tobytes())
+                     + stack.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="unsupported version 2; rerun `ufg transform` "
                                          "to write version 4"):
         read_coefficients(str(path))

@@ -29,7 +29,8 @@ from ufg.nn import (
     _stencil_crossed_kink,
 )
 from ufg.shrinkage import ThresholdConfig, shrink_stack
-from ufg.transform import CoefficientStack, decompose, framelet_operator
+from ufg import nn
+from ufg.transform import decompose, framelet_operator, reconstruct
 
 GRAD_TOL = 1e-5
 IDENTITY_TOL = 1e-10
@@ -109,10 +110,13 @@ def test_shrinkage_cache_holds_its_stacks(small_operator, rng):
     cfg = ThresholdConfig(1.0, "energy_scaled")
     _, cache = ufg_conv_forward(params, small_operator, X, cfg)
     filtered, shrunk = cache["filtered"], cache["shrunk"]
-    np.testing.assert_array_equal(filtered.data, params["theta"][:, None] * cache["coeff"])
+    rows = small_operator.num_rows
+    np.testing.assert_array_equal(
+        filtered.reshape(rows, -1), params["theta"][:, None] * cache["coeff"].reshape(rows, -1)
+    )
     expected = shrink_stack(filtered, cfg, thresholds=cache["thresholds"])
-    np.testing.assert_array_equal(shrunk.data, expected.data)
-    np.testing.assert_array_equal(cache["active_mask"], shrunk.data != 0.0)
+    np.testing.assert_array_equal(shrunk, expected)
+    np.testing.assert_array_equal(cache["active_mask"], shrunk != 0.0)
 
 
 def test_conv_shape_errors(small_operator, rng):
@@ -211,7 +215,7 @@ def test_input_layer_matches_conv_on_decomposed_input(
     assert _rel_err(y_in, y) <= REASSOC_TOL
     if kind != "shrinkage" and d_in < d_out:
         # No B*N x d_out coefficient stack is formed or kept.
-        assert cache_in["coeff"] is coeff_x.data
+        assert cache_in["coeff"] is coeff_x
         assert cache_in["reconstructed"].shape == (operator.num_nodes, d_in)
     else:
         assert "reconstructed" not in cache_in
@@ -251,12 +255,57 @@ def test_input_layer_shape_errors(small_graph, small_operator, rng):
         [(4, 3), (3, 6)], ["relu", None]
     ):
         long = init_params(d_in, d_out, small_operator.num_rows + 1, rng)
-        coeff_x = CoefficientStack(
-            np.zeros((small_operator.num_rows, d_in)), small_operator.block_index,
-            small_operator.num_nodes,
-        )
+        coeff_x = np.zeros((small_operator.num_blocks, small_operator.num_nodes, d_in))
         with pytest.raises(ValueError, match="theta length"):
             ufg_conv_forward(long, small_operator, coeff_x, act)
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+def test_conv_tells_coefficients_by_three_axes_and_refuses_a_mismatched_array(
+    small_graph, small_operator, mode
+):
+    # A 3-d input is the (B, N, d_in) coefficients: the flat (B N) x d_in
+    # rows are a node signal of the wrong row count, and one block or node
+    # too many or too few is refused. The layer on the coefficients matches
+    # the layer on the signal, and its projection is one flat BLAS product.
+    op = _operator(small_graph, small_operator, mode)
+    b, n = op.num_blocks, op.num_nodes
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(n, 4))
+    params = init_params(4, 3, op.num_rows, rng)
+    c = decompose(op, X)
+    y, cache = ufg_conv_forward(params, op, c, None)
+    assert _rel_err(y, ufg_conv_forward(params, op, X, None)[0]) <= REASSOC_TOL
+    np.testing.assert_array_equal(
+        cache["coeff"], (c.reshape(b * n, 4) @ params["W"]).reshape(b, n, 3))
+    for bad in (c.reshape(b * n, 4), c[:-1], np.concatenate([c, c[:1]]), c[:, :-1],
+                np.zeros((b, n + 1, 4))):
+        with pytest.raises(ValueError):
+            ufg_conv_forward(params, op, bad, None)
+    for bad in (c[:-1], np.concatenate([c, c[:1]]), c[:, :-1], np.zeros((b, n + 1, 4))):
+        with pytest.raises(ValueError, match="coefficient input does not match"):
+            ufg_conv_forward(params, op, bad, "relu")
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+def test_pool_sum_backward_reconstructs_its_broadcast_view(
+    monkeypatch, small_graph, small_operator, mode
+):
+    # In sum mode every node of a block has the same gradient: the backward
+    # pass hands reconstruct that read-only broadcast view, which gives
+    # bitwise what the array it views gives.
+    op = _operator(small_graph, small_operator, mode)
+    X = np.random.default_rng(13).normal(size=(op.num_nodes, 3))
+    pooled, cache = ufg_pool_forward(op, X, "sum")
+    seen = []
+    monkeypatch.setattr(nn, "reconstruct", lambda o, c: seen.append(c) or reconstruct(o, c))
+    grad = np.random.default_rng(14).normal(size=pooled.shape)
+    dX = ufg_pool_backward(cache, grad)
+    (view,) = seen
+    assert view.shape == (op.num_blocks, op.num_nodes, 3) and view.strides[1] == 0
+    assert not view.flags.writeable
+    dense = np.repeat(grad.reshape(op.num_blocks, 1, 3), op.num_nodes, axis=1)
+    np.testing.assert_array_equal(dX, reconstruct(op, dense), strict=True)
 
 
 def test_conv_gradients_relu(small_operator):
@@ -425,9 +474,7 @@ def test_pool_sum_matches_block_sums(small_operator, rng):
     X = rng.normal(size=(small_operator.num_nodes, 2))
     pooled, _ = ufg_pool_forward(small_operator, X, "sum")
     c = decompose(small_operator, X)
-    manual = np.concatenate(
-        [c.block(r, j).sum(axis=0) for (r, j) in small_operator.block_index]
-    )
+    manual = np.concatenate([block.sum(axis=0) for block in c])
     np.testing.assert_allclose(pooled, manual, atol=1e-12)
     with pytest.raises(ValueError, match="mode"):
         ufg_pool_forward(small_operator, X, "max")

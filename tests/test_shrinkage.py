@@ -15,7 +15,6 @@ from ufg.shrinkage import (
     soft_threshold,
     stack_thresholds,
 )
-from ufg.transform import CoefficientStack
 
 # Universal threshold values recomputed at 30-digit decimal precision and
 # frozen; the float formula agrees to within one ulp.
@@ -26,9 +25,9 @@ SIGMA_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, np.inf)
 
 
 def _stack(rng, n=10, levels=2, features=3):
-    idx = [(0, levels)] + [(1, j) for j in range(1, levels + 1)]
-    data = rng.normal(size=(len(idx) * n, features))
-    return CoefficientStack(data=data, block_index=tuple(idx), num_nodes=n)
+    """``(levels + 1, n, features)`` coefficients of one high pass: the low
+    pass (0, levels) at 0, then (1, j) at j."""
+    return rng.normal(size=(levels + 1, n, features))
 
 
 def test_soft_threshold_oracles():
@@ -79,21 +78,19 @@ def test_threshold_config_validation():
 
 def test_stack_thresholds_modes(rng):
     c = _stack(rng)
-    b = c.block_index.index((1, 1))
-    base = compute_threshold(c.num_nodes, 1.0)
+    b = 1  # block (1, 1)
+    base = compute_threshold(c.shape[1], 1.0)
     assert stack_thresholds(c, ThresholdConfig(1.0))[b] == pytest.approx(base)
-    rms = float(np.sqrt(np.mean(c.block(1, 1) ** 2)))
+    rms = float(np.sqrt(np.mean(c[b] ** 2)))
     scaled = stack_thresholds(c, ThresholdConfig(1.0, "energy_scaled"))[b]
     assert scaled == pytest.approx(base * rms)
 
 
 def test_stack_thresholds_zero_block():
-    idx = ((0, 1), (1, 1))
-    data = np.zeros((4, 1))
-    data[:2] = 1.0  # low pass nonzero, high pass all zero
-    c = CoefficientStack(data=data, block_index=idx, num_nodes=2)
+    c = np.zeros((2, 2, 1))
+    c[0] = 1.0  # low pass nonzero, high pass all zero
     cfg = ThresholdConfig(np.inf, "energy_scaled")
-    assert stack_thresholds(c, cfg)[c.block_index.index((1, 1))] == 0.0
+    assert stack_thresholds(c, cfg)[1] == 0.0
 
 
 def test_stack_thresholds_skips_low_pass(rng):
@@ -101,37 +98,36 @@ def test_stack_thresholds_skips_low_pass(rng):
     th = stack_thresholds(c, ThresholdConfig(1.0))
     assert th.shape == (4,)  # one entry per block, in block order
     assert th[0] == 0.0
-    np.testing.assert_array_equal(th[1:], compute_threshold(c.num_nodes, 1.0))
+    np.testing.assert_array_equal(th[1:], compute_threshold(c.shape[1], 1.0))
 
 
 def test_shrink_sigma_zero_is_bitwise_copy(rng):
     c = _stack(rng)
     out = shrink_stack(c, ThresholdConfig(0.0))
-    np.testing.assert_array_equal(out.data, c.data)
-    assert out.data is not c.data
+    np.testing.assert_array_equal(out, c)
+    assert not np.shares_memory(out, c)
 
 
 def test_shrink_sigma_inf_kills_high_passes(rng):
     c = _stack(rng)
     out = shrink_stack(c, ThresholdConfig(np.inf))
-    n = c.num_nodes
-    np.testing.assert_array_equal(out.low_pass(), c.low_pass())
-    assert np.all(out.data[n:] == 0.0)
+    np.testing.assert_array_equal(out[0], c[0])
+    assert np.all(out[1:] == 0.0)
 
 
 def test_shrink_low_pass_untouched(rng):
     c = _stack(rng)
     out = shrink_stack(c, ThresholdConfig(2.0, "energy_scaled"))
-    np.testing.assert_array_equal(out.low_pass(), c.low_pass())
+    np.testing.assert_array_equal(out[0], c[0])
 
 
 def test_shrink_dead_zone_exact_zeros(rng):
     c = _stack(rng)
     cfg = ThresholdConfig(1.0)
-    lam = compute_threshold(c.num_nodes, 1.0)
+    lam = compute_threshold(c.shape[1], 1.0)
     out = shrink_stack(c, cfg)
-    high_in = c.data[c.num_nodes :]
-    high_out = out.data[c.num_nodes :]
+    high_in = c[1:]
+    high_out = out[1:]
     assert np.all(high_out[np.abs(high_in) <= lam] == 0.0)
 
 
@@ -139,40 +135,39 @@ def test_shrink_explicit_threshold_override(rng):
     c = _stack(rng)
     frozen = np.zeros_like(stack_thresholds(c, ThresholdConfig(1.0)))
     out = shrink_stack(c, ThresholdConfig(1.0), thresholds=frozen)
-    np.testing.assert_array_equal(out.data, c.data)  # zero thresholds: identity
+    np.testing.assert_array_equal(out, c)  # zero thresholds: identity
     frozen[0] = np.inf  # the low-pass entry is never applied
     out = shrink_stack(c, ThresholdConfig(1.0), thresholds=frozen)
-    np.testing.assert_array_equal(out.data, c.data)
+    np.testing.assert_array_equal(out, c)
     with pytest.raises(ValueError):
         shrink_stack(c, ThresholdConfig(1.0), thresholds=frozen[:-1])
 
 
 # The per-block rule as the stack-wide functions replaced it: one threshold
-# per (r, j) key, and one soft threshold per row slice. Kept as the oracle
-# the (B,) threshold array and the block-view shrink must match bitwise.
-def _reference_block_threshold(c, r, j, cfg):
-    base = compute_threshold(c.num_nodes, cfg.sigma) if np.isfinite(cfg.sigma) else np.inf
+# per (r, j) key of ``idx``, and one soft threshold per row slice of the flat
+# ``(B n) x d`` data. Kept as the oracle the (B,) threshold array and the
+# shrink of the (B, n, d) array must match bitwise.
+def _reference_block_threshold(data, idx, n, r, j, cfg):
+    base = compute_threshold(n, cfg.sigma) if np.isfinite(cfg.sigma) else np.inf
     if cfg.mode == "global":
         return float(base)
-    n = c.num_nodes
-    b = c.block_index.index((r, j))
-    rms = float(np.sqrt(np.mean(c.data[b * n : (b + 1) * n] ** 2)))
+    b = idx.index((r, j))
+    rms = float(np.sqrt(np.mean(data[b * n : (b + 1) * n] ** 2)))
     if rms == 0.0:
         return 0.0
     return float(base * rms)
 
 
-def _reference_shrink(c, cfg):
+def _reference_shrink(data, idx, n, cfg):
     thresholds = {
-        (r, j): _reference_block_threshold(c, r, j, cfg)
-        for (r, j) in c.block_index
+        (r, j): _reference_block_threshold(data, idx, n, r, j, cfg)
+        for (r, j) in idx
         if r != 0
     }
-    data = c.data.copy()
+    data = data.copy()
     if cfg.sigma == 0.0:
         return thresholds, data
-    n = c.num_nodes
-    for b, (r, j) in enumerate(c.block_index):
+    for b, (r, j) in enumerate(idx):
         if r == 0:
             continue
         lam = thresholds[(r, j)]
@@ -206,13 +201,13 @@ def test_stack_shrinkage_matches_per_block_reference(
     for b, zero in enumerate(zero_blocks[: len(idx) - 1], start=1):
         if zero:
             data[b * n : (b + 1) * n] = 0.0
-    c = CoefficientStack(data=data, block_index=tuple(idx), num_nodes=n)
+    c = data.reshape(len(idx), n, features)
     cfg = ThresholdConfig(sigma, mode)
-    ref_thresholds, ref_data = _reference_shrink(c, cfg)
+    ref_thresholds, ref_data = _reference_shrink(data, idx, n, cfg)
     th = stack_thresholds(c, cfg)
     assert th.shape == (len(idx),) and th[0] == 0.0
     assert th[1:].tobytes() == np.array(list(ref_thresholds.values())).tobytes()
-    assert shrink_stack(c, cfg).data.tobytes() == ref_data.tobytes()
+    assert shrink_stack(c, cfg).tobytes() == ref_data.tobytes()
 
 
 def test_compression_monotone_in_sigma(rng):
@@ -222,24 +217,34 @@ def test_compression_monotone_in_sigma(rng):
     ]
     assert ratios[0] == 1.0
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))
-    n, total = c.num_nodes, count_nonzero(c)
-    lp_nnz = int(np.count_nonzero(np.abs(c.low_pass()) > 1e-12))
+    total = count_nonzero(c)
+    lp_nnz = int(np.count_nonzero(np.abs(c[0]) > 1e-12))
     assert ratios[-1] == pytest.approx(lp_nnz / total)
 
 
 def test_compression_ratio_empty_before():
-    idx = ((0, 1), (1, 1))
-    zero = CoefficientStack(data=np.zeros((4, 1)), block_index=idx, num_nodes=2)
+    zero = np.zeros((2, 2, 1))
     assert compression_ratio(zero, zero) == 1.0
     with pytest.raises(ValueError, match="shape"):
-        compression_ratio(
-            zero,
-            CoefficientStack(data=np.zeros((4, 2)), block_index=idx, num_nodes=2),
-        )
+        compression_ratio(zero, np.zeros((2, 2, 2)))
 
 
 def test_count_nonzero_tolerance():
-    idx = ((0, 1),)
-    data = np.array([[1.0], [1e-13]])
-    c = CoefficientStack(data=data, block_index=idx, num_nodes=2)
+    c = np.array([[[1.0], [1e-13]]])
     assert count_nonzero(c) == 1
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "read-only", "broadcast"])
+def test_shrink_returns_a_new_array_and_leaves_its_input_unwritten(rng, layout):
+    base = _stack(rng, n=12, levels=2, features=3)
+    c = {"C": base, "F": np.asfortranarray(base),
+         "read-only": base.copy(), "broadcast": np.broadcast_to(base[:, :1], base.shape)}[layout]
+    if layout == "read-only":
+        c.flags.writeable = False
+    before = c.copy()
+    for sigma in (0.0, 1.0, np.inf):
+        out = shrink_stack(c, ThresholdConfig(sigma, "energy_scaled"))
+        assert type(out) is np.ndarray and out.shape == c.shape
+        assert out.flags.writeable and not np.shares_memory(out, c)
+        np.testing.assert_array_equal(c, before, strict=True)
+        np.testing.assert_array_equal(out[0], c[0])
