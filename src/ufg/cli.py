@@ -150,13 +150,15 @@ def _cmd_transform(args) -> int:
 def _cmd_reconstruct(args) -> int:
     graph = io.read_graph_text(args.graph)
     settings, num_high, num_nodes, digest, data = io.read_coefficients(args.coeffs)
-    op = transform.framelet_operator(graph, **settings)
-    if (num_nodes, num_high) != (op.num_nodes, op.system.num_high):
+    # Checked before the operator, in exact mode an eigendecomposition, is built.
+    haar_high = haar_filter_bank().num_high
+    if (num_nodes, num_high) != (graph.num_nodes, haar_high):
         raise ValueError(
             f"{args.coeffs}: coefficients of {num_nodes} nodes and {num_high} high "
-            f"passes; the graph's Haar operator has {op.num_nodes} and {op.system.num_high}")
-    if digest != io.laplacian_digest(op.lap):
+            f"passes; the graph's Haar operator has {graph.num_nodes} and {haar_high}")
+    if digest != io.laplacian_digest(graph.laplacian):
         raise ValueError(f"{args.coeffs}: written for another graph than {args.graph}")
+    op = transform.framelet_operator(graph, **settings)
     signal = transform.reconstruct(op, data)
     summary = {"nodes": graph.num_nodes, "out": args.out}
     if args.reference:

@@ -24,6 +24,13 @@ from . import io
 from .graphs import Graph, build_graph
 
 
+def check_splits(counts) -> None:
+    """Raise ``ValueError`` naming each split whose (train, val, test) count is 0."""
+    empty = [name for name, n in zip(("train", "val", "test"), counts) if not n]
+    if empty:
+        raise ValueError(f"empty split(s), no nodes in: {', '.join(empty)}")
+
+
 def check_seed(seed, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``seed`` is a nonnegative
     integer, the seeds ``numpy.random.default_rng`` takes."""
@@ -36,7 +43,7 @@ class NodeDataset:
     """Single graph with node features, labels and index-mask splits.
 
     Every split must select at least one node; an empty one raises
-    ``ValueError`` naming it.
+    ``ValueError`` naming it (``check_splits``).
     """
 
     graph: Graph
@@ -47,10 +54,8 @@ class NodeDataset:
     test_mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        masks = {"train": self.train_mask, "val": self.val_mask, "test": self.test_mask}
-        empty = [name for name, mask in masks.items() if not np.any(mask)]
-        if empty:
-            raise ValueError(f"empty split(s), no nodes in: {', '.join(empty)}")
+        check_splits([np.count_nonzero(m)
+                      for m in (self.train_mask, self.val_mask, self.test_mask)])
 
     @property
     def num_classes(self) -> int:
@@ -180,13 +185,20 @@ def star_graph(num_nodes: int) -> Graph:
     return build_graph(num_nodes, [(0, i, 1.0) for i in range(1, num_nodes)])
 
 
+def split_counts(size: int, fractions: tuple[float, float]) -> np.ndarray:
+    """The (train, val, test) node counts ``stratified_split`` gives a class
+    of ``size``: ``round(fraction * size)``, at least 1, while nodes last."""
+    n_train, n_val = (max(1, int(round(f * size))) for f in fractions)
+    return np.diff(np.minimum([0, n_train, n_train + n_val, size], size))
+
+
 def stratified_split(
     labels: np.ndarray, fractions: tuple[float, float], rng
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class shuffle into train/val/test masks by the given fractions.
 
     ``fractions = (train, val)``; the remainder is test. Every class
-    contributes at least one training node.
+    contributes at least one training node (``split_counts``).
     """
     rng = np.random.default_rng(rng)
     labels = np.asarray(labels)
@@ -197,23 +209,42 @@ def stratified_split(
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         idx = rng.permutation(idx)
-        n_train = max(1, int(round(fractions[0] * idx.size)))
-        n_val = max(1, int(round(fractions[1] * idx.size)))
-        train[idx[:n_train]] = True
-        val[idx[n_train : n_train + n_val]] = True
-        test[idx[n_train + n_val :]] = True
+        train_end, val_end, _ = np.cumsum(split_counts(idx.size, fractions))
+        train[idx[:train_end]] = True
+        val[idx[train_end:val_end]] = True
+        test[idx[val_end:]] = True
     return train, val, test
 
 
 def check_sbm(block_sizes: Sequence[int], p_in: float, p_out: float) -> None:
     """Raise ``ValueError`` unless the block model is drawable: both
     probabilities in [0, 1] (so not NaN) and at least one block, every block
-    nonempty. ``generate_sbm`` and ``SBMData`` both check here."""
+    nonempty, leaving a node in every split of ``generate_sbm``'s 10/20/70
+    split. ``generate_sbm`` and ``SBMData`` both check here."""
     for name, p in (("p_in", p_in), ("p_out", p_out)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probabilities must lie in [0, 1], got {name} = {p}")
     if not block_sizes or min(int(s) for s in block_sizes) <= 0:
         raise ValueError("every block must be nonempty")
+    check_splits(sum(split_counts(int(s), (0.1, 0.2)) for s in block_sizes))
+
+
+def _sbm_graph(block_sizes: list[int], p_in: float, p_out: float, rng) -> Graph:
+    """A block model's graph: per block pair (a <= b), a binomial edge count,
+    then that many distinct pairs, ER within a block, ``u * n_b + v`` across."""
+    starts = np.cumsum([0] + block_sizes)
+    rows, cols = [], []
+    for a, b in itertools.combinations_with_replacement(range(len(block_sizes)), 2):
+        n_a, n_b = block_sizes[a], block_sizes[b]
+        if a == b:
+            codes = sample_pairs(n_a, rng.binomial(n_a * (n_a - 1) // 2, p_in), rng)
+        else:
+            codes = rng.choice(n_a * n_b, rng.binomial(n_a * n_b, p_out), replace=False)
+        r, c = np.divmod(codes, n_b)
+        rows.append(r + starts[a])
+        cols.append(c + starts[b])
+    edges = _unit_edges(np.concatenate(rows), np.concatenate(cols))
+    return build_graph(int(starts[-1]), edges)
 
 
 def generate_sbm(
@@ -238,24 +269,9 @@ def generate_sbm(
     if isinstance(feature_model, BinaryFeatures) and feature_model.dim < num_classes:
         raise ValueError("feature dim smaller than the number of classes")
     rng = np.random.default_rng(seed)
-    labels = np.concatenate(
-        [np.full(size, cls, dtype=np.int64) for cls, size in enumerate(block_sizes)]
-    )
+    labels = np.repeat(np.arange(num_classes), block_sizes)
     n = labels.shape[0]
-    # Per block pair (a <= b), a binomial edge count, then that many distinct
-    # pairs: ER on a diagonal block, bipartite codes u * n_b + v off it.
-    starts = np.cumsum([0] + block_sizes)
-    rows, cols = [], []
-    for a, b in itertools.combinations_with_replacement(range(num_classes), 2):
-        n_a, n_b = block_sizes[a], block_sizes[b]
-        if a == b:
-            codes = sample_pairs(n_a, rng.binomial(n_a * (n_a - 1) // 2, p_in), rng)
-        else:
-            codes = rng.choice(n_a * n_b, rng.binomial(n_a * n_b, p_out), replace=False)
-        r, c = np.divmod(codes, n_b)
-        rows.append(r + starts[a])
-        cols.append(c + starts[b])
-    graph = build_graph(n, _unit_edges(np.concatenate(rows), np.concatenate(cols)))
+    graph = _sbm_graph(block_sizes, p_in, p_out, rng)
     if isinstance(feature_model, GaussianFeatures):
         means = rng.normal(size=(num_classes, feature_model.dim))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -360,16 +376,9 @@ def sbm_graph_family(
     for _ in range(num_per_class):
         size = int(rng.integers(size_range[0], size_range[1] + 1))
         half = size // 2
-        ds = generate_sbm(
-            [half, size - half],
-            p_in,
-            p_out,
-            GaussianFeatures(dim=2, noise_std=1.0),
-            seed=int(rng.integers(0, 2**31)),
-        )
-        samples.append(
-            GraphSample(graph=ds.graph, features=_degree_features(ds.graph), label=0)
-        )
+        sub = np.random.default_rng(int(rng.integers(0, 2**31)))
+        g = _sbm_graph([half, size - half], p_in, p_out, sub)
+        samples.append(GraphSample(graph=g, features=_degree_features(g), label=0))
         # ER with the SBM's expected average degree
         within = half * (half - 1) // 2 + (size - half) * (size - half - 1) // 2
         cross = half * (size - half)
@@ -381,6 +390,16 @@ def sbm_graph_family(
 
 
 GRAPH_TASKS = {"cycles-stars": cycles_and_stars, "sbm-family": sbm_graph_family}
+
+
+def graph_split_sizes(num_graphs: int) -> tuple[int, int]:
+    """(train, val) sizes of the graph task's 80/10/10 split: ``round(0.8 m)``
+    and ``round(0.1 m)``, at least 1; the rest, none below 8 graphs, is test."""
+    n_train = int(round(0.8 * num_graphs))
+    n_val = max(1, int(round(0.1 * num_graphs)))
+    if num_graphs - n_train - n_val <= 0:
+        raise ValueError(f"{num_graphs} graphs are too few for an 80/10/10 split")
+    return n_train, n_val
 
 
 @dataclass(frozen=True)
@@ -397,6 +416,7 @@ class GraphData:
         if self.num_per_class < 1:
             raise ValueError(f"num_per_class must be >= 1, got {self.num_per_class}: "
                              "too few for an 80/10/10 split")
+        graph_split_sizes(2 * self.num_per_class)  # each task has two labels
         check_seed(self.data_seed, "data_seed")
 
     def make(self) -> list[GraphSample]:

@@ -22,6 +22,7 @@ from .datasets import (
     NodeDataset,
     check_avg_degree,
     check_seed,
+    graph_split_sizes,
     random_er_graph,
 )
 from .io import deterministic_mode, encode_json
@@ -50,7 +51,6 @@ from .transform import (
     DecompositionOperator,
     FrameletSystem,
     check_settings,
-    check_top_argument,
     decompose,
     framelet_operator,
     reconstruct,
@@ -108,7 +108,6 @@ class ExperimentConfig:
         for seed in self.seeds:
             check_seed(seed, f"{rule}: seed")
         check_settings(self.dilation, self.levels, self.degree, self.mode)
-        check_top_argument(self.dilation, self.levels)
         ThresholdConfig(self.sigma, self.threshold_mode)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -128,43 +127,31 @@ def fingerprint(config: ExperimentConfig, data, perturbation=None) -> str:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """Aggregated per-seed results of one experiment config.
-
-    ``per_seed`` may contain NaN for seeds that diverged (aborted on
-    non-finite loss); mean/std are over the finite entries and the failures
-    are listed in ``extra["failed_seeds"]``.
+    """Aggregated per-seed results of one experiment config, derived from
+    what it is given. ``mean`` and ``std`` are over the finite ``per_seed``
+    entries, NaN marking a seed that diverged; ``extra["failed_seeds"]``
+    lists those, and a record of failed seeds only raises ``ValueError``.
+    Deterministic mode zeroes ``wall_clock``. The given ``extra`` is copied.
     """
 
     per_seed: tuple[float, ...]
-    mean: float
-    std: float
     wall_clock: float
     extra: dict = field(default_factory=dict)
+    mean: float = field(init=False)
+    std: float = field(init=False)
 
     def __post_init__(self):
         finite = [x for x in self.per_seed if np.isfinite(x)]
-        if finite:
-            if not (min(finite) - 1e-12 <= self.mean <= max(finite) + 1e-12):
-                raise ValueError("mean must lie within the per-seed range")
-
-
-def make_record(
-    per_seed: list[float], wall_clock: float, extra: dict | None = None
-) -> MetricsRecord:
-    finite = [x for x in per_seed if np.isfinite(x)]
-    extra = dict(extra or {})
-    failed = [i for i, x in enumerate(per_seed) if not np.isfinite(x)]
-    if failed:
-        extra["failed_seeds"] = failed
-    if not finite:
-        raise ValueError("every seed failed")
-    return MetricsRecord(
-        per_seed=tuple(per_seed),
-        mean=float(np.mean(finite)),
-        std=float(np.std(finite)),
-        wall_clock=0.0 if deterministic_mode() else float(wall_clock),
-        extra=extra,
-    )
+        if not finite:
+            raise ValueError("every seed failed")
+        failed = [i for i, x in enumerate(self.per_seed) if not np.isfinite(x)]
+        for name, value in {
+            "per_seed": tuple(self.per_seed),
+            "extra": {**self.extra, **({"failed_seeds": failed} if failed else {})},
+            "mean": float(np.mean(finite)), "std": float(np.std(finite)),
+            "wall_clock": 0.0 if deterministic_mode() else float(self.wall_clock),
+        }.items():
+            object.__setattr__(self, name, value)
 
 
 def build_node_operator(
@@ -330,8 +317,7 @@ def train_node_classifier(
     extra: dict = {"task": config.task, "activation": config.activation}
     if compressions:
         extra["compression_ratio"] = float(np.mean(compressions))
-    wall_clock = time.perf_counter() - start
-    return make_record(per_seed, wall_clock, extra)
+    return MetricsRecord(per_seed, time.perf_counter() - start, extra)
 
 
 class _GraphTask:
@@ -340,42 +326,27 @@ class _GraphTask:
     on the disjoint union of the graphs.
 
     Graph ``g`` owns rows ``starts[g] : starts[g] + sizes[g]`` of the
-    block-diagonal GCN adjacency ``norm_adj`` and of the stacked
-    ``features``, and keeps its own framelet operator ``ops[g]`` (``ops``
-    is empty for the mean readout). ``split_sizes`` = (train, validation)
-    graphs of the 80/10/10 split, the rest for test, which must not be
-    empty. ``init`` first draws the seed's split. The logits and caches of
-    each evaluation are the next epoch's forward pass.
+    stacked ``features`` and of ``norm_adj``, the GCN adjacency of the
+    graphs' ``graphs.disjoint_union``, and keeps its own framelet operator
+    ``ops[g]`` (``ops`` is empty for the mean readout). ``split_sizes`` are
+    the 80/10/10 split's ``datasets.graph_split_sizes``. ``init`` first
+    draws the seed's split. The logits and caches of each evaluation are
+    the next epoch's forward pass.
     """
 
     decay_keys = frozenset({"g1.W", "g2.W", "W1", "W2"})
 
     def __init__(self, samples: list[GraphSample], config: ExperimentConfig):
-        m = len(samples)
-        n_train = int(round(0.8 * m))
-        n_val = max(1, int(round(0.1 * m)))
-        if m - n_train - n_val <= 0:
-            raise ValueError(f"{m} graphs are too few for an 80/10/10 split")
-        self.config, self.split_sizes = config, (n_train, n_val)
-        self.sizes = sizes = np.array([s.graph.num_nodes for s in samples])
+        self.config, self.split_sizes = config, graph_split_sizes(len(samples))
+        self.sizes = np.array([s.graph.num_nodes for s in samples])
+        self.starts = np.cumsum(self.sizes) - self.sizes
         self.ops = () if config.pool_mode == "mean" else tuple(
             framelet_operator(s.graph, config.dilation, config.levels, config.degree,
                               config.mode)
             for s in samples
         )
-        # The block-diagonal GCN adjacency: each graph's canonical CSR arrays,
-        # shifted past the rows and entries of the graphs before it.
-        adjs = [s.graph.gcn_adjacency.csr for s in samples]
-        nnz = np.array([a.nnz for a in adjs])
-        firsts = np.cumsum(nnz) - nnz
-        self.starts = starts = np.cumsum(sizes) - sizes
-        n = int(sizes.sum())
-        self.norm_adj = graphs._csr(
-            (n, n),
-            np.concatenate([[0]] + [a.indptr[1:] + f for a, f in zip(adjs, firsts)]),
-            np.concatenate([a.indices + s for a, s in zip(adjs, starts)]),
-            np.concatenate([a.data for a in adjs]),
-        )
+        union = graphs.disjoint_union([s.graph for s in samples])
+        self.norm_adj = graphs.gcn_norm_adjacency(union)
         self.features = np.vstack([s.features for s in samples])
         self.labels = np.array([s.label for s in samples])
 
@@ -448,8 +419,7 @@ def train_graph_classifier(
         for seed in config.seeds
     ]
     extra = {"task": config.task, "pool_mode": config.pool_mode}
-    wall_clock = time.perf_counter() - start
-    return make_record(per_seed, wall_clock, extra)
+    return MetricsRecord(per_seed, time.perf_counter() - start, extra)
 
 
 def majority_class_accuracy(samples: list[GraphSample]) -> float:
@@ -518,7 +488,6 @@ def bench_transform(
     check_seed(seed, "seed")
     check_avg_degree(avg_degree)
     check_settings(dilation, levels, degree, "chebyshev")
-    check_top_argument(dilation, levels)
     sizes = list(node_sizes)
     if sizes != sorted(sizes):
         raise ValueError("node sizes must be ascending")

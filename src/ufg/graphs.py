@@ -3,30 +3,31 @@
 ``normalized_laplacian``, ``gcn_norm_adjacency``, ``eigendecompose`` and
 ``lambda_max`` compute on every call; ``validate_csr`` checks the canonical
 layout of a CSR array and ``gershgorin_bound`` bounds its spectrum. A
-``Graph`` also keeps what depends on it alone: ``laplacian``,
-``gcn_adjacency``, ``spectrum`` and ``lanczos_bound`` are computed on first
-use and live as long as the graph, so every operator or classifier built
-from one ``Graph`` object shares them. The exact spectrum holds N^2
-doubles, at most 32 MB at ``EXACT_SPECTRUM_MAX_NODES``. ``Graph.cached``
-keeps one more value, the latest one built for some key:
-``transform.framelet_operator`` keeps the graph's framelet operator there,
-so a second call with the same settings returns the same operator, and a
-call with other settings replaces it. A graph's adjacency and cached
-arrays are therefore read-only, so a write into one raises
-``ValueError``; the arrays the plain functions return belong to the caller.
+``Graph`` also keeps what depends on it alone: ``laplacian``, ``spectrum``
+and ``lanczos_bound`` are computed on first use and live as long as the
+graph, so every operator built from one ``Graph`` object shares them. The
+exact spectrum holds N^2 doubles, at most 32 MB at
+``EXACT_SPECTRUM_MAX_NODES``. ``Graph.cached`` keeps one more value, the
+latest one built for some key: ``transform.framelet_operator`` keeps the
+graph's framelet operator there, so a second call with the same settings
+returns the same operator, and a call with other settings replaces it. A
+graph's adjacency and cached arrays are therefore read-only, so a write
+into one raises ``ValueError``; the arrays the plain functions return
+belong to the caller.
 
 Every sparse matrix of the library is assembled here, with no SciPy
 format conversion or sparse sum: ``_assemble`` sorts an adjacency's entries
 once, ``_with_diagonal`` merges a diagonal into rows already sorted (the
-Laplacian, the GCN adjacency and ``transform``'s recurrence matrix), and
-``_csr``, the one home of the int32 index rule, ends every build. Values
-take SciPy's operations in SciPy's order, so each matrix is the one
-SciPy's sparse arithmetic would build, bit for bit.
+Laplacian, the GCN adjacency and ``transform``'s recurrence matrix),
+``disjoint_union`` concatenates canonical arrays, and ``_csr``, the one
+home of the int32 index rule, ends every build. Values take SciPy's
+operations in SciPy's order, so each matrix is the one SciPy's sparse
+arithmetic would build, bit for bit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -81,14 +82,6 @@ class Graph:
         lap = normalized_laplacian(self)
         _freeze(lap.csr.data, lap.csr.indices, lap.csr.indptr)
         return lap
-
-    @cached_property
-    def gcn_adjacency(self) -> SparseMatrix:
-        """``gcn_norm_adjacency(self)``, computed once; its CSR arrays are
-        read-only."""
-        adj = gcn_norm_adjacency(self)
-        _freeze(adj.csr.data, adj.csr.indices, adj.csr.indptr)
-        return adj
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -335,6 +328,24 @@ def build_graph(num_nodes: int, edges: ArrayLike) -> Graph:
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     shape = (num_nodes, num_nodes)
     return Graph(num_nodes=num_nodes, adjacency=_assemble(shape, rows, cols, vals))
+
+
+def disjoint_union(graphs: Sequence[Graph]) -> Graph:
+    """The graphs side by side, with the block-diagonal adjacency: each
+    graph's CSR arrays shifted past the rows and entries of those before
+    it. Normalized Laplacians and GCN adjacencies read one row at a time,
+    so the union's are bitwise the block diagonals of the graphs' own."""
+    adjs = [g.adjacency.csr for g in graphs]
+    starts = np.cumsum([0] + [g.num_nodes for g in graphs], dtype=np.int64)
+    firsts = np.cumsum([0] + [a.nnz for a in adjs], dtype=np.int64)
+    n = int(starts[-1])
+    return Graph(n, _csr(
+        (n, n),
+        np.concatenate([[0]] + [a.indptr[1:] + f for a, f in zip(adjs, firsts)]),
+        np.concatenate([np.zeros(0, np.int64)]
+                       + [a.indices + s for a, s in zip(adjs, starts)]),
+        np.concatenate([np.zeros(0)] + [a.data for a in adjs]),
+    ))
 
 
 def normalized_laplacian(graph: Graph) -> SparseMatrix:

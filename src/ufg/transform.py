@@ -42,9 +42,9 @@ high passes: 30 for a default round trip instead of 40 unchopped.
 
 Large products use every usable CPU (the process's affinity mask, so
 ``taskset`` narrows it; the BLAS thread variables do not). When nnz(S)
-times the signal width d exceeds ``SPLIT_WORK`` and d is at least
-``SPLIT_MIN_COLUMNS``, both recurrences split the columns into ``min(CPUs,
-d // 8)`` contiguous groups. Each group runs the whole recurrence on its own
+times the signal width d exceeds ``SPLIT_WORK`` and ``min(CPUs, d // 8)``
+is at least 2, both recurrences split the columns into that many
+contiguous groups. Each group runs the whole recurrence on its own
 work arrays with no waits between steps: the calling thread takes the
 first group and threads made for the call the others, and the groups'
 outputs are then joined into one C-contiguous array. Columns never
@@ -108,10 +108,9 @@ MODES = ("exact", "chebyshev")
 
 # A Chebyshev recurrence splits its signal's columns into groups, each run
 # on its own thread, when nnz(S) times the signal width exceeds SPLIT_WORK
-# and the signal has at least SPLIT_MIN_COLUMNS columns. Groups are at
-# least GROUP_MIN_COLUMNS wide: 8 float64 fill one 64-byte cache line.
+# and at least two groups of GROUP_MIN_COLUMNS columns fit: 8 float64 fill
+# one 64-byte cache line.
 SPLIT_WORK = 500_000
-SPLIT_MIN_COLUMNS = 16
 GROUP_MIN_COLUMNS = 8
 
 def compute_K(lambda_max: float, d: float) -> int:
@@ -133,10 +132,14 @@ def compute_K(lambda_max: float, d: float) -> int:
     return k
 
 
-def check_settings(dilation: float, levels: int, degree: int, mode: str) -> None:
-    """Raise ``ValueError`` unless the settings can build a transform on
-    some graph: finite dilation > 1, levels >= 1, a known mode, degree >= 0.
-    ``FrameletSystem`` and ``experiments.ExperimentConfig`` both check here."""
+def check_settings(dilation: float, levels: int, degree: int, mode: str,
+                   lam_max: float = 0.0) -> None:
+    """Raise ``ValueError`` unless the settings can transform a Laplacian of
+    top eigenvalue ``lam_max``: finite dilation > 1, levels >= 1, a known
+    mode, degree >= 0, finite ``lam_max >= 0`` and a finite top filter
+    argument ``d^(J-1-K) * 2``. At ``lam_max = 0``, K = 0, the largest K of
+    a normalized Laplacian: what fails there fails on any graph, the check
+    ``ExperimentConfig`` and ``bench_transform`` make before one exists."""
     if not (1 < dilation < math.inf):
         raise ValueError("dilation must be finite and exceed 1")
     if levels < 1:
@@ -145,12 +148,9 @@ def check_settings(dilation: float, levels: int, degree: int, mode: str) -> None
         raise ValueError(f"unknown mode {mode!r}")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-
-
-def check_top_argument(dilation: float, levels: int, K: int = 0) -> None:
-    """Raise ``ValueError`` unless the top filter argument ``d^(J-1-K) * 2``
-    is finite. A normalized Laplacian has K <= 0, so a failure at the
-    default K = 0 is a failure on every graph."""
+    if not (0 <= lam_max < math.inf):
+        raise ValueError(f"lam_max must be finite and nonnegative, got {lam_max!r}")
+    K = compute_K(lam_max, dilation) if lam_max > 0 else 0
     try:
         finite = math.isfinite(dilation ** (levels - 1 - K) * 2.0)
     except OverflowError:
@@ -196,10 +196,7 @@ class FrameletSystem:
     mode: str = "exact"
 
     def __post_init__(self):
-        check_settings(self.dilation, self.levels, self.degree, self.mode)
-        if not (0 <= self.lam_max < math.inf):
-            raise ValueError(f"lam_max must be finite and nonnegative, got {self.lam_max!r}")
-        check_top_argument(self.dilation, self.levels, self.K)
+        check_settings(self.dilation, self.levels, self.degree, self.mode, self.lam_max)
 
     @cached_property
     def K(self) -> int:
@@ -598,14 +595,13 @@ def _usable_cpus() -> int:
 
 def _column_groups(nnz: int, d: int) -> list[tuple[int, int]]:
     """The contiguous column ranges ``[lo, hi)`` a recurrence over ``d``
-    columns of a product with ``nnz`` entries runs as: ``[(0, d)]`` up to
-    ``SPLIT_WORK`` or below ``SPLIT_MIN_COLUMNS``, else ``min(usable CPUs,
-    d // GROUP_MIN_COLUMNS)`` groups, each at least GROUP_MIN_COLUMNS
-    wide, that start at multiples of GROUP_MIN_COLUMNS (see the module
-    docstring)."""
-    if nnz * d <= SPLIT_WORK or d < SPLIT_MIN_COLUMNS:
+    columns of a product with ``nnz`` entries runs as: ``k = min(usable
+    CPUs, d // GROUP_MIN_COLUMNS)`` groups above ``SPLIT_WORK``, each at
+    least GROUP_MIN_COLUMNS wide and starting at a multiple of it (see the
+    module docstring), and ``[(0, d)]`` up to ``SPLIT_WORK`` or when k < 2."""
+    k = min(_usable_cpus(), d // GROUP_MIN_COLUMNS) if nnz * d > SPLIT_WORK else 1
+    if k < 2:
         return [(0, d)]
-    k = min(_usable_cpus(), d // GROUP_MIN_COLUMNS)
     bounds = [GROUP_MIN_COLUMNS * (d * i // (GROUP_MIN_COLUMNS * k)) for i in range(k)]
     return list(zip(bounds, bounds[1:] + [d]))
 

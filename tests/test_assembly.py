@@ -210,5 +210,20 @@ def test_graph_union_equals_scipy_block_diag(task):
     samples = {"cycles-stars": cycles_and_stars, "sbm-family": sbm_graph_family}[task](
         4, seed=1)
     task = _GraphTask(samples, ExperimentConfig(task="graph", pool_mode="mean"))
-    want = ref_union([s.graph.gcn_adjacency.csr for s in samples])
+    want = ref_union([graphs.gcn_norm_adjacency(s.graph).csr for s in samples])
     assert_same_csr(task.norm_adj.csr, want)
+
+
+# Isolated nodes, self loops and an edgeless graph, side by side.
+@example([(3, [(0, 0, 2.0), (0, 1, 1.0)]), (0, []), (2, []), (4, [(3, 3, 0.5)])])
+@given(st.lists(edge_lists(), max_size=4))
+def test_disjoint_union_is_the_block_diagonal_of_its_graphs(parts):
+    parts = [graphs.build_graph(n, edges) for n, edges in parts]
+    union = graphs.disjoint_union(parts)
+    assert union.num_nodes == sum(g.num_nodes for g in parts)
+    # Row by row, so the union's matrices are the graphs' own side by side.
+    for matrix in (lambda g: g.adjacency, graphs.normalized_laplacian,
+                   graphs.gcn_norm_adjacency):
+        want = (ref_union([matrix(g).csr for g in parts]) if parts
+                else _canonical(sp.csr_array((0, 0))))
+        assert_same_csr(matrix(union).csr, want)

@@ -286,6 +286,31 @@ def test_reconstruct_refuses_a_file_it_cannot_use(tmp_path, graph_files, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "make", [_other_graph_file, _same_size_other_graph_file, _flipped_digest_file,
+             _two_high_pass_file],
+    ids=["other-graph", "same-size-other-graph", "flipped-digest", "two-high-passes"],
+)
+def test_reconstruct_refuses_another_graph_before_building_its_operator(
+    tmp_path, graph_files, monkeypatch, capsys, make
+):
+    # In exact mode the operator is a full eigendecomposition, so a file of
+    # another graph is refused on the graph's Laplacian alone.
+    cpath, out = tmp_path / "c.ufgc", tmp_path / "recon.csv"
+    gpath, message = make(cpath, graph_files)
+    capsys.readouterr()
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("operator built")
+
+    monkeypatch.setattr(cli.transform, "framelet_operator", no_operator)
+    assert main(["reconstruct", "--graph", gpath, "--coeffs", str(cpath),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "operator built" not in err
+    assert not out.exists()
+
+
 def test_reconstruct_refuses_every_single_bit_flip_of_the_header(tmp_path, capsys):
     # Without the checksum, 19 of the 64 flips of the dilation alone reconstruct
     # (exit 0) with a relative error up to 0.98.
@@ -684,6 +709,30 @@ def test_train_graph_negative_graph_count_exits_two(monkeypatch, capsys, task):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "num_per_class must be >= 1, got -3" in err and "training started" not in err
+
+
+@pytest.mark.parametrize("count", ["1", "2", "3"])
+def test_train_graph_too_few_graphs_for_a_test_split_exits_two_before_any_data(
+    monkeypatch, capsys, count
+):
+    # 2 * count graphs leave the 80/10/10 split no test graph below count 4.
+    _no_data(monkeypatch)
+    argv = ["train-graph", "--num-per-class", count, "--epochs", "1", "--seeds", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{2 * int(count)} graphs are too few for an 80/10/10 split" in err
+    assert "dataset generated" not in err
+
+
+@pytest.mark.parametrize("sizes, empty", [("2,2", "test"), ("1,1", "val, test")])
+def test_train_node_blocks_too_small_for_every_split_exit_two_before_any_data(
+    monkeypatch, capsys, sizes, empty
+):
+    _no_data(monkeypatch)
+    argv = ["train-node", "--sbm-sizes", sizes, "--epochs", "1", "--seeds", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"empty split(s), no nodes in: {empty}" in err and "dataset generated" not in err
 
 
 @pytest.mark.parametrize("extra", [["--sbm-sizes", "10,10"], ["--data-seed", "0"],

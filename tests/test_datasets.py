@@ -23,10 +23,12 @@ from ufg.datasets import (
     cycle_graph,
     cycles_and_stars,
     generate_sbm,
+    graph_split_sizes,
     load_citation,
     random_er_graph,
     sample_pairs,
     sbm_graph_family,
+    split_counts,
     star_graph,
     stratified_split,
 )
@@ -424,8 +426,8 @@ def test_sbm_data_refuses_an_impossible_graph_when_built(graph, message):
 
 def test_graph_data_makes_its_task():
     for task, make in datasets.GRAPH_TASKS.items():
-        got = GraphData(task=task, num_per_class=3, data_seed=1).make()
-        want = make(3, seed=1)
+        got = GraphData(task=task, num_per_class=4, data_seed=1).make()
+        want = make(4, seed=1)
         assert [s.label for s in got] == [s.label for s in want]
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.graph.adjacency.csr.toarray(),
@@ -441,6 +443,31 @@ def test_graph_data_refuses_fewer_than_one_graph_per_class_when_built(count):
     with pytest.raises(ValueError, match=rf"num_per_class must be >= 1, got {count}: "
                                          "too few for an 80/10/10 split"):
         GraphData(num_per_class=count)
+
+
+def test_graph_split_sizes_leave_a_test_graph_from_four_per_class():
+    assert [graph_split_sizes(m) for m in (8, 10, 20, 200)] == [
+        (6, 1), (8, 1), (16, 2), (160, 20)]
+    for count in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"^{2 * count} graphs are too few "
+                                             r"for an 80/10/10 split$"):
+            GraphData(num_per_class=count)
+    GraphData(num_per_class=4)
+
+
+def test_split_counts_are_what_stratified_split_draws():
+    for size in range(1, 40):
+        labels = np.zeros(size, dtype=int)
+        masks = stratified_split(labels, (0.1, 0.2), np.random.default_rng(size))
+        assert split_counts(size, (0.1, 0.2)).tolist() == [int(m.sum()) for m in masks]
+
+
+@pytest.mark.parametrize("sizes, empty", [((2, 2), "test"), ((1, 1), "val, test")])
+def test_sbm_data_refuses_blocks_too_small_for_every_split_when_built(sizes, empty):
+    with pytest.raises(ValueError, match=f"no nodes in: {empty}$"):
+        SBMData(sbm_sizes=sizes)
+    # A split needs a node of some block, not of every block.
+    assert SBMData(sbm_sizes=(1, 5)).make().test_mask.sum() == 3
 
 
 def test_load_citation_round_trip(tmp_path):

@@ -31,7 +31,6 @@ from ufg.experiments import (
     denoise_signal,
     fingerprint,
     majority_class_accuracy,
-    make_record,
     train_graph_classifier,
     train_node_classifier,
 )
@@ -218,39 +217,39 @@ def test_layer_activation_variants():
 
 # ---------------------------------------------------------------- records
 
+# A record derives its mean, std and failed seeds from what it is given.
+
 def test_make_record_filters_nan_and_lists_failures():
-    rec = make_record([0.5, np.nan, 0.7], wall_clock=1.0)
+    extra = {"task": "sbm_node"}
+    rec = MetricsRecord([0.5, np.nan, 0.7], wall_clock=1.0, extra=extra)
     assert rec.mean == pytest.approx(0.6)
     assert rec.extra["failed_seeds"] == [1]
+    assert rec.extra["task"] == "sbm_node"
+    assert extra == {"task": "sbm_node"}  # the given dict is not written
     assert np.isnan(rec.per_seed[1])
     assert len(rec.per_seed) == 3
+    assert isinstance(rec.per_seed, tuple)
 
 
 def test_make_record_single_seed_has_zero_std():
-    rec = make_record([0.8], wall_clock=0.1)
+    rec = MetricsRecord([0.8], wall_clock=0.1)
     assert rec.std == 0.0
     assert rec.mean == 0.8
+    assert "failed_seeds" not in rec.extra
 
 
 def test_make_record_all_failed_raises():
     with pytest.raises(ValueError, match="every seed failed"):
-        make_record([np.nan, np.nan], wall_clock=0.1)
+        MetricsRecord([np.nan, np.nan], wall_clock=0.1)
 
 
 def test_make_record_zeroes_wall_clock_in_deterministic_mode(monkeypatch):
     monkeypatch.setenv("UFG_DETERMINISTIC", "1")
-    rec = make_record([0.5], wall_clock=3.5)
+    rec = MetricsRecord([0.5], wall_clock=3.5)
     assert rec.wall_clock == 0.0
     monkeypatch.setenv("UFG_DETERMINISTIC", "0")
-    rec2 = make_record([0.5], wall_clock=3.5)
+    rec2 = MetricsRecord([0.5], wall_clock=3.5)
     assert rec2.wall_clock == 3.5
-
-
-def test_metrics_record_rejects_mean_outside_seed_range():
-    with pytest.raises(ValueError, match="mean"):
-        MetricsRecord(
-            per_seed=(0.5, 0.6), mean=0.9, std=0.0, wall_clock=0.0,
-        )
 
 
 @given(
@@ -260,7 +259,7 @@ def test_metrics_record_rejects_mean_outside_seed_range():
     )
 )
 def test_make_record_mean_between_extremes(values):
-    rec = make_record(values, wall_clock=0.0)
+    rec = MetricsRecord(values, wall_clock=0.0)
     assert min(values) - 1e-12 <= rec.mean <= max(values) + 1e-12
     assert rec.std >= 0.0
 
@@ -660,6 +659,7 @@ def test_graph_classifier_builds_operators_in_config_mode(monkeypatch):
 
 
 def test_sum_then_spectrum_builds_each_gcn_adjacency_once(monkeypatch):
+    # One normalization per training call, on the union of its graphs.
     built = []
     real = graphs.gcn_norm_adjacency
 
@@ -674,7 +674,7 @@ def test_sum_then_spectrum_builds_each_gcn_adjacency_once(monkeypatch):
     )
     train_graph_classifier(samples, cfg)
     train_graph_classifier(samples, dataclasses.replace(cfg, pool_mode="spectrum"))
-    assert built == [s.graph.num_nodes for s in samples]
+    assert built == [sum(s.graph.num_nodes for s in samples)] * 2
 
 
 def _mixed_union(pool_mode):

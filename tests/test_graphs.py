@@ -388,12 +388,6 @@ def test_graph_spectral_cache_is_bitwise_the_uncached_functions():
     np.testing.assert_array_equal(g.spectrum.values, spec.values, strict=True)
     np.testing.assert_array_equal(g.spectrum.vectors, spec.vectors, strict=True)
     assert g.lanczos_bound == lambda_max(lap, "lanczos")
-    adj = gcn_norm_adjacency(g)
-    assert g.gcn_adjacency is g.gcn_adjacency
-    for name in ("data", "indices", "indptr"):
-        np.testing.assert_array_equal(
-            getattr(g.gcn_adjacency.csr, name), getattr(adj.csr, name), strict=True
-        )
 
 
 def test_graph_spectral_cache_arrays_are_read_only():
@@ -407,9 +401,6 @@ def test_graph_spectral_cache_arrays_are_read_only():
         "laplacian.indptr": g.laplacian.csr.indptr,
         "spectrum.values": g.spectrum.values,
         "spectrum.vectors": g.spectrum.vectors,
-        "gcn_adjacency.data": g.gcn_adjacency.csr.data,
-        "gcn_adjacency.indices": g.gcn_adjacency.csr.indices,
-        "gcn_adjacency.indptr": g.gcn_adjacency.csr.indptr,
     }
     for name, a in arrays.items():
         with pytest.raises(ValueError, match="read-only"):

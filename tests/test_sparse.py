@@ -11,7 +11,13 @@ from conftest import sparse_matrix
 from ufg import io
 from ufg.datasets import cycles_and_stars, generate_sbm, random_er_graph
 from ufg.experiments import ExperimentConfig, _GraphTask
-from ufg.graphs import _assemble, build_graph, gershgorin_bound, validate_csr
+from ufg.graphs import (
+    _assemble,
+    build_graph,
+    disjoint_union,
+    gershgorin_bound,
+    validate_csr,
+)
 from ufg.perturb import PerturbationSpec, perturb
 from ufg.sparse import SparseMatrix
 from ufg.transform import _recurrence_matrix
@@ -126,11 +132,13 @@ LIBRARY_MATRICES = {
     "generate_sbm": lambda _: generate_sbm([10, 10], 0.5, 0.1, seed=0).graph.adjacency,
     "edge_ratio": _edge_ratio_adjacency,
     "laplacian": lambda _: random_er_graph(50, 4.0, 0).laplacian,
-    "gcn_adjacency": lambda _: random_er_graph(50, 4.0, 0).gcn_adjacency,
-    "recurrence": lambda _: _recurrence_matrix(random_er_graph(50, 4.0, 0).laplacian),
-    "graph_union": lambda _: _GraphTask(
+    # The GCN adjacency of the union _GraphTask normalizes, and the union's own.
+    "gcn_adjacency": lambda _: _GraphTask(
         cycles_and_stars(4, seed=0), ExperimentConfig(task="graph", pool_mode="mean")
     ).norm_adj,
+    "recurrence": lambda _: _recurrence_matrix(random_er_graph(50, 4.0, 0).laplacian),
+    "graph_union": lambda _: disjoint_union(
+        [s.graph for s in cycles_and_stars(4, seed=0)]).adjacency,
 }
 
 

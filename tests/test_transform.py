@@ -30,6 +30,7 @@ from ufg.transform import (
     FrameletSystem,
     block_energies,
     build_operators,
+    check_settings,
     compute_K,
     decompose,
     framelet_operator,
@@ -108,6 +109,18 @@ def test_system_validation():
 def test_system_rejects_a_lam_max_that_sets_no_K(lam_max):
     with pytest.raises(ValueError, match="lam_max must be finite and nonnegative"):
         FrameletSystem(haar_filter_bank(), lam_max=lam_max)
+
+
+def test_check_settings_reads_K_off_lam_max():
+    # lam_max = 0 gives K = 0, the largest K of a normalized Laplacian; a
+    # smaller spectrum's K < 0 raises the top filter argument d^(J-1-K) * 2.
+    check_settings(1e150, 2, 8, "exact")
+    with pytest.raises(ValueError, match=r"d\^\(J-1-K\) \* 2 at J = 2, K = -2$"):
+        check_settings(1e150, 2, 8, "exact", lam_max=1e-300)
+    with pytest.raises(ValueError, match=r"at J = 2, K = -2$"):
+        FrameletSystem(haar_filter_bank(), dilation=1e150, lam_max=1e-300)
+    with pytest.raises(ValueError, match="lam_max must be finite and nonnegative"):
+        check_settings(2.0, 2, 8, "exact", lam_max=np.nan)
 
 
 def test_replaced_system_derives_K_again():
@@ -538,6 +551,24 @@ def _one_group(op, X):
     steps = np.ascontiguousarray(op.system.chebyshev_coeffs.T)
     data = transform._decompose_columns(op.recurrence, steps, X)
     return data, transform._reconstruct_columns(op.recurrence, steps, data)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8])
+def test_column_groups_are_min_of_cpus_and_eighths_when_two_fit(monkeypatch, cpus):
+    # Above SPLIT_WORK a product of d columns splits into min(CPUs, d // 8)
+    # contiguous groups when that is at least 2; narrow signals, d < 8 too,
+    # and small products run as one group.
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: cpus)
+    for d in range(70):
+        assert transform._column_groups(transform.SPLIT_WORK // 70, d) == [(0, d)]
+        groups = transform._column_groups(transform.SPLIT_WORK, d)
+        k = min(cpus, d // transform.GROUP_MIN_COLUMNS)
+        assert len(groups) == max(k, 1)
+        assert groups[0][0] == 0 and groups[-1][1] == d
+        assert all(hi == lo for (_, hi), (lo, _) in zip(groups, groups[1:]))
+        if len(groups) > 1:
+            assert all(hi - lo >= transform.GROUP_MIN_COLUMNS for lo, hi in groups)
+            assert all(lo % transform.GROUP_MIN_COLUMNS == 0 for lo, _ in groups)
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
