@@ -2,8 +2,9 @@
 
 Everything here is seeded through ``numpy.random.default_rng`` and fully
 deterministic given the seed. Random graphs draw their edges with
-``sample_pairs``, which costs O(N + E) and keeps each pair's first draw, and
-hand them to ``graphs.build_graph`` as one ``(M, 3)`` edge array.
+``sample_pairs``, which keeps each pair's first draw and sorts each batch of
+draws, so costs O(E log E), and hand them to ``graphs.build_graph`` as one
+``(M, 3)`` edge array.
 Citation-scale data is user-supplied in the plain-text formats documented
 in ``ufg.io``; only synthetic generators ship.
 """
@@ -116,9 +117,10 @@ def sample_pairs(n: int, m: int, rng, taken: np.ndarray | None = None) -> np.nda
     taken codes and repeats are dropped (Batagelj & Brandes 2005). A batch
     first drops the codes taken or kept before it, with one ``np.isin``
     that runs as a table lookup while codes are dense, and then its own
-    repeats, so only its new codes are sorted. Raises ``ValueError`` if
-    ``m`` is negative, if
-    fewer than ``m`` pairs are free, or if the largest code,
+    repeats: one unstable sort of its new codes groups equal ones, each
+    group's least draw index marks its code's earliest draw, and the marked
+    draws are kept in draw order. Raises ``ValueError`` if ``m`` is
+    negative, if fewer than ``m`` pairs are free, or if the largest code,
     ``n^2 - n - 1``, does not fit int64.
     """
     if m < 0:
@@ -141,8 +143,16 @@ def sample_pairs(n: int, m: int, rng, taken: np.ndarray | None = None) -> np.nda
         v = rng.integers(0, n, size=size)
         drawn = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]
         fresh = drawn[~np.isin(drawn, seen)]
-        _, first = np.unique(fresh, return_index=True)
-        seen = np.concatenate([seen, fresh[np.sort(first)][:need]])
+        if not fresh.size:  # every draw a loop or taken; reduceat needs input
+            continue
+        # An unstable sort groups equal codes; a group's least draw index is
+        # its code's first draw, and the mask keeps those in draw order.
+        order = np.argsort(fresh)
+        code = fresh[order]
+        starts = np.flatnonzero(np.concatenate([[True], code[1:] != code[:-1]]))
+        keep = np.zeros(fresh.size, dtype=bool)
+        keep[np.minimum.reduceat(order, starts)] = True
+        seen = np.concatenate([seen, fresh[keep][:need]])
     return seen[start:]
 
 
@@ -157,8 +167,8 @@ def random_er_graph(num_nodes: int, avg_degree: float, rng) -> Graph:
 
     Draws the binomial edge count, then that many distinct pairs with
     ``sample_pairs``. Given its edge count, a G(n, p) edge set is a uniform
-    subset of that size, so the result is exactly G(n, p), at a cost linear
-    in the edge count rather than n^2 coin flips.
+    subset of that size, so the result is exactly G(n, p), at a cost of
+    O(E log E) for E edges rather than n^2 coin flips.
     """
     check_avg_degree(avg_degree)
     rng = np.random.default_rng(rng)
@@ -258,8 +268,8 @@ def generate_sbm(
 
     Within-block pairs connect with probability ``p_in``, cross-block pairs
     with ``p_out``. Each block pair draws its binomial edge count, then that
-    many distinct pairs, as ``random_er_graph`` does: O(N + E), not a coin
-    flip per node pair (Batagelj & Brandes 2005). Features follow
+    many distinct pairs, as ``random_er_graph`` does: O(N + E log E), not a
+    coin flip per node pair (Batagelj & Brandes 2005). Features follow
     ``feature_model``; labels are the block ids; splits are stratified
     10/20/70 train/val/test. Deterministic given ``seed``.
     """
@@ -404,7 +414,8 @@ def graph_split_sizes(num_graphs: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GraphData:
-    """The graphs of a ``GRAPH_TASKS`` task, ``num_per_class`` of each label."""
+    """The graphs of a ``GRAPH_TASKS`` task, ``num_per_class`` of each label,
+    at least 4 so that the 80/10/10 split has a test graph."""
 
     task: str = "cycles-stars"
     num_per_class: int = 100
@@ -413,10 +424,11 @@ class GraphData:
     def __post_init__(self):
         if self.task not in GRAPH_TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.num_per_class < 1:
-            raise ValueError(f"num_per_class must be >= 1, got {self.num_per_class}: "
+        # Each task has two labels, and 8 graphs are the fewest of which
+        # graph_split_sizes leaves a test graph.
+        if self.num_per_class < 4:
+            raise ValueError(f"num_per_class must be >= 4, got {self.num_per_class}: "
                              "too few for an 80/10/10 split")
-        graph_split_sizes(2 * self.num_per_class)  # each task has two labels
         check_seed(self.data_seed, "data_seed")
 
     def make(self) -> list[GraphSample]:

@@ -17,8 +17,9 @@ belong to the caller.
 
 Every sparse matrix of the library is assembled here, with no SciPy
 format conversion or sparse sum: ``_assemble`` sorts an adjacency's entries
-once, ``_with_diagonal`` merges a diagonal into rows already sorted (the
-Laplacian, the GCN adjacency and ``transform``'s recurrence matrix),
+once, or their bare keys when every weight is equal, ``_with_diagonal``
+merges a diagonal into rows already sorted (the Laplacian, the GCN
+adjacency and ``transform``'s recurrence matrix),
 ``disjoint_union`` concatenates canonical arrays, and ``_csr``, the one
 home of the int32 index rule, ends every build. Values take SciPy's
 operations in SciPy's order, so each matrix is the one SciPy's sparse
@@ -203,20 +204,28 @@ def _assemble(shape: tuple[int, int], rows, cols, vals) -> SparseMatrix:
 
     The entries are sorted by (row, col) once. Entries at one position are
     summed in input order, ``(v_1 + v_2) + v_3``, whatever order the sort
-    leaves them in, and no sum is dropped, not even a zero one.
+    leaves them in, and no sum is dropped, not even a zero one. When every
+    value equals the first, as ``build_graph``'s positive weights then do
+    bit for bit, the bare keys are sorted: any order of equal addends sums
+    alike.
     """
     key = np.asarray(rows, dtype=np.int64) * shape[1] + cols
     vals = np.asarray(vals, dtype=np.float64)
-    order = np.argsort(key)
-    key = key[order]
+    same = vals.size > 0 and bool(np.all(vals == vals[0]))
+    if same:
+        key = np.sort(key)
+    else:
+        order = np.argsort(key)
+        key = key[order]
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
     if first.all():
-        data = vals[order]
+        data = np.full(key.size, vals[0]) if same else vals[order]
     else:
-        slot = np.empty_like(order)
-        slot[order] = np.cumsum(first) - 1
+        slot = np.cumsum(first) - 1  # each sorted entry's output slot
+        if not same:  # taken to input order, the order of ``vals``
+            slot[order] = slot.copy()
         # -0.0 + v is v for every v, so each sum starts at its first term.
         data = np.full(np.count_nonzero(first), -0.0)
         np.add.at(data, slot, vals)

@@ -114,15 +114,18 @@ SPLIT_WORK = 500_000
 GROUP_MIN_COLUMNS = 8
 
 def compute_K(lambda_max: float, d: float) -> int:
-    """Smallest integer K with ``lambda_max <= d^K * pi``.
+    """Smallest integer K with ``lambda_max <= d^K * pi``, or 0 when
+    ``lambda_max == 0`` (an edgeless graph's DC-only spectrum).
 
     Normalizes the Laplacian spectrum into the filters' fundamental domain
     ``[0, pi]``. Negative K is legitimate for spectra compressed below pi/d.
     """
-    if not (lambda_max > 0):
-        raise ValueError("lambda_max must be positive")
+    if not (lambda_max >= 0):
+        raise ValueError(f"lambda_max must be nonnegative, got {lambda_max!r}")
     if not (d > 1):
         raise ValueError("dilation must exceed 1")
+    if lambda_max == 0:
+        return 0
     k = math.ceil(math.log(lambda_max / math.pi) / math.log(d))
     # Scrub boundary roundoff from the float logarithm.
     while d ** (k - 1) * math.pi >= lambda_max:
@@ -150,7 +153,7 @@ def check_settings(dilation: float, levels: int, degree: int, mode: str,
         raise ValueError("degree must be nonnegative")
     if not (0 <= lam_max < math.inf):
         raise ValueError(f"lam_max must be finite and nonnegative, got {lam_max!r}")
-    K = compute_K(lam_max, dilation) if lam_max > 0 else 0
+    K = compute_K(lam_max, dilation)
     try:
         finite = math.isfinite(dilation ** (levels - 1 - K) * 2.0)
     except OverflowError:
@@ -176,9 +179,8 @@ class FrameletSystem:
     lam_max : float
         Top of the Laplacian spectrum, exact or estimated, finite and >= 0.
         It sets only the spectral normalizer ``K``, which is derived from
-        it and never given: the smallest integer with ``d^K * pi >=
-        lam_max``, or 0 when ``lam_max == 0``. Chebyshev fits use the
-        certified interval ``[0, 2]``.
+        it and never given, ``compute_K(lam_max, dilation)``. Chebyshev fits
+        use the certified interval ``[0, 2]``.
     degree : int
         Chebyshev degree t of one level's factors. A block at level J is a
         product of up to J of them, so the Chebyshev backend fits every
@@ -200,9 +202,8 @@ class FrameletSystem:
 
     @cached_property
     def K(self) -> int:
-        """Spectral normalizer: ``compute_K(lam_max, dilation)``, 0 when
-        ``lam_max == 0`` (an edgeless graph's DC-only spectrum)."""
-        return compute_K(self.lam_max, self.dilation) if self.lam_max > 0 else 0
+        """Spectral normalizer: ``compute_K(lam_max, dilation)``."""
+        return compute_K(self.lam_max, self.dilation)
 
     @property
     def num_high(self) -> int:

@@ -133,6 +133,9 @@ def edge_lists(draw):
 @example((1, [(0, 0, 2.0)]))
 @example((3, [(1, 1, 1.0)]))  # a node whose only edge is a self loop
 @example((4, [(0, 1, 0.1), (1, 0, 0.2), (0, 1, 0.3), (2, 2, 3.0), (2, 2, 0.7)]))
+# Equal weights take the sort of the bare keys, with and without repeats.
+@example((4, [(0, 1, 0.5), (1, 0, 0.5), (0, 1, 0.5), (2, 2, 0.5), (2, 2, 0.5)]))
+@example((5, [(3, 1, 0.1), (0, 4, 0.1), (2, 2, 0.1), (1, 0, 0.1)]))
 def test_assembled_matrices_equal_scipy_construction(case):
     n, edges = case
     graph = graphs.build_graph(n, edges)

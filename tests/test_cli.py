@@ -708,7 +708,7 @@ def test_train_graph_negative_graph_count_exits_two(monkeypatch, capsys, task):
             "--seeds", "0"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "num_per_class must be >= 1, got -3" in err and "training started" not in err
+    assert "num_per_class must be >= 4, got -3" in err and "training started" not in err
 
 
 @pytest.mark.parametrize("count", ["1", "2", "3"])
@@ -720,7 +720,8 @@ def test_train_graph_too_few_graphs_for_a_test_split_exits_two_before_any_data(
     argv = ["train-graph", "--num-per-class", count, "--epochs", "1", "--seeds", "0"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{2 * int(count)} graphs are too few for an 80/10/10 split" in err
+    assert (f"num_per_class must be >= 4, got {count}: too few for an 80/10/10 split"
+            in err)
     assert "dataset generated" not in err
 
 

@@ -146,6 +146,66 @@ def test_sample_pairs_takes_the_last_free_pairs_in_few_batches(keep):
     assert rng.batches <= 12
 
 
+def _sample_pairs_by_unique(n, m, rng, taken=None):
+    """``sample_pairs`` with each batch's first draws found by
+    ``np.unique(return_index=True)``, whose stable sort keeps the first
+    draw of every code, and put back in draw order by a second sort."""
+    seen = np.asarray([] if taken is None else taken, dtype=np.int64)
+    pairs = n * (n - 1) // 2
+    start, stop = seen.size, seen.size + m
+    while seen.size < stop:
+        need = stop - seen.size
+        size = 2 * need * pairs // (pairs - seen.size) + 8
+        u = rng.integers(0, n, size=size)
+        v = rng.integers(0, n, size=size)
+        drawn = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]
+        fresh = drawn[~np.isin(drawn, seen)]
+        _, first = np.unique(fresh, return_index=True)
+        seen = np.concatenate([seen, fresh[np.sort(first)][:need]])
+    return seen[start:]
+
+
+class _LoopsFirstRng(_CountingRng):
+    """Draws only loops in its first batch, so that batch has no fresh code."""
+
+    def integers(self, low, high, size):
+        if self.batches < 1:
+            self.batches += 0.5
+            return np.zeros(size, dtype=np.int64)
+        return super().integers(low, high, size)
+
+
+def _taken_half(n, seed):
+    u, v = np.triu_indices(n, 1)
+    return np.random.default_rng(seed).permutation(u * n + v)[: u.size // 2]
+
+
+@pytest.mark.parametrize("n, m, taken, min_batches", [
+    (2000, 10_000, None, 1),  # sparse: repeats are rare
+    (2000, 10_000, _taken_half(2000, 1)[:5000], 1),
+    (64, 1280, None, 1),  # dense: average degree 40, many repeats
+    (64, 2000, None, 3),  # denser still, over several batches
+    (64, 1008, _taken_half(64, 2), 3),
+    (30, 435, None, 3),  # the last free pairs
+    (30, 218, _taken_half(30, 3), 3),
+])
+def test_sample_pairs_keeps_the_first_draw_of_each_code_in_draw_order(
+    n, m, taken, min_batches
+):
+    for seed in range(3):
+        rng = _CountingRng(seed)
+        got = sample_pairs(n, m, rng, taken=taken)
+        np.testing.assert_array_equal(
+            got, _sample_pairs_by_unique(n, m, np.random.default_rng(seed), taken))
+        assert rng.batches >= min_batches
+    # A first batch of loops only leaves nothing fresh to sort.
+    rng = _LoopsFirstRng(7)
+    want_rng = _LoopsFirstRng(7)
+    np.testing.assert_array_equal(sample_pairs(n, m, rng, taken=taken),
+                                  _sample_pairs_by_unique(n, m, want_rng, taken))
+    assert rng.batches >= 2
+
+
 def _largest_codable_n():
     """The largest n whose largest pair code, n^2 - n - 1, fits int64."""
     n = math.isqrt(np.iinfo(np.int64).max)
@@ -440,7 +500,7 @@ def test_graph_data_makes_its_task():
 
 @pytest.mark.parametrize("count", [0, -1])
 def test_graph_data_refuses_fewer_than_one_graph_per_class_when_built(count):
-    with pytest.raises(ValueError, match=rf"num_per_class must be >= 1, got {count}: "
+    with pytest.raises(ValueError, match=rf"num_per_class must be >= 4, got {count}: "
                                          "too few for an 80/10/10 split"):
         GraphData(num_per_class=count)
 
@@ -451,6 +511,9 @@ def test_graph_split_sizes_leave_a_test_graph_from_four_per_class():
     for count in (1, 2, 3):
         with pytest.raises(ValueError, match=f"^{2 * count} graphs are too few "
                                              r"for an 80/10/10 split$"):
+            graph_split_sizes(2 * count)
+        with pytest.raises(ValueError, match=f"^num_per_class must be >= 4, got {count}: "
+                                             r"too few for an 80/10/10 split$"):
             GraphData(num_per_class=count)
     GraphData(num_per_class=4)
 

@@ -159,6 +159,7 @@ def _perturbed_edges(value):
 GOLDEN_GRAPHS = {
     "er300": lambda: random_er_graph(300, 5.0, 0),
     "er2000": lambda: random_er_graph(2000, 5.0, 1),
+    "er64dense": lambda: random_er_graph(64, 40.0, 7),
     "sbm": lambda: generate_sbm([10, 10, 10], 0.5, 0.05, seed=3).graph,
     "perturb0.5": lambda: _perturbed_edges(0.5),
     "perturb2": lambda: _perturbed_edges(2.0),
@@ -173,6 +174,11 @@ GOLDEN_DIGESTS = {
         "f5f0d67673fef4eb55a8ee3e2981dc6dac88025cacf434dd598bc24fd502b936",
         "7942678becc1e2884c5be71e280cd6309b6bad8bb3f544223da680a99068b2b8",
         "7f8614f4c7d9e08633e2b6da143e27944bf2908aa49a717f4895be0e1e7c3a21",
+    ),
+    "er64dense": (
+        "5757b2eb29ea6be0f783c62830aeb20d911eef86364885d97284be39333388a0",
+        "9cc77834d25d5914f262ede5812430992d04cd5001f101566710bd5830cc5e16",
+        "97a142af5e2ed55256d1285e5acac21a237bbbc22686cfa375b5040e95f45ea3",
     ),
     "sbm": (
         "f3207e64c367a24df5de80acc0bc37faa28f36d3c506e1e153c11a984f1c08fc",

@@ -69,8 +69,10 @@ def test_compute_K_oracles():
 
 
 def test_compute_K_rejects_bad_args():
-    with pytest.raises(ValueError, match="positive"):
-        compute_K(0.0, 2.0)
+    assert compute_K(0.0, 2.0) == 0  # an edgeless graph's DC-only spectrum
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="lambda_max must be nonnegative"):
+            compute_K(bad, 2.0)
     with pytest.raises(ValueError, match="dilation"):
         compute_K(1.0, 1.0)
 
