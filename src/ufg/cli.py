@@ -11,7 +11,7 @@ counts, thresholds) is a shell loop over runs. ``train-node`` can apply one
 Defaults: no flag has a default of its own. A flag left out takes the
 library's default (a command passes on only the flags given), and choices
 are the library's: training flags default to ``ExperimentConfig``,
-transform flags to ``FrameletSystem``, data flags to ``datasets.SBMData``
+transform flags to ``TransformSettings``, data flags to ``datasets.SBMData``
 or ``GraphData`` (``train-node --data-dir`` reads citation data instead of
 an SBM), the rest to the function or spec they reach. A training summary's
 ``fingerprint`` hashes its config, data spec and perturbation.
@@ -129,13 +129,12 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
 
 def _signal_and_operator(args):
     """The ``--signal`` file, and the framelet operator of the ``--graph``
-    file set by the system flags. The settings are checked first, as
-    ``ExperimentConfig`` checks them, so bad ones read no file."""
-    settings = _given(args, "dilation", "levels", "degree", "mode")
-    transform.FrameletSystem(haar_filter_bank(), **settings)
+    file set by the system flags, which are checked before any file is read."""
+    settings = transform.TransformSettings(
+        **_given(args, *(f.name for f in fields(transform.TransformSettings))))
     graph = io.read_graph_text(args.graph)
     signal = io.read_features_csv(args.signal)
-    return signal, transform.framelet_operator(graph, **settings)
+    return signal, transform.framelet_operator(graph, settings)
 
 
 def _cmd_transform(args) -> int:
@@ -158,7 +157,7 @@ def _cmd_reconstruct(args) -> int:
             f"passes; the graph's Haar operator has {graph.num_nodes} and {haar_high}")
     if digest != io.laplacian_digest(graph.laplacian):
         raise ValueError(f"{args.coeffs}: written for another graph than {args.graph}")
-    op = transform.framelet_operator(graph, **settings)
+    op = transform.framelet_operator(graph, settings)
     signal = transform.reconstruct(op, data)
     summary = {"nodes": graph.num_nodes, "out": args.out}
     if args.reference:

@@ -49,8 +49,7 @@ from .nn import (
 from .shrinkage import ThresholdConfig, compression_ratio, shrink_stack
 from .transform import (
     DecompositionOperator,
-    FrameletSystem,
-    check_settings,
+    TransformSettings,
     decompose,
     framelet_operator,
     reconstruct,
@@ -65,7 +64,7 @@ BENCH_FEATURES = 4  # signal columns of each ``bench_transform`` round trip
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for one experiment family; the training defaults are the
-    grid centroids used throughout, the transform's are ``FrameletSystem``'s.
+    grid centroids used throughout, the transform's are ``TransformSettings``'.
 
     Both tasks train in one loop; ``dropout`` is read by the node model only
     (the graph model has no dropout layer) and ``patience``, the early
@@ -73,10 +72,10 @@ class ExperimentConfig:
     """
 
     task: str = "sbm_node"
-    dilation: float = FrameletSystem.dilation
-    levels: int = FrameletSystem.levels
-    degree: int = FrameletSystem.degree
-    mode: str = FrameletSystem.mode
+    dilation: float = TransformSettings.dilation
+    levels: int = TransformSettings.levels
+    degree: int = TransformSettings.degree
+    mode: str = TransformSettings.mode
     activation: str = "relu"
     sigma: float = 1.0
     threshold_mode: str = "energy_scaled"
@@ -107,12 +106,17 @@ class ExperimentConfig:
             raise ValueError(rule)
         for seed in self.seeds:
             check_seed(seed, f"{rule}: seed")
-        check_settings(self.dilation, self.levels, self.degree, self.mode)
+        self.transform  # checks the transform settings
         ThresholdConfig(self.sigma, self.threshold_mode)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.pool_mode not in POOL_MODES:
             raise ValueError(f"unknown pool mode {self.pool_mode!r}")
+
+    @property
+    def transform(self) -> TransformSettings:
+        """The four transform fields as one ``TransformSettings``."""
+        return TransformSettings(self.dilation, self.levels, self.degree, self.mode)
 
 
 def fingerprint(config: ExperimentConfig, data, perturbation=None) -> str:
@@ -158,9 +162,7 @@ def build_node_operator(
     data: NodeDataset, config: ExperimentConfig
 ) -> DecompositionOperator:
     """Framelet operator for a node dataset under the config's system."""
-    return framelet_operator(
-        data.graph, config.dilation, config.levels, config.degree, config.mode
-    )
+    return framelet_operator(data.graph, config.transform)
 
 
 def _layer_activations(
@@ -341,9 +343,7 @@ class _GraphTask:
         self.sizes = np.array([s.graph.num_nodes for s in samples])
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.ops = () if config.pool_mode == "mean" else tuple(
-            framelet_operator(s.graph, config.dilation, config.levels, config.degree,
-                              config.mode)
-            for s in samples
+            framelet_operator(s.graph, config.transform) for s in samples
         )
         union = graphs.disjoint_union([s.graph for s in samples])
         self.norm_adj = graphs.gcn_norm_adjacency(union)
@@ -465,7 +465,7 @@ def bench_transform(
     avg_degree: float = 1.5,
     levels: int = 1,
     degree: int = 5,
-    dilation: float = FrameletSystem.dilation,
+    dilation: float = TransformSettings.dilation,
     repetitions: int = 100,
     seed: int = 0,
 ) -> list[dict]:
@@ -487,7 +487,7 @@ def bench_transform(
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     check_seed(seed, "seed")
     check_avg_degree(avg_degree)
-    check_settings(dilation, levels, degree, "chebyshev")
+    settings = TransformSettings(dilation, levels, degree, "chebyshev")
     sizes = list(node_sizes)
     if sizes != sorted(sizes):
         raise ValueError("node sizes must be ascending")
@@ -503,7 +503,7 @@ def bench_transform(
                 # computes its own Laplacian, estimate and operator.
                 fresh = replace(graph)
                 t0 = time.perf_counter()
-                op = framelet_operator(fresh, dilation, levels, degree, "chebyshev")
+                op = framelet_operator(fresh, settings)
                 build_times.append(time.perf_counter() - t0)
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(int(n), BENCH_FEATURES))

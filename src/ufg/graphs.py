@@ -97,7 +97,7 @@ class Graph:
         """``lambda_max(self.laplacian, "lanczos")``, computed once."""
         return lambda_max(self.laplacian, "lanczos")
 
-    def cached(self, key: tuple, build: Callable[[], Any]) -> Any:
+    def cached(self, key: object, build: Callable[[], Any]) -> Any:
         """``build()``, kept in the graph's one slot under ``key``.
 
         A call with the key of the kept value returns that very object; a

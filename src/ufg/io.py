@@ -31,7 +31,7 @@ import struct
 import numpy as np
 
 from . import graphs
-from .transform import MODES
+from .transform import MODES, TransformSettings
 
 COEFF_MAGIC = b"UFGC"
 FORMAT_VERSION = 4
@@ -174,13 +174,13 @@ def laplacian_digest(lap) -> bytes:
 def write_coefficients(op, coeffs, path: str) -> None:
     """Write ``coeffs``, the ``(B, N, d)`` coefficients of a signal under the
     framelet operator ``op``, with its transform settings and graph digest."""
-    system, shape = op.system, np.shape(coeffs)
+    settings, shape = op.system.settings, np.shape(coeffs)
     if len(shape) != 3 or shape[:2] != (op.num_blocks, op.num_nodes):
         raise ValueError(f"coefficient array does not match the operator: shape "
                          f"{shape}, need ({op.num_blocks}, {op.num_nodes}, d)")
     head = COEFF_MAGIC + _COEFF_HEADER.pack(
-        FORMAT_VERSION, op.num_nodes, shape[2], system.num_high,
-        system.levels, system.degree, MODES.index(system.mode), system.dilation,
+        FORMAT_VERSION, op.num_nodes, shape[2], op.system.num_high,
+        settings.levels, settings.degree, MODES.index(settings.mode), settings.dilation,
         laplacian_digest(op.lap),
     )
     payload = np.ascontiguousarray(coeffs, dtype="<f8").tobytes()
@@ -193,9 +193,9 @@ def write_coefficients(op, coeffs, path: str) -> None:
 
 def read_coefficients(path: str):
     """``(settings, num_high, num_nodes, digest, data)``: ``settings`` are
-    the dilation, levels, degree and mode keywords of ``framelet_operator``,
-    ``digest`` the ``laplacian_digest`` of the file's graph, ``data`` the
-    ``(B, N, d)`` coefficients."""
+    the file's ``TransformSettings``, ``digest`` the ``laplacian_digest`` of
+    its graph, ``data`` the ``(B, N, d)`` coefficients. Settings that
+    ``TransformSettings`` refuses raise ``ValueError`` naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != COEFF_MAGIC:
@@ -219,6 +219,10 @@ def read_coefficients(path: str):
     _, n, d, n_high, levels, degree, mode, dilation, digest = header
     if mode >= len(MODES):
         raise ValueError(f"{path}: unknown mode code {mode}")
+    try:
+        settings = TransformSettings(dilation, levels, degree, MODES[mode])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     shape = (n_high * levels + 1, n, d)
     if len(payload) != math.prod(shape) * 8:
         raise ValueError(
@@ -227,8 +231,6 @@ def read_coefficients(path: str):
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in the payload")
-    settings = {"dilation": dilation, "levels": levels, "degree": degree,
-                "mode": MODES[mode]}
     return settings, n_high, n, digest, data
 
 

@@ -78,9 +78,10 @@ take one, and a per-block quantity is an operation on its first axis.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -135,32 +136,47 @@ def compute_K(lambda_max: float, d: float) -> int:
     return k
 
 
-def check_settings(dilation: float, levels: int, degree: int, mode: str,
-                   lam_max: float = 0.0) -> None:
-    """Raise ``ValueError`` unless the settings can transform a Laplacian of
-    top eigenvalue ``lam_max``: finite dilation > 1, levels >= 1, a known
-    mode, degree >= 0, finite ``lam_max >= 0`` and a finite top filter
-    argument ``d^(J-1-K) * 2``. At ``lam_max = 0``, K = 0, the largest K of
-    a normalized Laplacian: what fails there fails on any graph, the check
-    ``ExperimentConfig`` and ``bench_transform`` make before one exists."""
-    if not (1 < dilation < math.inf):
-        raise ValueError("dilation must be finite and exceed 1")
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if not (0 <= lam_max < math.inf):
-        raise ValueError(f"lam_max must be finite and nonnegative, got {lam_max!r}")
-    K = compute_K(lam_max, dilation)
-    try:
-        finite = math.isfinite(dilation ** (levels - 1 - K) * 2.0)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"dilation {dilation!r} overflows the top filter "
-                         f"argument d^(J-1-K) * 2 at J = {levels}, K = {K}")
+@dataclass(frozen=True)
+class TransformSettings:
+    """The four settings of a framelet transform besides its filter bank,
+    checked once for any graph: the dilation d, a finite float > 1; the
+    levels J >= 1 and the Chebyshev degree t >= 0 of one level's factors,
+    integers stored as ``int``; and the mode, ``"exact"`` (eigenbasis) or
+    ``"chebyshev"`` (matrix-free). The top filter argument ``d^(J-1-K) * 2``
+    must be finite at K = 0, the largest K of a normalized Laplacian. A
+    refused setting raises ``ValueError`` naming it."""
+
+    dilation: float = 2.0
+    levels: int = 2
+    degree: int = DEFAULT_CHEBYSHEV_DEGREE
+    mode: str = "exact"
+
+    def __post_init__(self):
+        for name in ("levels", "degree"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "dilation", float(self.dilation))
+        if not (1 < self.dilation < math.inf):
+            raise ValueError("dilation must be finite and exceed 1")
+        if self.levels < 1:
+            raise ValueError("levels must be >= 1")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.degree < 0:
+            raise ValueError("degree must be nonnegative")
+        self._check_top_argument(0)
+
+    def _check_top_argument(self, K: int) -> None:
+        """Raise ``ValueError`` unless ``d^(J-1-K) * 2`` is finite."""
+        try:
+            finite = math.isfinite(self.dilation ** (self.levels - 1 - K) * 2.0)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"dilation {self.dilation!r} overflows the top filter "
+                             f"argument d^(J-1-K) * 2 at J = {self.levels}, K = {K}")
 
 
 @dataclass(frozen=True)
@@ -171,39 +187,28 @@ class FrameletSystem:
     ----------
     bank : FilterBank
         Low-pass / high-pass masks; tightness requires partition of unity.
-    dilation : float
-        Finite scale base d > 1, small enough that the largest filter
-        argument ``d^(J-1-K) * 2`` is finite.
-    levels : int
-        Number of scale levels J >= 1.
+    settings : TransformSettings
+        The settings, whose top filter argument must be finite at this K too.
     lam_max : float
         Top of the Laplacian spectrum, exact or estimated, finite and >= 0.
         It sets only the spectral normalizer ``K``, which is derived from
         it and never given, ``compute_K(lam_max, dilation)``. Chebyshev fits
         use the certified interval ``[0, 2]``.
-    degree : int
-        Chebyshev degree t of one level's factors. A block at level J is a
-        product of up to J of them, so the Chebyshev backend fits every
-        block's gain at ``t + 4 (J - 1)`` and keeps ``recurrence_degree``
-        after chopping the round-off terms.
-    mode : str
-        ``"exact"`` (eigenbasis) or ``"chebyshev"`` (matrix-free polynomials).
     """
 
     bank: FilterBank
-    dilation: float = 2.0
-    levels: int = 2
+    settings: TransformSettings = TransformSettings()
     lam_max: float = 2.0
-    degree: int = DEFAULT_CHEBYSHEV_DEGREE
-    mode: str = "exact"
 
     def __post_init__(self):
-        check_settings(self.dilation, self.levels, self.degree, self.mode, self.lam_max)
+        if not (0 <= self.lam_max < math.inf):
+            raise ValueError(f"lam_max must be finite and nonnegative, got {self.lam_max!r}")
+        self.settings._check_top_argument(self.K)
 
     @cached_property
     def K(self) -> int:
         """Spectral normalizer: ``compute_K(lam_max, dilation)``."""
-        return compute_K(self.lam_max, self.dilation)
+        return compute_K(self.lam_max, self.settings.dilation)
 
     @property
     def num_high(self) -> int:
@@ -211,33 +216,35 @@ class FrameletSystem:
 
     @property
     def num_blocks(self) -> int:
-        return self.num_high * self.levels + 1
+        return self.num_high * self.settings.levels + 1
 
     def block_index(self) -> tuple[tuple[int, int], ...]:
         """Canonical block order: low pass (0, J) first, then (r, j) r-major."""
-        order: list[tuple[int, int]] = [(0, self.levels)]
+        J = self.settings.levels
+        order: list[tuple[int, int]] = [(0, J)]
         for r in range(1, self.num_high + 1):
-            for j in range(1, self.levels + 1):
+            for j in range(1, J + 1):
                 order.append((r, j))
         return tuple(order)
 
     def factor_scale(self, j: int) -> float:
         """Argument scale ``d^{j-1-K}`` of the level-j filter factor."""
-        return self.dilation ** (j - 1 - self.K)
+        return self.settings.dilation ** (j - 1 - self.K)
 
     def block_gains(self, lam) -> np.ndarray:
         """Every block's gain at the eigenvalues ``lam``: a ``(B, len(lam))``
         array in ``block_index`` order, the low-pass chain through level J
         first, then ``b_r(d^{j-1-K} lam)`` times the chain below level j."""
         lam = np.asarray(lam, dtype=np.float64)
+        J = self.settings.levels
         # chain[j] = product of low-pass factor values through level j
         chain = [np.ones_like(lam)]
-        for j in range(1, self.levels + 1):
+        for j in range(1, J + 1):
             chain.append(chain[-1] * self.bank.low_pass(self.factor_scale(j) * lam))
         return np.array([chain[-1]] + [
             b(self.factor_scale(j) * lam) * chain[j - 1]
             for b in self.bank.high_passes
-            for j in range(1, self.levels + 1)
+            for j in range(1, J + 1)
         ])
 
     @property
@@ -262,7 +269,8 @@ class FrameletSystem:
         ``[0, 2]``. The cut is read off the coefficients because it moves
         with d, K and J.
         """
-        coeffs = chebyshev_fit(self.block_gains, self.degree + 4 * (self.levels - 1))
+        t, J = self.settings.degree, self.settings.levels
+        coeffs = chebyshev_fit(self.block_gains, t + 4 * (J - 1))
         # tail[k]: sum over the columns from k on of their largest magnitude
         tail = np.cumsum(np.max(np.abs(coeffs), axis=0)[::-1])[::-1]
         keep = max(1, int(np.count_nonzero(tail >= CHOP_TOL)))
@@ -284,9 +292,9 @@ class FrameletSystem:
 # ``build_operators``' operator instead. Each ``chebyshev_*`` call builds
 # an operator, and so ``S``, anew.
 def make_system(bank: FilterBank, lam_max: float, **settings) -> FrameletSystem:
-    """``FrameletSystem`` with ``lam_max`` first and its other fields as
-    keywords."""
-    return FrameletSystem(bank, lam_max=float(lam_max), **settings)
+    """``FrameletSystem`` with ``lam_max`` first and its ``TransformSettings``
+    as keywords."""
+    return FrameletSystem(bank, TransformSettings(**settings), float(lam_max))
 
 
 def chebyshev_decompose(system: FrameletSystem, lap: SparseMatrix, X) -> np.ndarray:
@@ -328,7 +336,7 @@ class DecompositionOperator:
     rows: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        chebyshev = self.system.mode == "chebyshev"
+        chebyshev = self.system.settings.mode == "chebyshev"
         if (self.stack is None) != chebyshev:
             raise ValueError("exact mode needs a dense stack, chebyshev mode none")
         if (self.recurrence is None) == chebyshev:
@@ -406,14 +414,11 @@ class DecompositionOperator:
 
     @property
     def provenance(self) -> dict:
-        """How the operator was built: mode, degree, K, dilation, levels,
-        ``operator_bytes``, and in Chebyshev mode ``recurrence_degree`` and
-        ``fit_residual``."""
+        """How the operator was built: its settings, K and ``operator_bytes``,
+        and in Chebyshev mode ``recurrence_degree`` and ``fit_residual``."""
         s = self.system
-        out = {"mode": s.mode, "degree": s.degree, "K": s.K,
-               "dilation": s.dilation, "levels": s.levels,
-               "operator_bytes": self.operator_bytes}
-        if s.mode == "chebyshev":
+        out = {**asdict(s.settings), "K": s.K, "operator_bytes": self.operator_bytes}
+        if s.settings.mode == "chebyshev":
             out["recurrence_degree"] = s.recurrence_degree
             out["fit_residual"] = s.fit_residual
         return out
@@ -446,7 +451,7 @@ def build_operators(
     n = lap.num_rows
     if lap.csr.shape[1] != n:
         raise ValueError("Laplacian must be square")
-    if system.mode == "exact":
+    if system.settings.mode == "exact":
         if spectrum is None:
             raise ValueError("exact mode requires a spectrum")
         if spectrum.values.shape[0] != n:
@@ -461,11 +466,7 @@ def build_operators(
 
 
 def framelet_operator(
-    graph: graphs.Graph,
-    dilation: float = FrameletSystem.dilation,
-    levels: int = FrameletSystem.levels,
-    degree: int = FrameletSystem.degree,
-    mode: str = FrameletSystem.mode,
+    graph: graphs.Graph, settings: TransformSettings = TransformSettings()
 ) -> DecompositionOperator:
     """Haar framelet operator of a graph's normalized Laplacian.
 
@@ -480,23 +481,18 @@ def framelet_operator(
     from one ``Graph`` object, in either mode and at any dilation, levels
     or degree, shares one Laplacian, one Lanczos run and at most one
     eigendecomposition, kept as long as the graph lives. The graph also
-    keeps the operator itself, in its ``cached`` slot: a call with the
-    settings of the kept operator returns that very object, and a call with
-    other settings builds one and replaces it. Settings that print
-    differently, such as ``dilation=2`` and ``2.0``, count as different.
-    The graph's adjacency and caches and the operator's arrays are
-    read-only.
+    keeps the operator itself, in its ``cached`` slot: a call with settings
+    equal to those of the kept operator returns that very object, and a
+    call with other settings builds one and replaces it. The graph's
+    adjacency and caches and the operator's arrays are read-only.
     """
-    settings = (dilation, levels, degree, mode)
 
     def build() -> DecompositionOperator:
-        spectrum = graph.spectrum if mode == "exact" else None
-        system = FrameletSystem(
-            haar_filter_bank(), dilation, levels, graph.lanczos_bound, degree, mode
-        )
+        spectrum = graph.spectrum if settings.mode == "exact" else None
+        system = FrameletSystem(haar_filter_bank(), settings, graph.lanczos_bound)
         return build_operators(system, graph.laplacian, spectrum)
 
-    return graph.cached(tuple((type(v), v) for v in settings), build)
+    return graph.cached(settings, build)
 
 
 def decompose(op: DecompositionOperator, X: np.ndarray) -> np.ndarray:

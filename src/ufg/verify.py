@@ -9,6 +9,8 @@ one JSON line per property and backend, and exits 3 if any check fails.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
@@ -32,7 +34,8 @@ from .shrinkage import (
     shrink_stack,
     soft_threshold,
 )
-from .transform import MODES, block_energies, decompose, framelet_operator, reconstruct
+from .transform import (MODES, TransformSettings, block_energies, decompose,
+                        framelet_operator, reconstruct)
 
 # Round-trip tolerance of each backend: the exact stack is tight to
 # round-off, the degree-16 Chebyshev fit to 1e-6.
@@ -59,7 +62,7 @@ def _fixtures(n: int, seed: int):
     graph = random_er_graph(n, avg_degree=6.0, rng=rng)
     # Every operator of the suite comes from framelet_operator, so K comes
     # from the graph's one Lanczos bound on both backends.
-    ops = {mode: framelet_operator(graph, levels=2, mode=mode) for mode in MODES}
+    ops = {m: framelet_operator(graph, TransformSettings(levels=2, mode=m)) for m in MODES}
     X = rng.normal(size=(n, 3))
     return {"rng": rng, "graph": graph, "system": ops["exact"].system, "ops": ops, "X": X}
 
@@ -171,7 +174,7 @@ def _check_round_trip(fx, op):
     X = fx["X"]
     err = np.linalg.norm(reconstruct(op, decompose(op, X)) - X)
     rel = _rel(err, np.linalg.norm(X))
-    tol = _ROUND_TRIP_TOL[op.system.mode]
+    tol = _ROUND_TRIP_TOL[op.system.settings.mode]
     return _bounded(rel, tol, f"relative round-trip error {rel:.2e} (tol {tol:g})")
 
 
@@ -179,19 +182,19 @@ def _check_parseval(fx, op):
     X = fx["X"]
     total = sum(block_energies(decompose(op, X)))
     rel = abs(total - np.sum(X**2)) / np.sum(X**2)
-    tol = _ROUND_TRIP_TOL[op.system.mode]
+    tol = _ROUND_TRIP_TOL[op.system.settings.mode]
     return _bounded(rel, tol, f"relative energy mismatch {rel:.2e} (tol {tol:g})")
 
 
 def _check_cascade(fx, op):
-    system, X = op.system, fx["X"]
+    system, settings, X = op.system, op.system.settings, fx["X"]
     worst = 0.0
     prev_low = X
-    for j in range(1, system.levels + 1):
+    for j in range(1, settings.levels + 1):
         # The graph keeps only its latest operator, the levels J - 1 one by
         # now, so the levels-J operator is the fixture's rather than a rebuild.
-        op_j = (op if j == system.levels
-                else framelet_operator(fx["graph"], levels=j, mode=system.mode))
+        op_j = (op if j == settings.levels
+                else framelet_operator(fx["graph"], replace(settings, levels=j)))
         c = decompose(op_j, X)
         low_j = c[0]
         detail = sum(float(np.sum(c[op_j.block_index.index((r, j))] ** 2))
@@ -205,8 +208,8 @@ def _check_cascade(fx, op):
 
 def _check_stacked_tightness(fx):
     errors = {}
-    cheb8 = framelet_operator(fx["graph"], levels=fx["system"].levels, degree=8,
-                              mode="chebyshev")
+    cheb8 = framelet_operator(
+        fx["graph"], replace(fx["system"].settings, degree=8, mode="chebyshev"))
     # The fixture's Chebyshev operator is the t = 16 one.
     for t, op in ((8, cheb8), (16, fx["ops"]["chebyshev"])):
         w = _explicit(op)
@@ -225,7 +228,7 @@ def _check_lowpass_telescope(fx):
     system, spectrum = fx["system"], fx["graph"].spectrum
     lam = spectrum.values
     prod = np.ones_like(lam)
-    for j in range(1, system.levels + 1):
+    for j in range(1, system.settings.levels + 1):
         prod = prod * system.bank.low_pass(system.factor_scale(j) * lam)
     direct = spectrum.matrix_function(prod)
     low = _explicit(fx["ops"]["exact"])[: lam.size]
@@ -275,7 +278,7 @@ def _check_layer_identity(fx, op):
     params = {"W": np.eye(d), "theta": np.ones(op.num_rows), "bias": np.zeros(d)}
     y, _ = ufg_conv_forward(params, op, X, None)
     rel = _rel(np.linalg.norm(y - X), np.linalg.norm(X))
-    tol = _ROUND_TRIP_TOL[op.system.mode]
+    tol = _ROUND_TRIP_TOL[op.system.settings.mode]
     return _bounded(rel, tol, f"identity-layer relative error {rel:.2e}")
 
 
@@ -294,7 +297,7 @@ def _check_gradients(fx, fixture_op):
     rng = np.random.default_rng(11)
     n, d, dd = 12, 3, 2
     graph = random_er_graph(n, avg_degree=3.0, rng=rng)
-    op = framelet_operator(graph, levels=2, mode=fixture_op.system.mode)
+    op = framelet_operator(graph, fixture_op.system.settings)
     X = rng.normal(size=(n, d))
     labels = rng.integers(0, dd, size=n)
     # Its W, theta, bias order numbers the coordinates the seeded check draws.
@@ -338,7 +341,7 @@ def _check_training_determinism(fx, op):
         )
 
     config = ExperimentConfig(epochs=3, seeds=(0,), hidden=4, task="determinism",
-                              mode=op.system.mode)
+                              mode=op.system.settings.mode)
     # Two equal datasets, so that the re-run computes its own Laplacian,
     # spectrum and operator instead of reading the first run's.
     a = train_node_classifier(data(), config)

@@ -14,7 +14,7 @@ from ufg.datasets import random_er_graph
 from ufg.filters import haar_filter_bank
 from ufg.graphs import _assemble, build_graph, eigendecompose, normalized_laplacian
 from ufg.sparse import SparseMatrix
-from ufg.transform import FrameletSystem, build_operators
+from ufg.transform import FrameletSystem, TransformSettings, build_operators
 
 
 def path_graph(num_nodes):
@@ -92,7 +92,7 @@ def small_spectrum(small_laplacian):
 @pytest.fixture(scope="session")
 def small_system(small_spectrum):
     lam = float(small_spectrum.values[-1])
-    return FrameletSystem(haar_filter_bank(), levels=2, lam_max=lam, mode="exact")
+    return FrameletSystem(haar_filter_bank(), TransformSettings(levels=2, mode="exact"), lam)
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,7 @@ from ufg.shrinkage import (
 )
 from ufg.transform import (
     FrameletSystem,
+    TransformSettings,
     block_energies,
     build_operators,
     decompose,
@@ -102,8 +103,9 @@ def corpus():
         spectrum = eigendecompose(lap)
         lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
         system = FrameletSystem(
-            haar_filter_bank(), dilation=2.0, levels=1 + i % 3, lam_max=lam,
-            mode="exact",
+            haar_filter_bank(),
+            TransformSettings(dilation=2.0, levels=1 + i % 3, mode="exact"),
+            lam,
         )
         op = build_operators(system, lap, spectrum)
         cases.append(
@@ -150,7 +152,7 @@ def test_criterion_03_chebyshev_tightness_convergence(report):
     errors = {}
     for t in (8, 16):
         system = FrameletSystem(
-            haar_filter_bank(), levels=2, lam_max=lam, degree=t, mode="chebyshev"
+            haar_filter_bank(), TransformSettings(levels=2, degree=t, mode="chebyshev"), lam
         )
         op = build_operators(system, lap)
         w = decompose(op, np.eye(lap.num_rows)).reshape(op.num_rows, lap.num_rows)
@@ -179,8 +181,9 @@ def test_criterion_05_cascade_energy_identity(corpus, report):
     for case in corpus["cases"]:
         system, X = case["system"], case["X"]
         prev_low = X
-        for j in range(1, system.levels + 1):
-            sub = dataclasses.replace(system, levels=j)
+        for j in range(1, system.settings.levels + 1):
+            settings = dataclasses.replace(system.settings, levels=j)
+            sub = dataclasses.replace(system, settings=settings)
             op_j = build_operators(sub, case["lap"], case["spectrum"])
             c = decompose(op_j, X)
             low = c[0]
@@ -254,7 +257,9 @@ def test_criterion_06_gradient_fidelity(report):
         lap = normalized_laplacian(graph)
         spectrum = eigendecompose(lap)
         lam = float(spectrum.values[-1]) if spectrum.values.size else 0.0
-        system = FrameletSystem(haar_filter_bank(), levels=2, lam_max=lam, mode="exact")
+        system = FrameletSystem(
+            haar_filter_bank(), TransformSettings(levels=2, mode="exact"), lam
+        )
         op = build_operators(system, lap, spectrum)
         X = rng.normal(size=(12, 3))
         labels = rng.integers(0, 2, size=12)
@@ -304,7 +309,9 @@ def test_criterion_08_denoising_efficacy(report):
     lap = normalized_laplacian(graph)
     spectrum = eigendecompose(lap)
     system = FrameletSystem(
-        haar_filter_bank(), levels=2, lam_max=float(spectrum.values[-1]), mode="exact"
+        haar_filter_bank(),
+        TransformSettings(levels=2, mode="exact"),
+        float(spectrum.values[-1]),
     )
     op = build_operators(system, lap, spectrum)
     truth = np.sin(2.0 * np.pi * 3.0 * np.arange(n) / n)

@@ -35,6 +35,7 @@ from ufg.io import (
 from ufg.perturb import PerturbationSpec, perturb
 from ufg.transform import (
     FrameletSystem,
+    TransformSettings,
     build_operators,
     framelet_operator,
 )
@@ -151,7 +152,7 @@ def test_reconstruct_non_finite_coefficients_exits_two(tmp_path, graph_files, ca
     assert main(["transform", "--graph", gpath, "--signal", spath,
                  "--out", cpath]) == 0
     settings, _, _, _, data = read_coefficients(cpath)
-    op = framelet_operator(read_graph_text(gpath), **settings)
+    op = framelet_operator(read_graph_text(gpath), settings)
     data = data.copy()
     data[0, 3, 0] = np.nan
     write_coefficients(op, data, cpath)
@@ -253,7 +254,9 @@ def _two_high_pass_file(path, graph_files):
     """A 16-node file of a bank with two high passes."""
     bank = FilterBank(low_pass=np.cos, high_passes=(np.sin, np.sin))
     graph = read_graph_text(graph_files[0])
-    op = build_operators(FrameletSystem(bank, levels=2), graph.laplacian, graph.spectrum)
+    op = build_operators(
+        FrameletSystem(bank, TransformSettings(levels=2)), graph.laplacian, graph.spectrum
+    )
     write_coefficients(op, np.ones((op.num_blocks, 16, 2)), str(path))
     return graph_files[0], (f"{path}: coefficients of 16 nodes and 2 high passes; "
                             "the graph's Haar operator has 16 and 1")
@@ -269,12 +272,22 @@ def _unknown_mode_file(path, graph_files):
     return gpath, f"{path}: unknown mode code 5"
 
 
+def _levels_zero_file(path, graph_files):
+    """A file whose header, checksum included, records zero levels."""
+    gpath, spath, _ = graph_files
+    assert main(["transform", "--graph", gpath, "--signal", spath, "--out", str(path)]) == 0
+    blob = bytearray(path.read_bytes())
+    blob[20:24] = (0).to_bytes(4, "little")
+    path.write_bytes(reseal(bytes(blob)))
+    return gpath, f"{path}: levels must be >= 1"
+
+
 @pytest.mark.parametrize(
     "make", [_version_1_file, _version_2_file, _version_3_file, _other_graph_file,
              _same_size_other_graph_file, _flipped_digest_file, _two_high_pass_file,
-             _unknown_mode_file],
+             _unknown_mode_file, _levels_zero_file],
     ids=["version-1", "version-2", "version-3", "other-graph", "same-size-other-graph",
-         "flipped-digest", "two-high-passes", "unknown-mode"],
+         "flipped-digest", "two-high-passes", "unknown-mode", "levels-zero"],
 )
 def test_reconstruct_refuses_a_file_it_cannot_use(tmp_path, graph_files, capsys, make):
     cpath, out = tmp_path / "c.ufgc", tmp_path / "recon.csv"
@@ -1076,9 +1089,9 @@ SYSTEM_FLAGS = ("--dilation", "--levels", "--degree", "--mode")
 TRAINING_FLAGS = (*SYSTEM_FLAGS, "--hidden", "--lr", "--weight-decay", "--epochs",
                   "--seeds")
 LIBRARY_DEFAULTED = {
-    "transform": [(transform.framelet_operator, SYSTEM_FLAGS)],
-    "denoise": [(transform.framelet_operator, SYSTEM_FLAGS)],
-    "pool": [(transform.framelet_operator, SYSTEM_FLAGS),
+    "transform": [(transform.TransformSettings, SYSTEM_FLAGS)],
+    "denoise": [(transform.TransformSettings, SYSTEM_FLAGS)],
+    "pool": [(transform.TransformSettings, SYSTEM_FLAGS),
              (nn.ufg_pool_forward, (("--pool-mode", "mode"),))],
     "train-node": [
         (ExperimentConfig, (*TRAINING_FLAGS, "--dropout", "--activation", "--sigma",
@@ -1154,9 +1167,9 @@ def _spelled_out(command) -> list[str]:
 
 
 @pytest.mark.parametrize("command, module, name", [
-    ("transform", transform, "framelet_operator"),
-    ("denoise", transform, "framelet_operator"),
-    ("pool", transform, "framelet_operator"),
+    ("transform", transform, "TransformSettings"),
+    ("denoise", transform, "TransformSettings"),
+    ("pool", transform, "TransformSettings"),
     ("pool", nn, "ufg_pool_forward"),
     ("train-node", datasets, "SBMData"),
     ("train-graph", datasets, "GraphData"),
@@ -1312,6 +1325,17 @@ def test_every_readme_command_parses():
             parser.parse_args(argv)
         except _UsageError as exc:
             pytest.fail(f"README command 'ufg {shlex.join(argv)}' does not parse: {exc}")
+
+
+def test_every_readme_python_example_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    # Padded with the lines above the block, so that a traceback names the
+    # README's own line.
+    blocks = ["\n" * text.count("\n", 0, m.start(1)) + m[1]
+              for m in re.finditer(r"^```python\n(.*?)^```", text, flags=re.S | re.M)]
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 class _Reached(BaseException):

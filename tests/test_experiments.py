@@ -55,7 +55,7 @@ from ufg.nn import (
 )
 from ufg.filters import haar_filter_bank
 from ufg.shrinkage import ThresholdConfig
-from ufg.transform import FrameletSystem, decompose, framelet_operator
+from ufg.transform import FrameletSystem, TransformSettings, decompose, framelet_operator
 
 ROUNDTRIP_TOL = 1e-10
 GRAD_TOL = 1e-5
@@ -162,13 +162,16 @@ def test_config_rejects_an_unknown_mode(field, value, message):
     ("degree", -1, "degree must be nonnegative"),
     ("dilation", 1.0, "dilation must be finite and exceed 1"),
     ("dilation", float("inf"), "dilation must be finite and exceed 1"),
+    # Training used to fail inside block_index with a TypeError.
+    ("levels", 2.5, "levels must be an integer, got 2.5"),
+    ("degree", 16.5, "degree must be an integer, got 16.5"),
 ])
 def test_config_rejects_settings_no_transform_can_use(field, value, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**{field: value})
     # One rule, one message: the transform refuses the same value the same way.
     with pytest.raises(ValueError, match=message):
-        FrameletSystem(haar_filter_bank(), **{field: value})
+        TransformSettings(**{field: value})
 
 
 @pytest.mark.parametrize("seeds", [(), (1, 1), (0, 1, 2, 1)])
@@ -194,15 +197,21 @@ def test_config_rejects_a_dilation_that_overflows_on_every_graph():
     with pytest.raises(ValueError, match="dilation 1e[+]200 overflows"):
         ExperimentConfig(dilation=1e200, levels=3)
     assert ExperimentConfig(dilation=1e200, levels=2).dilation == 1e200
-    # Not a rule of every system: a custom lam_max above pi gives K > 0.
-    system = FrameletSystem(haar_filter_bank(), dilation=1e200, levels=3, lam_max=1e150)
-    assert system.K == 1
+    # The settings refuse it for every system, even one whose custom lam_max
+    # above pi gives K > 0 and a finite top argument.
+    with pytest.raises(ValueError, match="dilation 1e[+]200 overflows"):
+        TransformSettings(dilation=1e200, levels=3)
+    system = FrameletSystem(
+        haar_filter_bank(), TransformSettings(dilation=1e100, levels=3), 1e150
+    )
+    assert system.K == 2
 
 
 def test_config_takes_its_transform_defaults_from_the_system():
     config = ExperimentConfig()
     for name in ("dilation", "levels", "degree", "mode"):
-        assert getattr(config, name) == getattr(FrameletSystem, name)
+        assert getattr(config, name) == getattr(TransformSettings, name)
+    assert config.transform == TransformSettings()
 
 
 def test_layer_activation_variants():
@@ -642,9 +651,9 @@ def test_graph_classifier_builds_operators_in_config_mode(monkeypatch):
     built = []
     real = experiments.framelet_operator
 
-    def recording(graph, dilation, levels, degree, mode):
-        built.append((mode, degree))
-        return real(graph, dilation, levels, degree, mode)
+    def recording(graph, settings):
+        built.append((settings.mode, settings.degree))
+        return real(graph, settings)
 
     monkeypatch.setattr(experiments, "framelet_operator", recording)
     samples = cycles_and_stars(5, (5, 7), seed=0)
@@ -734,9 +743,7 @@ def _single_graph_step(params, sample, cfg):
     if cfg.pool_mode == "mean":
         pooled = y2.mean(axis=0)
     else:
-        op = framelet_operator(
-            sample.graph, cfg.dilation, cfg.levels, cfg.degree, cfg.mode
-        )
+        op = framelet_operator(sample.graph, cfg.transform)
         pooled, cp = ufg_pool_forward(op, y2, cfg.pool_mode)
     logits, cm = mlp_forward(params, pooled)
     loss, dlogits = softmax_cross_entropy(logits, np.array([sample.label]))

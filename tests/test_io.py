@@ -29,6 +29,7 @@ from ufg.filters import FilterBank, haar_filter_bank
 from ufg.sparse import SparseMatrix
 from ufg.transform import (
     FrameletSystem,
+    TransformSettings,
     build_operators,
     framelet_operator,
 )
@@ -159,7 +160,7 @@ def _stack(op, num_features, rng):
 
 @pytest.fixture
 def op():
-    return framelet_operator(_graph(6), levels=2)
+    return framelet_operator(_graph(6), TransformSettings(levels=2))
 
 
 @pytest.fixture
@@ -176,8 +177,7 @@ def test_coefficients_binary_round_trip_is_bitwise(tmp_path, op, stack):
     path = str(tmp_path / "c.ufgc")
     write_coefficients(op, stack, path)
     settings, num_high, num_nodes, digest, data = read_coefficients(path)
-    assert settings == {"dilation": 2.0, "levels": 2, "degree": op.system.degree,
-                        "mode": "exact"}
+    assert settings == TransformSettings(2.0, 2, op.system.settings.degree, "exact")
     assert (num_high, num_nodes) == (1, op.num_nodes)
     assert digest == laplacian_digest(op.lap)
     np.testing.assert_array_equal(data, stack, strict=True)
@@ -212,24 +212,25 @@ def test_laplacian_digest_names_the_graph_not_its_index_width():
 def test_coefficient_file_records_its_transform(
     tmp_path, rng, dilation, levels, degree, mode
 ):
-    op = framelet_operator(_graph(5), dilation, levels, degree, mode)
+    op = framelet_operator(_graph(5), TransformSettings(dilation, levels, degree, mode))
     stack = _stack(op, 2, rng)
     path = str(tmp_path / "c.ufgc")
     write_coefficients(op, stack, path)
     settings, num_high, num_nodes, digest, data = read_coefficients(path)
-    assert settings == {"dilation": dilation, "levels": levels, "degree": degree,
-                        "mode": mode}
+    assert settings == TransformSettings(dilation, levels, degree, mode)
     assert (num_high, num_nodes) == (op.system.num_high, 5)
     assert digest == laplacian_digest(_graph(5).laplacian)
     assert data.shape == stack.shape and data.tobytes() == stack.tobytes()
     # The settings rebuild the system, and so its block order.
-    assert FrameletSystem(haar_filter_bank(), **settings).block_index() == op.block_index
+    assert FrameletSystem(haar_filter_bank(), settings).block_index() == op.block_index
 
 
 def test_coefficients_record_every_high_pass(tmp_path, rng):
     linear = FilterBank(low_pass=np.cos, high_passes=(np.sin, np.sin))
     graph = _graph(4)
-    op = build_operators(FrameletSystem(linear, levels=2), graph.laplacian, graph.spectrum)
+    op = build_operators(
+        FrameletSystem(linear, TransformSettings(levels=2)), graph.laplacian, graph.spectrum
+    )
     stack = _stack(op, 1, rng)
     path = str(tmp_path / "c.ufgc")
     write_coefficients(op, stack, path)
@@ -241,11 +242,15 @@ def test_coefficients_record_every_high_pass(tmp_path, rng):
 def test_coefficients_of_another_system_are_not_written(tmp_path, stack):
     path = tmp_path / "c.ufgc"
     with pytest.raises(ValueError, match="does not match the operator"):
-        write_coefficients(framelet_operator(_graph(6), levels=3), stack, str(path))
+        write_coefficients(
+            framelet_operator(_graph(6), TransformSettings(levels=3)), stack, str(path)
+        )
     assert not path.exists()
     # Nor those of another node count: the digest would name the wrong graph.
     with pytest.raises(ValueError, match="does not match the operator"):
-        write_coefficients(framelet_operator(_graph(7), levels=2), stack, str(path))
+        write_coefficients(
+            framelet_operator(_graph(7), TransformSettings(levels=2)), stack, str(path)
+        )
     assert not path.exists()
 
 
@@ -341,6 +346,26 @@ def test_coefficients_unknown_mode_code(tmp_path, op, stack):
     blob[28:32] = (2).to_bytes(4, "little")
     path.write_bytes(reseal(bytes(blob)))
     with pytest.raises(ValueError, match="unknown mode code 2"):
+        read_coefficients(str(path))
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (20, struct.pack("<I", 0), "levels must be >= 1"),
+    (32, struct.pack("<d", np.nan), "dilation must be finite and exceed 1"),
+    (32, struct.pack("<d", 1.0), "dilation must be finite and exceed 1"),
+    (32, struct.pack("<d", 1e308), "dilation 1e[+]308 overflows the top filter argument"),
+], ids=["levels-0", "dilation-nan", "dilation-1", "dilation-overflows"])
+def test_coefficients_refuse_settings_no_transform_can_use(
+    tmp_path, op, stack, offset, value, message
+):
+    # These used to pass the reader, and `ufg reconstruct` then failed
+    # with a message that did not name the file.
+    path = tmp_path / "c.ufgc"
+    write_coefficients(op, stack, str(path))
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + len(value)] = value
+    path.write_bytes(reseal(bytes(blob)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         read_coefficients(str(path))
 
 

@@ -30,7 +30,7 @@ from ufg.nn import (
 )
 from ufg.shrinkage import ThresholdConfig, shrink_stack
 from ufg import nn
-from ufg.transform import decompose, framelet_operator, reconstruct
+from ufg.transform import TransformSettings, decompose, framelet_operator, reconstruct
 
 GRAD_TOL = 1e-5
 IDENTITY_TOL = 1e-10
@@ -172,7 +172,7 @@ ACTIVATIONS = ("relu", "shrinkage", "none")
 def _operator(small_graph, small_operator, mode):
     if mode == "exact":
         return small_operator
-    return framelet_operator(small_graph, 2.0, 2, 16, "chebyshev")
+    return framelet_operator(small_graph, TransformSettings(2.0, 2, 16, "chebyshev"))
 
 
 def _activation(kind):
@@ -242,7 +242,7 @@ def test_input_layer_shape_errors(small_graph, small_operator, rng):
     # A graph with one more node, or this graph at another level count: the
     # stack does not match the operator either way.
     for other in (framelet_operator(path_graph(small_operator.num_nodes + 1)),
-                  framelet_operator(small_graph, levels=3)):
+                  framelet_operator(small_graph, TransformSettings(levels=3))):
         coeff = decompose(other, np.zeros((other.num_nodes, 3)))
         with pytest.raises(ValueError, match="coefficient input does not match"):
             ufg_conv_forward(params, small_operator, coeff, "relu")
@@ -389,7 +389,7 @@ def test_restricted_output_layer_is_the_full_layer_under_a_masked_loss(
 
 
 def test_conv_refuses_an_output_operator_of_another_graph(small_graph, small_operator):
-    other = framelet_operator(small_graph, 2.0, 2, 16, "chebyshev")
+    other = framelet_operator(small_graph, TransformSettings(2.0, 2, 16, "chebyshev"))
     params = init_params(3, 2, small_operator.num_rows, 0)
     X = np.zeros((small_operator.num_nodes, 3))
     with pytest.raises(ValueError, match="out_op"):

@@ -1,6 +1,6 @@
 """Every public top-level name of ``src/ufg`` is referenced beyond its own
 definition, so code that only tests call does not stay in the package, and
-every name the benchmark workloads call exists."""
+every name the benchmark workloads call exists and runs."""
 
 import ast
 import importlib
@@ -92,3 +92,17 @@ def test_every_library_name_the_benchmark_workloads_use_exists():
     assert (lap.num_rows, lap.nnz) == (30, lap.csr.nnz)
     for method in _lambda_max_methods(tree):
         assert 0.0 < graphs.lambda_max(lap, method) <= 2.0
+
+
+def test_every_benchmark_workload_runs_at_smoke_size(monkeypatch):
+    # The workloads call the library with keywords that only a run checks,
+    # so each one probes and runs one pass here, in process, at its smoke size.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    sampler = importlib.import_module("reference").Sampler(None)
+    for name, workload in workloads.WORKLOADS.items():
+        small = workloads.smoke(workload)
+        _, gates = small.probe(0)
+        assert all(g["ok"] for g in gates), (name, gates)
+        run = small.run_pass(0, sampler)
+        assert run.attempted >= 1 and run.failures == [], (name, run.failures)

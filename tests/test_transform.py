@@ -28,9 +28,9 @@ from ufg.sparse import SparseMatrix
 from ufg.transform import (
     _recurrence_matrix,
     FrameletSystem,
+    TransformSettings,
     block_energies,
     build_operators,
-    check_settings,
     compute_K,
     decompose,
     framelet_operator,
@@ -57,7 +57,7 @@ def _exact_setup(n, avg_deg, levels, seed):
     lap = normalized_laplacian(g)
     spec = eigendecompose(lap)
     lam = float(spec.values[-1]) if spec.values.size else 0.0
-    system = FrameletSystem(haar_filter_bank(), levels=levels, lam_max=lam)
+    system = FrameletSystem(haar_filter_bank(), TransformSettings(levels=levels), lam)
     return system, lap, spec
 
 
@@ -78,13 +78,15 @@ def test_compute_K_rejects_bad_args():
 
 
 def test_block_index_order():
-    system = FrameletSystem(haar_filter_bank(), levels=3, lam_max=2.0)
+    system = FrameletSystem(haar_filter_bank(), TransformSettings(levels=3), 2.0)
     assert system.block_index() == ((0, 3), (1, 1), (1, 2), (1, 3))
     assert system.num_blocks == 4
 
 
 def test_factor_scale():
-    system = FrameletSystem(haar_filter_bank(), dilation=2.0, levels=2, lam_max=2 * np.pi)
+    system = FrameletSystem(
+        haar_filter_bank(), TransformSettings(dilation=2.0, levels=2), 2 * np.pi
+    )
     assert system.K == 1
     assert system.factor_scale(1) == pytest.approx(0.5)
     assert system.factor_scale(2) == pytest.approx(1.0)
@@ -98,11 +100,11 @@ def test_zero_spectrum_gets_K_zero():
 def test_system_validation():
     bank = haar_filter_bank()
     with pytest.raises(ValueError, match="dilation"):
-        FrameletSystem(bank, dilation=1.0)
+        FrameletSystem(bank, TransformSettings(dilation=1.0))
     with pytest.raises(ValueError, match="levels"):
-        FrameletSystem(bank, levels=0)
+        FrameletSystem(bank, TransformSettings(levels=0))
     with pytest.raises(ValueError, match="mode"):
-        FrameletSystem(bank, mode="lanczos")
+        FrameletSystem(bank, TransformSettings(mode="lanczos"))
     with pytest.raises(ValueError, match="lam_max"):
         FrameletSystem(bank, lam_max=-2.0)
 
@@ -113,23 +115,45 @@ def test_system_rejects_a_lam_max_that_sets_no_K(lam_max):
         FrameletSystem(haar_filter_bank(), lam_max=lam_max)
 
 
-def test_check_settings_reads_K_off_lam_max():
+def test_settings_check_the_top_argument_at_K_zero():
     # lam_max = 0 gives K = 0, the largest K of a normalized Laplacian; a
-    # smaller spectrum's K < 0 raises the top filter argument d^(J-1-K) * 2.
-    check_settings(1e150, 2, 8, "exact")
+    # smaller spectrum's K < 0 raises the top filter argument d^(J-1-K) * 2,
+    # which the system checks at its own K.
+    settings = TransformSettings(1e150, 2, 8, "exact")
+    with pytest.raises(ValueError, match=r"d\^\(J-1-K\) \* 2 at J = 3, K = 0$"):
+        TransformSettings(1e200, 3, 8, "exact")
     with pytest.raises(ValueError, match=r"d\^\(J-1-K\) \* 2 at J = 2, K = -2$"):
-        check_settings(1e150, 2, 8, "exact", lam_max=1e-300)
-    with pytest.raises(ValueError, match=r"at J = 2, K = -2$"):
-        FrameletSystem(haar_filter_bank(), dilation=1e150, lam_max=1e-300)
+        FrameletSystem(haar_filter_bank(), settings, 1e-300)
     with pytest.raises(ValueError, match="lam_max must be finite and nonnegative"):
-        check_settings(2.0, 2, 8, "exact", lam_max=np.nan)
+        FrameletSystem(haar_filter_bank(), settings, np.nan)
+
+
+@pytest.mark.parametrize("name", ["levels", "degree"])
+def test_integer_settings_are_integers(name):
+    for bad in (2.5, 2.0, "2", None, True):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            TransformSettings(**{name: bad})
+    value = getattr(TransformSettings(**{name: np.int64(3)}), name)
+    assert type(value) is int and value == 3
+    assert type(TransformSettings(dilation=np.int64(3)).dilation) is float
+    # A fractional degree used to build an operator whose round trip was
+    # off by 45%; it is refused before any graph is read.
+    with pytest.raises(ValueError, match="degree must be an integer, got 16.5"):
+        framelet_operator(random_er_graph(200, 6.0, 0),
+                          TransformSettings(degree=16.5, mode="chebyshev"))
 
 
 def test_replaced_system_derives_K_again():
     system = FrameletSystem(haar_filter_bank(), lam_max=1.5)
     assert system.K == -1
-    assert dataclasses.replace(system, dilation=1.25).K == -3
+    assert dataclasses.replace(system, settings=TransformSettings(1.25)).K == -3
     assert dataclasses.replace(system, lam_max=2 * np.pi).K == 1
+
+
+def _with_settings(system, **changes):
+    """``system`` with the given settings changed."""
+    settings = dataclasses.replace(system.settings, **changes)
+    return dataclasses.replace(system, settings=settings)
 
 
 def _is_normalizer(K, lam, dilation):
@@ -145,12 +169,12 @@ def test_K_is_the_smallest_normalizer_of_lam_max(dilation):
     grid = [0.0, 1e-3, 0.5, 1.0, 1.5, np.pi / 2, 1.5840, 2.0, np.pi, 10.0,
             *boundaries, *np.nextafter(boundaries, np.inf)]
     for lam in grid:
-        K = FrameletSystem(haar_filter_bank(), dilation=dilation, lam_max=lam).K
+        K = FrameletSystem(haar_filter_bank(), TransformSettings(dilation=dilation), lam).K
         assert _is_normalizer(K, lam, dilation), (lam, K)
     # framelet_operator's K is that of the graph's Lanczos bound.
     for graph in (build_graph(3, []), random_er_graph(40, 4.0, 1),
                   generate_sbm([100] * 3, 0.1, 0.01, seed=7).graph):
-        op = framelet_operator(graph, dilation=dilation, mode="chebyshev")
+        op = framelet_operator(graph, TransformSettings(dilation=dilation, mode="chebyshev"))
         assert op.system.lam_max == graph.lanczos_bound
         assert _is_normalizer(op.system.K, graph.lanczos_bound, dilation)
 
@@ -166,9 +190,9 @@ def test_K_is_the_smallest_normalizer_of_lam_max(dilation):
 )
 def test_system_rejects_a_dilation_it_cannot_evaluate(dilation, levels, match):
     with pytest.raises(ValueError, match=match):
-        FrameletSystem(haar_filter_bank(), dilation=dilation, levels=levels)
+        TransformSettings(dilation=dilation, levels=levels)
     # The largest that still evaluates: its top argument d^(J-1-K) * 2 is finite.
-    assert FrameletSystem(haar_filter_bank(), dilation=1e200, levels=2).dilation == 1e200
+    assert TransformSettings(dilation=1e200, levels=2).dilation == 1e200
 
 
 def test_make_system_builds_the_system_of_its_keywords():
@@ -180,7 +204,7 @@ def test_make_system_builds_the_system_of_its_keywords():
     ]
     for settings_, lam in cases:
         system = transform.make_system(bank, lam, **settings_)
-        assert system == FrameletSystem(bank, lam_max=float(lam), **settings_)
+        assert system == FrameletSystem(bank, TransformSettings(**settings_), float(lam))
         assert type(system.lam_max) is float
     assert transform.make_system(bank, 2) == FrameletSystem(bank)
 
@@ -206,8 +230,8 @@ def test_cascade_energy_per_level(small_system, small_laplacian, small_spectrum)
     rng = np.random.default_rng(3)
     X = rng.normal(size=(small_laplacian.num_rows, 3))
     total = float(np.sum(X**2))
-    for j in range(1, small_system.levels + 1):
-        truncated = dataclasses.replace(small_system, levels=j)
+    for j in range(1, small_system.settings.levels + 1):
+        truncated = _with_settings(small_system, levels=j)
         op = build_operators(truncated, small_laplacian, small_spectrum)
         c = decompose(op, X)
         energy = sum(block_energies(c))
@@ -228,7 +252,7 @@ def test_chebyshev_tightness_improves_with_degree():
     errs = {}
     for t in (8, 16):
         system = FrameletSystem(
-            haar_filter_bank(), lam_max=lam, degree=t, mode="chebyshev"
+            haar_filter_bank(), TransformSettings(degree=t, mode="chebyshev"), lam
         )
         w = _explicit(build_operators(system, lap))
         errs[t] = np.max(np.abs(w.T @ w - np.eye(50)))
@@ -238,9 +262,11 @@ def test_chebyshev_tightness_improves_with_degree():
 
 def test_path_equivalence_exact_vs_chebyshev(small_laplacian, small_spectrum):
     lam = float(small_spectrum.values[-1])
-    exact_sys = FrameletSystem(haar_filter_bank(), levels=2, lam_max=lam, mode="exact")
+    exact_sys = FrameletSystem(
+        haar_filter_bank(), TransformSettings(levels=2, mode="exact"), lam
+    )
     cheb_sys = FrameletSystem(
-        haar_filter_bank(), levels=2, lam_max=lam, degree=16, mode="chebyshev"
+        haar_filter_bank(), TransformSettings(levels=2, degree=16, mode="chebyshev"), lam
     )
     op_e = build_operators(exact_sys, small_laplacian, small_spectrum)
     op_c = build_operators(cheb_sys, small_laplacian)
@@ -266,9 +292,11 @@ def test_one_recurrence_serves_every_block(
     t = 16
     filters = haar_filter_bank() if bank == "haar" else _linear_bank()
     lam = float(small_spectrum.values[-1])
-    exact_sys = FrameletSystem(filters, levels=levels, lam_max=lam, degree=t, mode="exact")
+    exact_sys = FrameletSystem(
+        filters, TransformSettings(levels=levels, degree=t, mode="exact"), lam
+    )
     op_e = build_operators(exact_sys, small_laplacian, small_spectrum)
-    cheb_sys = dataclasses.replace(exact_sys, mode="chebyshev")
+    cheb_sys = _with_settings(exact_sys, mode="chebyshev")
     op_c = build_operators(cheb_sys, small_laplacian)
     np.testing.assert_allclose(_explicit(op_e), _explicit(op_c), atol=PATH_TOL)
 
@@ -307,8 +335,8 @@ def test_direct_block_fit_never_less_accurate_than_factor_cascade(
     # lam_max = pi d^K is the largest top eigenvalue that gives this K.
     system = FrameletSystem(
         haar_filter_bank() if bank == "haar" else _linear_bank(),
-        dilation=dilation, levels=levels, lam_max=np.pi * dilation**K, degree=t,
-        mode="chebyshev",
+        TransformSettings(dilation=dilation, levels=levels, degree=t, mode="chebyshev"),
+        np.pi * dilation**K,
     )
     assert system.K == K
     grid = np.linspace(0.0, 2.0, 2001)
@@ -340,8 +368,8 @@ def test_direct_block_fit_never_less_accurate_than_factor_cascade(
 def test_chop_moves_no_block_by_more_than_chop_tol(bank, dilation, K, levels, t):
     system = FrameletSystem(
         haar_filter_bank() if bank == "haar" else _linear_bank(),
-        dilation=dilation, levels=levels, lam_max=np.pi * dilation**K, degree=t,
-        mode="chebyshev",
+        TransformSettings(dilation=dilation, levels=levels, degree=t, mode="chebyshev"),
+        np.pi * dilation**K,
     )
     assert system.K == K
     full = chebyshev_fit(system.block_gains, t + 4 * (levels - 1))
@@ -356,7 +384,7 @@ def test_chop_moves_no_block_by_more_than_chop_tol(bank, dilation, K, levels, t)
 @pytest.mark.parametrize("lam, K", [(2.0, 0), (1.5, -1)])
 def test_chebyshev_provenance_measures_the_fit(small_laplacian, lam, K):
     system = FrameletSystem(
-        haar_filter_bank(), levels=2, lam_max=lam, degree=16, mode="chebyshev"
+        haar_filter_bank(), TransformSettings(levels=2, degree=16, mode="chebyshev"), lam
     )
     assert system.K == K
     prov = build_operators(system, small_laplacian).provenance
@@ -376,8 +404,9 @@ def test_chebyshev_backend_applies_the_fitted_polynomials(degree, levels, seed):
     lap = normalized_laplacian(random_er_graph(15, 3.0, np.random.default_rng(seed)))
     spec = eigendecompose(lap)
     system = FrameletSystem(
-        _linear_bank(), levels=levels, lam_max=float(spec.values[-1]), degree=degree,
-        mode="chebyshev",
+        _linear_bank(),
+        TransformSettings(levels=levels, degree=degree, mode="chebyshev"),
+        float(spec.values[-1]),
     )
     coeffs = system.chebyshev_coeffs
     assert coeffs.shape == (system.num_blocks, system.recurrence_degree + 1)
@@ -393,7 +422,9 @@ def test_chebyshev_backend_applies_the_fitted_polynomials(degree, levels, seed):
 
 def test_matrix_free_matches_materialized(small_laplacian):
     lam = lambda_max(small_laplacian)
-    system = FrameletSystem(haar_filter_bank(), levels=3, lam_max=lam, mode="chebyshev")
+    system = FrameletSystem(
+        haar_filter_bank(), TransformSettings(levels=3, mode="chebyshev"), lam
+    )
     op = build_operators(system, small_laplacian)
     w = _explicit(op)
     rng = np.random.default_rng(9)
@@ -425,8 +456,9 @@ def test_chebyshev_backend_reads_any_layout_and_never_writes_inputs(
     n = small_laplacian.num_rows
     for degree, width in itertools.product((0, 1, 16), (3, 0)):
         system = FrameletSystem(
-            haar_filter_bank(), levels=levels, lam_max=2.0, degree=degree,
-            mode="chebyshev",
+            haar_filter_bank(),
+            TransformSettings(levels=levels, degree=degree, mode="chebyshev"),
+            2.0,
         )
         if levels == 1 and degree <= 1:
             assert system.recurrence_degree == degree
@@ -541,7 +573,7 @@ def test_spmm_add_rejects_operands_it_cannot_update_in_place():
 @pytest.fixture(scope="module")
 def split_operator():
     """A Chebyshev operator on a graph whose products split at d >= 16."""
-    op = framelet_operator(random_er_graph(5001, 8.0, 31), mode="chebyshev")
+    op = framelet_operator(random_er_graph(5001, 8.0, 31), TransformSettings(mode="chebyshev"))
     assert op.recurrence.nnz * 16 > transform.SPLIT_WORK
     return op
 
@@ -679,7 +711,9 @@ def test_one_usable_cpu_or_a_small_product_makes_no_pool(monkeypatch, split_oper
     assert made == []
 
     monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
-    small = framelet_operator(random_er_graph(300, 6.0, 8), mode="chebyshev")
+    small = framelet_operator(
+        random_er_graph(300, 6.0, 8), TransformSettings(mode="chebyshev")
+    )
     assert small.recurrence.nnz * 32 <= transform.SPLIT_WORK
     reconstruct(small, decompose(small, np.ones((300, 32))))
     narrow = np.ones((op.num_nodes, 15))
@@ -805,7 +839,9 @@ def test_recurrences_refuse_a_wrong_operand_before_the_first_product(
     # size would read and write past the work arrays. Both recurrences
     # check every operand once, so neither makes a single product.
     n = small_laplacian.num_rows
-    system = FrameletSystem(haar_filter_bank(), levels=2, lam_max=2.0, mode="chebyshev")
+    system = FrameletSystem(
+        haar_filter_bank(), TransformSettings(levels=2, mode="chebyshev"), 2.0
+    )
     op = build_operators(system, small_laplacian)
     X = np.random.default_rng(4).normal(size=(n, 3))
     c = decompose(op, X)
@@ -831,7 +867,9 @@ def test_chebyshev_operator_builds_its_recurrence_matrix_once(
 ):
     # S = 2(L - I) is fixed for an operator: build_operators builds it, and
     # every product reuses it, bit for bit what a fresh operator computes.
-    system = FrameletSystem(haar_filter_bank(), levels=2, lam_max=2.0, mode="chebyshev")
+    system = FrameletSystem(
+        haar_filter_bank(), TransformSettings(levels=2, mode="chebyshev"), 2.0
+    )
     X = np.random.default_rng(3).normal(size=(small_laplacian.num_rows, 3))
     fresh = build_operators(system, small_laplacian)
     ref = decompose(fresh, X)
@@ -858,7 +896,9 @@ def test_chebyshev_transforms_are_bitwise_the_same_with_int64_indices():
     # S holds int32 indices. An int64 copy stores the same values in the same
     # order, so every product, and so both transforms, agree bit for bit.
     lap = random_er_graph(200, 6.0, np.random.default_rng(15)).laplacian
-    system = FrameletSystem(haar_filter_bank(), levels=2, lam_max=2.0, mode="chebyshev")
+    system = FrameletSystem(
+        haar_filter_bank(), TransformSettings(levels=2, mode="chebyshev"), 2.0
+    )
     narrow = _recurrence_matrix(lap)
     wide_csr = narrow.csr.copy()
     wide_csr.indptr = wide_csr.indptr.astype(np.int64)
@@ -880,7 +920,7 @@ def test_operator_bytes_counts_the_arrays_products_read(
     exact = build_operators(small_system, small_laplacian, small_spectrum)
     assert exact.provenance["operator_bytes"] == exact.stack.nbytes
     cheb = build_operators(
-        dataclasses.replace(small_system, mode="chebyshev"), small_laplacian
+        _with_settings(small_system, mode="chebyshev"), small_laplacian
     )
     S = cheb.recurrence
     assert S.csr.indices.dtype == np.int32
@@ -893,7 +933,7 @@ def test_zero_column_signal_gives_zero_column_outputs(
     small_laplacian, small_spectrum, small_system, mode
 ):
     op = build_operators(
-        dataclasses.replace(small_system, mode=mode), small_laplacian,
+        _with_settings(small_system, mode=mode), small_laplacian,
         small_spectrum if mode == "exact" else None,
     )
     X = np.empty((op.num_nodes, 0))
@@ -920,7 +960,7 @@ def test_build_operators_input_errors(small_system, small_laplacian):
 
 def test_chebyshev_system_without_spectral_bound_round_trips(small_laplacian):
     # The fits use [0, 2] whatever lam_max is, so lam_max = 0 still builds.
-    system = FrameletSystem(haar_filter_bank(), lam_max=0.0, mode="chebyshev")
+    system = FrameletSystem(haar_filter_bank(), TransformSettings(mode="chebyshev"), 0.0)
     op = build_operators(system, small_laplacian)
     X = np.random.default_rng(4).normal(size=(small_laplacian.num_rows, 2))
     back = reconstruct(op, decompose(op, X))
@@ -940,7 +980,7 @@ def test_coefficient_stack_layout(small_operator):
     b = small_operator.block_index.index((1, 1))
     np.testing.assert_array_equal(c[b], flat[b * n : (b + 1) * n])
     np.testing.assert_array_equal(c[0], flat[:n])
-    assert small_operator.block_index[0] == (0, small_operator.system.levels)
+    assert small_operator.block_index[0] == (0, small_operator.system.settings.levels)
     energies = block_energies(c)
     assert energies.shape == (small_operator.num_blocks,)
     for b in range(small_operator.num_blocks):  # bitwise the per-block sums
@@ -1044,12 +1084,10 @@ def test_backends_agree_on_edge_case_graphs(graph, levels):
     assert s.nnz == 2 * graph.num_edges - loops
     spectrum = eigendecompose(lap)
     system = FrameletSystem(
-        haar_filter_bank(), levels=levels, lam_max=float(spectrum.values[-1])
+        haar_filter_bank(), TransformSettings(levels=levels), float(spectrum.values[-1])
     )
     op_e = build_operators(system, lap, spectrum)
-    op_c = build_operators(
-        dataclasses.replace(system, mode="chebyshev", degree=16), lap
-    )
+    op_c = build_operators(_with_settings(system, mode="chebyshev", degree=16), lap)
     np.testing.assert_allclose(_explicit(op_e), _explicit(op_c), atol=PATH_TOL)
     X = np.random.default_rng(0).normal(size=(graph.num_nodes, 2))
     scale = np.max(np.abs(X))
@@ -1075,8 +1113,8 @@ def near_boundary_er_graphs(draw):
 # the default SBM-300 node dataset at data seed 7: 1.5620 vs 1.5775
 @example(generate_sbm([100] * 3, 0.1, 0.01, seed=7).graph)
 def test_both_modes_build_one_transform_of_a_graph(graph):
-    op_e = framelet_operator(graph, mode="exact")
-    op_c = framelet_operator(graph, mode="chebyshev")
+    op_e = framelet_operator(graph, TransformSettings(mode="exact"))
+    op_c = framelet_operator(graph, TransformSettings(mode="chebyshev"))
     assert op_e.system.K == op_c.system.K
     assert op_e.system.lam_max == op_c.system.lam_max == graph.lanczos_bound
     np.testing.assert_allclose(_explicit(op_e), _explicit(op_c), atol=PATH_TOL)
@@ -1109,7 +1147,9 @@ def test_chebyshev_operator_never_multiplies_sparse_matrices(monkeypatch):
     )
     assert data.graph.num_nodes == 2708
     assert 3.5 <= 2 * data.graph.num_edges / 2708 <= 4.5
-    op = framelet_operator(data.graph, levels=2, degree=16, mode="chebyshev")
+    op = framelet_operator(
+        data.graph, TransformSettings(levels=2, degree=16, mode="chebyshev")
+    )
     X = data.features
     back = reconstruct(op, decompose(op, X))
     assert np.linalg.norm(back - X) / np.linalg.norm(X) <= 1e-6
@@ -1140,8 +1180,10 @@ def test_framelet_operator_computes_spectral_data_once_per_graph(
 ):
     calls = _count_calls(monkeypatch, "normalized_laplacian", solver)
     g = random_er_graph(30, 4.0, np.random.default_rng(12))
-    first = framelet_operator(g, levels=2, mode=mode)
-    second = framelet_operator(g, dilation=1.5, levels=3, degree=8, mode=mode)
+    first = framelet_operator(g, TransformSettings(levels=2, mode=mode))
+    second = framelet_operator(
+        g, TransformSettings(dilation=1.5, levels=3, degree=8, mode=mode)
+    )
     assert calls == {"normalized_laplacian": 1, solver: 1}
     assert first.lap is second.lap is g.laplacian
 
@@ -1152,9 +1194,9 @@ def test_cached_operator_is_bitwise_a_fresh_build(mode):
         return random_er_graph(40, 4.0, np.random.default_rng(13))
 
     g = graph()
-    framelet_operator(g, mode=mode)  # fills the spectral cache
-    cached = framelet_operator(g, levels=3, mode=mode)
-    fresh = framelet_operator(graph(), levels=3, mode=mode)
+    framelet_operator(g, TransformSettings(mode=mode))  # fills the spectral cache
+    cached = framelet_operator(g, TransformSettings(levels=3, mode=mode))
+    fresh = framelet_operator(graph(), TransformSettings(levels=3, mode=mode))
     for name in ("K", "lam_max"):
         assert getattr(cached.system, name) == getattr(fresh.system, name)
     np.testing.assert_array_equal(
@@ -1180,35 +1222,34 @@ def test_graph_keeps_the_operator_of_its_latest_settings(monkeypatch):
     real = transform.build_operators
 
     def counting(system, lap, spectrum=None):
-        builds.append((system.dilation, system.levels))
+        builds.append((system.settings.dilation, system.settings.levels))
         return real(system, lap, spectrum)
 
     monkeypatch.setattr(transform, "build_operators", counting)
     g = random_er_graph(30, 4.0, np.random.default_rng(15))
     first = framelet_operator(g)
-    assert framelet_operator(g, 2.0, 2, FrameletSystem.degree, "exact") is first
+    same = TransformSettings(2.0, 2, TransformSettings.degree, "exact")
+    assert framelet_operator(g, same) is first
     assert len(builds) == 1
     # Other settings build again and take the graph's one slot.
-    assert framelet_operator(g, levels=3).system.levels == 3
+    assert framelet_operator(g, TransformSettings(levels=3)).system.settings.levels == 3
     assert framelet_operator(g) is not first
     assert builds == [(2.0, 2), (2.0, 3), (2.0, 2)]
     # An equal graph starts with an empty slot.
-    framelet_operator(dataclasses.replace(g))
+    fresh = framelet_operator(dataclasses.replace(g))
     assert len(builds) == 4
-    # 2 and 2.0 are equal keys to a dict but print different provenance.
-    as_int = framelet_operator(g, dilation=2)
-    as_float = framelet_operator(g, dilation=2.0)
-    assert len(builds) == 6
-    for op in (as_int, as_float):
-        fresh = framelet_operator(dataclasses.replace(g), dilation=op.system.dilation)
-        assert json.dumps(op.provenance) == json.dumps(fresh.provenance)
-    assert json.dumps(as_int.provenance) != json.dumps(as_float.provenance)
+    # The settings store the dilation as a float, so 2 and 2.0 are one
+    # operator, with the provenance of a fresh build.
+    as_int = framelet_operator(g, TransformSettings(dilation=2))
+    assert as_int is framelet_operator(g, TransformSettings(dilation=2.0))
+    assert len(builds) == 4
+    assert json.dumps(as_int.provenance) == json.dumps(fresh.provenance)
 
 
 @pytest.mark.parametrize("mode", ["exact", "chebyshev"])
 def test_cached_operator_arrays_are_read_only(mode):
     g = random_er_graph(20, 3.0, np.random.default_rng(16))
-    op = framelet_operator(g, mode=mode)
+    op = framelet_operator(g, TransformSettings(mode=mode))
     arrays = {"system.chebyshev_coeffs": op.system.chebyshev_coeffs}
     if mode == "exact":
         arrays["stack"] = op.stack
@@ -1249,7 +1290,7 @@ RESTRICT_TOL = 1e-12
 def _both_modes(system, lap, spectrum):
     return (
         build_operators(system, lap, spectrum),
-        build_operators(dataclasses.replace(system, mode="chebyshev", degree=16), lap),
+        build_operators(_with_settings(system, mode="chebyshev", degree=16), lap),
     )
 
 
@@ -1266,7 +1307,7 @@ def _check_restriction(op, rows, X):
     """``op.restrict(rows)`` is ``op`` on the signal zero-padded outside
     ``rows`` and ``op``'s reconstruction read at ``rows``."""
     sub = op.restrict(rows)
-    chebyshev = op.system.mode == "chebyshev"
+    chebyshev = op.system.settings.mode == "chebyshev"
     assert sub.num_signal_rows == rows.size and sub.num_rows == op.num_rows
     padded = np.zeros_like(X)
     padded[rows] = X[rows]
@@ -1310,7 +1351,7 @@ def test_restricted_operators_agree_with_full_ones_on_edge_case_graphs(
     lap = normalized_laplacian(graph)
     spectrum = eigendecompose(lap)
     system = FrameletSystem(
-        haar_filter_bank(), levels=levels, lam_max=float(spectrum.values[-1])
+        haar_filter_bank(), TransformSettings(levels=levels), float(spectrum.values[-1])
     )
     rng = np.random.default_rng(seed)
     n = graph.num_nodes

@@ -92,7 +92,7 @@ def test_default_fixture_has_K_zero_under_both_bounds(mode):
     # sets it, so the suite's values do not either.
     fx = verify_mod._fixtures(100, 7)
     assert set(fx["ops"]) == set(MODES)
-    assert fx["ops"][mode].system.mode == mode
+    assert fx["ops"][mode].system.settings.mode == mode
     assert fx["ops"][mode].system.K == 0
     assert compute_K(float(fx["graph"].spectrum.values[-1]), 2.0) == 0
 
@@ -118,7 +118,8 @@ def test_run_verify_builds_each_operator_once(monkeypatch):
     real = transform.build_operators
 
     def counting(system, lap, spectrum=None):
-        builds.append((lap.num_rows, system.mode, system.levels, system.degree))
+        s = system.settings
+        builds.append((lap.num_rows, s.mode, s.levels, s.degree))
         return real(system, lap, spectrum)
 
     monkeypatch.setattr(transform, "build_operators", counting)
@@ -190,7 +191,7 @@ def test_crashed_check_reports_as_failure(monkeypatch):
 
 def test_crashed_per_backend_check_fails_both_rows(monkeypatch):
     def boom(fx, op):
-        raise RuntimeError(f"synthetic crash on {op.system.mode}")
+        raise RuntimeError(f"synthetic crash on {op.system.settings.mode}")
 
     boom.__name__ = "_check_parseval"
     monkeypatch.setattr(verify_mod, "_check_parseval", boom)
@@ -207,7 +208,7 @@ def test_a_check_failing_on_one_backend_fails_one_row(monkeypatch, capsys):
 
     def chebyshev_only_failure(fx, op):
         passed, detail, value, tol = round_trip(fx, op)
-        if op.system.mode == "chebyshev":
+        if op.system.settings.mode == "chebyshev":
             return False, detail, value, tol
         return passed, detail, value, tol
 
