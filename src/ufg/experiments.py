@@ -106,7 +106,11 @@ class ExperimentConfig:
             raise ValueError(rule)
         for seed in self.seeds:
             check_seed(seed, f"{rule}: seed")
-        self.transform  # checks the transform settings
+        # Checked once, and stored as the settings hold them, so that
+        # ``dilation=2`` and ``2.0`` are one config with one fingerprint.
+        settings = self.transform
+        for name in ("dilation", "levels", "degree"):
+            object.__setattr__(self, name, getattr(settings, name))
         ThresholdConfig(self.sigma, self.threshold_mode)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")

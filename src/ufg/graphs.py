@@ -35,6 +35,7 @@ from typing import Any
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from numpy.typing import ArrayLike
@@ -54,6 +55,9 @@ POWER_ITER_TOL = 1e-12
 # N = 1).
 LANCZOS_TOL = 1e-2
 LANCZOS_MIN_NODES = 20
+
+# Rows per band of the triangle mirror of ``Spectrum.matrix_function``.
+MIRROR_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -174,11 +178,52 @@ class Spectrum:
     vectors: np.ndarray = field(repr=False)
 
     def matrix_function(self, diag_values: np.ndarray) -> np.ndarray:
-        """Dense ``U diag(f(lambda)) U^T`` for per-eigenvalue filter values."""
+        """Dense ``U diag(f(lambda)) U^T`` for per-eigenvalue filter values,
+        symmetric bit for bit."""
         fvals = np.asarray(diag_values, dtype=np.float64)
         if fvals.shape != self.values.shape:
             raise ValueError("need one filter value per eigenvalue")
-        return (self.vectors * fvals) @ self.vectors.T
+        return self._write_function(fvals, np.empty((fvals.size, fvals.size)))
+
+    def _write_function(self, fvals: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``U diag(fvals) U^T`` into the C-contiguous N x N ``out``
+        and return it.
+
+        With ``V = U diag(sqrt|f|)`` the product is the sum of ``+-V_k V_k^T``
+        over runs of columns k whose value has one sign, so BLAS ``dsyrk``
+        builds one triangle, one call per run, at N^3 flops against a
+        general product's 2 N^3. ``_mirror_lower`` then assigns the other
+        triangle. Every entry of ``out`` is written and none is read first,
+        and the build holds ``V``, one N x N temporary.
+        """
+        n = fvals.size
+        if n == 0:
+            return out
+        V = np.multiply(self.vectors, np.sqrt(np.abs(fvals)), order="F")
+        neg = fvals < 0
+        cuts = (np.flatnonzero(neg[1:] != neg[:-1]) + 1).tolist()
+        # out^T is Fortran-ordered, so dsyrk writes its upper triangle, the
+        # lower one of ``out``, in place.
+        beta = 0.0
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            scipy.linalg.blas.dsyrk(-1.0 if neg[lo] else 1.0, V[:, lo:hi], beta=beta,
+                                    c=out.T, overwrite_c=True)
+            beta = 1.0
+        del V
+        _mirror_lower(out)
+        return out
+
+
+def _mirror_lower(out: np.ndarray) -> None:
+    """Assign the strict lower triangle of the square ``out`` to its upper
+    one, in bands of ``MIRROR_TILE`` rows, so no temporary exceeds a band."""
+    n = out.shape[0]
+    upper = np.triu(np.ones((MIRROR_TILE, MIRROR_TILE), dtype=bool), 1)
+    for lo in range(0, n, MIRROR_TILE):
+        hi = min(lo + MIRROR_TILE, n)
+        out[lo:hi, hi:] = out[hi:, lo:hi].T
+        tile = out[lo:hi, lo:hi]
+        np.copyto(tile, tile.T, where=upper[: hi - lo, : hi - lo])
 
 
 def _csr(shape: tuple[int, int], indptr, indices, data) -> SparseMatrix:
@@ -453,6 +498,13 @@ def lambda_max(lap: SparseMatrix, method: str = "lanczos") -> float:
 def eigendecompose(lap: SparseMatrix) -> Spectrum:
     """Full dense eigendecomposition of a symmetric matrix.
 
+    LAPACK's divide-and-conquer solver ``dsyevd`` (Gu & Eisenstat 1995)
+    computes it: for full spectra it is the most accurate of LAPACK's
+    symmetric tridiagonal solvers and usually the fastest (Demmel et al.
+    2008), and its eigenvectors are orthonormal to a few ulps, where the
+    default MRRR driver's reach 1e-12 at N = 2000. It writes them into a
+    private Fortran-ordered dense copy of the matrix, so the solve peaks
+    at about 3 N^2 doubles: that copy and the solver's 2 N^2 workspace.
     Refuses matrices larger than ``EXACT_SPECTRUM_MAX_NODES``. Tiny negative
     eigenvalues from roundoff are clamped to zero.
     """
@@ -463,7 +515,8 @@ def eigendecompose(lap: SparseMatrix) -> Spectrum:
         )
     if n == 0:
         return Spectrum(values=np.zeros(0), vectors=np.zeros((0, 0)))
-    vals, vecs = scipy.linalg.eigh(lap.csr.toarray())
+    vals, vecs = scipy.linalg.eigh(lap.csr.toarray(order="F"), driver="evd",
+                                   overwrite_a=True)
     if vals.size and vals[0] < -1e-8:
         raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]}")
     return Spectrum(values=np.clip(vals, 0.0, None), vectors=vecs)

@@ -16,6 +16,12 @@ error.
 ``DecompositionOperator`` has two backends, chosen by the system's mode.
 ``exact`` holds the stacked blocks ``U diag(g_b) U^T`` as one dense array,
 built in the Laplacian eigenbasis from ``FrameletSystem.block_gains``.
+The eigenbasis comes from LAPACK's divide-and-conquer solver (see
+``graphs.eigendecompose``), whose solve peaks at about 3 N^2 doubles, and
+each block is a symmetric rank-k product (BLAS ``dsyrk``, N^3 flops
+against a general product's 2 N^3) into one triangle of its rows of the
+stack, mirrored into the other: blocks are symmetric bit for bit, and the
+build holds the stack and one N x N temporary.
 ``chebyshev`` holds only the Laplacian and one fit of every block's gain
 on ``[0, 2]`` in ``L - I``, so it needs neither an eigendecomposition nor
 any N x N matrix. Every gain is fitted at degree ``t + 4 (J - 1)``, and the
@@ -426,14 +432,15 @@ class DecompositionOperator:
 
 def _exact_stack(system: FrameletSystem, spectrum: graphs.Spectrum) -> np.ndarray:
     """The dense ``(B N) x N`` stack: block b is ``spectrum.matrix_function``
-    of the b-th gain, bit for bit, written into its rows in place, so the
-    build holds the stack and one N x N temporary."""
+    of the b-th gain, bit for bit, written into its rows in place by the
+    same symmetric rank-k build (``dsyrk`` into one triangle, then a mirror
+    that assigns the other), so each block is exactly symmetric, costs N^3
+    flops, and the build holds the stack and one N x N temporary."""
     gains = system.block_gains(spectrum.values)
-    U = spectrum.vectors
-    n = U.shape[0]
+    n = spectrum.values.size
     stack = np.empty((len(gains) * n, n))
     for g, block in zip(gains, stack.reshape(len(gains), n, n)):
-        np.matmul(U * g, U.T, out=block)
+        spectrum._write_function(g, block)
     return stack
 
 

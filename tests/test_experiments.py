@@ -108,6 +108,20 @@ def test_fingerprint_deterministic_and_sensitive(tmp_path):
         ExperimentConfig(seeds=(0, 3)), data)
 
 
+def test_config_stores_the_transform_settings_it_holds():
+    # ``dilation=2`` and ``2.0`` name one transform, so they are one run.
+    data = SBMData()
+    spelled = ExperimentConfig(dilation=2, levels=np.int64(2), degree=np.int32(16))
+    default = ExperimentConfig()
+    assert fingerprint(spelled, data) == fingerprint(default, data)
+    assert spelled == default
+    for name in ("dilation", "levels", "degree"):
+        value = getattr(spelled, name)
+        assert type(value) is type(getattr(spelled.transform, name))
+        assert value == getattr(spelled.transform, name)
+    assert type(spelled.dilation) is float and type(spelled.levels) is int
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -1275,10 +1275,71 @@ def test_exact_stack_is_built_in_place_from_the_blocks():
     gains = system.block_gains(spec.values)
     blocks = [spec.matrix_function(g) for g in gains]
     np.testing.assert_array_equal(stack, np.concatenate(blocks), strict=True)
-    # The stack, one N x N temporary (``U * g``), the gains and 256 kB of
-    # slack, of which the build uses about 70 kB. B blocks concatenated
+    # The stack, one N x N temporary (``U diag(sqrt|g|)``), the gains and
+    # 256 kB of slack, of which the build uses about 70 kB. B blocks concatenated
     # afterwards would peak at twice the stack, 370 kB above the bound.
     assert peak <= stack.nbytes + n * n * 8 + 2 * gains.nbytes + 256 * 1024
+
+
+def test_exact_stack_assigns_every_entry_of_its_buffer(monkeypatch):
+    # Fresh memory may hold anything: the symmetric build must write every
+    # entry of its output, the mirrored triangle included, and read none.
+    real_empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    system, lap, spec = _exact_setup(150, 6.0, levels=2, seed=3)
+    monkeypatch.setattr(np, "empty", nan_empty)
+    stack = transform._exact_stack(system, spec)
+    blocks = [spec.matrix_function(g) for g in system.block_gains(spec.values)]
+    monkeypatch.undo()
+    assert np.isfinite(stack).all()
+    np.testing.assert_array_equal(stack, np.concatenate(blocks), strict=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150])
+def test_matrix_function_sums_signed_runs_symmetrically(n):
+    # Gains of both signs, in runs of one and of many columns, and exact
+    # zeros: each run is one signed rank-k product of the scaled columns.
+    rng = np.random.default_rng(n)
+    U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    g = rng.normal(size=n)
+    g[: n // 2] = np.abs(g[: n // 2])
+    g[::7] = 0.0
+    spec = graphs.Spectrum(np.arange(n, dtype=float), np.ascontiguousarray(U))
+    out = spec.matrix_function(g)
+    np.testing.assert_array_equal(out, out.T)
+    np.testing.assert_allclose(out, (U * g) @ U.T, rtol=0, atol=1e-14 * n)
+    # The result does not depend on the memory order of the eigenvectors.
+    fortran = graphs.Spectrum(spec.values, np.asfortranarray(U))
+    np.testing.assert_array_equal(fortran.matrix_function(g), out, strict=True)
+
+
+@given(edge_case_graphs(), st.integers(1, 3))
+@example(build_graph(1, []), 2)  # a single node
+@example(build_graph(4, []), 3)  # no edges at all
+@example(build_graph(8, [(1, 2, 1.0), (2, 3, 1.0), (5, 6, 1.0), (6, 7, 1.0)]), 2)
+def test_exact_blocks_are_bitwise_symmetric(graph, levels):
+    op = framelet_operator(graph, TransformSettings(levels=levels))
+    n = graph.num_nodes
+    for block in op.stack.reshape(op.num_blocks, n, n):
+        np.testing.assert_array_equal(block, block.T)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_operator_of_the_sbm_is_orthonormal_to_round_off(seed):
+    # The divide-and-conquer eigensolver's eigenvectors are orthonormal to a
+    # few ulps, so the exact round trip is too (MRRR's reach 8e-13 here).
+    graph = generate_sbm([100] * 3, 0.1, 0.01, seed=seed).graph
+    U = graph.spectrum.vectors
+    assert np.max(np.abs(U.T @ U - np.eye(graph.num_nodes))) <= 1e-13
+    op = framelet_operator(graph, TransformSettings(mode="exact"))
+    X = np.random.default_rng(0).normal(size=(graph.num_nodes, 4))
+    back = reconstruct(op, decompose(op, X))
+    assert np.max(np.abs(back - X)) / np.max(np.abs(X)) <= 1e-13
 
 
 # ------------------------------------------------ operators on a row subset
