@@ -36,15 +36,20 @@ all their scales off one Chebyshev basis (Hammond, Vandergheynst &
 Gribonval 2011). Both recur on ``S = 2(L - I)``, which ``build_operators``
 builds once per operator with its explicit zeros dropped: the unit
 diagonal cancels, so on a graph without self loops ``S`` stores only the
-off-diagonal entries. Each recurrence works in place on two N x d arrays,
-which hold its latest two terms up to sign. Its operands are checked once
-per call (``_kernel_operands``), so a step is two bare kernel calls:
-SciPy's sparse kernel adds ``S`` or ``-S`` times the newer term into the
-older, with no temporary, zero fill or subtraction, and one BLAS call
-updates all blocks, a rank-1 update adding the new term (forward) or a
-matrix-vector product adding ``w_k`` first (adjoint). Each direction
-costs ``recurrence_degree`` sparse products for any number of levels and
-high passes: 30 for a default round trip instead of 40 unchopped.
+off-diagonal entries. Each recurrence works in place on one ``(2, N, d)``
+array, whose two slots hold its latest two terms up to sign, and its
+operands are checked once per call (``_kernel_operands``). A step is one
+bare call of SciPy's sparse kernel, which adds ``S`` or ``-S`` times one
+slot into the other with no temporary, zero fill or subtraction. The
+blocks are updated once per two steps: after an odd step both slots carry
+the same sign, so one BLAS-3 product (``dgemm``) adds both terms to all B
+blocks (forward) or ``w_k`` and ``w_{k-1}`` to the two slots (adjoint),
+and an odd number of terms leaves one lone term to a product of its own.
+Counting every array entry a call reads or writes once, the block updates
+of a default round trip (16 terms, B = 3) move 117 N d doubles, against
+191 N d with one BLAS-2 update per term. Each direction costs
+``recurrence_degree`` sparse products for any number of levels and high
+passes: 30 for a default round trip instead of 40 unchopped.
 
 Large products use every usable CPU (the process's affinity mask, so
 ``taskset`` narrows it; the BLAS thread variables do not). When nnz(S)
@@ -55,11 +60,16 @@ work arrays with no waits between steps: the calling thread takes the
 first group and threads made for the call the others, and the groups'
 outputs are then joined into one C-contiguous array. Columns never
 mix in either recurrence, and every kernel computes an entry of a column
-the same way whatever the width, except that BLAS treats the last few
-entries of a flat vector apart (OpenBLAS's gemv the last ``len mod 4``).
-Every group but the last starts and ends on a multiple of 8 columns, so
-its flat length has no such tail and the last group's tail is the full
-width's. So with BLAS on one thread the output is bitwise the one-group
+the same way whatever the width, except where BLAS treats the last rows
+of a flat vector apart. In OpenBLAS 0.3.30 gemv does so for the last
+``len mod 4`` and the Haswell kernel's ger for the last ``len mod 16``,
+while every row of a dgemm came out the same at any row count and offset
+(3 to 4e4 rows, inner dimension 1 to 5, on its SkylakeX, Haswell and
+Sandybridge kernels). So every block update is a dgemm, the forward's
+lone last term included. The one BLAS-2 call left is the dgemv of the
+adjoint's lone top term, and every group but the last starts and ends on
+a multiple of 8 columns, so its flat length has no gemv tail, and the
+last group's tail is the full width's. So with BLAS on one thread the output is bitwise the one-group
 result on any number of CPUs. A multi-threaded BLAS splits each flat
 vector among its own threads at points that move with the length, so its
 last bits already depend on the BLAS thread count, split or not. Below the
@@ -92,7 +102,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy.linalg.blas import dgemv, dger
+from scipy.linalg.blas import dgemm, dgemv
 from scipy.sparse._sparsetools import csr_matvecs
 
 from . import graphs
@@ -511,10 +521,12 @@ def decompose(op: DecompositionOperator, X: np.ndarray) -> np.ndarray:
 
     In Chebyshev mode one recurrence ``T_k(L - I) X`` serves all B blocks:
     each step is one in-place sparse product that adds ``S T_{k-1}`` or
-    ``-S T_{k-1}`` to the array holding ``T_{k-2}``, and one BLAS rank-1
-    update that adds ``c_{b,k} T_k`` to every block b at once. Work is
-    ``recurrence_degree`` sparse products, and memory is two N x d work
-    arrays besides the output.
+    ``-S T_{k-1}`` to the array holding ``T_{k-2}``, and after every odd
+    step k one BLAS-3 product adds ``c_{b,k-1} T_{k-1} + c_{b,k} T_k`` to
+    every block b at once; an odd number of terms ends with a product of
+    the last term alone. Work is ``recurrence_degree`` sparse products and
+    half as many block updates, and memory is two N x d work arrays besides
+    the output.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != op.num_signal_rows:
@@ -535,11 +547,13 @@ def reconstruct(op: DecompositionOperator, c: np.ndarray) -> np.ndarray:
 
     Every block is a polynomial in the symmetric Laplacian and hence
     symmetric, so in Chebyshev mode the adjoint is ``sum_k T_k(L - I) w_k``
-    with ``w_k = sum_b c_{b,k} c[b]``, summed by one Clenshaw recurrence:
-    each step is a BLAS matrix-vector product over all blocks that adds
-    ``w_k`` to the array of ``b_{k+2}``, then an in-place sparse product
-    that adds ``S b_{k+1}`` or ``-S b_{k+1}``. Its cost is that of
-    ``decompose``.
+    with ``w_k = sum_b c_{b,k} c[b]``, summed by one Clenshaw recurrence.
+    Each step is an in-place sparse product that adds ``S b_{k+1}`` or
+    ``-S b_{k+1}`` to the array of ``b_{k+2}``. Steps k (odd) and k - 1
+    share one BLAS-3 product over all blocks, which adds ``w_k`` and
+    ``w_{k-1}`` to their arrays between their sparse products; an odd
+    number of terms starts with a matrix-vector product that adds the top
+    ``w_k`` alone. Its cost is that of ``decompose``.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 3 or c.shape[:2] != (op.num_blocks, op.num_nodes):
@@ -641,26 +655,33 @@ def _decompose_columns(S: SparseMatrix, steps: np.ndarray, X: np.ndarray) -> np.
     """The forward recurrence of ``decompose`` on the N x w signal ``X``:
     its C-contiguous ``(B, N, w)`` coefficients."""
     n, d = X.shape
-    # terms[k & 1] holds (-1)^(k // 2) T_k: with signs +, +, -, -, ... each
-    # step adds S T_{k-1} (k odd) or -S T_{k-1} (k even) into the array
-    # of T_{k-2}, which then holds the signed T_k = S T_{k-1} - T_{k-2}.
+    # pair[k & 1] holds (-1)^(k // 2) T_k: with signs +, +, -, -, ... each
+    # step adds S T_{k-1} (k odd) or -S T_{k-1} (k even) into the slot of
+    # T_{k-2}, which then holds the signed T_k = S T_{k-1} - T_{k-2}.
     # T_1 = S T_0 / 2 goes into zeros. The copy keeps X unwritten.
-    terms = (np.array(X, order="C"), np.zeros(X.shape))
-    S, values, flat = _kernel_operands(S, terms)
+    pair = np.zeros((2, n, d))
+    pair[0] = X
+    S, values, flat = _kernel_operands(S, pair)
     # C-contiguous output whatever the layout of X; flattened, block b is
-    # column b of the Fortran-ordered (N d) x B view ``columns`` dger updates.
+    # column b of the Fortran-ordered (N d) x B view ``columns``, and slot i
+    # of the pair column i of the (N d) x 2 view ``both``. After an odd
+    # step both slots carry the sign of k, so one product adds
+    # c_{b,k-1} T_{k-1} + c_{b,k} T_k to every block, and an odd term
+    # count ends with a product of slot 0 alone. The first writes the
+    # output (beta = 0), which no step reads.
     num_blocks = steps.shape[1]
     data = np.empty((num_blocks, n, d))
     columns = data.reshape(num_blocks, -1, copy=False).T
-    for out, c in zip(data, steps[0]):
-        np.multiply(X, c, out=out)
-    for k in range(1, len(steps)):
+    both = pair.reshape(2, -1, copy=False).T
+    top = len(steps) - 1
+    for k in range(top + 1):
         odd = k & 1
-        csr_matvecs(n, n, d, S.indptr, S.indices, values[2 if k == 1 else odd],
-                    flat[1 - odd], flat[odd])
-        if data.size:
-            dger(-1.0 if k & 2 else 1.0, flat[odd], steps[k], a=columns,
-                 overwrite_a=True)
+        if k:
+            csr_matvecs(n, n, d, S.indptr, S.indices, values[2 if k == 1 else odd],
+                        flat[1 - odd], flat[odd])
+        if (odd or k == top) and data.size:
+            dgemm(-1.0 if k & 2 else 1.0, both[:, :odd + 1], steps[k - odd:k + 1].T,
+                  beta=float(k > 1), c=columns, trans_b=1, overwrite_c=True)
     return data
 
 
@@ -669,24 +690,32 @@ def _reconstruct_columns(S: SparseMatrix, steps: np.ndarray, blocks: np.ndarray)
     coefficient blocks ``blocks``: the N x w result."""
     blocks = np.ascontiguousarray(blocks, dtype=np.float64)
     n, d = blocks.shape[1:]
-    # Block b is column b of the Fortran-ordered (N d) x B view, as dgemv
+    # Block b is column b of the Fortran-ordered (N d) x B view, as BLAS
     # reads it without a copy; steps[k] holds step k's coefficients.
     columns = blocks.reshape(len(blocks), -1, copy=False).T
     # b_k = w_k + S b_{k+1} - b_{k+2} from b_{t+1} = b_{t+2} = 0; the sum is
-    # b_0 = w_0 + S b_1 / 2 - b_2. terms[k & 1] holds (-1)^(k // 2) b_k, so
+    # b_0 = w_0 + S b_1 / 2 - b_2. pair[k & 1] holds (-1)^(k // 2) b_k, so
     # step k adds S b_{k+1} (k even) or -S b_{k+1} (k odd), and b_0 comes
-    # out with sign +.
-    terms = (np.zeros((n, d)), np.zeros((n, d)))
-    S, values, flat = _kernel_operands(S, terms)
-    for k in range(len(steps) - 1, -1, -1):
-        odd = k & 1
+    # out with sign +. Steps k (odd) and k - 1 share a sign and one product
+    # over all blocks, which adds w_k and w_{k-1} to the slots of the
+    # (N d) x 2 view ``both`` between their sparse products; a top even
+    # term starts alone.
+    pair = np.zeros((2, n, d))
+    S, values, flat = _kernel_operands(S, pair)
+    both = pair.reshape(2, -1, copy=False).T
+    top = len(steps) - 1
+    if not top & 1 and columns.size:
+        dgemv(-1.0 if top & 2 else 1.0, columns, steps[top], beta=1.0,
+              y=flat[0], overwrite_y=True)
+    for k in range(top if top & 1 else top - 1, 0, -2):
+        if k < top:
+            csr_matvecs(n, n, d, S.indptr, S.indices, values[0], flat[0], flat[1])
         if columns.size:
-            dgemv(-1.0 if k & 2 else 1.0, columns, steps[k], beta=1.0,
-                  y=flat[odd], overwrite_y=True)
-        if k < len(steps) - 1:
-            csr_matvecs(n, n, d, S.indptr, S.indices,
-                        values[2 if k == 0 else 1 - odd], flat[1 - odd], flat[odd])
-    return terms[0]
+            dgemm(-1.0 if k & 2 else 1.0, columns, steps[k - 1:k + 1].T, beta=1.0,
+                  c=both, overwrite_c=True)
+        csr_matvecs(n, n, d, S.indptr, S.indices, values[2 if k == 1 else 1],
+                    flat[1], flat[0])
+    return pair[0].copy()
 
 
 def block_energies(c: np.ndarray) -> np.ndarray:

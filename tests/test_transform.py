@@ -322,6 +322,86 @@ def test_one_recurrence_serves_every_block(
     assert np.max(np.abs(back - X)) / np.max(np.abs(X)) <= TIGHTNESS_TOL
 
 
+# Settings and their term counts on a K = 0 graph: even (the default), odd,
+# odd with a last coefficient that is not round-off, and a single term.
+TERM_PARITIES = [
+    (TransformSettings(mode="chebyshev"), 16),
+    (TransformSettings(levels=3, mode="chebyshev"), 21),
+    (TransformSettings(levels=1, degree=2, mode="chebyshev"), 3),
+    (TransformSettings(levels=1, degree=0, mode="chebyshev"), 1),
+]
+
+
+def _fill_empty_with_nan(monkeypatch):
+    """Make every ``np.empty`` array start as NaN until ``monkeypatch.undo``:
+    an output that is read before it is written then shows."""
+    real_empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+
+
+def _parity_operator(settings, terms):
+    """A Chebyshev operator on a 60-node K = 0 graph with ``terms`` terms."""
+    op = framelet_operator(random_er_graph(60, 4.0, np.random.default_rng(0)), settings)
+    assert op.system.K == 0 and op.system.chebyshev_coeffs.shape[1] == terms
+    return op
+
+
+@pytest.mark.parametrize("settings, terms", TERM_PARITIES)
+def test_recurrences_are_the_dense_chebyshev_sums_at_either_parity(
+    monkeypatch, settings, terms
+):
+    # Block b of decompose is sum_k c_{b,k} T_k(S/2) X and reconstruct sums
+    # those polynomials' products with the blocks, from dense T_k. Terms go
+    # into the blocks two per BLAS call, and a lone last term alone, so both
+    # parities end differently. The first call writes the output without
+    # reading it: fresh memory may hold anything, here NaN.
+    op = _parity_operator(settings, terms)
+    S = op.recurrence.csr.toarray()
+    T = [np.eye(len(S)), S / 2]
+    while len(T) < terms:
+        T.append(S @ T[-1] - T[-2])
+    polys = [sum(a * t for a, t in zip(row, T)) for row in op.system.chebyshev_coeffs]
+    rng = np.random.default_rng(terms)
+    X = rng.normal(size=(op.num_nodes, 5))
+    c = rng.normal(size=(op.num_blocks, op.num_nodes, 5))
+    _fill_empty_with_nan(monkeypatch)
+    got = decompose(op, X), reconstruct(op, c)
+    monkeypatch.undo()
+    want = np.stack([p @ X for p in polys]), sum(p @ block for p, block in zip(polys, c))
+    for g, w in zip(got, want):
+        assert np.isfinite(g).all()
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("settings, terms", TERM_PARITIES)
+def test_each_blas_call_folds_two_terms_into_the_blocks(monkeypatch, settings, terms):
+    # Per direction: recurrence_degree sparse products, one dgemm per pair of
+    # terms and one for a lone last term. The adjoint starts an odd count's
+    # lone top term with one dgemv instead.
+    op = _parity_operator(settings, terms)
+    assert op.system.recurrence_degree == terms - 1
+    calls = []
+    for name in ("csr_matvecs", "dgemm", "dgemv"):
+        def counting(*args, name=name, kernel=getattr(transform, name), **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(transform, name, counting)
+    c = decompose(op, np.random.default_rng(1).normal(size=(op.num_nodes, 3)))
+    forward = [calls.count(name) for name in ("csr_matvecs", "dgemm", "dgemv")]
+    calls.clear()
+    reconstruct(op, c)
+    adjoint = [calls.count(name) for name in ("csr_matvecs", "dgemm", "dgemv")]
+    assert forward == [terms - 1, (terms + 1) // 2, 0]
+    assert adjoint == [terms - 1, terms // 2, terms % 2]
+
+
 @pytest.mark.parametrize("t", [8, 16])
 @pytest.mark.parametrize("K", [0, -1])
 @pytest.mark.parametrize("levels", [1, 2, 3])
@@ -571,9 +651,15 @@ def test_spmm_add_rejects_operands_it_cannot_update_in_place():
 
 
 @pytest.fixture(scope="module")
-def split_operator():
+def split_graph():
+    """A graph whose Chebyshev products split at d >= 16."""
+    return random_er_graph(5001, 8.0, 31)
+
+
+@pytest.fixture(scope="module")
+def split_operator(split_graph):
     """A Chebyshev operator on a graph whose products split at d >= 16."""
-    op = framelet_operator(random_er_graph(5001, 8.0, 31), TransformSettings(mode="chebyshev"))
+    op = framelet_operator(split_graph, TransformSettings(mode="chebyshev"))
     assert op.recurrence.nnz * 16 > transform.SPLIT_WORK
     return op
 
@@ -660,6 +746,25 @@ def test_column_groups_are_bitwise_the_one_group_result(
     c = transform.decompose(restricted, X[rows])
     np.testing.assert_array_equal(c, data)
     np.testing.assert_array_equal(transform.reconstruct(restricted, c), back[rows])
+
+
+@pytest.mark.parametrize("levels, degree", [(3, 16), (1, 2), (1, 0)])
+def test_column_groups_are_bitwise_at_an_odd_term_count(
+    monkeypatch, split_graph, levels, degree
+):
+    # An odd term count ends on a lone term, a product of its own in either
+    # direction; the split stays bitwise, also when that term's coefficients
+    # are not round-off (degree 2) or the only ones (degree 0).
+    op = framelet_operator(
+        split_graph, TransformSettings(levels=levels, degree=degree, mode="chebyshev")
+    )
+    assert op.system.chebyshev_coeffs.shape[1] % 2 == 1
+    X = np.random.default_rng(degree).normal(size=(op.num_nodes, 17))
+    data, back = _one_group(op, X)
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+    assert transform._column_groups(op.recurrence.nnz, 17) == [(0, 8), (8, 17)]
+    np.testing.assert_array_equal(transform.decompose(op, X), data)
+    np.testing.assert_array_equal(transform.reconstruct(op, data), back)
 
 
 def test_benchmark_shims_are_the_operator_transforms(monkeypatch, split_operator):
@@ -813,9 +918,17 @@ def test_a_column_slice_is_refused_as_a_work_array():
     for terms in ((wide[:, :8], good), (good, wide[:, 8:])):
         with pytest.raises(ValueError, match="Chebyshev recurrence"):
             transform._kernel_operands(s, terms)
-    a = np.asfortranarray(np.zeros((30, 32)))[:, ::2]
-    updated = transform.dger(1.0, np.ones(30), np.ones(16), a=a, overwrite_a=True)
-    assert updated is not a and updated.all() and not a.any()
+    # The block updates' outputs are no different: dgemm given a c that is
+    # not Fortran-contiguous (a column slice, or C order) and dgemv given a
+    # strided y return an updated copy and leave the array as it was.
+    for c in (np.asfortranarray(np.zeros((30, 4)))[:, ::2], np.zeros((30, 2))):
+        updated = transform.dgemm(1.0, np.ones((30, 1)), np.ones((1, 2)), beta=1.0, c=c,
+                                  overwrite_c=True)
+        assert updated is not c and updated.all() and not c.any()
+    y = np.zeros(60)[::2]
+    updated = transform.dgemv(1.0, np.ones((30, 2), order="F"), np.ones(2), beta=1.0,
+                              y=y, overwrite_y=True)
+    assert updated is not y and updated.all() and not y.any()
 
 
 def test_only_transform_imports_the_private_sparse_kernel():
@@ -1284,15 +1397,8 @@ def test_exact_stack_is_built_in_place_from_the_blocks():
 def test_exact_stack_assigns_every_entry_of_its_buffer(monkeypatch):
     # Fresh memory may hold anything: the symmetric build must write every
     # entry of its output, the mirrored triangle included, and read none.
-    real_empty = np.empty
-
-    def nan_empty(*args, **kwargs):
-        out = real_empty(*args, **kwargs)
-        out.fill(np.nan)
-        return out
-
     system, lap, spec = _exact_setup(150, 6.0, levels=2, seed=3)
-    monkeypatch.setattr(np, "empty", nan_empty)
+    _fill_empty_with_nan(monkeypatch)
     stack = transform._exact_stack(system, spec)
     blocks = [spec.matrix_function(g) for g in system.block_gains(spec.values)]
     monkeypatch.undo()
