@@ -53,6 +53,7 @@ _DEGREE_HELP = ("Chebyshev degree t of one level's filters; chebyshev mode fits 
                "block directly at t + 4 (levels - 1), then chops the terms that are "
                "round-off in every block: degree 15 of 20 at t = 16, two levels and "
                "K = 0, so 30 sparse products per round trip")
+LIST_MAX = 2**20  # most integers one list flag (--seeds, --sbm-sizes, --sizes) names
 
 
 class _UsageError(Exception):
@@ -91,25 +92,28 @@ def _int64(token: str, text: str | None = None) -> int:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     """Comma-separated integers and ascending ``lo-hi`` ranges, inclusive,
-    each bound fitting int64."""
-    out: list[int] = []
+    each bound fitting int64, at most ``LIST_MAX`` of them in all: the
+    entries are counted before any range is expanded."""
+    ranges: list[range] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         # A leading minus sign is the start's sign, not the range dash.
         dash = chunk.find("-", 1)
-        if dash < 0:
-            out.append(_int64(chunk, text))
-            continue
-        lo = _int64(chunk[:dash], text)
-        hi = _int64(chunk[dash + 1 :], text)
+        lo = _int64(chunk if dash < 0 else chunk[:dash], text)
+        hi = lo if dash < 0 else _int64(chunk[dash + 1 :], text)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"descending range {chunk!r} in {text!r}")
-        out.extend(range(lo, hi + 1))
-    if not out:
+        ranges.append(range(lo, hi + 1))
+    # Not len(range), which overflows past sys.maxsize entries.
+    count = sum(r.stop - r.start for r in ranges)
+    if not count:
         raise argparse.ArgumentTypeError(f"empty integer list: {text!r}")
-    return tuple(out)
+    if count > LIST_MAX:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} lists {count} integers, more than {LIST_MAX}")
+    return tuple(i for r in ranges for i in r)
 
 
 def _given(args, *names) -> dict:
@@ -127,14 +131,31 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=transform.MODES)
 
 
-def _signal_and_operator(args):
-    """The ``--signal`` file, and the framelet operator of the ``--graph``
-    file set by the system flags, which are checked before any file is read."""
+def _read_like(path: str, what: str, shape: tuple) -> np.ndarray:
+    """The features file ``path`` of ``what``, refused, naming the file,
+    unless its shape is ``shape``, the signal's."""
+    data = io.read_features_csv(path)
+    if data.shape != shape:
+        raise ValueError(f"{path}: {what} shape {data.shape} does not match the "
+                         f"signal shape {shape}")
+    return data
+
+
+def _signal_and_operator(args, *like):
+    """The ``--signal`` file, with one row per node; the file of each flag in
+    ``like``, of the signal's shape, or None; and the framelet operator of
+    the ``--graph`` file set by the system flags. The flags are checked
+    before any file is read, and the files before the operator is built."""
     settings = transform.TransformSettings(
         **_given(args, *(f.name for f in fields(transform.TransformSettings))))
     graph = io.read_graph_text(args.graph)
     signal = io.read_features_csv(args.signal)
-    return signal, transform.framelet_operator(graph, settings)
+    if signal.shape[0] != graph.num_nodes:
+        raise ValueError(f"{args.signal}: signal of {signal.shape[0]} rows, but the "
+                         f"graph {args.graph} has {graph.num_nodes} nodes")
+    paths = {name: getattr(args, name) for name in like}
+    others = [_read_like(p, name, signal.shape) if p else None for name, p in paths.items()]
+    return signal, *others, transform.framelet_operator(graph, settings)
 
 
 def _cmd_transform(args) -> int:
@@ -149,7 +170,8 @@ def _cmd_transform(args) -> int:
 def _cmd_reconstruct(args) -> int:
     graph = io.read_graph_text(args.graph)
     settings, num_high, num_nodes, digest, data = io.read_coefficients(args.coeffs)
-    # Checked before the operator, in exact mode an eigendecomposition, is built.
+    # Checked, with the reference, before the operator, in exact mode an
+    # eigendecomposition, is built.
     haar_high = haar_filter_bank().num_high
     if (num_nodes, num_high) != (graph.num_nodes, haar_high):
         raise ValueError(
@@ -157,16 +179,11 @@ def _cmd_reconstruct(args) -> int:
             f"passes; the graph's Haar operator has {graph.num_nodes} and {haar_high}")
     if digest != io.laplacian_digest(graph.laplacian):
         raise ValueError(f"{args.coeffs}: written for another graph than {args.graph}")
+    ref = _read_like(args.reference, "reference", data.shape[1:]) if args.reference else None
     op = transform.framelet_operator(graph, settings)
     signal = transform.reconstruct(op, data)
     summary = {"nodes": graph.num_nodes, "out": args.out}
-    if args.reference:
-        ref = io.read_features_csv(args.reference)
-        if ref.shape != signal.shape:
-            raise ValueError(
-                f"reference shape {ref.shape} does not match the signal shape "
-                f"{signal.shape}"
-            )
+    if ref is not None:
         denom = float(np.linalg.norm(ref))
         err = float(np.linalg.norm(signal - ref))
         summary["relative_error"] = err / denom if denom else err
@@ -177,8 +194,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_denoise(args) -> int:
     shrinkage.ThresholdConfig(args.sigma)  # refuse a bad sigma before any file is read
-    noisy, op = _signal_and_operator(args)
-    truth = io.read_features_csv(args.truth) if args.truth else None
+    noisy, truth, op = _signal_and_operator(args, "truth")
     denoised, report = experiments.denoise_signal(op, noisy, sigma=args.sigma, truth=truth)
     io.write_features_csv(denoised, args.out)
     report["out"] = args.out

@@ -195,35 +195,28 @@ def star_graph(num_nodes: int) -> Graph:
     return build_graph(num_nodes, [(0, i, 1.0) for i in range(1, num_nodes)])
 
 
-def split_counts(size: int, fractions: tuple[float, float]) -> np.ndarray:
+SPLIT_FRACTIONS = (0.1, 0.2)  # (train, val) of each class; the rest is test
+
+
+def split_counts(size: int) -> np.ndarray:
     """The (train, val, test) node counts ``stratified_split`` gives a class
-    of ``size``: ``round(fraction * size)``, at least 1, while nodes last."""
-    n_train, n_val = (max(1, int(round(f * size))) for f in fractions)
+    of ``size``: ``round(fraction * size)`` for each of ``SPLIT_FRACTIONS``,
+    at least 1, while nodes last."""
+    n_train, n_val = (max(1, int(round(f * size))) for f in SPLIT_FRACTIONS)
     return np.diff(np.minimum([0, n_train, n_train + n_val, size], size))
 
 
-def stratified_split(
-    labels: np.ndarray, fractions: tuple[float, float], rng
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class shuffle into train/val/test masks by the given fractions.
-
-    ``fractions = (train, val)``; the remainder is test. Every class
-    contributes at least one training node (``split_counts``).
-    """
+def stratified_split(labels: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class shuffle into train/val/test masks of ``split_counts`` nodes:
+    10/20/70, and every class contributes at least one training node."""
     rng = np.random.default_rng(rng)
     labels = np.asarray(labels)
-    n = labels.shape[0]
-    train = np.zeros(n, dtype=bool)
-    val = np.zeros(n, dtype=bool)
-    test = np.zeros(n, dtype=bool)
+    masks = np.zeros((3, labels.shape[0]), dtype=bool)
     for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        idx = rng.permutation(idx)
-        train_end, val_end, _ = np.cumsum(split_counts(idx.size, fractions))
-        train[idx[:train_end]] = True
-        val[idx[train_end:val_end]] = True
-        test[idx[val_end:]] = True
-    return train, val, test
+        idx = rng.permutation(np.flatnonzero(labels == cls))
+        for mask, part in zip(masks, np.split(idx, np.cumsum(split_counts(idx.size))[:2])):
+            mask[part] = True
+    return tuple(masks)
 
 
 def check_sbm(block_sizes: Sequence[int], p_in: float, p_out: float) -> None:
@@ -236,7 +229,7 @@ def check_sbm(block_sizes: Sequence[int], p_in: float, p_out: float) -> None:
             raise ValueError(f"probabilities must lie in [0, 1], got {name} = {p}")
     if not block_sizes or min(int(s) for s in block_sizes) <= 0:
         raise ValueError("every block must be nonempty")
-    check_splits(sum(split_counts(int(s), (0.1, 0.2)) for s in block_sizes))
+    check_splits(sum(split_counts(int(s)) for s in block_sizes))
 
 
 def _sbm_graph(block_sizes: list[int], p_in: float, p_out: float, rng) -> Graph:
@@ -297,7 +290,7 @@ def generate_sbm(
         features = (rng.random(prob.shape) < prob).astype(np.float64)
     else:
         raise TypeError(f"unknown feature model {type(feature_model).__name__}")
-    train, val, test = stratified_split(labels, (0.1, 0.2), rng)
+    train, val, test = stratified_split(labels, rng)
     return NodeDataset(
         graph=graph,
         features=features,

@@ -481,11 +481,9 @@ def bench_transform(
     ``operator_bytes``. The build is the whole ``framelet_operator`` call:
     Laplacian, Lanczos estimate of the top eigenvalue and block fits,
     each repetition on a fresh copy of the graph, whose spectral cache and
-    kept operator are empty. The transform runs matrix-free, one Chebyshev recurrence in each
-    direction whatever the number of high passes, of ``recurrence_degree``
-    sparse products: the block fits at degree ``degree + 4 (levels - 1)``
-    with their round-off tail chopped. Out-of-memory records the size as
-    skipped instead of failing the run.
+    kept operator are empty. The transform runs matrix-free, in Chebyshev
+    mode. Out-of-memory records the size as skipped instead of failing the
+    run.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")

@@ -8,12 +8,11 @@ and ``lanczos_bound`` are computed on first use and live as long as the
 graph, so every operator built from one ``Graph`` object shares them. The
 exact spectrum holds N^2 doubles, at most 32 MB at
 ``EXACT_SPECTRUM_MAX_NODES``. ``Graph.cached`` keeps one more value, the
-latest one built for some key: ``transform.framelet_operator`` keeps the
-graph's framelet operator there, so a second call with the same settings
-returns the same operator, and a call with other settings replaces it. A
-graph's adjacency and cached arrays are therefore read-only, so a write
-into one raises ``ValueError``; the arrays the plain functions return
-belong to the caller.
+latest one built for some key (``transform.framelet_operator`` keeps the
+graph's operator there). A graph's adjacency and cached arrays are
+therefore read-only, so a write into one raises ``ValueError``; the arrays
+the plain functions return belong to the caller. ``Graph.edges`` gives
+back the edge rows ``build_graph`` takes.
 
 Every sparse matrix of the library is assembled here, with no SciPy
 format conversion or sparse sum: ``_assemble`` sorts an adjacency's entries
@@ -68,16 +67,18 @@ class Graph:
     are made read-only on construction, because the spectral data below
     and the value in the ``cached`` slot are computed once and kept for
     the graph's lifetime. ``dataclasses.replace`` gives an equal graph that
-    computes its own and starts with an empty slot.
+    computes its own and starts with an empty slot. ``num_nodes`` is the
+    adjacency's row count, which must equal its column count.
     """
 
-    num_nodes: int
+    num_nodes: int = field(init=False)
     adjacency: SparseMatrix = field(repr=False)
 
     def __post_init__(self):
         csr = self.adjacency.csr
-        if csr.shape != (self.num_nodes, self.num_nodes):
-            raise ValueError("adjacency shape does not match num_nodes")
+        if csr.shape[0] != csr.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {csr.shape}")
+        object.__setattr__(self, "num_nodes", csr.shape[0])
         _freeze(csr.data, csr.indices, csr.indptr)
 
     @cached_property
@@ -125,12 +126,19 @@ class Graph:
         return np.asarray(self.adjacency.csr.sum(axis=1)).ravel()
 
     @property
+    def edges(self) -> np.ndarray:
+        """The ``(M, 3)`` float rows ``(u, v, w)`` of the stored entries with
+        ``u <= v`` in CSR order, each self loop once:
+        ``build_graph(num_nodes, edges)`` rebuilds the graph bit for bit."""
+        a = self.adjacency.csr
+        rows = np.repeat(np.arange(self.num_nodes), np.diff(a.indptr))
+        upper = a.indices >= rows
+        return np.column_stack([rows[upper], a.indices[upper], a.data[upper]])
+
+    @property
     def num_edges(self) -> int:
         """Number of undirected edges (self loops count once)."""
-        a = self.adjacency.csr
-        # int(): a full-array np.count_nonzero returns np.int64 on NumPy 2.
-        loops = int(np.count_nonzero(a.diagonal()))
-        return (a.nnz - loops) // 2 + loops
+        return len(self.edges)
 
 
 def validate_csr(csr: sp.csr_array) -> None:
@@ -177,17 +185,10 @@ class Spectrum:
     values: np.ndarray
     vectors: np.ndarray = field(repr=False)
 
-    def matrix_function(self, diag_values: np.ndarray) -> np.ndarray:
-        """Dense ``U diag(f(lambda)) U^T`` for per-eigenvalue filter values,
-        symmetric bit for bit."""
-        fvals = np.asarray(diag_values, dtype=np.float64)
-        if fvals.shape != self.values.shape:
-            raise ValueError("need one filter value per eigenvalue")
-        return self._write_function(fvals, np.empty((fvals.size, fvals.size)))
-
-    def _write_function(self, fvals: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write ``U diag(fvals) U^T`` into the C-contiguous N x N ``out``
-        and return it.
+    def matrix_function(self, values, out: np.ndarray | None = None) -> np.ndarray:
+        """Dense ``U diag(values) U^T`` for one filter value per eigenvalue,
+        symmetric bit for bit, written into ``out`` when given (a
+        C-contiguous float64 N x N array), else into a new array; returns it.
 
         With ``V = U diag(sqrt|f|)`` the product is the sum of ``+-V_k V_k^T``
         over runs of columns k whose value has one sign, so BLAS ``dsyrk``
@@ -196,7 +197,14 @@ class Spectrum:
         triangle. Every entry of ``out`` is written and none is read first,
         and the build holds ``V``, one N x N temporary.
         """
+        fvals = np.asarray(values, dtype=np.float64)
+        if fvals.shape != self.values.shape:
+            raise ValueError("need one filter value per eigenvalue")
         n = fvals.size
+        if out is None:
+            out = np.empty((n, n))
+        elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous float64 N x N array")
         if n == 0:
             return out
         V = np.multiply(self.vectors, np.sqrt(np.abs(fvals)), order="F")
@@ -381,7 +389,7 @@ def build_graph(num_nodes: int, edges: ArrayLike) -> Graph:
         keep[1::2] = ~loop
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     shape = (num_nodes, num_nodes)
-    return Graph(num_nodes=num_nodes, adjacency=_assemble(shape, rows, cols, vals))
+    return Graph(_assemble(shape, rows, cols, vals))
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
@@ -393,7 +401,7 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     starts = np.cumsum([0] + [g.num_nodes for g in graphs], dtype=np.int64)
     firsts = np.cumsum([0] + [a.nnz for a in adjs], dtype=np.int64)
     n = int(starts[-1])
-    return Graph(n, _csr(
+    return Graph(_csr(
         (n, n),
         np.concatenate([[0]] + [a.indptr[1:] + f for a, f in zip(adjs, firsts)]),
         np.concatenate([np.zeros(0, np.int64)]

@@ -97,15 +97,13 @@ def read_graph_text(path: str):
 
 
 def write_graph_text(graph, path: str) -> None:
-    coo = graph.adjacency.csr.tocoo()
-    entries = sorted(
-        (int(u), int(v), float(w))
-        for u, v, w in zip(coo.row, coo.col, coo.data)
-        if u <= v
-    )
+    """Write ``graph`` in the graph text format: its ``Graph.edges`` rows, in
+    their canonical order, each weight with ``format_float``."""
+    edges = graph.edges
+    ends = edges[:, :2].astype(np.int64).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{graph.num_nodes} {len(entries)}\n")
-        for u, v, w in entries:
+        fh.write(f"{graph.num_nodes} {len(edges)}\n")
+        for (u, v), w in zip(ends, edges[:, 2].tolist()):
             fh.write(f"{u} {v} {format_float(w)}\n")
 
 
@@ -173,13 +171,13 @@ def laplacian_digest(lap) -> bytes:
 
 def write_coefficients(op, coeffs, path: str) -> None:
     """Write ``coeffs``, the ``(B, N, d)`` coefficients of a signal under the
-    framelet operator ``op``, with its transform settings and graph digest."""
-    settings, shape = op.system.settings, np.shape(coeffs)
-    if len(shape) != 3 or shape[:2] != (op.num_blocks, op.num_nodes):
-        raise ValueError(f"coefficient array does not match the operator: shape "
-                         f"{shape}, need ({op.num_blocks}, {op.num_nodes}, d)")
+    framelet operator ``op``, with its transform settings and graph digest.
+    A shape that ``op.check_coefficients`` refuses raises ``ValueError``
+    before the file is opened."""
+    op.check_coefficients(coeffs)
+    settings = op.system.settings
     head = COEFF_MAGIC + _COEFF_HEADER.pack(
-        FORMAT_VERSION, op.num_nodes, shape[2], op.system.num_high,
+        FORMAT_VERSION, op.num_nodes, np.shape(coeffs)[2], op.system.num_high,
         settings.levels, settings.degree, MODES.index(settings.mode), settings.dilation,
         laplacian_digest(op.lap),
     )

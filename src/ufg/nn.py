@@ -31,6 +31,8 @@ from .sparse import SparseMatrix
 from .transform import DecompositionOperator, decompose, reconstruct
 
 READOUTS = ("sum", "spectrum")  # the modes of ``ufg_pool_forward``
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -91,7 +93,8 @@ def ufg_conv_forward(
 
     ``X`` is an ``(N, d_in)`` signal on the nodes, or, when 3-d, the
     ``(B, N, d_in)`` coefficients ``decompose(op, X)`` of a fixed input,
-    whose first two axes must be ``op``'s blocks and nodes: a network whose
+    whose first two axes must be ``op``'s blocks and nodes
+    (``op.check_coefficients``): a network whose
     first layer sees the same input every epoch decomposes it once.
 
     With ReLU or no activation and ``d_in < d_out`` the layer reconstructs
@@ -125,9 +128,8 @@ def ufg_conv_forward(
     W, theta, bias = params["W"], params["theta"], params["bias"]
     X = np.asarray(X, dtype=np.float64)
     coeff_in = X.ndim == 3
-    if coeff_in and X.shape[:2] != (op.num_blocks, op.num_nodes):
-        raise ValueError(f"coefficient input does not match the operator: shape "
-                         f"{X.shape}, need ({op.num_blocks}, {op.num_nodes}, d_in)")
+    if coeff_in:
+        op.check_coefficients(X, "coefficient input")
     if X.ndim not in (2, 3) or X.shape[-1] != W.shape[0]:
         raise ValueError("X shape does not match W")
     if out_op is None:
@@ -364,9 +366,6 @@ class AdamState:
     """Adam accumulators for a named parameter set."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -395,7 +394,8 @@ def adam_step(
     weight_decay: float = 0.0,
     decay_keys: frozenset[str] | set[str] = frozenset(),
 ) -> dict:
-    """One bias-corrected Adam update; returns the new parameter dict.
+    """One bias-corrected Adam update at the decay rates ``ADAM_BETA1`` and
+    ``ADAM_BETA2``; returns the new parameter dict.
 
     ``params`` and ``grads`` are dicts of named arrays, or of such dicts (a
     layer's parameters under the layer's name). A parameter's name joins
@@ -417,11 +417,11 @@ def adam_step(
         if key not in state.m:
             state.m[key] = np.zeros_like(p)
             state.v[key] = np.zeros_like(p)
-        state.m[key] = state.beta1 * state.m[key] + (1 - state.beta1) * g
-        state.v[key] = state.beta2 * state.v[key] + (1 - state.beta2) * g**2
-        m_hat = state.m[key] / (1 - state.beta1**t)
-        v_hat = state.v[key] / (1 - state.beta2**t)
-        out = _replaced(out, path, p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        state.m[key] = ADAM_BETA1 * state.m[key] + (1 - ADAM_BETA1) * g
+        state.v[key] = ADAM_BETA2 * state.v[key] + (1 - ADAM_BETA2) * g**2
+        m_hat = state.m[key] / (1 - ADAM_BETA1**t)
+        v_hat = state.v[key] / (1 - ADAM_BETA2**t)
+        out = _replaced(out, path, p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import check_seed, sample_pairs
+from .datasets import _unit_edges, check_seed, sample_pairs
 from .graphs import Graph, build_graph
 
 PERTURB_MODELS = ("bernoulli_flip", "gaussian", "edge_ratio")
@@ -59,10 +59,10 @@ def perturb(
     probability described in the module docstring. ``gaussian`` adds
     N(0, value^2) to every entry. ``edge_ratio`` targets
     ``round(value * |E|)`` pairs: below 1 it keeps a uniform subset of the
-    edges, above 1 it adds non-edges drawn uniformly by
-    ``datasets.sample_pairs``, and raises ``ValueError`` when too few pairs
-    are free. Self loops and the weights of kept edges are preserved; added
-    edges get unit weight.
+    edges (the ``Graph.edges`` rows off the diagonal), above 1 it adds
+    non-edges drawn uniformly by ``datasets.sample_pairs``, and raises
+    ``ValueError`` when too few pairs are free. Self loops and the weights
+    of kept edges are preserved; added edges get unit weight.
     """
     features = np.asarray(features, dtype=np.float64)
     rng = np.random.default_rng(spec.seed)
@@ -80,12 +80,9 @@ def perturb(
     # edge_ratio
     if spec.value == 1.0:
         return graph, features
-    coo = graph.adjacency.csr.tocoo()
-    row, col = coo.row.astype(np.int64), coo.col.astype(np.int64)
-    entries = np.column_stack([row, col, coo.data])
-    upper = row < col
-    pairs = entries[upper]
-    loops = entries[(row == col) & (coo.data != 0.0)]
+    entries = graph.edges
+    loop = entries[:, 0] == entries[:, 1]
+    pairs, loops = entries[~loop], entries[loop]
     m = len(pairs)
     target = int(round(spec.value * m))
     n = graph.num_nodes
@@ -93,7 +90,7 @@ def perturb(
         edges = pairs[np.sort(rng.choice(m, size=target, replace=False))]
     else:
         # Pair (u < v) is coded u * n + v.
-        codes = sample_pairs(n, target - m, rng, taken=(row * n + col)[upper])
-        new_edges = np.column_stack([codes // n, codes % n, np.ones(codes.size)])
-        edges = np.concatenate([pairs, new_edges])
+        u, v = pairs[:, :2].astype(np.int64).T
+        codes = sample_pairs(n, target - m, rng, taken=u * n + v)
+        edges = np.concatenate([pairs, _unit_edges(codes // n, codes % n)])
     return build_graph(n, np.concatenate([edges, loops])), features

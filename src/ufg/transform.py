@@ -15,13 +15,10 @@ error.
 
 ``DecompositionOperator`` has two backends, chosen by the system's mode.
 ``exact`` holds the stacked blocks ``U diag(g_b) U^T`` as one dense array,
-built in the Laplacian eigenbasis from ``FrameletSystem.block_gains``.
-The eigenbasis comes from LAPACK's divide-and-conquer solver (see
-``graphs.eigendecompose``), whose solve peaks at about 3 N^2 doubles, and
-each block is a symmetric rank-k product (BLAS ``dsyrk``, N^3 flops
-against a general product's 2 N^3) into one triangle of its rows of the
-stack, mirrored into the other: blocks are symmetric bit for bit, and the
-build holds the stack and one N x N temporary.
+each the ``graphs.Spectrum.matrix_function`` of its gain
+(``FrameletSystem.block_gains``) in the Laplacian eigenbasis
+(``graphs.eigendecompose``), bitwise symmetric; the build holds the stack
+and one N x N temporary.
 ``chebyshev`` holds only the Laplacian and one fit of every block's gain
 on ``[0, 2]`` in ``L - I``, so it needs neither an eigendecomposition nor
 any N x N matrix. Every gain is fitted at degree ``t + 4 (J - 1)``, and the
@@ -33,23 +30,12 @@ The forward transform runs one Chebyshev recurrence and
 accumulates every block's output from it, and the adjoint sums all blocks
 in one Clenshaw recurrence (Clenshaw 1955), as spectral graph wavelets read
 all their scales off one Chebyshev basis (Hammond, Vandergheynst &
-Gribonval 2011). Both recur on ``S = 2(L - I)``, which ``build_operators``
-builds once per operator with its explicit zeros dropped: the unit
-diagonal cancels, so on a graph without self loops ``S`` stores only the
-off-diagonal entries. Each recurrence works in place on one ``(2, N, d)``
-array, whose two slots hold its latest two terms up to sign, and its
-operands are checked once per call (``_kernel_operands``). A step is one
-bare call of SciPy's sparse kernel, which adds ``S`` or ``-S`` times one
-slot into the other with no temporary, zero fill or subtraction. The
-blocks are updated once per two steps: after an odd step both slots carry
-the same sign, so one BLAS-3 product (``dgemm``) adds both terms to all B
-blocks (forward) or ``w_k`` and ``w_{k-1}`` to the two slots (adjoint),
-and an odd number of terms leaves one lone term to a product of its own.
-Counting every array entry a call reads or writes once, the block updates
-of a default round trip (16 terms, B = 3) move 117 N d doubles, against
-191 N d with one BLAS-2 update per term. Each direction costs
-``recurrence_degree`` sparse products for any number of levels and high
-passes: 30 for a default round trip instead of 40 unchopped.
+Gribonval 2011). Both recur in place on ``S = 2(L - I)``
+(``_recurrence_matrix``), one bare sparse-kernel call per step, and update
+the blocks by one BLAS-3 product per two steps (see ``decompose`` and
+``reconstruct``). Counting every array entry a call reads or writes once,
+the block updates of a default round trip (16 terms, B = 3) move 117 N d
+doubles, against 191 N d with one BLAS-2 update per term.
 
 Large products use every usable CPU (the process's affinity mask, so
 ``taskset`` narrows it; the BLAS thread variables do not). When nnz(S)
@@ -68,27 +54,26 @@ while every row of a dgemm came out the same at any row count and offset
 Sandybridge kernels). So every block update is a dgemm, the forward's
 lone last term included. The one BLAS-2 call left is the dgemv of the
 adjoint's lone top term, and every group but the last starts and ends on
-a multiple of 8 columns, so its flat length has no gemv tail, and the
-last group's tail is the full width's. So with BLAS on one thread the output is bitwise the one-group
-result on any number of CPUs. A multi-threaded BLAS splits each flat
-vector among its own threads at points that move with the length, so its
-last bits already depend on the BLAS thread count, split or not. Below the
-crossover the single loop runs as it is, on the calling thread alone.
+a multiple of 8 columns, so its flat length has no gemv tail, and the last
+group's tail is the full width's. So with BLAS on one thread the output is
+bitwise the one-group result on any number of CPUs. A multi-threaded BLAS
+splits each flat vector among its own threads at points that move with the
+length, so its last bits already depend on the BLAS thread count, split or
+not. Below the crossover the single loop runs as it is, on the calling
+thread alone.
 
-``framelet_operator`` builds either backend from a graph, from the
-Laplacian, Lanczos estimate and (in exact mode) spectrum that the ``Graph``
-caches; K comes from the Lanczos estimate in both modes, so the two
-backends of one graph approximate the same transform. The graph also keeps
-the operator built for its latest settings, so a second call with those
-settings builds nothing; the arrays an operator builds are read-only.
-``DecompositionOperator.restrict`` gives the operator for signals that
-live on a subset of the nodes, such as the labelled nodes a training loss
-reads.
+``framelet_operator`` builds either backend from a graph, which keeps the
+operator of its latest settings; the arrays an operator builds are
+read-only. ``DecompositionOperator.restrict`` gives the operator for
+signals that live on a subset of the nodes, such as the labelled nodes a
+training loss reads.
 
 Coefficients are a plain C-contiguous ``(B, N, d)`` array, block b at
-``[b]`` in ``block_index`` order with the low pass at 0. ``decompose``
-returns one; ``reconstruct``, shrinkage, pooling and the coefficient file
-take one, and a per-block quantity is an operation on its first axis.
+``[b]`` in ``block_index`` order with the low pass at 0: ``decompose``
+returns one, and ``DecompositionOperator.check_coefficients`` checks the
+shape wherever one comes in (``reconstruct``, the coefficient file and a
+framelet convolution's coefficient input). A per-block quantity is an
+operation on the first axis.
 """
 
 from __future__ import annotations
@@ -396,6 +381,14 @@ class DecompositionOperator:
             self.system, self.lap, stack, self.recurrence, rows
         )
 
+    def check_coefficients(self, c, what: str = "coefficient array") -> None:
+        """Raise ``ValueError``, naming ``what``, unless ``c`` has the shape
+        ``(B, N, d)`` of this operator's coefficients, restricted or not."""
+        shape = np.shape(c)
+        if len(shape) != 3 or shape[:2] != (self.num_blocks, self.num_nodes):
+            raise ValueError(f"{what} does not match the operator: shape {shape}, "
+                             f"need ({self.num_blocks}, {self.num_nodes}, d)")
+
     @cached_property
     def block_index(self) -> tuple[tuple[int, int], ...]:
         return self.system.block_index()
@@ -442,15 +435,12 @@ class DecompositionOperator:
 
 def _exact_stack(system: FrameletSystem, spectrum: graphs.Spectrum) -> np.ndarray:
     """The dense ``(B N) x N`` stack: block b is ``spectrum.matrix_function``
-    of the b-th gain, bit for bit, written into its rows in place by the
-    same symmetric rank-k build (``dsyrk`` into one triangle, then a mirror
-    that assigns the other), so each block is exactly symmetric, costs N^3
-    flops, and the build holds the stack and one N x N temporary."""
+    of the b-th gain, written into its rows in place."""
     gains = system.block_gains(spectrum.values)
     n = spectrum.values.size
     stack = np.empty((len(gains) * n, n))
     for g, block in zip(gains, stack.reshape(len(gains), n, n)):
-        spectrum._write_function(g, block)
+        spectrum.matrix_function(g, out=block)
     return stack
 
 
@@ -543,7 +533,8 @@ def decompose(op: DecompositionOperator, X: np.ndarray) -> np.ndarray:
 def reconstruct(op: DecompositionOperator, c: np.ndarray) -> np.ndarray:
     """Inverse transform of the ``(B, N, d)`` coefficients ``c``: ``sum_b
     W_b^T c[b]``, exact by tightness; only the operator's ``rows`` when it
-    is restricted. ``c`` is only read and may be any view.
+    is restricted. ``c`` is only read and may be any view; a shape that
+    ``op.check_coefficients`` refuses raises ``ValueError``.
 
     Every block is a polynomial in the symmetric Laplacian and hence
     symmetric, so in Chebyshev mode the adjoint is ``sum_k T_k(L - I) w_k``
@@ -556,9 +547,7 @@ def reconstruct(op: DecompositionOperator, c: np.ndarray) -> np.ndarray:
     ``w_k`` alone. Its cost is that of ``decompose``.
     """
     c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 3 or c.shape[:2] != (op.num_blocks, op.num_nodes):
-        raise ValueError(f"coefficient array does not match the operator: shape "
-                         f"{c.shape}, need ({op.num_blocks}, {op.num_nodes}, d)")
+    op.check_coefficients(c)
     if op.stack is not None:
         return op.stack.T @ c.reshape(op.num_rows, c.shape[2])
     out = _by_column_groups(op, _reconstruct_columns, c)

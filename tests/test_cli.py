@@ -10,6 +10,7 @@ import re
 import shlex
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +428,51 @@ def test_reconstruct_reference_of_another_shape_exits_two(
     assert not out.exists()
 
 
+def _no_operator(monkeypatch):
+    def no_operator(*args, **kwargs):
+        raise AssertionError("operator built")
+
+    monkeypatch.setattr(cli.transform, "framelet_operator", no_operator)
+
+
+@pytest.mark.parametrize("command", ["transform", "denoise", "pool"])
+def test_signal_of_another_row_count_is_refused_before_any_operator(
+    tmp_path, path_files, monkeypatch, capsys, command
+):
+    # Refused after the exact build before, with a message naming no file.
+    gpath, _ = path_files
+    spath, out = str(tmp_path / "short.csv"), tmp_path / "out.csv"
+    write_features_csv(np.ones((3, 2)), spath)
+    _no_operator(monkeypatch)
+    extra = ["--sigma", "1"] if command == "denoise" else []
+    assert main([command, "--graph", gpath, "--signal", spath, "--out", str(out),
+                 *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"{spath}: signal of 3 rows, but the graph {gpath} has 4 nodes" in err
+    assert "operator built" not in err and not out.exists()
+
+
+def test_truth_and_reference_are_checked_before_any_operator(
+    tmp_path, path_files, monkeypatch, capsys
+):
+    gpath, spath = path_files
+    cpath, bad, out = str(tmp_path / "c.ufgc"), str(tmp_path / "bad.csv"), tmp_path / "o.csv"
+    assert main(["transform", "--graph", gpath, "--signal", spath, "--out", cpath]) == 0
+    write_features_csv(np.ones((4, 3)), bad)
+    capsys.readouterr()
+    _no_operator(monkeypatch)
+    for argv, what in (
+        (["denoise", "--graph", gpath, "--signal", spath, "--sigma", "1", "--truth", bad],
+         "truth"),
+        (["reconstruct", "--graph", gpath, "--coeffs", cpath, "--reference", bad],
+         "reference"),
+    ):
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: {what} shape (4, 3) does not match the signal shape (4, 2)" in err
+        assert "operator built" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["exact", "chebyshev"])
 def test_denoise_single_node_graph_is_identity(tmp_path, capsys, mode):
     # The universal threshold at N = 1 is sigma sqrt(2 ln 1) = 0.
@@ -493,6 +539,30 @@ def test_train_node_bad_list_flags_exit_one(monkeypatch, capsys, extra, named):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert named in err and "training started" not in err
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--seeds", "0-9223372036854775806"),
+    ("--seeds", "0-1048575,7"),  # one past the cap
+    ("--sbm-sizes", "-9223372036854775808-9223372036854775807"),
+])
+def test_list_flags_count_their_entries_before_expanding(monkeypatch, capsys, flag, text):
+    # Expanded first, a range of 2^63 integers died inside argparse with a
+    # raw MemoryError; its count is refused before any list is made.
+    _no_training(monkeypatch)
+    argv = ["train-node", "--sbm-sizes", "10,10", "--epochs", "1", "--seeds", "0",
+            f"{flag}={text}"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and peak < 2**24
+    assert f"more than {cli.LIST_MAX}" in err
+    assert "Traceback" not in err and "training started" not in err
+    assert len(cli._parse_int_list(f"0-{cli.LIST_MAX - 1}")) == cli.LIST_MAX
 
 
 @pytest.mark.parametrize("command", ["train-node"])

@@ -245,7 +245,7 @@ def test_complete_graph_on_1000_nodes_is_drawn_in_under_a_second():
 
 def test_stratified_split_fractions():
     labels = np.repeat([0, 1, 2], 50)
-    train, val, test = stratified_split(labels, (0.1, 0.2), np.random.default_rng(0))
+    train, val, test = stratified_split(labels, np.random.default_rng(0))
     assert not np.any(train & val) and not np.any(train & test) and not np.any(val & test)
     assert np.all(train | val | test)
     for cls in range(3):
@@ -257,7 +257,7 @@ def test_stratified_split_fractions():
 
 def test_stratified_split_minimum_one_train():
     labels = np.array([0, 0, 1])  # tiny class still gets a training node
-    train, _, _ = stratified_split(labels, (0.1, 0.2), np.random.default_rng(0))
+    train, _, _ = stratified_split(labels, np.random.default_rng(0))
     assert train[labels == 1].sum() >= 1
 
 
@@ -521,8 +521,8 @@ def test_graph_split_sizes_leave_a_test_graph_from_four_per_class():
 def test_split_counts_are_what_stratified_split_draws():
     for size in range(1, 40):
         labels = np.zeros(size, dtype=int)
-        masks = stratified_split(labels, (0.1, 0.2), np.random.default_rng(size))
-        assert split_counts(size, (0.1, 0.2)).tolist() == [int(m.sum()) for m in masks]
+        masks = stratified_split(labels, np.random.default_rng(size))
+        assert split_counts(size).tolist() == [int(m.sum()) for m in masks]
 
 
 @pytest.mark.parametrize("sizes, empty", [((2, 2), "test"), ((1, 1), "val, test")])

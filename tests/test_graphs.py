@@ -212,8 +212,10 @@ def test_generated_graphs_match_golden_digests(name):
 
 
 def test_graph_shape_mismatch():
-    with pytest.raises(ValueError, match="shape"):
-        Graph(num_nodes=3, adjacency=sparse_matrix(np.eye(2)))
+    # The node count is the adjacency's, which must be square.
+    with pytest.raises(ValueError, match=r"square, got shape \(3, 2\)"):
+        Graph(sparse_matrix(np.ones((3, 2))))
+    assert Graph(sparse_matrix(np.eye(2))).num_nodes == 2
 
 
 def test_degrees():

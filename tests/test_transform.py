@@ -24,6 +24,8 @@ from ufg import graphs, transform
 from ufg.datasets import GaussianFeatures, generate_sbm, random_er_graph
 from ufg.filters import FilterBank, chebyshev_fit, haar_filter_bank
 from ufg.graphs import build_graph, eigendecompose, lambda_max, normalized_laplacian
+from ufg.io import write_coefficients
+from ufg.nn import READOUTS, init_params, ufg_conv_forward, ufg_pool_forward
 from ufg.sparse import SparseMatrix
 from ufg.transform import (
     _recurrence_matrix,
@@ -1406,6 +1408,35 @@ def test_exact_stack_assigns_every_entry_of_its_buffer(monkeypatch):
     np.testing.assert_array_equal(stack, np.concatenate(blocks), strict=True)
 
 
+def test_matrix_function_writes_into_out_or_refuses_it(small_spectrum):
+    n = small_spectrum.values.size
+    g = np.cos(small_spectrum.values)
+    out = np.full((n, n), np.nan)
+    assert small_spectrum.matrix_function(g, out=out) is out
+    np.testing.assert_array_equal(out, small_spectrum.matrix_function(g), strict=True)
+    # BLAS would write into a copy of any of these and leave ``out`` as it was.
+    for bad in (np.empty((n, n), order="F"), np.empty((n, n + 1)),
+                np.empty((n, n), dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous float64 N x N"):
+            small_spectrum.matrix_function(g, out=bad)
+
+
+def test_one_check_refuses_coefficients_of_another_shape(small_operator, tmp_path, rng):
+    op = small_operator
+    assert (op.num_blocks, op.num_nodes) == (3, 24)
+    bad = np.zeros((3, 23, 2))
+    need = r"does not match the operator: shape \(3, 23, 2\), need \(3, 24, d\)"
+    for call in (lambda: reconstruct(op, bad),
+                 lambda: reconstruct(op.restrict(np.arange(5)), bad),
+                 lambda: write_coefficients(op, bad, str(tmp_path / "c.ufgc"))):
+        with pytest.raises(ValueError, match="coefficient array " + need):
+            call()
+    params = init_params(2, 3, op.num_rows, rng)
+    with pytest.raises(ValueError, match="coefficient input " + need):
+        ufg_conv_forward(params, op, bad, "relu")
+    assert not (tmp_path / "c.ufgc").exists()
+
+
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150])
 def test_matrix_function_sums_signed_runs_symmetrically(n):
     # Gains of both signs, in runs of one and of many columns, and exact
@@ -1570,3 +1601,76 @@ def test_restricted_products_check_the_signal_rows(small_operator):
         decompose(sub, np.zeros((small_operator.num_nodes, 2)))
     assert decompose(sub, np.zeros((5, 2))).shape == (small_operator.num_blocks,
                                                       small_operator.num_nodes, 2)
+
+
+# ------------------------------------------------ relabelled graphs
+
+
+@given(edge_case_graphs())
+@example(build_graph(1, []))
+@example(build_graph(4, []))
+@example(build_graph(3, [(0, 0, 1.0), (1, 2, 1.0), (2, 2, 0.5)]))
+def test_edge_rows_rebuild_the_graph_bit_for_bit(graph):
+    edges = graph.edges
+    assert edges.dtype == np.float64 and edges.shape == (graph.num_edges, 3)
+    assert np.all(edges[:, 0] <= edges[:, 1])
+    rebuilt = build_graph(graph.num_nodes, edges).adjacency.csr
+    a = graph.adjacency.csr
+    for x, y in ((rebuilt.indptr, a.indptr), (rebuilt.indices, a.indices),
+                 (rebuilt.data, a.data)):
+        np.testing.assert_array_equal(x, y, strict=True)
+
+
+def _relabelled(graph, perm):
+    """``graph`` with node i renamed ``perm[i]``, built from its edge rows."""
+    edges = graph.edges.copy()
+    edges[:, :2] = perm[edges[:, :2].astype(np.int64)]
+    return build_graph(graph.num_nodes, edges)
+
+
+def _assert_close(actual, expected, tol, floor):
+    """``actual`` within ``tol`` of ``expected``, relative to the larger of
+    its largest magnitude and ``floor``, the input's."""
+    assert actual.shape == expected.shape
+    scale = max(np.max(np.abs(expected), initial=0.0), floor)
+    assert np.max(np.abs(actual - expected), initial=0.0) <= tol * scale
+
+
+@given(edge_case_graphs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(build_graph(1, []), 2, 0)  # a single node
+@example(build_graph(4, []), 3, 1)  # no edges at all
+@example(build_graph(3, [(0, 0, 1.0), (1, 2, 1.0), (2, 2, 0.5)]), 2, 2)
+def test_transform_and_layers_are_permutation_equivariant(graph, levels, seed):
+    # Relabelling the nodes permutes the rows of every product and leaves the
+    # pool readouts as they are, in both modes. K is pinned by building both
+    # systems from one lam_max: the Lanczos bound itself moves with the order.
+    rng = np.random.default_rng(seed)
+    n = graph.num_nodes
+    perm = rng.permutation(n)
+    other = _relabelled(graph, perm)
+    dense = other.adjacency.csr.toarray()
+    np.testing.assert_array_equal(dense[np.ix_(perm, perm)], graph.adjacency.csr.toarray())
+    lam = float(graph.spectrum.values[-1])
+    settings = TransformSettings(levels=levels)
+    system = FrameletSystem(haar_filter_bank(), settings, lam)
+    X = rng.normal(size=(n, 2))
+    floor = np.max(np.abs(X))
+    X_other = np.empty_like(X)
+    X_other[perm] = X
+    pairs = zip(_both_modes(system, graph.laplacian, graph.spectrum),
+                _both_modes(system, other.laplacian, other.spectrum))
+    for op, op_other in pairs:
+        tol = ROUND_TRIP_TOL if op.stack is not None else TIGHTNESS_TOL
+        c, c_other = decompose(op, X), decompose(op_other, X_other)
+        _assert_close(c_other[:, perm], c, tol, floor)
+        _assert_close(reconstruct(op_other, c_other)[perm], reconstruct(op, c), tol, floor)
+        params = init_params(2, 3, op.num_rows, rng)
+        theta = np.empty((op.num_blocks, n))
+        theta[:, perm] = params["theta"].reshape(op.num_blocks, n)
+        params_other = {**params, "theta": theta.ravel()}
+        y, _ = ufg_conv_forward(params, op, X, "relu")
+        y_other, _ = ufg_conv_forward(params_other, op_other, X_other, "relu")
+        _assert_close(y_other[perm], y, tol, floor)
+        for mode in READOUTS:
+            pooled, _ = ufg_pool_forward(op, X, mode)
+            _assert_close(ufg_pool_forward(op_other, X_other, mode)[0], pooled, tol, floor)
